@@ -11,6 +11,7 @@ package's structural claims on every finite space up to a size budget.
 from .core import (
     EmptySubspace,
     FiniteSpace,
+    InvariantViolated,
     IrtopoError,
     NotATopology,
     ReachNotPreorder,
@@ -37,8 +38,6 @@ from .homotopy import (
     ir_path,
     is_ir_contractible,
     is_ir_path_connected,
-    is_partial_order,
-    quasiorder,
     reverse_exists,
 )
 from .category import (
@@ -53,7 +52,6 @@ from .category import (
     check_theorem13,
     covering_dimension,
     ir_cat,
-    ir_contractible_opens,
     irredundant_covers,
     min_subcover,
 )

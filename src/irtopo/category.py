@@ -9,17 +9,25 @@ space.  "Deforms onto a point" comes in two senses:
 * ambient: some point of the whole space is reachable from all points
   of the set -- the witness may lie outside.
 
-Minimal covers are found by exact set cover (greedy seed, then
-iterative-deepening depth-first search over candidates in canonical
-order), so reports are deterministic and reproducible byte for byte.
+Both quantities have closed forms in the reach preorder (Stong, Trans.
+AMS 1966; Barmak, LNM 2032).  U_y, the minimal neighborhood of y, is
+the set of points that reach y, and U_y <= U_z exactly when y reaches z.
+Call y closed when every point it reaches reaches it back: then U_y is
+inclusion-maximal, and every point reaches some closed point.
 
-Covering dimension is the classical cover-refinement notion: the least
-m such that every open cover admits an open refinement in which no
-point lies in more than m + 1 members.  Both the outer cover sweep and
-the refinement search are restricted to irredundant covers, which is
-sufficient: every cover contains an irredundant subcover, refining the
-subcover refines the cover, and dropping redundant members of a
-refinement never raises its order.
+Covering category.  A deformable open O with witness w lies in U_w.  If
+a closed y lies in O, y reaches w, so U_w = U_y <= O.  Hence every
+deformable cover contains each maximal U_y; these already cover the
+space, and the class of y witnesses U_y in either sense.  The optimal
+cover is unique, the maximal minimal neighborhoods, with the same
+witnesses in both senses.
+
+Covering dimension, the least m such that every open cover has an open
+refinement of order at most m + 1, is the order of that cover minus 1:
+it refines every open cover, as U_y lies in every open containing y,
+and every open refinement of it contains each maximal U_y again.  It is
+thus both the worst cover and its own best refinement.  The searches
+these forms replace are kept in ``verifier`` as oracles.
 """
 
 from __future__ import annotations
@@ -30,6 +38,7 @@ from typing import Iterable, Iterator
 
 from .core import (
     FiniteSpace,
+    InvariantViolated,
     IrtopoError,
     SearchBudgetExceeded,
     canon_key,
@@ -75,21 +84,6 @@ def contraction_witness(space: FiniteSpace, open_mask: int, sense: str) -> int:
     return acc & open_mask if sense == "subspace" else acc
 
 
-def ir_contractible_opens(
-    space: FiniteSpace, sense: str = "subspace"
-) -> tuple[tuple[int, int], ...]:
-    """All nonempty open sets with a nonempty witness, with their witnesses."""
-    _check_sense(sense)
-    out = []
-    for o in space.open_sets:
-        if not o:
-            continue
-        w = contraction_witness(space, o, sense)
-        if w:
-            out.append((o, w))
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class CoverReport:
     """An optimal cover by deformable opens, with per-member witnesses."""
@@ -105,9 +99,9 @@ class CoverReport:
 class DimensionReport:
     """Covering dimension with certificates.
 
-    ``worst_cover`` is an irredundant cover whose best refinement order
-    is maximal; ``refinement`` is that best refinement, of order
-    dim + 1.  The empty space has dimension -1 and no certificates.
+    ``worst_cover`` is an open cover whose best refinement order is
+    maximal; ``refinement`` is that best refinement, of order dim + 1.
+    The empty space has dimension -1 and no certificates.
     """
 
     dim: int
@@ -115,61 +109,22 @@ class DimensionReport:
     refinement: tuple[int, ...] | None
 
 
-def _minimum_cover(universe: int, candidates: tuple[int, ...]) -> tuple[int, ...]:
-    """Exact minimum set cover, deterministic.
-
-    Greedy gives the depth bound; iterative-deepening DFS branches on
-    the lowest uncovered point and tries candidates in the given order,
-    so the returned optimum is the first one in that canonical order.
-    """
-    if universe == 0:
-        return ()
-    uncovered = universe
-    greedy: list[int] = []
-    while uncovered:
-        best = None
-        best_gain = 0
-        for c in candidates:
-            gain = (c & uncovered).bit_count()
-            if gain > best_gain:
-                best, best_gain = c, gain
-        if best is None:
-            raise NotACover("candidate sets do not cover the space")
-        greedy.append(best)
-        uncovered &= ~best
-    per_point = [
-        tuple(c for c in candidates if c >> p & 1)
-        for p in range(universe.bit_length())
-    ]
-
-    def dfs(uncovered: int, chosen: tuple[int, ...], limit: int):
-        if not uncovered:
-            return chosen
-        if len(chosen) >= limit:
-            return None
-        p = (uncovered & -uncovered).bit_length() - 1
-        for c in per_point[p]:
-            found = dfs(uncovered & ~c, chosen + (c,), limit)
-            if found is not None:
-                return found
-        return None
-
-    for limit in range(1, len(greedy)):
-        found = dfs(universe, (), limit)
-        if found is not None:
-            return tuple(sorted(found, key=canon_key))
-    return tuple(sorted(greedy, key=canon_key))
-
-
 @lru_cache(maxsize=1 << 15)
 def _ir_cat_cached(reach_rows: tuple[int, ...], sense: str) -> CoverReport:
     space = FiniteSpace(tuple(str(i) for i in range(len(reach_rows))), reach_rows)
-    cands = ir_contractible_opens(space, sense)
-    cover = _minimum_cover(space.full_mask, tuple(m for m, _ in cands))
-    witness = dict(cands)
+    cover = tuple(
+        sorted(
+            {
+                space.min_opens[y]
+                for y, row in enumerate(reach_rows)
+                if row & ~space.min_opens[y] == 0
+            },
+            key=canon_key,
+        )
+    )
     return CoverReport(
         sets=cover,
-        witnesses=tuple(witness[m] for m in cover),
+        witnesses=tuple(contraction_witness(space, m, sense) for m in cover),
         size=len(cover),
         minimal=True,
         sense=sense,
@@ -177,11 +132,12 @@ def _ir_cat_cached(reach_rows: tuple[int, ...], sense: str) -> CoverReport:
 
 
 def ir_cat(space: FiniteSpace, sense: str = "subspace") -> CoverReport:
-    """Exact covering category, with an optimal cover as certificate.
+    """Exact covering category, with its unique optimal cover as certificate.
 
-    Always finite: the minimal neighborhoods are deformable and cover
-    the space.  Results depend only on the reach relation and are
-    cached.
+    The cover is the set of inclusion-maximal minimal neighborhoods, in
+    canonical order; cover and witnesses are the same in both senses
+    (see the module docstring).  Results depend only on the reach
+    relation and are cached.
     """
     if space.n == 0:
         raise EmptySpace("covering category is undefined for the empty space")
@@ -276,7 +232,10 @@ def min_subcover(space: FiniteSpace, cover: Iterable[int]) -> tuple[int, ...]:
         best = max(containers, key=lambda v: (v.bit_count(), -v))
         if best not in chosen:
             chosen.append(best)
-    assert len(chosen) <= rep.size
+    if len(chosen) > rep.size:
+        raise InvariantViolated(
+            f"subcover of {len(chosen)} members exceeds the category {rep.size}"
+        )
     return tuple(sorted(chosen, key=canon_key))
 
 
@@ -328,15 +287,13 @@ def cover_order(cover: Iterable[int]) -> int:
     )
 
 
-def _refines(fine: tuple[int, ...], coarse: tuple[int, ...]) -> bool:
-    return all(any(m & ~v == 0 for v in coarse) for m in fine)
-
-
 def covering_dimension(space: FiniteSpace, max_points: int = 5) -> DimensionReport:
-    """Exact covering dimension by exhaustive cover enumeration.
+    """Exact covering dimension: the order of the optimal deformable cover, minus 1.
 
-    Exponential in the number of open sets, hence the point budget
-    (SearchBudgetExceeded beyond it).
+    That cover is both the worst cover and its best refinement (see the
+    module docstring).  The computation is polynomial, but the point
+    budget (SearchBudgetExceeded beyond it) is part of the interface:
+    the CLI reports no dimension above it.
     """
     if space.n == 0:
         return DimensionReport(-1, None, None)
@@ -344,23 +301,8 @@ def covering_dimension(space: FiniteSpace, max_points: int = 5) -> DimensionRepo
         raise SearchBudgetExceeded(
             f"dimension search limited to {max_points} points, space has {space.n}"
         )
-    covers = list(irredundant_covers(space))
-    worst_cover = None
-    worst_order = 0
-    worst_refinement = None
-    for c in covers:
-        best_order = None
-        best_ref = None
-        for r in covers:
-            if _refines(r, c):
-                order = cover_order(r)
-                if best_order is None or order < best_order:
-                    best_order, best_ref = order, r
-        # c refines itself, so best_order is set
-        assert best_order is not None
-        if best_order > worst_order:
-            worst_cover, worst_order, worst_refinement = c, best_order, best_ref
-    return DimensionReport(worst_order - 1, worst_cover, worst_refinement)
+    cover = ir_cat(space).sets
+    return DimensionReport(cover_order(cover) - 1, cover, cover)
 
 
 def check_theorem13(space: FiniteSpace, max_points: int = 5):

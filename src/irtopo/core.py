@@ -44,6 +44,10 @@ class SearchBudgetExceeded(IrtopoError):
     """An exhaustive search would exceed its configured budget."""
 
 
+class InvariantViolated(IrtopoError):
+    """Two computations of the same quantity disagree: a defect in this package."""
+
+
 def mask_of(points: Iterable[int]) -> int:
     m = 0
     for p in points:
@@ -122,16 +126,10 @@ class FiniteSpace:
     @cached_property
     def open_sets(self) -> tuple[int, ...]:
         """All open sets: the unions of minimal neighborhoods, in canonical order."""
-        seen = {0}
-        stack = [0]
-        while stack:
-            o = stack.pop()
-            for m in self.min_opens:
-                u = o | m
-                if u not in seen:
-                    seen.add(u)
-                    stack.append(u)
-        return tuple(sorted(seen, key=canon_key))
+        opens = {0}
+        for m in set(self.min_opens):
+            opens |= {o | m for o in opens}
+        return tuple(sorted(opens, key=canon_key))
 
     def is_open(self, mask: int) -> bool:
         return all(self.min_opens[y] & ~mask == 0 for y in iter_points(mask))
@@ -244,7 +242,10 @@ def from_open_sets(labels: Iterable[str], opens: Iterable) -> FiniteSpace:
         for m in fam:
             if not m >> x & 1:
                 avoid |= m
-        assert rows[x] == full & ~avoid
+        if rows[x] != full & ~avoid:
+            raise InvariantViolated(
+                f"closure of {labels[x]!r} disagrees between the two readings"
+            )
     return FiniteSpace(labels, tuple(rows))
 
 

@@ -20,6 +20,7 @@ from itertools import product as iproduct
 
 from .core import (
     FiniteSpace,
+    InvariantViolated,
     IrtopoError,
     SearchBudgetExceeded,
     iter_points,
@@ -102,7 +103,10 @@ def ir_co(space: FiniteSpace) -> int:
     alt = mask_of(
         y for y in range(space.n) if space.min_opens[y] == space.full_mask
     )
-    assert co == alt
+    if co != alt:
+        raise InvariantViolated(
+            f"core {points_of(co)} disagrees with {points_of(alt)} from neighborhoods"
+        )
     return co
 
 
@@ -272,17 +276,3 @@ def ir_homotopy_equivalent(
                 return f, g
     return None
 
-
-def quasiorder(space: FiniteSpace) -> tuple[int, ...]:
-    """The reachability relation as bitmask rows (a reflexive, transitive order)."""
-    return space.reach_rows
-
-
-def is_partial_order(space: FiniteSpace) -> bool:
-    """Whether reach is antisymmetric, i.e. a partial order; equals T0-ness."""
-    rows = space.reach_rows
-    return not any(
-        rows[x] >> y & 1 and rows[y] >> x & 1
-        for x in range(space.n)
-        for y in range(x + 1, space.n)
-    )

@@ -18,6 +18,10 @@ Claim categories:
   subspace-vs-ambient witness comparison); either verdict is reported
   without gating the exit status.
 
+Exhaustive searches that production code replaced by closed forms are
+kept here as oracles (``_cover_search``, ``_dimension_search``), so the
+claims that use them check their statements by brute force.
+
 Reports are deterministic given (claim, size limits, seed) and
 independent of the worker count: instances are indexed before sharding
 and results merge by index.  Timing is kept out of the JSON form so
@@ -32,11 +36,10 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product as iproduct
 from typing import Callable, Iterable, Iterator
 
 from . import category, homotopy, intervals, spaceio, spectra
-from .core import FiniteSpace, IrtopoError, SearchBudgetExceeded, canon_key, iter_points, points_of, product
+from .core import FiniteSpace, IrtopoError, canon_key, from_open_sets, iter_points, points_of, product
 
 MAX_ENUM_POINTS = 5
 MAX_PAIR_POINTS = 4
@@ -107,32 +110,6 @@ def enumerate_spaces(n: int) -> Iterator[FiniteSpace]:
         yield FiniteSpace(labels, rows)
 
 
-def count_topologies_by_open_families(n: int) -> int:
-    """Independent recount: families of subsets containing the empty and the
-    full set and closed under pairwise union and intersection."""
-    if not 1 <= n <= 4:
-        raise BudgetExceeded("open-family recount supports 1..4 points")
-    full = (1 << n) - 1
-    proper = [m for m in range(1, full)]
-    count = 0
-    for sel in range(1 << len(proper)):
-        fam = {0, full}
-        for i, m in enumerate(proper):
-            if sel >> i & 1:
-                fam.add(m)
-        ok = True
-        for a in fam:
-            for b in fam:
-                if a | b not in fam or a & b not in fam:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            count += 1
-    return count
-
-
 def topologies_by_open_families(n: int) -> set[tuple[int, ...]]:
     """Reach-row tuples of every topology found by the open-family recount."""
     if not 1 <= n <= 4:
@@ -147,10 +124,7 @@ def topologies_by_open_families(n: int) -> set[tuple[int, ...]]:
             if sel >> i & 1:
                 fam.add(m)
         if all(a | b in fam and a & b in fam for a in fam for b in fam):
-            opens = [points_of(m) for m in fam]
-            from .core import from_open_sets
-
-            found.add(from_open_sets(labels, opens).reach_rows)
+            found.add(from_open_sets(labels, fam).reach_rows)
     return found
 
 
@@ -192,50 +166,128 @@ def box_topology(x: FiniteSpace, y: FiniteSpace) -> frozenset[int]:
     return _box_topology_rows(x.reach_rows, y.reach_rows)
 
 
-def chain_homotopy_oracle(x: FiniteSpace, y: FiniteSpace, f, g, budget: int = 10**7) -> bool:
+def chain_homotopy_oracle(x: FiniteSpace, y: FiniteSpace, f, g) -> bool:
     """Brute-force decision of "f deforms to g" over the two-point chain.
 
-    Searches for a continuous H on the product of x with the two-point
-    chain, H(., bottom) = f and H(., top) = g, where the product carries
-    the box-generated topology and continuity means every preimage of an
-    open of y is in that family.  This is independent of the pointwise
-    reach criterion used by homotopy.ir_homotopic, and decides the same
-    question as a deformation over the one-way unit interval: a
-    two-stage deformation lifts through the collapse t < 1 -> bottom,
-    t = 1 -> top, and conversely every interval deformation restricts to
-    its two stages.
+    Decides whether H on the product of x with the two-point chain,
+    H(., bottom) = f and H(., top) = g, is continuous, where the product
+    carries the box-generated topology and continuity means every
+    preimage of an open of y is in that family.  This is independent of
+    the pointwise reach criterion used by homotopy.ir_homotopic, and
+    decides the same question as a deformation over the one-way unit
+    interval: a two-stage deformation lifts through the collapse
+    t < 1 -> bottom, t = 1 -> top, and conversely every interval
+    deformation restricts to its two stages.
 
-    The boundary conditions pin every product point, so only candidates
-    consistent with them are enumerated (here: exactly one).
+    The boundary conditions pin every product point, so H is the only
+    candidate.
     """
     f = tuple(f.assignment if isinstance(f, homotopy.ContinuousMap) else f)
     g = tuple(g.assignment if isinstance(g, homotopy.ContinuousMap) else g)
     if len(f) != x.n or len(g) != x.n:
         raise ValueError("boundary maps must assign every point of the domain")
-    chain2 = intervals.chain_space(2)
-    opens_prod = box_topology(x, chain2)
-    opens_y = y.open_sets
-    n_prod = 2 * x.n
-    candidates = 1  # every point is pinned by a boundary condition
-    if candidates * len(opens_y) * n_prod > budget:
-        raise SearchBudgetExceeded("homotopy search exceeds its budget")
-    per_point = []
-    for p in range(x.n):
-        per_point.append((f[p],))
-        per_point.append((g[p],))
-    for h in iproduct(*per_point):
-        ok = True
-        for v in opens_y:
-            pre = 0
-            for i, hv in enumerate(h):
-                if v >> hv & 1:
-                    pre |= 1 << i
-            if pre not in opens_prod:
-                ok = False
-                break
-        if ok:
-            return True
-    return False
+    opens_prod = box_topology(x, intervals.chain_space(2))
+    # product point 2p is (p, bottom), 2p + 1 is (p, top)
+    h = [v for p in range(x.n) for v in (f[p], g[p])]
+    for v in y.open_sets:
+        pre = 0
+        for i, hv in enumerate(h):
+            if v >> hv & 1:
+                pre |= 1 << i
+        if pre not in opens_prod:
+            return False
+    return True
+
+
+# ---------------------------------------------------------------------------
+# exhaustive covering oracles
+
+
+def _ir_contractible_opens(
+    space: FiniteSpace, sense: str
+) -> tuple[tuple[int, int], ...]:
+    """All nonempty open sets with a nonempty witness, with their witnesses."""
+    out = []
+    for o in space.open_sets:
+        if not o:
+            continue
+        w = category.contraction_witness(space, o, sense)
+        if w:
+            out.append((o, w))
+    return tuple(out)
+
+
+def _minimum_cover(universe: int, candidates: tuple[int, ...]) -> tuple[int, ...]:
+    """Exact minimum set cover by iterative deepening, deterministic.
+
+    The depth-first search branches on the lowest uncovered point and
+    tries candidates in the given order, so the returned optimum is the
+    first one in that canonical order.
+    """
+    per_point = [
+        tuple(c for c in candidates if c >> p & 1)
+        for p in range(universe.bit_length())
+    ]
+    if any(universe >> p & 1 and not cs for p, cs in enumerate(per_point)):
+        raise category.NotACover("candidate sets do not cover the space")
+
+    def dfs(uncovered: int, chosen: tuple[int, ...], limit: int):
+        if not uncovered:
+            return chosen
+        if len(chosen) >= limit:
+            return None
+        p = (uncovered & -uncovered).bit_length() - 1
+        for c in per_point[p]:
+            found = dfs(uncovered & ~c, chosen + (c,), limit)
+            if found is not None:
+                return found
+        return None
+
+    limit = 0
+    while (found := dfs(universe, (), limit)) is None:
+        limit += 1
+    return tuple(sorted(found, key=canon_key))
+
+
+def _cover_search(space: FiniteSpace, sense: str) -> category.CoverReport:
+    """Covering category by exact set cover over every deformable open."""
+    cands = _ir_contractible_opens(space, sense)
+    cover = _minimum_cover(space.full_mask, tuple(m for m, _ in cands))
+    witness = dict(cands)
+    return category.CoverReport(
+        sets=cover,
+        witnesses=tuple(witness[m] for m in cover),
+        size=len(cover),
+        minimal=True,
+        sense=sense,
+    )
+
+
+def _dimension_search(space: FiniteSpace) -> category.DimensionReport:
+    """Covering dimension by sweeping every irredundant cover for its best
+    irredundant refinement.
+
+    Restricting both sweeps to irredundant covers suffices: every cover
+    contains an irredundant subcover, refining the subcover refines the
+    cover, and dropping redundant members of a refinement never raises
+    its order.
+    """
+    covers = list(category.irredundant_covers(space))
+    worst_cover = None
+    worst_order = 0
+    worst_refinement = None
+    for c in covers:
+        # c refines itself, so best_order is set
+        best_order = None
+        best_ref = None
+        for r in covers:
+            if all(any(m & ~v == 0 for v in c) for m in r):
+                order = category.cover_order(r)
+                if best_order is None or order < best_order:
+                    best_order, best_ref = order, r
+        if best_order > worst_order:
+            worst_cover, worst_order, worst_refinement = c, best_order, best_ref
+    return category.DimensionReport(worst_order - 1, worst_cover, worst_refinement)
 
 
 # ---------------------------------------------------------------------------
@@ -315,11 +367,12 @@ def _space_payload(s: FiniteSpace) -> dict:
 
 
 def _closure_via_opens(s: FiniteSpace, x: int) -> int:
-    # independent closure route: complement of the union of opens avoiding x
+    # independent closure route: complement of the union of opens avoiding
+    # x; every open is a union of minimal neighborhoods, so those suffice
     avoid = 0
-    for o in s.open_sets:
-        if not o >> x & 1:
-            avoid |= o
+    for u in s.min_opens:
+        if not u >> x & 1:
+            avoid |= u
     return s.full_mask & ~avoid
 
 
@@ -597,8 +650,9 @@ def _claim_t13(ctx: _Ctx):
     cap = min(ctx.n_max, _DIM_SWEEP_CAP)
 
     def check(s):
-        ok, dim_rep, cat_rep = category.check_theorem13(s)
-        if not ok:
+        dim_rep = _dimension_search(s)
+        cat_rep = _cover_search(s, "subspace")
+        if dim_rep.dim + 1 > cat_rep.size:
             return {
                 "space": _space_payload(s),
                 "dim": dim_rep.dim,
@@ -732,7 +786,7 @@ def _claim_p3(ctx: _Ctx):
 
 def _claim_p4(ctx: _Ctx):
     def check(s):
-        rows = homotopy.quasiorder(s)
+        rows = [_closure_via_opens(s, x) for x in range(s.n)]
         for x in range(s.n):
             if not rows[x] >> x & 1:
                 return {"space": _space_payload(s), "missing_reflexive": s.labels[x]}
@@ -927,7 +981,13 @@ def _claim_c8(ctx: _Ctx):
 
 def _claim_c9(ctx: _Ctx):
     def check(s):
-        if homotopy.is_partial_order(s) != s.is_t0():
+        rows = [_closure_via_opens(s, x) for x in range(s.n)]
+        antisymmetric = not any(
+            rows[x] >> y & 1 and rows[y] >> x & 1
+            for x in range(s.n)
+            for y in range(x + 1, s.n)
+        )
+        if antisymmetric != s.is_t0():
             return {"space": _space_payload(s)}
         return None
 
@@ -936,8 +996,8 @@ def _claim_c9(ctx: _Ctx):
 
 def _claim_d5(ctx: _Ctx):
     def check(s):
-        sub = category.ir_cat(s, "subspace").size
-        amb = category.ir_cat(s, "ambient").size
+        sub = _cover_search(s, "subspace").size
+        amb = _cover_search(s, "ambient").size
         if sub != amb:
             return {
                 "space": _space_payload(s),

@@ -13,14 +13,20 @@ from irtopo import (
     covering_dimension,
     ir_cat,
     ir_co,
-    ir_contractible_opens,
     irredundant_covers,
     min_subcover,
     points_of,
     product,
 )
-from irtopo.category import _minimum_cover, cover_order
+from irtopo.category import cover_order
 from irtopo.core import FiniteSpace
+from irtopo.verifier import (
+    _cover_search,
+    _dimension_search,
+    _ir_contractible_opens,
+    _minimum_cover,
+    enumerate_spaces,
+)
 
 from conftest import discrete, indiscrete
 
@@ -58,29 +64,30 @@ def maximal_cluster_count(space):
 
 class TestContractibleOpens:
     def test_sierpinski_subspace_sense(self, sierpinski):
-        assert ir_contractible_opens(sierpinski) == ((0b01, 0b01), (0b11, 0b10))
+        cands = _ir_contractible_opens(sierpinski, "subspace")
+        assert cands == ((0b01, 0b01), (0b11, 0b10))
 
     def test_pseudocircle_candidates(self, pseudocircle):
-        cands = ir_contractible_opens(pseudocircle)
+        cands = _ir_contractible_opens(pseudocircle, "subspace")
         assert [c for c, _ in cands] == [0b0001, 0b0010, 0b0111, 0b1011]
         assert dict(cands)[0b0111] == 0b0100
         assert 0b0011 not in dict(cands)  # its subspace is discrete
 
     def test_pseudocircle_ambient_sense(self, pseudocircle):
-        cands = dict(ir_contractible_opens(pseudocircle, "ambient"))
+        cands = dict(_ir_contractible_opens(pseudocircle, "ambient"))
         # {a, b} qualifies ambiently: both closures contain {c, d}
         assert cands[0b0011] == 0b1100
 
     def test_min_opens_always_qualify(self, spaces_upto3):
         for s in spaces_upto3:
-            cands = dict(ir_contractible_opens(s))
+            cands = dict(_ir_contractible_opens(s, "subspace"))
             for x in range(s.n):
                 witness = cands[s.min_opens[x]]
                 assert witness >> x & 1
 
     def test_subspace_witness_equals_subspace_core(self, spaces_upto3):
         for s in spaces_upto3:
-            for o, witness in ir_contractible_opens(s):
+            for o, witness in _ir_contractible_opens(s, "subspace"):
                 sub = s.subspace(o)
                 pts = points_of(o)
                 lifted = sum(1 << pts[i] for i in points_of(ir_co(sub)))
@@ -88,7 +95,7 @@ class TestContractibleOpens:
 
     def test_bad_sense(self, sierpinski):
         with pytest.raises(ValueError):
-            ir_contractible_opens(sierpinski, "other")
+            _ir_contractible_opens(sierpinski, "other")
 
 
 class TestIrCat:
@@ -134,6 +141,37 @@ class TestIrCat:
         first = ir_cat(pseudocircle)
         _ir_cat_cached.cache_clear()
         assert ir_cat(pseudocircle) == first
+
+
+@pytest.fixture(scope="module")
+def spaces_upto5():
+    return [s for n in range(1, 6) for s in enumerate_spaces(n)]
+
+
+class TestClosedFormsMatchSearch:
+    """The closed forms against the exhaustive searches in the verifier."""
+
+    def test_cover_on_all_small_spaces(self, spaces_upto5):
+        for s in spaces_upto5:
+            for sense in ("subspace", "ambient"):
+                assert ir_cat(s, sense) == _cover_search(s, sense)
+
+    def test_cover_on_products(self, spaces_upto3):
+        for a in spaces_upto3:
+            for b in spaces_upto3:
+                prod = product(a, b)
+                for sense in ("subspace", "ambient"):
+                    assert ir_cat(prod, sense) == _cover_search(prod, sense)
+
+    def test_dimension_on_all_small_spaces(self, spaces_upto5):
+        for s in spaces_upto5:
+            assert covering_dimension(s) == _dimension_search(s)
+
+    def test_large_discrete_is_polynomial(self):
+        singletons = tuple(1 << i for i in range(40))
+        assert ir_cat(discrete(40)).sets == singletons
+        rep = covering_dimension(discrete(40), max_points=40)
+        assert rep.dim == 0 and rep.worst_cover == rep.refinement == singletons
 
 
 def test_minimum_cover_is_exact():

@@ -305,3 +305,16 @@ def test_reach_is_reflexive_and_transitive(args):
         assert s.reach(x, x)
         for y in points_of(s.reach_rows[x]):
             assert s.reach_rows[y] & ~s.reach_rows[x] == 0
+
+
+def test_no_bare_asserts_in_package():
+    # asserts vanish under python -O, so package checks must raise
+    import ast
+    from pathlib import Path
+
+    import irtopo
+
+    for path in sorted(Path(irtopo.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        lines = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)]
+        assert not lines, f"{path.name}: assert at lines {lines}"

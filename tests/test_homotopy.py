@@ -15,10 +15,8 @@ from irtopo import (
     ir_path,
     is_ir_contractible,
     is_ir_path_connected,
-    is_partial_order,
     points_of,
     product,
-    quasiorder,
 )
 
 from conftest import discrete, indiscrete
@@ -259,17 +257,3 @@ class TestEquivalence:
     def test_bad_orientation(self, sierpinski):
         with pytest.raises(ValueError):
             ir_homotopy_equivalent(sierpinski, sierpinski, orientation="other")
-
-
-class TestQuasiorder:
-    def test_returns_reach(self, sierpinski):
-        assert quasiorder(sierpinski) == sierpinski.reach_rows
-
-    def test_partial_order_examples(self, sierpinski):
-        assert is_partial_order(sierpinski)
-        assert not is_partial_order(indiscrete(2))
-        assert is_partial_order(discrete(4))
-
-    def test_partial_order_iff_t0(self, spaces_upto4):
-        for s in spaces_upto4:
-            assert is_partial_order(s) == s.is_t0()

@@ -15,7 +15,6 @@ from irtopo.verifier import (
     CLAIM_ORDER,
     CLAIMS,
     box_topology,
-    count_topologies_by_open_families,
     suite_passed,
     suite_to_jsonable,
     topologies_by_open_families,
@@ -60,8 +59,8 @@ class TestEnumeration:
 
     def test_matches_open_family_enumeration(self):
         for n in range(1, 4):
-            assert count_topologies_by_open_families(n) == EXPECTED_COUNTS[n]
             families = topologies_by_open_families(n)
+            assert len(families) == EXPECTED_COUNTS[n]
             enumerated = {s.reach_rows for s in enumerate_spaces(n)}
             assert families == enumerated
 
