@@ -154,13 +154,12 @@ def _cmd_contractible(args) -> int:
 def _cmd_equiv(args) -> int:
     left = spaceio.load_space(args.left)
     right = spaceio.load_space(args.right)
-    orientation = "def8" if args.def8_orientation else "thm15"
-    found = homotopy.ir_homotopy_equivalent(left, right, orientation=orientation)
+    found = homotopy.ir_homotopy_equivalent(left, right)
     if args.format == "json":
         _emit_json(
             {
                 "equivalent": found is not None,
-                "orientation": orientation,
+                "orientation": "thm15",
                 "f": None if found is None else list(found[0].assignment),
                 "g": None if found is None else list(found[1].assignment),
             }
@@ -375,7 +374,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("equiv", help="search for a one-way homotopy equivalence")
     p.add_argument("left")
     p.add_argument("right")
-    p.add_argument("--def8-orientation", action="store_true")
     _add_format(p)
     p.set_defaults(func=_cmd_equiv)
 

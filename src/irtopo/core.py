@@ -181,12 +181,6 @@ class FiniteSpace:
         # neighborhoods do, since every open is a union of minimal ones.
         return all(a & b for a, b in combinations(self.min_opens, 2))
 
-    def label_index(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise ValueError(f"no point labelled {label!r}") from None
-
 
 def _as_mask(o, full: int) -> int:
     m = o if isinstance(o, int) else mask_of(o)

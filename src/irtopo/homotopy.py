@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from itertools import product as iproduct
 
 from .core import (
     FiniteSpace,
@@ -50,7 +49,11 @@ class NoForwardPath(IrtopoError):
 def _map_budget(budget: int | None) -> int:
     if budget is not None:
         return budget
-    return int(os.environ.get("IRTOPO_BUDGET_MAPS", DEFAULT_MAP_BUDGET))
+    raw = os.environ.get("IRTOPO_BUDGET_MAPS", str(DEFAULT_MAP_BUDGET))
+    try:
+        return int(raw)
+    except ValueError:
+        raise IrtopoError(f"IRTOPO_BUDGET_MAPS must be an integer, got {raw!r}") from None
 
 
 @dataclass(frozen=True)
@@ -216,8 +219,11 @@ def continuous_maps(
 ) -> list[ContinuousMap]:
     """All continuous maps domain -> codomain, in lexicographic order.
 
-    Guards the |codomain| ** |domain| candidate count against the map
-    budget (IRTOPO_BUDGET_MAPS overrides the default).
+    Backtracks point by point: the image of point k must be reached from
+    the images of the earlier points that reach k, and must reach the
+    images of the earlier points that k reaches, so no discontinuous map
+    is built.  The |codomain| ** |domain| candidate count is guarded up
+    front against the map budget (IRTOPO_BUDGET_MAPS overrides it).
     """
     limit = _map_budget(budget)
     total = codomain.n ** domain.n
@@ -225,54 +231,60 @@ def continuous_maps(
         raise SearchBudgetExceeded(
             f"{total} candidate maps exceed the budget of {limit}"
         )
-    rows = domain.reach_rows
-    out = []
-    for assign in iproduct(range(codomain.n), repeat=domain.n):
-        ok = True
-        for x, row in enumerate(rows):
-            fx = assign[x]
-            for x2 in iter_points(row):
-                if not codomain.reach(fx, assign[x2]):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            out.append(ContinuousMap(domain, codomain, assign))
+    n = domain.n
+    if n == 0:
+        return [ContinuousMap(domain, codomain, ())]
+    below = [points_of(domain.min_opens[k] & ((1 << k) - 1)) for k in range(n)]
+    above = [points_of(domain.reach_rows[k] & ((1 << k) - 1)) for k in range(n)]
+    full, reach_rows, min_opens = codomain.full_mask, codomain.reach_rows, codomain.min_opens
+    assign = [0] * n
+
+    def allowed(k: int) -> int:
+        m = full
+        for p in below[k]:
+            m &= reach_rows[assign[p]]
+        for p in above[k]:
+            m &= min_opens[assign[p]]
+        return m
+
+    out, k = [], 0
+    pending = [full] + [0] * (n - 1)  # pending[k]: images of point k left to try
+    while k >= 0:
+        m = pending[k]
+        if not m:
+            k -= 1
+            continue
+        low = m & -m
+        pending[k] = m ^ low
+        assign[k] = low.bit_length() - 1
+        if k + 1 < n:
+            k += 1
+            pending[k] = allowed(k)
+        else:
+            out.append(ContinuousMap(domain, codomain, tuple(assign)))
     return out
 
 
 def ir_homotopy_equivalent(
-    x: FiniteSpace,
-    y: FiniteSpace,
-    orientation: str = "thm15",
-    budget: int | None = None,
+    x: FiniteSpace, y: FiniteSpace, budget: int | None = None
 ) -> tuple[ContinuousMap, ContinuousMap] | None:
-    """Search for maps f: x -> y and g: y -> x with both round trips
-    deformable from the identities: 1_x to g∘f and 1_y to f∘g.
+    """The first pair of maps f: x -> y and g: y -> x, in lexicographic
+    order, with both round trips deformable from the identities:
+    reach(p, g(f(p))) in x for every p and reach(q, f(g(q))) in y for
+    every q.
 
-    The search is exhaustive over continuous map pairs, so None is a
-    proof that no such pair exists at this size.  ``orientation``
-    selects which written order of the two composites is paired with
-    which identity ("thm15" keeps g∘f on x; "def8" reads the composite
-    in application order, f then g, on x) -- once the composites are
-    typed the two readings denote the same maps, so the results agree;
-    both spellings are accepted and the sweeps assert their agreement.
+    The search is exhaustive over pairs of continuous maps, so None is a
+    proof that no such pair exists.
     """
-    if orientation not in ("thm15", "def8"):
-        raise ValueError(f"unknown orientation {orientation!r}")
     fs = continuous_maps(x, y, budget)
     gs = continuous_maps(y, x, budget)
-    id_x = ContinuousMap.identity(x)
-    id_y = ContinuousMap.identity(y)
+    xrows, yrows = x.reach_rows, y.reach_rows
     for f in fs:
+        fa = f.assignment
         for g in gs:
-            on_x = compose(g, f)
-            on_y = compose(f, g)
-            if (
-                ir_homotopic(id_x, on_x) is not None
-                and ir_homotopic(id_y, on_y) is not None
+            ga = g.assignment
+            if all(xrows[p] >> ga[fa[p]] & 1 for p in range(x.n)) and all(
+                yrows[q] >> fa[ga[q]] & 1 for q in range(y.n)
             ):
                 return f, g
     return None
-

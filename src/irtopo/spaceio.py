@@ -42,6 +42,20 @@ def space_to_dict(space: FiniteSpace) -> dict:
     }
 
 
+def _is_index(v, n: int) -> bool:
+    return type(v) is int and 0 <= v < n  # JSON true/false are ints in Python
+
+
+def _labels(d: dict) -> list[str]:
+    labels = d.get("labels")
+    if not isinstance(labels, list) or not all(isinstance(s, str) for s in labels):
+        raise ParseError('field "labels" must be a list of strings')
+    if len(set(labels)) != len(labels):
+        dup = next(s for i, s in enumerate(labels) if s in labels[:i])
+        raise ParseError(f"duplicate label {dup!r}")
+    return labels
+
+
 def _reach_rows_from_pairs(n: int, pairs) -> list[int]:
     rows = [1 << i for i in range(n)]
     for item in pairs:
@@ -49,7 +63,7 @@ def _reach_rows_from_pairs(n: int, pairs) -> list[int]:
             x, y = item
         except (TypeError, ValueError):
             raise ParseError(f"reach entries must be [from, to] pairs, got {item!r}")
-        if not (isinstance(x, int) and isinstance(y, int) and 0 <= x < n and 0 <= y < n):
+        if not (_is_index(x, n) and _is_index(y, n)):
             raise ParseError(f"reach pair {item!r} is out of range")
         rows[x] |= 1 << y
     return rows
@@ -58,9 +72,7 @@ def _reach_rows_from_pairs(n: int, pairs) -> list[int]:
 def space_from_dict(d: dict) -> FiniteSpace:
     if not isinstance(d, dict):
         raise ParseError("expected a JSON object describing a space")
-    labels = d.get("labels")
-    if not isinstance(labels, list) or not all(isinstance(s, str) for s in labels):
-        raise ParseError('field "labels" must be a list of strings')
+    labels = _labels(d)
     has_reach = "reach" in d
     has_opens = "opens" in d
     if not has_reach and not has_opens:
@@ -72,9 +84,7 @@ def space_from_dict(d: dict) -> FiniteSpace:
         if not isinstance(opens, list):
             raise ParseError('field "opens" must be a list of point lists')
         for o in opens:
-            if not isinstance(o, list) or not all(
-                isinstance(p, int) and 0 <= p < n for p in o
-            ):
+            if not isinstance(o, list) or not all(_is_index(p, n) for p in o):
                 raise ParseError(f"open set {o!r} is not a list of point indices")
         space = from_open_sets(labels, opens)
     if has_reach:
@@ -104,10 +114,8 @@ def spec_to_dict(spec: SpecSpace) -> dict:
 def poset_from_dict(d: dict) -> SpecSpace:
     if not isinstance(d, dict):
         raise ParseError("expected a JSON object describing a poset")
-    labels = d.get("labels")
+    labels = _labels(d)
     leq = d.get("leq")
-    if not isinstance(labels, list) or not all(isinstance(s, str) for s in labels):
-        raise ParseError('field "labels" must be a list of strings')
     if not isinstance(leq, list):
         raise ParseError('field "leq" must be a list of [i, j] pairs')
     pairs = []
@@ -115,7 +123,7 @@ def poset_from_dict(d: dict) -> SpecSpace:
         if (
             not isinstance(item, list)
             or len(item) != 2
-            or not all(isinstance(v, int) for v in item)
+            or not all(type(v) is int for v in item)
         ):
             raise ParseError(f"leq entry {item!r} is not an [i, j] pair")
         pairs.append((item[0], item[1]))

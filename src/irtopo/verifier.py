@@ -30,6 +30,7 @@ reports compare byte for byte.
 
 from __future__ import annotations
 
+import os
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -663,57 +664,41 @@ def _claim_t13(ctx: _Ctx):
     return _sweep(ctx, _indexed_spaces(cap), check)
 
 
-def _equivalent_under_both(a: FiniteSpace, b: FiniteSpace):
-    results = []
-    for orientation in ("thm15", "def8"):
-        results.append(
-            homotopy.ir_homotopy_equivalent(a, b, orientation=orientation)
-        )
-    return results
+def _equivalence_sweep(ctx: _Ctx, violation):
+    """Sweep the pairs; an equivalent pair (a, b) for which
+    ``violation(a, b)`` returns a payload is a counterexample."""
+
+    def check(pair):
+        a, b = pair
+        eq = homotopy.ir_homotopy_equivalent(a, b)
+        extra = None if eq is None else violation(a, b)
+        if extra is None:
+            return None
+        f, g = eq
+        return {
+            "left": _space_payload(a),
+            "right": _space_payload(b),
+            "f": list(f.assignment),
+            "g": list(g.assignment),
+            **extra,
+        }
+
+    return _sweep(ctx, _indexed_pairs(ctx.pair_max), check)
 
 
 def _claim_t14(ctx: _Ctx):
-    def check(pair):
-        a, b = pair
-        for orientation, eq in zip(("thm15", "def8"), _equivalent_under_both(a, b)):
-            if eq is None:
-                continue
-            if homotopy.ir_co(a) and not homotopy.ir_co(b):
-                f, g = eq
-                return {
-                    "orientation": orientation,
-                    "left": _space_payload(a),
-                    "right": _space_payload(b),
-                    "f": list(f.assignment),
-                    "g": list(g.assignment),
-                }
-        return None
+    def violation(a, b):
+        return {} if homotopy.ir_co(a) and not homotopy.ir_co(b) else None
 
-    return _sweep(ctx, _indexed_pairs(ctx.pair_max), check)
+    return _equivalence_sweep(ctx, violation)
 
 
 def _claim_t15(ctx: _Ctx):
-    def check(pair):
-        a, b = pair
-        for orientation, eq in zip(("thm15", "def8"), _equivalent_under_both(a, b)):
-            if eq is None:
-                continue
-            ca = category.ir_cat(a).size
-            cb = category.ir_cat(b).size
-            if ca != cb:
-                f, g = eq
-                return {
-                    "orientation": orientation,
-                    "left": _space_payload(a),
-                    "right": _space_payload(b),
-                    "cat_left": ca,
-                    "cat_right": cb,
-                    "f": list(f.assignment),
-                    "g": list(g.assignment),
-                }
-        return None
+    def violation(a, b):
+        ca, cb = category.ir_cat(a).size, category.ir_cat(b).size
+        return {"cat_left": ca, "cat_right": cb} if ca != cb else None
 
-    return _sweep(ctx, _indexed_pairs(ctx.pair_max), check)
+    return _equivalence_sweep(ctx, violation)
 
 
 def _claim_p1(ctx: _Ctx):
@@ -1159,11 +1144,13 @@ def run_claim(
     Sweeps all spaces of 1..n_max points (pairs capped at pair_max,
     default min(3, n_max)); randomized instance families are derived
     from the seed before sharding, so reports do not depend on jobs.
+    At most os.cpu_count() worker processes are started.
     """
     if name not in CLAIMS:
         raise UnknownClaim(f"unknown claim {name!r}; known: {', '.join(CLAIM_ORDER)}")
     n_max, pair_max = _resolve_limits(n_max, pair_max)
     spec = CLAIMS[name]
+    jobs = min(jobs, os.cpu_count() or 1)
     start = time.monotonic()
     if jobs <= 1:
         tested, violations = _run_claim_shard(name, n_max, pair_max, seed, 0, 1)

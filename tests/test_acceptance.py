@@ -142,7 +142,7 @@ def test_criterion_8_equivalence_invariants():
     )
     ok = emitted and t14.instances_tested == t15.instances_tested == 34 * 34
     detail = (
-        f"equivalence sweeps (both orientations): contractibility transfer "
+        f"equivalence sweeps: contractibility transfer "
         f"{'holds' if t14.passed else f'FAILS ({t14.counterexample_count} cases)'}; "
         f"category invariance "
         f"{'holds' if t15.passed else f'FAILS ({t15.counterexample_count} cases)'}"

@@ -78,8 +78,15 @@ def test_contractible(sierp_file, discrete2_file):
 def test_equiv(sierp_file, point_file, discrete2_file, capsys):
     assert main(["equiv", sierp_file, point_file]) == 0
     assert "equivalent" in capsys.readouterr().out
-    assert main(["equiv", sierp_file, point_file, "--def8-orientation"]) == 0
     assert main(["equiv", discrete2_file, point_file]) == 1
+    # the orientation flag was a no-op and is gone
+    assert main(["equiv", sierp_file, point_file, "--def8-orientation"]) == 2
+
+
+def test_equiv_malformed_budget_env(sierp_file, monkeypatch, capsys):
+    monkeypatch.setenv("IRTOPO_BUDGET_MAPS", "abc")
+    assert main(["equiv", sierp_file, sierp_file]) == 2
+    assert "IRTOPO_BUDGET_MAPS" in capsys.readouterr().err
 
 
 def test_cat_json(sierp_file, capsys):

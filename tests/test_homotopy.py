@@ -1,7 +1,11 @@
+import random
+from itertools import product as iproduct
+
 import pytest
 
 from irtopo import (
     ContinuousMap,
+    IrtopoError,
     MapMismatch,
     NoForwardPath,
     NotContinuous,
@@ -9,6 +13,8 @@ from irtopo import (
     chain_space,
     compose,
     continuous_maps,
+    enumerate_spaces,
+    from_reach,
     ir_co,
     ir_homotopic,
     ir_homotopy_equivalent,
@@ -121,8 +127,6 @@ class TestContinuousMap:
     def test_monotone_equals_preimage_open(self, spaces_upto3):
         # continuity via open preimages coincides with reach monotonicity;
         # checked for every assignment, continuous or not
-        from itertools import product as iproduct
-
         for dom in spaces_upto3:
             for cod in spaces_upto3:
                 for assign in iproduct(range(cod.n), repeat=dom.n):
@@ -221,14 +225,6 @@ class TestEquivalence:
     def test_discrete2_vs_discrete3(self):
         assert ir_homotopy_equivalent(discrete(2), discrete(3)) is None
 
-    def test_orientations_agree(self, spaces_upto3):
-        small = [s for s in spaces_upto3 if s.n <= 2]
-        for a in small:
-            for b in small:
-                thm15 = ir_homotopy_equivalent(a, b, orientation="thm15")
-                def8 = ir_homotopy_equivalent(a, b, orientation="def8")
-                assert (thm15 is None) == (def8 is None)
-
     def test_transitive_empirically(self, spaces_upto3):
         small = [s for s in spaces_upto3 if s.n <= 2]
         related = {
@@ -254,6 +250,67 @@ class TestEquivalence:
         monkeypatch.setenv("IRTOPO_BUDGET_MAPS", "100")
         assert continuous_maps(sierpinski, sierpinski)
 
-    def test_bad_orientation(self, sierpinski):
-        with pytest.raises(ValueError):
-            ir_homotopy_equivalent(sierpinski, sierpinski, orientation="other")
+    def test_malformed_budget_env_is_named(self, sierpinski, monkeypatch):
+        monkeypatch.setenv("IRTOPO_BUDGET_MAPS", "abc")
+        with pytest.raises(IrtopoError, match="IRTOPO_BUDGET_MAPS.*'abc'"):
+            ir_homotopy_equivalent(sierpinski, sierpinski)
+
+
+def reference_maps(dom, cod):
+    """Every assignment of the full product that ContinuousMap accepts."""
+    out = []
+    for assign in iproduct(range(cod.n), repeat=dom.n):
+        try:
+            out.append(ContinuousMap(dom, cod, assign))
+        except NotContinuous:
+            pass
+    return out
+
+
+def reference_equivalence(x, y):
+    """The first pair, in lexicographic order, whose composites are
+    deformable from the identities, found with compose and ir_homotopic."""
+    id_x, id_y = ContinuousMap.identity(x), ContinuousMap.identity(y)
+    gs = reference_maps(y, x)
+    for f in reference_maps(x, y):
+        for g in gs:
+            if (
+                ir_homotopic(id_x, compose(g, f)) is not None
+                and ir_homotopic(id_y, compose(f, g)) is not None
+            ):
+                return f, g
+    return None
+
+
+def _assignments(found):
+    return None if found is None else (found[0].assignment, found[1].assignment)
+
+
+@pytest.fixture(scope="module")
+def reference_pairs(spaces_upto3):
+    # every pair of spaces with at most 3 points, plus a seeded sample of
+    # pairs of 4-point spaces
+    four = list(enumerate_spaces(4))
+    rng = random.Random(0)
+    sample = [(rng.choice(four), rng.choice(four)) for _ in range(100)]
+    return [(a, b) for a in spaces_upto3 for b in spaces_upto3] + sample
+
+
+class TestAgainstReference:
+    def test_continuous_maps(self, reference_pairs):
+        for dom, cod in reference_pairs:
+            got = [f.assignment for f in continuous_maps(dom, cod)]
+            assert got == [f.assignment for f in reference_maps(dom, cod)]
+
+    def test_equivalence(self, reference_pairs):
+        for x, y in reference_pairs:
+            assert _assignments(ir_homotopy_equivalent(x, y)) == _assignments(
+                reference_equivalence(x, y)
+            )
+
+    def test_empty_domain_has_one_map(self, sierpinski):
+        empty = from_reach([], [])
+        for cod in (empty, sierpinski):
+            maps = continuous_maps(empty, cod)
+            assert [f.assignment for f in maps] == [()]
+        assert continuous_maps(sierpinski, empty) == []

@@ -1,3 +1,5 @@
+from concurrent.futures import Future
+
 import pytest
 
 from irtopo import (
@@ -149,6 +151,37 @@ class TestClaims:
         seq = run_claim("T7", n_max=3, jobs=1)
         par = run_claim("T7", n_max=3, jobs=2)
         assert seq.to_jsonable() == par.to_jsonable()
+
+    def test_pool_capped_at_cpu_count(self, monkeypatch):
+        from irtopo import verifier
+
+        sizes = []
+
+        class InlinePool:
+            """Records its size and runs each shard in this process."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(verifier, "ProcessPoolExecutor", InlinePool)
+        seq = run_claim("T7", n_max=3, jobs=1).to_jsonable()
+        monkeypatch.setattr(verifier.os, "cpu_count", lambda: 3)
+        assert run_claim("T7", n_max=3, jobs=64).to_jsonable() == seq
+        assert sizes == [3]
+        monkeypatch.setattr(verifier.os, "cpu_count", lambda: None)
+        assert run_claim("T7", n_max=3, jobs=64).to_jsonable() == seq
+        assert sizes == [3]  # unknown CPU count: runs inline
 
     def test_report_json_shape(self):
         report = run_claim("T2", n_max=2)
