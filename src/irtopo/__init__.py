@@ -45,7 +45,6 @@ from .category import (
     DimensionReport,
     EmptySpace,
     NotACover,
-    NotMinimalCover,
     SubcoverNotFound,
     check_prop3,
     check_refinement,

@@ -4,8 +4,8 @@ The covering category of a nonempty finite space is the least number of
 open sets, each of which deforms onto a point, needed to cover the
 space.  "Deforms onto a point" comes in two senses:
 
-* subspace (the default): the set, as a space of its own, has a point
-  reachable from all of its points -- the witness lies inside the set;
+* subspace: the set, as a space of its own, has a point reachable
+  from all of its points -- the witness lies inside the set;
 * ambient: some point of the whole space is reachable from all points
   of the set -- the witness may lie outside.
 
@@ -20,7 +20,7 @@ a closed y lies in O, y reaches w, so U_w = U_y <= O.  Hence every
 deformable cover contains each maximal U_y; these already cover the
 space, and the class of y witnesses U_y in either sense.  The optimal
 cover is unique, the maximal minimal neighborhoods, with the same
-witnesses in both senses.
+witnesses in both senses, so ``ir_cat`` takes no sense.
 
 Covering dimension, the least m such that every open cover has an open
 refinement of order at most m + 1, is the order of that cover minus 1:
@@ -38,15 +38,12 @@ from typing import Iterable, Iterator
 
 from .core import (
     FiniteSpace,
-    InvariantViolated,
     IrtopoError,
     SearchBudgetExceeded,
     canon_key,
     iter_points,
     points_of,
 )
-
-SENSES = ("subspace", "ambient")
 
 
 class EmptySpace(IrtopoError):
@@ -57,31 +54,21 @@ class NotACover(IrtopoError):
     pass
 
 
-class NotMinimalCover(IrtopoError):
-    """Expected a minimal cover by deformable opens in the subspace sense."""
-
-
 class SubcoverNotFound(IrtopoError):
     """No member of the cover contains the given minimal-cover member."""
 
 
-def _check_sense(sense: str) -> None:
-    if sense not in SENSES:
-        raise ValueError(f"sense must be one of {SENSES}, got {sense!r}")
+def contraction_witness(space: FiniteSpace, open_mask: int) -> int:
+    """Points reachable from every member of ``open_mask``.
 
-
-def contraction_witness(space: FiniteSpace, open_mask: int, sense: str) -> int:
-    """Points witnessing that ``open_mask`` deforms onto a point.
-
-    The intersection of the closures of all members, restricted to the
-    set itself in the subspace sense.  For the subspace sense this
-    equals the core of the subspace on ``open_mask``.
+    The intersection of the closures of all members, wherever they lie.
+    Masked with ``open_mask`` it gives the witnesses inside the set,
+    the core of the subspace on ``open_mask``.
     """
-    _check_sense(sense)
     acc = space.full_mask
     for u in iter_points(open_mask):
         acc &= space.reach_rows[u]
-    return acc & open_mask if sense == "subspace" else acc
+    return acc
 
 
 @dataclass(frozen=True)
@@ -90,9 +77,10 @@ class CoverReport:
 
     sets: tuple[int, ...]
     witnesses: tuple[int, ...]
-    size: int
-    minimal: bool
-    sense: str
+
+    @property
+    def size(self) -> int:
+        return len(self.sets)
 
 
 @dataclass(frozen=True)
@@ -110,7 +98,7 @@ class DimensionReport:
 
 
 @lru_cache(maxsize=1 << 15)
-def _ir_cat_cached(reach_rows: tuple[int, ...], sense: str) -> CoverReport:
+def _ir_cat_cached(reach_rows: tuple[int, ...]) -> CoverReport:
     space = FiniteSpace(tuple(str(i) for i in range(len(reach_rows))), reach_rows)
     cover = tuple(
         sorted(
@@ -122,52 +110,43 @@ def _ir_cat_cached(reach_rows: tuple[int, ...], sense: str) -> CoverReport:
             key=canon_key,
         )
     )
-    return CoverReport(
-        sets=cover,
-        witnesses=tuple(contraction_witness(space, m, sense) for m in cover),
-        size=len(cover),
-        minimal=True,
-        sense=sense,
-    )
+    return CoverReport(cover, tuple(contraction_witness(space, m) for m in cover))
 
 
-def ir_cat(space: FiniteSpace, sense: str = "subspace") -> CoverReport:
+def ir_cat(space: FiniteSpace) -> CoverReport:
     """Exact covering category, with its unique optimal cover as certificate.
 
     The cover is the set of inclusion-maximal minimal neighborhoods, in
-    canonical order; cover and witnesses are the same in both senses
-    (see the module docstring).  Results depend only on the reach
-    relation and are cached.
+    canonical order; its witnesses lie inside their members, and no
+    witness outside would give a smaller cover (see the module
+    docstring).  Results depend only on the reach relation and are
+    cached.
     """
     if space.n == 0:
         raise EmptySpace("covering category is undefined for the empty space")
-    _check_sense(sense)
-    return _ir_cat_cached(space.reach_rows, sense)
+    return _ir_cat_cached(space.reach_rows)
 
 
-def _require_optimal(space: FiniteSpace, cover: CoverReport) -> None:
-    if cover.sense != "subspace":
-        raise NotMinimalCover("a subspace-sense cover is required")
+def _open_cover(space: FiniteSpace, cover: Iterable[int]) -> tuple[int, ...]:
+    """The members of ``cover``; NotACover unless they are open and cover the space."""
+    members = tuple(cover)
     union = 0
-    for m in cover.sets:
-        if not space.is_open(m):
-            raise NotMinimalCover(f"member {points_of(m)} is not open")
-        if contraction_witness(space, m, "subspace") == 0:
-            raise NotMinimalCover(f"member {points_of(m)} has no witness point")
-        union |= m
+    for v in members:
+        if not space.is_open(v):
+            raise NotACover(f"member {points_of(v)} is not open")
+        union |= v
     if union != space.full_mask:
-        raise NotMinimalCover("the sets do not cover the space")
-    if cover.size != len(cover.sets) or cover.size != ir_cat(space).size:
-        raise NotMinimalCover("the cover is not of minimum size")
+        raise NotACover("the given family does not cover the space")
+    return members
 
 
-def check_prop3(space: FiniteSpace, cover: CoverReport):
-    """Witness points of one member of a minimal cover avoid every other member.
+def check_prop3(space: FiniteSpace):
+    """Witness points of one member of the optimal cover avoid every other member.
 
     Returns (True, None), or (False, (i, j, point)) naming a witness of
     member i that lies in member j.
     """
-    _require_optimal(space, cover)
+    cover = ir_cat(space)
     for i, wit in enumerate(cover.witnesses):
         for j, other in enumerate(cover.sets):
             if i == j:
@@ -178,26 +157,16 @@ def check_prop3(space: FiniteSpace, cover: CoverReport):
     return True, None
 
 
-def check_refinement(
-    space: FiniteSpace, categorical: CoverReport, cover: Iterable[int]
-):
-    """Whether the minimal cover refines ``cover``: every member of the
-    minimal cover sits inside some member of ``cover``.
+def check_refinement(space: FiniteSpace, cover: Iterable[int]):
+    """Whether the optimal cover refines ``cover``: every member of the
+    optimal cover sits inside some member of ``cover``.
 
     Returns (True, mapping) with the first containing index per member,
     or (False, None).
     """
-    _require_optimal(space, categorical)
-    members = tuple(cover)
-    union = 0
-    for v in members:
-        if not space.is_open(v):
-            raise NotACover(f"member {points_of(v)} is not open")
-        union |= v
-    if union != space.full_mask:
-        raise NotACover("the given family does not cover the space")
+    members = _open_cover(space, cover)
     mapping = []
-    for w in categorical.sets:
+    for w in ir_cat(space).sets:
         j = next((j for j, v in enumerate(members) if w & ~v == 0), None)
         if j is None:
             return False, None
@@ -210,20 +179,13 @@ def min_subcover(space: FiniteSpace, cover: Iterable[int]) -> tuple[int, ...]:
 
     Each member of the optimal deformable cover is mapped greedily to
     its largest container in ``cover``; the deduplicated containers
-    already cover the space.  SubcoverNotFound signals a member with no
-    container, which would refute the refinement property.
+    already cover the space and are at most as many as those members.
+    SubcoverNotFound signals a member with no container, which would
+    refute the refinement property.
     """
-    members = tuple(cover)
-    union = 0
-    for v in members:
-        if not space.is_open(v):
-            raise NotACover(f"member {points_of(v)} is not open")
-        union |= v
-    if union != space.full_mask:
-        raise NotACover("the given family does not cover the space")
-    rep = ir_cat(space)
+    members = _open_cover(space, cover)
     chosen: list[int] = []
-    for w in rep.sets:
+    for w in ir_cat(space).sets:
         containers = [v for v in members if w & ~v == 0]
         if not containers:
             raise SubcoverNotFound(
@@ -232,10 +194,6 @@ def min_subcover(space: FiniteSpace, cover: Iterable[int]) -> tuple[int, ...]:
         best = max(containers, key=lambda v: (v.bit_count(), -v))
         if best not in chosen:
             chosen.append(best)
-    if len(chosen) > rep.size:
-        raise InvariantViolated(
-            f"subcover of {len(chosen)} members exceeds the category {rep.size}"
-        )
     return tuple(sorted(chosen, key=canon_key))
 
 

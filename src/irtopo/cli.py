@@ -16,12 +16,22 @@ from .core import FiniteSpace, IrtopoError, iter_points
 
 
 def _point(space: FiniteSpace, token: str) -> int:
-    if token in space.labels:
-        return space.labels.index(token)
+    """A point by label, else by index; a token that labels one point and
+    indexes another is rejected as ambiguous."""
     try:
         idx = int(token)
     except ValueError:
-        raise ValueError(f"no point labelled {token!r}") from None
+        idx = None
+    if token in space.labels:
+        at = space.labels.index(token)
+        if idx not in (None, at) and 0 <= idx < space.n:
+            raise ValueError(
+                f"point {token!r} is ambiguous: it labels point {at}"
+                f" and indexes point {idx} (labelled {space.labels[idx]!r})"
+            )
+        return at
+    if idx is None:
+        raise ValueError(f"no point labelled {token!r}")
     if not 0 <= idx < space.n:
         raise ValueError(f"point index {idx} out of range")
     return idx
@@ -63,7 +73,7 @@ def _cmd_analyze(args) -> int:
         if cat is None
         else {
             "size": cat.size,
-            "sense": cat.sense,
+            "sense": "subspace",
             "cover": spaceio.cover_labels(space, cat.sets),
             "witnesses": spaceio.cover_labels(space, cat.witnesses),
         },
@@ -183,12 +193,12 @@ def _cmd_equiv(args) -> int:
 
 def _cmd_cat(args) -> int:
     space = spaceio.load_space(args.space)
-    rep = category.ir_cat(space, args.sense)
+    rep = category.ir_cat(space)
     if args.format == "json":
         _emit_json(
             {
                 "ir_cat": rep.size,
-                "sense": rep.sense,
+                "sense": "subspace",
                 "cover": spaceio.cover_labels(space, rep.sets),
                 "witnesses": spaceio.cover_labels(space, rep.witnesses),
             }
@@ -379,7 +389,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cat", help="exact covering category")
     p.add_argument("space")
-    p.add_argument("--sense", choices=category.SENSES, default="subspace")
     _add_format(p)
     p.set_defaults(func=_cmd_cat)
 

@@ -56,6 +56,13 @@ def _map_budget(budget: int | None) -> int:
         raise IrtopoError(f"IRTOPO_BUDGET_MAPS must be an integer, got {raw!r}") from None
 
 
+def _over_map_budget(limit: int) -> SearchBudgetExceeded:
+    return SearchBudgetExceeded(
+        f"map budget exceeded: more than {limit} continuous maps"
+        " (IRTOPO_BUDGET_MAPS sets the limit)"
+    )
+
+
 @dataclass(frozen=True)
 class IrPath:
     """Two-piece path: at ``source`` on [0, 1), at ``target`` when t = 1."""
@@ -222,17 +229,14 @@ def continuous_maps(
     Backtracks point by point: the image of point k must be reached from
     the images of the earlier points that reach k, and must reach the
     images of the earlier points that k reaches, so no discontinuous map
-    is built.  The |codomain| ** |domain| candidate count is guarded up
-    front against the map budget (IRTOPO_BUDGET_MAPS overrides it).
+    is built.  SearchBudgetExceeded is raised before the map that would
+    pass the map budget (IRTOPO_BUDGET_MAPS overrides it) is built.
     """
     limit = _map_budget(budget)
-    total = codomain.n ** domain.n
-    if total > limit:
-        raise SearchBudgetExceeded(
-            f"{total} candidate maps exceed the budget of {limit}"
-        )
     n = domain.n
     if n == 0:
+        if limit < 1:
+            raise _over_map_budget(limit)
         return [ContinuousMap(domain, codomain, ())]
     below = [points_of(domain.min_opens[k] & ((1 << k) - 1)) for k in range(n)]
     above = [points_of(domain.reach_rows[k] & ((1 << k) - 1)) for k in range(n)]
@@ -260,6 +264,8 @@ def continuous_maps(
         if k + 1 < n:
             k += 1
             pending[k] = allowed(k)
+        elif len(out) == limit:
+            raise _over_map_budget(limit)
         else:
             out.append(ContinuousMap(domain, codomain, tuple(assign)))
     return out

@@ -207,12 +207,17 @@ def chain_homotopy_oracle(x: FiniteSpace, y: FiniteSpace, f, g) -> bool:
 def _ir_contractible_opens(
     space: FiniteSpace, sense: str
 ) -> tuple[tuple[int, int], ...]:
-    """All nonempty open sets with a nonempty witness, with their witnesses."""
+    """All nonempty open sets with a nonempty witness, with their witnesses;
+    in the "subspace" sense a witness must lie in its set."""
+    if sense not in ("subspace", "ambient"):
+        raise ValueError(f"sense must be 'subspace' or 'ambient', got {sense!r}")
     out = []
     for o in space.open_sets:
         if not o:
             continue
-        w = category.contraction_witness(space, o, sense)
+        w = category.contraction_witness(space, o)
+        if sense == "subspace":
+            w &= o
         if w:
             out.append((o, w))
     return tuple(out)
@@ -255,13 +260,7 @@ def _cover_search(space: FiniteSpace, sense: str) -> category.CoverReport:
     cands = _ir_contractible_opens(space, sense)
     cover = _minimum_cover(space.full_mask, tuple(m for m, _ in cands))
     witness = dict(cands)
-    return category.CoverReport(
-        sets=cover,
-        witnesses=tuple(witness[m] for m in cover),
-        size=len(cover),
-        minimal=True,
-        sense=sense,
-    )
+    return category.CoverReport(cover, tuple(witness[m] for m in cover))
 
 
 def _dimension_search(space: FiniteSpace) -> category.DimensionReport:
@@ -363,10 +362,6 @@ def _sweep(ctx: _Ctx, instances: Iterable, check: Callable):
     return tested, bad
 
 
-def _space_payload(s: FiniteSpace) -> dict:
-    return spaceio.space_to_dict(s)
-
-
 def _closure_via_opens(s: FiniteSpace, x: int) -> int:
     # independent closure route: complement of the union of opens avoiding
     # x; every open is a union of minimal neighborhoods, so those suffice
@@ -425,7 +420,7 @@ def _claim_t2(ctx: _Ctx):
                 has_path = homotopy.ir_path(s, x, y) is not None
                 if has_path != bool(cl >> y & 1):
                     return {
-                        "space": _space_payload(s),
+                        "space": spaceio.space_to_dict(s),
                         "from": s.labels[x],
                         "to": s.labels[y],
                         "path_exists": has_path,
@@ -447,7 +442,7 @@ def _claim_t3(ctx: _Ctx):
                 image = (1 << path.source) | (1 << path.target)
                 if image & ~cl:
                     return {
-                        "space": _space_payload(s),
+                        "space": spaceio.space_to_dict(s),
                         "from": s.labels[x],
                         "to": s.labels[y],
                     }
@@ -464,7 +459,7 @@ def _claim_t4(ctx: _Ctx):
             for y in range(s.n):
                 if x != y and homotopy.ir_path(s, x, y) is not None:
                     return {
-                        "space": _space_payload(s),
+                        "space": spaceio.space_to_dict(s),
                         "from": s.labels[x],
                         "to": s.labels[y],
                     }
@@ -486,8 +481,8 @@ def _claim_t5(ctx: _Ctx):
                     and f.assignment != g.assignment
                 ):
                     return {
-                        "domain": _space_payload(dom),
-                        "codomain": _space_payload(cod),
+                        "domain": spaceio.space_to_dict(dom),
+                        "codomain": spaceio.space_to_dict(cod),
                         "f": list(f.assignment),
                         "g": list(g.assignment),
                     }
@@ -506,7 +501,7 @@ def _claim_t6(ctx: _Ctx):
                 oracle_co |= 1 << x0
         if oracle_co != co:
             return {
-                "space": _space_payload(s),
+                "space": spaceio.space_to_dict(s),
                 "pointwise_core": [s.labels[p] for p in iter_points(co)],
                 "oracle_core": [s.labels[p] for p in iter_points(oracle_co)],
             }
@@ -525,7 +520,7 @@ def _claim_t7(ctx: _Ctx):
             for yb in iter_points(homotopy.ir_co(b)):
                 right |= 1 << (xa * b.n + yb)
         if left != right:
-            return {"left": _space_payload(a), "right": _space_payload(b)}
+            return {"left": spaceio.space_to_dict(a), "right": spaceio.space_to_dict(b)}
         return None
 
     return _sweep(ctx, _indexed_pairs(ctx.pair_max), check)
@@ -555,7 +550,7 @@ def _claim_t8(ctx: _Ctx):
         if not ok:
             return {
                 "kind": kind,
-                "instance": _space_payload(sp.space),
+                "instance": spaceio.space_to_dict(sp.space),
                 "maximal_count": sp.maximal.bit_count(),
                 "category": rep.size,
             }
@@ -568,17 +563,15 @@ def _claim_t9(ctx: _Ctx):
     def check(pair):
         a, b = pair
         prod = product(a, b)
-        for sense in category.SENSES:
-            lhs = category.ir_cat(prod, sense).size
-            rhs = category.ir_cat(a, sense).size * category.ir_cat(b, sense).size
-            if lhs != rhs:
-                return {
-                    "sense": sense,
-                    "left": _space_payload(a),
-                    "right": _space_payload(b),
-                    "product_cat": lhs,
-                    "factor_product": rhs,
-                }
+        lhs = category.ir_cat(prod).size
+        rhs = category.ir_cat(a).size * category.ir_cat(b).size
+        if lhs != rhs:
+            return {
+                "left": spaceio.space_to_dict(a),
+                "right": spaceio.space_to_dict(b),
+                "product_cat": lhs,
+                "factor_product": rhs,
+            }
         return None
 
     return _sweep(ctx, _indexed_pairs(ctx.pair_max), check)
@@ -625,7 +618,7 @@ def _claim_t11(ctx: _Ctx):
             for y in range(s.n):
                 if x != y and s.reach(x, y) and homotopy.reverse_exists(s, x, y):
                     return {
-                        "space": _space_payload(s),
+                        "space": spaceio.space_to_dict(s),
                         "from": s.labels[x],
                         "to": s.labels[y],
                     }
@@ -639,7 +632,7 @@ def _claim_t12(ctx: _Ctx):
         co = homotopy.ir_co(s)
         if s.is_t0() and co and co.bit_count() != 1:
             return {
-                "space": _space_payload(s),
+                "space": spaceio.space_to_dict(s),
                 "core": [s.labels[p] for p in iter_points(co)],
             }
         return None
@@ -655,7 +648,7 @@ def _claim_t13(ctx: _Ctx):
         cat_rep = _cover_search(s, "subspace")
         if dim_rep.dim + 1 > cat_rep.size:
             return {
-                "space": _space_payload(s),
+                "space": spaceio.space_to_dict(s),
                 "dim": dim_rep.dim,
                 "cat": cat_rep.size,
             }
@@ -676,8 +669,8 @@ def _equivalence_sweep(ctx: _Ctx, violation):
             return None
         f, g = eq
         return {
-            "left": _space_payload(a),
-            "right": _space_payload(b),
+            "left": spaceio.space_to_dict(a),
+            "right": spaceio.space_to_dict(b),
             "f": list(f.assignment),
             "g": list(g.assignment),
             **extra,
@@ -753,13 +746,12 @@ def _claim_p2(ctx: _Ctx):
 
 def _claim_p3(ctx: _Ctx):
     def check(s):
-        rep = category.ir_cat(s)
-        ok, witness = category.check_prop3(s, rep)
+        ok, witness = category.check_prop3(s)
         if not ok:
             i, j, point = witness
             return {
-                "space": _space_payload(s),
-                "cover": spaceio.cover_labels(s, rep.sets),
+                "space": spaceio.space_to_dict(s),
+                "cover": spaceio.cover_labels(s, category.ir_cat(s).sets),
                 "witness_member": i,
                 "other_member": j,
                 "point": s.labels[point],
@@ -774,10 +766,10 @@ def _claim_p4(ctx: _Ctx):
         rows = [_closure_via_opens(s, x) for x in range(s.n)]
         for x in range(s.n):
             if not rows[x] >> x & 1:
-                return {"space": _space_payload(s), "missing_reflexive": s.labels[x]}
+                return {"space": spaceio.space_to_dict(s), "missing_reflexive": s.labels[x]}
             for y in iter_points(rows[x]):
                 if rows[y] & ~rows[x]:
-                    return {"space": _space_payload(s), "broken_at": s.labels[x]}
+                    return {"space": spaceio.space_to_dict(s), "broken_at": s.labels[x]}
         return None
 
     return _sweep(ctx, _indexed_spaces(ctx.n_max), check)
@@ -785,12 +777,11 @@ def _claim_p4(ctx: _Ctx):
 
 def _claim_l1(ctx: _Ctx):
     def check(s):
-        rep = category.ir_cat(s)
         for cov in category.irredundant_covers(s):
-            ok, _mapping = category.check_refinement(s, rep, cov)
+            ok, _mapping = category.check_refinement(s, cov)
             if not ok:
                 return {
-                    "space": _space_payload(s),
+                    "space": spaceio.space_to_dict(s),
                     "cover": spaceio.cover_labels(s, cov),
                 }
         return None
@@ -814,7 +805,7 @@ def _claim_l2_literal(ctx: _Ctx):
             return None
         # an open cover with more members than the covering category
         return {
-            "space": _space_payload(s),
+            "space": spaceio.space_to_dict(s),
             "cat": rep.size,
             "padded_cover": spaceio.cover_labels(s, padded),
         }
@@ -824,9 +815,8 @@ def _claim_l2_literal(ctx: _Ctx):
 
 def _claim_l2_subcover(ctx: _Ctx):
     def check(s):
-        rep = category.ir_cat(s)
         covers = list(category.irredundant_covers(s))
-        padded, _rep = _padded_cover(s)
+        padded, rep = _padded_cover(s)
         if padded is not None:
             covers.append(padded)
         for cov in covers:
@@ -834,12 +824,12 @@ def _claim_l2_subcover(ctx: _Ctx):
                 sub = category.min_subcover(s, cov)
             except category.SubcoverNotFound:
                 return {
-                    "space": _space_payload(s),
+                    "space": spaceio.space_to_dict(s),
                     "cover": spaceio.cover_labels(s, cov),
                 }
             if len(sub) > rep.size:
                 return {
-                    "space": _space_payload(s),
+                    "space": spaceio.space_to_dict(s),
                     "cover": spaceio.cover_labels(s, cov),
                     "subcover": spaceio.cover_labels(s, sub),
                 }
@@ -866,7 +856,7 @@ def _claim_c2(ctx: _Ctx):
     def check(_):
         s = intervals.chain_space(2)
         if homotopy.ir_co(s) != 0b10 or homotopy.is_ir_contractible(s) != 0b10:
-            return {"space": _space_payload(s)}
+            return {"space": spaceio.space_to_dict(s)}
         return None
 
     return _sweep(ctx, enumerate([None]), check)
@@ -885,7 +875,7 @@ def _claim_c3(ctx: _Ctx):
 def _claim_c4(ctx: _Ctx):
     def check(s):
         if s.is_t1() and homotopy.ir_co(s) and s.n != 1:
-            return {"space": _space_payload(s)}
+            return {"space": spaceio.space_to_dict(s)}
         return None
 
     return _sweep(ctx, _indexed_spaces(ctx.n_max), check)
@@ -898,7 +888,7 @@ def _claim_c5(ctx: _Ctx):
         covers = list(category.irredundant_covers(s))
         if covers != [(s.full_mask,)]:
             return {
-                "space": _space_payload(s),
+                "space": spaceio.space_to_dict(s),
                 "covers": [spaceio.cover_labels(s, c) for c in covers],
             }
         return None
@@ -922,7 +912,7 @@ def _claim_c6(ctx: _Ctx):
         sp = spectra.spec_from_poset(s.labels, pairs)
         rep = category.ir_cat(sp.space)
         if rep.size != 1 or homotopy.ir_co(sp.space) != 1 << maximal[0]:
-            return {"space": _space_payload(s)}
+            return {"space": spaceio.space_to_dict(s)}
         return None
 
     return _sweep(ctx, _indexed_spaces(ctx.n_max), check)
@@ -949,14 +939,14 @@ def _claim_c7(ctx: _Ctx):
 def _claim_c8(ctx: _Ctx):
     def check(s):
         rep = category.ir_cat(s)
-        ok, mapping = category.check_refinement(s, rep, rep.sets)
+        ok, mapping = category.check_refinement(s, rep.sets)
         if not ok or mapping != tuple(range(rep.size)):
-            return {"space": _space_payload(s), "mapping": mapping}
+            return {"space": spaceio.space_to_dict(s), "mapping": mapping}
         for i, a in enumerate(rep.sets):
             for j, b in enumerate(rep.sets):
                 if i != j and a & ~b == 0:
                     return {
-                        "space": _space_payload(s),
+                        "space": spaceio.space_to_dict(s),
                         "nested_members": [i, j],
                     }
         return None
@@ -973,7 +963,7 @@ def _claim_c9(ctx: _Ctx):
             for y in range(x + 1, s.n)
         )
         if antisymmetric != s.is_t0():
-            return {"space": _space_payload(s)}
+            return {"space": spaceio.space_to_dict(s)}
         return None
 
     return _sweep(ctx, _indexed_spaces(ctx.n_max), check)
@@ -985,7 +975,7 @@ def _claim_d5(ctx: _Ctx):
         amb = _cover_search(s, "ambient").size
         if sub != amb:
             return {
-                "space": _space_payload(s),
+                "space": spaceio.space_to_dict(s),
                 "subspace_cat": sub,
                 "ambient_cat": amb,
             }

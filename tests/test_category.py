@@ -1,10 +1,8 @@
 import pytest
 
 from irtopo import (
-    CoverReport,
     EmptySpace,
     NotACover,
-    NotMinimalCover,
     SearchBudgetExceeded,
     chain_space,
     check_prop3,
@@ -133,7 +131,6 @@ class TestIrCat:
         for s in spaces_upto4:
             expected = maximal_cluster_count(s)
             assert ir_cat(s).size == expected
-            assert ir_cat(s, "ambient").size == expected
 
     def test_deterministic_reports(self, pseudocircle):
         from irtopo.category import _ir_cat_cached
@@ -149,19 +146,23 @@ def spaces_upto5():
 
 
 class TestClosedFormsMatchSearch:
-    """The closed forms against the exhaustive searches in the verifier."""
+    """The closed forms against the exhaustive searches in the verifier.
+
+    The searches in both witness senses give the closed-form cover and
+    witnesses, which is why ``ir_cat`` takes no sense.
+    """
 
     def test_cover_on_all_small_spaces(self, spaces_upto5):
         for s in spaces_upto5:
             for sense in ("subspace", "ambient"):
-                assert ir_cat(s, sense) == _cover_search(s, sense)
+                assert ir_cat(s) == _cover_search(s, sense)
 
     def test_cover_on_products(self, spaces_upto3):
         for a in spaces_upto3:
             for b in spaces_upto3:
                 prod = product(a, b)
                 for sense in ("subspace", "ambient"):
-                    assert ir_cat(prod, sense) == _cover_search(prod, sense)
+                    assert ir_cat(prod) == _cover_search(prod, sense)
 
     def test_dimension_on_all_small_spaces(self, spaces_upto5):
         for s in spaces_upto5:
@@ -206,56 +207,40 @@ def _union(masks):
 
 class TestProp3:
     def test_pseudocircle(self, pseudocircle):
-        ok, witness = check_prop3(pseudocircle, ir_cat(pseudocircle))
+        ok, witness = check_prop3(pseudocircle)
         assert ok and witness is None
 
     def test_discrete(self):
-        ok, _ = check_prop3(discrete(2), ir_cat(discrete(2)))
+        ok, _ = check_prop3(discrete(2))
         assert ok
 
     def test_single_member_vacuous(self, sierpinski):
-        ok, _ = check_prop3(sierpinski, ir_cat(sierpinski))
+        ok, _ = check_prop3(sierpinski)
         assert ok
-
-    def test_rejects_non_minimal(self, sierpinski):
-        fake = CoverReport(
-            sets=(0b01, 0b11),
-            witnesses=(0b01, 0b10),
-            size=2,
-            minimal=False,
-            sense="subspace",
-        )
-        with pytest.raises(NotMinimalCover):
-            check_prop3(sierpinski, fake)
 
 
 class TestRefinement:
     def test_against_whole_space(self, pseudocircle):
-        ok, mapping = check_refinement(
-            pseudocircle, ir_cat(pseudocircle), (pseudocircle.full_mask,)
-        )
+        ok, mapping = check_refinement(pseudocircle, (pseudocircle.full_mask,))
         assert ok and mapping == (0, 0)
 
     def test_against_itself(self, pseudocircle):
         rep = ir_cat(pseudocircle)
-        ok, mapping = check_refinement(pseudocircle, rep, rep.sets)
+        ok, mapping = check_refinement(pseudocircle, rep.sets)
         assert ok and mapping == (0, 1)
 
     def test_not_a_cover(self, pseudocircle):
         with pytest.raises(NotACover):
-            check_refinement(pseudocircle, ir_cat(pseudocircle), (0b0111,))
+            check_refinement(pseudocircle, (0b0111,))
 
     def test_non_open_member(self, pseudocircle):
         with pytest.raises(NotACover):
-            check_refinement(
-                pseudocircle, ir_cat(pseudocircle), (0b0100, pseudocircle.full_mask)
-            )
+            check_refinement(pseudocircle, (0b0100, pseudocircle.full_mask))
 
     def test_all_irredundant_covers_refined(self, spaces_upto4):
         for s in spaces_upto4:
-            rep = ir_cat(s)
             for cov in irredundant_covers(s):
-                ok, _ = check_refinement(s, rep, cov)
+                ok, _ = check_refinement(s, cov)
                 assert ok
 
 

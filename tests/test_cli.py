@@ -1,8 +1,11 @@
+import argparse
 import json
+import re
+from pathlib import Path
 
 import pytest
 
-from irtopo.cli import main
+from irtopo.cli import build_parser, main
 
 
 @pytest.fixture
@@ -70,6 +73,18 @@ def test_path_unknown_label(sierp_file):
     assert main(["path", sierp_file, "--from", "zz", "--to", "1"]) == 2
 
 
+def test_point_token_both_label_and_other_index(tmp_path, capsys):
+    path = tmp_path / "swapped.json"
+    path.write_text(json.dumps({"labels": ["1", "0"], "reach": [[0, 1]]}))
+    assert main(["path", str(path), "--from", "1", "--to", "0"]) == 2
+    err = capsys.readouterr().err
+    assert "ambiguous" in err
+    assert "labels point 0" in err and "indexes point 1" in err
+    # a token whose two readings agree, or whose index is out of range, is a label
+    path.write_text(json.dumps({"labels": ["a", "1", "7"], "reach": [[1, 2]]}))
+    assert main(["path", str(path), "--from", "1", "--to", "7"]) == 0
+
+
 def test_contractible(sierp_file, discrete2_file):
     assert main(["contractible", sierp_file]) == 0
     assert main(["contractible", discrete2_file]) == 1
@@ -98,7 +113,10 @@ def test_cat_json(sierp_file, capsys):
 
 
 def test_cat_ambient_sense(sierp_file, capsys):
-    assert main(["cat", sierp_file, "--sense", "ambient"]) == 0
+    # both senses give the same cover and witnesses; the flag is gone
+    assert main(["cat", sierp_file, "--sense", "ambient"]) == 2
+    assert main(["cat", sierp_file, "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["sense"] == "subspace"
 
 
 def test_dim(sierp_file, capsys):
@@ -210,3 +228,38 @@ def test_not_a_topology(tmp_path):
     path = tmp_path / "bad_top.json"
     path.write_text(json.dumps({"labels": ["0", "1"], "opens": [[], [0], [1]]}))
     assert main(["analyze", str(path)]) == 2
+
+
+def _readme_commands():
+    """The ``irtopo`` invocations of the README's command-line block, as words."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1]
+    commands = []
+    for line in block.split("```", 1)[0].splitlines():
+        code = line.split("#", 1)[0].strip()
+        if code.startswith("irtopo "):
+            commands.append(code.split()[1:])
+        elif code.startswith("[") and commands:
+            commands[-1] += code.split()
+    return commands
+
+
+def _subcommand_parser(parser, words):
+    for word in words:
+        subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        if not subs or word not in subs[0].choices:
+            break
+        parser = subs[0].choices[word]
+    return parser
+
+
+def test_readme_command_line_matches_parser():
+    commands = _readme_commands()
+    assert len(commands) >= 10
+    for words in commands:
+        sub = _subcommand_parser(build_parser(), words)
+        assert sub.prog != "irtopo", f"unknown subcommand in README: {words}"
+        for flag in re.findall(r"(?<![\w-])--?[a-z][\w-]*", " ".join(words)):
+            assert flag in sub._option_string_actions, (
+                f"README shows {flag} for {sub.prog!r}, which does not accept it"
+            )

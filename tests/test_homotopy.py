@@ -243,6 +243,19 @@ class TestEquivalence:
         with pytest.raises(SearchBudgetExceeded):
             ir_homotopy_equivalent(sierpinski, sierpinski, budget=1)
 
+    def test_budget_counts_maps_built(self, monkeypatch):
+        # 8 ** 8 assignments, far fewer monotone maps
+        monkeypatch.delenv("IRTOPO_BUDGET_MAPS", raising=False)
+        chain = chain_space(8)
+        assert ir_homotopy_equivalent(chain, chain) is not None
+        with pytest.raises(SearchBudgetExceeded, match=r"\b1\b.*IRTOPO_BUDGET_MAPS"):
+            ir_homotopy_equivalent(chain, chain, budget=1)
+
+    def test_budget_allows_exactly_the_limit(self, sierpinski):
+        assert len(continuous_maps(sierpinski, sierpinski, budget=3)) == 3
+        with pytest.raises(SearchBudgetExceeded):
+            continuous_maps(sierpinski, sierpinski, budget=2)
+
     def test_budget_env_override(self, sierpinski, monkeypatch):
         monkeypatch.setenv("IRTOPO_BUDGET_MAPS", "1")
         with pytest.raises(SearchBudgetExceeded):
