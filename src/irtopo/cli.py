@@ -16,8 +16,7 @@ from .core import FiniteSpace, IrtopoError, iter_points
 
 
 def _point(space: FiniteSpace, token: str) -> int:
-    """A point by label, else by index; a token that labels one point and
-    indexes another is rejected as ambiguous."""
+    """A point by label, else by index; a label that indexes another point is refused."""
     try:
         idx = int(token)
     except ValueError:

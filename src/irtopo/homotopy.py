@@ -58,8 +58,7 @@ def _map_budget(budget: int | None) -> int:
 
 def _over_map_budget(limit: int) -> SearchBudgetExceeded:
     return SearchBudgetExceeded(
-        f"map budget exceeded: more than {limit} continuous maps"
-        " (IRTOPO_BUDGET_MAPS sets the limit)"
+        f"map budget exceeded: more than {limit} maps tried (IRTOPO_BUDGET_MAPS sets it)"
     )
 
 
@@ -229,8 +228,11 @@ def continuous_maps(
     Backtracks point by point: the image of point k must be reached from
     the images of the earlier points that reach k, and must reach the
     images of the earlier points that k reaches, so no discontinuous map
-    is built.  SearchBudgetExceeded is raised before the map that would
-    pass the map budget (IRTOPO_BUDGET_MAPS overrides it) is built.
+    is built.  SearchBudgetExceeded is raised before the map budget
+    (IRTOPO_BUDGET_MAPS overrides it) is passed.  It counts maps tried:
+    maps built and partial maps that no image of the next point extends.
+    None is a prefix of another, so there are at most |codomain| **
+    |domain| of them, and at most |domain| search steps per one.
     """
     limit = _map_budget(budget)
     n = domain.n
@@ -251,7 +253,7 @@ def continuous_maps(
             m &= min_opens[assign[p]]
         return m
 
-    out, k = [], 0
+    out, k, tried = [], 0, 0
     pending = [full] + [0] * (n - 1)  # pending[k]: images of point k left to try
     while k >= 0:
         m = pending[k]
@@ -261,12 +263,14 @@ def continuous_maps(
         low = m & -m
         pending[k] = m ^ low
         assign[k] = low.bit_length() - 1
-        if k + 1 < n:
+        if k + 1 < n and (nxt := allowed(k + 1)):
             k += 1
-            pending[k] = allowed(k)
-        elif len(out) == limit:
+            pending[k] = nxt
+            continue
+        if tried == limit:
             raise _over_map_budget(limit)
-        else:
+        tried += 1
+        if k + 1 == n:
             out.append(ContinuousMap(domain, codomain, tuple(assign)))
     return out
 

@@ -1,6 +1,4 @@
-import argparse
 import json
-import re
 from pathlib import Path
 
 import pytest
@@ -231,35 +229,28 @@ def test_not_a_topology(tmp_path):
 
 
 def _readme_commands():
-    """The ``irtopo`` invocations of the README's command-line block, as words."""
+    """The ``irtopo`` invocations of the README's command-line block, as
+    argument lists: brackets around optional parts dropped, the first of
+    the alternatives ``a|b`` taken and the metavariable ``N`` set to 1."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1]
     commands = []
     for line in block.split("```", 1)[0].splitlines():
         code = line.split("#", 1)[0].strip()
+        words = [w.strip("[]").split("|")[0] for w in code.split()]
+        words = ["1" if w == "N" else w for w in words]
         if code.startswith("irtopo "):
-            commands.append(code.split()[1:])
+            commands.append(words[1:])
         elif code.startswith("[") and commands:
-            commands[-1] += code.split()
+            commands[-1] += words
     return commands
-
-
-def _subcommand_parser(parser, words):
-    for word in words:
-        subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-        if not subs or word not in subs[0].choices:
-            break
-        parser = subs[0].choices[word]
-    return parser
 
 
 def test_readme_command_line_matches_parser():
     commands = _readme_commands()
     assert len(commands) >= 10
     for words in commands:
-        sub = _subcommand_parser(build_parser(), words)
-        assert sub.prog != "irtopo", f"unknown subcommand in README: {words}"
-        for flag in re.findall(r"(?<![\w-])--?[a-z][\w-]*", " ".join(words)):
-            assert flag in sub._option_string_actions, (
-                f"README shows {flag} for {sub.prog!r}, which does not accept it"
-            )
+        try:
+            build_parser().parse_args(words)
+        except SystemExit:
+            pytest.fail(f"the parser rejects the README command: irtopo {' '.join(words)}")

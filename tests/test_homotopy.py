@@ -256,6 +256,19 @@ class TestEquivalence:
         with pytest.raises(SearchBudgetExceeded):
             continuous_maps(sierpinski, sierpinski, budget=2)
 
+    def test_budget_counts_abandoned_partial_maps(self):
+        # n - 1 unrelated points all reaching an apex, into a discrete space:
+        # m ** (n - 1) partial maps, of which only the m constant ones extend
+        def cone(n):
+            return from_reach([str(i) for i in range(n)], [1 << i | 1 << n - 1 for i in range(n)])
+
+        maps = continuous_maps(cone(3), discrete(2), budget=4)
+        assert [f.assignment for f in maps] == [(0, 0, 0), (1, 1, 1)]
+        with pytest.raises(SearchBudgetExceeded):
+            continuous_maps(cone(3), discrete(2), budget=3)
+        with pytest.raises(SearchBudgetExceeded, match=r"\b1000\b.*IRTOPO_BUDGET_MAPS"):
+            ir_homotopy_equivalent(cone(12), discrete(12), budget=1000)
+
     def test_budget_env_override(self, sierpinski, monkeypatch):
         monkeypatch.setenv("IRTOPO_BUDGET_MAPS", "1")
         with pytest.raises(SearchBudgetExceeded):
