@@ -48,7 +48,6 @@ from .category import (
     SubcoverNotFound,
     check_prop3,
     check_refinement,
-    check_theorem13,
     covering_dimension,
     ir_cat,
     irredundant_covers,

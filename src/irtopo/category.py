@@ -261,13 +261,3 @@ def covering_dimension(space: FiniteSpace, max_points: int = 5) -> DimensionRepo
         )
     cover = ir_cat(space).sets
     return DimensionReport(cover_order(cover) - 1, cover, cover)
-
-
-def check_theorem13(space: FiniteSpace, max_points: int = 5):
-    """Covering dimension + 1 is at most the covering category.
-
-    Returns (holds, dimension report, category report).
-    """
-    dim_rep = covering_dimension(space, max_points)
-    cat_rep = ir_cat(space)
-    return dim_rep.dim + 1 <= cat_rep.size, dim_rep, cat_rep

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from typing import Iterator
 
 from .core import (
     FiniteSpace,
@@ -234,12 +235,21 @@ def continuous_maps(
     None is a prefix of another, so there are at most |codomain| **
     |domain| of them, and at most |domain| search steps per one.
     """
+    return [ContinuousMap(domain, codomain, a) for a in _assignments(domain, codomain, budget)]
+
+
+def _assignments(
+    domain: FiniteSpace, codomain: FiniteSpace, budget: int | None
+) -> Iterator[tuple[int, ...]]:
+    """The assignments of ``continuous_maps``, unvalidated: the search
+    builds only monotone ones."""
     limit = _map_budget(budget)
     n = domain.n
     if n == 0:
         if limit < 1:
             raise _over_map_budget(limit)
-        return [ContinuousMap(domain, codomain, ())]
+        yield ()
+        return
     below = [points_of(domain.min_opens[k] & ((1 << k) - 1)) for k in range(n)]
     above = [points_of(domain.reach_rows[k] & ((1 << k) - 1)) for k in range(n)]
     full, reach_rows, min_opens = codomain.full_mask, codomain.reach_rows, codomain.min_opens
@@ -253,7 +263,7 @@ def continuous_maps(
             m &= min_opens[assign[p]]
         return m
 
-    out, k, tried = [], 0, 0
+    k, tried = 0, 0
     pending = [full] + [0] * (n - 1)  # pending[k]: images of point k left to try
     while k >= 0:
         m = pending[k]
@@ -271,8 +281,7 @@ def continuous_maps(
             raise _over_map_budget(limit)
         tried += 1
         if k + 1 == n:
-            out.append(ContinuousMap(domain, codomain, tuple(assign)))
-    return out
+            yield tuple(assign)
 
 
 def ir_homotopy_equivalent(
@@ -286,15 +295,15 @@ def ir_homotopy_equivalent(
     The search is exhaustive over pairs of continuous maps, so None is a
     proof that no such pair exists.
     """
-    fs = continuous_maps(x, y, budget)
-    gs = continuous_maps(y, x, budget)
+    # both sides in full before pairing, so an over-budget input raises
+    # before any answer; only the returned pair is validated as maps
+    fs = list(_assignments(x, y, budget))
+    gs = list(_assignments(y, x, budget))
     xrows, yrows = x.reach_rows, y.reach_rows
-    for f in fs:
-        fa = f.assignment
-        for g in gs:
-            ga = g.assignment
+    for fa in fs:
+        for ga in gs:
             if all(xrows[p] >> ga[fa[p]] & 1 for p in range(x.n)) and all(
                 yrows[q] >> fa[ga[q]] & 1 for q in range(y.n)
             ):
-                return f, g
+                return ContinuousMap(x, y, fa), ContinuousMap(y, x, ga)
     return None

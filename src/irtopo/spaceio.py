@@ -96,13 +96,16 @@ def space_from_dict(d: dict) -> FiniteSpace:
     return space
 
 
-def load_space(path: str) -> FiniteSpace:
+def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as e:
             raise ParseError(f"{path}: {e}") from e
-    return space_from_dict(data)
+
+
+def load_space(path: str) -> FiniteSpace:
+    return space_from_dict(_load_json(path))
 
 
 def spec_to_dict(spec: SpecSpace) -> dict:
@@ -131,12 +134,7 @@ def poset_from_dict(d: dict) -> SpecSpace:
 
 
 def load_poset(path: str) -> SpecSpace:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise ParseError(f"{path}: {e}") from e
-    return poset_from_dict(data)
+    return poset_from_dict(_load_json(path))
 
 
 def grid_points_from_dict(d: dict) -> list[tuple]:
@@ -154,12 +152,7 @@ def grid_points_from_dict(d: dict) -> list[tuple]:
 
 
 def load_grid_points(path: str) -> list[tuple]:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise ParseError(f"{path}: {e}") from e
-    return grid_points_from_dict(data)
+    return grid_points_from_dict(_load_json(path))
 
 
 def cover_labels(space: FiniteSpace, masks) -> list[list[str]]:

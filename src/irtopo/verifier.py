@@ -4,9 +4,11 @@ package's structural claims.
 Every finite topology on labelled points corresponds to a reflexive,
 transitive relation, so sweeping all spaces of a given size means
 enumerating all preorders (counts 1, 4, 29, 355, 6942 for 1..5 points).
-Claims are registered under stable identifiers and each sweep reports
-the instances examined plus any counterexamples, serialized so they can
-be replayed through the CLI.
+Each claim is a registry row under a stable identifier: an instance
+family and a check that maps one instance to a counterexample payload or
+None.  One driver sweeps every family and reports the instances examined
+plus any counterexamples, serialized so they can be replayed through the
+CLI.
 
 Claim categories:
 
@@ -23,13 +25,14 @@ kept here as oracles (``_cover_search``, ``_dimension_search``), so the
 claims that use them check their statements by brute force.
 
 Reports are deterministic given (claim, size limits, seed) and
-independent of the worker count: instances are indexed before sharding
-and results merge by index.  Timing is kept out of the JSON form so
-reports compare byte for byte.
+independent of the worker count: instances are indexed before sharding,
+each shard returns its first counterexamples and they merge by index.
+Timing is kept out of the JSON form so reports compare byte for byte.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 import random
 import time
@@ -294,18 +297,6 @@ def _dimension_search(space: FiniteSpace) -> category.DimensionReport:
 # claim framework
 
 
-@dataclass(frozen=True)
-class _Ctx:
-    n_max: int
-    pair_max: int
-    seed: int
-    shard: int
-    nshards: int
-
-    def take(self, idx: int) -> bool:
-        return idx % self.nshards == self.shard
-
-
 @dataclass
 class ClaimReport:
     claim: str
@@ -337,31 +328,6 @@ def _spaces_upto(n_max: int) -> Iterator[FiniteSpace]:
         yield from enumerate_spaces(n)
 
 
-def _indexed_spaces(n_max: int) -> Iterator[tuple[int, FiniteSpace]]:
-    yield from enumerate(_spaces_upto(n_max))
-
-
-def _indexed_pairs(pair_max: int) -> Iterator[tuple[int, tuple[FiniteSpace, FiniteSpace]]]:
-    spaces = list(_spaces_upto(pair_max))
-    k = len(spaces)
-    for i in range(k):
-        for j in range(k):
-            yield i * k + j, (spaces[i], spaces[j])
-
-
-def _sweep(ctx: _Ctx, instances: Iterable, check: Callable):
-    tested = 0
-    bad = []
-    for idx, inst in instances:
-        if not ctx.take(idx):
-            continue
-        tested += 1
-        violation = check(inst)
-        if violation is not None:
-            bad.append((idx, violation))
-    return tested, bad
-
-
 def _closure_via_opens(s: FiniteSpace, x: int) -> int:
     # independent closure route: complement of the union of opens avoiding
     # x; every open is a union of minimal neighborhoods, so those suffice
@@ -373,11 +339,28 @@ def _closure_via_opens(s: FiniteSpace, x: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# claim runners
+# instance families: each maps (n_max, pair_max, seed) to the instances,
+# in a fixed order that indexes them for sharding
 
 
-def _claim_t1(ctx: _Ctx):
-    rng = random.Random(ctx.seed)
+def _spaces(n_max: int, pair_max: int, seed: int) -> Iterator[FiniteSpace]:
+    return _spaces_upto(n_max)
+
+
+def _pairs(n_max: int, pair_max: int, seed: int) -> Iterable[tuple[FiniteSpace, FiniteSpace]]:
+    return itertools.product(list(_spaces_upto(pair_max)), repeat=2)
+
+
+def _dim_spaces(n_max: int, pair_max: int, seed: int) -> Iterator[FiniteSpace]:
+    return _spaces_upto(min(n_max, _DIM_SWEEP_CAP))
+
+
+def _fixed(*instances) -> Callable:
+    return lambda n_max, pair_max, seed: instances
+
+
+def _t1_instances(n_max: int, pair_max: int, seed: int) -> list:
+    rng = random.Random(seed)
     instances: list = []
     for _ in range(100):
         size = rng.randint(1, 8)
@@ -391,194 +374,19 @@ def _claim_t1(ctx: _Ctx):
     instances.append(
         ("closed", intervals.IntervalDescriptor(Fraction(0), Fraction(1), True, True))
     )
-
-    def check(inst):
-        kind, payload = inst
-        compact, witness = intervals.finite_subset_compactness(payload)
-        if kind == "finite":
-            if not compact or witness != max(payload):
-                return {
-                    "kind": kind,
-                    "values": [intervals.format_fraction(v) for v in payload],
-                }
-        elif kind == "open":
-            if compact or not isinstance(witness, intervals.LeftRayCover):
-                return {"kind": kind, "interval": str(payload)}
-        else:
-            if not compact or witness != 1:
-                return {"kind": kind, "interval": str(payload)}
-        return None
-
-    return _sweep(ctx, enumerate(instances), check)
+    return instances
 
 
-def _claim_t2(ctx: _Ctx):
-    def check(s):
-        for x in range(s.n):
-            cl = _closure_via_opens(s, x)
-            for y in range(s.n):
-                has_path = homotopy.ir_path(s, x, y) is not None
-                if has_path != bool(cl >> y & 1):
-                    return {
-                        "space": spaceio.space_to_dict(s),
-                        "from": s.labels[x],
-                        "to": s.labels[y],
-                        "path_exists": has_path,
-                        "in_closure": bool(cl >> y & 1),
-                    }
-        return None
-
-    return _sweep(ctx, _indexed_spaces(ctx.n_max), check)
-
-
-def _claim_t3(ctx: _Ctx):
-    def check(s):
-        for x in range(s.n):
-            cl = _closure_via_opens(s, x)
-            for y in range(s.n):
-                path = homotopy.ir_path(s, x, y)
-                if path is None:
-                    continue
-                image = (1 << path.source) | (1 << path.target)
-                if image & ~cl:
-                    return {
-                        "space": spaceio.space_to_dict(s),
-                        "from": s.labels[x],
-                        "to": s.labels[y],
-                    }
-        return None
-
-    return _sweep(ctx, _indexed_spaces(ctx.n_max), check)
-
-
-def _claim_t4(ctx: _Ctx):
-    def check(s):
-        if any(_closure_via_opens(s, x) != 1 << x for x in range(s.n)):
-            return None  # not T1
-        for x in range(s.n):
-            for y in range(s.n):
-                if x != y and homotopy.ir_path(s, x, y) is not None:
-                    return {
-                        "space": spaceio.space_to_dict(s),
-                        "from": s.labels[x],
-                        "to": s.labels[y],
-                    }
-        return None
-
-    return _sweep(ctx, _indexed_spaces(ctx.n_max), check)
-
-
-def _claim_t5(ctx: _Ctx):
-    def check(pair):
-        dom, cod = pair
-        if not cod.is_t1():
-            return None
-        maps = homotopy.continuous_maps(dom, cod)
-        for f in maps:
-            for g in maps:
-                if (
-                    homotopy.ir_homotopic(f, g) is not None
-                    and f.assignment != g.assignment
-                ):
-                    return {
-                        "domain": spaceio.space_to_dict(dom),
-                        "codomain": spaceio.space_to_dict(cod),
-                        "f": list(f.assignment),
-                        "g": list(g.assignment),
-                    }
-        return None
-
-    return _sweep(ctx, _indexed_pairs(ctx.pair_max), check)
-
-
-def _claim_t6(ctx: _Ctx):
-    def check(s):
-        co = homotopy.ir_co(s)
-        identity = tuple(range(s.n))
-        oracle_co = 0
-        for x0 in range(s.n):
-            if chain_homotopy_oracle(s, s, identity, (x0,) * s.n):
-                oracle_co |= 1 << x0
-        if oracle_co != co:
-            return {
-                "space": spaceio.space_to_dict(s),
-                "pointwise_core": [s.labels[p] for p in iter_points(co)],
-                "oracle_core": [s.labels[p] for p in iter_points(oracle_co)],
-            }
-        return None
-
-    return _sweep(ctx, _indexed_spaces(ctx.n_max), check)
-
-
-def _claim_t7(ctx: _Ctx):
-    def check(pair):
-        a, b = pair
-        prod = product(a, b)
-        left = homotopy.ir_co(prod)
-        right = 0
-        for xa in iter_points(homotopy.ir_co(a)):
-            for yb in iter_points(homotopy.ir_co(b)):
-                right |= 1 << (xa * b.n + yb)
-        if left != right:
-            return {"left": spaceio.space_to_dict(a), "right": spaceio.space_to_dict(b)}
-        return None
-
-    return _sweep(ctx, _indexed_pairs(ctx.pair_max), check)
-
-
-def _claim_t8(ctx: _Ctx):
-    instances: list = []
-    for s in _spaces_upto(ctx.n_max):
+def _t8_instances(n_max: int, pair_max: int, seed: int) -> Iterator[tuple]:
+    for s in _spaces_upto(n_max):
         if s.is_t0():
-            instances.append(("poset", s))
+            yield "poset", s
     for m in range(2, _T8_MODULUS_LIMIT + 1):
-        instances.append(("zn", m))
-
-    def check(inst):
-        kind, payload = inst
-        if kind == "poset":
-            pairs = [
-                (x, y)
-                for x in range(payload.n)
-                for y in iter_points(payload.reach_rows[x])
-                if x != y
-            ]
-            sp = spectra.spec_from_poset(payload.labels, pairs)
-        else:
-            sp = spectra.spec_zn(payload)
-        ok, rep = spectra.check_theorem8(sp)
-        if not ok:
-            return {
-                "kind": kind,
-                "instance": spaceio.space_to_dict(sp.space),
-                "maximal_count": sp.maximal.bit_count(),
-                "category": rep.size,
-            }
-        return None
-
-    return _sweep(ctx, enumerate(instances), check)
+        yield "zn", m
 
 
-def _claim_t9(ctx: _Ctx):
-    def check(pair):
-        a, b = pair
-        prod = product(a, b)
-        lhs = category.ir_cat(prod).size
-        rhs = category.ir_cat(a).size * category.ir_cat(b).size
-        if lhs != rhs:
-            return {
-                "left": spaceio.space_to_dict(a),
-                "right": spaceio.space_to_dict(b),
-                "product_cat": lhs,
-                "factor_product": rhs,
-            }
-        return None
-
-    return _sweep(ctx, _indexed_pairs(ctx.pair_max), check)
-
-
-def _claim_t10(ctx: _Ctx):
-    rng = random.Random(ctx.seed)
+def _t10_batches(n_max: int, pair_max: int, seed: int) -> list:
+    rng = random.Random(seed)
     batches = []
     for _ in range(100):
         arity = rng.randint(1, 3)
@@ -596,197 +404,332 @@ def _claim_t10(ctx: _Ctx):
         if top not in pts:
             pts.append(top)
         batches.append(pts)
-
-    def check(pts):
-        ok, _greatest = intervals.check_theorem10(pts)
-        if not ok:
-            return {
-                "points": [
-                    [intervals.format_fraction(c) for c in p] for p in pts
-                ]
-            }
-        return None
-
-    return _sweep(ctx, enumerate(batches), check)
+    return batches
 
 
-def _claim_t11(ctx: _Ctx):
-    def check(s):
-        if not s.is_t0():
-            return None
-        for x in range(s.n):
-            for y in range(s.n):
-                if x != y and s.reach(x, y) and homotopy.reverse_exists(s, x, y):
-                    return {
-                        "space": spaceio.space_to_dict(s),
-                        "from": s.labels[x],
-                        "to": s.labels[y],
-                    }
-        return None
-
-    return _sweep(ctx, _indexed_spaces(ctx.n_max), check)
-
-
-def _claim_t12(ctx: _Ctx):
-    def check(s):
-        co = homotopy.ir_co(s)
-        if s.is_t0() and co and co.bit_count() != 1:
-            return {
-                "space": spaceio.space_to_dict(s),
-                "core": [s.labels[p] for p in iter_points(co)],
-            }
-        return None
-
-    return _sweep(ctx, _indexed_spaces(ctx.n_max), check)
-
-
-def _claim_t13(ctx: _Ctx):
-    cap = min(ctx.n_max, _DIM_SWEEP_CAP)
-
-    def check(s):
-        dim_rep = _dimension_search(s)
-        cat_rep = _cover_search(s, "subspace")
-        if dim_rep.dim + 1 > cat_rep.size:
-            return {
-                "space": spaceio.space_to_dict(s),
-                "dim": dim_rep.dim,
-                "cat": cat_rep.size,
-            }
-        return None
-
-    return _sweep(ctx, _indexed_spaces(cap), check)
-
-
-def _equivalence_sweep(ctx: _Ctx, violation):
-    """Sweep the pairs; an equivalent pair (a, b) for which
-    ``violation(a, b)`` returns a payload is a counterexample."""
-
-    def check(pair):
-        a, b = pair
-        eq = homotopy.ir_homotopy_equivalent(a, b)
-        extra = None if eq is None else violation(a, b)
-        if extra is None:
-            return None
-        f, g = eq
-        return {
-            "left": spaceio.space_to_dict(a),
-            "right": spaceio.space_to_dict(b),
-            "f": list(f.assignment),
-            "g": list(g.assignment),
-            **extra,
-        }
-
-    return _sweep(ctx, _indexed_pairs(ctx.pair_max), check)
-
-
-def _claim_t14(ctx: _Ctx):
-    def violation(a, b):
-        return {} if homotopy.ir_co(a) and not homotopy.ir_co(b) else None
-
-    return _equivalence_sweep(ctx, violation)
-
-
-def _claim_t15(ctx: _Ctx):
-    def violation(a, b):
-        ca, cb = category.ir_cat(a).size, category.ir_cat(b).size
-        return {"cat_left": ca, "cat_right": cb} if ca != cb else None
-
-    return _equivalence_sweep(ctx, violation)
-
-
-def _claim_p1(ctx: _Ctx):
-    rng = random.Random(ctx.seed)
+def _p1_instances(n_max: int, pair_max: int, seed: int) -> list:
+    rng = random.Random(seed)
 
     def unit():
         den = rng.randint(1, 50)
         return Fraction(rng.randint(0, den), den)
 
-    instances = [
+    return [
         (unit(), unit(), unit(), Fraction(rng.randint(1, 50), 50))
         for _ in range(10000)
     ]
 
-    def check(inst):
-        x, y, z, eps = inst
-        d = intervals.d_ir
-        fmt = intervals.format_fraction
-        if d(x, x) != 0:
-            return {"axiom": "identity", "x": fmt(x)}
-        if d(x, z) > d(x, y) + d(y, z):
-            return {"axiom": "triangle", "x": fmt(x), "y": fmt(y), "z": fmt(z)}
-        if d(x, y) == 0 == d(y, x) and x != y:
-            return {"axiom": "separation", "x": fmt(x), "y": fmt(y)}
-        b = intervals.ball(x, eps)
-        if b.whole_space:
-            if x + eps <= 1:
-                return {"axiom": "ball-clip", "x": fmt(x), "eps": fmt(eps)}
-        elif fmt(b.hi) != fmt(x + eps):
-            return {"axiom": "ball-endpoint", "x": fmt(x), "eps": fmt(eps)}
-        return None
 
-    return _sweep(ctx, enumerate(instances), check)
-
-
-def _claim_p2(ctx: _Ctx):
+def _p2_instances(n_max: int, pair_max: int, seed: int) -> list:
     instances = []
     for k in range(1, 8):
         chain = intervals.chain_space(k)
         for m in range(1, 1 << k):
             instances.append((chain, m))
-
-    def check(inst):
-        chain, m = inst
-        sub = chain.subspace(m)
-        if not sub.is_hyperconnected():
-            return {"chain": chain.n, "points": list(points_of(m))}
-        return None
-
-    return _sweep(ctx, enumerate(instances), check)
+    return instances
 
 
-def _claim_p3(ctx: _Ctx):
-    def check(s):
-        ok, witness = category.check_prop3(s)
-        if not ok:
-            i, j, point = witness
+_PRIMES_25 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
+              53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
+
+
+# ---------------------------------------------------------------------------
+# checks: each maps one instance to a counterexample payload, or None
+
+
+def _check_t1(inst):
+    kind, payload = inst
+    compact, witness = intervals.finite_subset_compactness(payload)
+    if kind == "finite":
+        if not compact or witness != max(payload):
             return {
-                "space": spaceio.space_to_dict(s),
-                "cover": spaceio.cover_labels(s, category.ir_cat(s).sets),
-                "witness_member": i,
-                "other_member": j,
-                "point": s.labels[point],
+                "kind": kind,
+                "values": [intervals.format_fraction(v) for v in payload],
             }
-        return None
-
-    return _sweep(ctx, _indexed_spaces(ctx.n_max), check)
-
-
-def _claim_p4(ctx: _Ctx):
-    def check(s):
-        rows = [_closure_via_opens(s, x) for x in range(s.n)]
-        for x in range(s.n):
-            if not rows[x] >> x & 1:
-                return {"space": spaceio.space_to_dict(s), "missing_reflexive": s.labels[x]}
-            for y in iter_points(rows[x]):
-                if rows[y] & ~rows[x]:
-                    return {"space": spaceio.space_to_dict(s), "broken_at": s.labels[x]}
-        return None
-
-    return _sweep(ctx, _indexed_spaces(ctx.n_max), check)
+    elif kind == "open":
+        if compact or not isinstance(witness, intervals.LeftRayCover):
+            return {"kind": kind, "interval": str(payload)}
+    else:
+        if not compact or witness != 1:
+            return {"kind": kind, "interval": str(payload)}
+    return None
 
 
-def _claim_l1(ctx: _Ctx):
-    def check(s):
-        for cov in category.irredundant_covers(s):
-            ok, _mapping = category.check_refinement(s, cov)
-            if not ok:
+def _check_t2(s):
+    for x in range(s.n):
+        cl = _closure_via_opens(s, x)
+        for y in range(s.n):
+            has_path = homotopy.ir_path(s, x, y) is not None
+            if has_path != bool(cl >> y & 1):
                 return {
                     "space": spaceio.space_to_dict(s),
-                    "cover": spaceio.cover_labels(s, cov),
+                    "from": s.labels[x],
+                    "to": s.labels[y],
+                    "path_exists": has_path,
+                    "in_closure": bool(cl >> y & 1),
                 }
-        return None
+    return None
 
-    return _sweep(ctx, _indexed_spaces(ctx.n_max), check)
+
+def _check_t3(s):
+    for x in range(s.n):
+        cl = _closure_via_opens(s, x)
+        for y in range(s.n):
+            path = homotopy.ir_path(s, x, y)
+            if path is None:
+                continue
+            image = (1 << path.source) | (1 << path.target)
+            if image & ~cl:
+                return {
+                    "space": spaceio.space_to_dict(s),
+                    "from": s.labels[x],
+                    "to": s.labels[y],
+                }
+    return None
+
+
+def _check_t4(s):
+    if any(_closure_via_opens(s, x) != 1 << x for x in range(s.n)):
+        return None  # not T1
+    for x in range(s.n):
+        for y in range(s.n):
+            if x != y and homotopy.ir_path(s, x, y) is not None:
+                return {
+                    "space": spaceio.space_to_dict(s),
+                    "from": s.labels[x],
+                    "to": s.labels[y],
+                }
+    return None
+
+
+def _check_t5(pair):
+    dom, cod = pair
+    if not cod.is_t1():
+        return None
+    maps = homotopy.continuous_maps(dom, cod)
+    for f in maps:
+        for g in maps:
+            if (
+                homotopy.ir_homotopic(f, g) is not None
+                and f.assignment != g.assignment
+            ):
+                return {
+                    "domain": spaceio.space_to_dict(dom),
+                    "codomain": spaceio.space_to_dict(cod),
+                    "f": list(f.assignment),
+                    "g": list(g.assignment),
+                }
+    return None
+
+
+def _check_t6(s):
+    co = homotopy.ir_co(s)
+    identity = tuple(range(s.n))
+    oracle_co = 0
+    for x0 in range(s.n):
+        if chain_homotopy_oracle(s, s, identity, (x0,) * s.n):
+            oracle_co |= 1 << x0
+    if oracle_co != co:
+        return {
+            "space": spaceio.space_to_dict(s),
+            "pointwise_core": [s.labels[p] for p in iter_points(co)],
+            "oracle_core": [s.labels[p] for p in iter_points(oracle_co)],
+        }
+    return None
+
+
+def _check_t7(pair):
+    a, b = pair
+    prod = product(a, b)
+    left = homotopy.ir_co(prod)
+    right = 0
+    for xa in iter_points(homotopy.ir_co(a)):
+        for yb in iter_points(homotopy.ir_co(b)):
+            right |= 1 << (xa * b.n + yb)
+    if left != right:
+        return {"left": spaceio.space_to_dict(a), "right": spaceio.space_to_dict(b)}
+    return None
+
+
+def _check_t8(inst):
+    kind, payload = inst
+    if kind == "poset":
+        pairs = [
+            (x, y)
+            for x in range(payload.n)
+            for y in iter_points(payload.reach_rows[x])
+            if x != y
+        ]
+        sp = spectra.spec_from_poset(payload.labels, pairs)
+    else:
+        sp = spectra.spec_zn(payload)
+    ok, rep = spectra.check_theorem8(sp)
+    if not ok:
+        return {
+            "kind": kind,
+            "instance": spaceio.space_to_dict(sp.space),
+            "maximal_count": sp.maximal.bit_count(),
+            "category": rep.size,
+        }
+    return None
+
+
+def _check_t9(pair):
+    a, b = pair
+    prod = product(a, b)
+    lhs = category.ir_cat(prod).size
+    rhs = category.ir_cat(a).size * category.ir_cat(b).size
+    if lhs != rhs:
+        return {
+            "left": spaceio.space_to_dict(a),
+            "right": spaceio.space_to_dict(b),
+            "product_cat": lhs,
+            "factor_product": rhs,
+        }
+    return None
+
+
+def _check_t10(pts):
+    ok, _greatest = intervals.check_theorem10(pts)
+    if not ok:
+        return {
+            "points": [
+                [intervals.format_fraction(c) for c in p] for p in pts
+            ]
+        }
+    return None
+
+
+def _check_t11(s):
+    if not s.is_t0():
+        return None
+    for x in range(s.n):
+        for y in range(s.n):
+            if x != y and s.reach(x, y) and homotopy.reverse_exists(s, x, y):
+                return {
+                    "space": spaceio.space_to_dict(s),
+                    "from": s.labels[x],
+                    "to": s.labels[y],
+                }
+    return None
+
+
+def _check_t12(s):
+    co = homotopy.ir_co(s)
+    if s.is_t0() and co and co.bit_count() != 1:
+        return {
+            "space": spaceio.space_to_dict(s),
+            "core": [s.labels[p] for p in iter_points(co)],
+        }
+    return None
+
+
+def _check_t13(s):
+    dim_rep = _dimension_search(s)
+    cat_rep = _cover_search(s, "subspace")
+    if dim_rep.dim + 1 > cat_rep.size:
+        return {
+            "space": spaceio.space_to_dict(s),
+            "dim": dim_rep.dim,
+            "cat": cat_rep.size,
+        }
+    return None
+
+
+def _equivalence_counterexample(pair, violation):
+    """A payload when the pair (a, b) is equivalent and ``violation(a, b)``
+    returns one (extra payload fields), else None."""
+    a, b = pair
+    eq = homotopy.ir_homotopy_equivalent(a, b)
+    extra = None if eq is None else violation(a, b)
+    if extra is None:
+        return None
+    f, g = eq
+    return {
+        "left": spaceio.space_to_dict(a),
+        "right": spaceio.space_to_dict(b),
+        "f": list(f.assignment),
+        "g": list(g.assignment),
+        **extra,
+    }
+
+
+def _check_t14(pair):
+    def violation(a, b):
+        return {} if homotopy.ir_co(a) and not homotopy.ir_co(b) else None
+
+    return _equivalence_counterexample(pair, violation)
+
+
+def _check_t15(pair):
+    def violation(a, b):
+        ca, cb = category.ir_cat(a).size, category.ir_cat(b).size
+        return {"cat_left": ca, "cat_right": cb} if ca != cb else None
+
+    return _equivalence_counterexample(pair, violation)
+
+
+def _check_p1(inst):
+    x, y, z, eps = inst
+    d = intervals.d_ir
+    fmt = intervals.format_fraction
+    if d(x, x) != 0:
+        return {"axiom": "identity", "x": fmt(x)}
+    if d(x, z) > d(x, y) + d(y, z):
+        return {"axiom": "triangle", "x": fmt(x), "y": fmt(y), "z": fmt(z)}
+    if d(x, y) == 0 == d(y, x) and x != y:
+        return {"axiom": "separation", "x": fmt(x), "y": fmt(y)}
+    b = intervals.ball(x, eps)
+    if b.whole_space:
+        if x + eps <= 1:
+            return {"axiom": "ball-clip", "x": fmt(x), "eps": fmt(eps)}
+    elif fmt(b.hi) != fmt(x + eps):
+        return {"axiom": "ball-endpoint", "x": fmt(x), "eps": fmt(eps)}
+    return None
+
+
+def _check_p2(inst):
+    chain, m = inst
+    sub = chain.subspace(m)
+    if not sub.is_hyperconnected():
+        return {"chain": chain.n, "points": list(points_of(m))}
+    return None
+
+
+def _check_p3(s):
+    ok, witness = category.check_prop3(s)
+    if not ok:
+        i, j, point = witness
+        return {
+            "space": spaceio.space_to_dict(s),
+            "cover": spaceio.cover_labels(s, category.ir_cat(s).sets),
+            "witness_member": i,
+            "other_member": j,
+            "point": s.labels[point],
+        }
+    return None
+
+
+def _check_p4(s):
+    rows = [_closure_via_opens(s, x) for x in range(s.n)]
+    for x in range(s.n):
+        if not rows[x] >> x & 1:
+            return {"space": spaceio.space_to_dict(s), "missing_reflexive": s.labels[x]}
+        for y in iter_points(rows[x]):
+            if rows[y] & ~rows[x]:
+                return {"space": spaceio.space_to_dict(s), "broken_at": s.labels[x]}
+    return None
+
+
+def _check_l1(s):
+    for cov in category.irredundant_covers(s):
+        ok, _mapping = category.check_refinement(s, cov)
+        if not ok:
+            return {
+                "space": spaceio.space_to_dict(s),
+                "cover": spaceio.cover_labels(s, cov),
+            }
+    return None
 
 
 def _padded_cover(s: FiniteSpace):
@@ -798,190 +741,146 @@ def _padded_cover(s: FiniteSpace):
     return tuple(sorted(rep.sets + (extra,), key=canon_key)), rep
 
 
-def _claim_l2_literal(ctx: _Ctx):
-    def check(s):
-        padded, rep = _padded_cover(s)
-        if padded is None:
-            return None
-        # an open cover with more members than the covering category
+def _check_l2_literal(s):
+    padded, rep = _padded_cover(s)
+    if padded is None:
+        return None
+    # an open cover with more members than the covering category
+    return {
+        "space": spaceio.space_to_dict(s),
+        "cat": rep.size,
+        "padded_cover": spaceio.cover_labels(s, padded),
+    }
+
+
+def _check_l2_subcover(s):
+    covers = list(category.irredundant_covers(s))
+    padded, rep = _padded_cover(s)
+    if padded is not None:
+        covers.append(padded)
+    for cov in covers:
+        try:
+            sub = category.min_subcover(s, cov)
+        except category.SubcoverNotFound:
+            return {
+                "space": spaceio.space_to_dict(s),
+                "cover": spaceio.cover_labels(s, cov),
+            }
+        if len(sub) > rep.size:
+            return {
+                "space": spaceio.space_to_dict(s),
+                "cover": spaceio.cover_labels(s, cov),
+                "subcover": spaceio.cover_labels(s, sub),
+            }
+    return None
+
+
+def _check_c1(desc):
+    compact, witness = intervals.finite_subset_compactness(desc)
+    if not compact or witness != 1:
+        return {"interval": str(desc)}
+    return None
+
+
+def _check_c2(_):
+    s = intervals.chain_space(2)
+    if homotopy.ir_co(s) != 0b10 or homotopy.is_ir_contractible(s) != 0b10:
+        return {"space": spaceio.space_to_dict(s)}
+    return None
+
+
+def _check_c3(k):
+    s = intervals.chain_space(k)
+    if homotopy.ir_co(s) != 1 << (k - 1):
+        return {"chain": k}
+    return None
+
+
+def _check_c4(s):
+    if s.is_t1() and homotopy.ir_co(s) and s.n != 1:
+        return {"space": spaceio.space_to_dict(s)}
+    return None
+
+
+def _check_c5(s):
+    if not homotopy.ir_co(s):
+        return None
+    covers = list(category.irredundant_covers(s))
+    if covers != [(s.full_mask,)]:
         return {
             "space": spaceio.space_to_dict(s),
-            "cat": rep.size,
-            "padded_cover": spaceio.cover_labels(s, padded),
+            "covers": [spaceio.cover_labels(s, c) for c in covers],
         }
+    return None
 
-    return _sweep(ctx, _indexed_spaces(ctx.n_max), check)
 
-
-def _claim_l2_subcover(ctx: _Ctx):
-    def check(s):
-        covers = list(category.irredundant_covers(s))
-        padded, rep = _padded_cover(s)
-        if padded is not None:
-            covers.append(padded)
-        for cov in covers:
-            try:
-                sub = category.min_subcover(s, cov)
-            except category.SubcoverNotFound:
-                return {
-                    "space": spaceio.space_to_dict(s),
-                    "cover": spaceio.cover_labels(s, cov),
-                }
-            if len(sub) > rep.size:
-                return {
-                    "space": spaceio.space_to_dict(s),
-                    "cover": spaceio.cover_labels(s, cov),
-                    "subcover": spaceio.cover_labels(s, sub),
-                }
+def _check_c6(s):
+    if not s.is_t0():
         return None
+    maximal = [x for x, row in enumerate(s.reach_rows) if row == 1 << x]
+    if len(maximal) != 1:
+        return None
+    pairs = [
+        (x, y)
+        for x in range(s.n)
+        for y in iter_points(s.reach_rows[x])
+        if x != y
+    ]
+    sp = spectra.spec_from_poset(s.labels, pairs)
+    rep = category.ir_cat(sp.space)
+    if rep.size != 1 or homotopy.ir_co(sp.space) != 1 << maximal[0]:
+        return {"space": spaceio.space_to_dict(s)}
+    return None
 
-    return _sweep(ctx, _indexed_spaces(ctx.n_max), check)
+
+def _check_c7(p):
+    sp = spectra.spec_zn(p)
+    if (
+        sp.space.n != 1
+        or homotopy.ir_co(sp.space) != 1
+        or category.ir_cat(sp.space).size != 1
+    ):
+        return {"prime": p}
+    return None
 
 
-def _claim_c1(ctx: _Ctx):
-    closed_interval = intervals.IntervalDescriptor(
-        Fraction(0), Fraction(1), True, True
+def _check_c8(s):
+    rep = category.ir_cat(s)
+    ok, mapping = category.check_refinement(s, rep.sets)
+    if not ok or mapping != tuple(range(rep.size)):
+        return {"space": spaceio.space_to_dict(s), "mapping": mapping}
+    for i, a in enumerate(rep.sets):
+        for j, b in enumerate(rep.sets):
+            if i != j and a & ~b == 0:
+                return {
+                    "space": spaceio.space_to_dict(s),
+                    "nested_members": [i, j],
+                }
+    return None
+
+
+def _check_c9(s):
+    rows = [_closure_via_opens(s, x) for x in range(s.n)]
+    antisymmetric = not any(
+        rows[x] >> y & 1 and rows[y] >> x & 1
+        for x in range(s.n)
+        for y in range(x + 1, s.n)
     )
-
-    def check(desc):
-        compact, witness = intervals.finite_subset_compactness(desc)
-        if not compact or witness != 1:
-            return {"interval": str(desc)}
-        return None
-
-    return _sweep(ctx, enumerate([closed_interval]), check)
+    if antisymmetric != s.is_t0():
+        return {"space": spaceio.space_to_dict(s)}
+    return None
 
 
-def _claim_c2(ctx: _Ctx):
-    def check(_):
-        s = intervals.chain_space(2)
-        if homotopy.ir_co(s) != 0b10 or homotopy.is_ir_contractible(s) != 0b10:
-            return {"space": spaceio.space_to_dict(s)}
-        return None
-
-    return _sweep(ctx, enumerate([None]), check)
-
-
-def _claim_c3(ctx: _Ctx):
-    def check(k):
-        s = intervals.chain_space(k)
-        if homotopy.ir_co(s) != 1 << (k - 1):
-            return {"chain": k}
-        return None
-
-    return _sweep(ctx, enumerate(range(1, 13)), check)
-
-
-def _claim_c4(ctx: _Ctx):
-    def check(s):
-        if s.is_t1() and homotopy.ir_co(s) and s.n != 1:
-            return {"space": spaceio.space_to_dict(s)}
-        return None
-
-    return _sweep(ctx, _indexed_spaces(ctx.n_max), check)
-
-
-def _claim_c5(ctx: _Ctx):
-    def check(s):
-        if not homotopy.ir_co(s):
-            return None
-        covers = list(category.irredundant_covers(s))
-        if covers != [(s.full_mask,)]:
-            return {
-                "space": spaceio.space_to_dict(s),
-                "covers": [spaceio.cover_labels(s, c) for c in covers],
-            }
-        return None
-
-    return _sweep(ctx, _indexed_spaces(ctx.n_max), check)
-
-
-def _claim_c6(ctx: _Ctx):
-    def check(s):
-        if not s.is_t0():
-            return None
-        maximal = [x for x, row in enumerate(s.reach_rows) if row == 1 << x]
-        if len(maximal) != 1:
-            return None
-        pairs = [
-            (x, y)
-            for x in range(s.n)
-            for y in iter_points(s.reach_rows[x])
-            if x != y
-        ]
-        sp = spectra.spec_from_poset(s.labels, pairs)
-        rep = category.ir_cat(sp.space)
-        if rep.size != 1 or homotopy.ir_co(sp.space) != 1 << maximal[0]:
-            return {"space": spaceio.space_to_dict(s)}
-        return None
-
-    return _sweep(ctx, _indexed_spaces(ctx.n_max), check)
-
-
-_PRIMES_25 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
-              53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
-
-
-def _claim_c7(ctx: _Ctx):
-    def check(p):
-        sp = spectra.spec_zn(p)
-        if (
-            sp.space.n != 1
-            or homotopy.ir_co(sp.space) != 1
-            or category.ir_cat(sp.space).size != 1
-        ):
-            return {"prime": p}
-        return None
-
-    return _sweep(ctx, enumerate(_PRIMES_25), check)
-
-
-def _claim_c8(ctx: _Ctx):
-    def check(s):
-        rep = category.ir_cat(s)
-        ok, mapping = category.check_refinement(s, rep.sets)
-        if not ok or mapping != tuple(range(rep.size)):
-            return {"space": spaceio.space_to_dict(s), "mapping": mapping}
-        for i, a in enumerate(rep.sets):
-            for j, b in enumerate(rep.sets):
-                if i != j and a & ~b == 0:
-                    return {
-                        "space": spaceio.space_to_dict(s),
-                        "nested_members": [i, j],
-                    }
-        return None
-
-    return _sweep(ctx, _indexed_spaces(ctx.n_max), check)
-
-
-def _claim_c9(ctx: _Ctx):
-    def check(s):
-        rows = [_closure_via_opens(s, x) for x in range(s.n)]
-        antisymmetric = not any(
-            rows[x] >> y & 1 and rows[y] >> x & 1
-            for x in range(s.n)
-            for y in range(x + 1, s.n)
-        )
-        if antisymmetric != s.is_t0():
-            return {"space": spaceio.space_to_dict(s)}
-        return None
-
-    return _sweep(ctx, _indexed_spaces(ctx.n_max), check)
-
-
-def _claim_d5(ctx: _Ctx):
-    def check(s):
-        sub = _cover_search(s, "subspace").size
-        amb = _cover_search(s, "ambient").size
-        if sub != amb:
-            return {
-                "space": spaceio.space_to_dict(s),
-                "subspace_cat": sub,
-                "ambient_cat": amb,
-            }
-        return None
-
-    return _sweep(ctx, _indexed_spaces(ctx.n_max), check)
+def _check_d5(s):
+    sub = _cover_search(s, "subspace").size
+    amb = _cover_search(s, "ambient").size
+    if sub != amb:
+        return {
+            "space": spaceio.space_to_dict(s),
+            "subspace_cat": sub,
+            "ambient_cat": amb,
+        }
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -990,114 +889,128 @@ def _claim_d5(ctx: _Ctx):
 
 @dataclass(frozen=True)
 class ClaimSpec:
+    """A claim: ``instances(n_max, pair_max, seed)`` is its instance family
+    and ``check(instance)`` returns a counterexample payload or None."""
+
     name: str
     category: str
     description: str
-    runner: Callable
+    instances: Callable
+    check: Callable
 
 
 _CLAIM_LIST = [
     ClaimSpec("T1", "asserted",
               "subsets of the one-way line are compact exactly through a greatest element",
-              _claim_t1),
+              _t1_instances, _check_t1),
     ClaimSpec("T2", "asserted",
               "a one-way path from x to y exists exactly when y lies in the closure of {x}",
-              _claim_t2),
+              _spaces, _check_t2),
     ClaimSpec("T3", "asserted",
               "the image of a one-way path lies in the closure of its start point",
-              _claim_t3),
+              _spaces, _check_t3),
     ClaimSpec("T4", "asserted",
               "in a T1 space every one-way path is constant",
-              _claim_t4),
+              _spaces, _check_t4),
     ClaimSpec("T5", "asserted",
               "one-way homotopic maps into a T1 space are equal",
-              _claim_t5),
+              _pairs, _check_t5),
     ClaimSpec("T6", "asserted",
               "deformability onto a point matches the chain-model homotopy oracle",
-              _claim_t6),
+              _spaces, _check_t6),
     ClaimSpec("T7", "asserted",
               "the core of a product is the product of the cores",
-              _claim_t7),
+              _pairs, _check_t7),
     ClaimSpec("T8", "asserted",
               "the covering category of a spectrum equals its number of maximal ideals",
-              _claim_t8),
+              _t8_instances, _check_t8),
     ClaimSpec("T9_product", "experimental",
               "whether covering category is multiplicative over products",
-              _claim_t9),
+              _pairs, _check_t9),
     ClaimSpec("T10", "asserted",
               "a grid subspace with a greatest point has exactly that point as core",
-              _claim_t10),
+              _t10_batches, _check_t10),
     ClaimSpec("T11", "asserted",
               "in a T0 space no nonconstant one-way path has a reverse",
-              _claim_t11),
+              _spaces, _check_t11),
     ClaimSpec("T12", "asserted",
               "a T0 space that deforms onto a point has a single core point",
-              _claim_t12),
+              _spaces, _check_t12),
     ClaimSpec("T13", "asserted",
               "covering dimension + 1 is at most the covering category (4-point cap)",
-              _claim_t13),
+              _dim_spaces, _check_t13),
     ClaimSpec("T14", "asserted",
               "deformability onto a point transfers across equivalence",
-              _claim_t14),
+              _pairs, _check_t14),
     ClaimSpec("T15", "asserted",
               "covering category is invariant under equivalence",
-              _claim_t15),
+              _pairs, _check_t15),
     ClaimSpec("P1", "asserted",
               "the asymmetric interval distance is a quasi-metric with left-ray balls",
-              _claim_p1),
+              _p1_instances, _check_p1),
     ClaimSpec("P2", "asserted",
               "all subspaces of finite chains are hyperconnected",
-              _claim_p2),
+              _p2_instances, _check_p2),
     ClaimSpec("P3", "asserted",
               "optimal-cover witness points avoid every other cover member",
-              _claim_p3),
+              _spaces, _check_p3),
     ClaimSpec("P4", "asserted",
               "reachability is reflexive and transitive",
-              _claim_p4),
+              _spaces, _check_p4),
     ClaimSpec("L1", "asserted",
               "an optimal deformable cover refines every open cover",
-              _claim_l1),
+              _spaces, _check_l1),
     ClaimSpec("L2_literal", "known_false",
               "no open cover has more members than the covering category",
-              _claim_l2_literal),
+              _spaces, _check_l2_literal),
     ClaimSpec("L2_subcover", "asserted",
               "every open cover contains a subcover no larger than the covering category",
-              _claim_l2_subcover),
+              _spaces, _check_l2_subcover),
     ClaimSpec("C1", "asserted",
               "the closed unit interval of the one-way line is compact",
-              _claim_c1),
+              _fixed(intervals.IntervalDescriptor(Fraction(0), Fraction(1), True, True)),
+              _check_c1),
     ClaimSpec("C2", "asserted",
               "the two-point chain deforms onto its top point",
-              _claim_c2),
+              _fixed(None), _check_c2),
     ClaimSpec("C3", "asserted",
               "every finite chain deforms onto its top point",
-              _claim_c3),
+              _fixed(*range(1, 13)), _check_c3),
     ClaimSpec("C4", "asserted",
               "T1 spaces that deform onto a point are singletons",
-              _claim_c4),
+              _spaces, _check_c4),
     ClaimSpec("C5", "asserted",
               "a space that deforms onto a point has the whole space as its only irredundant cover",
-              _claim_c5),
+              _spaces, _check_c5),
     ClaimSpec("C6", "asserted",
               "spectra with a unique maximal ideal deform onto it",
-              _claim_c6),
+              _spaces, _check_c6),
     ClaimSpec("C7", "asserted",
               "one-prime spectra deform onto their single point",
-              _claim_c7),
+              _fixed(*_PRIMES_25), _check_c7),
     ClaimSpec("C8", "asserted",
               "an optimal cover is an antichain and refines itself identically",
-              _claim_c8),
+              _spaces, _check_c8),
     ClaimSpec("C9", "asserted",
               "reachability is a partial order exactly on T0 spaces",
-              _claim_c9),
+              _spaces, _check_c9),
     ClaimSpec("D5_sense_compare", "experimental",
               "covering category under in-set vs ambient witnesses",
-              _claim_d5),
+              _spaces, _check_d5),
 ]
 
 CLAIMS = {spec.name: spec for spec in _CLAIM_LIST}
 
 CLAIM_ORDER = tuple(spec.name for spec in _CLAIM_LIST)
+
+
+def _lookup_claim(name: str) -> ClaimSpec:
+    try:
+        return CLAIMS[name]
+    except KeyError:
+        raise UnknownClaim(
+            f"unknown claim {name!r}; known: {', '.join(CLAIM_ORDER)}"
+        ) from None
 
 
 def _resolve_limits(n_max: int, pair_max: int | None) -> tuple[int, int]:
@@ -1116,10 +1029,25 @@ def _resolve_limits(n_max: int, pair_max: int | None) -> tuple[int, int]:
 
 def _run_claim_shard(
     name: str, n_max: int, pair_max: int, seed: int, shard: int, nshards: int
-):
+) -> tuple[int, int, list[tuple[int, dict]]]:
+    """Check the instances whose index is ``shard`` modulo ``nshards``.
+
+    Returns the number tested, the number of counterexamples and the
+    first MAX_REPORTED_COUNTEREXAMPLES of them as (index, payload).  The
+    first ones over all shards are among the shards' first ones.
+    """
     spec = CLAIMS[name]
-    ctx = _Ctx(n_max, pair_max, seed, shard, nshards)
-    return spec.runner(ctx)
+    family = enumerate(spec.instances(n_max, pair_max, seed))
+    tested = count = 0
+    first = []
+    for idx, inst in itertools.islice(family, shard, None, nshards):
+        tested += 1
+        payload = spec.check(inst)
+        if payload is not None:
+            count += 1
+            if len(first) < MAX_REPORTED_COUNTEREXAMPLES:
+                first.append((idx, payload))
+    return tested, count, first
 
 
 def run_claim(
@@ -1136,14 +1064,12 @@ def run_claim(
     from the seed before sharding, so reports do not depend on jobs.
     At most os.cpu_count() worker processes are started.
     """
-    if name not in CLAIMS:
-        raise UnknownClaim(f"unknown claim {name!r}; known: {', '.join(CLAIM_ORDER)}")
+    spec = _lookup_claim(name)
     n_max, pair_max = _resolve_limits(n_max, pair_max)
-    spec = CLAIMS[name]
     jobs = min(jobs, os.cpu_count() or 1)
     start = time.monotonic()
     if jobs <= 1:
-        tested, violations = _run_claim_shard(name, n_max, pair_max, seed, 0, 1)
+        parts = [_run_claim_shard(name, n_max, pair_max, seed, 0, 1)]
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = [
@@ -1151,18 +1077,17 @@ def run_claim(
                 for s in range(jobs)
             ]
             parts = [f.result() for f in futures]
-        tested = sum(p[0] for p in parts)
-        violations = [v for p in parts for v in p[1]]
-    violations.sort(key=lambda item: item[0])
+    count = sum(p[1] for p in parts)
+    first = sorted((v for p in parts for v in p[2]), key=lambda item: item[0])
     elapsed = time.monotonic() - start
     return ClaimReport(
         claim=name,
         category=spec.category,
         description=spec.description,
-        instances_tested=tested,
-        passed=not violations,
-        counterexamples=[v for _, v in violations[:MAX_REPORTED_COUNTEREXAMPLES]],
-        counterexample_count=len(violations),
+        instances_tested=sum(p[0] for p in parts),
+        passed=not count,
+        counterexamples=[v for _, v in first[:MAX_REPORTED_COUNTEREXAMPLES]],
+        counterexample_count=count,
         elapsed=elapsed,
     )
 
@@ -1174,13 +1099,11 @@ def run_suite(
     pair_max: int | None = None,
     claims: Iterable[str] | None = None,
 ) -> list[ClaimReport]:
-    """Run claims in registry order and return their reports."""
+    """Run claims in registry order and return their reports; an unknown
+    name raises UnknownClaim before any claim runs."""
     names = list(CLAIM_ORDER) if claims is None else list(claims)
     for name in names:
-        if name not in CLAIMS:
-            raise UnknownClaim(
-                f"unknown claim {name!r}; known: {', '.join(CLAIM_ORDER)}"
-            )
+        _lookup_claim(name)
     return [
         run_claim(name, n_max=n_max, seed=seed, jobs=jobs, pair_max=pair_max)
         for name in names

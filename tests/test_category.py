@@ -7,7 +7,6 @@ from irtopo import (
     chain_space,
     check_prop3,
     check_refinement,
-    check_theorem13,
     covering_dimension,
     ir_cat,
     ir_co,
@@ -331,25 +330,6 @@ class TestDimension:
     def test_budget(self):
         with pytest.raises(SearchBudgetExceeded):
             covering_dimension(discrete(6))
-
-
-class TestTheorem13:
-    def test_discrete2(self):
-        ok, dim_rep, cat_rep = check_theorem13(discrete(2))
-        assert ok and dim_rep.dim == 0 and cat_rep.size == 2
-
-    def test_sierpinski_tight(self, sierpinski):
-        ok, dim_rep, cat_rep = check_theorem13(sierpinski)
-        assert ok and dim_rep.dim + 1 == cat_rep.size == 1
-
-    def test_pseudocircle_tight(self, pseudocircle):
-        ok, dim_rep, cat_rep = check_theorem13(pseudocircle)
-        assert ok and dim_rep.dim + 1 == cat_rep.size == 2
-
-    def test_exhaustive_small(self, spaces_upto4):
-        for s in spaces_upto4:
-            ok, _, _ = check_theorem13(s)
-            assert ok
 
 
 def test_product_category_on_examples(sierpinski, pseudocircle):

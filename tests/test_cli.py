@@ -204,6 +204,14 @@ def test_malformed_json(tmp_path):
     assert main(["analyze", str(path)]) == 2
 
 
+@pytest.mark.parametrize("command", [["spec", "poset"], ["grid"]])
+def test_malformed_json_poset_and_grid(tmp_path, capsys, command):
+    path = tmp_path / "bad.json"
+    path.write_text("{not json")
+    assert main(command + [str(path)]) == 2
+    assert f"error: {path}: Expecting property name" in capsys.readouterr().err
+
+
 def test_inconsistent_reach_and_opens(tmp_path):
     path = tmp_path / "both.json"
     path.write_text(

@@ -251,6 +251,23 @@ class TestEquivalence:
         with pytest.raises(SearchBudgetExceeded, match=r"\b1\b.*IRTOPO_BUDGET_MAPS"):
             ir_homotopy_equivalent(chain, chain, budget=1)
 
+    def test_builds_only_the_returned_maps(self, monkeypatch):
+        # the search yields monotone assignments; only the answer is
+        # validated, not the 2 * 24310 maps of the 9-chain to itself
+        built = []
+        check = ContinuousMap.__post_init__
+
+        def counting(self):
+            built.append(self.assignment)
+            check(self)
+
+        monkeypatch.setattr(ContinuousMap, "__post_init__", counting)
+        chain = chain_space(9)
+        f, g = ir_homotopy_equivalent(chain, chain)
+        assert built == [f.assignment, g.assignment]
+        assert len(continuous_maps(chain_space(3), chain_space(3))) == 10
+        assert len(built) == 12  # continuous_maps still returns validated maps
+
     def test_budget_allows_exactly_the_limit(self, sierpinski):
         assert len(continuous_maps(sierpinski, sierpinski, budget=3)) == 3
         with pytest.raises(SearchBudgetExceeded):

@@ -1,4 +1,9 @@
+import hashlib
+import json
+import subprocess
+import sys
 from concurrent.futures import Future
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +26,7 @@ from irtopo.verifier import (
     suite_to_jsonable,
     topologies_by_open_families,
 )
+from irtopo.spaceio import dumps_canonical
 
 from conftest import discrete
 
@@ -212,3 +218,36 @@ class TestSuite:
         assert payload["max_points"] == 2
         assert payload["pair_points"] == 2
         assert payload["all_required_passed"] is True
+
+    def test_report_pinned(self):
+        # the full seed-0 report at 4 points and 3-point pairs, byte for byte
+        text = dumps_canonical(
+            suite_to_jsonable(run_suite(n_max=4, pair_max=3, seed=0), 4, 3, 0)
+        )
+        assert len(text.encode()) == 17742
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "d036dcd71eb5a106ae393be38a39d420ba1bd44ace05de3232b0116c16f2c48c"
+        )
+
+
+def test_trace_layer_map_sees_the_suite():
+    # perfbench's --trace 1 wraps verifier functions under their module
+    # globals; a fresh interpreter keeps the wrappers out of this one
+    root = Path(__file__).resolve().parents[1]
+    code = f"""
+import json, sys
+sys.path[:0] = [{str(root / "perfbench")!r}, {str(root / "src")!r}]
+import spans
+from irtopo import verifier
+rec = spans.Recorder()
+spans.instrument(rec)
+verifier.run_suite(n_max=2)
+print(json.dumps(spans.span_counts(rec)))
+"""
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    counts = json.loads(done.stdout)
+    assert counts["verifier.run_claim"] == 32
+    assert counts["verifier.enumerate"] > 0
