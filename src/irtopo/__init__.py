@@ -25,18 +25,15 @@ from .core import (
 )
 from .homotopy import (
     ContinuousMap,
-    IrHomotopyCertificate,
     IrPath,
     MapMismatch,
     NoForwardPath,
     NotContinuous,
-    compose,
     continuous_maps,
     ir_co,
     ir_homotopic,
     ir_homotopy_equivalent,
     ir_path,
-    is_ir_contractible,
     is_ir_path_connected,
     reverse_exists,
 )
@@ -46,7 +43,6 @@ from .category import (
     EmptySpace,
     NotACover,
     SubcoverNotFound,
-    check_prop3,
     check_refinement,
     covering_dimension,
     ir_cat,
@@ -78,7 +74,6 @@ from .intervals import (
     grid_subspace,
 )
 from .verifier import (
-    BudgetExceeded,
     ClaimReport,
     UnknownClaim,
     chain_homotopy_oracle,

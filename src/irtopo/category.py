@@ -39,7 +39,6 @@ from typing import Iterable, Iterator
 from .core import (
     FiniteSpace,
     IrtopoError,
-    SearchBudgetExceeded,
     canon_key,
     iter_points,
     points_of,
@@ -140,23 +139,6 @@ def _open_cover(space: FiniteSpace, cover: Iterable[int]) -> tuple[int, ...]:
     return members
 
 
-def check_prop3(space: FiniteSpace):
-    """Witness points of one member of the optimal cover avoid every other member.
-
-    Returns (True, None), or (False, (i, j, point)) naming a witness of
-    member i that lies in member j.
-    """
-    cover = ir_cat(space)
-    for i, wit in enumerate(cover.witnesses):
-        for j, other in enumerate(cover.sets):
-            if i == j:
-                continue
-            clash = wit & other
-            if clash:
-                return False, (i, j, next(iter_points(clash)))
-    return True, None
-
-
 def check_refinement(space: FiniteSpace, cover: Iterable[int]):
     """Whether the optimal cover refines ``cover``: every member of the
     optimal cover sits inside some member of ``cover``.
@@ -245,19 +227,13 @@ def cover_order(cover: Iterable[int]) -> int:
     )
 
 
-def covering_dimension(space: FiniteSpace, max_points: int = 5) -> DimensionReport:
+def covering_dimension(space: FiniteSpace) -> DimensionReport:
     """Exact covering dimension: the order of the optimal deformable cover, minus 1.
 
     That cover is both the worst cover and its best refinement (see the
-    module docstring).  The computation is polynomial, but the point
-    budget (SearchBudgetExceeded beyond it) is part of the interface:
-    the CLI reports no dimension above it.
+    module docstring).
     """
     if space.n == 0:
         return DimensionReport(-1, None, None)
-    if space.n > max_points:
-        raise SearchBudgetExceeded(
-            f"dimension search limited to {max_points} points, space has {space.n}"
-        )
     cover = ir_cat(space).sets
     return DimensionReport(cover_order(cover) - 1, cover, cover)

@@ -113,6 +113,12 @@ class FiniteSpace:
         """True when y lies in the closure of {x}."""
         return bool(self.reach_rows[x] >> y & 1)
 
+    def reach_pairs(self) -> list[tuple[int, int]]:
+        """The non-reflexive reach pairs (x, y), ordered by x, then y."""
+        return [
+            (x, y) for x, row in enumerate(self.reach_rows) for y in iter_points(row) if x != y
+        ]
+
     @cached_property
     def min_opens(self) -> tuple[int, ...]:
         """min_opens[y] is the smallest open set containing y (column y of reach)."""

@@ -47,9 +47,7 @@ class NoForwardPath(IrtopoError):
     """Asked for a reverse of a path that does not exist."""
 
 
-def _map_budget(budget: int | None) -> int:
-    if budget is not None:
-        return budget
+def _map_budget() -> int:
     raw = os.environ.get("IRTOPO_BUDGET_MAPS", str(DEFAULT_MAP_BUDGET))
     try:
         return int(raw)
@@ -120,11 +118,6 @@ def ir_co(space: FiniteSpace) -> int:
     return co
 
 
-def is_ir_contractible(space: FiniteSpace) -> int | None:
-    """The set of points the space deforms onto, or None when there is none."""
-    return ir_co(space) or None
-
-
 def is_ir_path_connected(space: FiniteSpace) -> bool:
     """True when every pair of points is joined by a path in one direction."""
     return all(
@@ -179,51 +172,22 @@ class ContinuousMap:
         return cls(domain, codomain, (point,) * domain.n)
 
 
-def compose(outer: ContinuousMap, inner: ContinuousMap) -> ContinuousMap:
-    """The map x -> outer(inner(x))."""
-    if inner.codomain != outer.domain:
-        raise MapMismatch("inner codomain does not match outer domain")
-    return ContinuousMap(
-        inner.domain,
-        outer.codomain,
-        tuple(outer.assignment[v] for v in inner.assignment),
-    )
-
-
-@dataclass(frozen=True)
-class IrHomotopyCertificate:
-    """Witness that ``start`` deforms to ``end`` pointwise.
-
-    ``witness`` lists (start(x), end(x)) pairs, each related by reach in
-    the codomain; this is exactly what makes the two-stage deformation
-    (start below t = 1, end at t = 1) continuous on the product with the
-    one-way interval.
-    """
-
-    start: ContinuousMap
-    end: ContinuousMap
-    witness: tuple[tuple[int, int], ...]
-
-
-def ir_homotopic(f: ContinuousMap, g: ContinuousMap) -> IrHomotopyCertificate | None:
-    """Certificate for a deformation from f to g, or None.
+def ir_homotopic(f: ContinuousMap, g: ContinuousMap) -> bool:
+    """Whether f deforms to g.
 
     The criterion is pointwise: reach(f(x), g(x)) in the codomain for
-    every x.  Note the relation is directed -- a certificate from f to g
+    every x, which is exactly what makes the two-stage deformation (f
+    below t = 1, g at t = 1) continuous on the product with the one-way
+    interval.  The relation is directed -- a deformation from f to g
     says nothing about one from g to f.
     """
     if f.domain != g.domain or f.codomain != g.codomain:
         raise MapMismatch("maps must share domain and codomain")
     cod = f.codomain
-    pairs = tuple(zip(f.assignment, g.assignment))
-    if all(cod.reach(a, b) for a, b in pairs):
-        return IrHomotopyCertificate(f, g, pairs)
-    return None
+    return all(cod.reach(a, b) for a, b in zip(f.assignment, g.assignment))
 
 
-def continuous_maps(
-    domain: FiniteSpace, codomain: FiniteSpace, budget: int | None = None
-) -> list[ContinuousMap]:
+def continuous_maps(domain: FiniteSpace, codomain: FiniteSpace) -> list[ContinuousMap]:
     """All continuous maps domain -> codomain, in lexicographic order.
 
     Backtracks point by point: the image of point k must be reached from
@@ -235,15 +199,13 @@ def continuous_maps(
     None is a prefix of another, so there are at most |codomain| **
     |domain| of them, and at most |domain| search steps per one.
     """
-    return [ContinuousMap(domain, codomain, a) for a in _assignments(domain, codomain, budget)]
+    return [ContinuousMap(domain, codomain, a) for a in _assignments(domain, codomain)]
 
 
-def _assignments(
-    domain: FiniteSpace, codomain: FiniteSpace, budget: int | None
-) -> Iterator[tuple[int, ...]]:
+def _assignments(domain: FiniteSpace, codomain: FiniteSpace) -> Iterator[tuple[int, ...]]:
     """The assignments of ``continuous_maps``, unvalidated: the search
     builds only monotone ones."""
-    limit = _map_budget(budget)
+    limit = _map_budget()
     n = domain.n
     if n == 0:
         if limit < 1:
@@ -285,7 +247,7 @@ def _assignments(
 
 
 def ir_homotopy_equivalent(
-    x: FiniteSpace, y: FiniteSpace, budget: int | None = None
+    x: FiniteSpace, y: FiniteSpace
 ) -> tuple[ContinuousMap, ContinuousMap] | None:
     """The first pair of maps f: x -> y and g: y -> x, in lexicographic
     order, with both round trips deformable from the identities:
@@ -297,8 +259,8 @@ def ir_homotopy_equivalent(
     """
     # both sides in full before pairing, so an over-budget input raises
     # before any answer; only the returned pair is validated as maps
-    fs = list(_assignments(x, y, budget))
-    gs = list(_assignments(y, x, budget))
+    fs = list(_assignments(x, y))
+    gs = list(_assignments(y, x))
     xrows, yrows = x.reach_rows, y.reach_rows
     for fa in fs:
         for ga in gs:

@@ -67,11 +67,8 @@ def d_ir(x, y) -> Fraction:
 class Ball:
     """Open ball of d_ir: the initial segment [0, x + eps), clipped at 1."""
 
-    center: Fraction
-    radius: Fraction
     hi: Fraction
     whole_space: bool
-    clipped: bool
 
     def __str__(self) -> str:
         if self.whole_space:
@@ -86,8 +83,8 @@ def ball(x, eps) -> Ball:
         raise OutOfRange("radius must be positive")
     hi = x + eps
     if hi > 1:
-        return Ball(x, eps, Fraction(1), whole_space=True, clipped=True)
-    return Ball(x, eps, hi, whole_space=False, clipped=False)
+        return Ball(Fraction(1), whole_space=True)
+    return Ball(hi, whole_space=False)
 
 
 def chain_space(k: int) -> FiniteSpace:

@@ -29,15 +29,9 @@ class ParseError(IrtopoError):
 
 
 def space_to_dict(space: FiniteSpace) -> dict:
-    pairs = [
-        [x, y]
-        for x in range(space.n)
-        for y in iter_points(space.reach_rows[x])
-        if x != y
-    ]
     return {
         "labels": list(space.labels),
-        "reach": pairs,
+        "reach": [[x, y] for x, y in space.reach_pairs()],
         "opens": [list(points_of(o)) for o in space.open_sets],
     }
 

@@ -17,7 +17,7 @@ from typing import Iterable
 from .category import CoverReport, ir_cat
 from .core import FiniteSpace, IrtopoError, SearchBudgetExceeded, iter_points
 
-DEFAULT_FACTOR_CAP = 10**12
+FACTOR_CAP = 10**12
 
 
 class InvalidModulus(IrtopoError):
@@ -28,12 +28,12 @@ class NotAPartialOrder(IrtopoError):
     pass
 
 
-def factorize(n: int, cap: int = DEFAULT_FACTOR_CAP) -> list[tuple[int, int]]:
+def factorize(n: int) -> list[tuple[int, int]]:
     """Prime factorization by deterministic trial division up to sqrt(n)."""
     if n < 2:
         raise InvalidModulus(f"modulus must be at least 2, got {n}")
-    if n > cap:
-        raise SearchBudgetExceeded(f"factorization capped at {cap}")
+    if n > FACTOR_CAP:
+        raise SearchBudgetExceeded(f"factorization capped at {FACTOR_CAP}")
     out = []
     m = n
     e = 0
@@ -64,14 +64,14 @@ class SpecSpace:
     maximal: int
 
 
-def spec_zn(n: int, cap: int = DEFAULT_FACTOR_CAP) -> SpecSpace:
+def spec_zn(n: int) -> SpecSpace:
     """Spectrum of the integers mod n: one point per distinct prime divisor.
 
     All primes of a finite quotient ring are maximal, so the space is
     discrete and every point is a closed point.  The result depends
     only on the radical of n.
     """
-    primes = [p for p, _ in factorize(n, cap)]
+    primes = [p for p, _ in factorize(n)]
     labels = tuple(f"({p})" for p in primes)
     rows = tuple(1 << i for i in range(len(primes)))
     space = FiniteSpace(labels, rows)

@@ -43,17 +43,22 @@ from functools import lru_cache
 from typing import Callable, Iterable, Iterator
 
 from . import category, homotopy, intervals, spaceio, spectra
-from .core import FiniteSpace, IrtopoError, canon_key, from_open_sets, iter_points, points_of, product
+from .core import (
+    FiniteSpace,
+    IrtopoError,
+    SearchBudgetExceeded,
+    canon_key,
+    from_open_sets,
+    iter_points,
+    points_of,
+    product,
+)
 
 MAX_ENUM_POINTS = 5
 MAX_PAIR_POINTS = 4
 MAX_REPORTED_COUNTEREXAMPLES = 10
 _T8_MODULUS_LIMIT = 5000
 _DIM_SWEEP_CAP = 4
-
-
-class BudgetExceeded(IrtopoError):
-    pass
 
 
 class UnknownClaim(IrtopoError):
@@ -106,7 +111,7 @@ def enumerate_spaces(n: int) -> Iterator[FiniteSpace]:
     """Every finite space on exactly n labelled points, once, in canonical
     order (ascending reach-row tuples)."""
     if not 1 <= n <= MAX_ENUM_POINTS:
-        raise BudgetExceeded(
+        raise SearchBudgetExceeded(
             f"enumeration supports 1..{MAX_ENUM_POINTS} points, got {n}"
         )
     labels = tuple(str(i) for i in range(n))
@@ -117,7 +122,7 @@ def enumerate_spaces(n: int) -> Iterator[FiniteSpace]:
 def topologies_by_open_families(n: int) -> set[tuple[int, ...]]:
     """Reach-row tuples of every topology found by the open-family recount."""
     if not 1 <= n <= 4:
-        raise BudgetExceeded("open-family recount supports 1..4 points")
+        raise SearchBudgetExceeded("open-family recount supports 1..4 points")
     full = (1 << n) - 1
     proper = [m for m in range(1, full)]
     found = set()
@@ -509,10 +514,7 @@ def _check_t5(pair):
     maps = homotopy.continuous_maps(dom, cod)
     for f in maps:
         for g in maps:
-            if (
-                homotopy.ir_homotopic(f, g) is not None
-                and f.assignment != g.assignment
-            ):
+            if homotopy.ir_homotopic(f, g) and f.assignment != g.assignment:
                 return {
                     "domain": spaceio.space_to_dict(dom),
                     "codomain": spaceio.space_to_dict(cod),
@@ -554,13 +556,7 @@ def _check_t7(pair):
 def _check_t8(inst):
     kind, payload = inst
     if kind == "poset":
-        pairs = [
-            (x, y)
-            for x in range(payload.n)
-            for y in iter_points(payload.reach_rows[x])
-            if x != y
-        ]
-        sp = spectra.spec_from_poset(payload.labels, pairs)
+        sp = spectra.spec_from_poset(payload.labels, payload.reach_pairs())
     else:
         sp = spectra.spec_zn(payload)
     ok, rep = spectra.check_theorem8(sp)
@@ -697,16 +693,17 @@ def _check_p2(inst):
 
 
 def _check_p3(s):
-    ok, witness = category.check_prop3(s)
-    if not ok:
-        i, j, point = witness
-        return {
-            "space": spaceio.space_to_dict(s),
-            "cover": spaceio.cover_labels(s, category.ir_cat(s).sets),
-            "witness_member": i,
-            "other_member": j,
-            "point": s.labels[point],
-        }
+    cover = category.ir_cat(s)
+    for i, wit in enumerate(cover.witnesses):
+        for j, other in enumerate(cover.sets):
+            if i != j and wit & other:
+                return {
+                    "space": spaceio.space_to_dict(s),
+                    "cover": spaceio.cover_labels(s, cover.sets),
+                    "witness_member": i,
+                    "other_member": j,
+                    "point": s.labels[next(iter_points(wit & other))],
+                }
     return None
 
 
@@ -784,7 +781,7 @@ def _check_c1(desc):
 
 def _check_c2(_):
     s = intervals.chain_space(2)
-    if homotopy.ir_co(s) != 0b10 or homotopy.is_ir_contractible(s) != 0b10:
+    if homotopy.ir_co(s) != 0b10:
         return {"space": spaceio.space_to_dict(s)}
     return None
 
@@ -820,13 +817,7 @@ def _check_c6(s):
     maximal = [x for x, row in enumerate(s.reach_rows) if row == 1 << x]
     if len(maximal) != 1:
         return None
-    pairs = [
-        (x, y)
-        for x in range(s.n)
-        for y in iter_points(s.reach_rows[x])
-        if x != y
-    ]
-    sp = spectra.spec_from_poset(s.labels, pairs)
+    sp = spectra.spec_from_poset(s.labels, s.reach_pairs())
     rep = category.ir_cat(sp.space)
     if rep.size != 1 or homotopy.ir_co(sp.space) != 1 << maximal[0]:
         return {"space": spaceio.space_to_dict(s)}
@@ -1015,13 +1006,13 @@ def _lookup_claim(name: str) -> ClaimSpec:
 
 def _resolve_limits(n_max: int, pair_max: int | None) -> tuple[int, int]:
     if not 1 <= n_max <= MAX_ENUM_POINTS:
-        raise BudgetExceeded(
+        raise SearchBudgetExceeded(
             f"claim sweeps support 1..{MAX_ENUM_POINTS} points, got {n_max}"
         )
     if pair_max is None:
         pair_max = min(3, n_max)
     if not 1 <= pair_max <= MAX_PAIR_POINTS:
-        raise BudgetExceeded(
+        raise SearchBudgetExceeded(
             f"pair sweeps support 1..{MAX_PAIR_POINTS} points, got {pair_max}"
         )
     return n_max, pair_max

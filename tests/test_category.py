@@ -3,9 +3,7 @@ import pytest
 from irtopo import (
     EmptySpace,
     NotACover,
-    SearchBudgetExceeded,
     chain_space,
-    check_prop3,
     check_refinement,
     covering_dimension,
     ir_cat,
@@ -18,6 +16,7 @@ from irtopo import (
 from irtopo.category import cover_order
 from irtopo.core import FiniteSpace
 from irtopo.verifier import (
+    _check_p3,
     _cover_search,
     _dimension_search,
     _ir_contractible_opens,
@@ -170,7 +169,7 @@ class TestClosedFormsMatchSearch:
     def test_large_discrete_is_polynomial(self):
         singletons = tuple(1 << i for i in range(40))
         assert ir_cat(discrete(40)).sets == singletons
-        rep = covering_dimension(discrete(40), max_points=40)
+        rep = covering_dimension(discrete(40))
         assert rep.dim == 0 and rep.worst_cover == rep.refinement == singletons
 
 
@@ -206,16 +205,13 @@ def _union(masks):
 
 class TestProp3:
     def test_pseudocircle(self, pseudocircle):
-        ok, witness = check_prop3(pseudocircle)
-        assert ok and witness is None
+        assert _check_p3(pseudocircle) is None
 
     def test_discrete(self):
-        ok, _ = check_prop3(discrete(2))
-        assert ok
+        assert _check_p3(discrete(2)) is None
 
     def test_single_member_vacuous(self, sierpinski):
-        ok, _ = check_prop3(sierpinski)
-        assert ok
+        assert _check_p3(sierpinski) is None
 
 
 class TestRefinement:
@@ -327,9 +323,8 @@ class TestDimension:
         rep = covering_dimension(FiniteSpace((), ()))
         assert rep.dim == -1 and rep.worst_cover is None
 
-    def test_budget(self):
-        with pytest.raises(SearchBudgetExceeded):
-            covering_dimension(discrete(6))
+    def test_no_point_budget(self):
+        assert covering_dimension(discrete(6)).dim == 0
 
 
 def test_product_category_on_examples(sierpinski, pseudocircle):

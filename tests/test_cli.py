@@ -122,6 +122,22 @@ def test_dim(sierp_file, capsys):
     assert capsys.readouterr().out.splitlines()[0] == "0"
 
 
+@pytest.mark.parametrize("command", ["dim", "analyze"])
+def test_budget_points_flag_is_gone(sierp_file, command):
+    assert main([command, sierp_file, "--budget-points", "5"]) == 2
+
+
+def test_no_dimension_above_five_points(tmp_path, capsys):
+    path = tmp_path / "d6.json"
+    path.write_text(json.dumps({"labels": [str(i) for i in range(6)], "reach": []}))
+    assert main(["dim", str(path)]) == 2
+    assert "limited to 5 points, space has 6" in capsys.readouterr().err
+    assert main(["analyze", str(path), "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert '"dim": null' in out
+    assert json.loads(out)["ir_cat"]["size"] == 6
+
+
 def test_spec_zn(tmp_path, capsys):
     out_file = tmp_path / "zn.json"
     assert main(["spec", "zn", "--n", "360", "-o", str(out_file)]) == 0
@@ -149,6 +165,10 @@ def test_interval_commands(capsys):
     assert capsys.readouterr().out.strip() == "3/10"
     assert main(["interval", "ball", "--x", "3/10", "--eps", "1/5"]) == 0
     assert capsys.readouterr().out.strip() == "[0/1, 1/2)"
+    for x, clipped in (("3/10", False), ("9/10", True)):
+        assert main(["interval", "ball", "--x", x, "--eps", "1/5", "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["clipped"] is payload["whole_space"] is clipped
     assert main(["interval", "dist", "--x", "5/2", "--y", "1/2"]) == 2
 
 

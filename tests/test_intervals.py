@@ -60,12 +60,12 @@ class TestBall:
     def test_plain(self):
         b = ball(Fraction(3, 10), Fraction(1, 5))
         assert b.hi == Fraction(1, 2)
-        assert not b.whole_space and not b.clipped
+        assert not b.whole_space
         assert str(b) == "[0/1, 1/2)"
 
     def test_clipped_to_whole_space(self):
         b = ball(Fraction(9, 10), Fraction(1, 2))
-        assert b.whole_space and b.clipped
+        assert b.whole_space
         assert str(b) == "[0/1, 1/1]"
 
     def test_radius_one_from_zero_is_half_open(self):
