@@ -17,6 +17,7 @@ from .core import (
     ReachNotPreorder,
     SearchBudgetExceeded,
     from_open_sets,
+    from_pairs,
     from_reach,
     iter_points,
     mask_of,

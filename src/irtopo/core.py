@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 
 class IrtopoError(Exception):
@@ -80,7 +80,7 @@ class FiniteSpace:
     Labels are presentation metadata only: two spaces compare equal when
     their reach rows agree, whatever the labels say.  Instances are
     immutable and safe to share; the validated constructors are
-    :func:`from_open_sets` and :func:`from_reach`.
+    :func:`from_open_sets`, :func:`from_reach` and :func:`from_pairs`.
     """
 
     labels: tuple[str, ...]
@@ -122,12 +122,7 @@ class FiniteSpace:
     @cached_property
     def min_opens(self) -> tuple[int, ...]:
         """min_opens[y] is the smallest open set containing y (column y of reach)."""
-        cols = [0] * self.n
-        for x, row in enumerate(self.reach_rows):
-            bit = 1 << x
-            for y in iter_points(row):
-                cols[y] |= bit
-        return tuple(cols)
+        return transpose(self.reach_rows)
 
     @cached_property
     def open_sets(self) -> tuple[int, ...]:
@@ -170,13 +165,12 @@ class FiniteSpace:
         return FiniteSpace(tuple(self.labels[p] for p in pts), tuple(rows))
 
     def is_t0(self) -> bool:
-        """T0 holds exactly when reach is antisymmetric."""
-        rows = self.reach_rows
-        return not any(
-            rows[x] >> y & 1 and rows[y] >> x & 1
-            for x in range(self.n)
-            for y in range(x + 1, self.n)
-        )
+        """T0 holds exactly when reach is antisymmetric.
+
+        In a preorder two points reach each other exactly when their
+        closures agree, so this asks that no two rows are equal.
+        """
+        return len(set(self.reach_rows)) == self.n
 
     def is_t1(self) -> bool:
         """T1 holds exactly when reach is the identity relation."""
@@ -200,11 +194,13 @@ def _as_mask(o, full: int) -> int:
 def from_open_sets(labels: Iterable[str], opens: Iterable) -> FiniteSpace:
     """Build a space from an explicit list of open sets.
 
-    The list must contain the empty set and the full point set and be
-    closed under pairwise union and intersection (enough at finite
-    scale); violations raise NotATopology with the witness pair rather
-    than being repaired.  Duplicate entries collapse silently.  Each
-    open may be given as an iterable of point indices or as a bitmask.
+    A finite topology is fixed by its minimal neighborhoods U_y: the list
+    is one exactly when it holds the empty set, the full set and every
+    U_y, and is closed under union with each U_y.  Both checks are linear
+    in its length; violations raise NotATopology naming two listed sets
+    whose union or intersection is missing, rather than being repaired.
+    Duplicates collapse silently.  Each open may be given as an iterable
+    of point indices or as a bitmask.
     """
     labels = tuple(labels)
     n = len(labels)
@@ -215,26 +211,21 @@ def from_open_sets(labels: Iterable[str], opens: Iterable) -> FiniteSpace:
         raise NotATopology("the empty set must be listed")
     if full not in famset:
         raise NotATopology("the full point set must be listed")
-    for a, b in combinations(fam, 2):
-        if a | b not in famset:
-            raise NotATopology(
-                f"union of {points_of(a)} and {points_of(b)} is missing"
-            )
-        if a & b not in famset:
-            raise NotATopology(
-                f"intersection of {points_of(a)} and {points_of(b)} is missing"
-            )
-    mo = []
-    for y in range(n):
-        acc = full
+    # Fold each U_y one member at a time, so every partial intersection
+    # must itself be listed.
+    mo = [full] * n
+    for m in fam:
+        for y in iter_points(m):
+            if mo[y] & m not in famset:
+                raise NotATopology(
+                    f"intersection of {points_of(mo[y])} and {points_of(m)} is missing"
+                )
+            mo[y] &= m
+    for u in sorted(set(mo), key=canon_key):
         for m in fam:
-            if m >> y & 1:
-                acc &= m
-        mo.append(acc)
-    rows = [0] * n
-    for y in range(n):
-        for x in iter_points(mo[y]):
-            rows[x] |= 1 << y
+            if m | u not in famset:
+                raise NotATopology(f"union of {points_of(m)} and {points_of(u)} is missing")
+    rows = transpose(mo)
     # Cross-check the two readings of reach: "x in every open containing y"
     # must give exactly the closure "complement of the opens avoiding x".
     for x in range(n):
@@ -246,7 +237,7 @@ def from_open_sets(labels: Iterable[str], opens: Iterable) -> FiniteSpace:
             raise InvariantViolated(
                 f"closure of {labels[x]!r} disagrees between the two readings"
             )
-    return FiniteSpace(labels, tuple(rows))
+    return FiniteSpace(labels, rows)
 
 
 def from_reach(labels: Iterable[str], relation: Iterable) -> FiniteSpace:
@@ -269,16 +260,47 @@ def from_reach(labels: Iterable[str], relation: Iterable) -> FiniteSpace:
     for x in range(n):
         if not rows[x] >> x & 1:
             raise ReachNotPreorder(f"not reflexive at {labels[x]!r}")
-    for x in range(n):
-        for y in iter_points(rows[x]):
-            extra = rows[y] & ~rows[x]
+    for x, row in enumerate(rows):
+        rest = row
+        while rest:  # each point y of row; a generator here doubles the cost
+            low = rest & -rest
+            y = low.bit_length() - 1
+            extra = rows[y] & ~row
             if extra:
                 z = next(iter_points(extra))
                 raise ReachNotPreorder(
                     f"not transitive: {labels[x]!r}->{labels[y]!r} and "
                     f"{labels[y]!r}->{labels[z]!r} but not {labels[x]!r}->{labels[z]!r}"
                 )
+            rest ^= low
     return FiniteSpace(labels, tuple(rows))
+
+
+def from_pairs(labels: Iterable[str], pairs: Iterable[tuple[int, int]]) -> FiniteSpace:
+    """Build a space from its non-reflexive reach pairs (x, y), by index.
+
+    The diagonal is implied and the pairs must already be transitive
+    (ReachNotPreorder otherwise, via :func:`from_reach`); an index
+    outside the space raises ValueError.
+    """
+    labels = tuple(labels)
+    n = len(labels)
+    rows = [1 << x for x in range(n)]
+    for x, y in pairs:
+        if not (0 <= x < n and 0 <= y < n):
+            raise ValueError(f"pair ({x}, {y}) mentions points outside the space")
+        rows[x] |= 1 << y
+    return from_reach(labels, rows)
+
+
+def transpose(rows: Sequence[int]) -> tuple[int, ...]:
+    """The converse of a relation on len(rows) points, as bitmask rows."""
+    cols = [0] * len(rows)
+    for x, row in enumerate(rows):
+        bit = 1 << x
+        for y in iter_points(row):
+            cols[y] |= bit
+    return tuple(cols)
 
 
 def product(x: FiniteSpace, y: FiniteSpace) -> FiniteSpace:

@@ -7,19 +7,22 @@ Space format (all CLI commands consume and produce it):
 
 ``reach`` lists the non-reflexive reach pairs by index (the diagonal is
 implied); ``opens`` must list every open set explicitly, including the
-empty and the full set.  Output always carries both keys; when a file
-carries both they must agree.
+empty and the full set.  An opens list is checked through its minimal
+neighborhoods, in time linear in its length, so every space in a JSON
+output of this package reads back.  Output always carries both keys;
+when a file carries both they must agree.
 
-Poset format: {"labels": [...], "leq": [[i, j], ...]} with the
+Poset format: {"labels": ["(0)", "M"], "leq": [[0, 1]]} with the
 non-reflexive contained-in pairs.  Grid format: {"points": [["1/2",
-"0/1"], ...]} with exact "p/q" coordinates.
+"0/1"], ["1/1", "1/3"]]} with exact "p/q" coordinates.  A ``reach`` or
+``leq`` entry that is not a list of two point indices is a ParseError.
 """
 
 from __future__ import annotations
 
 import json
 
-from .core import FiniteSpace, IrtopoError, from_open_sets, from_reach, iter_points, points_of
+from .core import FiniteSpace, IrtopoError, from_open_sets, from_pairs, iter_points, points_of
 from .intervals import as_fraction
 from .spectra import SpecSpace, spec_from_poset
 
@@ -50,17 +53,18 @@ def _labels(d: dict) -> list[str]:
     return labels
 
 
-def _reach_rows_from_pairs(n: int, pairs) -> list[int]:
-    rows = [1 << i for i in range(n)]
-    for item in pairs:
-        try:
-            x, y = item
-        except (TypeError, ValueError):
-            raise ParseError(f"reach entries must be [from, to] pairs, got {item!r}")
-        if not (_is_index(x, n) and _is_index(y, n)):
-            raise ParseError(f"reach pair {item!r} is out of range")
-        rows[x] |= 1 << y
-    return rows
+def _pairs(d: dict, key: str, n: int) -> list[list[int]]:
+    """The [i, j] point-index pairs listed under ``key``, checked."""
+    items = d.get(key)
+    if not isinstance(items, list):
+        raise ParseError(f'field "{key}" must be a list of [i, j] pairs')
+    for item in items:
+        if not isinstance(item, list) or len(item) != 2:
+            raise ParseError(f"{key} entry {item!r} is not an [i, j] pair")
+        i, j = item
+        if not (_is_index(i, n) and _is_index(j, n)):
+            raise ParseError(f"{key} entry {item!r} is not a pair of point indices")
+    return items
 
 
 def space_from_dict(d: dict) -> FiniteSpace:
@@ -82,8 +86,7 @@ def space_from_dict(d: dict) -> FiniteSpace:
                 raise ParseError(f"open set {o!r} is not a list of point indices")
         space = from_open_sets(labels, opens)
     if has_reach:
-        rows = _reach_rows_from_pairs(n, d["reach"])
-        reach_space = from_reach(labels, rows)
+        reach_space = from_pairs(labels, _pairs(d, "reach", n))
         if space is not None and space.reach_rows != reach_space.reach_rows:
             raise ParseError('the "reach" and "opens" fields describe different spaces')
         space = reach_space
@@ -112,19 +115,7 @@ def poset_from_dict(d: dict) -> SpecSpace:
     if not isinstance(d, dict):
         raise ParseError("expected a JSON object describing a poset")
     labels = _labels(d)
-    leq = d.get("leq")
-    if not isinstance(leq, list):
-        raise ParseError('field "leq" must be a list of [i, j] pairs')
-    pairs = []
-    for item in leq:
-        if (
-            not isinstance(item, list)
-            or len(item) != 2
-            or not all(type(v) is int for v in item)
-        ):
-            raise ParseError(f"leq entry {item!r} is not an [i, j] pair")
-        pairs.append((item[0], item[1]))
-    return spec_from_poset(labels, pairs)
+    return spec_from_poset(labels, _pairs(d, "leq", len(labels)))
 
 
 def load_poset(path: str) -> SpecSpace:

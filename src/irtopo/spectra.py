@@ -12,10 +12,11 @@ poset of labelled primes, which exercises the non-discrete structure
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable
 
 from .category import CoverReport, ir_cat
-from .core import FiniteSpace, IrtopoError, SearchBudgetExceeded, iter_points
+from .core import FiniteSpace, IrtopoError, ReachNotPreorder, SearchBudgetExceeded, from_pairs
 
 FACTOR_CAP = 10**12
 
@@ -86,31 +87,18 @@ def spec_from_poset(labels: Iterable[str], leq: Iterable[tuple[int, int]]) -> Sp
     (NotAPartialOrder otherwise; the relation is not silently closed).
     Opens are the down-sets; maximal ideals are the closed points.
     """
-    labels = tuple(labels)
-    n = len(labels)
-    rows = [1 << i for i in range(n)]
-    for i, j in leq:
-        if not (0 <= i < n and 0 <= j < n):
-            raise ValueError(f"pair ({i}, {j}) mentions points outside the poset")
-        rows[i] |= 1 << j
-    for x in range(n):
-        for y in iter_points(rows[x]):
-            if x != y and rows[y] >> x & 1:
-                raise NotAPartialOrder(
-                    f"not antisymmetric: {labels[x]!r} <= {labels[y]!r} <= {labels[x]!r}"
-                )
-            extra = rows[y] & ~rows[x]
-            if extra:
-                z = next(iter_points(extra))
-                raise NotAPartialOrder(
-                    f"not transitive: {labels[x]!r} <= {labels[y]!r} <= {labels[z]!r} "
-                    f"but ({x}, {z}) is not listed"
-                )
-    space = FiniteSpace(labels, tuple(rows))
-    maximal = 0
-    for i, row in enumerate(space.reach_rows):
-        if row == 1 << i:
-            maximal |= 1 << i
+    try:
+        space = from_pairs(labels, leq)
+    except ReachNotPreorder as e:
+        raise NotAPartialOrder(str(e)) from e
+    labels, rows = space.labels, space.reach_rows
+    if not space.is_t0():
+        x, y = next((x, y) for x, y in combinations(range(space.n), 2) if rows[x] == rows[y])
+        raise NotAPartialOrder(
+            f"not antisymmetric: {labels[x]!r} <= {labels[y]!r} <= {labels[x]!r}"
+        )
+    # the closed points are those whose row reaches nothing else
+    maximal = sum([row for row in rows if row.bit_count() == 1])
     return SpecSpace(space, maximal)
 
 

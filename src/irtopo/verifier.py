@@ -52,6 +52,7 @@ from .core import (
     iter_points,
     points_of,
     product,
+    transpose,
 )
 
 MAX_ENUM_POINTS = 5
@@ -77,10 +78,7 @@ def _preorders(n: int) -> tuple[tuple[int, ...], ...]:
     out = []
     bit_p = 1 << (n - 1)
     for parent in _preorders(n - 1):
-        cols = [0] * (n - 1)
-        for x, row in enumerate(parent):
-            for y in iter_points(row):
-                cols[y] |= 1 << x
+        cols = transpose(parent)
         ins = [
             m
             for m in range(1 << (n - 1))
@@ -191,8 +189,6 @@ def chain_homotopy_oracle(x: FiniteSpace, y: FiniteSpace, f, g) -> bool:
     The boundary conditions pin every product point, so H is the only
     candidate.
     """
-    f = tuple(f.assignment if isinstance(f, homotopy.ContinuousMap) else f)
-    g = tuple(g.assignment if isinstance(g, homotopy.ContinuousMap) else g)
     if len(f) != x.n or len(g) != x.n:
         raise ValueError("boundary maps must assign every point of the domain")
     opens_prod = box_topology(x, intervals.chain_space(2))

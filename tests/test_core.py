@@ -1,3 +1,6 @@
+import ast
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -7,12 +10,13 @@ from irtopo import (
     NotATopology,
     ReachNotPreorder,
     from_open_sets,
+    from_pairs,
     from_reach,
     mask_of,
     points_of,
     product,
 )
-from irtopo.verifier import box_topology, enumerate_spaces
+from irtopo.verifier import box_topology, enumerate_spaces, topologies_by_open_families
 
 from conftest import discrete, indiscrete
 
@@ -82,6 +86,50 @@ class TestFromOpenSets:
     def test_out_of_range_point(self):
         with pytest.raises(NotATopology):
             from_open_sets(["0"], [[], [0, 3], [0]])
+
+
+WITNESS = re.compile(r"(union|intersection) of (\(.*?\)) and (\(.*?\)) is missing")
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_open_families_match_pairwise_oracle(n):
+    """Over every family of sets with the empty and the full set, the
+    minimal-neighborhood check accepts exactly the families closed under
+    pairwise union and intersection, and each rejection names two listed
+    sets whose union or intersection is missing."""
+    full = (1 << n) - 1
+    labels = [str(i) for i in range(n)]
+    accepted = []
+    for sel in range(1 << (full - 1)):
+        fam = {0, full} | {m for m in range(1, full) if sel >> (m - 1) & 1}
+        try:
+            s = from_open_sets(labels, fam)
+        except NotATopology as e:
+            op, a, b = WITNESS.fullmatch(str(e)).groups()
+            a, b = mask_of(ast.literal_eval(a)), mask_of(ast.literal_eval(b))
+            assert a in fam and b in fam
+            assert (a | b if op == "union" else a & b) not in fam
+        else:
+            assert set(s.open_sets) == fam
+            accepted.append(s.reach_rows)
+    assert set(accepted) == topologies_by_open_families(n)
+
+
+class TestFromPairs:
+    def test_chain_matches_sierpinski(self, sierpinski):
+        assert from_pairs(["0", "1"], [(0, 1)]) == sierpinski
+
+    def test_diagonal_is_implied_and_allowed(self):
+        s = from_pairs(["a", "b"], [(0, 0), (1, 1)])
+        assert s.reach_rows == (0b01, 0b10)
+
+    def test_not_transitive(self):
+        with pytest.raises(ReachNotPreorder, match="transitive"):
+            from_pairs(["a", "b", "c"], [(0, 1), (1, 2)])
+
+    def test_out_of_range(self):
+        with pytest.raises(ValueError):
+            from_pairs(["a"], [(0, 1)])
 
 
 class TestFromReach:

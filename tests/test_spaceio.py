@@ -1,7 +1,19 @@
+import json
+import re
+import time
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from irtopo.spaceio import ParseError, poset_from_dict, space_from_dict, space_to_dict
+from irtopo import from_reach
+from irtopo.spaceio import (
+    ParseError,
+    grid_points_from_dict,
+    poset_from_dict,
+    space_from_dict,
+    space_to_dict,
+)
 from irtopo.verifier import enumerate_spaces
 
 SPACES_UPTO4 = [s for n in range(1, 5) for s in enumerate_spaces(n)]
@@ -24,6 +36,69 @@ def test_space_rejects_boolean_indices(doc):
 def test_poset_rejects_boolean_indices():
     with pytest.raises(ParseError):
         poset_from_dict({"labels": ["p", "q"], "leq": [[False, True]]})
+
+
+PAIR_FIELDS = [(space_from_dict, "reach"), (poset_from_dict, "leq")]
+BAD_PAIRS = {
+    "one": [0],
+    "three": [0, 1, 1],
+    "int": 0,
+    "string": "01",
+    "object": {"0": 1},
+    "bool": [True, 1],
+    "bool-to": [0, False],
+    "past-end": [0, 2],
+    "negative": [-1, 0],
+    "float": [0.0, 1],
+}
+
+
+@pytest.mark.parametrize("parse, key", PAIR_FIELDS, ids=["reach", "leq"])
+@pytest.mark.parametrize("entry", list(BAD_PAIRS.values()), ids=list(BAD_PAIRS))
+def test_reach_and_leq_reject_the_same_entries(parse, key, entry):
+    with pytest.raises(ParseError):
+        parse({"labels": ["a", "b"], key: [entry]})
+
+
+@pytest.mark.parametrize("parse, key", PAIR_FIELDS, ids=["reach", "leq"])
+@pytest.mark.parametrize("field", [{}, "", 3, None], ids=["object", "string", "int", "null"])
+def test_pair_fields_must_be_lists(parse, key, field):
+    with pytest.raises(ParseError, match=f'field "{key}" must be a list'):
+        parse({"labels": ["a", "b"], key: field})
+
+
+def test_large_discrete_round_trip():
+    """A 15-point discrete space writes 32,768 opens, and they read back:
+    the opens check is linear in the list, not in its pairs."""
+    n = 15
+    space = from_reach([str(i) for i in range(n)], [1 << i for i in range(n)])
+    start = time.monotonic()
+    doc = json.loads(json.dumps(space_to_dict(space)))
+    back = space_from_dict(doc)
+    elapsed = time.monotonic() - start
+    assert len(doc["opens"]) == 1 << n and doc["reach"] == []
+    assert back == space and back.labels == space.labels
+    assert elapsed < 10.0
+
+
+def _readme_format_examples():
+    """The JSON lines of the README's "File formats" code blocks."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### File formats", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"```json\n(.*?)```", section, re.S)
+    return [json.loads(line) for block in blocks for line in block.splitlines()]
+
+
+def test_readme_file_formats_parse():
+    examples = _readme_format_examples()
+    assert {"reach", "opens", "leq", "points"} <= {k for doc in examples for k in doc}
+    for doc in examples:
+        if "leq" in doc:
+            poset_from_dict(doc)
+        elif "points" in doc:
+            grid_points_from_dict(doc)
+        else:
+            space_from_dict(doc)
 
 
 def test_space_rejects_duplicate_labels():
