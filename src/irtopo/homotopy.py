@@ -50,9 +50,12 @@ class NoForwardPath(IrtopoError):
 def _map_budget() -> int:
     raw = os.environ.get("IRTOPO_BUDGET_MAPS", str(DEFAULT_MAP_BUDGET))
     try:
-        return int(raw)
+        limit = int(raw)
     except ValueError:
-        raise IrtopoError(f"IRTOPO_BUDGET_MAPS must be an integer, got {raw!r}") from None
+        limit = -1
+    if limit < 0:
+        raise IrtopoError(f"IRTOPO_BUDGET_MAPS must be a nonnegative integer, got {raw!r}")
+    return limit
 
 
 def _over_map_budget(limit: int) -> SearchBudgetExceeded:

@@ -35,7 +35,10 @@ class HypothesisFails(IrtopoError):
 def as_fraction(v) -> Fraction:
     if isinstance(v, float):
         raise TypeError("floats are not accepted; pass a Fraction or a 'p/q' string")
-    return Fraction(v)
+    try:
+        return Fraction(v)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {v!r}") from None
 
 
 def format_fraction(f: Fraction) -> str:

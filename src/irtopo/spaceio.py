@@ -131,7 +131,7 @@ def grid_points_from_dict(d: dict) -> list[tuple]:
             raise ParseError(f"grid point {row!r} is not a coordinate list")
         try:
             pts.append(tuple(as_fraction(c) for c in row))
-        except (ValueError, TypeError, ZeroDivisionError) as e:
+        except (ValueError, TypeError) as e:
             raise ParseError(f"bad coordinate in {row!r}: {e}") from e
     return pts
 

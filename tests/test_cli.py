@@ -102,6 +102,12 @@ def test_equiv_malformed_budget_env(sierp_file, monkeypatch, capsys):
     assert "IRTOPO_BUDGET_MAPS" in capsys.readouterr().err
 
 
+def test_equiv_negative_budget_env(sierp_file, monkeypatch, capsys):
+    monkeypatch.setenv("IRTOPO_BUDGET_MAPS", "-1")
+    assert main(["equiv", sierp_file, sierp_file]) == 2
+    assert "IRTOPO_BUDGET_MAPS" in capsys.readouterr().err
+
+
 def test_cat_json(sierp_file, capsys):
     assert main(["cat", sierp_file, "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -172,6 +178,21 @@ def test_interval_commands(capsys):
     assert main(["interval", "dist", "--x", "5/2", "--y", "1/2"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["interval", "dist", "--x", "1/0", "--y", "1/2"],
+        ["interval", "ball", "--x", "1/2", "--eps", "1/0"],
+    ],
+    ids=["dist", "ball"],
+)
+def test_interval_zero_denominator(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: zero denominator in '1/0'")
+    assert "Traceback" not in err
+
+
 def test_grid(tmp_path, capsys):
     path = tmp_path / "grid.json"
     path.write_text(
@@ -216,6 +237,14 @@ def test_verify_json_and_out(tmp_path, capsys):
 
 def test_verify_unknown_claim():
     assert main(["verify", "--claims", "T99"]) == 2
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_verify_empty_claim_selection(fmt, capsys):
+    assert main(["verify", "--max-points", "2", "--claims", ",", "--format", fmt]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: no claim selected" in captured.err
 
 
 def test_malformed_json(tmp_path):

@@ -293,6 +293,12 @@ class TestEquivalence:
         with pytest.raises(IrtopoError, match="IRTOPO_BUDGET_MAPS.*'abc'"):
             ir_homotopy_equivalent(sierpinski, sierpinski)
 
+    def test_negative_budget_env_is_rejected(self, monkeypatch):
+        # a negative budget must not switch the limit off
+        monkeypatch.setenv("IRTOPO_BUDGET_MAPS", "-1")
+        with pytest.raises(IrtopoError, match="IRTOPO_BUDGET_MAPS.*'-1'"):
+            continuous_maps(discrete(6), discrete(4))
+
 
 def reference_maps(dom, cod):
     """Every assignment of the full product that ContinuousMap accepts."""

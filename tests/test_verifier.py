@@ -11,7 +11,6 @@ from irtopo import (
     SearchBudgetExceeded,
     UnknownClaim,
     chain_homotopy_oracle,
-    chain_space,
     continuous_maps,
     enumerate_spaces,
     ir_homotopic,
@@ -89,37 +88,26 @@ class TestOracle:
             ident = tuple(range(s.n))
             assert chain_homotopy_oracle(s, s, ident, ident)
 
-    def test_box_topology_contains_boxes(self, sierpinski):
-        opens = box_topology(sierpinski, chain_space(2))
-        assert 0 in opens
-        assert (1 << (2 * sierpinski.n)) - 1 in opens
+    def test_box_topology_contains_boxes(self, spaces_upto3):
+        # the oracle reads the boxes as a basis: they hold the empty and
+        # the full set and are closed under intersection
+        for a in spaces_upto3:
+            for b in spaces_upto3:
+                boxes = box_topology(a, b)
+                assert 0 in boxes
+                assert (1 << (a.n * b.n)) - 1 in boxes
+                assert all(p & q in boxes for p in boxes for q in boxes)
 
     def test_agreement_with_pointwise_criterion(self, spaces_upto3):
         # the pointwise reach criterion must match the brute-force
         # chain-model search for every continuous map pair at small size
-        chain2 = chain_space(2)
         for dom in spaces_upto3:
-            opens_prod = box_topology(dom, chain2)
             for cod in spaces_upto3:
-                opens_cod = cod.open_sets
                 maps = continuous_maps(dom, cod)
                 for f in maps:
                     for g in maps:
-                        pointwise = ir_homotopic(f, g)
-                        h = []
-                        for p in range(dom.n):
-                            h.append(f.assignment[p])
-                            h.append(g.assignment[p])
-                        oracle = True
-                        for v in opens_cod:
-                            pre = 0
-                            for i, hv in enumerate(h):
-                                if v >> hv & 1:
-                                    pre |= 1 << i
-                            if pre not in opens_prod:
-                                oracle = False
-                                break
-                        assert pointwise == oracle
+                        oracle = chain_homotopy_oracle(dom, cod, f.assignment, g.assignment)
+                        assert ir_homotopic(f, g) == oracle
 
 
 class TestClaims:
@@ -211,6 +199,11 @@ class TestSuite:
     def test_unknown_claim_rejected(self):
         with pytest.raises(UnknownClaim):
             run_suite(n_max=2, claims=["nope"])
+
+    def test_empty_selection_rejected(self):
+        # an empty selection would report a pass with nothing checked
+        with pytest.raises(UnknownClaim, match="no claim selected"):
+            run_suite(n_max=2, claims=[])
 
     def test_jsonable_structure(self):
         reports = run_suite(n_max=2, claims=["T2", "L2_literal"])
