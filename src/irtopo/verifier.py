@@ -28,10 +28,14 @@ Reports are deterministic given (claim, size limits, seed) and
 independent of the worker count: instances are indexed before sharding,
 each shard returns its first counterexamples and they merge by index.
 Timing is kept out of the JSON form so reports compare byte for byte.
+A suite run with several workers starts one process pool and runs its
+claims through it one after another, so the workers keep their caches
+(``_preorders``, ``category._ir_cat_cached``) from claim to claim.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import os
 import random
@@ -1025,28 +1029,53 @@ def _run_claim_shard(
     return tested, count, first
 
 
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on: its affinity set where
+    the platform reports one, else ``os.cpu_count()`` (1 when unknown)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _worker_count(jobs: int) -> int:
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    return min(jobs, _usable_cpus())
+
+
+def _pool(jobs: int):
+    """A new pool of ``jobs`` workers, or a context yielding None for one job."""
+    return ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else contextlib.nullcontext()
+
+
 def run_claim(
     name: str,
     n_max: int = 3,
     seed: int = 0,
     jobs: int = 1,
     pair_max: int | None = None,
+    pool: ProcessPoolExecutor | None = None,
 ) -> ClaimReport:
     """Run a single claim sweep and return its report.
 
     Sweeps all spaces of 1..n_max points (pairs capped at pair_max,
     default min(3, n_max)); randomized instance families are derived
     from the seed before sharding, so reports do not depend on jobs.
-    At most os.cpu_count() worker processes are started.
+    jobs below 1 raises ValueError, and it is capped at the CPUs this
+    process may use (``_usable_cpus``).  With more than one job the
+    instances are split into that many shards, which run on ``pool``
+    when given (``run_suite`` passes its own) and otherwise on a pool
+    started and shut down for this claim.
     """
     spec = _lookup_claim(name)
     n_max, pair_max = _resolve_limits(n_max, pair_max)
-    jobs = min(jobs, os.cpu_count() or 1)
+    jobs = _worker_count(jobs)
     start = time.monotonic()
-    if jobs <= 1:
-        parts = [_run_claim_shard(name, n_max, pair_max, seed, 0, 1)]
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    context = _pool(jobs) if pool is None else contextlib.nullcontext(pool)
+    with context as pool:
+        if jobs == 1:
+            parts = [_run_claim_shard(name, n_max, pair_max, seed, 0, 1)]
+        else:
             futures = [
                 pool.submit(_run_claim_shard, name, n_max, pair_max, seed, s, jobs)
                 for s in range(jobs)
@@ -1074,17 +1103,28 @@ def run_suite(
     pair_max: int | None = None,
     claims: Iterable[str] | None = None,
 ) -> list[ClaimReport]:
-    """Run the named claims (every claim for None) and return their reports;
-    an unknown name or an empty selection raises UnknownClaim up front."""
+    """Run the named claims (every claim for None) and return their reports.
+
+    An unknown name or an empty selection raises UnknownClaim, and jobs
+    below 1 raises ValueError, before any claim runs.
+
+    jobs is capped at the CPUs this process may use.  Above one job, a
+    single process pool of that size serves every claim: the claims run
+    one after another, each split into jobs shards, and the workers keep
+    their caches from one claim to the next.  The pool is shut down when
+    the suite ends, also when a claim raises.
+    """
     names = list(CLAIM_ORDER) if claims is None else list(claims)
     if not names:
         raise UnknownClaim(f"no claim selected; known: {', '.join(CLAIM_ORDER)}")
     for name in names:
         _lookup_claim(name)
-    return [
-        run_claim(name, n_max=n_max, seed=seed, jobs=jobs, pair_max=pair_max)
-        for name in names
-    ]
+    jobs = _worker_count(jobs)
+    with _pool(jobs) as pool:
+        return [
+            run_claim(name, n_max=n_max, seed=seed, jobs=jobs, pair_max=pair_max, pool=pool)
+            for name in names
+        ]
 
 
 def suite_passed(reports: Iterable[ClaimReport]) -> bool:

@@ -247,6 +247,14 @@ def test_verify_empty_claim_selection(fmt, capsys):
     assert "error: no claim selected" in captured.err
 
 
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_verify_jobs_below_one(jobs, capsys):
+    assert main(["verify", "--max-points", "1", "--jobs", jobs]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: jobs must be at least 1, got {jobs}" in captured.err
+
+
 def test_malformed_json(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")

@@ -1,5 +1,8 @@
+import dataclasses
 import hashlib
 import json
+import multiprocessing
+import os
 import subprocess
 import sys
 from concurrent.futures import Future
@@ -31,6 +34,28 @@ from conftest import discrete
 
 
 EXPECTED_COUNTS = {1: 1, 2: 4, 3: 29, 4: 355}
+
+
+def _inline_pool(sizes):
+    """A stand-in for ProcessPoolExecutor that appends its size to sizes
+    and runs each shard in this process."""
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    return InlinePool
 
 
 class TestEnumeration:
@@ -150,32 +175,32 @@ class TestClaims:
         from irtopo import verifier
 
         sizes = []
-
-        class InlinePool:
-            """Records its size and runs each shard in this process."""
-
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, *args):
-                future = Future()
-                future.set_result(fn(*args))
-                return future
-
-        monkeypatch.setattr(verifier, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(verifier, "ProcessPoolExecutor", _inline_pool(sizes))
         seq = run_claim("T7", n_max=3, jobs=1).to_jsonable()
-        monkeypatch.setattr(verifier.os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(verifier, "_usable_cpus", lambda: 3)
         assert run_claim("T7", n_max=3, jobs=64).to_jsonable() == seq
         assert sizes == [3]
-        monkeypatch.setattr(verifier.os, "cpu_count", lambda: None)
+        monkeypatch.setattr(verifier, "_usable_cpus", lambda: 1)
         assert run_claim("T7", n_max=3, jobs=64).to_jsonable() == seq
-        assert sizes == [3]  # unknown CPU count: runs inline
+        assert sizes == [3]  # one usable CPU: runs inline
+
+    def test_usable_cpus(self, monkeypatch):
+        from irtopo import verifier
+
+        if hasattr(os, "sched_getaffinity"):
+            assert verifier._usable_cpus() == len(os.sched_getaffinity(0))
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        assert verifier._usable_cpus() == 5
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert verifier._usable_cpus() == 1
+
+    @pytest.mark.parametrize("jobs", [0, -2])
+    def test_jobs_below_one_rejected(self, jobs):
+        with pytest.raises(ValueError, match=f"jobs must be at least 1, got {jobs}"):
+            run_claim("T2", n_max=1, jobs=jobs)
+        with pytest.raises(ValueError, match=f"jobs must be at least 1, got {jobs}"):
+            run_suite(n_max=1, jobs=jobs)
 
     def test_report_json_shape(self):
         report = run_claim("T2", n_max=2)
@@ -211,6 +236,32 @@ class TestSuite:
         assert payload["max_points"] == 2
         assert payload["pair_points"] == 2
         assert payload["all_required_passed"] is True
+
+    def test_one_pool_per_suite(self, monkeypatch):
+        from irtopo import verifier
+
+        sizes = []
+        monkeypatch.setattr(verifier, "ProcessPoolExecutor", _inline_pool(sizes))
+        monkeypatch.setattr(verifier, "_usable_cpus", lambda: 3)
+        seq = suite_to_jsonable(run_suite(n_max=2, jobs=1), 2, None, 0)
+        assert sizes == []
+        par = suite_to_jsonable(run_suite(n_max=2, jobs=64), 2, None, 0)
+        assert sizes == [3]
+        assert par == seq
+
+    def test_failing_check_shuts_the_pool_down(self, monkeypatch):
+        from irtopo import verifier
+
+        def boom(_):
+            raise ValueError("check failed on purpose")
+
+        monkeypatch.setitem(
+            verifier.CLAIMS, "C3", dataclasses.replace(verifier.CLAIMS["C3"], check=boom)
+        )
+        monkeypatch.setattr(verifier, "_usable_cpus", lambda: 2)
+        with pytest.raises(ValueError, match="check failed on purpose"):
+            run_suite(n_max=2, jobs=2)
+        assert multiprocessing.active_children() == []
 
     def test_report_pinned(self):
         # the full seed-0 report at 4 points and 3-point pairs, byte for byte
