@@ -3,6 +3,15 @@
 One binary, subcommand style.  Exit codes are a stable contract:
 0 success, 1 a negative verdict (no path, not deformable, not
 equivalent, a failed verification), 2 bad input or usage.
+
+Output contract: each ``_cmd_*`` computes its answer and returns
+``(code, payload, lines)``; ``spec`` and ``verify`` add a fourth item,
+their ``--out`` document.  ``payload`` and the document are
+zero-argument functions giving JSON-ready objects, and ``lines`` one
+giving the table's lines, so each form is built only when it is
+printed.  ``main`` alone reads ``--format`` and ``--out``: it prints
+the chosen form on stdout, then writes the document to ``--out``, and
+returns the code.  Errors go to stderr as ``error: ...`` with exit 2.
 """
 
 from __future__ import annotations
@@ -22,11 +31,9 @@ DIM_POINT_LIMIT = 5
 
 
 def _point(space: FiniteSpace, token: str) -> int:
-    """A point by label, else by index; a label that indexes another point is refused."""
-    try:
-        idx = int(token)
-    except ValueError:
-        idx = None
+    """A point by label, else by index (plain ASCII digits); a label that
+    indexes another point is refused."""
+    idx = int(token) if token.isascii() and token.isdigit() else None
     if token in space.labels:
         at = space.labels.index(token)
         if idx not in (None, at) and 0 <= idx < space.n:
@@ -42,275 +49,219 @@ def _point(space: FiniteSpace, token: str) -> int:
     return idx
 
 
+def _labels_of(space: FiniteSpace, mask: int) -> list[str]:
+    return [space.labels[p] for p in iter_points(mask)]
+
+
 def _set_text(space: FiniteSpace, mask: int) -> str:
-    return "{" + ", ".join(space.labels[p] for p in iter_points(mask)) + "}"
+    return "{" + ", ".join(_labels_of(space, mask)) + "}"
 
 
-def _emit(text: str) -> None:
-    sys.stdout.write(text + "\n")
+def _sets_text(space: FiniteSpace, masks) -> str:
+    return " ".join(_set_text(space, m) for m in masks)
 
 
-def _emit_json(obj) -> None:
-    sys.stdout.write(spaceio.dumps_canonical(obj))
+def _yes(flag) -> str:
+    return "yes" if flag else "no"
 
 
 # ---------------------------------------------------------------------------
 # commands
 
 
-def _cmd_analyze(args) -> int:
+def _cmd_analyze(args):
     space = spaceio.load_space(args.space)
     co = homotopy.ir_co(space)
     cat = category.ir_cat(space) if space.n else None
     dim = category.covering_dimension(space) if space.n <= DIM_POINT_LIMIT else None
-    payload = {
-        "space": spaceio.space_to_dict(space),
-        "points": space.n,
-        "t0": space.is_t0(),
-        "t1": space.is_t1(),
-        "hyperconnected": space.is_hyperconnected(),
-        "ir_path_connected": homotopy.is_ir_path_connected(space),
-        "ir_co": [space.labels[p] for p in iter_points(co)],
-        "ir_contractible": bool(co),
-        "ir_cat": None
-        if cat is None
-        else {
-            "size": cat.size,
-            "sense": "subspace",
-            "cover": spaceio.cover_labels(space, cat.sets),
-            "witnesses": spaceio.cover_labels(space, cat.witnesses),
-        },
-        "dim": None if dim is None else dim.dim,
-    }
-    if args.format == "json":
-        _emit_json(payload)
-        return 0
-    _emit(f"points: {space.n}")
-    _emit("labels: " + ", ".join(space.labels))
-    _emit("reach matrix (row x: closure of {x}):")
-    for x in range(space.n):
-        _emit(
-            "  "
-            + "".join(
-                "1" if space.reach_rows[x] >> y & 1 else "." for y in range(space.n)
-            )
-            + f"  {space.labels[x]}"
-        )
-    _emit(
-        f"T0: {'yes' if payload['t0'] else 'no'}   "
-        f"T1: {'yes' if payload['t1'] else 'no'}   "
-        f"hyperconnected: {'yes' if payload['hyperconnected'] else 'no'}"
-    )
-    _emit(f"ir-path connected: {'yes' if payload['ir_path_connected'] else 'no'}")
-    _emit(f"ir_co: {_set_text(space, co)}")
-    _emit(f"ir-contractible: {'yes' if co else 'no'}")
-    if cat is not None:
-        _emit(
-            f"ir_cat: {cat.size}  cover: "
-            + " ".join(_set_text(space, m) for m in cat.sets)
-        )
-    _emit("covering dimension: " + ("skipped (budget)" if dim is None else str(dim.dim)))
-    _emit(
-        "open sets: " + " ".join(_set_text(space, o) for o in space.open_sets)
-    )
-    return 0
+    t0, t1, hyper = space.is_t0(), space.is_t1(), space.is_hyperconnected()
+    connected = homotopy.is_ir_path_connected(space)
+
+    def payload():
+        return {
+            "space": spaceio.space_to_dict(space),
+            "points": space.n,
+            "t0": t0,
+            "t1": t1,
+            "hyperconnected": hyper,
+            "ir_path_connected": connected,
+            "ir_co": _labels_of(space, co),
+            "ir_contractible": bool(co),
+            "ir_cat": None
+            if cat is None
+            else {
+                "size": cat.size,
+                "sense": "subspace",
+                "cover": spaceio.cover_labels(space, cat.sets),
+                "witnesses": spaceio.cover_labels(space, cat.witnesses),
+            },
+            "dim": None if dim is None else dim.dim,
+        }
+
+    def lines():
+        yield f"points: {space.n}"
+        yield "labels: " + ", ".join(space.labels)
+        yield "reach matrix (row x: closure of {x}):"
+        for x in range(space.n):
+            row = "".join("1" if space.reach_rows[x] >> y & 1 else "." for y in range(space.n))
+            yield f"  {row}  {space.labels[x]}"
+        yield f"T0: {_yes(t0)}   T1: {_yes(t1)}   hyperconnected: {_yes(hyper)}"
+        yield f"ir-path connected: {_yes(connected)}"
+        yield f"ir_co: {_set_text(space, co)}"
+        yield f"ir-contractible: {_yes(co)}"
+        if cat is not None:
+            yield f"ir_cat: {cat.size}  cover: " + _sets_text(space, cat.sets)
+        yield "covering dimension: " + ("skipped (budget)" if dim is None else str(dim.dim))
+        yield "open sets: " + _sets_text(space, space.open_sets)
+
+    return 0, payload, lines
 
 
-def _cmd_path(args) -> int:
+def _cmd_path(args):
     space = spaceio.load_space(args.space)
     x = _point(space, getattr(args, "from"))
     y = _point(space, args.to)
     path = homotopy.ir_path(space, x, y)
-    if args.format == "json":
-        _emit_json(
-            {
-                "from": space.labels[x],
-                "to": space.labels[y],
-                "exists": path is not None,
-                "description": None if path is None else path.describe(),
-            }
-        )
-    elif path is None:
-        _emit(f"no ir-path from {space.labels[x]} to {space.labels[y]}")
-    else:
-        _emit(path.describe())
-    return 0 if path is not None else 1
+    text = None if path is None else path.describe()
+    return 0 if path is not None else 1, lambda: {
+        "from": space.labels[x],
+        "to": space.labels[y],
+        "exists": path is not None,
+        "description": text,
+    }, lambda: [text or f"no ir-path from {space.labels[x]} to {space.labels[y]}"]
 
 
-def _cmd_co(args) -> int:
+def _cmd_co(args):
     space = spaceio.load_space(args.space)
     co = homotopy.ir_co(space)
-    if args.format == "json":
-        _emit_json({"ir_co": [space.labels[p] for p in iter_points(co)]})
-    else:
-        _emit(_set_text(space, co))
-    return 0
+    return 0, lambda: {"ir_co": _labels_of(space, co)}, lambda: [_set_text(space, co)]
 
 
-def _cmd_contractible(args) -> int:
+def _cmd_contractible(args):
     space = spaceio.load_space(args.space)
     co = homotopy.ir_co(space)
-    if args.format == "json":
-        _emit_json(
-            {
-                "ir_contractible": bool(co),
-                "at": [space.labels[p] for p in iter_points(co)],
-            }
-        )
-    elif not co:
-        _emit("not ir-contractible")
-    else:
-        _emit("ir-contractible at " + _set_text(space, co))
-    return 0 if co else 1
+    return 0 if co else 1, lambda: {"ir_contractible": bool(co), "at": _labels_of(space, co)}, (
+        lambda: ["ir-contractible at " + _set_text(space, co) if co else "not ir-contractible"]
+    )
 
 
-def _cmd_equiv(args) -> int:
+def _cmd_equiv(args):
     left = spaceio.load_space(args.left)
     right = spaceio.load_space(args.right)
     found = homotopy.ir_homotopy_equivalent(left, right)
-    if args.format == "json":
-        _emit_json(
-            {
-                "equivalent": found is not None,
-                "orientation": "thm15",
-                "f": None if found is None else list(found[0].assignment),
-                "g": None if found is None else list(found[1].assignment),
-            }
-        )
-    elif found is None:
-        _emit("not ir-homotopy equivalent")
-    else:
+
+    def payload():
+        return {
+            "equivalent": found is not None,
+            "orientation": "thm15",
+            "f": None if found is None else list(found[0].assignment),
+            "g": None if found is None else list(found[1].assignment),
+        }
+
+    def lines():
+        if found is None:
+            return ["not ir-homotopy equivalent"]
         f, g = found
-        _emit(
-            "ir-homotopy equivalent; f: "
-            + ", ".join(
-                f"{left.labels[x]}->{right.labels[f(x)]}" for x in range(left.n)
-            )
-            + "; g: "
-            + ", ".join(
-                f"{right.labels[y]}->{left.labels[g(y)]}" for y in range(right.n)
-            )
-        )
-    return 0 if found is not None else 1
+        fs = ", ".join(f"{left.labels[x]}->{right.labels[f(x)]}" for x in range(left.n))
+        gs = ", ".join(f"{right.labels[y]}->{left.labels[g(y)]}" for y in range(right.n))
+        return [f"ir-homotopy equivalent; f: {fs}; g: {gs}"]
+
+    return 0 if found is not None else 1, payload, lines
 
 
-def _cmd_cat(args) -> int:
+def _cmd_cat(args):
     space = spaceio.load_space(args.space)
     rep = category.ir_cat(space)
-    if args.format == "json":
-        _emit_json(
-            {
-                "ir_cat": rep.size,
-                "sense": "subspace",
-                "cover": spaceio.cover_labels(space, rep.sets),
-                "witnesses": spaceio.cover_labels(space, rep.witnesses),
-            }
-        )
-    else:
-        _emit(str(rep.size))
-        _emit("cover: " + " ".join(_set_text(space, m) for m in rep.sets))
-        _emit("witnesses: " + " ".join(_set_text(space, m) for m in rep.witnesses))
-    return 0
+    return 0, lambda: {
+        "ir_cat": rep.size,
+        "sense": "subspace",
+        "cover": spaceio.cover_labels(space, rep.sets),
+        "witnesses": spaceio.cover_labels(space, rep.witnesses),
+    }, lambda: [
+        str(rep.size),
+        "cover: " + _sets_text(space, rep.sets),
+        "witnesses: " + _sets_text(space, rep.witnesses),
+    ]
 
 
-def _cmd_dim(args) -> int:
+def _cmd_dim(args):
     space = spaceio.load_space(args.space)
     if space.n > DIM_POINT_LIMIT:
         raise SearchBudgetExceeded(
             f"dimension search limited to {DIM_POINT_LIMIT} points, space has {space.n}"
         )
     rep = category.covering_dimension(space)
-    if args.format == "json":
-        _emit_json(
-            {
-                "dim": rep.dim,
-                "worst_cover": None
-                if rep.worst_cover is None
-                else spaceio.cover_labels(space, rep.worst_cover),
-                "refinement": None
-                if rep.refinement is None
-                else spaceio.cover_labels(space, rep.refinement),
-            }
-        )
-    else:
-        _emit(str(rep.dim))
-        if rep.worst_cover is not None:
-            _emit(
-                "worst cover: " + " ".join(_set_text(space, m) for m in rep.worst_cover)
-            )
-            _emit(
-                "best refinement: "
-                + " ".join(_set_text(space, m) for m in rep.refinement)
-            )
-    return 0
+    worst, best = rep.worst_cover, rep.refinement
+
+    def payload():
+        return {
+            "dim": rep.dim,
+            "worst_cover": None if worst is None else spaceio.cover_labels(space, worst),
+            "refinement": None if best is None else spaceio.cover_labels(space, best),
+        }
+
+    def lines():
+        yield str(rep.dim)
+        if worst is not None:
+            yield "worst cover: " + _sets_text(space, worst)
+            yield "best refinement: " + _sets_text(space, best)
+
+    return 0, payload, lines
 
 
-def _spec_report(spec: spectra.SpecSpace, args) -> int:
+def _spec_report(spec: spectra.SpecSpace):
     ok, rep = spectra.check_theorem8(spec)
     space = spec.space
-    if args.format == "json":
-        payload = spaceio.spec_to_dict(spec)
-        payload["ir_cat"] = rep.size
-        payload["cat_equals_maximal_count"] = ok
-        _emit_json(payload)
-    else:
-        _emit(f"points: {space.n}  " + ", ".join(space.labels))
-        _emit(f"maximal ideals: {_set_text(space, spec.maximal)}")
-        _emit(f"ir_cat: {rep.size}  matches maximal count: {'yes' if ok else 'no'}")
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(spaceio.dumps_canonical(spaceio.spec_to_dict(spec)))
-    return 0 if ok else 1
+
+    def payload():
+        return {
+            **spaceio.spec_to_dict(spec),
+            "ir_cat": rep.size,
+            "cat_equals_maximal_count": ok,
+        }
+
+    return 0 if ok else 1, payload, lambda: [
+        f"points: {space.n}  " + ", ".join(space.labels),
+        f"maximal ideals: {_set_text(space, spec.maximal)}",
+        f"ir_cat: {rep.size}  matches maximal count: {_yes(ok)}",
+    ], lambda: spaceio.spec_to_dict(spec)
 
 
-def _cmd_spec_zn(args) -> int:
-    return _spec_report(spectra.spec_zn(args.n), args)
+def _cmd_spec_zn(args):
+    return _spec_report(spectra.spec_zn(args.n))
 
 
-def _cmd_spec_poset(args) -> int:
-    return _spec_report(spaceio.load_poset(args.poset), args)
+def _cmd_spec_poset(args):
+    return _spec_report(spaceio.load_poset(args.poset))
 
 
-def _cmd_interval_dist(args) -> int:
+def _cmd_interval_dist(args):
     d = intervals.d_ir(intervals.as_fraction(args.x), intervals.as_fraction(args.y))
-    if args.format == "json":
-        _emit_json({"distance": intervals.format_fraction(d)})
-    else:
-        _emit(intervals.format_fraction(d))
-    return 0
+    text = intervals.format_fraction(d)
+    return 0, lambda: {"distance": text}, lambda: [text]
 
 
-def _cmd_interval_ball(args) -> int:
+def _cmd_interval_ball(args):
     b = intervals.ball(intervals.as_fraction(args.x), intervals.as_fraction(args.eps))
-    if args.format == "json":
-        _emit_json(
-            {
-                "ball": str(b),
-                "hi": intervals.format_fraction(b.hi),
-                "whole_space": b.whole_space,
-                "clipped": b.whole_space,
-            }
-        )
-    else:
-        _emit(str(b))
-    return 0
+    return 0, lambda: {
+        "ball": str(b),
+        "hi": intervals.format_fraction(b.hi),
+        "whole_space": b.whole_space,
+        "clipped": b.whole_space,
+    }, lambda: [str(b)]
 
 
-def _cmd_grid(args) -> int:
+def _cmd_grid(args):
     pts = spaceio.load_grid_points(args.points)
     space = intervals.grid_subspace(pts)
     co = homotopy.ir_co(space)
-    if args.format == "json":
-        payload = spaceio.space_to_dict(space)
-        payload["ir_co"] = [space.labels[p] for p in iter_points(co)]
-        _emit_json(payload)
-    else:
-        _emit(f"points: {space.n}  " + ", ".join(space.labels))
-        _emit(f"ir_co: {_set_text(space, co)}")
-    return 0
+    return 0, lambda: {**spaceio.space_to_dict(space), "ir_co": _labels_of(space, co)}, lambda: [
+        f"points: {space.n}  " + ", ".join(space.labels),
+        f"ir_co: {_set_text(space, co)}",
+    ]
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args):
     claims = None
     if args.claims != "all":
         claims = [c.strip() for c in args.claims.split(",") if c.strip()]
@@ -324,9 +275,9 @@ def _cmd_verify(args) -> int:
     payload = verifier.suite_to_jsonable(
         reports, args.max_points, args.pair_points, args.seed
     )
-    if args.format == "json":
-        _emit_json(payload)
-    else:
+    passed = payload["all_required_passed"]
+
+    def lines():
         width = max(len(r.claim) for r in reports)
         for r in reports:
             verdict = "PASS" if r.passed else "FAIL"
@@ -335,27 +286,30 @@ def _cmd_verify(args) -> int:
                 note = " (expected to fail)" if not r.passed else " (unexpected pass)"
             elif r.category == "experimental":
                 note = " (experimental)"
-            _emit(
+            yield (
                 f"{r.claim:<{width}}  {verdict}  instances={r.instances_tested}"
                 f"  counterexamples={r.counterexample_count}"
                 f"  {r.elapsed:.2f}s{note}"
             )
-        _emit(
-            "verdict: "
-            + ("all required claims hold" if payload["all_required_passed"] else "FAILURES")
-        )
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(spaceio.dumps_canonical(payload))
-    return 0 if payload["all_required_passed"] else 1
+        yield "verdict: " + ("all required claims hold" if passed else "FAILURES")
+
+    return 0 if passed else 1, lambda: payload, lines, lambda: payload
 
 
 # ---------------------------------------------------------------------------
 # parser
 
 
-def _add_format(p: argparse.ArgumentParser) -> None:
+def _command(sub, name: str, help: str, func, *arguments) -> None:
+    """Add the leaf subcommand ``name`` handled by ``func``: its arguments
+    in order (a positional's name, or its flags and then its options), then
+    ``--format``."""
+    p = sub.add_parser(name, help=help)
+    for arg in arguments:
+        *flags, options = (arg, {}) if isinstance(arg, str) else arg
+        p.add_argument(*flags, **options)
     p.add_argument("--format", choices=("table", "json"), default="table")
+    p.set_defaults(func=func)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -364,86 +318,53 @@ def build_parser() -> argparse.ArgumentParser:
         description="Finite-space engine for one-way paths, homotopy and covering category.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    required = {"required": True}
+    out = ("-o", "--out", {})
 
-    p = sub.add_parser("analyze", help="full report for a space file")
-    p.add_argument("space")
-    _add_format(p)
-    p.set_defaults(func=_cmd_analyze)
-
-    p = sub.add_parser("path", help="one-way path between two points")
-    p.add_argument("space")
-    p.add_argument("--from", required=True, dest="from")
-    p.add_argument("--to", required=True)
-    _add_format(p)
-    p.set_defaults(func=_cmd_path)
-
-    p = sub.add_parser("co", help="points reachable from everywhere")
-    p.add_argument("space")
-    _add_format(p)
-    p.set_defaults(func=_cmd_co)
-
-    p = sub.add_parser("contractible", help="does the space deform onto a point")
-    p.add_argument("space")
-    _add_format(p)
-    p.set_defaults(func=_cmd_contractible)
-
-    p = sub.add_parser("equiv", help="search for a one-way homotopy equivalence")
-    p.add_argument("left")
-    p.add_argument("right")
-    _add_format(p)
-    p.set_defaults(func=_cmd_equiv)
-
-    p = sub.add_parser("cat", help="exact covering category")
-    p.add_argument("space")
-    _add_format(p)
-    p.set_defaults(func=_cmd_cat)
-
-    p = sub.add_parser("dim", help="exact covering dimension")
-    p.add_argument("space")
-    _add_format(p)
-    p.set_defaults(func=_cmd_dim)
+    _command(sub, "analyze", "full report for a space file", _cmd_analyze, "space")
+    _command(
+        sub, "path", "one-way path between two points", _cmd_path, "space",
+        ("--from", {"required": True, "dest": "from"}), ("--to", required),
+    )
+    _command(sub, "co", "points reachable from everywhere", _cmd_co, "space")
+    _command(
+        sub, "contractible", "does the space deform onto a point", _cmd_contractible, "space"
+    )
+    _command(
+        sub, "equiv", "search for a one-way homotopy equivalence", _cmd_equiv, "left", "right"
+    )
+    _command(sub, "cat", "exact covering category", _cmd_cat, "space")
+    _command(sub, "dim", "exact covering dimension", _cmd_dim, "space")
 
     p = sub.add_parser("spec", help="prime spectra as finite spaces")
     spec_sub = p.add_subparsers(dest="spec_command", required=True)
-    q = spec_sub.add_parser("zn", help="spectrum of the integers mod n")
-    q.add_argument("--n", type=int, required=True)
-    q.add_argument("-o", "--out")
-    _add_format(q)
-    q.set_defaults(func=_cmd_spec_zn)
-    q = spec_sub.add_parser("poset", help="spectrum from a prime poset file")
-    q.add_argument("poset")
-    q.add_argument("-o", "--out")
-    _add_format(q)
-    q.set_defaults(func=_cmd_spec_poset)
+    _command(
+        spec_sub, "zn", "spectrum of the integers mod n", _cmd_spec_zn,
+        ("--n", {"type": int, "required": True}), out,
+    )
+    _command(spec_sub, "poset", "spectrum from a prime poset file", _cmd_spec_poset, "poset", out)
 
     p = sub.add_parser("interval", help="exact one-way interval arithmetic")
     int_sub = p.add_subparsers(dest="interval_command", required=True)
-    q = int_sub.add_parser("dist", help="asymmetric distance")
-    q.add_argument("--x", required=True)
-    q.add_argument("--y", required=True)
-    _add_format(q)
-    q.set_defaults(func=_cmd_interval_dist)
-    q = int_sub.add_parser("ball", help="open ball of the asymmetric distance")
-    q.add_argument("--x", required=True)
-    q.add_argument("--eps", required=True)
-    _add_format(q)
-    q.set_defaults(func=_cmd_interval_ball)
+    _command(
+        int_sub, "dist", "asymmetric distance", _cmd_interval_dist,
+        ("--x", required), ("--y", required),
+    )
+    _command(
+        int_sub, "ball", "open ball of the asymmetric distance", _cmd_interval_ball,
+        ("--x", required), ("--eps", required),
+    )
 
-    p = sub.add_parser("grid", help="finite subspace of the one-way n-space")
-    p.add_argument("points")
-    _add_format(p)
-    p.set_defaults(func=_cmd_grid)
-
-    p = sub.add_parser("verify", help="run the claim verification suite")
-    p.add_argument("--max-points", type=int, default=3)
-    p.add_argument("--pair-points", type=int, default=None)
-    p.add_argument("--claims", default="all")
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out")
-    _add_format(p)
-    p.set_defaults(func=_cmd_verify)
-
+    _command(sub, "grid", "finite subspace of the one-way n-space", _cmd_grid, "points")
+    _command(
+        sub, "verify", "run the claim verification suite", _cmd_verify,
+        ("--max-points", {"type": int, "default": 3}),
+        ("--pair-points", {"type": int, "default": None}),
+        ("--claims", {"default": "all"}),
+        ("--jobs", {"type": int, "default": 1}),
+        ("--seed", {"type": int, "default": 0}),
+        ("--out", {}),
+    )
     return parser
 
 
@@ -454,7 +375,15 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else 2
     try:
-        return args.func(args)
+        code, payload, lines, *out = args.func(args)
+        if args.format == "json":
+            sys.stdout.write(spaceio.dumps_canonical(payload()))
+        else:
+            sys.stdout.write("".join(line + "\n" for line in lines()))
+        if out and args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(spaceio.dumps_canonical(out[0]()))
+        return code
     except (IrtopoError, ValueError, TypeError, OSError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

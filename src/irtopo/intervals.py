@@ -33,8 +33,10 @@ class HypothesisFails(IrtopoError):
 
 
 def as_fraction(v) -> Fraction:
-    if isinstance(v, float):
-        raise TypeError("floats are not accepted; pass a Fraction or a 'p/q' string")
+    if isinstance(v, (bool, float)):  # JSON true/false would read as 1 and 0
+        raise TypeError(
+            f"{type(v).__name__}s are not accepted; pass a Fraction or a 'p/q' string"
+        )
     try:
         return Fraction(v)
     except ZeroDivisionError:

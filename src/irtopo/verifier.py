@@ -455,7 +455,7 @@ def _check_t2(s):
             has_path = homotopy.ir_path(s, x, y) is not None
             if has_path != bool(cl >> y & 1):
                 return {
-                    "space": spaceio.space_to_dict(s),
+                    "space": s,
                     "from": s.labels[x],
                     "to": s.labels[y],
                     "path_exists": has_path,
@@ -474,7 +474,7 @@ def _check_t3(s):
             image = (1 << path.source) | (1 << path.target)
             if image & ~cl:
                 return {
-                    "space": spaceio.space_to_dict(s),
+                    "space": s,
                     "from": s.labels[x],
                     "to": s.labels[y],
                 }
@@ -488,7 +488,7 @@ def _check_t4(s):
         for y in range(s.n):
             if x != y and homotopy.ir_path(s, x, y) is not None:
                 return {
-                    "space": spaceio.space_to_dict(s),
+                    "space": s,
                     "from": s.labels[x],
                     "to": s.labels[y],
                 }
@@ -504,8 +504,8 @@ def _check_t5(pair):
         for g in maps:
             if homotopy.ir_homotopic(f, g) and f.assignment != g.assignment:
                 return {
-                    "domain": spaceio.space_to_dict(dom),
-                    "codomain": spaceio.space_to_dict(cod),
+                    "domain": dom,
+                    "codomain": cod,
                     "f": list(f.assignment),
                     "g": list(g.assignment),
                 }
@@ -521,7 +521,7 @@ def _check_t6(s):
             oracle_co |= 1 << x0
     if oracle_co != co:
         return {
-            "space": spaceio.space_to_dict(s),
+            "space": s,
             "pointwise_core": [s.labels[p] for p in iter_points(co)],
             "oracle_core": [s.labels[p] for p in iter_points(oracle_co)],
         }
@@ -537,7 +537,7 @@ def _check_t7(pair):
         for yb in iter_points(homotopy.ir_co(b)):
             right |= 1 << (xa * b.n + yb)
     if left != right:
-        return {"left": spaceio.space_to_dict(a), "right": spaceio.space_to_dict(b)}
+        return {"left": a, "right": b}
     return None
 
 
@@ -551,7 +551,7 @@ def _check_t8(inst):
     if not ok:
         return {
             "kind": kind,
-            "instance": spaceio.space_to_dict(sp.space),
+            "instance": sp.space,
             "maximal_count": sp.maximal.bit_count(),
             "category": rep.size,
         }
@@ -565,8 +565,8 @@ def _check_t9(pair):
     rhs = category.ir_cat(a).size * category.ir_cat(b).size
     if lhs != rhs:
         return {
-            "left": spaceio.space_to_dict(a),
-            "right": spaceio.space_to_dict(b),
+            "left": a,
+            "right": b,
             "product_cat": lhs,
             "factor_product": rhs,
         }
@@ -591,7 +591,7 @@ def _check_t11(s):
         for y in range(s.n):
             if x != y and s.reach(x, y) and homotopy.reverse_exists(s, x, y):
                 return {
-                    "space": spaceio.space_to_dict(s),
+                    "space": s,
                     "from": s.labels[x],
                     "to": s.labels[y],
                 }
@@ -602,7 +602,7 @@ def _check_t12(s):
     co = homotopy.ir_co(s)
     if s.is_t0() and co and co.bit_count() != 1:
         return {
-            "space": spaceio.space_to_dict(s),
+            "space": s,
             "core": [s.labels[p] for p in iter_points(co)],
         }
     return None
@@ -613,7 +613,7 @@ def _check_t13(s):
     cat_rep = _cover_search(s, "subspace")
     if dim_rep.dim + 1 > cat_rep.size:
         return {
-            "space": spaceio.space_to_dict(s),
+            "space": s,
             "dim": dim_rep.dim,
             "cat": cat_rep.size,
         }
@@ -630,8 +630,8 @@ def _equivalence_counterexample(pair, violation):
         return None
     f, g = eq
     return {
-        "left": spaceio.space_to_dict(a),
-        "right": spaceio.space_to_dict(b),
+        "left": a,
+        "right": b,
         "f": list(f.assignment),
         "g": list(g.assignment),
         **extra,
@@ -686,7 +686,7 @@ def _check_p3(s):
         for j, other in enumerate(cover.sets):
             if i != j and wit & other:
                 return {
-                    "space": spaceio.space_to_dict(s),
+                    "space": s,
                     "cover": spaceio.cover_labels(s, cover.sets),
                     "witness_member": i,
                     "other_member": j,
@@ -699,10 +699,10 @@ def _check_p4(s):
     rows = [_closure_via_opens(s, x) for x in range(s.n)]
     for x in range(s.n):
         if not rows[x] >> x & 1:
-            return {"space": spaceio.space_to_dict(s), "missing_reflexive": s.labels[x]}
+            return {"space": s, "missing_reflexive": s.labels[x]}
         for y in iter_points(rows[x]):
             if rows[y] & ~rows[x]:
-                return {"space": spaceio.space_to_dict(s), "broken_at": s.labels[x]}
+                return {"space": s, "broken_at": s.labels[x]}
     return None
 
 
@@ -711,7 +711,7 @@ def _check_l1(s):
         ok, _mapping = category.check_refinement(s, cov)
         if not ok:
             return {
-                "space": spaceio.space_to_dict(s),
+                "space": s,
                 "cover": spaceio.cover_labels(s, cov),
             }
     return None
@@ -732,7 +732,7 @@ def _check_l2_literal(s):
         return None
     # an open cover with more members than the covering category
     return {
-        "space": spaceio.space_to_dict(s),
+        "space": s,
         "cat": rep.size,
         "padded_cover": spaceio.cover_labels(s, padded),
     }
@@ -748,12 +748,12 @@ def _check_l2_subcover(s):
             sub = category.min_subcover(s, cov)
         except category.SubcoverNotFound:
             return {
-                "space": spaceio.space_to_dict(s),
+                "space": s,
                 "cover": spaceio.cover_labels(s, cov),
             }
         if len(sub) > rep.size:
             return {
-                "space": spaceio.space_to_dict(s),
+                "space": s,
                 "cover": spaceio.cover_labels(s, cov),
                 "subcover": spaceio.cover_labels(s, sub),
             }
@@ -770,7 +770,7 @@ def _check_c1(desc):
 def _check_c2(_):
     s = intervals.chain_space(2)
     if homotopy.ir_co(s) != 0b10:
-        return {"space": spaceio.space_to_dict(s)}
+        return {"space": s}
     return None
 
 
@@ -783,7 +783,7 @@ def _check_c3(k):
 
 def _check_c4(s):
     if s.is_t1() and homotopy.ir_co(s) and s.n != 1:
-        return {"space": spaceio.space_to_dict(s)}
+        return {"space": s}
     return None
 
 
@@ -793,7 +793,7 @@ def _check_c5(s):
     covers = list(category.irredundant_covers(s))
     if covers != [(s.full_mask,)]:
         return {
-            "space": spaceio.space_to_dict(s),
+            "space": s,
             "covers": [spaceio.cover_labels(s, c) for c in covers],
         }
     return None
@@ -808,7 +808,7 @@ def _check_c6(s):
     sp = spectra.spec_from_poset(s.labels, s.reach_pairs())
     rep = category.ir_cat(sp.space)
     if rep.size != 1 or homotopy.ir_co(sp.space) != 1 << maximal[0]:
-        return {"space": spaceio.space_to_dict(s)}
+        return {"space": s}
     return None
 
 
@@ -827,12 +827,12 @@ def _check_c8(s):
     rep = category.ir_cat(s)
     ok, mapping = category.check_refinement(s, rep.sets)
     if not ok or mapping != tuple(range(rep.size)):
-        return {"space": spaceio.space_to_dict(s), "mapping": mapping}
+        return {"space": s, "mapping": mapping}
     for i, a in enumerate(rep.sets):
         for j, b in enumerate(rep.sets):
             if i != j and a & ~b == 0:
                 return {
-                    "space": spaceio.space_to_dict(s),
+                    "space": s,
                     "nested_members": [i, j],
                 }
     return None
@@ -846,7 +846,7 @@ def _check_c9(s):
         for y in range(x + 1, s.n)
     )
     if antisymmetric != s.is_t0():
-        return {"space": spaceio.space_to_dict(s)}
+        return {"space": s}
     return None
 
 
@@ -855,7 +855,7 @@ def _check_d5(s):
     amb = _cover_search(s, "ambient").size
     if sub != amb:
         return {
-            "space": spaceio.space_to_dict(s),
+            "space": s,
             "subspace_cat": sub,
             "ambient_cat": amb,
         }
@@ -869,7 +869,9 @@ def _check_d5(s):
 @dataclass(frozen=True)
 class ClaimSpec:
     """A claim: ``instances(n_max, pair_max, seed)`` is its instance family
-    and ``check(instance)`` returns a counterexample payload or None."""
+    and ``check(instance)`` returns a counterexample payload or None.  A
+    payload is a JSON-ready dict whose values may also be spaces; the
+    driver writes out only those of the counterexamples it reports."""
 
     name: str
     category: str
@@ -1006,14 +1008,24 @@ def _resolve_limits(n_max: int, pair_max: int | None) -> tuple[int, int]:
     return n_max, pair_max
 
 
+def _jsonable(payload: dict) -> dict:
+    """A counterexample payload with each space in it written out."""
+    return {
+        k: spaceio.space_to_dict(v) if isinstance(v, FiniteSpace) else v
+        for k, v in payload.items()
+    }
+
+
 def _run_claim_shard(
     name: str, n_max: int, pair_max: int, seed: int, shard: int, nshards: int
 ) -> tuple[int, int, list[tuple[int, dict]]]:
     """Check the instances whose index is ``shard`` modulo ``nshards``.
 
     Returns the number tested, the number of counterexamples and the
-    first MAX_REPORTED_COUNTEREXAMPLES of them as (index, payload).  The
-    first ones over all shards are among the shards' first ones.
+    first MAX_REPORTED_COUNTEREXAMPLES of them as (index, payload), with
+    the spaces in those payloads written out here, in the worker, and in
+    no other payload.  The first ones over all shards are among the
+    shards' first ones.
     """
     spec = CLAIMS[name]
     family = enumerate(spec.instances(n_max, pair_max, seed))
@@ -1025,7 +1037,7 @@ def _run_claim_shard(
         if payload is not None:
             count += 1
             if len(first) < MAX_REPORTED_COUNTEREXAMPLES:
-                first.append((idx, payload))
+                first.append((idx, _jsonable(payload)))
     return tested, count, first
 
 

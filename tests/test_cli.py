@@ -1,4 +1,7 @@
+import contextlib
+import io
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -81,6 +84,17 @@ def test_point_token_both_label_and_other_index(tmp_path, capsys):
     # a token whose two readings agree, or whose index is out of range, is a label
     path.write_text(json.dumps({"labels": ["a", "1", "7"], "reach": [[1, 2]]}))
     assert main(["path", str(path), "--from", "1", "--to", "7"]) == 0
+    # only plain ASCII digits index a point; other tokens are labels or nothing
+    labels = [str(i) for i in range(12)] + ["+11", "1_1"]
+    path.write_text(json.dumps({"labels": labels, "reach": [[0, 12]]}))
+    assert main(["path", str(path), "--from", "0", "--to", "+11"]) == 0
+    assert main(["path", str(path), "--from", "0", "--to", "1_1"]) == 1
+    capsys.readouterr()
+    for token in (" 11", "11 ", "\u0661\u0661", "-0", "0x1"):
+        assert main(["path", str(path), "--from", "0", "--to", token]) == 2
+        assert capsys.readouterr().err == f"error: no point labelled {token!r}\n"
+    assert main(["path", str(path), "--from", "0", "--to", "014"]) == 2
+    assert "point index 14 out of range" in capsys.readouterr().err
 
 
 def test_contractible(sierp_file, discrete2_file):
@@ -205,6 +219,15 @@ def test_grid(tmp_path, capsys):
     assert payload["ir_co"] == ["(1/1,1/1)"]
 
 
+def test_grid_boolean_coordinates(tmp_path, capsys):
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps({"points": [[True, False], [1, 1]]}))
+    assert main(["grid", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: bad coordinate in [True, False]: bools")
+
+
 def test_verify_small(capsys):
     assert main(["verify", "--max-points", "2", "--claims", "T2,T7,C9"]) == 0
     out = capsys.readouterr().out
@@ -311,6 +334,20 @@ def _readme_commands():
     return commands
 
 
+def _leaf_commands(prefix=()):
+    """Every leaf subcommand of ``build_parser()`` as a word tuple, read
+    from the ``{a,b,...} ...`` subcommand choices of each help text."""
+    text = io.StringIO()
+    with contextlib.redirect_stdout(text), pytest.raises(SystemExit):
+        build_parser().parse_args([*prefix, "-h"])
+    choices = re.search(r"\{([\w,-]+)\}\s+\.\.\.", text.getvalue())
+    if choices is None:
+        return [prefix]
+    return [
+        leaf for name in choices.group(1).split(",") for leaf in _leaf_commands((*prefix, name))
+    ]
+
+
 def test_readme_command_line_matches_parser():
     commands = _readme_commands()
     assert len(commands) >= 10
@@ -319,3 +356,8 @@ def test_readme_command_line_matches_parser():
             build_parser().parse_args(words)
         except SystemExit:
             pytest.fail(f"the parser rejects the README command: irtopo {' '.join(words)}")
+    leaves = _leaf_commands()
+    assert len(leaves) == 13
+    for leaf in leaves:
+        if not any(tuple(words[: len(leaf)]) == leaf for words in commands):
+            pytest.fail(f"the README command-line block lacks irtopo {' '.join(leaf)}")

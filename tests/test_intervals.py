@@ -41,6 +41,11 @@ class TestDistance:
         with pytest.raises(TypeError):
             d_ir(0.2, Fraction(1, 2))
 
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_booleans_rejected(self, flag):
+        with pytest.raises(TypeError, match="bools are not accepted"):
+            as_fraction(flag)
+
     def test_string_fractions_accepted(self):
         assert d_ir("1/5", "1/2") == Fraction(3, 10)
 

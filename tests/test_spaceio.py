@@ -101,6 +101,12 @@ def test_readme_file_formats_parse():
             space_from_dict(doc)
 
 
+@pytest.mark.parametrize("row", [[True, False], ["1/2", False], [True, "1/1"]])
+def test_grid_rejects_boolean_coordinates(row):
+    with pytest.raises(ParseError, match="bad coordinate"):
+        grid_points_from_dict({"points": [row, ["1/1", "1/1"]]})
+
+
 def test_space_rejects_duplicate_labels():
     with pytest.raises(ParseError, match="duplicate label 'a'"):
         space_from_dict({"labels": ["a", "a"], "reach": []})
