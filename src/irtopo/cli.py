@@ -123,12 +123,18 @@ def _cmd_path(args):
     y = _point(space, args.to)
     path = homotopy.ir_path(space, x, y)
     text = None if path is None else path.describe()
-    return 0 if path is not None else 1, lambda: {
-        "from": space.labels[x],
-        "to": space.labels[y],
-        "exists": path is not None,
-        "description": text,
-    }, lambda: [text or f"no ir-path from {space.labels[x]} to {space.labels[y]}"]
+
+    def payload():
+        return {
+            "from": space.labels[x],
+            "to": space.labels[y],
+            "exists": path is not None,
+            "description": text,
+        }
+
+    return 0 if path is not None else 1, payload, lambda: [
+        text or f"no ir-path from {space.labels[x]} to {space.labels[y]}"
+    ]
 
 
 def _cmd_co(args):
@@ -140,9 +146,14 @@ def _cmd_co(args):
 def _cmd_contractible(args):
     space = spaceio.load_space(args.space)
     co = homotopy.ir_co(space)
-    return 0 if co else 1, lambda: {"ir_contractible": bool(co), "at": _labels_of(space, co)}, (
-        lambda: ["ir-contractible at " + _set_text(space, co) if co else "not ir-contractible"]
-    )
+
+    def payload():
+        return {"ir_contractible": bool(co), "at": _labels_of(space, co)}
+
+    def lines():
+        yield "ir-contractible at " + _set_text(space, co) if co else "not ir-contractible"
+
+    return 0 if co else 1, payload, lines
 
 
 def _cmd_equiv(args):
@@ -172,16 +183,21 @@ def _cmd_equiv(args):
 def _cmd_cat(args):
     space = spaceio.load_space(args.space)
     rep = category.ir_cat(space)
-    return 0, lambda: {
-        "ir_cat": rep.size,
-        "sense": "subspace",
-        "cover": spaceio.cover_labels(space, rep.sets),
-        "witnesses": spaceio.cover_labels(space, rep.witnesses),
-    }, lambda: [
-        str(rep.size),
-        "cover: " + _sets_text(space, rep.sets),
-        "witnesses: " + _sets_text(space, rep.witnesses),
-    ]
+
+    def payload():
+        return {
+            "ir_cat": rep.size,
+            "sense": "subspace",
+            "cover": spaceio.cover_labels(space, rep.sets),
+            "witnesses": spaceio.cover_labels(space, rep.witnesses),
+        }
+
+    def lines():
+        yield str(rep.size)
+        yield "cover: " + _sets_text(space, rep.sets)
+        yield "witnesses: " + _sets_text(space, rep.witnesses)
+
+    return 0, payload, lines
 
 
 def _cmd_dim(args):
@@ -220,11 +236,12 @@ def _spec_report(spec: spectra.SpecSpace):
             "cat_equals_maximal_count": ok,
         }
 
-    return 0 if ok else 1, payload, lambda: [
-        f"points: {space.n}  " + ", ".join(space.labels),
-        f"maximal ideals: {_set_text(space, spec.maximal)}",
-        f"ir_cat: {rep.size}  matches maximal count: {_yes(ok)}",
-    ], lambda: spaceio.spec_to_dict(spec)
+    def lines():
+        yield f"points: {space.n}  " + ", ".join(space.labels)
+        yield f"maximal ideals: {_set_text(space, spec.maximal)}"
+        yield f"ir_cat: {rep.size}  matches maximal count: {_yes(ok)}"
+
+    return 0 if ok else 1, payload, lines, lambda: spaceio.spec_to_dict(spec)
 
 
 def _cmd_spec_zn(args):
@@ -243,22 +260,31 @@ def _cmd_interval_dist(args):
 
 def _cmd_interval_ball(args):
     b = intervals.ball(intervals.as_fraction(args.x), intervals.as_fraction(args.eps))
-    return 0, lambda: {
-        "ball": str(b),
-        "hi": intervals.format_fraction(b.hi),
-        "whole_space": b.whole_space,
-        "clipped": b.whole_space,
-    }, lambda: [str(b)]
+
+    def payload():
+        return {
+            "ball": str(b),
+            "hi": intervals.format_fraction(b.hi),
+            "whole_space": b.whole_space,
+            "clipped": b.whole_space,
+        }
+
+    return 0, payload, lambda: [str(b)]
 
 
 def _cmd_grid(args):
     pts = spaceio.load_grid_points(args.points)
     space = intervals.grid_subspace(pts)
     co = homotopy.ir_co(space)
-    return 0, lambda: {**spaceio.space_to_dict(space), "ir_co": _labels_of(space, co)}, lambda: [
-        f"points: {space.n}  " + ", ".join(space.labels),
-        f"ir_co: {_set_text(space, co)}",
-    ]
+
+    def payload():
+        return {**spaceio.space_to_dict(space), "ir_co": _labels_of(space, co)}
+
+    def lines():
+        yield f"points: {space.n}  " + ", ".join(space.labels)
+        yield f"ir_co: {_set_text(space, co)}"
+
+    return 0, payload, lines
 
 
 def _cmd_verify(args):

@@ -10,11 +10,11 @@ After an intended output change, rewrite the golden file with
 """
 
 import contextlib
+import functools
 import io
 import json
 import os
 import re
-import sys
 import tempfile
 from pathlib import Path
 
@@ -120,6 +120,7 @@ def _run(argv, out_name, cwd) -> dict:
     }
 
 
+@functools.cache
 def _golden() -> dict:
     return json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
 
@@ -148,4 +149,4 @@ def _record() -> None:
 
 
 if __name__ == "__main__":
-    sys.exit(_record())
+    _record()

@@ -158,6 +158,17 @@ class TestClaims:
         first = report.counterexamples[0]
         assert len(first["padded_cover"]) == first["cat"] + 1
 
+    def test_only_reported_counterexamples_write_out_spaces(self, monkeypatch):
+        from irtopo import spaceio
+
+        written = []
+        real = spaceio.space_to_dict
+        monkeypatch.setattr(spaceio, "space_to_dict", lambda s: written.append(s) or real(s))
+        report = run_claim("L2_literal", n_max=4)
+        assert report.counterexample_count > 10
+        assert len(written) == len(report.counterexamples) == 10
+        assert [c["space"] for c in report.counterexamples] == [real(s) for s in written]
+
     def test_unknown_claim(self):
         with pytest.raises(UnknownClaim):
             run_claim("T99")
