@@ -28,7 +28,6 @@ from .homotopy import (
     ContinuousMap,
     IrPath,
     MapMismatch,
-    NoForwardPath,
     NotContinuous,
     continuous_maps,
     ir_co,
@@ -36,7 +35,6 @@ from .homotopy import (
     ir_homotopy_equivalent,
     ir_path,
     is_ir_path_connected,
-    reverse_exists,
 )
 from .category import (
     CoverReport,
@@ -63,15 +61,10 @@ from .intervals import (
     ArityMismatch,
     Ball,
     EmptySet,
-    HypothesisFails,
-    IntervalDescriptor,
-    LeftRayCover,
     OutOfRange,
     ball,
     chain_space,
-    check_theorem10,
     d_ir,
-    finite_subset_compactness,
     grid_subspace,
 )
 from .verifier import (

@@ -4,7 +4,8 @@ A path from x to y here is the two-piece map that sits at x on [0, 1)
 and jumps to y at 1; it is continuous into X exactly when y lies in the
 closure of {x}, i.e. when reach(x, y) holds.  Because the parameter
 interval carries the left-ray topology these paths do not reverse in
-general: the calculus is directed.
+general: the calculus is directed (in a T0 space no nonconstant path
+has a reverse; verifier claim T11 checks this on every space).
 
 A homotopy from f to g is likewise a two-stage deformation, and exists
 exactly when g(x) is reachable from f(x) at every point.  That pointwise
@@ -41,10 +42,6 @@ class NotContinuous(IrtopoError):
     def __init__(self, message: str, witness_open: int | None = None):
         super().__init__(message)
         self.witness_open = witness_open
-
-
-class NoForwardPath(IrtopoError):
-    """Asked for a reverse of a path that does not exist."""
 
 
 def _map_budget() -> int:
@@ -87,19 +84,6 @@ def ir_path(space: FiniteSpace, x: int, y: int) -> IrPath | None:
     if not (0 <= x < space.n and 0 <= y < space.n):
         raise ValueError("point index out of range")
     return IrPath(space, x, y) if space.reach(x, y) else None
-
-
-def reverse_exists(space: FiniteSpace, x: int, y: int) -> bool:
-    """Whether the path from x to y admits a path back from y to x.
-
-    Requires the forward path to exist (NoForwardPath otherwise); in a
-    T0 space the answer is False whenever x != y.
-    """
-    if not space.reach(x, y):
-        raise NoForwardPath(
-            f"no path from {space.labels[x]!r} to {space.labels[y]!r}"
-        )
-    return space.reach(y, x)
 
 
 def ir_co(space: FiniteSpace) -> int:

@@ -2,9 +2,15 @@
 
 The continuous carrier here is the unit interval whose opens are the
 initial segments [0, b) together with the whole interval; its finite
-analogues are chain spaces.  All arithmetic is exact over
-``fractions.Fraction`` -- floats are rejected, since the predicates in
-this module are discontinuous in their inputs.
+analogues are chain spaces.  Grid subspaces sit in the one-way n-space
+over all rationals, so their coordinates are not confined to [0, 1].
+All arithmetic is exact over ``fractions.Fraction`` -- floats are
+rejected, since the predicates in this module are discontinuous in
+their inputs.
+
+The statements about these models -- compactness through a greatest
+element, the core of a grid -- are checked in ``verifier`` (claims T1,
+T10, C1), not here.
 """
 
 from __future__ import annotations
@@ -26,10 +32,6 @@ class EmptySet(IrtopoError):
 
 class ArityMismatch(IrtopoError):
     pass
-
-
-class HypothesisFails(IrtopoError):
-    """The point set has no unique componentwise-greatest element."""
 
 
 def as_fraction(v) -> Fraction:
@@ -106,62 +108,14 @@ def chain_space(k: int) -> FiniteSpace:
     return FiniteSpace(tuple(str(i) for i in range(k)), rows)
 
 
-@dataclass(frozen=True)
-class IntervalDescriptor:
-    """Symbolic interval of the one-way line, for compactness questions."""
-
-    lo: Fraction
-    hi: Fraction
-    closed_lo: bool
-    closed_hi: bool
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "lo", as_fraction(self.lo))
-        object.__setattr__(self, "hi", as_fraction(self.hi))
-        if self.lo > self.hi:
-            raise ValueError("interval endpoints out of order")
-
-    def __str__(self) -> str:
-        left = "[" if self.closed_lo else "("
-        right = "]" if self.closed_hi else ")"
-        return f"{left}{format_fraction(self.lo)}, {format_fraction(self.hi)}{right}"
-
-
-@dataclass(frozen=True)
-class LeftRayCover:
-    """An open cover by left rays (-inf, a) with no finite subcover."""
-
-    anchors: str
-
-    def __str__(self) -> str:
-        return f"left rays (-inf, a) for a in {self.anchors}; no finite subfamily covers"
-
-
-def finite_subset_compactness(values):
-    """Compactness of a subset of the one-way line, via greatest elements.
-
-    A finite set of rationals always has a greatest element and is
-    compact; returns (True, maximum).  A symbolic IntervalDescriptor
-    without its upper endpoint has no greatest element and is not
-    compact; returns (False, cover witness) where the witness is the
-    family of left rays anchored at the set's own points.
-    """
-    if isinstance(values, IntervalDescriptor):
-        if values.closed_hi:
-            return True, values.hi
-        return False, LeftRayCover(str(values))
-    vals = sorted({as_fraction(v) for v in values})
-    if not vals:
-        raise EmptySet("compactness of the empty set is not considered here")
-    return True, vals[-1]
-
-
 def grid_subspace(points: Iterable[Sequence]) -> FiniteSpace:
     """Finite subspace of the n-dimensional one-way space.
 
     reach(p, q) holds when p <= q in every coordinate: the closure of
     {p} upstairs is the product of the up-rays [p_i, oo), so the induced
-    reach is the componentwise order.
+    reach is the componentwise order.  The ambient space is the one-way
+    n-space over all rationals, so any exact coordinate is accepted,
+    negative or above 1; only ``d_ir`` and ``ball`` work on [0, 1].
     """
     pts = [tuple(as_fraction(c) for c in p) for p in points]
     if not pts:
@@ -185,27 +139,3 @@ def grid_subspace(points: Iterable[Sequence]) -> FiniteSpace:
             )
         )
     return FiniteSpace(labels, tuple(rows))
-
-
-def check_theorem10(points: Iterable[Sequence]):
-    """Grid spaces with a greatest point have exactly that point as core.
-
-    Requires a unique componentwise-greatest element among the points
-    (HypothesisFails otherwise) and checks that the set of points
-    reachable from everywhere is exactly its singleton.  Returns
-    (holds, greatest point).
-    """
-    pts = [tuple(as_fraction(c) for c in p) for p in points]
-    space = grid_subspace(pts)
-    greatest = [
-        i
-        for i, q in enumerate(pts)
-        if all(all(pc <= qc for pc, qc in zip(p, q)) for p in pts)
-    ]
-    if len(greatest) != 1:
-        raise HypothesisFails(
-            f"need exactly one componentwise-greatest point, found {len(greatest)}"
-        )
-    from .homotopy import ir_co
-
-    return ir_co(space) == 1 << greatest[0], pts[greatest[0]]

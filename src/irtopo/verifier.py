@@ -22,7 +22,12 @@ Claim categories:
 
 Exhaustive searches that production code replaced by closed forms are
 kept here as oracles (``_cover_search``, ``_dimension_search``), so the
-claims that use them check their statements by brute force.
+claims that use them check their statements by brute force.  Logic that
+only one claim needs lives in that claim's check: T1 tests compactness
+on 1-D grid subspaces, T10 computes the grid's greatest point and T11
+tests each path in both directions.  A corollary that is an instance of
+another claim reuses that claim's check (C1 is T1 on the closed unit
+interval, C2 is C3 on the two-point chain).
 
 Reports are deterministic given (claim, size limits, seed) and
 independent of the worker count: instances are indexed before sharding,
@@ -352,6 +357,10 @@ def _fixed(*instances) -> Callable:
     return lambda n_max, pair_max, seed: instances
 
 
+# the endpoints of the unit interval, for the symbolic rows of T1 and C1
+_UNIT = (Fraction(0), Fraction(1))
+
+
 def _t1_instances(n_max: int, pair_max: int, seed: int) -> list:
     rng = random.Random(seed)
     instances: list = []
@@ -361,13 +370,7 @@ def _t1_instances(n_max: int, pair_max: int, seed: int) -> list:
         while len(vals) < size:
             vals.add(Fraction(rng.randint(-120, 120), rng.randint(1, 24)))
         instances.append(("finite", tuple(sorted(vals))))
-    instances.append(
-        ("open", intervals.IntervalDescriptor(Fraction(0), Fraction(1), True, False))
-    )
-    instances.append(
-        ("closed", intervals.IntervalDescriptor(Fraction(0), Fraction(1), True, True))
-    )
-    return instances
+    return instances + [("open", _UNIT), ("closed", _UNIT)]
 
 
 def _t8_instances(n_max: int, pair_max: int, seed: int) -> Iterator[tuple]:
@@ -431,20 +434,21 @@ _PRIMES_25 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
 
 
 def _check_t1(inst):
+    """A finite set: on its 1-D grid subspace the whole set is the only
+    open holding the greatest point, so every open cover has a one-member
+    subcover.  The intervals (lo, hi) are definitional rows: "closed"
+    [lo, hi] has greatest element hi, and "open" [lo, hi) has none, its
+    left rays (-oo, a) covering it with no finite subfamily."""
     kind, payload = inst
-    compact, witness = intervals.finite_subset_compactness(payload)
+    fmt = intervals.format_fraction
     if kind == "finite":
-        if not compact or witness != max(payload):
-            return {
-                "kind": kind,
-                "values": [intervals.format_fraction(v) for v in payload],
-            }
-    elif kind == "open":
-        if compact or not isinstance(witness, intervals.LeftRayCover):
-            return {"kind": kind, "interval": str(payload)}
-    else:
-        if not compact or witness != 1:
-            return {"kind": kind, "interval": str(payload)}
+        space = intervals.grid_subspace((v,) for v in payload)
+        if space.min_opens[payload.index(max(payload))] != space.full_mask:
+            return {"kind": kind, "values": [fmt(v) for v in payload]}
+        return None
+    lo, hi = payload
+    if not lo < hi:
+        return {"kind": kind, "interval": [fmt(lo), fmt(hi)]}
     return None
 
 
@@ -574,8 +578,9 @@ def _check_t9(pair):
 
 
 def _check_t10(pts):
-    ok, _greatest = intervals.check_theorem10(pts)
-    if not ok:
+    top = tuple(map(max, zip(*pts)))
+    core = homotopy.ir_co(intervals.grid_subspace(pts))
+    if top not in pts or core != 1 << pts.index(top):
         return {
             "points": [
                 [intervals.format_fraction(c) for c in p] for p in pts
@@ -589,7 +594,7 @@ def _check_t11(s):
         return None
     for x in range(s.n):
         for y in range(s.n):
-            if x != y and s.reach(x, y) and homotopy.reverse_exists(s, x, y):
+            if x != y and s.reach(x, y) and s.reach(y, x):
                 return {
                     "space": s,
                     "from": s.labels[x],
@@ -757,20 +762,6 @@ def _check_l2_subcover(s):
                 "cover": spaceio.cover_labels(s, cov),
                 "subcover": spaceio.cover_labels(s, sub),
             }
-    return None
-
-
-def _check_c1(desc):
-    compact, witness = intervals.finite_subset_compactness(desc)
-    if not compact or witness != 1:
-        return {"interval": str(desc)}
-    return None
-
-
-def _check_c2(_):
-    s = intervals.chain_space(2)
-    if homotopy.ir_co(s) != 0b10:
-        return {"space": s}
     return None
 
 
@@ -949,11 +940,10 @@ _CLAIM_LIST = [
               _spaces, _check_l2_subcover),
     ClaimSpec("C1", "asserted",
               "the closed unit interval of the one-way line is compact",
-              _fixed(intervals.IntervalDescriptor(Fraction(0), Fraction(1), True, True)),
-              _check_c1),
+              _fixed(("closed", _UNIT)), _check_t1),
     ClaimSpec("C2", "asserted",
               "the two-point chain deforms onto its top point",
-              _fixed(None), _check_c2),
+              _fixed(2), _check_c3),
     ClaimSpec("C3", "asserted",
               "every finite chain deforms onto its top point",
               _fixed(*range(1, 13)), _check_c3),
@@ -1117,8 +1107,9 @@ def run_suite(
 ) -> list[ClaimReport]:
     """Run the named claims (every claim for None) and return their reports.
 
-    An unknown name or an empty selection raises UnknownClaim, and jobs
-    below 1 raises ValueError, before any claim runs.
+    An unknown or repeated name or an empty selection raises
+    UnknownClaim, and jobs below 1 raises ValueError, before any claim
+    runs.
 
     jobs is capped at the CPUs this process may use.  Above one job, a
     single process pool of that size serves every claim: the claims run
@@ -1129,8 +1120,10 @@ def run_suite(
     names = list(CLAIM_ORDER) if claims is None else list(claims)
     if not names:
         raise UnknownClaim(f"no claim selected; known: {', '.join(CLAIM_ORDER)}")
-    for name in names:
+    for i, name in enumerate(names):
         _lookup_claim(name)
+        if name in names[:i]:
+            raise UnknownClaim(f"claim {name!r} selected more than once")
     jobs = _worker_count(jobs)
     with _pool(jobs) as pool:
         return [

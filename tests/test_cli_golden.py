@@ -47,6 +47,8 @@ INPUTS = {
             ["1/2", "1/3"],
         ]
     },
+    # coordinates are any rationals: the grid sits in the one-way n-space
+    "grid_wide.json": {"points": [[5, -7], ["3/2", "0/1"]]},
 }
 
 SPACES = ["sierp", "discrete", "point", "pseudocircle", "seven", "empty"]
@@ -87,9 +89,11 @@ def _commands():
         (["interval", "ball", "--x", "3/10", "--eps", "1/5"], None),
         (["interval", "ball", "--x", "9/10", "--eps", "1/5"], None),
         (["grid", "grid.json"], None),
+        (["grid", "grid_wide.json"], None),
         (["verify", "--max-points", "2", "--out", "report.out"], "report.out"),
         (["verify", "--max-points", "1", "--claims", "T2,L2_literal,C3"], None),
         (["verify", "--claims", "T99", "--out", "t99.out"], "t99.out"),
+        (["verify", "--claims", "T2,T2", "--out", "t2t2.out"], "t2t2.out"),
     ]
     return out
 

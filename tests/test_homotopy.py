@@ -5,9 +5,9 @@ import pytest
 
 from irtopo import (
     ContinuousMap,
+    FiniteSpace,
     IrtopoError,
     MapMismatch,
-    NoForwardPath,
     NotContinuous,
     SearchBudgetExceeded,
     chain_space,
@@ -22,6 +22,8 @@ from irtopo import (
     points_of,
     product,
 )
+
+from irtopo.verifier import _check_t11
 
 from conftest import discrete, indiscrete
 
@@ -54,26 +56,22 @@ class TestIrPath:
 
 
 class TestReverse:
+    """Claim T11's check tests each path of a T0 space in both directions."""
+
     def test_sierpinski_no_reverse(self, sierpinski):
-        from irtopo import reverse_exists
+        assert sierpinski.reach(0, 1)
+        assert _check_t11(sierpinski) is None
 
-        assert reverse_exists(sierpinski, 0, 1) is False
-
-    def test_indiscrete_reverses(self):
-        from irtopo import reverse_exists
-
-        assert reverse_exists(indiscrete(2), 0, 1) is True
+    def test_indiscrete_reverses(self, monkeypatch):
+        space = indiscrete(2)
+        assert _check_t11(space) is None  # not T0: outside the claim
+        monkeypatch.setattr(FiniteSpace, "is_t0", lambda self: True)
+        assert _check_t11(space) == {"space": space, "from": "0", "to": "1"}
 
     def test_constant_is_its_own_reverse(self, pseudocircle):
-        from irtopo import reverse_exists
-
-        assert reverse_exists(pseudocircle, 2, 2) is True
-
-    def test_no_forward_path(self, sierpinski):
-        from irtopo import reverse_exists
-
-        with pytest.raises(NoForwardPath):
-            reverse_exists(sierpinski, 1, 0)
+        # constant paths reverse trivially and are not counterexamples
+        assert pseudocircle.reach(2, 2)
+        assert _check_t11(pseudocircle) is None
 
 
 class TestIrCo:

@@ -6,21 +6,18 @@ from hypothesis import given, strategies as st
 from irtopo import (
     ArityMismatch,
     EmptySet,
-    HypothesisFails,
-    IntervalDescriptor,
-    LeftRayCover,
     OutOfRange,
     ball,
     chain_space,
-    check_theorem10,
     d_ir,
-    finite_subset_compactness,
     grid_subspace,
     ir_cat,
     ir_co,
     points_of,
 )
+from irtopo import intervals
 from irtopo.intervals import as_fraction, format_fraction
+from irtopo.verifier import _UNIT, _check_t1, _check_t10, _t1_instances
 
 
 class TestDistance:
@@ -116,31 +113,42 @@ class TestChainSpace:
 
 
 class TestCompactness:
+    """Claim T1's check: compact exactly through a greatest element."""
+
     def test_finite_set(self):
-        ok, witness = finite_subset_compactness(
-            [Fraction(1, 10), Fraction(7, 10), Fraction(3, 10)]
-        )
-        assert ok and witness == Fraction(7, 10)
+        values = (Fraction(1, 10), Fraction(7, 10), Fraction(3, 10))
+        assert _check_t1(("finite", values)) is None
 
     def test_singleton(self):
-        ok, witness = finite_subset_compactness([Fraction(2, 3)])
-        assert ok and witness == Fraction(2, 3)
-
-    def test_empty(self):
-        with pytest.raises(EmptySet):
-            finite_subset_compactness([])
+        assert _check_t1(("finite", (Fraction(2, 3),))) is None
 
     def test_half_open_interval_not_compact(self):
-        desc = IntervalDescriptor(Fraction(0), Fraction(1), True, False)
-        ok, witness = finite_subset_compactness(desc)
-        assert not ok
-        assert isinstance(witness, LeftRayCover)
-        assert "no finite subfamily" in str(witness)
+        assert _check_t1(("open", _UNIT)) is None
+        # a degenerate [1, 1) is empty, not a half-open interval
+        assert _check_t1(("open", (Fraction(1), Fraction(1)))) == {
+            "kind": "open",
+            "interval": ["1/1", "1/1"],
+        }
 
     def test_closed_interval_compact(self):
-        desc = IntervalDescriptor(Fraction(0), Fraction(1), True, True)
-        ok, witness = finite_subset_compactness(desc)
-        assert ok and witness == 1
+        assert _check_t1(("closed", _UNIT)) is None
+
+    def test_finite_check_sees_a_reversed_order(self, monkeypatch):
+        # with up-sets for opens the greatest point would be open alone
+        real = intervals.grid_subspace
+        monkeypatch.setattr(
+            intervals, "grid_subspace", lambda pts: real([(-c,) for (c,) in pts])
+        )
+        values = (Fraction(1, 10), Fraction(3, 10))
+        assert _check_t1(("finite", values)) == {
+            "kind": "finite",
+            "values": ["1/10", "3/10"],
+        }
+
+    def test_seeded_finite_sets(self):
+        for seed in range(10):
+            for inst in _t1_instances(5, 3, seed):
+                assert _check_t1(inst) is None
 
 
 class TestGrid:
@@ -165,6 +173,10 @@ class TestGrid:
         with pytest.raises(ArityMismatch):
             grid_subspace([(0, 1), (1,)])
 
+    def test_empty_rejected(self):
+        with pytest.raises(EmptySet):
+            grid_subspace([])
+
     def test_duplicates_rejected(self):
         with pytest.raises(ValueError):
             grid_subspace([(0, 1), (0, 1)])
@@ -182,13 +194,17 @@ class TestGrid:
 
 
 class TestTheorem10:
+    """Claim T10's check: the coordinatewise greatest point is the core."""
+
     def test_box_corners(self):
-        ok, greatest = check_theorem10([(0, 0), (1, 0), (0, 1), (1, 1)])
-        assert ok and greatest == (1, 1)
+        assert _check_t10([(0, 0), (1, 0), (0, 1), (1, 1)]) is None
+        assert _check_t10([(1, 1), (0, 0), (1, 0)]) is None
 
     def test_antichain_fails_hypothesis(self):
-        with pytest.raises(HypothesisFails):
-            check_theorem10([(1, 0), (0, 1)])
+        # no greatest point, so the grid is reported, not skipped
+        assert _check_t10([(1, 0), (0, 1)]) == {
+            "points": [["1/1", "0/1"], ["0/1", "1/1"]]
+        }
 
     def test_random_sets_with_max_appended(self):
         import random
@@ -207,8 +223,7 @@ class TestTheorem10:
             top = tuple(max(p[i] for p in pts) for i in range(arity))
             if top not in pts:
                 pts.append(top)
-            ok, greatest = check_theorem10(pts)
-            assert ok and greatest == top
+            assert _check_t10(pts) is None
 
 
 def test_as_fraction_and_format():

@@ -142,6 +142,12 @@ class TestClaims:
         categories = {spec.category for spec in CLAIMS.values()}
         assert categories == {"asserted", "known_false", "experimental"}
 
+    def test_readme_table_names_the_registry(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        table = readme.split("| claim | statement checked |\n|---|---|\n", 1)[1]
+        rows = table.split("\n\n", 1)[0].splitlines()
+        assert tuple(row.split("|")[1].strip() for row in rows) == CLAIM_ORDER
+
     def test_t4_passes(self):
         report = run_claim("T4", n_max=3)
         assert report.passed
@@ -235,6 +241,15 @@ class TestSuite:
     def test_unknown_claim_rejected(self):
         with pytest.raises(UnknownClaim):
             run_suite(n_max=2, claims=["nope"])
+
+    def test_repeated_claim_rejected_before_any_claim_runs(self, monkeypatch):
+        from irtopo import verifier
+
+        ran = []
+        monkeypatch.setattr(verifier, "run_claim", lambda name, **kw: ran.append(name))
+        with pytest.raises(UnknownClaim, match="'T2' selected more than once"):
+            run_suite(n_max=2, claims=["T2", "T7", "T2"])
+        assert ran == []
 
     def test_empty_selection_rejected(self):
         # an empty selection would report a pass with nothing checked
