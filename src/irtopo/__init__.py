@@ -51,7 +51,6 @@ from .category import (
 from .spectra import (
     InvalidModulus,
     NotAPartialOrder,
-    SpecSpace,
     check_theorem8,
     factorize,
     spec_from_poset,

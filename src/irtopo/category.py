@@ -12,11 +12,11 @@ space.  "Deforms onto a point" comes in two senses:
 Both quantities have closed forms in the reach preorder (Stong, Trans.
 AMS 1966; Barmak, LNM 2032).  U_y, the minimal neighborhood of y, is
 the set of points that reach y, and U_y <= U_z exactly when y reaches z.
-Call y closed when every point it reaches reaches it back: then U_y is
-inclusion-maximal, and every point reaches some closed point.
+Call y maximal when every point it reaches reaches it back: then U_y is
+inclusion-maximal, and every point reaches some maximal point.
 
 Covering category.  A deformable open O with witness w lies in U_w.  If
-a closed y lies in O, y reaches w, so U_w = U_y <= O.  Hence every
+a maximal y lies in O, y reaches w, so U_w = U_y <= O.  Hence every
 deformable cover contains each maximal U_y; these already cover the
 space, and the class of y witnesses U_y in either sense.  The optimal
 cover is unique, the maximal minimal neighborhoods, with the same
@@ -55,19 +55,6 @@ class NotACover(IrtopoError):
 
 class SubcoverNotFound(IrtopoError):
     """No member of the cover contains the given minimal-cover member."""
-
-
-def contraction_witness(space: FiniteSpace, open_mask: int) -> int:
-    """Points reachable from every member of ``open_mask``.
-
-    The intersection of the closures of all members, wherever they lie.
-    Masked with ``open_mask`` it gives the witnesses inside the set,
-    the core of the subspace on ``open_mask``.
-    """
-    acc = space.full_mask
-    for u in iter_points(open_mask):
-        acc &= space.reach_rows[u]
-    return acc
 
 
 @dataclass(frozen=True)
@@ -109,7 +96,7 @@ def _ir_cat_cached(reach_rows: tuple[int, ...]) -> CoverReport:
             key=canon_key,
         )
     )
-    return CoverReport(cover, tuple(contraction_witness(space, m) for m in cover))
+    return CoverReport(cover, tuple(space.common_reach(m) for m in cover))
 
 
 def ir_cat(space: FiniteSpace) -> CoverReport:

@@ -17,11 +17,11 @@ returns the code.  Errors go to stderr as ``error: ...`` with exit 2.
 from __future__ import annotations
 
 import argparse
-import json
+import functools
 import sys
 
 from . import category, homotopy, intervals, spaceio, spectra, verifier
-from .core import FiniteSpace, IrtopoError, SearchBudgetExceeded, iter_points
+from .core import FiniteSpace, IrtopoError, SearchBudgetExceeded
 
 # Covering dimension is polynomial, yet `analyze` prints "dim": null and
 # `dim` exits 2 above this many points.  The limit stays because the
@@ -49,12 +49,8 @@ def _point(space: FiniteSpace, token: str) -> int:
     return idx
 
 
-def _labels_of(space: FiniteSpace, mask: int) -> list[str]:
-    return [space.labels[p] for p in iter_points(mask)]
-
-
 def _set_text(space: FiniteSpace, mask: int) -> str:
-    return "{" + ", ".join(_labels_of(space, mask)) + "}"
+    return "{" + ", ".join(space.labels_of(mask)) + "}"
 
 
 def _sets_text(space: FiniteSpace, masks) -> str:
@@ -85,7 +81,7 @@ def _cmd_analyze(args):
             "t1": t1,
             "hyperconnected": hyper,
             "ir_path_connected": connected,
-            "ir_co": _labels_of(space, co),
+            "ir_co": space.labels_of(co),
             "ir_contractible": bool(co),
             "ir_cat": None
             if cat is None
@@ -140,7 +136,7 @@ def _cmd_path(args):
 def _cmd_co(args):
     space = spaceio.load_space(args.space)
     co = homotopy.ir_co(space)
-    return 0, lambda: {"ir_co": _labels_of(space, co)}, lambda: [_set_text(space, co)]
+    return 0, lambda: {"ir_co": space.labels_of(co)}, lambda: [_set_text(space, co)]
 
 
 def _cmd_contractible(args):
@@ -148,7 +144,7 @@ def _cmd_contractible(args):
     co = homotopy.ir_co(space)
 
     def payload():
-        return {"ir_contractible": bool(co), "at": _labels_of(space, co)}
+        return {"ir_contractible": bool(co), "at": space.labels_of(co)}
 
     def lines():
         yield "ir-contractible at " + _set_text(space, co) if co else "not ir-contractible"
@@ -225,23 +221,22 @@ def _cmd_dim(args):
     return 0, payload, lines
 
 
-def _spec_report(spec: spectra.SpecSpace):
-    ok, rep = spectra.check_theorem8(spec)
-    space = spec.space
+def _spec_report(space: FiniteSpace):
+    ok, rep = spectra.check_theorem8(space)
 
     def payload():
         return {
-            **spaceio.spec_to_dict(spec),
+            **spaceio.spec_to_dict(space),
             "ir_cat": rep.size,
             "cat_equals_maximal_count": ok,
         }
 
     def lines():
         yield f"points: {space.n}  " + ", ".join(space.labels)
-        yield f"maximal ideals: {_set_text(space, spec.maximal)}"
+        yield f"maximal ideals: {_set_text(space, space.closed_points())}"
         yield f"ir_cat: {rep.size}  matches maximal count: {_yes(ok)}"
 
-    return 0 if ok else 1, payload, lines, lambda: spaceio.spec_to_dict(spec)
+    return 0 if ok else 1, payload, lines, lambda: spaceio.spec_to_dict(space)
 
 
 def _cmd_spec_zn(args):
@@ -278,7 +273,7 @@ def _cmd_grid(args):
     co = homotopy.ir_co(space)
 
     def payload():
-        return {**spaceio.space_to_dict(space), "ir_co": _labels_of(space, co)}
+        return {**spaceio.space_to_dict(space), "ir_co": space.labels_of(co)}
 
     def lines():
         yield f"points: {space.n}  " + ", ".join(space.labels)
@@ -338,6 +333,7 @@ def _command(sub, name: str, help: str, func, *arguments) -> None:
     p.set_defaults(func=func)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="irtopo",
@@ -410,7 +406,7 @@ def main(argv=None) -> int:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(spaceio.dumps_canonical(out[0]()))
         return code
-    except (IrtopoError, ValueError, TypeError, OSError, json.JSONDecodeError) as e:
+    except (IrtopoError, ValueError, TypeError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -113,6 +113,10 @@ class FiniteSpace:
         """True when y lies in the closure of {x}."""
         return bool(self.reach_rows[x] >> y & 1)
 
+    def labels_of(self, aset: int) -> list[str]:
+        """The labels of the points of ``aset``, in ascending index order."""
+        return [self.labels[p] for p in iter_points(aset)]
+
     def reach_pairs(self) -> list[tuple[int, int]]:
         """The non-reflexive reach pairs (x, y), ordered by x, then y."""
         return [
@@ -141,6 +145,19 @@ class FiniteSpace:
             out |= self.reach_rows[x]
         return out
 
+    def common_reach(self, aset: int) -> int:
+        """The points reachable from every point of ``aset``: the
+        intersection of their closures, the whole space when ``aset`` is
+        empty."""
+        out = self.full_mask
+        for x in iter_points(aset):
+            out &= self.reach_rows[x]
+        return out
+
+    def closed_points(self) -> int:
+        """The points x whose closure is {x}; in a spectrum, the maximal ideals."""
+        return mask_of(x for x, row in enumerate(self.reach_rows) if row == 1 << x)
+
     def interior(self, aset: int) -> int:
         """Largest open subset: the points whose minimal neighborhood fits inside."""
         return mask_of(y for y in iter_points(aset) if self.min_opens[y] & ~aset == 0)
@@ -162,7 +179,7 @@ class FiniteSpace:
             for q in iter_points(self.reach_rows[p] & aset):
                 row |= 1 << index[q]
             rows.append(row)
-        return FiniteSpace(tuple(self.labels[p] for p in pts), tuple(rows))
+        return FiniteSpace(tuple(self.labels_of(aset)), tuple(rows))
 
     def is_t0(self) -> bool:
         """T0 holds exactly when reach is antisymmetric.
@@ -173,8 +190,8 @@ class FiniteSpace:
         return len(set(self.reach_rows)) == self.n
 
     def is_t1(self) -> bool:
-        """T1 holds exactly when reach is the identity relation."""
-        return all(row == 1 << x for x, row in enumerate(self.reach_rows))
+        """T1 holds exactly when every point is closed."""
+        return self.closed_points() == self.full_mask
 
     def is_hyperconnected(self) -> bool:
         # Two disjoint nonempty opens exist iff two disjoint minimal

@@ -92,9 +92,7 @@ def ir_co(space: FiniteSpace) -> int:
     Equivalently the points whose only open neighborhood is the whole
     space; both computations are performed and must agree.
     """
-    co = space.full_mask
-    for row in space.reach_rows:
-        co &= row
+    co = space.common_reach(space.full_mask)
     alt = mask_of(
         y for y in range(space.n) if space.min_opens[y] == space.full_mask
     )

@@ -22,9 +22,9 @@ from __future__ import annotations
 
 import json
 
-from .core import FiniteSpace, IrtopoError, from_open_sets, from_pairs, iter_points, points_of
+from .core import FiniteSpace, IrtopoError, from_open_sets, from_pairs, points_of
 from .intervals import as_fraction
-from .spectra import SpecSpace, spec_from_poset
+from .spectra import spec_from_poset
 
 
 class ParseError(IrtopoError):
@@ -105,20 +105,20 @@ def load_space(path: str) -> FiniteSpace:
     return space_from_dict(_load_json(path))
 
 
-def spec_to_dict(spec: SpecSpace) -> dict:
-    d = space_to_dict(spec.space)
-    d["maximal"] = [spec.space.labels[i] for i in iter_points(spec.maximal)]
+def spec_to_dict(space: FiniteSpace) -> dict:
+    d = space_to_dict(space)
+    d["maximal"] = space.labels_of(space.closed_points())
     return d
 
 
-def poset_from_dict(d: dict) -> SpecSpace:
+def poset_from_dict(d: dict) -> FiniteSpace:
     if not isinstance(d, dict):
         raise ParseError("expected a JSON object describing a poset")
     labels = _labels(d)
     return spec_from_poset(labels, _pairs(d, "leq", len(labels)))
 
 
-def load_poset(path: str) -> SpecSpace:
+def load_poset(path: str) -> FiniteSpace:
     return poset_from_dict(_load_json(path))
 
 
@@ -141,7 +141,7 @@ def load_grid_points(path: str) -> list[tuple]:
 
 
 def cover_labels(space: FiniteSpace, masks) -> list[list[str]]:
-    return [[space.labels[p] for p in iter_points(m)] for m in masks]
+    return [space.labels_of(m) for m in masks]
 
 
 def dumps_canonical(obj) -> str:

@@ -2,16 +2,16 @@
 
 The points are prime ideals ordered by inclusion; closed sets are the
 inclusion-up-sets V(I) = {P : I <= P}, so reach(P, Q) holds exactly
-when P <= Q and the maximal ideals are the closed points.  Two
-presentations are supported: the spectrum of Z/n (one discrete point
-per distinct prime divisor of n, all maximal) and an arbitrary finite
-poset of labelled primes, which exercises the non-discrete structure
-(generic points under several maximals).
+when P <= Q and the maximal ideals are the closed points.  A spectrum
+is returned as a plain FiniteSpace, and its maximal ideals are its
+``closed_points()``.  Two presentations are supported: the spectrum of
+Z/n (one discrete point per distinct prime divisor of n, all maximal)
+and an arbitrary finite poset of labelled primes, which exercises the
+non-discrete structure (generic points under several maximals).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
 
@@ -57,15 +57,7 @@ def factorize(n: int) -> list[tuple[int, int]]:
     return out
 
 
-@dataclass(frozen=True)
-class SpecSpace:
-    """A spectrum: the underlying space plus the set of maximal ideals."""
-
-    space: FiniteSpace
-    maximal: int
-
-
-def spec_zn(n: int) -> SpecSpace:
+def spec_zn(n: int) -> FiniteSpace:
     """Spectrum of the integers mod n: one point per distinct prime divisor.
 
     All primes of a finite quotient ring are maximal, so the space is
@@ -74,12 +66,10 @@ def spec_zn(n: int) -> SpecSpace:
     """
     primes = [p for p, _ in factorize(n)]
     labels = tuple(f"({p})" for p in primes)
-    rows = tuple(1 << i for i in range(len(primes)))
-    space = FiniteSpace(labels, rows)
-    return SpecSpace(space, space.full_mask)
+    return FiniteSpace(labels, tuple(1 << i for i in range(len(primes))))
 
 
-def spec_from_poset(labels: Iterable[str], leq: Iterable[tuple[int, int]]) -> SpecSpace:
+def spec_from_poset(labels: Iterable[str], leq: Iterable[tuple[int, int]]) -> FiniteSpace:
     """Spectrum presented by a poset of prime ideals under inclusion.
 
     ``leq`` lists the non-reflexive pairs (i, j) with prime i contained
@@ -97,17 +87,15 @@ def spec_from_poset(labels: Iterable[str], leq: Iterable[tuple[int, int]]) -> Sp
         raise NotAPartialOrder(
             f"not antisymmetric: {labels[x]!r} <= {labels[y]!r} <= {labels[x]!r}"
         )
-    # the closed points are those whose row reaches nothing else
-    maximal = sum([row for row in rows if row.bit_count() == 1])
-    return SpecSpace(space, maximal)
+    return space
 
 
-def check_theorem8(spec: SpecSpace) -> tuple[bool, CoverReport]:
+def check_theorem8(space: FiniteSpace) -> tuple[bool, CoverReport]:
     """Covering category of a spectrum equals its number of maximal ideals.
 
     Returns the verdict together with the optimal cover found; the
     expected optimal covers are the complements of "all other maximal
     ideals", one per maximal ideal.
     """
-    rep = ir_cat(spec.space)
-    return rep.size == spec.maximal.bit_count(), rep
+    rep = ir_cat(space)
+    return rep.size == space.closed_points().bit_count(), rep

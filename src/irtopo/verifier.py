@@ -216,7 +216,7 @@ def _ir_contractible_opens(
     for o in space.open_sets:
         if not o:
             continue
-        w = category.contraction_witness(space, o)
+        w = space.common_reach(o)
         if sense == "subspace":
             w &= o
         if w:
@@ -526,8 +526,8 @@ def _check_t6(s):
     if oracle_co != co:
         return {
             "space": s,
-            "pointwise_core": [s.labels[p] for p in iter_points(co)],
-            "oracle_core": [s.labels[p] for p in iter_points(oracle_co)],
+            "pointwise_core": s.labels_of(co),
+            "oracle_core": s.labels_of(oracle_co),
         }
     return None
 
@@ -555,8 +555,8 @@ def _check_t8(inst):
     if not ok:
         return {
             "kind": kind,
-            "instance": sp.space,
-            "maximal_count": sp.maximal.bit_count(),
+            "instance": sp,
+            "maximal_count": sp.closed_points().bit_count(),
             "category": rep.size,
         }
     return None
@@ -608,7 +608,7 @@ def _check_t12(s):
     if s.is_t0() and co and co.bit_count() != 1:
         return {
             "space": s,
-            "core": [s.labels[p] for p in iter_points(co)],
+            "core": s.labels_of(co),
         }
     return None
 
@@ -793,12 +793,12 @@ def _check_c5(s):
 def _check_c6(s):
     if not s.is_t0():
         return None
-    maximal = [x for x, row in enumerate(s.reach_rows) if row == 1 << x]
-    if len(maximal) != 1:
+    maximal = s.closed_points()
+    if maximal.bit_count() != 1:
         return None
     sp = spectra.spec_from_poset(s.labels, s.reach_pairs())
-    rep = category.ir_cat(sp.space)
-    if rep.size != 1 or homotopy.ir_co(sp.space) != 1 << maximal[0]:
+    rep = category.ir_cat(sp)
+    if rep.size != 1 or homotopy.ir_co(sp) != maximal:
         return {"space": s}
     return None
 
@@ -806,9 +806,9 @@ def _check_c6(s):
 def _check_c7(p):
     sp = spectra.spec_zn(p)
     if (
-        sp.space.n != 1
-        or homotopy.ir_co(sp.space) != 1
-        or category.ir_cat(sp.space).size != 1
+        sp.n != 1
+        or homotopy.ir_co(sp) != 1
+        or category.ir_cat(sp).size != 1
     ):
         return {"prime": p}
     return None

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -346,6 +347,22 @@ def _leaf_commands(prefix=()):
     return [
         leaf for name in choices.group(1).split(",") for leaf in _leaf_commands((*prefix, name))
     ]
+
+
+def test_main_builds_the_parser_once(monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        if self.prog == "irtopo":
+            built.append(self)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["interval", "dist", "--x", "0", "--y", "1/2"]) == 0
+        assert main(["spec", "zn", "--n", "12"]) == 0
+    assert len(built) <= 1
 
 
 def test_readme_command_line_matches_parser():

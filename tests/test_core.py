@@ -12,11 +12,17 @@ from irtopo import (
     from_open_sets,
     from_pairs,
     from_reach,
+    ir_co,
     mask_of,
     points_of,
     product,
 )
-from irtopo.verifier import box_topology, enumerate_spaces, topologies_by_open_families
+from irtopo.verifier import (
+    _closure_via_opens,
+    box_topology,
+    enumerate_spaces,
+    topologies_by_open_families,
+)
 
 from conftest import discrete, indiscrete
 
@@ -318,6 +324,37 @@ class TestSeparation:
             opens = [o for o in s.open_sets if o]
             clash = all(a & b for a in opens for b in opens)
             assert s.is_hyperconnected() == clash
+
+
+class TestPointSetMembers:
+    """closed_points, common_reach and labels_of against routes that read
+    the open sets instead of the reach rows."""
+
+    def test_closed_points_have_singleton_closures(self, spaces_upto4):
+        for s in spaces_upto4:
+            singletons = mask_of(
+                x for x in range(s.n) if _closure_via_opens(s, x) == 1 << x
+            )
+            assert s.closed_points() == singletons
+            assert s.is_t1() == (s.closed_points() == s.full_mask)
+
+    def test_common_reach_intersects_closures(self, spaces_upto4):
+        for s in spaces_upto4:
+            for m in s.open_sets:
+                meet = s.full_mask
+                for x in points_of(m):
+                    meet &= _closure_via_opens(s, x)
+                assert s.common_reach(m) == meet
+            assert ir_co(s) == s.common_reach(s.full_mask)
+
+    def test_labels_of_follows_index_order(self, spaces_upto4):
+        for s in spaces_upto4:
+            relabelled = FiniteSpace(tuple("zyxw"[: s.n]), s.reach_rows)
+            for m in range(1 << s.n):
+                assert relabelled.labels_of(m) == [
+                    label for i, label in enumerate(relabelled.labels) if m >> i & 1
+                ]
+        assert FiniteSpace(("c", "a", "b"), (1, 2, 4)).labels_of(0b101) == ["c", "b"]
 
 
 def test_roundtrip_open_sets(spaces_upto4):

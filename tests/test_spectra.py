@@ -27,28 +27,28 @@ def test_factorize_basics():
 
 class TestSpecZn:
     def test_two_primes(self):
-        sp = spec_zn(12)
-        assert sp.space.labels == ("(2)", "(3)")
-        assert sp.space.is_t1()
-        assert sp.maximal == sp.space.full_mask
-        assert ir_cat(sp.space).size == 2
+        s = spec_zn(12)
+        assert s.labels == ("(2)", "(3)")
+        assert s.is_t1()
+        assert s.closed_points() == s.full_mask
+        assert ir_cat(s).size == 2
 
     def test_prime_gives_singleton(self):
-        sp = spec_zn(7)
-        assert sp.space.n == 1
-        assert ir_co(sp.space) == 1  # a one-point spectrum deforms onto itself
+        s = spec_zn(7)
+        assert s.n == 1
+        assert ir_co(s) == 1  # a one-point spectrum deforms onto itself
 
     def test_four_primes(self):
-        sp = spec_zn(2 * 3 * 5 * 7)
-        assert sp.space.n == 4
-        assert ir_cat(sp.space).size == 4
+        s = spec_zn(2 * 3 * 5 * 7)
+        assert s.n == 4
+        assert ir_cat(s).size == 4
 
     def test_depends_only_on_radical(self):
-        assert spec_zn(12).space == spec_zn(6).space
-        assert spec_zn(12).space.labels == spec_zn(6).space.labels
+        assert spec_zn(12) == spec_zn(6)
+        assert spec_zn(12).labels == spec_zn(6).labels
         # same shape, different primes: equal as spaces, labels differ
-        assert spec_zn(10).space == spec_zn(12).space
-        assert spec_zn(10).space.labels != spec_zn(12).space.labels
+        assert spec_zn(10) == spec_zn(12)
+        assert spec_zn(10).labels != spec_zn(12).labels
 
     def test_invalid(self):
         with pytest.raises(InvalidModulus):
@@ -57,20 +57,20 @@ class TestSpecZn:
 
 class TestSpecFromPoset:
     def test_local_chain(self):
-        sp = spec_from_poset(["(0)", "(p)"], [(0, 1)])
-        assert points_of(sp.maximal) == (1,)
-        assert points_of(ir_co(sp.space)) == (1,)
-        assert ir_cat(sp.space).size == 1
+        s = spec_from_poset(["(0)", "(p)"], [(0, 1)])
+        assert points_of(s.closed_points()) == (1,)
+        assert points_of(ir_co(s)) == (1,)
+        assert ir_cat(s).size == 1
 
     def test_antichain(self):
-        sp = spec_from_poset(["M1", "M2", "M3"], [])
-        assert sp.maximal == 0b111
-        assert ir_cat(sp.space).size == 3
+        s = spec_from_poset(["M1", "M2", "M3"], [])
+        assert s.closed_points() == 0b111
+        assert ir_cat(s).size == 3
 
     def test_v_poset(self):
-        sp = spec_from_poset(["(0)", "M1", "M2"], [(0, 1), (0, 2)])
-        assert points_of(sp.maximal) == (1, 2)
-        rep = ir_cat(sp.space)
+        s = spec_from_poset(["(0)", "M1", "M2"], [(0, 1), (0, 2)])
+        assert points_of(s.closed_points()) == (1, 2)
+        rep = ir_cat(s)
         assert rep.size == 2
         # optimal cover removes one maximal ideal at a time
         assert rep.sets == (0b011, 0b101)
@@ -100,34 +100,24 @@ class TestTheorem8:
     def test_expected_cover_shape(self):
         # complements of "all other maximal ideals" always give a valid
         # deformable cover of the right size
-        sp = spec_from_poset(
+        s = spec_from_poset(
             ["(0)", "M1", "M2", "M3"], [(0, 1), (0, 2), (0, 3)]
         )
-        ok, rep = check_theorem8(sp)
+        ok, rep = check_theorem8(s)
         assert ok and rep.size == 3
-        others = [
-            sp.space.full_mask & ~(sp.maximal & ~(1 << m))
-            for m in points_of(sp.maximal)
-        ]
+        maximal = s.closed_points()
+        others = [s.full_mask & ~(maximal & ~(1 << m)) for m in points_of(maximal)]
         union = 0
         for w in others:
-            assert sp.space.is_open(w)
+            assert s.is_open(w)
             union |= w
-        assert union == sp.space.full_mask
+        assert union == s.full_mask
 
     def test_all_small_posets(self, spaces_upto4):
-        from irtopo.core import iter_points
-
         for s in spaces_upto4:
             if not s.is_t0():
                 continue
-            pairs = [
-                (x, y)
-                for x in range(s.n)
-                for y in iter_points(s.reach_rows[x])
-                if x != y
-            ]
-            ok, _ = check_theorem8(spec_from_poset(s.labels, pairs))
+            ok, _ = check_theorem8(spec_from_poset(s.labels, s.reach_pairs()))
             assert ok
 
 
@@ -139,37 +129,23 @@ class TestSpecInvariants:
                     yield s
 
     def test_spectra_are_t0_and_t1_iff_antichain(self):
-        from irtopo.core import iter_points
-
         for s in self._posets():
-            pairs = [
-                (x, y)
-                for x in range(s.n)
-                for y in iter_points(s.reach_rows[x])
-                if x != y
-            ]
+            pairs = s.reach_pairs()
             sp = spec_from_poset(s.labels, pairs)
-            assert sp.space.is_t0()
-            assert sp.space.is_t1() == (not pairs)
+            assert sp.is_t0()
+            assert sp.is_t1() == (not pairs)
 
     def test_closure_is_up_set(self):
-        sp = spec_from_poset(["(0)", "M1", "M2"], [(0, 1), (0, 2)])
-        assert sp.space.closure(0b001) == 0b111
-        assert sp.space.closure(0b010) == 0b010
+        s = spec_from_poset(["(0)", "M1", "M2"], [(0, 1), (0, 2)])
+        assert s.closure(0b001) == 0b111
+        assert s.closure(0b010) == 0b010
 
     def test_core_iff_unique_maximal(self):
         for s in self._posets():
-            from irtopo.core import iter_points
-
-            pairs = [
-                (x, y)
-                for x in range(s.n)
-                for y in iter_points(s.reach_rows[x])
-                if x != y
-            ]
-            sp = spec_from_poset(s.labels, pairs)
-            core = ir_co(sp.space)
-            if sp.maximal.bit_count() == 1:
-                assert core == sp.maximal
+            sp = spec_from_poset(s.labels, s.reach_pairs())
+            core = ir_co(sp)
+            maximal = sp.closed_points()
+            if maximal.bit_count() == 1:
+                assert core == maximal
             else:
                 assert core == 0

@@ -305,19 +305,27 @@ def test_trace_layer_map_sees_the_suite():
     # globals; a fresh interpreter keeps the wrappers out of this one
     root = Path(__file__).resolve().parents[1]
     code = f"""
-import json, sys
+import contextlib, io, json, sys
 sys.path[:0] = [{str(root / "perfbench")!r}, {str(root / "src")!r}]
 import spans
-from irtopo import verifier
+from irtopo import cli, verifier
 rec = spans.Recorder()
 spans.instrument(rec)
 verifier.run_suite(n_max=2)
-print(json.dumps(spans.span_counts(rec)))
+suite = spans.span_counts(rec)
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["spec", "zn", "--n", "360", "--format", "json"])
+print(json.dumps({{"code": code, "suite": suite, "counts": spans.span_counts(rec)}}))
 """
     done = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
     )
     assert done.returncode == 0, done.stderr
-    counts = json.loads(done.stdout)
-    assert counts["verifier.run_claim"] == 32
-    assert counts["verifier.enumerate"] > 0
+    result = json.loads(done.stdout)
+    suite, counts = result["suite"], result["counts"]
+    assert suite["verifier.run_claim"] == 32
+    assert suite["verifier.enumerate"] > 0
+    # one traced `spec zn` call adds its own spans
+    assert result["code"] == 0
+    assert counts["cli.main"] == suite.get("cli.main", 0) + 1
+    assert counts["spectra.check_theorem8"] == suite["spectra.check_theorem8"] + 1
