@@ -116,12 +116,16 @@ def ir_cat(space: FiniteSpace) -> CoverReport:
 def _open_cover(space: FiniteSpace, cover: Iterable[int]) -> tuple[int, ...]:
     """The members of ``cover``; NotACover unless they are open and cover the space."""
     members = tuple(cover)
+    full = space.full_mask
     union = 0
     for v in members:
+        if v & ~full:
+            # points_of would not end on a negative mask
+            raise NotACover(f"member {v:#b} has points outside the space")
         if not space.is_open(v):
             raise NotACover(f"member {points_of(v)} is not open")
         union |= v
-    if union != space.full_mask:
+    if union != full:
         raise NotACover("the given family does not cover the space")
     return members
 
@@ -172,34 +176,43 @@ def irredundant_covers(space: FiniteSpace) -> Iterator[tuple[int, ...]]:
     Irredundant: every member is nonempty and essential (dropping it
     breaks coverage).  Every open cover contains an irredundant
     subcover, which is all the dimension and subcover sweeps need.
+
+    Covers are listed in lexicographic order of their members' indices
+    in ``open_sets``.  A member is essential exactly when it has a
+    private point, one no other member covers.  Adding members only
+    shrinks private sets, so every prefix (in index order) of an
+    irredundant cover is itself a family whose members all have private
+    points.  The search therefore takes a member only when it brings a
+    new point and leaves every chosen member a private point; each
+    family it completes is irredundant with no further check, and it
+    reaches every irredundant cover.  A branch ends as soon as the
+    opens left to try cannot cover the rest of the space.
     """
     opens = [o for o in space.open_sets if o]
     full = space.full_mask
     count = len(opens)
+    # reach_after[i]: the union of opens[i:]
+    reach_after = [0] * (count + 1)
+    for i in range(count - 1, -1, -1):
+        reach_after[i] = reach_after[i + 1] | opens[i]
 
-    def rec(i: int, chosen: tuple[int, ...], union: int):
+    def rec(start: int, chosen: tuple[int, ...], union: int, once: int):
+        # once: the points covered by exactly one chosen member
         if union == full:
-            for k in range(len(chosen)):
-                rest = 0
-                for j, c in enumerate(chosen):
-                    if j != k:
-                        rest |= c
-                if rest == full:
-                    return
             yield chosen
             return
-        if i == count:
-            return
-        c = opens[i]
-        # containment with a chosen member or lack of new points would
-        # make some member redundant in every completion
-        if c & ~union and all(
-            c & ~d != 0 and d & ~c != 0 for d in chosen
-        ):
-            yield from rec(i + 1, chosen + (c,), union | c)
-        yield from rec(i + 1, chosen, union)
+        for i in range(start, count):
+            if union | reach_after[i] != full:
+                return
+            c = opens[i]
+            fresh = c & ~union
+            if not fresh:
+                continue
+            if once & c and any(d & once & ~c == 0 for d in chosen):
+                continue
+            yield from rec(i + 1, chosen + (c,), union | c, once & ~c | fresh)
 
-    yield from rec(0, (), 0)
+    yield from rec(0, (), 0, 0)
 
 
 def cover_order(cover: Iterable[int]) -> int:

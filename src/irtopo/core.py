@@ -137,7 +137,18 @@ class FiniteSpace:
         return tuple(sorted(opens, key=canon_key))
 
     def is_open(self, mask: int) -> bool:
-        return all(self.min_opens[y] & ~mask == 0 for y in iter_points(mask))
+        """Whether ``mask`` is an open set of this space; False for any
+        mask with points outside it, negative masks included."""
+        if mask & ~self.full_mask:
+            return False
+        min_opens = self.min_opens
+        rest = mask
+        while rest:  # each point y of mask; a generator here doubles the cost
+            low = rest & -rest
+            if min_opens[low.bit_length() - 1] & ~mask:
+                return False
+            rest ^= low
+        return True
 
     def closure(self, aset: int) -> int:
         out = 0
@@ -150,8 +161,11 @@ class FiniteSpace:
         intersection of their closures, the whole space when ``aset`` is
         empty."""
         out = self.full_mask
-        for x in iter_points(aset):
-            out &= self.reach_rows[x]
+        rows = self.reach_rows
+        while aset:  # each point x of aset, lowest first
+            low = aset & -aset
+            out &= rows[low.bit_length() - 1]
+            aset ^= low
         return out
 
     def closed_points(self) -> int:

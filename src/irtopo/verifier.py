@@ -22,10 +22,14 @@ Claim categories:
 
 Exhaustive searches that production code replaced by closed forms are
 kept here as oracles (``_cover_search``, ``_dimension_search``), so the
-claims that use them check their statements by brute force.  Logic that
-only one claim needs lives in that claim's check: T1 tests compactness
-on 1-D grid subspaces, T10 computes the grid's greatest point and T11
-tests each path in both directions.  A corollary that is an instance of
+claims that use them check their statements by brute force.
+``chain_homotopy_oracle`` decides deformations over the two-point chain
+from open sets alone: it builds the box basis of the product once per
+call and answers for a whole list of target maps as a bit mask, so T6
+makes one call per space.  Logic that only one claim needs lives in
+that claim's check: T1 tests compactness on 1-D grid subspaces, T10
+computes the grid's greatest point and T11 tests each path in both
+directions.  A corollary that is an instance of
 another claim reuses that claim's check (C1 is T1 on the closed unit
 interval, C2 is C3 on the two-point chain).
 
@@ -153,12 +157,16 @@ def box_topology(x: FiniteSpace, y: FiniteSpace) -> frozenset[int]:
     product points: closed under intersection, with the empty and the full
     set, so a basis of the product topology, whose opens are not listed."""
     ny = y.n
+    y_opens = y.open_sets
     boxes = set()
     for ox in x.open_sets:
         # one bit per row of ox; as oy < 2**ny, rows * oy is the box ox x oy
-        rows = sum(1 << (xb * ny) for xb in iter_points(ox))
-        for oy in y.open_sets:
-            boxes.add(rows * oy)
+        rows = 0
+        while ox:
+            low = ox & -ox
+            rows |= 1 << ((low.bit_length() - 1) * ny)
+            ox ^= low
+        boxes.update([rows * oy for oy in y_opens])
     return frozenset(boxes)
 
 
@@ -166,39 +174,71 @@ def box_topology(x: FiniteSpace, y: FiniteSpace) -> frozenset[int]:
 _TWO_POINT_CHAIN = intervals.chain_space(2)
 
 
-def chain_homotopy_oracle(x: FiniteSpace, y: FiniteSpace, f, g) -> bool:
-    """Brute-force decision of "f deforms to g" over the two-point chain.
+def chain_homotopy_oracle(x: FiniteSpace, y: FiniteSpace, f, targets) -> int:
+    """Brute-force decision of "f deforms to g" over the two-point chain,
+    for each map g in ``targets``.
 
-    Decides whether H on the product of x with the two-point chain,
-    H(., bottom) = f and H(., top) = g, is continuous, where the product
-    carries the box-generated topology: every preimage of an open of y
-    must be the union of the boxes inside it.  This is independent of
-    the pointwise reach criterion used by homotopy.ir_homotopic, and
-    decides the same question as a deformation over the one-way unit
-    interval: a two-stage deformation lifts through the collapse
-    t < 1 -> bottom, t = 1 -> top, and conversely every interval
-    deformation restricts to its two stages.
+    Returns a mask whose bit j is set when f deforms to ``targets[j]``:
+    when H on the product of x with the two-point chain, H(., bottom) = f
+    and H(., top) = g, is continuous, where the product carries the
+    box-generated topology: every preimage of an open of y must be the
+    union of the boxes inside it.  This is independent of the pointwise
+    reach criterion used by homotopy.ir_homotopic, and decides the same
+    question as a deformation over the one-way unit interval: a
+    two-stage deformation lifts through the collapse t < 1 -> bottom,
+    t = 1 -> top, and conversely every interval deformation restricts to
+    its two stages.  The boundary conditions pin every product point, so
+    H is the only candidate.
 
-    The boundary conditions pin every product point, so H is the only
-    candidate.
+    The boxes are built once per call.  They are closed under
+    intersection and hold the full set, so each product point lies in a
+    smallest box, the meet of the boxes holding it; a set is the union
+    of the boxes inside it exactly when it holds the smallest box of
+    each of its points.  Only ``open_sets`` of x, y and the chain are
+    read, never their reach relations.
     """
-    if len(f) != x.n or len(g) != x.n:
-        raise ValueError("boundary maps must assign every point of the domain")
-    boxes = box_topology(x, _TWO_POINT_CHAIN)
+    nx, ny = x.n, y.n
+    targets = list(targets)
+    for g in (f, *targets):
+        # a bare map passed as targets would be a list of ints here
+        if not isinstance(g, (tuple, list)):
+            raise TypeError(f"boundary maps must be sequences of points, got {g!r}")
+        if len(g) != nx:
+            raise ValueError("boundary maps must assign every point of the domain")
+        if not all(type(v) is int and 0 <= v < ny for v in g):
+            raise ValueError(f"boundary map {tuple(g)} has values outside the codomain")
     # product point 2p is (p, bottom), 2p + 1 is (p, top)
-    h = [v for p in range(x.n) for v in (f[p], g[p])]
-    for v in y.open_sets:
-        pre = 0
-        for i, hv in enumerate(h):
-            if v >> hv & 1:
-                pre |= 1 << i
-        inside = 0
-        for b in boxes:
-            if b & ~pre == 0:
-                inside |= b
-        if inside != pre:
-            return False
-    return True
+    smallest = [-1] * (2 * nx)
+    for b in box_topology(x, _TWO_POINT_CHAIN):
+        rest = b
+        while rest:
+            low = rest & -rest
+            smallest[low.bit_length() - 1] &= b
+            rest ^= low
+    found = 0
+    for j, g in enumerate(targets):
+        # fibers[q]: the product points H sends to q; boxes[q]: the union
+        # of their smallest boxes
+        fibers = [0] * ny
+        boxes = [0] * ny
+        for p in range(nx):
+            fibers[f[p]] |= 1 << (2 * p)
+            boxes[f[p]] |= smallest[2 * p]
+            fibers[g[p]] |= 1 << (2 * p + 1)
+            boxes[g[p]] |= smallest[2 * p + 1]
+        for v in y.open_sets:
+            pre = need = 0
+            while v:  # each point q of v
+                low = v & -v
+                q = low.bit_length() - 1
+                pre |= fibers[q]
+                need |= boxes[q]
+                v ^= low
+            if need & ~pre:
+                break
+        else:
+            found |= 1 << j
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -519,10 +559,9 @@ def _check_t5(pair):
 def _check_t6(s):
     co = homotopy.ir_co(s)
     identity = tuple(range(s.n))
-    oracle_co = 0
-    for x0 in range(s.n):
-        if chain_homotopy_oracle(s, s, identity, (x0,) * s.n):
-            oracle_co |= 1 << x0
+    constants = [(x0,) * s.n for x0 in range(s.n)]
+    # bit x0 of the mask: the identity deforms to the constant map at x0
+    oracle_co = chain_homotopy_oracle(s, s, identity, constants)
     if oracle_co != co:
         return {
             "space": s,

@@ -232,6 +232,12 @@ class TestRefinement:
         with pytest.raises(NotACover):
             check_refinement(pseudocircle, (0b0100, pseudocircle.full_mask))
 
+    def test_member_outside_the_space(self, sierpinski):
+        with pytest.raises(NotACover):
+            check_refinement(sierpinski, (0b11, 0b100))
+        with pytest.raises(NotACover):
+            check_refinement(sierpinski, (-1,))
+
     def test_all_irredundant_covers_refined(self, spaces_upto4):
         for s in spaces_upto4:
             for cov in irredundant_covers(s):
@@ -254,6 +260,12 @@ class TestMinSubcover:
     def test_not_a_cover(self, sierpinski):
         with pytest.raises(NotACover):
             min_subcover(sierpinski, (0b01,))
+
+    def test_member_outside_the_space(self, sierpinski):
+        with pytest.raises(NotACover):
+            min_subcover(sierpinski, (0b11, 0b100))
+        with pytest.raises(NotACover):
+            min_subcover(sierpinski, (-1,))
 
     def test_never_exceeds_category(self, spaces_upto3):
         for s in spaces_upto3:
@@ -278,23 +290,35 @@ class TestIrredundantCovers:
                     rest = _union(cov[:k] + cov[k + 1 :])
                     assert rest != s.full_mask
 
-    def test_matches_brute_force(self, spaces_upto3):
+    def test_matches_brute_force(self, spaces_upto4):
+        # same covers in the same order: lexicographic in the members'
+        # indices among the nonempty opens
         from itertools import combinations
 
-        for s in spaces_upto3:
+        total = 0
+        for s in spaces_upto4:
             opens = [o for o in s.open_sets if o]
-            expected = set()
-            for r in range(1, len(opens) + 1):
-                for combo in combinations(opens, r):
+            expected = []
+            # each member of an irredundant cover has a private point, so
+            # there are at most n members
+            for r in range(1, s.n + 1):
+                for idx in combinations(range(len(opens)), r):
+                    combo = tuple(opens[i] for i in idx)
                     if _union(combo) != s.full_mask:
                         continue
                     if all(
                         _union(combo[:k] + combo[k + 1 :]) != s.full_mask
                         for k in range(r)
                     ):
-                        expected.add(frozenset(combo))
-            got = {frozenset(c) for c in irredundant_covers(s)}
-            assert got == expected
+                        expected.append(idx)
+            expected.sort()
+            got = list(irredundant_covers(s))
+            assert got == [tuple(opens[i] for i in idx) for idx in expected]
+            total += len(got)
+        assert total == 1200
+
+    def test_empty_space(self):
+        assert list(irredundant_covers(FiniteSpace((), ()))) == [()]
 
 
 class TestDimension:

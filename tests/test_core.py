@@ -179,6 +179,22 @@ class TestOpenSets:
             keys = [(o.bit_count(), o) for o in s.open_sets]
             assert keys == sorted(keys)
 
+    def test_is_open_matches_open_sets(self, spaces_upto3):
+        for s in spaces_upto3:
+            opens = set(s.open_sets)
+            for m in range(1 << s.n):
+                assert s.is_open(m) == (m in opens)
+
+    def test_is_open_false_outside_the_space(self, sierpinski):
+        # bits beyond the space, with or without its own points
+        assert not sierpinski.is_open(0b100)
+        assert not sierpinski.is_open(0b111)
+        assert not FiniteSpace((), ()).is_open(1)
+
+    def test_is_open_false_for_negative_masks(self, sierpinski):
+        for m in (-1, -2, -4, -(1 << 40)):
+            assert not sierpinski.is_open(m)
+
 
 def test_minimal_basis_invariants(spaces_upto3):
     for s in spaces_upto3:

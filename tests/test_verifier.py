@@ -14,6 +14,7 @@ from irtopo import (
     SearchBudgetExceeded,
     UnknownClaim,
     chain_homotopy_oracle,
+    chain_space,
     continuous_maps,
     enumerate_spaces,
     ir_homotopic,
@@ -99,19 +100,63 @@ class TestEnumeration:
 
 class TestOracle:
     def test_identity_to_constant_top(self, sierpinski):
-        assert chain_homotopy_oracle(sierpinski, sierpinski, (0, 1), (1, 1))
+        assert chain_homotopy_oracle(sierpinski, sierpinski, (0, 1), [(1, 1)]) == 0b1
 
     def test_constant_top_to_identity_fails(self, sierpinski):
-        assert not chain_homotopy_oracle(sierpinski, sierpinski, (1, 1), (0, 1))
+        assert chain_homotopy_oracle(sierpinski, sierpinski, (1, 1), [(0, 1)]) == 0
 
     def test_identity_vs_swap_on_discrete(self):
         d2 = discrete(2)
-        assert not chain_homotopy_oracle(d2, d2, (0, 1), (1, 0))
+        assert chain_homotopy_oracle(d2, d2, (0, 1), [(1, 0)]) == 0
 
     def test_equal_maps_always_deform(self, spaces_upto3):
         for s in spaces_upto3:
             ident = tuple(range(s.n))
-            assert chain_homotopy_oracle(s, s, ident, ident)
+            assert chain_homotopy_oracle(s, s, ident, [ident]) == 0b1
+
+    def test_one_bit_per_target(self, sierpinski):
+        # the identity deforms to itself and to the constant at the closed
+        # point 1, not to the constant at 0
+        targets = [(0, 1), (0, 0), (1, 1)]
+        assert chain_homotopy_oracle(sierpinski, sierpinski, (0, 1), targets) == 0b101
+        assert chain_homotopy_oracle(sierpinski, sierpinski, (0, 1), []) == 0
+
+    def test_values_outside_the_codomain(self, sierpinski):
+        for f, g in [((0, 1), (5, 7)), ((0, 2), (0, 1)), ((0, 1), (-1, 0))]:
+            with pytest.raises(ValueError):
+                chain_homotopy_oracle(sierpinski, sierpinski, f, [g])
+
+    def test_target_of_wrong_length(self, sierpinski):
+        with pytest.raises(ValueError):
+            chain_homotopy_oracle(sierpinski, sierpinski, (0, 1), [(1,)])
+        with pytest.raises(ValueError):
+            chain_homotopy_oracle(sierpinski, sierpinski, (0,), [(1, 1)])
+
+    def test_bare_map_as_targets(self, sierpinski):
+        with pytest.raises(TypeError):
+            chain_homotopy_oracle(sierpinski, sierpinski, (0, 1), (1, 1))
+
+    def test_smallest_box_test_matches_box_unions(self, spaces_upto3, sierpinski):
+        # Map a subset S of x times the chain to the open point 0 of the
+        # Sierpinski space and the rest to 1: the only preimage that can
+        # fail is S, so the oracle accepts exactly when S is the union of
+        # the boxes inside it.  One call per bottom row, all top rows as
+        # targets.
+        for x in spaces_upto3:
+            boxes = box_topology(x, chain_space(2))
+            rows = [tuple(0 if r >> p & 1 else 1 for p in range(x.n)) for r in range(1 << x.n)]
+            for bottom, f in enumerate(rows):
+                mask = chain_homotopy_oracle(x, sierpinski, f, rows)
+                for top in range(1 << x.n):
+                    subset = 0
+                    for p in range(x.n):
+                        subset |= (bottom >> p & 1) << (2 * p)
+                        subset |= (top >> p & 1) << (2 * p + 1)
+                    inside = 0
+                    for b in boxes:
+                        if b & ~subset == 0:
+                            inside |= b
+                    assert bool(mask >> top & 1) == (inside == subset)
 
     def test_box_topology_contains_boxes(self, spaces_upto3):
         # the oracle reads the boxes as a basis: they hold the empty and
@@ -129,10 +174,12 @@ class TestOracle:
         for dom in spaces_upto3:
             for cod in spaces_upto3:
                 maps = continuous_maps(dom, cod)
+                targets = [g.assignment for g in maps]
                 for f in maps:
-                    for g in maps:
-                        oracle = chain_homotopy_oracle(dom, cod, f.assignment, g.assignment)
-                        assert ir_homotopic(f, g) == oracle
+                    mask = chain_homotopy_oracle(dom, cod, f.assignment, targets)
+                    assert mask >> len(maps) == 0
+                    for j, g in enumerate(maps):
+                        assert ir_homotopic(f, g) == bool(mask >> j & 1)
 
 
 class TestClaims:
