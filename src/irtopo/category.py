@@ -140,10 +140,12 @@ def check_refinement(space: FiniteSpace, cover: Iterable[int]):
     members = _open_cover(space, cover)
     mapping = []
     for w in ir_cat(space).sets:
-        j = next((j for j, v in enumerate(members) if w & ~v == 0), None)
-        if j is None:
+        for j, v in enumerate(members):
+            if w & ~v == 0:
+                mapping.append(j)
+                break
+        else:
             return False, None
-        mapping.append(j)
     return True, tuple(mapping)
 
 
@@ -159,12 +161,17 @@ def min_subcover(space: FiniteSpace, cover: Iterable[int]) -> tuple[int, ...]:
     members = _open_cover(space, cover)
     chosen: list[int] = []
     for w in ir_cat(space).sets:
-        containers = [v for v in members if w & ~v == 0]
-        if not containers:
+        # the largest container, the smallest mask among equals
+        best = best_size = -1
+        for v in members:
+            if w & ~v == 0:
+                size = v.bit_count()
+                if size > best_size or size == best_size and v < best:
+                    best, best_size = v, size
+        if best_size < 0:
             raise SubcoverNotFound(
                 f"no member of the cover contains {points_of(w)}"
             )
-        best = max(containers, key=lambda v: (v.bit_count(), -v))
         if best not in chosen:
             chosen.append(best)
     return tuple(sorted(chosen, key=canon_key))
@@ -187,6 +194,10 @@ def irredundant_covers(space: FiniteSpace) -> Iterator[tuple[int, ...]]:
     family it completes is irredundant with no further check, and it
     reaches every irredundant cover.  A branch ends as soon as the
     opens left to try cannot cover the rest of the space.
+
+    The depth-first walk runs in one frame over an explicit stack of
+    branches (next open, chosen, union, once); each node pushes its
+    surviving branches in reverse, so the lowest open is explored first.
     """
     opens = [o for o in space.open_sets if o]
     full = space.full_mask
@@ -195,24 +206,33 @@ def irredundant_covers(space: FiniteSpace) -> Iterator[tuple[int, ...]]:
     reach_after = [0] * (count + 1)
     for i in range(count - 1, -1, -1):
         reach_after[i] = reach_after[i + 1] | opens[i]
-
-    def rec(start: int, chosen: tuple[int, ...], union: int, once: int):
-        # once: the points covered by exactly one chosen member
+    # once: the points covered by exactly one chosen member
+    stack = [(0, (), 0, 0)]
+    while stack:
+        start, chosen, union, once = stack.pop()
         if union == full:
             yield chosen
-            return
+            continue
+        branches = []
         for i in range(start, count):
             if union | reach_after[i] != full:
-                return
+                break
             c = opens[i]
             fresh = c & ~union
             if not fresh:
                 continue
-            if once & c and any(d & once & ~c == 0 for d in chosen):
+            rest = once & ~c
+            if once & c:
+                # c must leave every chosen member a private point
+                for d in chosen:
+                    if not d & rest:
+                        break
+                else:
+                    branches.append((i + 1, chosen + (c,), union | c, rest | fresh))
                 continue
-            yield from rec(i + 1, chosen + (c,), union | c, once & ~c | fresh)
-
-    yield from rec(0, (), 0, 0)
+            branches.append((i + 1, chosen + (c,), union | c, rest | fresh))
+        branches.reverse()
+        stack += branches
 
 
 def cover_order(cover: Iterable[int]) -> int:

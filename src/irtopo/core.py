@@ -18,7 +18,7 @@ i.e. row ``x`` is the closure of ``{x}``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
@@ -56,6 +56,10 @@ def mask_of(points: Iterable[int]) -> int:
 
 
 def iter_points(mask: int) -> Iterator[int]:
+    """The points of ``mask`` in ascending order; ValueError on a negative
+    mask, which names no finite point set."""
+    if mask < 0:
+        raise ValueError(f"negative mask {mask} is not a point set")
     i = 0
     while mask:
         if mask & 1:
@@ -85,10 +89,18 @@ class FiniteSpace:
 
     labels: tuple[str, ...]
     reach_rows: tuple[int, ...]
+    # Set once in __post_init__: the per-cover checks read them on every
+    # call, and a cached_property (locked on first access before Python
+    # 3.12) costs more on the many spaces that are read only a few times.
+    n: int = field(init=False, repr=False)
+    full_mask: int = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if len(self.labels) != len(self.reach_rows):
+        n = len(self.labels)
+        if n != len(self.reach_rows):
             raise ValueError("labels and reach rows must have the same length")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "full_mask", (1 << n) - 1)
 
     def __eq__(self, other: object):
         if not isinstance(other, FiniteSpace):
@@ -100,14 +112,6 @@ class FiniteSpace:
 
     def __repr__(self) -> str:
         return f"FiniteSpace(n={self.n}, reach_rows={self.reach_rows!r})"
-
-    @property
-    def n(self) -> int:
-        return len(self.labels)
-
-    @property
-    def full_mask(self) -> int:
-        return (1 << self.n) - 1
 
     def reach(self, x: int, y: int) -> bool:
         """True when y lies in the closure of {x}."""
@@ -160,6 +164,8 @@ class FiniteSpace:
         """The points reachable from every point of ``aset``: the
         intersection of their closures, the whole space when ``aset`` is
         empty."""
+        if aset < 0:
+            raise ValueError(f"negative mask {aset} is not a point set")
         out = self.full_mask
         rows = self.reach_rows
         while aset:  # each point x of aset, lowest first

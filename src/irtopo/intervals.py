@@ -35,6 +35,8 @@ class ArityMismatch(IrtopoError):
 
 
 def as_fraction(v) -> Fraction:
+    if type(v) is Fraction:  # immutable, so no copy is needed
+        return v
     if isinstance(v, (bool, float)):  # JSON true/false would read as 1 and 0
         raise TypeError(
             f"{type(v).__name__}s are not accepted; pass a Fraction or a 'p/q' string"

@@ -783,10 +783,10 @@ def _check_l2_literal(s):
 
 
 def _check_l2_subcover(s):
-    covers = list(category.irredundant_covers(s))
     padded, rep = _padded_cover(s)
+    covers = category.irredundant_covers(s)
     if padded is not None:
-        covers.append(padded)
+        covers = itertools.chain(covers, (padded,))
     for cov in covers:
         try:
             sub = category.min_subcover(s, cov)

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from irtopo import (
@@ -253,6 +255,13 @@ class TestMinSubcover:
         d2 = discrete(2)
         assert min_subcover(d2, (0b01, 0b10, 0b11)) == (0b11,)
 
+    def test_ties_go_to_the_smallest_mask(self):
+        # each singleton of the discrete 3-point space has two containers
+        # of size 2; the smaller mask wins, whatever the member order
+        d3 = discrete(3)
+        for cover in ((0b011, 0b101, 0b110), (0b110, 0b101, 0b011)):
+            assert min_subcover(d3, cover) == (0b011, 0b101)
+
     def test_already_minimal_is_fixed(self, pseudocircle):
         rep = ir_cat(pseudocircle)
         assert min_subcover(pseudocircle, rep.sets) == rep.sets
@@ -319,6 +328,26 @@ class TestIrredundantCovers:
 
     def test_empty_space(self):
         assert list(irredundant_covers(FiniteSpace((), ()))) == [()]
+
+    def test_sequence_pinned_to_five_points(self):
+        # per point count: the number of covers over all labelled spaces,
+        # and the sha256 of their reprs in enumeration order; the
+        # brute-force order check above stops at four points
+        pinned = {
+            1: (1, "28cb03b06c288e88c6a880eeba293bf9c9bb9fa586128586459a486a511f832f"),
+            2: (5, "7f5f72c7a1e2e7ae4aa1af60b24005f80edee16a74f1fbfaa5dfde1411d316b8"),
+            3: (54, "62d661f10da7ea51b5d8ceaf24e7e88b5efa00e250de96d4d6da6df31a09159f"),
+            4: (1140, "ea05bb33bde566862b86abef44cb51d1e767b10cbcf7fc9883a156f01f598eea"),
+            5: (43808, "686d75a67e24cf2a8d27d6736b55225355ed36680f45208d59cf03c6472e4c2e"),
+        }
+        for n, (count, digest) in pinned.items():
+            h = hashlib.sha256()
+            got = 0
+            for s in enumerate_spaces(n):
+                for cov in irredundant_covers(s):
+                    h.update(repr(cov).encode())
+                    got += 1
+            assert (got, h.hexdigest()) == (count, digest), n
 
 
 class TestDimension:

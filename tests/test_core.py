@@ -1,4 +1,5 @@
 import ast
+import pickle
 import re
 
 import pytest
@@ -50,6 +51,52 @@ def test_mask_helpers_roundtrip():
     assert points_of(mask_of([0, 2, 5])) == (0, 2, 5)
     assert mask_of([]) == 0
     assert points_of(0) == ()
+
+
+@pytest.mark.parametrize(
+    "query",
+    [
+        points_of,
+        lambda m: FiniteSpace(("a", "b"), (3, 2)).labels_of(m),
+        lambda m: FiniteSpace(("a", "b"), (3, 2)).closure(m),
+        lambda m: FiniteSpace(("a", "b"), (3, 2)).interior(m),
+        lambda m: FiniteSpace(("a", "b"), (3, 2)).common_reach(m),
+    ],
+    ids=["points_of", "labels_of", "closure", "interior", "common_reach"],
+)
+@pytest.mark.parametrize("mask", [-1, -4])
+def test_negative_masks_rejected(query, mask):
+    # a negative mask has infinitely many set bits, so a bit walk over it
+    # would never end
+    with pytest.raises(ValueError, match="negative mask"):
+        query(mask)
+
+
+class TestStoredSize:
+    """``n`` and ``full_mask`` are stored on the instance at construction."""
+
+    def test_empty_space(self):
+        empty = FiniteSpace((), ())
+        assert empty.n == 0 and empty.full_mask == 0
+
+    def test_not_constructor_arguments(self):
+        with pytest.raises(TypeError):
+            FiniteSpace(("a",), (1,), n=1)
+        with pytest.raises(AttributeError):
+            FiniteSpace(("a",), (1,)).n = 2
+
+    def test_equality_and_hash_read_only_reach(self):
+        # spaces of any size compare by reach rows alone
+        assert FiniteSpace((), ()) == FiniteSpace((), ())
+        assert FiniteSpace(("a",), (1,)) != FiniteSpace(("a", "b"), (1, 2))
+        assert hash(FiniteSpace(("a",), (1,))) == hash(FiniteSpace(("z",), (1,)))
+
+    def test_pickle_round_trip(self, pseudocircle):
+        # pool workers receive spaces pickled, stored attributes included
+        again = pickle.loads(pickle.dumps(pseudocircle))
+        assert again == pseudocircle and hash(again) == hash(pseudocircle)
+        assert again.labels == pseudocircle.labels
+        assert again.n == 4 and again.full_mask == 0b1111
 
 
 class TestFromOpenSets:

@@ -228,6 +228,14 @@ class TestTheorem10:
 
 def test_as_fraction_and_format():
     assert as_fraction("2/4") == Fraction(1, 2)
+    half = Fraction(1, 2)
+    assert as_fraction(half) is half  # immutable, so returned as is
+
+    class Tagged(Fraction):
+        pass
+
+    copied = as_fraction(Tagged(1, 3))
+    assert type(copied) is Fraction and copied == Fraction(1, 3)
     assert format_fraction(Fraction(1, 2)) == "1/2"
     assert format_fraction(Fraction(3)) == "3/1"
     assert format_fraction(Fraction(0)) == "0/1"
