@@ -53,9 +53,13 @@ def format_fraction(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
+_ZERO = Fraction(0)
+
+
 def _unit(v, name: str) -> Fraction:
     f = as_fraction(v)
-    if not 0 <= f <= 1:
+    # a Fraction's denominator is always positive
+    if not 0 <= f.numerator <= f.denominator:
         raise OutOfRange(f"{name} must lie in [0, 1], got {f}")
     return f
 
@@ -69,7 +73,7 @@ def d_ir(x, y) -> Fraction:
     """
     x = _unit(x, "x")
     y = _unit(y, "y")
-    return max(y - x, Fraction(0))
+    return y - x if y > x else _ZERO
 
 
 @dataclass(frozen=True)

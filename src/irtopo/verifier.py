@@ -37,9 +37,12 @@ Reports are deterministic given (claim, size limits, seed) and
 independent of the worker count: instances are indexed before sharding,
 each shard returns its first counterexamples and they merge by index.
 Timing is kept out of the JSON form so reports compare byte for byte.
-A suite run with several workers starts one process pool and runs its
-claims through it one after another, so the workers keep their caches
-(``_preorders``, ``category._ir_cat_cached``) from claim to claim.
+Swept spaces are built once per process (``_space_table``) and shared
+by every claim and pair, so each space computes its ``min_opens`` and
+``open_sets`` once.  A suite run with several workers starts one
+process pool and runs its claims through it one after another, so each
+worker builds its own table on first use and keeps its caches
+(``_space_table``, ``category._ir_cat_cached``) from claim to claim.
 """
 
 from __future__ import annotations
@@ -118,16 +121,26 @@ def _preorders(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _space_table(n: int) -> tuple[FiniteSpace, ...]:
+    """The spaces of ``_preorders(n)``, built once per process."""
+    labels = tuple(str(i) for i in range(n))
+    return tuple(FiniteSpace(labels, rows) for rows in _preorders(n))
+
+
 def enumerate_spaces(n: int) -> Iterator[FiniteSpace]:
     """Every finite space on exactly n labelled points, once, in canonical
-    order (ascending reach-row tuples)."""
+    order (ascending reach-row tuples).
+
+    Every call yields the same objects: the spaces are built once per
+    process, so their cached ``min_opens`` and ``open_sets`` are computed
+    once and shared by every claim and pair that sweeps them.
+    """
     if not 1 <= n <= MAX_ENUM_POINTS:
         raise SearchBudgetExceeded(
             f"enumeration supports 1..{MAX_ENUM_POINTS} points, got {n}"
         )
-    labels = tuple(str(i) for i in range(n))
-    for rows in _preorders(n):
-        yield FiniteSpace(labels, rows)
+    yield from _space_table(n)
 
 
 def topologies_by_open_families(n: int) -> set[tuple[int, ...]]:
@@ -443,17 +456,15 @@ def _t10_batches(n_max: int, pair_max: int, seed: int) -> list:
     return batches
 
 
-def _p1_instances(n_max: int, pair_max: int, seed: int) -> list:
+def _p1_instances(n_max: int, pair_max: int, seed: int) -> Iterator[tuple]:
     rng = random.Random(seed)
 
     def unit():
         den = rng.randint(1, 50)
         return Fraction(rng.randint(0, den), den)
 
-    return [
-        (unit(), unit(), unit(), Fraction(rng.randint(1, 50), 50))
-        for _ in range(10000)
-    ]
+    for _ in range(10000):
+        yield unit(), unit(), unit(), Fraction(rng.randint(1, 50), 50)
 
 
 def _p2_instances(n_max: int, pair_max: int, seed: int) -> list:

@@ -47,6 +47,48 @@ class TestDistance:
         assert d_ir("1/5", "1/2") == Fraction(3, 10)
 
 
+def _unit_by_comparison(v, name):
+    # the reference form of intervals._unit: compares the Fraction to ints
+    f = as_fraction(v)
+    if not 0 <= f <= 1:
+        raise OutOfRange(f"{name} must lie in [0, 1], got {f}")
+    return f
+
+
+def _d_ir_by_max(x, y):
+    x = _unit_by_comparison(x, "x")
+    y = _unit_by_comparison(y, "y")
+    return max(y - x, Fraction(0))
+
+
+_BIG = 10**40
+EDGE_VALUES = [
+    Fraction(0, 1), Fraction(1, 1), Fraction(-1, 3), Fraction(4, 3), Fraction(1, 2),
+    Fraction(_BIG - 1, _BIG), Fraction(_BIG + 1, _BIG), Fraction(-_BIG, 7), Fraction(_BIG, 3),
+    0, 1, 2, -1, _BIG,
+    "0/1", "1/1", "1/2", "-1/3", "4/3", f"{_BIG - 1}/{_BIG}", "1/0", "half",
+]
+
+
+def _outcome(fn, *args):
+    try:
+        value = fn(*args)
+    except Exception as exc:
+        return "raised", type(exc), str(exc)
+    return "returned", type(value), value
+
+
+@pytest.mark.parametrize("v", EDGE_VALUES, ids=repr)
+def test_unit_matches_the_comparison_form(v):
+    assert _outcome(intervals._unit, v, "x") == _outcome(_unit_by_comparison, v, "x")
+
+
+def test_d_ir_matches_the_max_form():
+    for x in EDGE_VALUES:
+        for y in EDGE_VALUES:
+            assert _outcome(d_ir, x, y) == _outcome(_d_ir_by_max, x, y), (x, y)
+
+
 units = st.fractions(min_value=0, max_value=1, max_denominator=200)
 
 

@@ -90,6 +90,13 @@ class TestEnumeration:
         with pytest.raises(SearchBudgetExceeded):
             list(enumerate_spaces(0))
 
+    def test_every_call_yields_the_same_spaces(self):
+        # built once per process, so cached properties are shared
+        for n in range(1, 6):
+            first, again = list(enumerate_spaces(n)), list(enumerate_spaces(n))
+            assert len(first) == len(again)
+            assert all(a is b for a, b in zip(first, again))
+
     def test_matches_open_family_enumeration(self):
         for n in range(1, 4):
             families = topologies_by_open_families(n)
@@ -335,6 +342,20 @@ class TestSuite:
         with pytest.raises(ValueError, match="check failed on purpose"):
             run_suite(n_max=2, jobs=2)
         assert multiprocessing.active_children() == []
+
+    def test_suite_fills_the_shared_spaces_and_workers_agree(self, monkeypatch):
+        from irtopo import verifier
+
+        seq = run_suite(n_max=4)
+        for n in range(1, 5):
+            for s in enumerate_spaces(n):
+                assert {"min_opens", "open_sets"} <= vars(s).keys(), s
+        monkeypatch.setattr(verifier, "_usable_cpus", lambda: 2)
+        par = run_suite(n_max=4, jobs=2)
+        assert multiprocessing.active_children() == []
+        assert dumps_canonical(suite_to_jsonable(par, 4, None, 0)) == dumps_canonical(
+            suite_to_jsonable(seq, 4, None, 0)
+        )
 
     def test_report_pinned(self):
         # the full seed-0 report at 4 points and 3-point pairs, byte for byte
