@@ -21,12 +21,13 @@ import functools
 import sys
 
 from . import category, homotopy, intervals, spaceio, spectra, verifier
-from .core import FiniteSpace, IrtopoError, SearchBudgetExceeded
+from .core import FiniteSpace, IrtopoError
 
-# Covering dimension is polynomial, yet `analyze` prints "dim": null and
-# `dim` exits 2 above this many points.  The limit stays because the
-# perfbench space_queries stream runs `analyze` on inputs of up to 24
-# points, and its digests (perfbench/expected.json) pin that output.
+# Covering dimension is polynomial and `dim` answers at any size, yet
+# `analyze` prints "dim": null above this many points.  The limit stays
+# because the perfbench space_queries stream runs `analyze` on inputs of
+# up to 24 points, and its digests (perfbench/expected.json) pin that
+# output.
 DIM_POINT_LIMIT = 5
 
 
@@ -198,10 +199,6 @@ def _cmd_cat(args):
 
 def _cmd_dim(args):
     space = spaceio.load_space(args.space)
-    if space.n > DIM_POINT_LIMIT:
-        raise SearchBudgetExceeded(
-            f"dimension search limited to {DIM_POINT_LIMIT} points, space has {space.n}"
-        )
     rep = category.covering_dimension(space)
     worst, best = rep.worst_cover, rep.refinement
 
@@ -261,7 +258,6 @@ def _cmd_interval_ball(args):
             "ball": str(b),
             "hi": intervals.format_fraction(b.hi),
             "whole_space": b.whole_space,
-            "clipped": b.whole_space,
         }
 
     return 0, payload, lambda: [str(b)]

@@ -93,9 +93,9 @@ def spec_from_poset(labels: Iterable[str], leq: Iterable[tuple[int, int]]) -> Fi
 def check_theorem8(space: FiniteSpace) -> tuple[bool, CoverReport]:
     """Covering category of a spectrum equals its number of maximal ideals.
 
-    Returns the verdict together with the optimal cover found; the
-    expected optimal covers are the complements of "all other maximal
-    ideals", one per maximal ideal.
+    Returns the verdict together with the optimal cover found: the
+    minimal neighbourhoods U_m (the down-sets) of the maximal ideals m,
+    one member per maximal ideal.
     """
     rep = ir_cat(space)
     return rep.size == space.closed_points().bit_count(), rep

@@ -68,7 +68,6 @@ from .core import (
     iter_points,
     points_of,
     product,
-    transpose,
 )
 
 MAX_ENUM_POINTS = 5
@@ -87,14 +86,17 @@ class UnknownClaim(IrtopoError):
 
 
 @lru_cache(maxsize=None)
-def _preorders(n: int) -> tuple[tuple[int, ...], ...]:
-    """All reflexive-transitive relations on n points, sorted by row tuples."""
+def _space_table(n: int) -> tuple[FiniteSpace, ...]:
+    """Every space on n labelled points, sorted by reach-row tuples and
+    built once per process: each extends a space of ``_space_table(n - 1)``
+    by a last point, with the rows it may reach and be reached from."""
+    labels = tuple(str(i) for i in range(n))
     if n == 1:
-        return ((1,),)
+        return (FiniteSpace(labels, (1,)),)
     out = []
     bit_p = 1 << (n - 1)
-    for parent in _preorders(n - 1):
-        cols = transpose(parent)
+    for space in _space_table(n - 1):
+        parent, cols = space.reach_rows, space.min_opens
         ins = [
             m
             for m in range(1 << (n - 1))
@@ -118,14 +120,7 @@ def _preorders(n: int) -> tuple[tuple[int, ...], ...]:
                 ) + (outgoing | bit_p,)
                 out.append(rows)
     out.sort()
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _space_table(n: int) -> tuple[FiniteSpace, ...]:
-    """The spaces of ``_preorders(n)``, built once per process."""
-    labels = tuple(str(i) for i in range(n))
-    return tuple(FiniteSpace(labels, rows) for rows in _preorders(n))
+    return tuple(FiniteSpace(labels, rows) for rows in out)
 
 
 def enumerate_spaces(n: int) -> Iterator[FiniteSpace]:
@@ -428,7 +423,7 @@ def _t1_instances(n_max: int, pair_max: int, seed: int) -> list:
 
 def _t8_instances(n_max: int, pair_max: int, seed: int) -> Iterator[tuple]:
     for s in _spaces_upto(n_max):
-        if s.is_t0():
+        if s.is_t0():  # the spectrum of its poset of points, as it stands
             yield "poset", s
     for m in range(2, _T8_MODULUS_LIMIT + 1):
         yield "zn", m
@@ -503,19 +498,20 @@ def _check_t1(inst):
     return None
 
 
+def _pair_payload(s: FiniteSpace, x: int, y: int, **extra) -> dict:
+    """A counterexample at the points x and y of s, with extra fields."""
+    return {"space": s, "from": s.labels[x], "to": s.labels[y], **extra}
+
+
 def _check_t2(s):
     for x in range(s.n):
         cl = _closure_via_opens(s, x)
         for y in range(s.n):
             has_path = homotopy.ir_path(s, x, y) is not None
             if has_path != bool(cl >> y & 1):
-                return {
-                    "space": s,
-                    "from": s.labels[x],
-                    "to": s.labels[y],
-                    "path_exists": has_path,
-                    "in_closure": bool(cl >> y & 1),
-                }
+                return _pair_payload(
+                    s, x, y, path_exists=has_path, in_closure=bool(cl >> y & 1)
+                )
     return None
 
 
@@ -528,11 +524,7 @@ def _check_t3(s):
                 continue
             image = (1 << path.source) | (1 << path.target)
             if image & ~cl:
-                return {
-                    "space": s,
-                    "from": s.labels[x],
-                    "to": s.labels[y],
-                }
+                return _pair_payload(s, x, y)
     return None
 
 
@@ -542,11 +534,7 @@ def _check_t4(s):
     for x in range(s.n):
         for y in range(s.n):
             if x != y and homotopy.ir_path(s, x, y) is not None:
-                return {
-                    "space": s,
-                    "from": s.labels[x],
-                    "to": s.labels[y],
-                }
+                return _pair_payload(s, x, y)
     return None
 
 
@@ -597,10 +585,7 @@ def _check_t7(pair):
 
 def _check_t8(inst):
     kind, payload = inst
-    if kind == "poset":
-        sp = spectra.spec_from_poset(payload.labels, payload.reach_pairs())
-    else:
-        sp = spectra.spec_zn(payload)
+    sp = payload if kind == "poset" else spectra.spec_zn(payload)
     ok, rep = spectra.check_theorem8(sp)
     if not ok:
         return {
@@ -645,11 +630,7 @@ def _check_t11(s):
     for x in range(s.n):
         for y in range(s.n):
             if x != y and s.reach(x, y) and s.reach(y, x):
-                return {
-                    "space": s,
-                    "from": s.labels[x],
-                    "to": s.labels[y],
-                }
+                return _pair_payload(s, x, y)
     return None
 
 
@@ -722,7 +703,7 @@ def _check_p1(inst):
     if b.whole_space:
         if x + eps <= 1:
             return {"axiom": "ball-clip", "x": fmt(x), "eps": fmt(eps)}
-    elif fmt(b.hi) != fmt(x + eps):
+    elif b.hi != x + eps:
         return {"axiom": "ball-endpoint", "x": fmt(x), "eps": fmt(eps)}
     return None
 
@@ -762,9 +743,13 @@ def _check_p4(s):
 
 
 def _check_l1(s):
+    optimal = category.ir_cat(s).sets
     for cov in category.irredundant_covers(s):
-        ok, _mapping = category.check_refinement(s, cov)
-        if not ok:
+        ok, mapping = category.check_refinement(s, cov)
+        # optimal member i must lie in cover member mapping[i]
+        if not ok or len(mapping) != len(optimal) or not all(
+            0 <= j < len(cov) and w & ~cov[j] == 0 for w, j in zip(optimal, mapping)
+        ):
             return {
                 "space": s,
                 "cover": spaceio.cover_labels(s, cov),
@@ -806,7 +791,10 @@ def _check_l2_subcover(s):
                 "space": s,
                 "cover": spaceio.cover_labels(s, cov),
             }
-        if len(sub) > rep.size:
+        union = 0
+        for v in sub:
+            union |= v
+        if len(sub) > rep.size or not set(sub).issubset(cov) or union != s.full_mask:
             return {
                 "space": s,
                 "cover": spaceio.cover_labels(s, cov),
@@ -846,9 +834,7 @@ def _check_c6(s):
     maximal = s.closed_points()
     if maximal.bit_count() != 1:
         return None
-    sp = spectra.spec_from_poset(s.labels, s.reach_pairs())
-    rep = category.ir_cat(sp)
-    if rep.size != 1 or homotopy.ir_co(sp) != maximal:
+    if category.ir_cat(s).size != 1 or homotopy.ir_co(s) != maximal:
         return {"space": s}
     return None
 

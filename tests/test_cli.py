@@ -149,10 +149,28 @@ def test_budget_points_flag_is_gone(sierp_file, command):
 
 
 def test_no_dimension_above_five_points(tmp_path, capsys):
+    # `dim` answers at any size with the closed form: the maximal minimal
+    # neighbourhoods are both the worst cover and its best refinement;
+    # `analyze` still prints no dimension above five points
     path = tmp_path / "d6.json"
     path.write_text(json.dumps({"labels": [str(i) for i in range(6)], "reach": []}))
-    assert main(["dim", str(path)]) == 2
-    assert "limited to 5 points, space has 6" in capsys.readouterr().err
+    assert main(["dim", str(path), "--format", "json"]) == 0
+    singletons = [[str(i)] for i in range(6)]
+    assert json.loads(capsys.readouterr().out) == {
+        "dim": 0, "worst_cover": singletons, "refinement": singletons,
+    }
+    fence = tmp_path / "fence.json"
+    # the even points lie below their odd neighbours, the 20 maximal points
+    reach = [[x, y] for x in range(0, 40, 2) for y in (x - 1, x + 1) if 0 <= y < 40]
+    fence.write_text(json.dumps({"labels": [f"p{i}" for i in range(40)], "reach": reach}))
+    assert main(["dim", str(fence), "--format", "json"]) == 0
+    # in canonical order: the smaller {p38, p39} first
+    neighbourhoods = sorted(
+        ([f"p{x}" for x in (y - 1, y, y + 1) if x < 40] for y in range(1, 40, 2)), key=len
+    )
+    assert json.loads(capsys.readouterr().out) == {
+        "dim": 1, "worst_cover": neighbourhoods, "refinement": neighbourhoods,
+    }
     assert main(["analyze", str(path), "--format", "json"]) == 0
     out = capsys.readouterr().out
     assert '"dim": null' in out
@@ -186,10 +204,11 @@ def test_interval_commands(capsys):
     assert capsys.readouterr().out.strip() == "3/10"
     assert main(["interval", "ball", "--x", "3/10", "--eps", "1/5"]) == 0
     assert capsys.readouterr().out.strip() == "[0/1, 1/2)"
-    for x, clipped in (("3/10", False), ("9/10", True)):
+    for x, whole in (("3/10", False), ("9/10", True)):
         assert main(["interval", "ball", "--x", x, "--eps", "1/5", "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["clipped"] is payload["whole_space"] is clipped
+        assert "clipped" not in payload
+        assert payload["whole_space"] is whole
     assert main(["interval", "dist", "--x", "5/2", "--y", "1/2"]) == 2
 
 

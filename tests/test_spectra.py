@@ -120,6 +120,26 @@ class TestTheorem8:
             ok, _ = check_theorem8(spec_from_poset(s.labels, s.reach_pairs()))
             assert ok
 
+    def test_optimal_cover_is_the_neighbourhoods_of_the_maximal_ideals(self, spaces_upto4):
+        # not the complements of the other maximal ideals: for a < M1,
+        # c < M2 the cover is {a, M1}, {c, M2}, while the complement of
+        # {M2} is {a, c, M1}
+        s = spec_from_poset(["a", "M1", "c", "M2"], [(0, 1), (2, 3)])
+        assert check_theorem8(s)[1].sets == (0b0011, 0b1100)
+        for s in spaces_upto4:
+            if s.is_t0():
+                _, rep = check_theorem8(s)
+                maximal = points_of(s.closed_points())
+                assert sorted(rep.sets) == sorted(s.min_opens[m] for m in maximal)
+
+    def test_swept_posets_are_their_own_spectra(self):
+        # the verifier sweeps T0 spaces as spectra without rebuilding them
+        posets = [s for n in range(1, 6) for s in enumerate_spaces(n) if s.is_t0()]
+        assert len(posets) == 4473
+        for s in posets:
+            sp = spec_from_poset(s.labels, s.reach_pairs())
+            assert (sp.labels, sp.reach_rows) == (s.labels, s.reach_rows)
+
 
 class TestSpecInvariants:
     def _posets(self):

@@ -12,6 +12,7 @@ import pytest
 
 from irtopo import (
     SearchBudgetExceeded,
+    category,
     UnknownClaim,
     chain_homotopy_oracle,
     chain_space,
@@ -217,6 +218,23 @@ class TestClaims:
         assert report.counterexample_count > 0
         first = report.counterexamples[0]
         assert len(first["padded_cover"]) == first["cat"] + 1
+
+    @pytest.mark.parametrize(
+        "helper, mutant",
+        [
+            ("check_refinement", lambda s, cov: (True, ())),
+            ("check_refinement", lambda s, cov: (True, (0,) * len(category.ir_cat(s).sets))),
+            ("min_subcover", lambda s, cov: ()),
+            ("min_subcover", lambda s, cov: (s.full_mask,)),
+        ],
+        ids=["no-mapping", "wrong-mapping", "empty-subcover", "foreign-subcover"],
+    )
+    def test_cover_claims_check_their_helpers(self, monkeypatch, helper, mutant):
+        # L1 and L2_subcover check what the helpers return, not only their shape
+        claim = "L1" if helper == "check_refinement" else "L2_subcover"
+        assert run_claim(claim, n_max=3).passed
+        monkeypatch.setattr(category, helper, mutant)
+        assert not run_claim(claim, n_max=3).passed
 
     def test_only_reported_counterexamples_write_out_spaces(self, monkeypatch):
         from irtopo import spaceio
