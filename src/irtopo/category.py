@@ -192,8 +192,7 @@ def irredundant_covers(space: FiniteSpace) -> Iterator[tuple[int, ...]]:
     points.  The search therefore takes a member only when it brings a
     new point and leaves every chosen member a private point; each
     family it completes is irredundant with no further check, and it
-    reaches every irredundant cover.  A branch ends as soon as the
-    opens left to try cannot cover the rest of the space.
+    reaches every irredundant cover.
 
     The depth-first walk runs in one frame over an explicit stack of
     branches (next open, chosen, union, once); each node pushes its
@@ -202,10 +201,6 @@ def irredundant_covers(space: FiniteSpace) -> Iterator[tuple[int, ...]]:
     opens = [o for o in space.open_sets if o]
     full = space.full_mask
     count = len(opens)
-    # reach_after[i]: the union of opens[i:]
-    reach_after = [0] * (count + 1)
-    for i in range(count - 1, -1, -1):
-        reach_after[i] = reach_after[i + 1] | opens[i]
     # once: the points covered by exactly one chosen member
     stack = [(0, (), 0, 0)]
     while stack:
@@ -215,8 +210,6 @@ def irredundant_covers(space: FiniteSpace) -> Iterator[tuple[int, ...]]:
             continue
         branches = []
         for i in range(start, count):
-            if union | reach_after[i] != full:
-                break
             c = opens[i]
             fresh = c & ~union
             if not fresh:

@@ -21,6 +21,7 @@ non-reflexive contained-in pairs.  Grid format: {"points": [["1/2",
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _quote
 
 from .core import FiniteSpace, IrtopoError, from_open_sets, from_pairs, points_of
 from .intervals import as_fraction
@@ -145,5 +146,64 @@ def cover_labels(space: FiniteSpace, masks) -> list[list[str]]:
 
 
 def dumps_canonical(obj) -> str:
-    """Deterministic JSON text: sorted keys, fixed layout, trailing newline."""
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """Deterministic JSON text: sorted keys, fixed layout, trailing newline.
+
+    The text equals ``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``
+    byte for byte.  With an indent the stdlib encodes in pure Python, so
+    this writer builds the same layout itself: strings go through the C
+    string encoder and each list of plain ints is one join.  It takes
+    dicts with str keys, lists, tuples, str, int, bool and None; anything
+    else raises TypeError.
+    """
+    out: list[str] = []
+    _write(obj, out, "\n")
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(obj, out: list[str], nl: str) -> None:
+    """Append the JSON text of ``obj`` to ``out``; ``nl`` is a newline and
+    the indent of the line ``obj`` starts on."""
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        sep = "," + inner
+        if set(map(type, obj)) == _INTS:
+            out += ("[", inner, sep.join(map(int.__repr__, obj)), nl, "]")
+        else:
+            lead = "[" + inner
+            for item in obj:
+                out.append(lead)
+                lead = sep
+                _write(item, out, inner)
+            out += (nl, "]")
+    elif isinstance(obj, str):
+        out.append(_quote(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        lead = "{" + inner
+        for key in sorted(obj):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out += (lead, _quote(key), ": ")
+            lead = "," + inner
+            _write(obj[key], out, inner)
+        out += (nl, "}")
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+_INTS = {int}

@@ -657,12 +657,14 @@ def _check_t13(s):
 
 
 def _equivalence_counterexample(pair, violation):
-    """A payload when the pair (a, b) is equivalent and ``violation(a, b)``
-    returns one (extra payload fields), else None."""
+    """A payload when ``violation(a, b)`` returns one (extra payload
+    fields) and the pair (a, b) is equivalent, else None.  Both tests are
+    pure, so the cheap violation runs first and the equivalence search
+    only when it fires."""
     a, b = pair
-    eq = homotopy.ir_homotopy_equivalent(a, b)
-    extra = None if eq is None else violation(a, b)
-    if extra is None:
+    extra = violation(a, b)
+    eq = None if extra is None else homotopy.ir_homotopy_equivalent(a, b)
+    if eq is None:
         return None
     f, g = eq
     return {

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from irtopo import from_reach
+from irtopo.cli import main
 from irtopo.spaceio import (
     ParseError,
+    dumps_canonical,
     grid_points_from_dict,
     poset_from_dict,
     space_from_dict,
@@ -123,3 +125,60 @@ def test_round_trip(space):
     back = space_from_dict(space_to_dict(space))
     assert back.reach_rows == space.reach_rows
     assert back.labels == space.labels
+
+
+def _stdlib_canonical(obj) -> str:
+    """The reference layout that dumps_canonical must reproduce."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+_TEXT = st.text(
+    st.sampled_from(['"', "\\", "\n", "\x00", "\x1f", "\x7f", "/", "é", "☃", "𝄞"])
+    | st.characters(),
+    max_size=8,
+)
+_INT = st.integers() | st.sampled_from([0, -1, 2**63, -(10**40), 10**100])
+_JSON = st.recursive(
+    st.none() | st.booleans() | _INT | _TEXT | st.lists(_INT) | st.lists(_TEXT),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.lists(_INT | st.booleans(), max_size=4)
+    | st.dictionaries(_TEXT, inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON)
+def test_dumps_canonical_matches_the_stdlib(value):
+    assert dumps_canonical(value) == _stdlib_canonical(value)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [[], {}, (), [[]], [{}], {"a": []}, {"a": {"b": ()}}, [True, 1, False, 0, None],
+     [1, 2, True], ["a", "b", 1], [[0, 1], [], [2]], {"": "", "\x00": ["\\", '"']}],
+)
+def test_dumps_canonical_edge_values(value):
+    assert dumps_canonical(value) == _stdlib_canonical(value)
+
+
+@pytest.mark.parametrize(
+    "value, kind",
+    [(1.5, "float"), ({1, 2}, "set"), (object(), "object"), ([0, {"a": 0.0}], "float"),
+     ({1: "a"}, "int")],
+)
+def test_dumps_canonical_rejects_other_types(value, kind):
+    with pytest.raises(TypeError, match=kind):
+        dumps_canonical(value)
+
+
+def test_analyze_output_matches_the_stdlib(tmp_path, capsys):
+    """`analyze` on a 12-point discrete space lists 4096 opens."""
+    path = tmp_path / "discrete12.json"
+    path.write_text(json.dumps({"labels": [f"p{i}" for i in range(12)], "reach": []}))
+    assert main(["analyze", str(path), "--format", "json"]) == 0
+    text = capsys.readouterr().out
+    doc = json.loads(text)
+    assert len(doc["space"]["opens"]) == 4096
+    assert text == _stdlib_canonical(doc)

@@ -236,6 +236,37 @@ class TestClaims:
         monkeypatch.setattr(category, helper, mutant)
         assert not run_claim(claim, n_max=3).passed
 
+    def test_equivalence_search_runs_only_when_the_violation_fires(self, monkeypatch):
+        # T14 and T15 test their cheap violation first; a payload still
+        # carries the maps that the equivalence search found
+        from irtopo import homotopy, verifier
+
+        pairs = [(a, b) for n in (1, 2) for a in enumerate_spaces(n) for b in enumerate_spaces(n)]
+        equivalent = 0
+        for a, b in pairs:
+            payload = verifier._equivalence_counterexample((a, b), lambda a, b: {"mark": 1})
+            eq = homotopy.ir_homotopy_equivalent(a, b)
+            if eq is None:
+                assert payload is None
+                continue
+            equivalent += 1
+            f, g = eq
+            assert payload == {
+                "left": a,
+                "right": b,
+                "f": list(f.assignment),
+                "g": list(g.assignment),
+                "mark": 1,
+            }
+        assert 0 < equivalent < len(pairs)
+
+        def no_search(a, b):
+            raise AssertionError("equivalence searched for a pair with no violation")
+
+        monkeypatch.setattr(homotopy, "ir_homotopy_equivalent", no_search)
+        for pair in pairs:
+            assert verifier._equivalence_counterexample(pair, lambda a, b: None) is None
+
     def test_only_reported_counterexamples_write_out_spaces(self, monkeypatch):
         from irtopo import spaceio
 
@@ -377,9 +408,9 @@ class TestSuite:
 
     def test_report_pinned(self):
         # the full seed-0 report at 4 points and 3-point pairs, byte for byte
-        text = dumps_canonical(
-            suite_to_jsonable(run_suite(n_max=4, pair_max=3, seed=0), 4, 3, 0)
-        )
+        report = suite_to_jsonable(run_suite(n_max=4, pair_max=3, seed=0), 4, 3, 0)
+        text = dumps_canonical(report)
+        assert text == json.dumps(report, indent=2, sort_keys=True) + "\n"
         assert len(text.encode()) == 17742
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "d036dcd71eb5a106ae393be38a39d420ba1bd44ace05de3232b0116c16f2c48c"
@@ -414,4 +445,6 @@ print(json.dumps({{"code": code, "suite": suite, "counts": spans.span_counts(rec
     # one traced `spec zn` call adds its own spans
     assert result["code"] == 0
     assert counts["cli.main"] == suite.get("cli.main", 0) + 1
+    # cli.main writes through the module global that the layer map wraps
+    assert counts["spaceio.dumps_canonical"] == suite.get("spaceio.dumps_canonical", 0) + 1
     assert counts["spectra.check_theorem8"] == suite["spectra.check_theorem8"] + 1
