@@ -58,6 +58,15 @@ def _sets_text(space: FiniteSpace, masks) -> str:
     return " ".join(_set_text(space, m) for m in masks)
 
 
+def _cover_json(space: FiniteSpace, rep: category.CoverReport) -> dict:
+    """The JSON fields of an optimal cover; each caller adds its size."""
+    return {
+        "sense": "subspace",
+        "cover": spaceio.cover_labels(space, rep.sets),
+        "witnesses": spaceio.cover_labels(space, rep.witnesses),
+    }
+
+
 def _yes(flag) -> str:
     return "yes" if flag else "no"
 
@@ -84,14 +93,7 @@ def _cmd_analyze(args):
             "ir_path_connected": connected,
             "ir_co": space.labels_of(co),
             "ir_contractible": bool(co),
-            "ir_cat": None
-            if cat is None
-            else {
-                "size": cat.size,
-                "sense": "subspace",
-                "cover": spaceio.cover_labels(space, cat.sets),
-                "witnesses": spaceio.cover_labels(space, cat.witnesses),
-            },
+            "ir_cat": None if cat is None else {"size": cat.size, **_cover_json(space, cat)},
             "dim": None if dim is None else dim.dim,
         }
 
@@ -182,12 +184,7 @@ def _cmd_cat(args):
     rep = category.ir_cat(space)
 
     def payload():
-        return {
-            "ir_cat": rep.size,
-            "sense": "subspace",
-            "cover": spaceio.cover_labels(space, rep.sets),
-            "witnesses": spaceio.cover_labels(space, rep.witnesses),
-        }
+        return {"ir_cat": rep.size, **_cover_json(space, rep)}
 
     def lines():
         yield str(rep.size)

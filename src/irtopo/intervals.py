@@ -41,6 +41,9 @@ def as_fraction(v) -> Fraction:
         raise TypeError(
             f"{type(v).__name__}s are not accepted; pass a Fraction or a 'p/q' string"
         )
+    # Fraction expands "1e-N" to 10**N, in time growing faster than N
+    if isinstance(v, str) and ("e" in v or "E" in v):
+        raise ValueError(f"exponent notation in {v[:40]!r}; pass an integer or 'p/q'")
     try:
         return Fraction(v)
     except ZeroDivisionError:

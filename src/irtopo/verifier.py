@@ -88,37 +88,29 @@ class UnknownClaim(IrtopoError):
 @lru_cache(maxsize=None)
 def _space_table(n: int) -> tuple[FiniteSpace, ...]:
     """Every space on n labelled points, sorted by reach-row tuples and
-    built once per process: each extends a space of ``_space_table(n - 1)``
-    by a last point, with the rows it may reach and be reached from."""
+    built once per process, starting from the empty space.
+
+    Each space P of ``_space_table(n - 1)`` gains a last point p, reached
+    from the points I and reaching the points O of P.  The child is a
+    preorder exactly when I is open in P, O is closed in P, and
+    O lies in ``P.common_reach(I)`` (x -> p -> y forces x -> y), so the
+    children of P are read off its open sets and their complements
+    (Brinkmann & McKay, "Posets on up to 16 points", Order 2002).
+    """
     labels = tuple(str(i) for i in range(n))
-    if n == 1:
-        return (FiniteSpace(labels, (1,)),)
+    if n == 0:
+        return (FiniteSpace(labels, ()),)
     out = []
     bit_p = 1 << (n - 1)
     for space in _space_table(n - 1):
-        parent, cols = space.reach_rows, space.min_opens
-        ins = [
-            m
-            for m in range(1 << (n - 1))
-            if all(cols[x] & ~m == 0 for x in iter_points(m))
-        ]
-        outs = [
-            m
-            for m in range(1 << (n - 1))
-            if all(parent[y] & ~m == 0 for y in iter_points(m))
-        ]
-        for incoming in ins:
-            allowed = (1 << (n - 1)) - 1
-            for x in iter_points(incoming):
-                allowed &= parent[x]
-            for outgoing in outs:
-                if outgoing & ~allowed:
-                    continue
-                rows = tuple(
-                    parent[x] | (bit_p if incoming >> x & 1 else 0)
-                    for x in range(n - 1)
-                ) + (outgoing | bit_p,)
-                out.append(rows)
+        closed = [space.full_mask ^ o for o in space.open_sets]
+        for incoming in space.open_sets:
+            rows = tuple(
+                row | bit_p if incoming >> x & 1 else row
+                for x, row in enumerate(space.reach_rows)
+            )
+            allowed = space.common_reach(incoming)
+            out += (rows + (c | bit_p,) for c in closed if not c & ~allowed)
     out.sort()
     return tuple(FiniteSpace(labels, rows) for rows in out)
 

@@ -3,6 +3,7 @@ import contextlib
 import io
 import json
 import re
+import time
 from pathlib import Path
 
 import pytest
@@ -227,6 +228,27 @@ def test_interval_zero_denominator(argv, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["interval", "dist", "--x", "1e-100000000", "--y", "1/2"],
+        ["interval", "ball", "--x", "1/2", "--eps", "1E-100000000"],
+        ["grid", "grid.json"],
+    ],
+    ids=["dist", "ball", "grid"],
+)
+def test_exponent_notation_fails_at_once(argv, tmp_path, capsys):
+    # Fraction would expand 10**100000000 before the range check
+    (tmp_path / "grid.json").write_text(json.dumps({"points": [["1e-100000000", "0/1"]]}))
+    if argv[0] == "grid":
+        argv = ["grid", str(tmp_path / "grid.json")]
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "exponent notation in '1" in err
+
+
 def test_grid(tmp_path, capsys):
     path = tmp_path / "grid.json"
     path.write_text(
@@ -310,6 +332,15 @@ def test_malformed_json_poset_and_grid(tmp_path, capsys, command):
     path.write_text("{not json")
     assert main(command + [str(path)]) == 2
     assert f"error: {path}: Expecting property name" in capsys.readouterr().err
+
+
+def test_deeply_nested_json(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000)
+    assert main(["co", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: maximum recursion depth")
+    assert "Traceback" not in err
 
 
 def test_inconsistent_reach_and_opens(tmp_path):

@@ -43,6 +43,11 @@ class TestDistance:
         with pytest.raises(TypeError, match="bools are not accepted"):
             as_fraction(flag)
 
+    @pytest.mark.parametrize("text", ["1e-100000000", "1E5", "2.5e3", "-1e0", "1/2e3"])
+    def test_exponent_notation_rejected(self, text):
+        with pytest.raises(ValueError, match="exponent notation"):
+            as_fraction(text)
+
     def test_string_fractions_accepted(self):
         assert d_ir("1/5", "1/2") == Fraction(3, 10)
 

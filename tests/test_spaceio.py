@@ -12,6 +12,9 @@ from irtopo.spaceio import (
     ParseError,
     dumps_canonical,
     grid_points_from_dict,
+    load_grid_points,
+    load_poset,
+    load_space,
     poset_from_dict,
     space_from_dict,
     space_to_dict,
@@ -107,6 +110,19 @@ def test_readme_file_formats_parse():
 def test_grid_rejects_boolean_coordinates(row):
     with pytest.raises(ParseError, match="bad coordinate"):
         grid_points_from_dict({"points": [row, ["1/1", "1/1"]]})
+
+
+def test_grid_rejects_exponent_notation():
+    with pytest.raises(ParseError, match="bad coordinate .*exponent notation"):
+        grid_points_from_dict({"points": [["1/2", "1e-100000000"]]})
+
+
+@pytest.mark.parametrize("load", [load_space, load_poset, load_grid_points])
+def test_deeply_nested_json_is_a_parse_error(load, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000)
+    with pytest.raises(ParseError, match="maximum recursion depth"):
+        load(str(path))
 
 
 def test_space_rejects_duplicate_labels():

@@ -22,9 +22,11 @@ from irtopo import (
     run_claim,
     run_suite,
 )
+from irtopo.core import ReachNotPreorder, from_reach
 from irtopo.verifier import (
     CLAIM_ORDER,
     CLAIMS,
+    _space_table,
     box_topology,
     suite_passed,
     suite_to_jsonable,
@@ -97,6 +99,34 @@ class TestEnumeration:
             first, again = list(enumerate_spaces(n)), list(enumerate_spaces(n))
             assert len(first) == len(again)
             assert all(a is b for a, b in zip(first, again))
+
+    def test_children_are_every_preorder_extension(self):
+        # The spaces of _space_table(n) whose first n - 1 points restrict
+        # to P must be every pair (I, O) of masks over P, with I reaching
+        # the new last point and O reached from it, that from_reach accepts.
+        for n in range(1, 6):
+            bit_p = 1 << (n - 1)
+            drawn = {}
+            for child in _space_table(n):
+                parent = tuple(row & ~bit_p for row in child.reach_rows[:-1])
+                drawn.setdefault(parent, set()).add(child.reach_rows)
+            assert sum(map(len, drawn.values())) == len(_space_table(n))
+            brute = {}
+            for space in _space_table(n - 1):
+                found = brute[space.reach_rows] = set()
+                for incoming in range(bit_p):
+                    head = tuple(
+                        row | bit_p if incoming >> x & 1 else row
+                        for x, row in enumerate(space.reach_rows)
+                    )
+                    for outgoing in range(bit_p):
+                        rows = head + (outgoing | bit_p,)
+                        try:
+                            from_reach([str(i) for i in range(n)], rows)
+                        except ReachNotPreorder:
+                            continue
+                        found.add(rows)
+            assert drawn == brute
 
     def test_matches_open_family_enumeration(self):
         for n in range(1, 4):
