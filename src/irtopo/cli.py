@@ -9,9 +9,9 @@ Output contract: each ``_cmd_*`` computes its answer and returns
 their ``--out`` document.  ``payload`` and the document are
 zero-argument functions giving JSON-ready objects, and ``lines`` one
 giving the table's lines, so each form is built only when it is
-printed.  ``main`` alone reads ``--format`` and ``--out``: it prints
-the chosen form on stdout, then writes the document to ``--out``, and
-returns the code.  Errors go to stderr as ``error: ...`` with exit 2.
+printed.  ``main`` alone reads ``--format`` and ``--out``: it builds
+the document, prints the chosen form on stdout, then writes the document
+to ``--out``.  Errors go to stderr as ``error: ...`` with exit 2.
 """
 
 from __future__ import annotations
@@ -391,13 +391,14 @@ def main(argv=None) -> int:
         return e.code if isinstance(e.code, int) else 2
     try:
         code, payload, lines, *out = args.func(args)
+        doc = spaceio.dumps_canonical(out[0]()) if out and args.out else None
         if args.format == "json":
             sys.stdout.write(spaceio.dumps_canonical(payload()))
         else:
             sys.stdout.write("".join(line + "\n" for line in lines()))
-        if out and args.out:
+        if doc is not None:
             with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(spaceio.dumps_canonical(out[0]()))
+                fh.write(doc)
         return code
     except (IrtopoError, ValueError, TypeError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -48,6 +48,18 @@ class InvariantViolated(IrtopoError):
     """Two computations of the same quantity disagree: a defect in this package."""
 
 
+# The count for a 16-point discrete space; at 26 points the list of open
+# sets no longer fits in 2 GB.
+OPEN_SET_LIMIT = 1 << 16
+
+
+def clip_repr(value) -> str:
+    """``repr(value)`` cut to 40 characters and marked "...", so that an
+    error message never echoes a whole input."""
+    text = repr(value)
+    return text if len(text) <= 40 else text[:40] + "..."
+
+
 def mask_of(points: Iterable[int]) -> int:
     m = 0
     for p in points:
@@ -134,10 +146,12 @@ class FiniteSpace:
 
     @cached_property
     def open_sets(self) -> tuple[int, ...]:
-        """All open sets: the unions of minimal neighborhoods, in canonical order."""
+        """The unions of minimal neighborhoods, in canonical order; at most OPEN_SET_LIMIT."""
         opens = {0}
         for m in set(self.min_opens):
             opens |= {o | m for o in opens}
+            if len(opens) > OPEN_SET_LIMIT:
+                raise SearchBudgetExceeded(f"over {OPEN_SET_LIMIT} open sets on {self.n} points")
         return tuple(sorted(opens, key=canon_key))
 
     def is_open(self, mask: int) -> bool:

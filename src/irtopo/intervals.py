@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .core import FiniteSpace, IrtopoError, mask_of
+from .core import FiniteSpace, IrtopoError, clip_repr, mask_of
 
 
 class OutOfRange(IrtopoError):
@@ -43,11 +43,13 @@ def as_fraction(v) -> Fraction:
         )
     # Fraction expands "1e-N" to 10**N, in time growing faster than N
     if isinstance(v, str) and ("e" in v or "E" in v):
-        raise ValueError(f"exponent notation in {v[:40]!r}; pass an integer or 'p/q'")
+        raise ValueError(f"exponent notation in {clip_repr(v)}; pass an integer or 'p/q'")
     try:
         return Fraction(v)
     except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {v!r}") from None
+        raise ValueError(f"zero denominator in {clip_repr(v)}") from None
+    except ValueError as e:  # Fraction's own message quotes the whole string
+        raise ValueError(str(e).replace(repr(v), clip_repr(v))) from None
 
 
 def format_fraction(f: Fraction) -> str:

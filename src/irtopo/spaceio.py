@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 from json.encoder import encode_basestring_ascii as _quote
 
-from .core import FiniteSpace, IrtopoError, from_open_sets, from_pairs, points_of
+from .core import FiniteSpace, IrtopoError, clip_repr, from_open_sets, from_pairs, points_of
 from .intervals import as_fraction
 from .spectra import spec_from_poset
 
@@ -50,7 +50,7 @@ def _labels(d: dict) -> list[str]:
         raise ParseError('field "labels" must be a list of strings')
     if len(set(labels)) != len(labels):
         dup = next(s for i, s in enumerate(labels) if s in labels[:i])
-        raise ParseError(f"duplicate label {dup!r}")
+        raise ParseError(f"duplicate label {clip_repr(dup)}")
     return labels
 
 
@@ -61,10 +61,10 @@ def _pairs(d: dict, key: str, n: int) -> list[list[int]]:
         raise ParseError(f'field "{key}" must be a list of [i, j] pairs')
     for item in items:
         if not isinstance(item, list) or len(item) != 2:
-            raise ParseError(f"{key} entry {item!r} is not an [i, j] pair")
+            raise ParseError(f"{key} entry {clip_repr(item)} is not an [i, j] pair")
         i, j = item
         if not (_is_index(i, n) and _is_index(j, n)):
-            raise ParseError(f"{key} entry {item!r} is not a pair of point indices")
+            raise ParseError(f"{key} entry {clip_repr(item)} is not a pair of point indices")
     return items
 
 
@@ -84,7 +84,7 @@ def space_from_dict(d: dict) -> FiniteSpace:
             raise ParseError('field "opens" must be a list of point lists')
         for o in opens:
             if not isinstance(o, list) or not all(_is_index(p, n) for p in o):
-                raise ParseError(f"open set {o!r} is not a list of point indices")
+                raise ParseError(f"open set {clip_repr(o)} is not a list of point indices")
         space = from_open_sets(labels, opens)
     if has_reach:
         reach_space = from_pairs(labels, _pairs(d, "reach", n))
@@ -129,11 +129,11 @@ def grid_points_from_dict(d: dict) -> list[tuple]:
     pts = []
     for row in d["points"]:
         if not isinstance(row, list):
-            raise ParseError(f"grid point {row!r} is not a coordinate list")
+            raise ParseError(f"grid point {clip_repr(row)} is not a coordinate list")
         try:
             pts.append(tuple(as_fraction(c) for c in row))
         except (ValueError, TypeError) as e:
-            raise ParseError(f"bad coordinate in {row!r}: {e}") from e
+            raise ParseError(f"bad coordinate in {clip_repr(row)}: {e}") from e
     return pts
 
 

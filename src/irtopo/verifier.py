@@ -49,13 +49,14 @@ from __future__ import annotations
 
 import contextlib
 import itertools
+import operator
 import os
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Callable, Iterable, Iterator
 
 from . import category, homotopy, intervals, spaceio, spectra
@@ -265,35 +266,17 @@ def _ir_contractible_opens(
 
 
 def _minimum_cover(universe: int, candidates: tuple[int, ...]) -> tuple[int, ...]:
-    """Exact minimum set cover by iterative deepening, deterministic.
-
-    The depth-first search branches on the lowest uncovered point and
-    tries candidates in the given order, so the returned optimum is the
-    first one in that canonical order.
-    """
-    per_point = [
-        tuple(c for c in candidates if c >> p & 1)
-        for p in range(universe.bit_length())
-    ]
-    if any(universe >> p & 1 and not cs for p, cs in enumerate(per_point)):
+    """Exact minimum set cover: the first covering family of the smallest
+    size, in ``itertools.combinations`` order, sorted by ``canon_key``; so
+    a tie goes to the first optimum in candidate order.  Exponential in the
+    number of candidates, which spaces of at most 5 points (9 for products)
+    keep small.  NotACover at once when the candidates miss a point."""
+    if universe & ~reduce(operator.or_, candidates, 0):
         raise category.NotACover("candidate sets do not cover the space")
-
-    def dfs(uncovered: int, chosen: tuple[int, ...], limit: int):
-        if not uncovered:
-            return chosen
-        if len(chosen) >= limit:
-            return None
-        p = (uncovered & -uncovered).bit_length() - 1
-        for c in per_point[p]:
-            found = dfs(uncovered & ~c, chosen + (c,), limit)
-            if found is not None:
-                return found
-        return None
-
-    limit = 0
-    while (found := dfs(universe, (), limit)) is None:
-        limit += 1
-    return tuple(sorted(found, key=canon_key))
+    for size in itertools.count():
+        for family in itertools.combinations(candidates, size):
+            if not universe & ~reduce(operator.or_, family, 0):
+                return tuple(sorted(family, key=canon_key))
 
 
 def _cover_search(space: FiniteSpace, sense: str) -> category.CoverReport:
@@ -785,9 +768,7 @@ def _check_l2_subcover(s):
                 "space": s,
                 "cover": spaceio.cover_labels(s, cov),
             }
-        union = 0
-        for v in sub:
-            union |= v
+        union = reduce(operator.or_, sub, 0)
         if len(sub) > rep.size or not set(sub).issubset(cov) or union != s.full_mask:
             return {
                 "space": s,

@@ -1,4 +1,5 @@
 import hashlib
+import time
 
 import pytest
 
@@ -196,6 +197,24 @@ def test_minimum_cover_is_exact():
             if best:
                 break
         assert len(got) == best
+
+
+def test_minimum_cover_rejects_a_non_cover_at_once():
+    # 40 candidates that all miss the last point: without the check up
+    # front the search would try all 2**40 families
+    start = time.perf_counter()
+    with pytest.raises(NotACover):
+        _minimum_cover((1 << 41) - 1, tuple(1 << i for i in range(40)))
+    assert time.perf_counter() - start < 1
+
+
+def test_minimum_cover_tie_goes_to_the_first_optimum():
+    # {1,2}+{0,3} and {0,1}+{2,3} both cover in two; the first pair in
+    # candidate order comes back, though a search branching on the lowest
+    # uncovered point would meet {0,1}+{2,3} first
+    universe = 0b1111
+    assert _minimum_cover(universe, (0b0110, 0b0011, 0b1100, 0b1001)) == (0b0110, 0b1001)
+    assert _minimum_cover(universe, (0b0011, 0b1100, 0b0110, 0b1001)) == (0b0011, 0b1100)
 
 
 def _union(masks):

@@ -367,6 +367,77 @@ def test_not_a_topology(tmp_path):
     assert main(["analyze", str(path)]) == 2
 
 
+@pytest.fixture
+def wide_files(tmp_path):
+    """A 26-point discrete space, an antichain poset on its labels and 26
+    pairwise incomparable grid points: each space has 2**26 open sets."""
+    n = 26
+    labels = [f"p{i}" for i in range(n)]
+    docs = {
+        "space": {"labels": labels, "reach": []},
+        "poset": {"labels": labels, "leq": []},
+        "grid": {"points": [[f"{i}/{n}", f"{n - i}/{n}"] for i in range(n)]},
+    }
+    paths = {"out": str(tmp_path / "out.json")}
+    for name, doc in docs.items():
+        paths[name] = str(tmp_path / f"{name}.json")
+        Path(paths[name]).write_text(json.dumps(doc))
+    return paths
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "{space}"],
+        ["analyze", "{space}", "--format", "json"],
+        ["spec", "poset", "{poset}", "--format", "json"],
+        ["spec", "poset", "{poset}", "-o", "{out}"],
+        ["grid", "{grid}", "--format", "json"],
+    ],
+    ids=["analyze-table", "analyze-json", "spec-poset-json", "spec-poset-out", "grid-json"],
+)
+def test_listing_open_sets_has_a_budget(argv, wide_files, capsys):
+    start = time.perf_counter()
+    assert main([a.format(**wide_files) for a in argv]) == 2
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr() == ("", "error: over 65536 open sets on 26 points\n")
+    assert not Path(wide_files["out"]).exists()
+
+
+@pytest.mark.parametrize(
+    "command, expected",
+    [
+        ("cat", {"ir_cat": 26}),
+        ("co", {"ir_co": []}),
+        ("dim", {"dim": 0}),
+    ],
+)
+def test_wide_space_answers_without_open_sets(command, expected, wide_files, capsys):
+    assert main([command, wide_files["space"], "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert {k: payload[k] for k in expected} == expected
+
+
+@pytest.mark.parametrize(
+    "command, doc, field",
+    [
+        (["co"], {"labels": ["a", "b"], "reach": [list(range(100_000))]}, "reach entry"),
+        (["co"], {"labels": ["a", "b"], "opens": [[], [0] * 100_000 + [2]]}, "open set"),
+        (["co"], {"labels": ["x" * 100_000] * 2, "reach": []}, "duplicate label"),
+        (["grid"], {"points": [["1/2"] * 100_000 + ["1/0"]]}, "bad coordinate"),
+        (["grid"], {"points": ["x" * 100_000]}, "grid point"),
+        (["spec", "poset"], {"labels": ["a", "b"], "leq": [list(range(100_000))]}, "leq entry"),
+    ],
+    ids=["reach", "opens", "labels", "grid-coordinate", "grid-row", "leq"],
+)
+def test_error_messages_clip_quoted_input(command, doc, field, tmp_path, capsys):
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(doc))
+    assert main(command + [str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field}") and len(err.encode()) < 1024
+
+
 def _readme_commands():
     """The ``irtopo`` invocations of the README's command-line block, as
     argument lists: brackets around optional parts dropped, the first of

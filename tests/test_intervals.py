@@ -48,6 +48,20 @@ class TestDistance:
         with pytest.raises(ValueError, match="exponent notation"):
             as_fraction(text)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("abc", "Invalid literal for Fraction: 'abc'"),
+            ("1/x" + "x" * 100_000, "Invalid literal for Fraction: '1/" + "x" * 37 + "..."),
+            ("1" * 4000 + "/0", "zero denominator in '" + "1" * 39 + "..."),
+        ],
+        ids=["short", "long-literal", "long-zero-denominator"],
+    )
+    def test_quoted_input_is_clipped(self, text, message):
+        with pytest.raises(ValueError) as err:
+            as_fraction(text)
+        assert str(err.value) == message
+
     def test_string_fractions_accepted(self):
         assert d_ir("1/5", "1/2") == Fraction(3, 10)
 
