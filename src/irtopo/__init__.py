@@ -9,7 +9,7 @@ package's structural claims on every finite space up to a size budget.
 """
 
 from .core import (
-    EmptySubspace,
+    EmptySpace,
     FiniteSpace,
     InvariantViolated,
     IrtopoError,
@@ -26,10 +26,8 @@ from .core import (
 )
 from .homotopy import (
     ContinuousMap,
-    IrPath,
     MapMismatch,
     NotContinuous,
-    continuous_maps,
     ir_co,
     ir_homotopic,
     ir_homotopy_equivalent,
@@ -39,14 +37,10 @@ from .homotopy import (
 from .category import (
     CoverReport,
     DimensionReport,
-    EmptySpace,
     NotACover,
     SubcoverNotFound,
-    check_refinement,
     covering_dimension,
     ir_cat,
-    irredundant_covers,
-    min_subcover,
 )
 from .spectra import (
     InvalidModulus,
@@ -59,7 +53,6 @@ from .spectra import (
 from .intervals import (
     ArityMismatch,
     Ball,
-    EmptySet,
     OutOfRange,
     ball,
     chain_space,

@@ -32,21 +32,19 @@ these forms replace are kept in ``verifier`` as oracles.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
 
 from .core import (
+    EmptySpace,
     FiniteSpace,
     IrtopoError,
     canon_key,
     iter_points,
     points_of,
 )
-
-
-class EmptySpace(IrtopoError):
-    """Covering category is undefined for the empty space."""
 
 
 class NotACover(IrtopoError):
@@ -230,14 +228,8 @@ def irredundant_covers(space: FiniteSpace) -> Iterator[tuple[int, ...]]:
 
 def cover_order(cover: Iterable[int]) -> int:
     """Largest number of members sharing a single point."""
-    members = tuple(cover)
-    union = 0
-    for m in members:
-        union |= m
-    return max(
-        (sum(m >> p & 1 for m in members) for p in iter_points(union)),
-        default=0,
-    )
+    counts = Counter(p for m in cover for p in iter_points(m))
+    return max(counts.values(), default=0)
 
 
 def covering_dimension(space: FiniteSpace) -> DimensionReport:

@@ -120,19 +120,22 @@ def _cmd_path(args):
     space = spaceio.load_space(args.space)
     x = _point(space, getattr(args, "from"))
     y = _point(space, args.to)
-    path = homotopy.ir_path(space, x, y)
-    text = None if path is None else path.describe()
+    exists = homotopy.ir_path(space, x, y)
+    a, b = space.labels[x], space.labels[y]
+    text = None
+    if exists:
+        text = f"constant at {a}" if x == y else f"{a} on [0,1); {b} at t=1"
 
     def payload():
         return {
-            "from": space.labels[x],
-            "to": space.labels[y],
-            "exists": path is not None,
+            "from": a,
+            "to": b,
+            "exists": exists,
             "description": text,
         }
 
-    return 0 if path is not None else 1, payload, lambda: [
-        text or f"no ir-path from {space.labels[x]} to {space.labels[y]}"
+    return 0 if exists else 1, payload, lambda: [
+        text or f"no ir-path from {a} to {b}"
     ]
 
 

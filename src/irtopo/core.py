@@ -8,8 +8,7 @@ reachability relation
                  <=>  x belongs to every open set containing y.
 
 This module stores that relation as bitmask rows and derives open sets,
-closure, interior, subspaces, products and the separation predicates
-from it.
+subspaces, products and the separation predicates from it.
 
 Bitmask conventions: a set of points is an int with bit ``i`` set for
 point ``i``; ``reach_rows[x]`` has bit ``y`` set when reach(x, y) holds,
@@ -36,8 +35,8 @@ class ReachNotPreorder(IrtopoError):
     """The given relation is not reflexive and transitive."""
 
 
-class EmptySubspace(IrtopoError):
-    """A subspace needs at least one point."""
+class EmptySpace(IrtopoError):
+    """An operation that needs at least one point got none."""
 
 
 class SearchBudgetExceeded(IrtopoError):
@@ -72,12 +71,10 @@ def iter_points(mask: int) -> Iterator[int]:
     mask, which names no finite point set."""
     if mask < 0:
         raise ValueError(f"negative mask {mask} is not a point set")
-    i = 0
     while mask:
-        if mask & 1:
-            yield i
-        mask >>= 1
-        i += 1
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def points_of(mask: int) -> tuple[int, ...]:
@@ -168,12 +165,6 @@ class FiniteSpace:
             rest ^= low
         return True
 
-    def closure(self, aset: int) -> int:
-        out = 0
-        for x in iter_points(aset):
-            out |= self.reach_rows[x]
-        return out
-
     def common_reach(self, aset: int) -> int:
         """The points reachable from every point of ``aset``: the
         intersection of their closures, the whole space when ``aset`` is
@@ -192,19 +183,18 @@ class FiniteSpace:
         """The points x whose closure is {x}; in a spectrum, the maximal ideals."""
         return mask_of(x for x, row in enumerate(self.reach_rows) if row == 1 << x)
 
-    def interior(self, aset: int) -> int:
-        """Largest open subset: the points whose minimal neighborhood fits inside."""
-        return mask_of(y for y in iter_points(aset) if self.min_opens[y] & ~aset == 0)
-
     def subspace(self, aset: int) -> FiniteSpace:
         """The subspace on the points of ``aset``, reach restricted.
 
         This agrees with the relative topology {O & aset}; raises
-        EmptySubspace when no points are selected.
+        EmptySpace when no points are selected and ValueError on a
+        negative mask.
         """
+        if aset < 0:
+            raise ValueError(f"negative mask {aset} is not a point set")
         aset &= self.full_mask
         if aset == 0:
-            raise EmptySubspace("a subspace needs at least one point")
+            raise EmptySpace("a subspace needs at least one point")
         pts = points_of(aset)
         index = {p: i for i, p in enumerate(pts)}
         rows = []

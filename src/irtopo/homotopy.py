@@ -61,29 +61,11 @@ def _over_map_budget(limit: int) -> SearchBudgetExceeded:
     )
 
 
-@dataclass(frozen=True)
-class IrPath:
-    """Two-piece path: at ``source`` on [0, 1), at ``target`` when t = 1."""
-
-    space: FiniteSpace
-    source: int
-    target: int
-
-    def is_constant(self) -> bool:
-        return self.source == self.target
-
-    def describe(self) -> str:
-        lbl = self.space.labels
-        if self.is_constant():
-            return f"constant at {lbl[self.source]}"
-        return f"{lbl[self.source]} on [0,1); {lbl[self.target]} at t=1"
-
-
-def ir_path(space: FiniteSpace, x: int, y: int) -> IrPath | None:
-    """The two-piece path from x to y, or None when y is unreachable."""
+def ir_path(space: FiniteSpace, x: int, y: int) -> bool:
+    """Whether the two-piece path from x to y exists: y is reachable from x."""
     if not (0 <= x < space.n and 0 <= y < space.n):
         raise ValueError("point index out of range")
-    return IrPath(space, x, y) if space.reach(x, y) else None
+    return space.reach(x, y)
 
 
 def ir_co(space: FiniteSpace) -> int:
@@ -145,16 +127,6 @@ class ContinuousMap:
 
     def __call__(self, x: int) -> int:
         return self.assignment[x]
-
-    @classmethod
-    def identity(cls, space: FiniteSpace) -> ContinuousMap:
-        return cls(space, space, tuple(range(space.n)))
-
-    @classmethod
-    def constant(
-        cls, domain: FiniteSpace, codomain: FiniteSpace, point: int
-    ) -> ContinuousMap:
-        return cls(domain, codomain, (point,) * domain.n)
 
 
 def ir_homotopic(f: ContinuousMap, g: ContinuousMap) -> bool:

@@ -19,15 +19,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .core import FiniteSpace, IrtopoError, clip_repr, mask_of
+from .core import EmptySpace, FiniteSpace, IrtopoError, clip_repr, mask_of
 
 
 class OutOfRange(IrtopoError):
     """Argument outside the unit interval, or a non-positive radius."""
-
-
-class EmptySet(IrtopoError):
-    pass
 
 
 class ArityMismatch(IrtopoError):
@@ -130,7 +126,7 @@ def grid_subspace(points: Iterable[Sequence]) -> FiniteSpace:
     """
     pts = [tuple(as_fraction(c) for c in p) for p in points]
     if not pts:
-        raise EmptySet("a grid subspace needs at least one point")
+        raise EmptySpace("a grid subspace needs at least one point")
     arity = len(pts[0])
     for p in pts:
         if len(p) != arity:

@@ -48,9 +48,11 @@ def _labels(d: dict) -> list[str]:
     labels = d.get("labels")
     if not isinstance(labels, list) or not all(isinstance(s, str) for s in labels):
         raise ParseError('field "labels" must be a list of strings')
-    if len(set(labels)) != len(labels):
-        dup = next(s for i, s in enumerate(labels) if s in labels[:i])
-        raise ParseError(f"duplicate label {clip_repr(dup)}")
+    seen = set()
+    for s in labels:
+        if s in seen:
+            raise ParseError(f"duplicate label {clip_repr(s)}")
+        seen.add(s)
     return labels
 
 

@@ -482,7 +482,7 @@ def _check_t2(s):
     for x in range(s.n):
         cl = _closure_via_opens(s, x)
         for y in range(s.n):
-            has_path = homotopy.ir_path(s, x, y) is not None
+            has_path = homotopy.ir_path(s, x, y)
             if has_path != bool(cl >> y & 1):
                 return _pair_payload(
                     s, x, y, path_exists=has_path, in_closure=bool(cl >> y & 1)
@@ -494,10 +494,9 @@ def _check_t3(s):
     for x in range(s.n):
         cl = _closure_via_opens(s, x)
         for y in range(s.n):
-            path = homotopy.ir_path(s, x, y)
-            if path is None:
+            if not homotopy.ir_path(s, x, y):
                 continue
-            image = (1 << path.source) | (1 << path.target)
+            image = 1 << x | 1 << y
             if image & ~cl:
                 return _pair_payload(s, x, y)
     return None
@@ -508,7 +507,7 @@ def _check_t4(s):
         return None  # not T1
     for x in range(s.n):
         for y in range(s.n):
-            if x != y and homotopy.ir_path(s, x, y) is not None:
+            if x != y and homotopy.ir_path(s, x, y):
                 return _pair_payload(s, x, y)
     return None
 

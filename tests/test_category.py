@@ -7,16 +7,13 @@ from irtopo import (
     EmptySpace,
     NotACover,
     chain_space,
-    check_refinement,
     covering_dimension,
     ir_cat,
     ir_co,
-    irredundant_covers,
-    min_subcover,
     points_of,
     product,
 )
-from irtopo.category import cover_order
+from irtopo.category import check_refinement, cover_order, irredundant_covers, min_subcover
 from irtopo.core import FiniteSpace
 from irtopo.verifier import (
     _check_p3,

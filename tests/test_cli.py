@@ -2,7 +2,10 @@ import argparse
 import contextlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -416,6 +419,59 @@ def test_wide_space_answers_without_open_sets(command, expected, wide_files, cap
     assert main([command, wide_files["space"], "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert {k: payload[k] for k in expected} == expected
+
+
+def _run_cli(argv):
+    """Run the CLI in a fresh interpreter: (exit code, stdout, stderr, seconds),
+    interpreter start included."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "irtopo", *argv],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    return done.returncode, done.stdout, done.stderr, time.perf_counter() - start
+
+
+@pytest.fixture(scope="module")
+def large_discrete(tmp_path_factory):
+    """A 20,000-point discrete space: every point set the commands walk is
+    one high bit, or the whole space."""
+    path = tmp_path_factory.mktemp("large") / "d20000.json"
+    path.write_text(json.dumps({"labels": [f"p{i}" for i in range(20_000)], "reach": []}))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "command, code, expected",
+    [
+        ("co", 0, {"ir_co": []}),
+        ("contractible", 1, {"ir_contractible": False}),
+        ("cat", 0, {"ir_cat": 20_000}),
+        ("dim", 0, {"dim": 0}),
+    ],
+)
+def test_large_sparse_space_answers_fast(command, code, expected, large_discrete):
+    # the sets these commands walk are single high bits, so a walk over
+    # the points of a set must cost per point, not per bit position
+    got, out, err, seconds = _run_cli([command, large_discrete, "--format", "json"])
+    assert (got, err) == (code, "")
+    payload = json.loads(out)
+    assert {k: payload[k] for k in expected} == expected
+    assert seconds < 15
+
+
+def test_duplicate_label_found_in_one_pass(tmp_path):
+    # the first repeated label must be found in one pass over the labels
+    path = tmp_path / "dup.json"
+    labels = [f"p{i}" for i in range(200_000)] + ["p1", "p0"]
+    path.write_text(json.dumps({"labels": labels, "reach": []}))
+    got, out, err, seconds = _run_cli(["co", str(path)])
+    assert (got, out, err) == (2, "", "error: duplicate label 'p1'\n")
+    assert seconds < 5
 
 
 @pytest.mark.parametrize(

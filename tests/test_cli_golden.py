@@ -65,6 +65,7 @@ def _commands():
         ("sierp", "1", "0"),
         ("pseudocircle", "a", "c"),
         ("pseudocircle", "c", "a"),
+        ("pseudocircle", "a", "a"),
         ("seven", "0", "4"),
         ("seven", "p4", "p0"),
         ("sierp", "zz", "1"),

@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from irtopo import (
     ArityMismatch,
-    EmptySet,
+    EmptySpace,
     OutOfRange,
     ball,
     chain_space,
@@ -235,7 +235,7 @@ class TestGrid:
             grid_subspace([(0, 1), (1,)])
 
     def test_empty_rejected(self):
-        with pytest.raises(EmptySet):
+        with pytest.raises(EmptySpace):
             grid_subspace([])
 
     def test_duplicates_rejected(self):

@@ -157,8 +157,8 @@ class TestSpecInvariants:
 
     def test_closure_is_up_set(self):
         s = spec_from_poset(["(0)", "M1", "M2"], [(0, 1), (0, 2)])
-        assert s.closure(0b001) == 0b111
-        assert s.closure(0b010) == 0b010
+        assert s.reach_rows[0] == 0b111
+        assert s.reach_rows[1] == 0b010
 
     def test_core_iff_unique_maximal(self):
         for s in self._posets():

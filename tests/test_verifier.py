@@ -16,13 +16,13 @@ from irtopo import (
     UnknownClaim,
     chain_homotopy_oracle,
     chain_space,
-    continuous_maps,
     enumerate_spaces,
     ir_homotopic,
     run_claim,
     run_suite,
 )
 from irtopo.core import ReachNotPreorder, from_reach
+from irtopo.homotopy import continuous_maps
 from irtopo.verifier import (
     CLAIM_ORDER,
     CLAIMS,
