@@ -77,6 +77,7 @@ def _yes(flag) -> str:
 
 def _cmd_analyze(args):
     space = spaceio.load_space(args.space)
+    opens = space.open_sets  # first, so that the budget refuses a wide input at once
     co = homotopy.ir_co(space)
     cat = category.ir_cat(space) if space.n else None
     dim = category.covering_dimension(space) if space.n <= DIM_POINT_LIMIT else None
@@ -111,7 +112,7 @@ def _cmd_analyze(args):
         if cat is not None:
             yield f"ir_cat: {cat.size}  cover: " + _sets_text(space, cat.sets)
         yield "covering dimension: " + ("skipped (budget)" if dim is None else str(dim.dim))
-        yield "open sets: " + _sets_text(space, space.open_sets)
+        yield "open sets: " + _sets_text(space, opens)
 
     return 0, payload, lines
 
@@ -175,9 +176,9 @@ def _cmd_equiv(args):
         if found is None:
             return ["not ir-homotopy equivalent"]
         f, g = found
-        fs = ", ".join(f"{left.labels[x]}->{right.labels[f(x)]}" for x in range(left.n))
-        gs = ", ".join(f"{right.labels[y]}->{left.labels[g(y)]}" for y in range(right.n))
-        return [f"ir-homotopy equivalent; f: {fs}; g: {gs}"]
+        f_text = ", ".join(f"{left.labels[x]}->{right.labels[f(x)]}" for x in range(left.n))
+        g_text = ", ".join(f"{right.labels[y]}->{left.labels[g(y)]}" for y in range(right.n))
+        return [f"ir-homotopy equivalent; f: {f_text}; g: {g_text}"]
 
     return 0 if found is not None else 1, payload, lines
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
 
@@ -218,9 +217,9 @@ class FiniteSpace:
         return self.closed_points() == self.full_mask
 
     def is_hyperconnected(self) -> bool:
-        # Two disjoint nonempty opens exist iff two disjoint minimal
-        # neighborhoods do, since every open is a union of minimal ones.
-        return all(a & b for a, b in combinations(self.min_opens, 2))
+        # All nonempty opens meet exactly when some point lies in every
+        # minimal neighborhood, that is, when some point reaches every point.
+        return not self.n or self.full_mask in self.reach_rows
 
 
 def _as_mask(o, full: int) -> int:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .core import (
     FiniteSpace,
@@ -86,12 +86,11 @@ def ir_co(space: FiniteSpace) -> int:
 
 
 def is_ir_path_connected(space: FiniteSpace) -> bool:
-    """True when every pair of points is joined by a path in one direction."""
-    return all(
-        space.reach(x, y) or space.reach(y, x)
-        for x in range(space.n)
-        for y in range(x + 1, space.n)
-    )
+    """True when every pair of points is joined by a path in one direction:
+    x reaches y when the closure of y lies in that of x, so when the
+    closures, sorted by size, each lie inside the next."""
+    rows = sorted(space.reach_rows, key=int.bit_count)
+    return all(not a & ~b for a, b in zip(rows, rows[1:]))
 
 
 @dataclass(frozen=True)
@@ -159,9 +158,13 @@ def continuous_maps(domain: FiniteSpace, codomain: FiniteSpace) -> list[Continuo
     return [ContinuousMap(domain, codomain, a) for a in _assignments(domain, codomain)]
 
 
-def _assignments(domain: FiniteSpace, codomain: FiniteSpace) -> Iterator[tuple[int, ...]]:
+def _assignments(
+    domain: FiniteSpace, codomain: FiniteSpace, within: Sequence[int] | None = None
+) -> Iterator[tuple[int, ...]]:
     """The assignments of ``continuous_maps``, unvalidated: the search
-    builds only monotone ones."""
+    builds only monotone ones.  Given ``within``, only those sending each
+    point k into ``within[k]``, in the same order; that search walks part
+    of the unmasked one's tree, so it tries no more maps."""
     limit = _map_budget()
     n = domain.n
     if n == 0:
@@ -169,13 +172,14 @@ def _assignments(domain: FiniteSpace, codomain: FiniteSpace) -> Iterator[tuple[i
             raise _over_map_budget(limit)
         yield ()
         return
+    full, reach_rows, min_opens = codomain.full_mask, codomain.reach_rows, codomain.min_opens
+    seed = [full] * n if within is None else within
     below = [points_of(domain.min_opens[k] & ((1 << k) - 1)) for k in range(n)]
     above = [points_of(domain.reach_rows[k] & ((1 << k) - 1)) for k in range(n)]
-    full, reach_rows, min_opens = codomain.full_mask, codomain.reach_rows, codomain.min_opens
     assign = [0] * n
 
     def allowed(k: int) -> int:
-        m = full
+        m = seed[k]
         for p in below[k]:
             m &= reach_rows[assign[p]]
         for p in above[k]:
@@ -183,7 +187,7 @@ def _assignments(domain: FiniteSpace, codomain: FiniteSpace) -> Iterator[tuple[i
         return m
 
     k, tried = 0, 0
-    pending = [full] + [0] * (n - 1)  # pending[k]: images of point k left to try
+    pending = [seed[0]] + [0] * (n - 1)  # pending[k]: images of point k left to try
     while k >= 0:
         m = pending[k]
         if not m:
@@ -211,18 +215,24 @@ def ir_homotopy_equivalent(
     reach(p, g(f(p))) in x for every p and reach(q, f(g(q))) in y for
     every q.
 
-    The search is exhaustive over pairs of continuous maps, so None is a
-    proof that no such pair exists.
+    Given f, the two conditions bound each g(q) on its own: g(q) lies in
+    the closure of each p with f(p) = q, and f(g(q)) in that of q.  So
+    each f in turn gets at most one search for its first g within those
+    points; it is exhaustive, so None is a proof that no pair exists.
     """
-    # both sides in full before pairing, so an over-budget input raises
-    # before any answer; only the returned pair is validated as maps
-    fs = list(_assignments(x, y))
-    gs = list(_assignments(y, x))
-    xrows, yrows = x.reach_rows, y.reach_rows
-    for fa in fs:
-        for ga in gs:
-            if all(xrows[p] >> ga[fa[p]] & 1 for p in range(x.n)) and all(
-                yrows[q] >> fa[ga[q]] & 1 for q in range(y.n)
-            ):
+    # both directions counted in full first, so an over-budget input
+    # raises before any answer; only the returned pair is validated as maps
+    for side in (_assignments(x, y), _assignments(y, x)):
+        for _ in side:
+            pass
+    for fa in _assignments(x, y):
+        within, hit = [x.full_mask] * y.n, [0] * y.n
+        for p, q in enumerate(fa):
+            within[q] &= x.reach_rows[p]  # g(q) in the closure of p
+            for r in iter_points(y.min_opens[q]):  # f(p) in the closure of r
+                hit[r] |= 1 << p
+        within = [w & h for w, h in zip(within, hit)]
+        if all(within):  # else some q has no image
+            for ga in _assignments(y, x, within):
                 return ContinuousMap(x, y, fa), ContinuousMap(y, x, ga)
     return None

@@ -577,12 +577,7 @@ def _check_t9(pair):
     lhs = category.ir_cat(prod).size
     rhs = category.ir_cat(a).size * category.ir_cat(b).size
     if lhs != rhs:
-        return {
-            "left": a,
-            "right": b,
-            "product_cat": lhs,
-            "factor_product": rhs,
-        }
+        return {"left": a, "right": b, "product_cat": lhs, "factor_product": rhs}
     return None
 
 
@@ -611,10 +606,7 @@ def _check_t11(s):
 def _check_t12(s):
     co = homotopy.ir_co(s)
     if s.is_t0() and co and co.bit_count() != 1:
-        return {
-            "space": s,
-            "core": s.labels_of(co),
-        }
+        return {"space": s, "core": s.labels_of(co)}
     return None
 
 
@@ -815,11 +807,7 @@ def _check_c6(s):
 
 def _check_c7(p):
     sp = spectra.spec_zn(p)
-    if (
-        sp.n != 1
-        or homotopy.ir_co(sp) != 1
-        or category.ir_cat(sp).size != 1
-    ):
+    if sp.n != 1 or homotopy.ir_co(sp) != 1 or category.ir_cat(sp).size != 1:
         return {"prime": p}
     return None
 

@@ -421,9 +421,10 @@ def test_wide_space_answers_without_open_sets(command, expected, wide_files, cap
     assert {k: payload[k] for k in expected} == expected
 
 
-def _run_cli(argv):
+def _run_cli(argv, env=None, preexec_fn=None):
     """Run the CLI in a fresh interpreter: (exit code, stdout, stderr, seconds),
-    interpreter start included."""
+    interpreter start included.  ``env`` adds environment variables and
+    ``preexec_fn`` runs in the child before it starts."""
     src = Path(__file__).resolve().parents[1] / "src"
     start = time.perf_counter()
     done = subprocess.run(
@@ -431,18 +432,23 @@ def _run_cli(argv):
         capture_output=True,
         text=True,
         timeout=120,
-        env={**os.environ, "PYTHONPATH": str(src)},
+        env={**os.environ, "PYTHONPATH": str(src), **(env or {})},
+        preexec_fn=preexec_fn,
     )
     return done.returncode, done.stdout, done.stderr, time.perf_counter() - start
+
+
+def _space_file(directory, name, n, pairs):
+    path = directory / f"{name}.json"
+    path.write_text(json.dumps({"labels": [f"p{i}" for i in range(n)], "reach": pairs}))
+    return str(path)
 
 
 @pytest.fixture(scope="module")
 def large_discrete(tmp_path_factory):
     """A 20,000-point discrete space: every point set the commands walk is
     one high bit, or the whole space."""
-    path = tmp_path_factory.mktemp("large") / "d20000.json"
-    path.write_text(json.dumps({"labels": [f"p{i}" for i in range(20_000)], "reach": []}))
-    return str(path)
+    return _space_file(tmp_path_factory.mktemp("large"), "d20000", 20_000, [])
 
 
 @pytest.mark.parametrize(
@@ -462,6 +468,53 @@ def test_large_sparse_space_answers_fast(command, code, expected, large_discrete
     payload = json.loads(out)
     assert {k: payload[k] for k in expected} == expected
     assert seconds < 15
+
+
+@pytest.fixture(scope="module")
+def large_star(tmp_path_factory):
+    """A star on 20,000 points, point 0 reaching every other one, and
+    one on 1,000: the open sets are the sets holding point 0, and the
+    maps from a star to itself are too many to list."""
+    directory = tmp_path_factory.mktemp("star")
+    return {n: _space_file(directory, f"star{n}", n, [[0, k] for k in range(1, n)])
+            for n in (1_000, 20_000)}
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_analyze_refuses_a_wide_space_first(fmt, large_star):
+    # the open-set budget must refuse before the pairwise work of the
+    # other answers, which took 96 s on this input
+    code, out, err, seconds = _run_cli(["analyze", large_star[20_000], "--format", fmt])
+    assert (code, out, err) == (2, "", "error: over 65536 open sets on 20000 points\n")
+    assert seconds < 2
+
+
+def test_equiv_of_discrete_spaces_answers_fast(tmp_path):
+    # 7,776 maps one way and 15,625 back: each f gets at most one search
+    # for its partners, not a scan of 121.5M map pairs
+    left, right = (_space_file(tmp_path, f"d{n}", n, []) for n in (5, 6))
+    code, out, err, seconds = _run_cli(["equiv", left, right])
+    assert (code, out, err) == (1, "not ir-homotopy equivalent\n", "")
+    assert seconds < 5
+
+
+def test_equiv_holds_one_map_at_a_time(large_star):
+    # 300,000 maps of 1,000 points would take 2.4 GB as a list; within
+    # 600 MB of address space the budget, not memory, must end the search
+    resource = pytest.importorskip("resource")
+    limit = 600 * 1024 * 1024
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    star = large_star[1_000]
+    code, out, err, _ = _run_cli(
+        ["equiv", star, star], env={"IRTOPO_BUDGET_MAPS": "300000"}, preexec_fn=cap_memory
+    )
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: map budget exceeded: more than 300000 maps tried (IRTOPO_BUDGET_MAPS sets it)\n"
+    )
 
 
 def test_duplicate_label_found_in_one_pass(tmp_path):

@@ -15,14 +15,28 @@ LNM 2032, ch. 1), and the answers must move as the theorem says:
   m, and the identity deforms to that retraction);
 * a product multiplies the ir_cat sizes and the dimensions plus one,
   and its ir_co is the product of the factors' ir_co.
+
+The two predicates of ``analyze`` answer from the reach rows alone:
+hyperconnected when some point reaches every point, ir-path connected
+when the closures form a chain.  The pairwise scans they replaced stay
+here as oracles, on the empty space, every swept space and the family.
 """
 
 import random
+from itertools import combinations
 
 import pytest
 
-from irtopo import covering_dimension, enumerate_spaces, from_reach, ir_cat, ir_co, product
-from irtopo.core import iter_points
+from irtopo import (
+    covering_dimension,
+    enumerate_spaces,
+    from_reach,
+    ir_cat,
+    ir_co,
+    is_ir_path_connected,
+    product,
+)
+from irtopo.core import iter_points, transpose
 
 SEED = 20260418
 
@@ -149,3 +163,59 @@ def test_products():
                 for b in iter_points(ir_co(y)):
                     co |= 1 << (a * y.n + b)
             assert ir_co(xy) == co
+
+
+def hyperconnected_scan(space):
+    """Oracle: no two nonempty opens are disjoint, so no two minimal
+    neighbourhoods are, since every open is a union of minimal ones."""
+    return all(a & b for a, b in combinations(space.min_opens, 2))
+
+
+def path_connected_scan(space):
+    """Oracle: each pair of points is joined by a path one way or the other."""
+    return all(space.reach(x, y) or space.reach(y, x) for x, y in combinations(range(space.n), 2))
+
+
+def total_preorder(rng, n):
+    """n points on a few levels, each reaching the points of its level and
+    above: ir-path connected, and hyperconnected through a bottom point."""
+    levels = [rng.randrange(6) for _ in range(n)]
+    return _space([sum(1 << y for y in range(n) if levels[y] >= lv) for lv in levels])
+
+
+def _predicates(space):
+    return space.is_hyperconnected(), is_ir_path_connected(space)
+
+
+def _scans(space):
+    return hyperconnected_scan(space), path_connected_scan(space)
+
+
+def test_predicates_on_the_empty_space():
+    empty = _space([])
+    assert _predicates(empty) == _scans(empty) == (True, True)
+
+
+def test_predicates_match_the_scans_on_every_swept_space():
+    swept = [s for n in range(1, 6) for s in enumerate_spaces(n)]
+    assert len(swept) == 7331
+    seen = set()
+    for s in swept:
+        got = _predicates(s)
+        assert got == _scans(s), s
+        seen.add(got)
+    assert seen == {(False, False), (True, False), (True, True)}
+
+
+def test_predicates_match_the_scans_on_the_family(family):
+    rng = random.Random(SEED + 5)
+    # each space, its opposite (closures and neighbourhoods swapped), and
+    # total preorders, so that every answer occurs at this size
+    spaces = [t for s in family for t in (s, _space(list(transpose(s.reach_rows))))]
+    spaces += [total_preorder(rng, rng.randint(20, 60)) for _ in range(10)]
+    seen = set()
+    for s in spaces:
+        got = _predicates(s)
+        assert got == _scans(s), s
+        seen.add(got)
+    assert seen == {(False, False), (True, False), (True, True)}

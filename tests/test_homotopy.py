@@ -236,6 +236,20 @@ class TestEquivalence:
         with pytest.raises(SearchBudgetExceeded, match=r"\b1\b.*IRTOPO_BUDGET_MAPS"):
             ir_homotopy_equivalent(chain, chain)
 
+    def test_budget_counts_both_directions_before_answering(self, monkeypatch):
+        # one map one way, three the other; the first f has a partner, found
+        # after one g, so only counting the side with three maps in full
+        # refuses these inputs before an answer
+        chain, point = chain_space(3), discrete(1)
+        down = from_reach(["0", "1", "2"], [0b001, 0b011, 0b111])  # all reach 0
+        for x, y, pair in ((chain, point, ((0, 0, 0), (2,))), (point, down, ((0,), (0, 0, 0)))):
+            monkeypatch.setenv("IRTOPO_BUDGET_MAPS", "2")
+            with pytest.raises(SearchBudgetExceeded, match=r"\b2\b.*IRTOPO_BUDGET_MAPS"):
+                ir_homotopy_equivalent(x, y)
+            monkeypatch.setenv("IRTOPO_BUDGET_MAPS", "3")
+            f, g = ir_homotopy_equivalent(x, y)
+            assert (f.assignment, g.assignment) == pair
+
     def test_builds_only_the_returned_maps(self, monkeypatch):
         # the search yields monotone assignments; only the answer is
         # validated, not the 2 * 24310 maps of the 9-chain to itself
