@@ -132,12 +132,22 @@ def check_refinement(space: FiniteSpace, cover: Iterable[int]):
     """Whether the optimal cover refines ``cover``: every member of the
     optimal cover sits inside some member of ``cover``.
 
-    Returns (True, mapping) with the first containing index per member,
-    or (False, None).
+    Validates ``cover`` (NotACover unless its members are open and cover
+    the space), then decides by ``refinement_mapping``.  Returns (True,
+    mapping) with the first containing index per member, or (False,
+    None).
     """
     members = _open_cover(space, cover)
+    return refinement_mapping(ir_cat(space).sets, members)
+
+
+def refinement_mapping(optimal: tuple[int, ...], members: tuple[int, ...]):
+    """``check_refinement``'s decision, on the optimal cover of a space
+    and the members of an open cover of it, neither validated: (True,
+    mapping) with the index of the first member holding each optimal
+    member, or (False, None)."""
     mapping = []
-    for w in ir_cat(space).sets:
+    for w in optimal:
         for j, v in enumerate(members):
             if w & ~v == 0:
                 mapping.append(j)
@@ -150,16 +160,25 @@ def check_refinement(space: FiniteSpace, cover: Iterable[int]):
 def min_subcover(space: FiniteSpace, cover: Iterable[int]) -> tuple[int, ...]:
     """A subcover of ``cover`` with at most ir_cat(space) members.
 
-    Each member of the optimal deformable cover is mapped greedily to
-    its largest container in ``cover``; the deduplicated containers
-    already cover the space and are at most as many as those members.
-    SubcoverNotFound signals a member with no container, which would
-    refute the refinement property.
+    Validates ``cover`` (NotACover unless its members are open and cover
+    the space), then chooses by ``greedy_subcover``.
     """
     members = _open_cover(space, cover)
+    return greedy_subcover(ir_cat(space).sets, members)
+
+
+def greedy_subcover(optimal: tuple[int, ...], members: tuple[int, ...]) -> tuple[int, ...]:
+    """``min_subcover``'s choice, on the optimal cover of a space and the
+    members of an open cover of it, neither validated.
+
+    Each optimal member is mapped greedily to its largest container among
+    ``members`` (the smallest mask among equals); the deduplicated
+    containers already cover the space and are at most as many as the
+    optimal members.  SubcoverNotFound signals an optimal member with no
+    container, which would refute the refinement property.
+    """
     chosen: list[int] = []
-    for w in ir_cat(space).sets:
-        # the largest container, the smallest mask among equals
+    for w in optimal:
         best = best_size = -1
         for v in members:
             if w & ~v == 0:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .core import (
     FiniteSpace,
@@ -155,56 +155,66 @@ def continuous_maps(domain: FiniteSpace, codomain: FiniteSpace) -> list[Continuo
     None is a prefix of another, so there are at most |codomain| **
     |domain| of them, and at most |domain| search steps per one.
     """
-    return [ContinuousMap(domain, codomain, a) for a in _assignments(domain, codomain)]
+    search = _map_search(domain, codomain, _map_budget())
+    return [ContinuousMap(domain, codomain, a) for a in search()]
 
 
-def _assignments(
-    domain: FiniteSpace, codomain: FiniteSpace, within: Sequence[int] | None = None
-) -> Iterator[tuple[int, ...]]:
-    """The assignments of ``continuous_maps``, unvalidated: the search
-    builds only monotone ones.  Given ``within``, only those sending each
-    point k into ``within[k]``, in the same order; that search walks part
-    of the unmasked one's tree, so it tries no more maps."""
-    limit = _map_budget()
+def _map_search(
+    domain: FiniteSpace, codomain: FiniteSpace, limit: int
+) -> Callable[..., Iterator[tuple[int, ...]]]:
+    """The map search of ``continuous_maps`` under the map budget
+    ``limit``, with the domain's lists built once for any number of runs.
+
+    ``search(within)`` yields the assignments in lexicographic order,
+    unvalidated: the search builds only monotone ones.  Each run counts
+    its own maps tried against ``limit``.  Given ``within``, it yields
+    only those sending each point k into ``within[k]``, in the same
+    order; that run walks part of the unmasked one's tree, so it tries
+    no more maps.
+    """
     n = domain.n
-    if n == 0:
-        if limit < 1:
-            raise _over_map_budget(limit)
-        yield ()
-        return
     full, reach_rows, min_opens = codomain.full_mask, codomain.reach_rows, codomain.min_opens
-    seed = [full] * n if within is None else within
     below = [points_of(domain.min_opens[k] & ((1 << k) - 1)) for k in range(n)]
     above = [points_of(domain.reach_rows[k] & ((1 << k) - 1)) for k in range(n)]
-    assign = [0] * n
 
-    def allowed(k: int) -> int:
-        m = seed[k]
-        for p in below[k]:
-            m &= reach_rows[assign[p]]
-        for p in above[k]:
-            m &= min_opens[assign[p]]
-        return m
+    def search(within: Sequence[int] | None = None) -> Iterator[tuple[int, ...]]:
+        if n == 0:
+            if limit < 1:
+                raise _over_map_budget(limit)
+            yield ()
+            return
+        seed = [full] * n if within is None else within
+        assign = [0] * n
 
-    k, tried = 0, 0
-    pending = [seed[0]] + [0] * (n - 1)  # pending[k]: images of point k left to try
-    while k >= 0:
-        m = pending[k]
-        if not m:
-            k -= 1
-            continue
-        low = m & -m
-        pending[k] = m ^ low
-        assign[k] = low.bit_length() - 1
-        if k + 1 < n and (nxt := allowed(k + 1)):
-            k += 1
-            pending[k] = nxt
-            continue
-        if tried == limit:
-            raise _over_map_budget(limit)
-        tried += 1
-        if k + 1 == n:
-            yield tuple(assign)
+        def allowed(k: int) -> int:
+            m = seed[k]
+            for p in below[k]:
+                m &= reach_rows[assign[p]]
+            for p in above[k]:
+                m &= min_opens[assign[p]]
+            return m
+
+        k, tried = 0, 0
+        pending = [seed[0]] + [0] * (n - 1)  # pending[k]: images of point k left to try
+        while k >= 0:
+            m = pending[k]
+            if not m:
+                k -= 1
+                continue
+            low = m & -m
+            pending[k] = m ^ low
+            assign[k] = low.bit_length() - 1
+            if k + 1 < n and (nxt := allowed(k + 1)):
+                k += 1
+                pending[k] = nxt
+                continue
+            if tried == limit:
+                raise _over_map_budget(limit)
+            tried += 1
+            if k + 1 == n:
+                yield tuple(assign)
+
+    return search
 
 
 def ir_homotopy_equivalent(
@@ -222,10 +232,12 @@ def ir_homotopy_equivalent(
     """
     # both directions counted in full first, so an over-budget input
     # raises before any answer; only the returned pair is validated as maps
-    for side in (_assignments(x, y), _assignments(y, x)):
+    limit = _map_budget()
+    search_xy, search_yx = _map_search(x, y, limit), _map_search(y, x, limit)
+    for side in (search_xy(), search_yx()):
         for _ in side:
             pass
-    for fa in _assignments(x, y):
+    for fa in search_xy():
         within, hit = [x.full_mask] * y.n, [0] * y.n
         for p, q in enumerate(fa):
             within[q] &= x.reach_rows[p]  # g(q) in the closure of p
@@ -233,6 +245,6 @@ def ir_homotopy_equivalent(
                 hit[r] |= 1 << p
         within = [w & h for w, h in zip(within, hit)]
         if all(within):  # else some q has no image
-            for ga in _assignments(y, x, within):
+            for ga in search_yx(within):
                 return ContinuousMap(x, y, fa), ContinuousMap(y, x, ga)
     return None

@@ -22,11 +22,18 @@ Claim categories:
 
 Exhaustive searches that production code replaced by closed forms are
 kept here as oracles (``_cover_search``, ``_dimension_search``), so the
-claims that use them check their statements by brute force.
+claims that use them check their statements by brute force;
+D5_sense_compare lists the deformable opens once for both senses.
 ``chain_homotopy_oracle`` decides deformations over the two-point chain
-from open sets alone: it builds the box basis of the product once per
-call and answers for a whole list of target maps as a bit mask, so T6
-makes one call per space.  Logic that only one claim needs lives in
+from open sets alone: it takes each product point's smallest box as the
+product of the factors' meets of the opens holding it, once per call,
+and answers for a whole list of target maps as a bit mask, so T6 makes
+one call per space.  The covers that L1 and L2_subcover sweep are open
+covers by construction, so those claims call the decisions
+``category.refinement_mapping`` and ``category.greedy_subcover`` with
+the optimal cover fetched once per space; C8 and the unit tests call
+the validating entries ``check_refinement`` and ``min_subcover``.
+Logic that only one claim needs lives in
 that claim's check: T1 tests compactness on 1-D grid subspaces, T10
 computes the grid's greatest point and T11 tests each path in both
 directions.  A corollary that is an instance of
@@ -153,26 +160,57 @@ def topologies_by_open_families(n: int) -> set[tuple[int, ...]]:
 # independent homotopy oracle
 
 
+def _rows(mask: int, ny: int) -> int:
+    """One bit per point p of ``mask``, at the first product point of row
+    p; as a mask m of the second factor is below 2**ny, rows * m is the
+    box ``mask`` x m over row-major product points."""
+    rows = 0
+    while mask:
+        low = mask & -mask
+        rows |= 1 << ((low.bit_length() - 1) * ny)
+        mask ^= low
+    return rows
+
+
 def box_topology(x: FiniteSpace, y: FiniteSpace) -> frozenset[int]:
     """The boxes O x P of opens of x and of y, as masks over row-major
     product points: closed under intersection, with the empty and the full
     set, so a basis of the product topology, whose opens are not listed."""
-    ny = y.n
     y_opens = y.open_sets
     boxes = set()
     for ox in x.open_sets:
-        # one bit per row of ox; as oy < 2**ny, rows * oy is the box ox x oy
-        rows = 0
-        while ox:
-            low = ox & -ox
-            rows |= 1 << ((low.bit_length() - 1) * ny)
-            ox ^= low
+        rows = _rows(ox, y.n)
         boxes.update([rows * oy for oy in y_opens])
     return frozenset(boxes)
 
 
+def _meets(space: FiniteSpace) -> list[int]:
+    """meets[p]: the intersection of the open sets holding p, read from
+    ``open_sets`` alone."""
+    meets = [space.full_mask] * space.n
+    for o in space.open_sets:
+        rest = o
+        while rest:
+            low = rest & -rest
+            meets[low.bit_length() - 1] &= o
+            rest ^= low
+    return meets
+
+
 # the finite model of the one-way unit interval: bottom open, top not
 _TWO_POINT_CHAIN = intervals.chain_space(2)
+
+
+def _smallest_boxes(x: FiniteSpace) -> list[int]:
+    """The smallest box of ``box_topology(x, _TWO_POINT_CHAIN)`` holding
+    each product point, 2p being (p, bottom) and 2p + 1 (p, top).
+
+    A box O x P holds (p, t) exactly when O holds p and P holds t, so the
+    meet of those boxes is the meet of the opens holding p times the meet
+    of those holding t; the boxes themselves are never listed.
+    """
+    chain = _meets(_TWO_POINT_CHAIN)
+    return [_rows(m, 2) * c for m in _meets(x) for c in chain]
 
 
 def chain_homotopy_oracle(x: FiniteSpace, y: FiniteSpace, f, targets) -> int:
@@ -191,9 +229,9 @@ def chain_homotopy_oracle(x: FiniteSpace, y: FiniteSpace, f, targets) -> int:
     its two stages.  The boundary conditions pin every product point, so
     H is the only candidate.
 
-    The boxes are built once per call.  They are closed under
-    intersection and hold the full set, so each product point lies in a
-    smallest box, the meet of the boxes holding it; a set is the union
+    The boxes are closed under intersection and hold the full set, so
+    each product point lies in a smallest box, the meet of the boxes
+    holding it (``_smallest_boxes``, once per call); a set is the union
     of the boxes inside it exactly when it holds the smallest box of
     each of its points.  Only ``open_sets`` of x, y and the chain are
     read, never their reach relations.
@@ -208,25 +246,21 @@ def chain_homotopy_oracle(x: FiniteSpace, y: FiniteSpace, f, targets) -> int:
             raise ValueError("boundary maps must assign every point of the domain")
         if not all(type(v) is int and 0 <= v < ny for v in g):
             raise ValueError(f"boundary map {tuple(g)} has values outside the codomain")
-    # product point 2p is (p, bottom), 2p + 1 is (p, top)
-    smallest = [-1] * (2 * nx)
-    for b in box_topology(x, _TWO_POINT_CHAIN):
-        rest = b
-        while rest:
-            low = rest & -rest
-            smallest[low.bit_length() - 1] &= b
-            rest ^= low
+    smallest = _smallest_boxes(x)
+    # fibers[q]: the product points H sends to q; boxes[q]: the union of
+    # their smallest boxes; the bottom row's share is the same for every g
+    f_fibers = [0] * ny
+    f_boxes = [0] * ny
+    for p, q in enumerate(f):
+        f_fibers[q] |= 1 << (2 * p)
+        f_boxes[q] |= smallest[2 * p]
     found = 0
     for j, g in enumerate(targets):
-        # fibers[q]: the product points H sends to q; boxes[q]: the union
-        # of their smallest boxes
-        fibers = [0] * ny
-        boxes = [0] * ny
-        for p in range(nx):
-            fibers[f[p]] |= 1 << (2 * p)
-            boxes[f[p]] |= smallest[2 * p]
-            fibers[g[p]] |= 1 << (2 * p + 1)
-            boxes[g[p]] |= smallest[2 * p + 1]
+        fibers = f_fibers[:]
+        boxes = f_boxes[:]
+        for p, q in enumerate(g):
+            fibers[q] |= 1 << (2 * p + 1)
+            boxes[q] |= smallest[2 * p + 1]
         for v in y.open_sets:
             pre = need = 0
             while v:  # each point q of v
@@ -285,6 +319,17 @@ def _cover_search(space: FiniteSpace, sense: str) -> category.CoverReport:
     cover = _minimum_cover(space.full_mask, tuple(m for m, _ in cands))
     witness = dict(cands)
     return category.CoverReport(cover, tuple(witness[m] for m in cover))
+
+
+def _sense_cover_sizes(space: FiniteSpace) -> tuple[int, int]:
+    """The sizes of ``_cover_search`` in the subspace and the ambient
+    sense, from one listing of the deformable opens: the subspace
+    candidates are the ambient ones whose witness meets their set, in
+    the same order."""
+    cands = _ir_contractible_opens(space, "ambient")
+    full = space.full_mask
+    sub = _minimum_cover(full, tuple(o for o, w in cands if w & o))
+    return len(sub), len(_minimum_cover(full, tuple(o for o, _ in cands)))
 
 
 def _dimension_search(space: FiniteSpace) -> category.DimensionReport:
@@ -711,9 +756,10 @@ def _check_p4(s):
 
 
 def _check_l1(s):
+    # the covers are open covers by construction, so only the decision runs
     optimal = category.ir_cat(s).sets
     for cov in category.irredundant_covers(s):
-        ok, mapping = category.check_refinement(s, cov)
+        ok, mapping = category.refinement_mapping(optimal, cov)
         # optimal member i must lie in cover member mapping[i]
         if not ok or len(mapping) != len(optimal) or not all(
             0 <= j < len(cov) and w & ~cov[j] == 0 for w, j in zip(optimal, mapping)
@@ -753,7 +799,7 @@ def _check_l2_subcover(s):
         covers = itertools.chain(covers, (padded,))
     for cov in covers:
         try:
-            sub = category.min_subcover(s, cov)
+            sub = category.greedy_subcover(rep.sets, cov)
         except category.SubcoverNotFound:
             return {
                 "space": s,
@@ -840,8 +886,7 @@ def _check_c9(s):
 
 
 def _check_d5(s):
-    sub = _cover_search(s, "subspace").size
-    amb = _cover_search(s, "ambient").size
+    sub, amb = _sense_cover_sizes(s)
     if sub != amb:
         return {
             "space": s,

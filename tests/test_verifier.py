@@ -2,10 +2,12 @@ import dataclasses
 import hashlib
 import json
 import multiprocessing
+import operator
 import os
 import subprocess
 import sys
 from concurrent.futures import Future
+from functools import reduce
 from pathlib import Path
 
 import pytest
@@ -26,7 +28,12 @@ from irtopo.homotopy import continuous_maps
 from irtopo.verifier import (
     CLAIM_ORDER,
     CLAIMS,
+    _cover_search,
+    _padded_cover,
+    _sense_cover_sizes,
+    _smallest_boxes,
     _space_table,
+    _spaces_upto,
     box_topology,
     suite_passed,
     suite_to_jsonable,
@@ -220,6 +227,56 @@ class TestOracle:
                         assert ir_homotopic(f, g) == bool(mask >> j & 1)
 
 
+class TestClaimKernels:
+    """The shortcuts that L1, L2_subcover, D5_sense_compare and T6 take
+    once per space, against the entries and searches they replace."""
+
+    def test_cover_decisions_match_the_validated_entries(self, spaces_upto4):
+        # every cover L1 and L2_subcover sweep: the irredundant ones and
+        # the padded optimal cover
+        checked = 0
+        for s in spaces_upto4:
+            optimal = category.ir_cat(s).sets
+            padded, _ = _padded_cover(s)
+            covers = list(category.irredundant_covers(s))
+            if padded is not None:
+                covers.append(padded)
+            for cov in covers:
+                assert category.refinement_mapping(optimal, cov) == category.check_refinement(s, cov)
+                assert category.greedy_subcover(optimal, cov) == category.min_subcover(s, cov)
+                checked += 1
+        assert checked > len(spaces_upto4)
+
+    def test_cover_decisions_on_a_family_that_misses_a_member(self, sierpinski):
+        # the decisions validate nothing: a family with no container for
+        # an optimal member is refused by the verdict, not by NotACover
+        optimal = category.ir_cat(sierpinski).sets
+        assert optimal == (0b11,)
+        assert category.refinement_mapping(optimal, (0b01,)) == (False, None)
+        with pytest.raises(category.SubcoverNotFound):
+            category.greedy_subcover(optimal, (0b01,))
+
+    def test_one_listing_gives_both_sense_sizes(self):
+        for s in _spaces_upto(5):
+            assert _sense_cover_sizes(s) == (
+                _cover_search(s, "subspace").size,
+                _cover_search(s, "ambient").size,
+            )
+
+    def test_smallest_boxes_are_the_box_meets(self, spaces_upto4):
+        chain = chain_space(2)
+        for x in spaces_upto4:
+            boxes = box_topology(x, chain)
+            meets = []
+            for point in range(2 * x.n):
+                meet = (1 << 2 * x.n) - 1
+                for b in boxes:
+                    if b >> point & 1:
+                        meet &= b
+                meets.append(meet)
+            assert _smallest_boxes(x) == meets
+
+
 class TestClaims:
     def test_registry_is_complete(self):
         assert len(CLAIM_ORDER) == 32
@@ -252,16 +309,18 @@ class TestClaims:
     @pytest.mark.parametrize(
         "helper, mutant",
         [
-            ("check_refinement", lambda s, cov: (True, ())),
-            ("check_refinement", lambda s, cov: (True, (0,) * len(category.ir_cat(s).sets))),
-            ("min_subcover", lambda s, cov: ()),
-            ("min_subcover", lambda s, cov: (s.full_mask,)),
+            ("refinement_mapping", lambda optimal, cov: (True, ())),
+            ("refinement_mapping", lambda optimal, cov: (True, (0,) * len(optimal))),
+            ("greedy_subcover", lambda optimal, cov: ()),
+            # the union of a cover is the whole space
+            ("greedy_subcover", lambda optimal, cov: (reduce(operator.or_, cov),)),
         ],
         ids=["no-mapping", "wrong-mapping", "empty-subcover", "foreign-subcover"],
     )
     def test_cover_claims_check_their_helpers(self, monkeypatch, helper, mutant):
-        # L1 and L2_subcover check what the helpers return, not only their shape
-        claim = "L1" if helper == "check_refinement" else "L2_subcover"
+        # L1 and L2_subcover check what the decisions they call return,
+        # not only their shape
+        claim = "L1" if helper == "refinement_mapping" else "L2_subcover"
         assert run_claim(claim, n_max=3).passed
         monkeypatch.setattr(category, helper, mutant)
         assert not run_claim(claim, n_max=3).passed
