@@ -41,7 +41,7 @@ from .core import (
     EmptySpace,
     FiniteSpace,
     IrtopoError,
-    canon_key,
+    canon_sorted,
     iter_points,
     points_of,
 )
@@ -84,15 +84,8 @@ class DimensionReport:
 @lru_cache(maxsize=1 << 15)
 def _ir_cat_cached(reach_rows: tuple[int, ...]) -> CoverReport:
     space = FiniteSpace(tuple(str(i) for i in range(len(reach_rows))), reach_rows)
-    cover = tuple(
-        sorted(
-            {
-                space.min_opens[y]
-                for y, row in enumerate(reach_rows)
-                if row & ~space.min_opens[y] == 0
-            },
-            key=canon_key,
-        )
+    cover = canon_sorted(
+        {space.min_opens[y] for y, row in enumerate(reach_rows) if row & ~space.min_opens[y] == 0}
     )
     return CoverReport(cover, tuple(space.common_reach(m) for m in cover))
 
@@ -191,7 +184,7 @@ def greedy_subcover(optimal: tuple[int, ...], members: tuple[int, ...]) -> tuple
             )
         if best not in chosen:
             chosen.append(best)
-    return tuple(sorted(chosen, key=canon_key))
+    return canon_sorted(chosen)
 
 
 def irredundant_covers(space: FiniteSpace) -> Iterator[tuple[int, ...]]:

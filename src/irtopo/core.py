@@ -65,24 +65,47 @@ def mask_of(points: Iterable[int]) -> int:
     return m
 
 
+def _negative_mask(mask: int) -> ValueError:
+    """The error for a negative mask, which names no finite point set.  The
+    mask is shown in hex and clipped: ``str`` refuses an int of over 4300
+    digits, and a message never echoes a whole input."""
+    text = hex(mask)
+    if len(text) > 40:
+        text = text[:40] + "..."
+    return ValueError(f"negative mask {text} is not a point set")
+
+
 def iter_points(mask: int) -> Iterator[int]:
     """The points of ``mask`` in ascending order; ValueError on a negative
     mask, which names no finite point set."""
     if mask < 0:
-        raise ValueError(f"negative mask {mask} is not a point set")
+        raise _negative_mask(mask)
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
 
 
+# _BYTE_POINTS[k][b]: the points of byte value b placed as byte k of a mask.
+_BYTE_POINTS = tuple(
+    tuple(tuple(8 * k + i for i in range(8) if b >> i & 1) for b in range(256))
+    for k in range(3)
+)
+
+
 def points_of(mask: int) -> tuple[int, ...]:
+    """The points of ``mask`` as an ascending tuple; ValueError on a
+    negative mask.  A mask below 2**24 is read one byte at a time from a
+    table, a larger one by the lowest-bit walk of :func:`iter_points`."""
+    if 0 <= mask < 1 << 24:
+        low, mid, high = _BYTE_POINTS
+        return low[mask & 255] + mid[mask >> 8 & 255] + high[mask >> 16]
     return tuple(iter_points(mask))
 
 
-def canon_key(mask: int) -> tuple[int, int]:
-    """Canonical sort key for point sets: cardinality, then bitmask value."""
-    return (mask.bit_count(), mask)
+def canon_sorted(masks: Iterable[int]) -> tuple[int, ...]:
+    """Point sets in canonical order: by cardinality, then by bitmask value."""
+    return tuple(sorted(sorted(masks), key=int.bit_count))
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,7 +171,7 @@ class FiniteSpace:
             opens |= {o | m for o in opens}
             if len(opens) > OPEN_SET_LIMIT:
                 raise SearchBudgetExceeded(f"over {OPEN_SET_LIMIT} open sets on {self.n} points")
-        return tuple(sorted(opens, key=canon_key))
+        return canon_sorted(opens)
 
     def is_open(self, mask: int) -> bool:
         """Whether ``mask`` is an open set of this space; False for any
@@ -169,7 +192,7 @@ class FiniteSpace:
         intersection of their closures, the whole space when ``aset`` is
         empty."""
         if aset < 0:
-            raise ValueError(f"negative mask {aset} is not a point set")
+            raise _negative_mask(aset)
         out = self.full_mask
         rows = self.reach_rows
         while aset:  # each point x of aset, lowest first
@@ -190,7 +213,7 @@ class FiniteSpace:
         negative mask.
         """
         if aset < 0:
-            raise ValueError(f"negative mask {aset} is not a point set")
+            raise _negative_mask(aset)
         aset &= self.full_mask
         if aset == 0:
             raise EmptySpace("a subspace needs at least one point")
@@ -245,7 +268,7 @@ def from_open_sets(labels: Iterable[str], opens: Iterable) -> FiniteSpace:
     labels = tuple(labels)
     n = len(labels)
     full = (1 << n) - 1
-    fam = sorted({_as_mask(o, full) for o in opens}, key=canon_key)
+    fam = canon_sorted({_as_mask(o, full) for o in opens})
     famset = set(fam)
     if 0 not in famset:
         raise NotATopology("the empty set must be listed")
@@ -261,7 +284,7 @@ def from_open_sets(labels: Iterable[str], opens: Iterable) -> FiniteSpace:
                     f"intersection of {points_of(mo[y])} and {points_of(m)} is missing"
                 )
             mo[y] &= m
-    for u in sorted(set(mo), key=canon_key):
+    for u in canon_sorted(set(mo)):
         for m in fam:
             if m | u not in famset:
                 raise NotATopology(f"union of {points_of(m)} and {points_of(u)} is missing")

@@ -156,17 +156,19 @@ def continuous_maps(domain: FiniteSpace, codomain: FiniteSpace) -> list[Continuo
     |domain| of them, and at most |domain| search steps per one.
     """
     search = _map_search(domain, codomain, _map_budget())
-    return [ContinuousMap(domain, codomain, a) for a in search()]
+    return [ContinuousMap(domain, codomain, tuple(a)) for a in search()]
 
 
 def _map_search(
     domain: FiniteSpace, codomain: FiniteSpace, limit: int
-) -> Callable[..., Iterator[tuple[int, ...]]]:
+) -> Callable[..., Iterator[list[int]]]:
     """The map search of ``continuous_maps`` under the map budget
     ``limit``, with the domain's lists built once for any number of runs.
 
     ``search(within)`` yields the assignments in lexicographic order,
-    unvalidated: the search builds only monotone ones.  Each run counts
+    unvalidated: the search builds only monotone ones.  Each is the
+    search's own live list, overwritten when the run resumes, so a caller
+    that keeps one copies it with ``tuple``.  Each run counts
     its own maps tried against ``limit``.  Given ``within``, it yields
     only those sending each point k into ``within[k]``, in the same
     order; that run walks part of the unmasked one's tree, so it tries
@@ -177,14 +179,14 @@ def _map_search(
     below = [points_of(domain.min_opens[k] & ((1 << k) - 1)) for k in range(n)]
     above = [points_of(domain.reach_rows[k] & ((1 << k) - 1)) for k in range(n)]
 
-    def search(within: Sequence[int] | None = None) -> Iterator[tuple[int, ...]]:
+    def search(within: Sequence[int] | None = None) -> Iterator[list[int]]:
+        assign = [0] * n
         if n == 0:
             if limit < 1:
                 raise _over_map_budget(limit)
-            yield ()
+            yield assign
             return
         seed = [full] * n if within is None else within
-        assign = [0] * n
 
         def allowed(k: int) -> int:
             m = seed[k]
@@ -212,7 +214,7 @@ def _map_search(
                 raise _over_map_budget(limit)
             tried += 1
             if k + 1 == n:
-                yield tuple(assign)
+                yield assign
 
     return search
 
@@ -246,5 +248,5 @@ def ir_homotopy_equivalent(
         within = [w & h for w, h in zip(within, hit)]
         if all(within):  # else some q has no image
             for ga in search_yx(within):
-                return ContinuousMap(x, y, fa), ContinuousMap(y, x, ga)
+                return ContinuousMap(x, y, tuple(fa)), ContinuousMap(y, x, tuple(ga))
     return None

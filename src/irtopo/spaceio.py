@@ -21,6 +21,8 @@ non-reflexive contained-in pairs.  Grid format: {"points": [["1/2",
 from __future__ import annotations
 
 import json
+from functools import lru_cache
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 
 from .core import FiniteSpace, IrtopoError, clip_repr, from_open_sets, from_pairs, points_of
@@ -35,8 +37,8 @@ class ParseError(IrtopoError):
 def space_to_dict(space: FiniteSpace) -> dict:
     return {
         "labels": list(space.labels),
-        "reach": [[x, y] for x, y in space.reach_pairs()],
-        "opens": [list(points_of(o)) for o in space.open_sets],
+        "reach": list(map(list, space.reach_pairs())),
+        "opens": list(map(list, map(points_of, space.open_sets))),
     }
 
 
@@ -153,7 +155,11 @@ def dumps_canonical(obj) -> str:
     The text equals ``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``
     byte for byte.  With an indent the stdlib encodes in pure Python, so
     this writer builds the same layout itself: strings go through the C
-    string encoder and each list of plain ints is one join.  It takes
+    string encoder and each list of plain ints is one join.  A list of
+    lists of plain ints, such as a space's ``opens`` and ``reach``, is one
+    call of the C encoder with the newline and indent of an int as its
+    item separator; two ``str.replace`` passes then put the members'
+    brackets on lines of their own and close up empty members.  It takes
     dicts with str keys, lists, tuples, str, int, bool and None; anything
     else raises TypeError.
     """
@@ -172,8 +178,18 @@ def _write(obj, out: list[str], nl: str) -> None:
             return
         inner = nl + "  "
         sep = "," + inner
-        if set(map(type, obj)) == _INTS:
+        types = set(map(type, obj))
+        if types == _INTS:
             out += ("[", inner, sep.join(map(int.__repr__, obj)), nl, "]")
+        elif types == _LISTS and set(map(type, chain.from_iterable(obj))) <= _INTS:
+            # the encoder starts each int on its own line; the members'
+            # brackets are moved onto theirs, and empty members closed up
+            deep = inner + "  "
+            body = _items_encoder("," + deep)(obj)[2:-2].replace(
+                "]," + deep + "[", inner + "]," + inner + "[" + deep
+            )
+            text = ("[" + deep + body + inner + "]").replace("[" + deep + inner + "]", "[]")
+            out += ("[", inner, text, nl, "]")
         else:
             lead = "[" + inner
             for item in obj:
@@ -209,3 +225,11 @@ def _write(obj, out: list[str], nl: str) -> None:
 
 
 _INTS = {int}
+_LISTS = {list}
+
+
+@lru_cache(maxsize=None)
+def _items_encoder(sep: str):
+    """JSON text with ``sep`` between list items and no other whitespace,
+    through the C encoder, which the stdlib runs only without an indent."""
+    return json.JSONEncoder(separators=(sep, ":")).encode

@@ -71,7 +71,7 @@ from .core import (
     FiniteSpace,
     IrtopoError,
     SearchBudgetExceeded,
-    canon_key,
+    canon_sorted,
     from_open_sets,
     iter_points,
     points_of,
@@ -301,16 +301,16 @@ def _ir_contractible_opens(
 
 def _minimum_cover(universe: int, candidates: tuple[int, ...]) -> tuple[int, ...]:
     """Exact minimum set cover: the first covering family of the smallest
-    size, in ``itertools.combinations`` order, sorted by ``canon_key``; so
-    a tie goes to the first optimum in candidate order.  Exponential in the
-    number of candidates, which spaces of at most 5 points (9 for products)
-    keep small.  NotACover at once when the candidates miss a point."""
+    size, in ``itertools.combinations`` order, returned in canonical order
+    (``canon_sorted``); so a tie goes to the first optimum in candidate
+    order.  Exponential in the number of candidates, which spaces of at
+    most 5 points (9 for products) keep small.  NotACover at once when the candidates miss a point."""
     if universe & ~reduce(operator.or_, candidates, 0):
         raise category.NotACover("candidate sets do not cover the space")
     for size in itertools.count():
         for family in itertools.combinations(candidates, size):
             if not universe & ~reduce(operator.or_, family, 0):
-                return tuple(sorted(family, key=canon_key))
+                return canon_sorted(family)
 
 
 def _cover_search(space: FiniteSpace, sense: str) -> category.CoverReport:
@@ -777,7 +777,7 @@ def _padded_cover(s: FiniteSpace):
     extra = next((o for o in s.open_sets if o and o not in used), None)
     if extra is None:
         return None, rep
-    return tuple(sorted(rep.sets + (extra,), key=canon_key)), rep
+    return canon_sorted(rep.sets + (extra,)), rep
 
 
 def _check_l2_literal(s):

@@ -472,12 +472,12 @@ def test_large_sparse_space_answers_fast(command, code, expected, large_discrete
 
 @pytest.fixture(scope="module")
 def large_star(tmp_path_factory):
-    """A star on 20,000 points, point 0 reaching every other one, and
-    one on 1,000: the open sets are the sets holding point 0, and the
-    maps from a star to itself are too many to list."""
+    """Stars on 20,000, 3,000 and 1,000 points, point 0 reaching every
+    other one: the open sets are the sets holding point 0, and the maps
+    from a star to itself are too many to list."""
     directory = tmp_path_factory.mktemp("star")
     return {n: _space_file(directory, f"star{n}", n, [[0, k] for k in range(1, n)])
-            for n in (1_000, 20_000)}
+            for n in (1_000, 3_000, 20_000)}
 
 
 @pytest.mark.parametrize("fmt", ["table", "json"])
@@ -515,6 +515,18 @@ def test_equiv_holds_one_map_at_a_time(large_star):
     assert err == (
         "error: map budget exceeded: more than 300000 maps tried (IRTOPO_BUDGET_MAPS sets it)\n"
     )
+
+
+def test_equiv_counts_maps_without_copying_them(large_star):
+    # the first counting pass passes the default budget of 1,000,000 maps;
+    # a fresh 3,000-tuple per map counted made this take 15 s
+    star = large_star[3_000]
+    code, out, err, seconds = _run_cli(["equiv", star, star])
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: map budget exceeded: more than 1000000 maps tried (IRTOPO_BUDGET_MAPS sets it)\n"
+    )
+    assert seconds < 5
 
 
 def test_duplicate_label_found_in_one_pass(tmp_path):

@@ -1,5 +1,6 @@
 import ast
 import pickle
+import random
 import re
 
 import pytest
@@ -14,6 +15,7 @@ from irtopo import (
     from_pairs,
     from_reach,
     ir_co,
+    iter_points,
     mask_of,
     points_of,
     product,
@@ -51,6 +53,21 @@ def test_mask_helpers_roundtrip():
     assert points_of(mask_of([0, 2, 5])) == (0, 2, 5)
     assert mask_of([]) == 0
     assert points_of(0) == ()
+
+
+def test_points_of_agrees_with_the_bit_walk():
+    # every mask of the byte table's low two bytes, the masks around its
+    # 2**24 bound, and masks of 20,000 bits, which take the bit walk
+    rng = random.Random(0)
+    wide = [(1 << 20_000) - 1, 1 << 19_999, (1 << 19_999) | 1]
+    wide += [rng.getrandbits(20_000) for _ in range(20)]
+    near = [(1 << 24) + d for d in range(-300, 300)]
+    near += [rng.getrandbits(24) for _ in range(1000)]
+    for mask in [*range(1 << 16), *near, *wide]:
+        assert points_of(mask) == tuple(iter_points(mask))
+    for mask in (-1, -(1 << 24), -(1 << 20_000)):
+        with pytest.raises(ValueError, match="negative mask"):
+            points_of(mask)
 
 
 @pytest.mark.parametrize(

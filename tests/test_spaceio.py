@@ -1,3 +1,4 @@
+import enum
 import json
 import re
 import time
@@ -155,7 +156,13 @@ _TEXT = st.text(
 )
 _INT = st.integers() | st.sampled_from([0, -1, 2**63, -(10**40), 10**100])
 _JSON = st.recursive(
-    st.none() | st.booleans() | _INT | _TEXT | st.lists(_INT) | st.lists(_TEXT),
+    st.none()
+    | st.booleans()
+    | _INT
+    | _TEXT
+    | st.lists(_INT)
+    | st.lists(_TEXT)
+    | st.lists(st.lists(_INT, max_size=4), max_size=4),
     lambda inner: st.lists(inner, max_size=4)
     | st.lists(inner, max_size=4).map(tuple)
     | st.lists(_INT | st.booleans(), max_size=4)
@@ -170,10 +177,20 @@ def test_dumps_canonical_matches_the_stdlib(value):
     assert dumps_canonical(value) == _stdlib_canonical(value)
 
 
+class _Bit(enum.IntEnum):
+    ON = 1
+
+
 @pytest.mark.parametrize(
     "value",
     [[], {}, (), [[]], [{}], {"a": []}, {"a": {"b": ()}}, [True, 1, False, 0, None],
-     [1, 2, True], ["a", "b", 1], [[0, 1], [], [2]], {"": "", "\x00": ["\\", '"']}],
+     [1, 2, True], ["a", "b", 1], [[0, 1], [], [2]], {"": "", "\x00": ["\\", '"']},
+     # lists of int lists, written in bulk unless a member is not a list of
+     # plain ints
+     [[], [], []], [[[0, 1], []], [[]], [[2]]],
+     {"opens": [[], [0], [0, 1]], "reach": [[0, 1]], "x": {"y": [[-3], []]}},
+     [[-1, -(10**40)], [10**100, -(10**100)], [0]], ([0, 1], [2]),
+     [[True, 1], [False]], [(0, 1), [2]], [[0], (1,)], [[_Bit.ON, 2], [_Bit.ON]]],
 )
 def test_dumps_canonical_edge_values(value):
     assert dumps_canonical(value) == _stdlib_canonical(value)
@@ -182,11 +199,13 @@ def test_dumps_canonical_edge_values(value):
 @pytest.mark.parametrize(
     "value, kind",
     [(1.5, "float"), ({1, 2}, "set"), (object(), "object"), ([0, {"a": 0.0}], "float"),
-     ({1: "a"}, "int")],
+     ({1: "a"}, "int"), ([[0, 1.5]], "float"), ([[0], [1.5]], "float"),
+     ({"a": [[], [0.0]]}, "float")],
 )
 def test_dumps_canonical_rejects_other_types(value, kind):
     with pytest.raises(TypeError, match=kind):
         dumps_canonical(value)
+
 
 
 def test_analyze_output_matches_the_stdlib(tmp_path, capsys):
