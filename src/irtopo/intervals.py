@@ -6,7 +6,9 @@ analogues are chain spaces.  Grid subspaces sit in the one-way n-space
 over all rationals, so their coordinates are not confined to [0, 1].
 All arithmetic is exact over ``fractions.Fraction`` -- floats are
 rejected, since the predicates in this module are discontinuous in
-their inputs.
+their inputs.  ``d_ir`` and ``ball`` compare and add through the
+numerators and denominators (cross-multiplication) rather than the
+``Fraction`` operators, and return normalized Fractions.
 
 The statements about these models -- compactness through a greatest
 element, the core of a grid -- are checked in ``verifier`` (claims T1,
@@ -55,6 +57,7 @@ def format_fraction(f: Fraction) -> str:
 
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 def _unit(v, name: str) -> Fraction:
@@ -74,7 +77,9 @@ def d_ir(x, y) -> Fraction:
     """
     x = _unit(x, "x")
     y = _unit(y, "y")
-    return y - x if y > x else _ZERO
+    # y - x over the common denominator; Fraction(n, d) normalizes
+    diff = y.numerator * x.denominator - x.numerator * y.denominator
+    return Fraction(diff, x.denominator * y.denominator) if diff > 0 else _ZERO
 
 
 @dataclass(frozen=True)
@@ -93,12 +98,14 @@ class Ball:
 def ball(x, eps) -> Ball:
     x = _unit(x, "x")
     eps = as_fraction(eps)
-    if eps <= 0:
+    if eps.numerator <= 0:
         raise OutOfRange("radius must be positive")
-    hi = x + eps
-    if hi > 1:
-        return Ball(Fraction(1), whole_space=True)
-    return Ball(hi, whole_space=False)
+    # x + eps as num / den, compared with 1 before any normalization
+    den = x.denominator * eps.denominator
+    num = x.numerator * eps.denominator + eps.numerator * x.denominator
+    if num > den:
+        return Ball(_ONE, whole_space=True)
+    return Ball(Fraction(num, den), whole_space=False)
 
 
 def chain_space(k: int) -> FiniteSpace:

@@ -28,8 +28,12 @@ D5_sense_compare lists the deformable opens once for both senses.
 from open sets alone: it takes each product point's smallest box as the
 product of the factors' meets of the opens holding it, once per call,
 and answers for a whole list of target maps as a bit mask, so T6 makes
-one call per space.  The covers that L1 and L2_subcover sweep are open
-covers by construction, so those claims call the decisions
+one call per space.  The irredundant covers that L1, L2_subcover, C5
+and T13 sweep are walked once per space per process and kept packed,
+one byte per member mask and a zero byte between covers
+(``_irredundant_covers``), which limits them to spaces of at most 8
+points.  Those covers are open covers by construction, so L1 and
+L2_subcover call the decisions
 ``category.refinement_mapping`` and ``category.greedy_subcover`` with
 the optimal cover fetched once per space; C8 and the unit tests call
 the validating entries ``check_refinement`` and ``min_subcover``.
@@ -49,7 +53,8 @@ by every claim and pair, so each space computes its ``min_opens`` and
 ``open_sets`` once.  A suite run with several workers starts one
 process pool and runs its claims through it one after another, so each
 worker builds its own table on first use and keeps its caches
-(``_space_table``, ``category._ir_cat_cached``) from claim to claim.
+(``_space_table``, ``_packed_covers``, ``category._ir_cat_cached``)
+from claim to claim.
 """
 
 from __future__ import annotations
@@ -199,6 +204,7 @@ def _meets(space: FiniteSpace) -> list[int]:
 
 # the finite model of the one-way unit interval: bottom open, top not
 _TWO_POINT_CHAIN = intervals.chain_space(2)
+_CHAIN_MEETS = tuple(_meets(_TWO_POINT_CHAIN))
 
 
 def _smallest_boxes(x: FiniteSpace) -> list[int]:
@@ -209,8 +215,7 @@ def _smallest_boxes(x: FiniteSpace) -> list[int]:
     meet of those boxes is the meet of the opens holding p times the meet
     of those holding t; the boxes themselves are never listed.
     """
-    chain = _meets(_TWO_POINT_CHAIN)
-    return [_rows(m, 2) * c for m in _meets(x) for c in chain]
+    return [_rows(m, 2) * c for m in _meets(x) for c in _CHAIN_MEETS]
 
 
 def chain_homotopy_oracle(x: FiniteSpace, y: FiniteSpace, f, targets) -> int:
@@ -280,6 +285,25 @@ def chain_homotopy_oracle(x: FiniteSpace, y: FiniteSpace, f, targets) -> int:
 # exhaustive covering oracles
 
 
+@lru_cache(maxsize=None)
+def _packed_covers(space: FiniteSpace) -> bytes:
+    """``category.irredundant_covers(space)`` walked once per process and
+    packed: one byte per member mask, a zero byte between covers.
+
+    No member is empty, so the zero byte only separates.  ``bytes``
+    raises ValueError on a mask of 256 or more, so only spaces of at
+    most 8 points are packed; the swept spaces have at most 5.
+    """
+    return b"\0".join(map(bytes, category.irredundant_covers(space)))
+
+
+def _irredundant_covers(space: FiniteSpace) -> Iterator[tuple[int, ...]]:
+    """The irredundant open covers of a space of at most 8 points, in the
+    order of ``category.irredundant_covers``, decoded from the packed
+    copy (``_packed_covers``) that L1, L2_subcover, C5 and T13 share."""
+    return map(tuple, _packed_covers(space).split(b"\0"))
+
+
 def _ir_contractible_opens(
     space: FiniteSpace, sense: str
 ) -> tuple[tuple[int, int], ...]:
@@ -341,7 +365,7 @@ def _dimension_search(space: FiniteSpace) -> category.DimensionReport:
     cover, and dropping redundant members of a refinement never raises
     its order.
     """
-    covers = list(category.irredundant_covers(space))
+    covers = list(_irredundant_covers(space))
     worst_cover = None
     worst_order = 0
     worst_refinement = None
@@ -708,15 +732,18 @@ def _check_p1(inst):
     fmt = intervals.format_fraction
     if d(x, x) != 0:
         return {"axiom": "identity", "x": fmt(x)}
-    if d(x, z) > d(x, y) + d(y, z):
+    dxy = d(x, y)
+    if d(x, z) > dxy + d(y, z):
         return {"axiom": "triangle", "x": fmt(x), "y": fmt(y), "z": fmt(z)}
-    if d(x, y) == 0 == d(y, x) and x != y:
+    if dxy == 0 == d(y, x) and x != y:
         return {"axiom": "separation", "x": fmt(x), "y": fmt(y)}
     b = intervals.ball(x, eps)
+    # the Fraction operators, not the hand arithmetic of ball, set the endpoint
+    hi = x + eps
     if b.whole_space:
-        if x + eps <= 1:
+        if hi <= 1:
             return {"axiom": "ball-clip", "x": fmt(x), "eps": fmt(eps)}
-    elif b.hi != x + eps:
+    elif b.hi != hi:
         return {"axiom": "ball-endpoint", "x": fmt(x), "eps": fmt(eps)}
     return None
 
@@ -758,7 +785,7 @@ def _check_p4(s):
 def _check_l1(s):
     # the covers are open covers by construction, so only the decision runs
     optimal = category.ir_cat(s).sets
-    for cov in category.irredundant_covers(s):
+    for cov in _irredundant_covers(s):
         ok, mapping = category.refinement_mapping(optimal, cov)
         # optimal member i must lie in cover member mapping[i]
         if not ok or len(mapping) != len(optimal) or not all(
@@ -794,7 +821,7 @@ def _check_l2_literal(s):
 
 def _check_l2_subcover(s):
     padded, rep = _padded_cover(s)
-    covers = category.irredundant_covers(s)
+    covers = _irredundant_covers(s)
     if padded is not None:
         covers = itertools.chain(covers, (padded,))
     for cov in covers:
@@ -831,7 +858,7 @@ def _check_c4(s):
 def _check_c5(s):
     if not homotopy.ir_co(s):
         return None
-    covers = list(category.irredundant_covers(s))
+    covers = list(_irredundant_covers(s))
     if covers != [(s.full_mask,)]:
         return {
             "space": s,

@@ -108,6 +108,75 @@ def test_d_ir_matches_the_max_form():
             assert _outcome(d_ir, x, y) == _outcome(_d_ir_by_max, x, y), (x, y)
 
 
+def _ball_by_operators(x, eps):
+    # the reference form of intervals.ball, through the Fraction operators
+    x = _unit_by_comparison(x, "x")
+    eps = as_fraction(eps)
+    if eps <= 0:
+        raise OutOfRange("radius must be positive")
+    hi = x + eps
+    if hi > 1:
+        return intervals.Ball(Fraction(1), whole_space=True)
+    return intervals.Ball(hi, whole_space=False)
+
+
+def _exact(outcome):
+    # a returned Fraction compared by type, numerator and denominator
+    kind, typ, value = outcome
+    if kind == "returned" and isinstance(value, intervals.Ball):
+        value = (value.whole_space, type(value.hi), value.hi.numerator, value.hi.denominator)
+    elif kind == "returned":
+        value = (value.numerator, value.denominator)
+    return kind, typ, value
+
+
+# every fraction in [0, 1] and every radius in (0, 2] with denominator at
+# most 12; both hold 0 and 1, and x + eps hits 1 exactly
+_TWELFTHS = sorted({Fraction(p, q) for q in range(1, 13) for p in range(0, 2 * q + 1)})
+_UNIT_GRID = [f for f in _TWELFTHS if f <= 1]
+_RADII = [f for f in _TWELFTHS if f > 0]
+
+
+def test_d_ir_matches_the_operators_on_twelfths():
+    for x in _UNIT_GRID:
+        for y in _UNIT_GRID:
+            assert _exact(_outcome(d_ir, x, y)) == _exact(_outcome(_d_ir_by_max, x, y)), (x, y)
+
+
+def test_ball_matches_the_operators_on_twelfths():
+    whole = half_open_at_one = 0
+    for x in _UNIT_GRID:
+        for eps in _RADII:
+            got = _exact(_outcome(ball, x, eps))
+            assert got == _exact(_outcome(_ball_by_operators, x, eps)), (x, eps)
+            whole += got[2][0]
+            # hi == 1 is still an initial segment, not the whole space
+            half_open_at_one += x + eps == 1 and not got[2][0]
+    assert whole and half_open_at_one == len(_UNIT_GRID) - 1
+
+
+# rejected inputs: bools, floats, exponent notation, zero denominators,
+# out-of-range points and non-positive radii
+REJECTED = [True, False, 0.5, 1.0, "1e-3", "2E1", "1/0", "x", Fraction(-1, 3), Fraction(4, 3), -1, 2]
+
+
+@pytest.mark.parametrize("bad", REJECTED, ids=repr)
+def test_rejections_match_the_operator_forms(bad):
+    half = Fraction(1, 2)
+    assert _outcome(d_ir, bad, half) == _outcome(_d_ir_by_max, bad, half)
+    assert _outcome(d_ir, half, bad) == _outcome(_d_ir_by_max, half, bad)
+    assert _outcome(ball, bad, half) == _outcome(_ball_by_operators, bad, half)
+    assert _outcome(ball, half, bad) == _outcome(_ball_by_operators, half, bad)
+    # x is checked before the radius
+    assert _outcome(ball, bad, 0) == _outcome(_ball_by_operators, bad, 0)
+
+
+@pytest.mark.parametrize("eps", [0, Fraction(0), "0/5", -1, Fraction(-1, 12), "-1/2"], ids=repr)
+def test_non_positive_radius_rejected_as_before(eps):
+    assert _outcome(ball, Fraction(1, 3), eps) == _outcome(_ball_by_operators, Fraction(1, 3), eps)
+    assert _outcome(ball, Fraction(1, 3), eps)[1] is OutOfRange
+
+
 units = st.fractions(min_value=0, max_value=1, max_denominator=200)
 
 

@@ -23,12 +23,14 @@ from irtopo import (
     run_claim,
     run_suite,
 )
-from irtopo.core import ReachNotPreorder, from_reach
+from irtopo.core import FiniteSpace, ReachNotPreorder, from_reach
 from irtopo.homotopy import continuous_maps
 from irtopo.verifier import (
     CLAIM_ORDER,
     CLAIMS,
     _cover_search,
+    _irredundant_covers,
+    _packed_covers,
     _padded_cover,
     _sense_cover_sizes,
     _smallest_boxes,
@@ -262,6 +264,37 @@ class TestClaimKernels:
                 _cover_search(s, "subspace").size,
                 _cover_search(s, "ambient").size,
             )
+
+    def test_packed_covers_decode_to_the_walk(self):
+        # same covers, same order, on every swept space and the empty one
+        spaces = [FiniteSpace((), ()), *_spaces_upto(5)]
+        for s in spaces:
+            assert list(_irredundant_covers(s)) == list(category.irredundant_covers(s))
+
+    def test_packed_covers_refuse_masks_over_a_byte(self):
+        # the indiscrete 9-point space has the one cover (511,)
+        nine = FiniteSpace(tuple("abcdefghi"), (511,) * 9)
+        with pytest.raises(ValueError):
+            _packed_covers(nine)
+
+    def test_cover_claims_walk_each_space_once(self, monkeypatch):
+        walked = []
+        real = category.irredundant_covers
+
+        def counting(space):
+            walked.append(space)
+            return real(space)
+
+        _packed_covers.cache_clear()
+        monkeypatch.setattr(category, "irredundant_covers", counting)
+        try:
+            reports = run_suite(n_max=4, claims=["T13", "L1", "L2_subcover", "C5"], jobs=1)
+        finally:
+            _packed_covers.cache_clear()
+        assert all(r.passed for r in reports)
+        swept = list(_spaces_upto(4))
+        assert len(walked) == len(swept) == 389
+        assert sorted(map(id, walked)) == sorted(map(id, swept))
 
     def test_smallest_boxes_are_the_box_meets(self, spaces_upto4):
         chain = chain_space(2)
@@ -504,6 +537,29 @@ class TestSuite:
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "d036dcd71eb5a106ae393be38a39d420ba1bd44ace05de3232b0116c16f2c48c"
         )
+
+
+def test_trace_layer_map_counts_each_cover_once():
+    # perfbench's layer map patches category.irredundant_covers by name:
+    # instrument() fails here if a patched name goes missing, and the
+    # cover counter reads 60 (1 + 5 + 54 covers) when the cover claims
+    # share one walk per space
+    root = Path(__file__).resolve().parents[1]
+    code = f"""
+import sys
+sys.path[:0] = [{str(root / "perfbench")!r}, {str(root / "src")!r}]
+import spans
+from irtopo import verifier
+rec = spans.Recorder()
+spans.instrument(rec)
+verifier.run_suite(n_max=3, claims=["L1", "L2_subcover", "C5"])
+print(spans.layer_metrics(rec)["category.irredundant_covers.covers"])
+"""
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout) == 60
 
 
 def test_trace_layer_map_sees_the_suite():
