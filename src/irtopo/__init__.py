@@ -11,7 +11,6 @@ package's structural claims on every finite space up to a size budget.
 from .core import (
     EmptySpace,
     FiniteSpace,
-    InvariantViolated,
     IrtopoError,
     NotATopology,
     ReachNotPreorder,

@@ -42,10 +42,6 @@ class SearchBudgetExceeded(IrtopoError):
     """An exhaustive search would exceed its configured budget."""
 
 
-class InvariantViolated(IrtopoError):
-    """Two computations of the same quantity disagree: a defect in this package."""
-
-
 # The count for a 16-point discrete space; at 26 points the list of open
 # sets no longer fits in 2 GB.
 OPEN_SET_LIMIT = 1 << 16
@@ -288,19 +284,7 @@ def from_open_sets(labels: Iterable[str], opens: Iterable) -> FiniteSpace:
         for m in fam:
             if m | u not in famset:
                 raise NotATopology(f"union of {points_of(m)} and {points_of(u)} is missing")
-    rows = transpose(mo)
-    # Cross-check the two readings of reach: "x in every open containing y"
-    # must give exactly the closure "complement of the opens avoiding x".
-    for x in range(n):
-        avoid = 0
-        for m in fam:
-            if not m >> x & 1:
-                avoid |= m
-        if rows[x] != full & ~avoid:
-            raise InvariantViolated(
-                f"closure of {labels[x]!r} disagrees between the two readings"
-            )
-    return FiniteSpace(labels, rows)
+    return FiniteSpace(labels, transpose(mo))
 
 
 def from_reach(labels: Iterable[str], relation: Iterable) -> FiniteSpace:

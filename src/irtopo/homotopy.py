@@ -21,11 +21,9 @@ from typing import Callable, Iterator, Sequence
 
 from .core import (
     FiniteSpace,
-    InvariantViolated,
     IrtopoError,
     SearchBudgetExceeded,
     iter_points,
-    mask_of,
     points_of,
 )
 
@@ -69,20 +67,10 @@ def ir_path(space: FiniteSpace, x: int, y: int) -> bool:
 
 
 def ir_co(space: FiniteSpace) -> int:
-    """Points reachable from everywhere: the intersection of all closures.
-
-    Equivalently the points whose only open neighborhood is the whole
-    space; both computations are performed and must agree.
-    """
-    co = space.common_reach(space.full_mask)
-    alt = mask_of(
-        y for y in range(space.n) if space.min_opens[y] == space.full_mask
-    )
-    if co != alt:
-        raise InvariantViolated(
-            f"core {points_of(co)} disagrees with {points_of(alt)} from neighborhoods"
-        )
-    return co
+    """Points reachable from everywhere: the intersection of all closures,
+    equivalently the points whose only open neighborhood is the whole
+    space."""
+    return space.common_reach(space.full_mask)
 
 
 def is_ir_path_connected(space: FiniteSpace) -> bool:

@@ -22,27 +22,19 @@ Claim categories:
 
 Exhaustive searches that production code replaced by closed forms are
 kept here as oracles (``_cover_search``, ``_dimension_search``), so the
-claims that use them check their statements by brute force;
-D5_sense_compare lists the deformable opens once for both senses.
-``chain_homotopy_oracle`` decides deformations over the two-point chain
-from open sets alone: it takes each product point's smallest box as the
-product of the factors' meets of the opens holding it, once per call,
-and answers for a whole list of target maps as a bit mask, so T6 makes
-one call per space.  The irredundant covers that L1, L2_subcover, C5
-and T13 sweep are walked once per space per process and kept packed,
-one byte per member mask and a zero byte between covers
-(``_irredundant_covers``), which limits them to spaces of at most 8
-points.  Those covers are open covers by construction, so L1 and
-L2_subcover call the decisions
-``category.refinement_mapping`` and ``category.greedy_subcover`` with
-the optimal cover fetched once per space; C8 and the unit tests call
-the validating entries ``check_refinement`` and ``min_subcover``.
-Logic that only one claim needs lives in
-that claim's check: T1 tests compactness on 1-D grid subspaces, T10
-computes the grid's greatest point and T11 tests each path in both
-directions.  A corollary that is an instance of
-another claim reuses that claim's check (C1 is T1 on the closed unit
-interval, C2 is C3 on the two-point chain).
+claims that use them check their statements by brute force.
+``_cover_search`` answers in both witness senses from one listing of
+the deformable opens: a witness inside its set is the ambient witness
+cut down to the set.  ``chain_homotopy_oracle`` decides deformations
+over the two-point chain from open sets alone, never from reach.  The
+irredundant covers that L1, L2_subcover, C5 and T13 sweep are open
+covers by construction, so L1 and L2_subcover call the decisions
+``category.refinement_mapping`` and ``category.greedy_subcover``, which
+validate nothing; C8 and the unit tests call the validating entries
+``check_refinement`` and ``min_subcover``.  Logic that only one
+claim needs lives in that claim's check, and a corollary that is an
+instance of another claim reuses that claim's check (C1 is T1 on the
+closed unit interval, C2 is C3 on the two-point chain).
 
 Reports are deterministic given (claim, size limits, seed) and
 independent of the worker count: instances are indexed before sharding,
@@ -60,6 +52,7 @@ from claim to claim.
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
 import operator
 import os
@@ -134,13 +127,14 @@ def enumerate_spaces(n: int) -> Iterator[FiniteSpace]:
 
     Every call yields the same objects: the spaces are built once per
     process, so their cached ``min_opens`` and ``open_sets`` are computed
-    once and shared by every claim and pair that sweeps them.
+    once and shared by every claim and pair that sweeps them.  An n
+    outside 1..MAX_ENUM_POINTS raises SearchBudgetExceeded at the call.
     """
     if not 1 <= n <= MAX_ENUM_POINTS:
         raise SearchBudgetExceeded(
             f"enumeration supports 1..{MAX_ENUM_POINTS} points, got {n}"
         )
-    yield from _space_table(n)
+    return iter(_space_table(n))
 
 
 def topologies_by_open_families(n: int) -> set[tuple[int, ...]]:
@@ -304,23 +298,16 @@ def _irredundant_covers(space: FiniteSpace) -> Iterator[tuple[int, ...]]:
     return map(tuple, _packed_covers(space).split(b"\0"))
 
 
-def _ir_contractible_opens(
-    space: FiniteSpace, sense: str
-) -> tuple[tuple[int, int], ...]:
-    """All nonempty open sets with a nonempty witness, with their witnesses;
-    in the "subspace" sense a witness must lie in its set."""
-    if sense not in ("subspace", "ambient"):
-        raise ValueError(f"sense must be 'subspace' or 'ambient', got {sense!r}")
-    out = []
+def _deformable_opens(space: FiniteSpace) -> dict[int, int]:
+    """Each nonempty open set with a nonempty ambient witness, the points
+    reachable from all of it, mapped to that witness, in ``open_sets``
+    order."""
+    out = {}
     for o in space.open_sets:
-        if not o:
-            continue
         w = space.common_reach(o)
-        if sense == "subspace":
-            w &= o
-        if w:
-            out.append((o, w))
-    return tuple(out)
+        if o and w:
+            out[o] = w
+    return out
 
 
 def _minimum_cover(universe: int, candidates: tuple[int, ...]) -> tuple[int, ...]:
@@ -337,23 +324,19 @@ def _minimum_cover(universe: int, candidates: tuple[int, ...]) -> tuple[int, ...
                 return canon_sorted(family)
 
 
-def _cover_search(space: FiniteSpace, sense: str) -> category.CoverReport:
-    """Covering category by exact set cover over every deformable open."""
-    cands = _ir_contractible_opens(space, sense)
-    cover = _minimum_cover(space.full_mask, tuple(m for m, _ in cands))
-    witness = dict(cands)
-    return category.CoverReport(cover, tuple(witness[m] for m in cover))
-
-
-def _sense_cover_sizes(space: FiniteSpace) -> tuple[int, int]:
-    """The sizes of ``_cover_search`` in the subspace and the ambient
-    sense, from one listing of the deformable opens: the subspace
-    candidates are the ambient ones whose witness meets their set, in
-    the same order."""
-    cands = _ir_contractible_opens(space, "ambient")
-    full = space.full_mask
-    sub = _minimum_cover(full, tuple(o for o, w in cands if w & o))
-    return len(sub), len(_minimum_cover(full, tuple(o for o, _ in cands)))
+def _cover_search(
+    space: FiniteSpace,
+) -> tuple[category.CoverReport, category.CoverReport]:
+    """Covering category by exact set cover over every deformable open, as
+    the (subspace, ambient) reports: a subspace witness must lie in its
+    set, so it is the ambient witness w cut down to the set o, w & o."""
+    ambient = _deformable_opens(space)
+    subspace = {o: w & o for o, w in ambient.items() if w & o}
+    reports = []
+    for witness in (subspace, ambient):
+        cover = _minimum_cover(space.full_mask, tuple(witness))
+        reports.append(category.CoverReport(cover, tuple(map(witness.get, cover))))
+    return tuple(reports)
 
 
 def _dimension_search(space: FiniteSpace) -> category.DimensionReport:
@@ -681,7 +664,7 @@ def _check_t12(s):
 
 def _check_t13(s):
     dim_rep = _dimension_search(s)
-    cat_rep = _cover_search(s, "subspace")
+    cat_rep = _cover_search(s)[0]
     if dim_rep.dim + 1 > cat_rep.size:
         return {
             "space": s,
@@ -913,7 +896,7 @@ def _check_c9(s):
 
 
 def _check_d5(s):
-    sub, amb = _sense_cover_sizes(s)
+    sub, amb = (rep.size for rep in _cover_search(s))
     if sub != amb:
         return {
             "space": s,
@@ -1115,11 +1098,6 @@ def _worker_count(jobs: int) -> int:
     return min(jobs, _usable_cpus())
 
 
-def _pool(jobs: int):
-    """A new pool of ``jobs`` workers, or a context yielding None for one job."""
-    return ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else contextlib.nullcontext()
-
-
 def run_claim(
     name: str,
     n_max: int = 3,
@@ -1143,16 +1121,11 @@ def run_claim(
     n_max, pair_max = _resolve_limits(n_max, pair_max)
     jobs = _worker_count(jobs)
     start = time.monotonic()
-    context = _pool(jobs) if pool is None else contextlib.nullcontext(pool)
-    with context as pool:
-        if jobs == 1:
-            parts = [_run_claim_shard(name, n_max, pair_max, seed, 0, 1)]
-        else:
-            futures = [
-                pool.submit(_run_claim_shard, name, n_max, pair_max, seed, s, jobs)
-                for s in range(jobs)
-            ]
-            parts = [f.result() for f in futures]
+    shard = functools.partial(_run_claim_shard, name, n_max, pair_max, seed, nshards=jobs)
+    with contextlib.ExitStack() as stack:
+        if jobs > 1 and pool is None:
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=jobs))
+        parts = list((map if jobs == 1 else pool.map)(shard, range(jobs)))
     count = sum(p[1] for p in parts)
     first = sorted((v for p in parts for v in p[2]), key=lambda item: item[0])
     elapsed = time.monotonic() - start
@@ -1195,7 +1168,8 @@ def run_suite(
         if name in names[:i]:
             raise UnknownClaim(f"claim {name!r} selected more than once")
     jobs = _worker_count(jobs)
-    with _pool(jobs) as pool:
+    pool = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else None
+    with pool or contextlib.nullcontext():
         return [
             run_claim(name, n_max=n_max, seed=seed, jobs=jobs, pair_max=pair_max, pool=pool)
             for name in names

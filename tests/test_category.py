@@ -18,8 +18,8 @@ from irtopo.core import FiniteSpace
 from irtopo.verifier import (
     _check_p3,
     _cover_search,
+    _deformable_opens,
     _dimension_search,
-    _ir_contractible_opens,
     _minimum_cover,
     enumerate_spaces,
 )
@@ -60,38 +60,36 @@ def maximal_cluster_count(space):
 
 class TestContractibleOpens:
     def test_sierpinski_subspace_sense(self, sierpinski):
-        cands = _ir_contractible_opens(sierpinski, "subspace")
-        assert cands == ((0b01, 0b01), (0b11, 0b10))
+        opens = _deformable_opens(sierpinski)
+        assert opens == {0b01: 0b11, 0b11: 0b10}
+        # the subspace witnesses, each cut down to its set
+        assert [w & o for o, w in opens.items()] == [0b01, 0b10]
 
     def test_pseudocircle_candidates(self, pseudocircle):
-        cands = _ir_contractible_opens(pseudocircle, "subspace")
-        assert [c for c, _ in cands] == [0b0001, 0b0010, 0b0111, 0b1011]
-        assert dict(cands)[0b0111] == 0b0100
-        assert 0b0011 not in dict(cands)  # its subspace is discrete
+        opens = _deformable_opens(pseudocircle)
+        assert list(opens) == [0b0001, 0b0010, 0b0011, 0b0111, 0b1011]
+        assert opens[0b0111] == 0b0100
 
     def test_pseudocircle_ambient_sense(self, pseudocircle):
-        cands = dict(_ir_contractible_opens(pseudocircle, "ambient"))
-        # {a, b} qualifies ambiently: both closures contain {c, d}
-        assert cands[0b0011] == 0b1100
+        opens = _deformable_opens(pseudocircle)
+        # {a, b} qualifies ambiently: both closures contain {c, d}; no
+        # witness lies in it, as its subspace is discrete
+        assert opens[0b0011] == 0b1100
 
     def test_min_opens_always_qualify(self, spaces_upto3):
         for s in spaces_upto3:
-            cands = dict(_ir_contractible_opens(s, "subspace"))
+            opens = _deformable_opens(s)
             for x in range(s.n):
-                witness = cands[s.min_opens[x]]
+                witness = opens[s.min_opens[x]]
                 assert witness >> x & 1
 
     def test_subspace_witness_equals_subspace_core(self, spaces_upto3):
         for s in spaces_upto3:
-            for o, witness in _ir_contractible_opens(s, "subspace"):
+            for o, witness in _deformable_opens(s).items():
                 sub = s.subspace(o)
                 pts = points_of(o)
                 lifted = sum(1 << pts[i] for i in points_of(ir_co(sub)))
-                assert lifted == witness
-
-    def test_bad_sense(self, sierpinski):
-        with pytest.raises(ValueError):
-            _ir_contractible_opens(sierpinski, "other")
+                assert lifted == witness & o
 
 
 class TestIrCat:
@@ -152,15 +150,13 @@ class TestClosedFormsMatchSearch:
 
     def test_cover_on_all_small_spaces(self, spaces_upto5):
         for s in spaces_upto5:
-            for sense in ("subspace", "ambient"):
-                assert ir_cat(s) == _cover_search(s, sense)
+            assert _cover_search(s) == (ir_cat(s), ir_cat(s))
 
     def test_cover_on_products(self, spaces_upto3):
         for a in spaces_upto3:
             for b in spaces_upto3:
                 prod = product(a, b)
-                for sense in ("subspace", "ambient"):
-                    assert ir_cat(prod) == _cover_search(prod, sense)
+                assert _cover_search(prod) == (ir_cat(prod), ir_cat(prod))
 
     def test_dimension_on_all_small_spaces(self, spaces_upto5):
         for s in spaces_upto5:

@@ -18,12 +18,13 @@ from irtopo import (
     ir_homotopy_equivalent,
     ir_path,
     is_ir_path_connected,
+    mask_of,
     points_of,
     product,
 )
 
 from irtopo.homotopy import continuous_maps
-from irtopo.verifier import _check_t11
+from irtopo.verifier import _check_t11, _spaces_upto
 
 from conftest import discrete, indiscrete
 
@@ -83,9 +84,13 @@ class TestIrCo:
         assert points_of(ir_co(s)) == (4,)
         assert ir_co(s) == closures_intersection(s)
 
-    def test_matches_intersection_oracle(self, spaces_upto3):
-        for s in spaces_upto3:
-            assert ir_co(s) == closures_intersection(s)
+    def test_matches_intersection_oracle(self):
+        # and the points whose only open neighborhood is the whole space
+        for s in _spaces_upto(5):
+            by_neighborhoods = mask_of(
+                y for y in range(s.n) if s.min_opens[y] == s.full_mask
+            )
+            assert ir_co(s) == closures_intersection(s) == by_neighborhoods
 
 
 class TestContractible:

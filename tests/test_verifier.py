@@ -6,7 +6,6 @@ import operator
 import os
 import subprocess
 import sys
-from concurrent.futures import Future
 from functools import reduce
 from pathlib import Path
 
@@ -28,11 +27,9 @@ from irtopo.homotopy import continuous_maps
 from irtopo.verifier import (
     CLAIM_ORDER,
     CLAIMS,
-    _cover_search,
     _irredundant_covers,
     _packed_covers,
     _padded_cover,
-    _sense_cover_sizes,
     _smallest_boxes,
     _space_table,
     _spaces_upto,
@@ -63,10 +60,8 @@ def _inline_pool(sizes):
         def __exit__(self, *exc):
             return False
 
-        def submit(self, fn, *args):
-            future = Future()
-            future.set_result(fn(*args))
-            return future
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
 
     return InlinePool
 
@@ -97,10 +92,11 @@ class TestEnumeration:
                         assert s.reach_rows[y] & ~s.reach_rows[x] == 0
 
     def test_budget(self):
+        # refused at the call, before any item is asked for
         with pytest.raises(SearchBudgetExceeded):
-            list(enumerate_spaces(6))
+            enumerate_spaces(6)
         with pytest.raises(SearchBudgetExceeded):
-            list(enumerate_spaces(0))
+            enumerate_spaces(0)
 
     def test_every_call_yields_the_same_spaces(self):
         # built once per process, so cached properties are shared
@@ -230,8 +226,8 @@ class TestOracle:
 
 
 class TestClaimKernels:
-    """The shortcuts that L1, L2_subcover, D5_sense_compare and T6 take
-    once per space, against the entries and searches they replace."""
+    """The shortcuts that L1, L2_subcover and T6 take once per space,
+    against the entries and searches they replace."""
 
     def test_cover_decisions_match_the_validated_entries(self, spaces_upto4):
         # every cover L1 and L2_subcover sweep: the irredundant ones and
@@ -257,13 +253,6 @@ class TestClaimKernels:
         assert category.refinement_mapping(optimal, (0b01,)) == (False, None)
         with pytest.raises(category.SubcoverNotFound):
             category.greedy_subcover(optimal, (0b01,))
-
-    def test_one_listing_gives_both_sense_sizes(self):
-        for s in _spaces_upto(5):
-            assert _sense_cover_sizes(s) == (
-                _cover_search(s, "subspace").size,
-                _cover_search(s, "ambient").size,
-            )
 
     def test_packed_covers_decode_to_the_walk(self):
         # same covers, same order, on every swept space and the empty one
