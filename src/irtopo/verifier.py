@@ -42,16 +42,15 @@ each shard returns its first counterexamples and they merge by index.
 Timing is kept out of the JSON form so reports compare byte for byte.
 Swept spaces are built once per process (``_space_table``) and shared
 by every claim and pair, so each space computes its ``min_opens`` and
-``open_sets`` once.  A suite run with several workers starts one
-process pool and runs its claims through it one after another, so each
-worker builds its own table on first use and keeps its caches
-(``_space_table``, ``_packed_covers``, ``category._ir_cat_cached``)
-from claim to claim.
+``open_sets`` once.  A suite run with k workers starts one process pool
+and gives it k tasks; task i runs shard i of every claim in suite order,
+so each worker builds its own table on first use and fills its caches
+(``_space_table``, ``_packed_covers``, ``category._ir_cat_cached``) for
+its own shard only.
 """
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import itertools
 import operator
@@ -379,7 +378,7 @@ class ClaimReport:
     passed: bool
     counterexamples: list[dict]
     counterexample_count: int
-    elapsed: float
+    elapsed: float  # seconds; above one job, the slowest shard's, timed in its worker
 
     def to_jsonable(self) -> dict:
         # elapsed deliberately omitted: reports must be byte-stable
@@ -1061,15 +1060,16 @@ def _jsonable(payload: dict) -> dict:
 
 def _run_claim_shard(
     name: str, n_max: int, pair_max: int, seed: int, shard: int, nshards: int
-) -> tuple[int, int, list[tuple[int, dict]]]:
+) -> tuple[int, int, list[tuple[int, dict]], float]:
     """Check the instances whose index is ``shard`` modulo ``nshards``.
 
-    Returns the number tested, the number of counterexamples and the
-    first MAX_REPORTED_COUNTEREXAMPLES of them as (index, payload), with
-    the spaces in those payloads written out here, in the worker, and in
-    no other payload.  The first ones over all shards are among the
-    shards' first ones.
+    Returns the number tested, the number of counterexamples, the first
+    MAX_REPORTED_COUNTEREXAMPLES of them as (index, payload) and the
+    seconds taken.  The spaces in those payloads are written out here, in
+    the worker, and in no other payload.  The first ones over all shards
+    are among the shards' first ones.
     """
+    start = time.monotonic()
     spec = CLAIMS[name]
     family = enumerate(spec.instances(n_max, pair_max, seed))
     tested = count = 0
@@ -1081,7 +1081,38 @@ def _run_claim_shard(
             count += 1
             if len(first) < MAX_REPORTED_COUNTEREXAMPLES:
                 first.append((idx, _jsonable(payload)))
-    return tested, count, first
+    return tested, count, first, time.monotonic() - start
+
+
+def _run_shard(names: list[str], n_max: int, pair_max: int, seed: int, nshards: int, shard: int):
+    """One pool task: shard ``shard`` of each named claim, in order."""
+    return [_run_claim_shard(name, n_max, pair_max, seed, shard, nshards) for name in names]
+
+
+def _merge(name: str, parts) -> ClaimReport:
+    """One claim's report from its shards' results: counts add up, the
+    first counterexamples merge by index and elapsed is the slowest shard's."""
+    spec = CLAIMS[name]
+    count = sum(p[1] for p in parts)
+    first = sorted((v for p in parts for v in p[2]), key=lambda item: item[0])
+    return ClaimReport(
+        claim=name,
+        category=spec.category,
+        description=spec.description,
+        instances_tested=sum(p[0] for p in parts),
+        passed=not count,
+        counterexamples=[v for _, v in first[:MAX_REPORTED_COUNTEREXAMPLES]],
+        counterexample_count=count,
+        elapsed=max(p[3] for p in parts),
+    )
+
+
+def _run_sharded(names: list[str], n_max: int, pair_max: int, seed: int, jobs: int):
+    """The named claims' reports from a pool of ``jobs`` workers, one task each."""
+    task = functools.partial(_run_shard, names, n_max, pair_max, seed, jobs)
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        shards = list(pool.map(task, range(jobs)))
+    return [_merge(name, parts) for name, parts in zip(names, zip(*shards))]
 
 
 def _usable_cpus() -> int:
@@ -1104,7 +1135,6 @@ def run_claim(
     seed: int = 0,
     jobs: int = 1,
     pair_max: int | None = None,
-    pool: ProcessPoolExecutor | None = None,
 ) -> ClaimReport:
     """Run a single claim sweep and return its report.
 
@@ -1112,33 +1142,16 @@ def run_claim(
     default min(3, n_max)); randomized instance families are derived
     from the seed before sharding, so reports do not depend on jobs.
     jobs below 1 raises ValueError, and it is capped at the CPUs this
-    process may use (``_usable_cpus``).  With more than one job the
-    instances are split into that many shards, which run on ``pool``
-    when given (``run_suite`` passes its own) and otherwise on a pool
-    started and shut down for this claim.
+    process may use (``_usable_cpus``).  With more than one job this is
+    the one-claim case of ``run_suite``: a pool of that size is started,
+    runs one shard per worker and is shut down.
     """
-    spec = _lookup_claim(name)
+    _lookup_claim(name)
     n_max, pair_max = _resolve_limits(n_max, pair_max)
     jobs = _worker_count(jobs)
-    start = time.monotonic()
-    shard = functools.partial(_run_claim_shard, name, n_max, pair_max, seed, nshards=jobs)
-    with contextlib.ExitStack() as stack:
-        if jobs > 1 and pool is None:
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=jobs))
-        parts = list((map if jobs == 1 else pool.map)(shard, range(jobs)))
-    count = sum(p[1] for p in parts)
-    first = sorted((v for p in parts for v in p[2]), key=lambda item: item[0])
-    elapsed = time.monotonic() - start
-    return ClaimReport(
-        claim=name,
-        category=spec.category,
-        description=spec.description,
-        instances_tested=sum(p[0] for p in parts),
-        passed=not count,
-        counterexamples=[v for _, v in first[:MAX_REPORTED_COUNTEREXAMPLES]],
-        counterexample_count=count,
-        elapsed=elapsed,
-    )
+    if jobs > 1:
+        return _run_sharded([name], n_max, pair_max, seed, jobs)[0]
+    return _merge(name, [_run_claim_shard(name, n_max, pair_max, seed, 0, 1)])
 
 
 def run_suite(
@@ -1154,11 +1167,13 @@ def run_suite(
     UnknownClaim, and jobs below 1 raises ValueError, before any claim
     runs.
 
-    jobs is capped at the CPUs this process may use.  Above one job, a
-    single process pool of that size serves every claim: the claims run
-    one after another, each split into jobs shards, and the workers keep
-    their caches from one claim to the next.  The pool is shut down when
-    the suite ends, also when a claim raises.
+    jobs is capped at the CPUs this process may use.  At one job the
+    claims run here, one ``run_claim`` after another.  Above it, a pool
+    of that size gets one task per worker: task k runs shard k of every
+    claim in turn, so each worker fills its caches for its own shard and
+    waits for no other between claims, and the parent merges the shards
+    claim by claim.  The pool is shut down when the suite ends, also
+    when a claim raises.
     """
     names = list(CLAIM_ORDER) if claims is None else list(claims)
     if not names:
@@ -1168,12 +1183,9 @@ def run_suite(
         if name in names[:i]:
             raise UnknownClaim(f"claim {name!r} selected more than once")
     jobs = _worker_count(jobs)
-    pool = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else None
-    with pool or contextlib.nullcontext():
-        return [
-            run_claim(name, n_max=n_max, seed=seed, jobs=jobs, pair_max=pair_max, pool=pool)
-            for name in names
-        ]
+    if jobs == 1:
+        return [run_claim(name, n_max=n_max, seed=seed, pair_max=pair_max) for name in names]
+    return _run_sharded(names, *_resolve_limits(n_max, pair_max), seed, jobs)
 
 
 def suite_passed(reports: Iterable[ClaimReport]) -> bool:

@@ -46,9 +46,10 @@ from conftest import discrete
 EXPECTED_COUNTS = {1: 1, 2: 4, 3: 29, 4: 355}
 
 
-def _inline_pool(sizes):
+def _inline_pool(sizes, maps=None):
     """A stand-in for ProcessPoolExecutor that appends its size to sizes
-    and runs each shard in this process."""
+    and runs each task in this process; when maps is given, each map call
+    appends its number of tasks to it."""
 
     class InlinePool:
         def __init__(self, max_workers):
@@ -61,7 +62,10 @@ def _inline_pool(sizes):
             return False
 
         def map(self, fn, *iterables):
-            return map(fn, *iterables)
+            results = list(map(fn, *iterables))
+            if maps is not None:
+                maps.append(len(results))
+            return results
 
     return InlinePool
 
@@ -456,19 +460,33 @@ class TestSuite:
         with pytest.raises(UnknownClaim):
             run_suite(n_max=2, claims=["nope"])
 
-    def test_repeated_claim_rejected_before_any_claim_runs(self, monkeypatch):
+    @staticmethod
+    def _record_runs(monkeypatch):
+        """Patch both routes a claim can run by (run_claim at one job, the
+        pool's shards above it) to record the claims that would run."""
         from irtopo import verifier
 
         ran = []
         monkeypatch.setattr(verifier, "run_claim", lambda name, **kw: ran.append(name))
-        with pytest.raises(UnknownClaim, match="'T2' selected more than once"):
-            run_suite(n_max=2, claims=["T2", "T7", "T2"])
+        monkeypatch.setattr(verifier, "_run_claim_shard", lambda name, *a: ran.append(name))
+        monkeypatch.setattr(verifier, "ProcessPoolExecutor", _inline_pool([]))
+        monkeypatch.setattr(verifier, "_usable_cpus", lambda: 2)
+        return ran
+
+    def test_repeated_claim_rejected_before_any_claim_runs(self, monkeypatch):
+        ran = self._record_runs(monkeypatch)
+        for jobs in (1, 2):
+            with pytest.raises(UnknownClaim, match="'T2' selected more than once"):
+                run_suite(n_max=2, claims=["T2", "T7", "T2"], jobs=jobs)
         assert ran == []
 
-    def test_empty_selection_rejected(self):
+    def test_empty_selection_rejected(self, monkeypatch):
         # an empty selection would report a pass with nothing checked
-        with pytest.raises(UnknownClaim, match="no claim selected"):
-            run_suite(n_max=2, claims=[])
+        ran = self._record_runs(monkeypatch)
+        for jobs in (1, 2):
+            with pytest.raises(UnknownClaim, match="no claim selected"):
+                run_suite(n_max=2, claims=[], jobs=jobs)
+        assert ran == []
 
     def test_jsonable_structure(self):
         reports = run_suite(n_max=2, claims=["T2", "L2_literal"])
@@ -488,6 +506,22 @@ class TestSuite:
         par = suite_to_jsonable(run_suite(n_max=2, jobs=64), 2, None, 0)
         assert sizes == [3]
         assert par == seq
+
+    def test_one_task_per_worker(self, monkeypatch):
+        from irtopo import verifier
+
+        names = ["L2_literal", "T7", "P1"]
+        seq = suite_to_jsonable(run_suite(n_max=4, claims=names), 4, None, 0)
+        sizes, maps = [], []
+        monkeypatch.setattr(verifier, "ProcessPoolExecutor", _inline_pool(sizes, maps))
+        monkeypatch.setattr(verifier, "_usable_cpus", lambda: 3)
+        par = suite_to_jsonable(run_suite(n_max=4, claims=names, jobs=64), 4, None, 0)
+        # one map over one task per worker, not one map per claim
+        assert sizes == [3]
+        assert maps == [3]
+        # L2_literal's counterexamples are cut to the first 10 over all shards
+        assert par["claims"][0]["counterexamples_truncated"]
+        assert dumps_canonical(par) == dumps_canonical(seq)
 
     def test_failing_check_shuts_the_pool_down(self, monkeypatch):
         from irtopo import verifier
