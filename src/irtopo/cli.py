@@ -21,7 +21,7 @@ import functools
 import sys
 
 from . import category, homotopy, intervals, spaceio, spectra, verifier
-from .core import FiniteSpace, IrtopoError
+from .core import FiniteSpace, IrtopoError, clip_repr
 
 # Covering dimension is polynomial and `dim` answers at any size, yet
 # `analyze` prints "dim": null above this many points.  The limit stays
@@ -39,12 +39,12 @@ def _point(space: FiniteSpace, token: str) -> int:
         at = space.labels.index(token)
         if idx not in (None, at) and 0 <= idx < space.n:
             raise ValueError(
-                f"point {token!r} is ambiguous: it labels point {at}"
-                f" and indexes point {idx} (labelled {space.labels[idx]!r})"
+                f"point {clip_repr(token)} is ambiguous: it labels point {at}"
+                f" and indexes point {idx} (labelled {clip_repr(space.labels[idx])})"
             )
         return at
     if idx is None:
-        raise ValueError(f"no point labelled {token!r}")
+        raise ValueError(f"no point labelled {clip_repr(token)}")
     if not 0 <= idx < space.n:
         raise ValueError(f"point index {idx} out of range")
     return idx

@@ -306,7 +306,7 @@ def from_reach(labels: Iterable[str], relation: Iterable) -> FiniteSpace:
         raise ValueError("relation must have one row per label")
     for x in range(n):
         if not rows[x] >> x & 1:
-            raise ReachNotPreorder(f"not reflexive at {labels[x]!r}")
+            raise ReachNotPreorder(f"not reflexive at {clip_repr(labels[x])}")
     for x, row in enumerate(rows):
         rest = row
         while rest:  # each point y of row; a generator here doubles the cost
@@ -315,9 +315,9 @@ def from_reach(labels: Iterable[str], relation: Iterable) -> FiniteSpace:
             extra = rows[y] & ~row
             if extra:
                 z = next(iter_points(extra))
+                lx, ly, lz = (clip_repr(labels[i]) for i in (x, y, z))
                 raise ReachNotPreorder(
-                    f"not transitive: {labels[x]!r}->{labels[y]!r} and "
-                    f"{labels[y]!r}->{labels[z]!r} but not {labels[x]!r}->{labels[z]!r}"
+                    f"not transitive: {lx}->{ly} and {ly}->{lz} but not {lx}->{lz}"
                 )
             rest ^= low
     return FiniteSpace(labels, tuple(rows))

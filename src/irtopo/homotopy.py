@@ -23,6 +23,7 @@ from .core import (
     FiniteSpace,
     IrtopoError,
     SearchBudgetExceeded,
+    clip_repr,
     iter_points,
     points_of,
 )
@@ -49,7 +50,9 @@ def _map_budget() -> int:
     except ValueError:
         limit = -1
     if limit < 0:
-        raise IrtopoError(f"IRTOPO_BUDGET_MAPS must be a nonnegative integer, got {raw!r}")
+        raise IrtopoError(
+            f"IRTOPO_BUDGET_MAPS must be a nonnegative integer, got {clip_repr(raw)}"
+        )
     return limit
 
 

@@ -16,7 +16,14 @@ from itertools import combinations
 from typing import Iterable
 
 from .category import CoverReport, ir_cat
-from .core import FiniteSpace, IrtopoError, ReachNotPreorder, SearchBudgetExceeded, from_pairs
+from .core import (
+    FiniteSpace,
+    IrtopoError,
+    ReachNotPreorder,
+    SearchBudgetExceeded,
+    clip_repr,
+    from_pairs,
+)
 
 FACTOR_CAP = 10**12
 
@@ -36,24 +43,17 @@ def factorize(n: int) -> list[tuple[int, int]]:
     if n > FACTOR_CAP:
         raise SearchBudgetExceeded(f"factorization capped at {FACTOR_CAP}")
     out = []
-    m = n
-    e = 0
-    while m % 2 == 0:
-        m //= 2
-        e += 1
-    if e:
-        out.append((2, e))
-    p = 3
-    while p * p <= m:
-        if m % p == 0:
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
             e = 0
-            while m % p == 0:
-                m //= p
+            while n % p == 0:
+                n //= p
                 e += 1
             out.append((p, e))
-        p += 2
-    if m > 1:
-        out.append((m, 1))
+        p += 1 if p == 2 else 2
+    if n > 1:
+        out.append((n, 1))
     return out
 
 
@@ -84,9 +84,8 @@ def spec_from_poset(labels: Iterable[str], leq: Iterable[tuple[int, int]]) -> Fi
     labels, rows = space.labels, space.reach_rows
     if not space.is_t0():
         x, y = next((x, y) for x, y in combinations(range(space.n), 2) if rows[x] == rows[y])
-        raise NotAPartialOrder(
-            f"not antisymmetric: {labels[x]!r} <= {labels[y]!r} <= {labels[x]!r}"
-        )
+        lx, ly = clip_repr(labels[x]), clip_repr(labels[y])
+        raise NotAPartialOrder(f"not antisymmetric: {lx} <= {ly} <= {lx}")
     return space
 
 

@@ -42,11 +42,11 @@ each shard returns its first counterexamples and they merge by index.
 Timing is kept out of the JSON form so reports compare byte for byte.
 Swept spaces are built once per process (``_space_table``) and shared
 by every claim and pair, so each space computes its ``min_opens`` and
-``open_sets`` once.  A suite run with k workers starts one process pool
-and gives it k tasks; task i runs shard i of every claim in suite order,
-so each worker builds its own table on first use and fills its caches
-(``_space_table``, ``_packed_covers``, ``category._ir_cat_cached``) for
-its own shard only.
+``open_sets`` once.  ``run_claim`` runs in the calling process, and
+only ``run_suite`` starts a pool: with k workers it gets k tasks, task i
+running shard i of every claim in suite order, so each worker builds
+its own table and fills its caches (``_space_table``, ``_packed_covers``,
+``category._ir_cat_cached``) for its own shard only.
 """
 
 from __future__ import annotations
@@ -69,6 +69,7 @@ from .core import (
     IrtopoError,
     SearchBudgetExceeded,
     canon_sorted,
+    clip_repr,
     from_open_sets,
     iter_points,
     points_of,
@@ -673,39 +674,29 @@ def _check_t13(s):
     return None
 
 
-def _equivalence_counterexample(pair, violation):
-    """A payload when ``violation(a, b)`` returns one (extra payload
-    fields) and the pair (a, b) is equivalent, else None.  Both tests are
-    pure, so the cheap violation runs first and the equivalence search
-    only when it fires."""
-    a, b = pair
-    extra = violation(a, b)
-    eq = None if extra is None else homotopy.ir_homotopy_equivalent(a, b)
+def _equivalence_payload(a: FiniteSpace, b: FiniteSpace, **extra):
+    """A T14/T15 payload: extra plus the maps of an ir-homotopy equivalence
+    between a and b, or None when there is none."""
+    eq = homotopy.ir_homotopy_equivalent(a, b)
     if eq is None:
         return None
     f, g = eq
-    return {
-        "left": a,
-        "right": b,
-        "f": list(f.assignment),
-        "g": list(g.assignment),
-        **extra,
-    }
+    return {"left": a, "right": b, "f": list(f.assignment), "g": list(g.assignment), **extra}
 
 
 def _check_t14(pair):
-    def violation(a, b):
-        return {} if homotopy.ir_co(a) and not homotopy.ir_co(b) else None
-
-    return _equivalence_counterexample(pair, violation)
+    a, b = pair
+    if homotopy.ir_co(a) and not homotopy.ir_co(b):
+        return _equivalence_payload(a, b)
+    return None
 
 
 def _check_t15(pair):
-    def violation(a, b):
-        ca, cb = category.ir_cat(a).size, category.ir_cat(b).size
-        return {"cat_left": ca, "cat_right": cb} if ca != cb else None
-
-    return _equivalence_counterexample(pair, violation)
+    a, b = pair
+    ca, cb = category.ir_cat(a).size, category.ir_cat(b).size
+    if ca != cb:
+        return _equivalence_payload(a, b, cat_left=ca, cat_right=cb)
+    return None
 
 
 def _check_p1(inst):
@@ -1032,7 +1023,7 @@ def _lookup_claim(name: str) -> ClaimSpec:
         return CLAIMS[name]
     except KeyError:
         raise UnknownClaim(
-            f"unknown claim {name!r}; known: {', '.join(CLAIM_ORDER)}"
+            f"unknown claim {clip_repr(name)}; known: {', '.join(CLAIM_ORDER)}"
         ) from None
 
 
@@ -1107,14 +1098,6 @@ def _merge(name: str, parts) -> ClaimReport:
     )
 
 
-def _run_sharded(names: list[str], n_max: int, pair_max: int, seed: int, jobs: int):
-    """The named claims' reports from a pool of ``jobs`` workers, one task each."""
-    task = functools.partial(_run_shard, names, n_max, pair_max, seed, jobs)
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        shards = list(pool.map(task, range(jobs)))
-    return [_merge(name, parts) for name, parts in zip(names, zip(*shards))]
-
-
 def _usable_cpus() -> int:
     """The number of CPUs this process may run on: its affinity set where
     the platform reports one, else ``os.cpu_count()`` (1 when unknown)."""
@@ -1123,34 +1106,15 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _worker_count(jobs: int) -> int:
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
-    return min(jobs, _usable_cpus())
-
-
-def run_claim(
-    name: str,
-    n_max: int = 3,
-    seed: int = 0,
-    jobs: int = 1,
-    pair_max: int | None = None,
-) -> ClaimReport:
-    """Run a single claim sweep and return its report.
+def run_claim(name: str, n_max: int = 3, seed: int = 0, pair_max: int | None = None) -> ClaimReport:
+    """Run a single claim sweep in this process and return its report.
 
     Sweeps all spaces of 1..n_max points (pairs capped at pair_max,
     default min(3, n_max)); randomized instance families are derived
-    from the seed before sharding, so reports do not depend on jobs.
-    jobs below 1 raises ValueError, and it is capped at the CPUs this
-    process may use (``_usable_cpus``).  With more than one job this is
-    the one-claim case of ``run_suite``: a pool of that size is started,
-    runs one shard per worker and is shut down.
+    from the seed.  Only ``run_suite`` starts a process pool.
     """
     _lookup_claim(name)
     n_max, pair_max = _resolve_limits(n_max, pair_max)
-    jobs = _worker_count(jobs)
-    if jobs > 1:
-        return _run_sharded([name], n_max, pair_max, seed, jobs)[0]
     return _merge(name, [_run_claim_shard(name, n_max, pair_max, seed, 0, 1)])
 
 
@@ -1167,13 +1131,13 @@ def run_suite(
     UnknownClaim, and jobs below 1 raises ValueError, before any claim
     runs.
 
-    jobs is capped at the CPUs this process may use.  At one job the
-    claims run here, one ``run_claim`` after another.  Above it, a pool
-    of that size gets one task per worker: task k runs shard k of every
-    claim in turn, so each worker fills its caches for its own shard and
-    waits for no other between claims, and the parent merges the shards
-    claim by claim.  The pool is shut down when the suite ends, also
-    when a claim raises.
+    jobs is capped at the CPUs this process may use (``_usable_cpus``).
+    At one job the claims run here, one ``run_claim`` after another.
+    Above it, this is the one place a process pool starts: it gets one
+    task per worker, task k runs shard k of every claim in turn, so each
+    worker fills its caches for its own shard and waits for no other
+    between claims, and the parent merges the shards claim by claim.
+    The pool is shut down when the suite ends, also when a claim raises.
     """
     names = list(CLAIM_ORDER) if claims is None else list(claims)
     if not names:
@@ -1182,10 +1146,15 @@ def run_suite(
         _lookup_claim(name)
         if name in names[:i]:
             raise UnknownClaim(f"claim {name!r} selected more than once")
-    jobs = _worker_count(jobs)
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    jobs = min(jobs, _usable_cpus())
     if jobs == 1:
         return [run_claim(name, n_max=n_max, seed=seed, pair_max=pair_max) for name in names]
-    return _run_sharded(names, *_resolve_limits(n_max, pair_max), seed, jobs)
+    task = functools.partial(_run_shard, names, *_resolve_limits(n_max, pair_max), seed, jobs)
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        shards = list(pool.map(task, range(jobs)))
+    return [_merge(name, parts) for name, parts in zip(names, zip(*shards))]
 
 
 def suite_passed(reports: Iterable[ClaimReport]) -> bool:

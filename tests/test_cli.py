@@ -559,6 +559,32 @@ def test_error_messages_clip_quoted_input(command, doc, field, tmp_path, capsys)
     assert err.startswith(f"error: {field}") and len(err.encode()) < 1024
 
 
+_LONG = "x" * 5000
+
+
+@pytest.mark.parametrize(
+    "argv, doc, budget",
+    [
+        (["analyze", "FILE"], {"labels": ["a", _LONG, "c"], "reach": [[0, 1], [1, 2]]}, None),
+        (["spec", "poset", "FILE"], {"labels": [_LONG, "b"], "leq": [[0, 1], [1, 0]]}, None),
+        (["verify", "--max-points", "1", "--claims", _LONG], None, None),
+        (["path", "FILE", "--from", _LONG, "--to", "0"], {"labels": ["a"], "reach": []}, None),
+        (["path", "FILE", "--from", "1", "--to", "0"], {"labels": ["1", _LONG], "reach": []}, None),
+        (["equiv", "FILE", "FILE"], {"labels": ["a"], "reach": []}, _LONG),
+    ],
+    ids=["not-transitive", "not-antisymmetric", "claim", "point", "ambiguous-point", "budget"],
+)
+def test_long_inputs_are_clipped_in_errors(argv, doc, budget, tmp_path, monkeypatch, capsys):
+    # an error message quotes each input through clip_repr, never whole
+    if budget is not None:
+        monkeypatch.setenv("IRTOPO_BUDGET_MAPS", budget)
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(doc))
+    assert main([str(path) if a == "FILE" else a for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.encode()) < 400
+
+
 def _readme_commands():
     """The ``irtopo`` invocations of the README's command-line block, as
     argument lists: brackets around optional parts dropped, the first of

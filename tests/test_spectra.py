@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from irtopo import (
@@ -23,6 +25,30 @@ def test_factorize_basics():
         factorize(1)
     with pytest.raises(SearchBudgetExceeded):
         factorize(10**13)
+
+
+def _is_prime(p):
+    return p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
+
+
+@pytest.mark.parametrize(
+    "values",
+    [range(2, 20_001), [999_983 * 999_979, 2**39, 3**25, 10**12, 600_851_475_143]],
+    ids=["upto-20000", "large"],
+)
+def test_factorize_oracle(values):
+    # the factors multiply back to n, their primes strictly ascend and
+    # each is prime by trial division
+    for n in values:
+        factors = factorize(n)
+        product = 1
+        for p, e in factors:
+            assert e >= 1
+            product *= p**e
+        assert product == n
+        primes = [p for p, _ in factors]
+        assert primes == sorted(set(primes))
+        assert all(map(_is_prime, primes))
 
 
 class TestSpecZn:

@@ -352,14 +352,15 @@ class TestClaims:
         assert not run_claim(claim, n_max=3).passed
 
     def test_equivalence_search_runs_only_when_the_violation_fires(self, monkeypatch):
-        # T14 and T15 test their cheap violation first; a payload still
-        # carries the maps that the equivalence search found
+        # a payload carries the maps that the equivalence search found;
+        # T14 and T15 test their cheap violation first and search only
+        # when it fires
         from irtopo import homotopy, verifier
 
         pairs = [(a, b) for n in (1, 2) for a in enumerate_spaces(n) for b in enumerate_spaces(n)]
         equivalent = 0
         for a, b in pairs:
-            payload = verifier._equivalence_counterexample((a, b), lambda a, b: {"mark": 1})
+            payload = verifier._equivalence_payload(a, b, mark=1)
             eq = homotopy.ir_homotopy_equivalent(a, b)
             if eq is None:
                 assert payload is None
@@ -375,12 +376,20 @@ class TestClaims:
             }
         assert 0 < equivalent < len(pairs)
 
+        fires = {
+            "T14": lambda a, b: homotopy.ir_co(a) and not homotopy.ir_co(b),
+            "T15": lambda a, b: category.ir_cat(a).size != category.ir_cat(b).size,
+        }
+
         def no_search(a, b):
             raise AssertionError("equivalence searched for a pair with no violation")
 
         monkeypatch.setattr(homotopy, "ir_homotopy_equivalent", no_search)
-        for pair in pairs:
-            assert verifier._equivalence_counterexample(pair, lambda a, b: None) is None
+        for name, violation in fires.items():
+            quiet = [pair for pair in pairs if not violation(*pair)]
+            assert 0 < len(quiet) < len(pairs)
+            for pair in quiet:
+                assert CLAIMS[name].check(pair) is None
 
     def test_only_reported_counterexamples_write_out_spaces(self, monkeypatch):
         from irtopo import spaceio
@@ -401,9 +410,12 @@ class TestClaims:
         with pytest.raises(SearchBudgetExceeded):
             run_claim("T2", n_max=9)
 
-    def test_jobs_do_not_change_reports(self):
-        seq = run_claim("T7", n_max=3, jobs=1)
-        par = run_claim("T7", n_max=3, jobs=2)
+    def test_jobs_do_not_change_reports(self, monkeypatch):
+        from irtopo import verifier
+
+        monkeypatch.setattr(verifier, "_usable_cpus", lambda: 2)
+        seq = run_suite(n_max=3, claims=["T7"], jobs=1)[0]
+        par = run_suite(n_max=3, claims=["T7"], jobs=2)[0]
         assert seq.to_jsonable() == par.to_jsonable()
 
     def test_pool_capped_at_cpu_count(self, monkeypatch):
@@ -411,12 +423,12 @@ class TestClaims:
 
         sizes = []
         monkeypatch.setattr(verifier, "ProcessPoolExecutor", _inline_pool(sizes))
-        seq = run_claim("T7", n_max=3, jobs=1).to_jsonable()
+        seq = run_suite(n_max=3, claims=["T7"], jobs=1)[0].to_jsonable()
         monkeypatch.setattr(verifier, "_usable_cpus", lambda: 3)
-        assert run_claim("T7", n_max=3, jobs=64).to_jsonable() == seq
+        assert run_suite(n_max=3, claims=["T7"], jobs=64)[0].to_jsonable() == seq
         assert sizes == [3]
         monkeypatch.setattr(verifier, "_usable_cpus", lambda: 1)
-        assert run_claim("T7", n_max=3, jobs=64).to_jsonable() == seq
+        assert run_suite(n_max=3, claims=["T7"], jobs=64)[0].to_jsonable() == seq
         assert sizes == [3]  # one usable CPU: runs inline
 
     def test_usable_cpus(self, monkeypatch):
@@ -432,8 +444,6 @@ class TestClaims:
 
     @pytest.mark.parametrize("jobs", [0, -2])
     def test_jobs_below_one_rejected(self, jobs):
-        with pytest.raises(ValueError, match=f"jobs must be at least 1, got {jobs}"):
-            run_claim("T2", n_max=1, jobs=jobs)
         with pytest.raises(ValueError, match=f"jobs must be at least 1, got {jobs}"):
             run_suite(n_max=1, jobs=jobs)
 
