@@ -82,12 +82,14 @@ class DimensionReport:
 
 
 @lru_cache(maxsize=1 << 15)
-def _ir_cat_cached(reach_rows: tuple[int, ...]) -> CoverReport:
-    space = FiniteSpace(tuple(str(i) for i in range(len(reach_rows))), reach_rows)
-    cover = canon_sorted(
-        {space.min_opens[y] for y, row in enumerate(reach_rows) if row & ~space.min_opens[y] == 0}
-    )
-    return CoverReport(cover, tuple(space.common_reach(m) for m in cover))
+def _ir_cat_cached(reach_rows: tuple[int, ...], min_opens: tuple[int, ...]) -> CoverReport:
+    # keyed by the reach rows: min_opens is their transpose, passed from
+    # the space's own cache.  y is maximal when its closure lies in U_y,
+    # and then every point of U_y reaches exactly the closure of y, which
+    # is the witness of U_y.
+    witness = {m: row for m, row in zip(min_opens, reach_rows) if not row & ~m}
+    cover = canon_sorted(witness)
+    return CoverReport(cover, tuple(map(witness.__getitem__, cover)))
 
 
 def ir_cat(space: FiniteSpace) -> CoverReport:
@@ -101,7 +103,7 @@ def ir_cat(space: FiniteSpace) -> CoverReport:
     """
     if space.n == 0:
         raise EmptySpace("covering category is undefined for the empty space")
-    return _ir_cat_cached(space.reach_rows)
+    return _ir_cat_cached(space.reach_rows, space.min_opens)
 
 
 def _open_cover(space: FiniteSpace, cover: Iterable[int]) -> tuple[int, ...]:

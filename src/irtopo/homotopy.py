@@ -66,7 +66,7 @@ def ir_path(space: FiniteSpace, x: int, y: int) -> bool:
     """Whether the two-piece path from x to y exists: y is reachable from x."""
     if not (0 <= x < space.n and 0 <= y < space.n):
         raise ValueError("point index out of range")
-    return space.reach(x, y)
+    return bool(space.reach_rows[x] >> y & 1)
 
 
 def ir_co(space: FiniteSpace) -> int:

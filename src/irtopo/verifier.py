@@ -45,8 +45,8 @@ by every claim and pair, so each space computes its ``min_opens`` and
 ``open_sets`` once.  ``run_claim`` runs in the calling process, and
 only ``run_suite`` starts a pool: with k workers it gets k tasks, task i
 running shard i of every claim in suite order, so each worker builds
-its own table and fills its caches (``_space_table``, ``_packed_covers``,
-``category._ir_cat_cached``) for its own shard only.
+its own table and fills its caches (``_space_table``, ``_closure_rows``,
+``_packed_covers``, ``category._ir_cat_cached``) for its own shard only.
 """
 
 from __future__ import annotations
@@ -185,20 +185,29 @@ def box_topology(x: FiniteSpace, y: FiniteSpace) -> frozenset[int]:
 
 def _meets(space: FiniteSpace) -> list[int]:
     """meets[p]: the intersection of the open sets holding p, read from
-    ``open_sets`` alone."""
-    meets = [space.full_mask] * space.n
+    ``open_sets`` alone.  The opens are closed under intersection, so that
+    meet is the unique smallest open holding p, and in canonical order (by
+    size) it is the first open holding p."""
+    meets = [0] * space.n
+    todo = space.full_mask
     for o in space.open_sets:
-        rest = o
-        while rest:
-            low = rest & -rest
-            meets[low.bit_length() - 1] &= o
-            rest ^= low
+        fresh = o & todo
+        if fresh:
+            todo ^= fresh
+            while fresh:
+                low = fresh & -fresh
+                meets[low.bit_length() - 1] = o
+                fresh ^= low
+            if not todo:
+                break
     return meets
 
 
 # the finite model of the one-way unit interval: bottom open, top not
 _TWO_POINT_CHAIN = intervals.chain_space(2)
 _CHAIN_MEETS = tuple(_meets(_TWO_POINT_CHAIN))
+# _SPREAD[m]: _rows(m, 2), each point p of m moved to 2p, for masks below 256
+_SPREAD = tuple(_rows(m, 2) for m in range(256))
 
 
 def _smallest_boxes(x: FiniteSpace) -> list[int]:
@@ -209,7 +218,8 @@ def _smallest_boxes(x: FiniteSpace) -> list[int]:
     meet of those boxes is the meet of the opens holding p times the meet
     of those holding t; the boxes themselves are never listed.
     """
-    return [_rows(m, 2) * c for m in _meets(x) for c in _CHAIN_MEETS]
+    spread = [_SPREAD[m] if m < 256 else _rows(m, 2) for m in _meets(x)]
+    return [r * c for r in spread for c in _CHAIN_MEETS]
 
 
 def chain_homotopy_oracle(x: FiniteSpace, y: FiniteSpace, f, targets) -> int:
@@ -296,6 +306,20 @@ def _irredundant_covers(space: FiniteSpace) -> Iterator[tuple[int, ...]]:
     order of ``category.irredundant_covers``, decoded from the packed
     copy (``_packed_covers``) that L1, L2_subcover, C5 and T13 share."""
     return map(tuple, _packed_covers(space).split(b"\0"))
+
+
+# closure rows by space, one byte per point; a plain dict and bytes hold
+# them in about half the memory of an lru_cache of tuples
+_CLOSURE_ROWS: dict[FiniteSpace, bytes] = {}
+
+
+def _closure_rows(space: FiniteSpace) -> bytes:
+    """``_closure_via_opens`` at each point of a space of at most 8 points,
+    computed once per process; T2, T3, T4, P4 and C9 read this one copy."""
+    rows = _CLOSURE_ROWS.get(space)
+    if rows is None:
+        rows = _CLOSURE_ROWS[space] = bytes(_closure_via_opens(space, x) for x in range(space.n))
+    return rows
 
 
 def _deformable_opens(space: FiniteSpace) -> dict[int, int]:
@@ -479,14 +503,16 @@ def _t10_batches(n_max: int, pair_max: int, seed: int) -> list:
 
 
 def _p1_instances(n_max: int, pair_max: int, seed: int) -> Iterator[tuple]:
-    rng = random.Random(seed)
+    randint = random.Random(seed).randint
+    # table[q][p] is Fraction(p, q): every value drawn, built on first use
+    table = [()] + [[Fraction(p, q) for p in range(q + 1)] for q in range(1, 51)]
 
     def unit():
-        den = rng.randint(1, 50)
-        return Fraction(rng.randint(0, den), den)
+        den = randint(1, 50)
+        return table[den][randint(0, den)]
 
     for _ in range(10000):
-        yield unit(), unit(), unit(), Fraction(rng.randint(1, 50), 50)
+        yield unit(), unit(), unit(), table[50][randint(1, 50)]
 
 
 def _p2_instances(n_max: int, pair_max: int, seed: int) -> list:
@@ -531,11 +557,11 @@ def _pair_payload(s: FiniteSpace, x: int, y: int, **extra) -> dict:
 
 
 def _check_t2(s):
-    for x in range(s.n):
-        cl = _closure_via_opens(s, x)
+    ir_path = homotopy.ir_path
+    for x, cl in enumerate(_closure_rows(s)):
         for y in range(s.n):
-            has_path = homotopy.ir_path(s, x, y)
-            if has_path != bool(cl >> y & 1):
+            has_path = ir_path(s, x, y)
+            if has_path != (cl >> y & 1):  # True == 1 and False == 0
                 return _pair_payload(
                     s, x, y, path_exists=has_path, in_closure=bool(cl >> y & 1)
                 )
@@ -543,19 +569,17 @@ def _check_t2(s):
 
 
 def _check_t3(s):
-    for x in range(s.n):
-        cl = _closure_via_opens(s, x)
-        for y in range(s.n):
-            if not homotopy.ir_path(s, x, y):
-                continue
-            image = 1 << x | 1 << y
-            if image & ~cl:
+    for x, cl in enumerate(_closure_rows(s)):
+        # the image {x, y} leaves cl exactly at the y outside it, when x is in it
+        outside = s.full_mask & ~cl if cl >> x & 1 else s.full_mask
+        for y in iter_points(outside):
+            if homotopy.ir_path(s, x, y):
                 return _pair_payload(s, x, y)
     return None
 
 
 def _check_t4(s):
-    if any(_closure_via_opens(s, x) != 1 << x for x in range(s.n)):
+    if any(cl != 1 << x for x, cl in enumerate(_closure_rows(s))):
         return None  # not T1
     for x in range(s.n):
         for y in range(s.n):
@@ -648,10 +672,11 @@ def _check_t10(pts):
 def _check_t11(s):
     if not s.is_t0():
         return None
-    for x in range(s.n):
-        for y in range(s.n):
-            if x != y and s.reach(x, y) and s.reach(y, x):
-                return _pair_payload(s, x, y)
+    # a pair reaching both ways holds a reach pair; the condition is
+    # symmetric, so a full loop over (x, y) would name it with x < y
+    for x, y in s.reach_pairs():
+        if s.reach(y, x):
+            return _pair_payload(s, min(x, y), max(x, y))
     return None
 
 
@@ -745,7 +770,7 @@ def _check_p3(s):
 
 
 def _check_p4(s):
-    rows = [_closure_via_opens(s, x) for x in range(s.n)]
+    rows = _closure_rows(s)
     for x in range(s.n):
         if not rows[x] >> x & 1:
             return {"space": s, "missing_reflexive": s.labels[x]}
@@ -874,7 +899,7 @@ def _check_c8(s):
 
 
 def _check_c9(s):
-    rows = [_closure_via_opens(s, x) for x in range(s.n)]
+    rows = _closure_rows(s)
     antisymmetric = not any(
         rows[x] >> y & 1 and rows[y] >> x & 1
         for x in range(s.n)
@@ -1128,8 +1153,8 @@ def run_suite(
     """Run the named claims (every claim for None) and return their reports.
 
     An unknown or repeated name or an empty selection raises
-    UnknownClaim, and jobs below 1 raises ValueError, before any claim
-    runs.
+    UnknownClaim, a bare str in place of the list raises TypeError, and
+    jobs below 1 raises ValueError, before any claim runs.
 
     jobs is capped at the CPUs this process may use (``_usable_cpus``).
     At one job the claims run here, one ``run_claim`` after another.
@@ -1139,6 +1164,11 @@ def run_suite(
     between claims, and the parent merges the shards claim by claim.
     The pool is shut down when the suite ends, also when a claim raises.
     """
+    if isinstance(claims, str):
+        raise TypeError(
+            f"claims must be a list of claim names such as [{clip_repr(claims)}], not a str; "
+            f"known: {', '.join(CLAIM_ORDER)}"
+        )
     names = list(CLAIM_ORDER) if claims is None else list(claims)
     if not names:
         raise UnknownClaim(f"no claim selected; known: {', '.join(CLAIM_ORDER)}")

@@ -22,12 +22,16 @@ from irtopo import (
     run_claim,
     run_suite,
 )
-from irtopo.core import FiniteSpace, ReachNotPreorder, from_reach
+from irtopo.core import FiniteSpace, ReachNotPreorder, from_reach, product
 from irtopo.homotopy import continuous_maps
 from irtopo.verifier import (
     CLAIM_ORDER,
     CLAIMS,
+    _check_t3,
+    _check_t11,
     _irredundant_covers,
+    _meets,
+    _p1_instances,
     _packed_covers,
     _padded_cover,
     _smallest_boxes,
@@ -289,9 +293,118 @@ class TestClaimKernels:
         assert len(walked) == len(swept) == 389
         assert sorted(map(id, walked)) == sorted(map(id, swept))
 
+    def test_closure_claims_compute_each_space_once(self, monkeypatch):
+        from irtopo import verifier
+
+        walked = []
+        real = verifier._closure_via_opens
+
+        def counting(space, x):
+            walked.append((id(space), x))
+            return real(space, x)
+
+        monkeypatch.setattr(verifier, "_CLOSURE_ROWS", {})
+        monkeypatch.setattr(verifier, "_closure_via_opens", counting)
+        reports = run_suite(n_max=4, claims=["T2", "T3", "T4", "P4", "C9"], jobs=1)
+        assert all(r.passed for r in reports)
+        swept = list(_spaces_upto(4))
+        assert len(swept) == 389
+        assert sorted(walked) == sorted((id(s), x) for s in swept for x in range(s.n))
+
+    def test_meets_are_the_intersections_of_the_opens(self):
+        # the 9-point grid has meets of 256 and more, which _smallest_boxes
+        # spreads without its table
+        grid = product(chain_space(3), chain_space(3))
+        assert grid.n == 9 and max(_meets(grid)) >= 256
+        for s in [*_spaces_upto(5), grid]:
+            meets = []
+            for p in range(s.n):
+                meet = s.full_mask
+                for o in s.open_sets:
+                    if o >> p & 1:
+                        meet &= o
+                meets.append(meet)
+            assert _meets(s) == meets
+
+    def test_p1_draws_the_fraction_recipe(self):
+        from fractions import Fraction
+        import random
+
+        for seed in (0, 1):
+            rng = random.Random(seed)
+
+            def unit():
+                den = rng.randint(1, 50)
+                return Fraction(rng.randint(0, den), den)
+
+            expected = [
+                (unit(), unit(), unit(), Fraction(rng.randint(1, 50), 50)) for _ in range(10000)
+            ]
+            drawn = list(_p1_instances(5, 3, seed))
+            assert drawn == expected
+            assert all(type(v) is Fraction for inst in drawn for v in inst)
+
+    def test_t3_keeps_the_first_counterexample_of_the_full_loop(self, monkeypatch):
+        from irtopo import homotopy, verifier
+
+        def full_loop(s):
+            for x in range(s.n):
+                cl = verifier._closure_via_opens(s, x)
+                for y in range(s.n):
+                    if homotopy.ir_path(s, x, y) and (1 << x | 1 << y) & ~cl:
+                        return {"space": s, "from": s.labels[x], "to": s.labels[y]}
+            return None
+
+        real_path, real_closure = homotopy.ir_path, verifier._closure_via_opens
+        found = 0
+        for s in _spaces_upto(3):
+            for a in range(s.n):
+                for b in range(s.n):
+                    # ir_path lies at (a, b); then the closure of a also
+                    # lies, leaving out a itself
+                    def path(space, x, y, a=a, b=b):
+                        return real_path(space, x, y) != (space is s and (x, y) == (a, b))
+
+                    def closure(space, x, a=a):
+                        cl = real_closure(space, x)
+                        return cl & ~(1 << a) if space is s and x == a else cl
+
+                    monkeypatch.setattr(homotopy, "ir_path", path)
+                    for lie in (real_closure, closure):
+                        monkeypatch.setattr(verifier, "_CLOSURE_ROWS", {})
+                        monkeypatch.setattr(verifier, "_closure_via_opens", lie)
+                        expected = full_loop(s)
+                        assert _check_t3(s) == expected
+                        found += expected is not None
+        assert found > 0
+
+    def test_t11_keeps_the_first_counterexample_of_the_full_loop(self, monkeypatch):
+        def full_loop(s):
+            if not s.is_t0():
+                return None
+            for x in range(s.n):
+                for y in range(s.n):
+                    if x != y and s.reach(x, y) and s.reach(y, x):
+                        return {"space": s, "from": s.labels[x], "to": s.labels[y]}
+            return None
+
+        real = FiniteSpace.reach
+        found = 0
+        for s in _spaces_upto(4):
+            for a in range(s.n):
+                for b in range(s.n):
+                    def reach(space, x, y, a=a, b=b):
+                        return real(space, x, y) != (space is s and (x, y) == (a, b))
+
+                    monkeypatch.setattr(FiniteSpace, "reach", reach)
+                    expected = full_loop(s)
+                    assert _check_t11(s) == expected
+                    found += expected is not None
+        assert found > 0
+
     def test_smallest_boxes_are_the_box_meets(self, spaces_upto4):
         chain = chain_space(2)
-        for x in spaces_upto4:
+        for x in [*spaces_upto4, product(chain_space(3), chain_space(3))]:
             boxes = box_topology(x, chain)
             meets = []
             for point in range(2 * x.n):
@@ -488,6 +601,14 @@ class TestSuite:
         for jobs in (1, 2):
             with pytest.raises(UnknownClaim, match="'T2' selected more than once"):
                 run_suite(n_max=2, claims=["T2", "T7", "T2"], jobs=jobs)
+        assert ran == []
+
+    def test_bare_str_rejected_before_any_claim_runs(self, monkeypatch):
+        # a str would be iterated one letter at a time
+        ran = self._record_runs(monkeypatch)
+        for jobs in (1, 2):
+            with pytest.raises(TypeError, match=r"list of claim names such as \['T1'\]"):
+                run_suite(n_max=2, claims="T1", jobs=jobs)
         assert ran == []
 
     def test_empty_selection_rejected(self, monkeypatch):
