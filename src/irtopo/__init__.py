@@ -3,9 +3,9 @@
 A finite space is encoded by its reachability relation (reach(x, y)
 holds when y lies in the closure of {x}).  On top of that the package
 provides the directed path and homotopy calculus, exact covering
-category and dimension, prime spectra as finite spaces, exact-rational
-interval models, and an exhaustive verifier that machine-checks the
-package's structural claims on every finite space up to a size budget.
+category and dimension, prime spectra as finite spaces and exact-rational
+interval models.  ``irtopo.verifier``, not imported here, machine-checks
+the package's structural claims on every finite space up to a size budget.
 """
 
 from .core import (
@@ -57,14 +57,6 @@ from .intervals import (
     chain_space,
     d_ir,
     grid_subspace,
-)
-from .verifier import (
-    ClaimReport,
-    UnknownClaim,
-    chain_homotopy_oracle,
-    enumerate_spaces,
-    run_claim,
-    run_suite,
 )
 
 __version__ = "0.1.0"

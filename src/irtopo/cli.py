@@ -2,7 +2,8 @@
 
 One binary, subcommand style.  Exit codes are a stable contract:
 0 success, 1 a negative verdict (no path, not deformable, not
-equivalent, a failed verification), 2 bad input or usage.
+equivalent, a failed verification), 2 bad input or usage.  Only
+``verify`` imports the verifier (``irtopo.verifier``), when it runs.
 
 Output contract: each ``_cmd_*`` computes its answer and returns
 ``(code, payload, lines)``; ``spec`` and ``verify`` add a fourth item,
@@ -20,7 +21,7 @@ import argparse
 import functools
 import sys
 
-from . import category, homotopy, intervals, spaceio, spectra, verifier
+from . import category, homotopy, intervals, spaceio, spectra
 from .core import FiniteSpace, IrtopoError, clip_repr
 
 # Covering dimension is polynomial and `dim` answers at any size, yet
@@ -280,6 +281,8 @@ def _cmd_grid(args):
 
 
 def _cmd_verify(args):
+    from . import verifier  # here, so that no other command loads the oracle layer
+
     claims = None
     if args.claims != "all":
         claims = [c.strip() for c in args.claims.split(",") if c.strip()]

@@ -54,6 +54,13 @@ def clip_repr(value) -> str:
     return text if len(text) <= 40 else text[:40] + "..."
 
 
+def require_int(name: str, value) -> None:
+    """TypeError naming ``name`` unless value is an int; a bool is refused,
+    since it would pass as 0 or 1."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{name} must be an int, got {clip_repr(value)}")
+
+
 def mask_of(points: Iterable[int]) -> int:
     m = 0
     for p in points:

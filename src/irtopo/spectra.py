@@ -23,6 +23,7 @@ from .core import (
     SearchBudgetExceeded,
     clip_repr,
     from_pairs,
+    require_int,
 )
 
 FACTOR_CAP = 10**12
@@ -38,6 +39,7 @@ class NotAPartialOrder(IrtopoError):
 
 def factorize(n: int) -> list[tuple[int, int]]:
     """Prime factorization by deterministic trial division up to sqrt(n)."""
+    require_int("modulus", n)
     if n < 2:
         raise InvalidModulus(f"modulus must be at least 2, got {n}")
     if n > FACTOR_CAP:

@@ -74,6 +74,7 @@ from .core import (
     iter_points,
     points_of,
     product,
+    require_int,
 )
 
 MAX_ENUM_POINTS = 5
@@ -128,8 +129,10 @@ def enumerate_spaces(n: int) -> Iterator[FiniteSpace]:
     Every call yields the same objects: the spaces are built once per
     process, so their cached ``min_opens`` and ``open_sets`` are computed
     once and shared by every claim and pair that sweeps them.  An n
-    outside 1..MAX_ENUM_POINTS raises SearchBudgetExceeded at the call.
+    that is not an int raises TypeError, and one outside
+    1..MAX_ENUM_POINTS SearchBudgetExceeded, at the call.
     """
+    require_int("n", n)
     if not 1 <= n <= MAX_ENUM_POINTS:
         raise SearchBudgetExceeded(
             f"enumeration supports 1..{MAX_ENUM_POINTS} points, got {n}"
@@ -1052,13 +1055,19 @@ def _lookup_claim(name: str) -> ClaimSpec:
         ) from None
 
 
-def _resolve_limits(n_max: int, pair_max: int | None) -> tuple[int, int]:
+def _resolve_limits(n_max: int, pair_max: int | None, seed: int) -> tuple[int, int]:
+    """The budgets (n_max, pair_max) a sweep runs at, pair_max defaulting
+    to min(3, n_max).  TypeError unless both and the seed are ints,
+    SearchBudgetExceeded when a budget is out of range."""
+    require_int("n_max", n_max)
+    require_int("seed", seed)
     if not 1 <= n_max <= MAX_ENUM_POINTS:
         raise SearchBudgetExceeded(
             f"claim sweeps support 1..{MAX_ENUM_POINTS} points, got {n_max}"
         )
     if pair_max is None:
         pair_max = min(3, n_max)
+    require_int("pair_max", pair_max)
     if not 1 <= pair_max <= MAX_PAIR_POINTS:
         raise SearchBudgetExceeded(
             f"pair sweeps support 1..{MAX_PAIR_POINTS} points, got {pair_max}"
@@ -1139,7 +1148,7 @@ def run_claim(name: str, n_max: int = 3, seed: int = 0, pair_max: int | None = N
     from the seed.  Only ``run_suite`` starts a process pool.
     """
     _lookup_claim(name)
-    n_max, pair_max = _resolve_limits(n_max, pair_max)
+    n_max, pair_max = _resolve_limits(n_max, pair_max, seed)
     return _merge(name, [_run_claim_shard(name, n_max, pair_max, seed, 0, 1)])
 
 
@@ -1152,9 +1161,10 @@ def run_suite(
 ) -> list[ClaimReport]:
     """Run the named claims (every claim for None) and return their reports.
 
-    An unknown or repeated name or an empty selection raises
-    UnknownClaim, a bare str in place of the list raises TypeError, and
-    jobs below 1 raises ValueError, before any claim runs.
+    Before any claim runs: an unknown or repeated name or an empty
+    selection raises UnknownClaim; a bare str in place of the list, or a
+    budget, seed or jobs that is not an int, raises TypeError; a budget
+    out of range raises SearchBudgetExceeded and jobs below 1 ValueError.
 
     jobs is capped at the CPUs this process may use (``_usable_cpus``).
     At one job the claims run here, one ``run_claim`` after another.
@@ -1176,12 +1186,14 @@ def run_suite(
         _lookup_claim(name)
         if name in names[:i]:
             raise UnknownClaim(f"claim {name!r} selected more than once")
+    require_int("jobs", jobs)
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
+    n_max, pair_max = _resolve_limits(n_max, pair_max, seed)
     jobs = min(jobs, _usable_cpus())
     if jobs == 1:
         return [run_claim(name, n_max=n_max, seed=seed, pair_max=pair_max) for name in names]
-    task = functools.partial(_run_shard, names, *_resolve_limits(n_max, pair_max), seed, jobs)
+    task = functools.partial(_run_shard, names, n_max, pair_max, seed, jobs)
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         shards = list(pool.map(task, range(jobs)))
     return [_merge(name, parts) for name, parts in zip(names, zip(*shards))]
@@ -1196,7 +1208,7 @@ def suite_passed(reports: Iterable[ClaimReport]) -> bool:
 def suite_to_jsonable(
     reports: list[ClaimReport], n_max: int, pair_max: int | None, seed: int
 ) -> dict:
-    n_max, pair_max = _resolve_limits(n_max, pair_max)
+    n_max, pair_max = _resolve_limits(n_max, pair_max, seed)
     return {
         "max_points": n_max,
         "pair_points": pair_max,

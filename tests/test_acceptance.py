@@ -5,9 +5,12 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 
 import time
 
-from irtopo import enumerate_spaces, run_claim, run_suite, spec_zn, check_theorem8
+from irtopo import spec_zn, check_theorem8
 from irtopo.spaceio import dumps_canonical
 from irtopo.verifier import (
+    enumerate_spaces,
+    run_claim,
+    run_suite,
     suite_to_jsonable,
     topologies_by_open_families,
 )

@@ -323,6 +323,48 @@ def test_verify_jobs_below_one(jobs, capsys):
     assert f"error: jobs must be at least 1, got {jobs}" in captured.err
 
 
+_IMPORT_PROBE = """
+import contextlib, io, json, sys
+import irtopo
+import irtopo.cli
+LAYERS = ("irtopo.verifier", "concurrent.futures", "multiprocessing")
+seen = [("import", 0, [m for m in LAYERS if m in sys.modules])]
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = irtopo.cli.main(argv)
+    seen.append((argv[0], code, [m for m in LAYERS if m in sys.modules]))
+print(json.dumps(seen))
+"""
+
+
+def test_only_verify_loads_the_verifier(sierp_file):
+    # the oracle layer and the process-pool modules stay out of a process
+    # until it verifies
+    src = Path(__file__).resolve().parents[1] / "src"
+    argvs = [
+        ["co", sierp_file, "--format", "json"],
+        ["cat", sierp_file, "--format", "json"],
+        ["analyze", sierp_file, "--format", "json"],
+        ["spec", "zn", "--n", "360", "--format", "json"],
+        ["verify", "--max-points", "1", "--format", "json"],
+    ]
+    done = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, json.dumps(argvs)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert done.returncode == 0, done.stderr
+    seen = json.loads(done.stdout)
+    assert seen[:-1] == [
+        [name, 0, []] for name in ("import", "co", "cat", "analyze", "spec")
+    ]
+    name, code, loaded = seen[-1]
+    assert (name, code) == ("verify", 0)
+    assert "irtopo.verifier" in loaded
+
+
 def test_malformed_json(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")

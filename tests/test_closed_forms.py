@@ -29,7 +29,6 @@ import pytest
 
 from irtopo import (
     covering_dimension,
-    enumerate_spaces,
     from_reach,
     ir_cat,
     ir_co,
@@ -37,6 +36,7 @@ from irtopo import (
     product,
 )
 from irtopo.core import iter_points, transpose
+from irtopo.verifier import enumerate_spaces
 
 SEED = 20260418
 

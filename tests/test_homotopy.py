@@ -11,7 +11,6 @@ from irtopo import (
     NotContinuous,
     SearchBudgetExceeded,
     chain_space,
-    enumerate_spaces,
     from_reach,
     ir_co,
     ir_homotopic,
@@ -24,7 +23,7 @@ from irtopo import (
 )
 
 from irtopo.homotopy import continuous_maps
-from irtopo.verifier import _check_t11, _spaces_upto
+from irtopo.verifier import _check_t11, _spaces_upto, enumerate_spaces
 
 from conftest import discrete, indiscrete
 

@@ -27,6 +27,14 @@ def test_factorize_basics():
         factorize(10**13)
 
 
+@pytest.mark.parametrize("n", [12.0, True, "12"], ids=repr)
+def test_factorize_rejects_non_int(n):
+    # 12.0 would factor as [(2, 2), (3.0, 1)] and label a point "(3.0)"
+    for func in (factorize, spec_zn):
+        with pytest.raises(TypeError, match=f"modulus must be an int, got {n!r}"):
+            func(n)
+
+
 def _is_prime(p):
     return p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
 

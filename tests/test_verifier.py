@@ -14,19 +14,15 @@ import pytest
 from irtopo import (
     SearchBudgetExceeded,
     category,
-    UnknownClaim,
-    chain_homotopy_oracle,
     chain_space,
-    enumerate_spaces,
     ir_homotopic,
-    run_claim,
-    run_suite,
 )
 from irtopo.core import FiniteSpace, ReachNotPreorder, from_reach, product
 from irtopo.homotopy import continuous_maps
 from irtopo.verifier import (
     CLAIM_ORDER,
     CLAIMS,
+    UnknownClaim,
     _check_t3,
     _check_t11,
     _irredundant_covers,
@@ -38,6 +34,10 @@ from irtopo.verifier import (
     _space_table,
     _spaces_upto,
     box_topology,
+    chain_homotopy_oracle,
+    enumerate_spaces,
+    run_claim,
+    run_suite,
     suite_passed,
     suite_to_jsonable,
     topologies_by_open_families,
@@ -105,6 +105,17 @@ class TestEnumeration:
             enumerate_spaces(6)
         with pytest.raises(SearchBudgetExceeded):
             enumerate_spaces(0)
+
+    @pytest.mark.parametrize("n", [2.5, True, "2"], ids=repr)
+    def test_non_int_rejected_before_any_space_is_built(self, monkeypatch, n):
+        # True would pass the range check and yield the 1-point table
+        from irtopo import verifier
+
+        built = []
+        monkeypatch.setattr(verifier, "_space_table", built.append)
+        with pytest.raises(TypeError, match=f"n must be an int, got {n!r}"):
+            enumerate_spaces(n)
+        assert built == []
 
     def test_every_call_yields_the_same_spaces(self):
         # built once per process, so cached properties are shared
@@ -609,6 +620,31 @@ class TestSuite:
         for jobs in (1, 2):
             with pytest.raises(TypeError, match=r"list of claim names such as \['T1'\]"):
                 run_suite(n_max=2, claims="T1", jobs=jobs)
+        assert ran == []
+
+    @pytest.mark.parametrize("value", [2.5, True, "2"], ids=repr)
+    @pytest.mark.parametrize("param", ["n_max", "pair_max", "seed"])
+    def test_non_int_limits_rejected_before_any_claim_runs(self, monkeypatch, param, value):
+        # 2.5 would pass the range check and reach the report, which
+        # could then not be written, and True would be written as true
+        ran = self._record_runs(monkeypatch)
+        limits = {"n_max": 2, "pair_max": None, "seed": 0, param: value}
+        match = f"{param} must be an int, got {value!r}"
+        with pytest.raises(TypeError, match=match):
+            run_claim("T2", **limits)
+        for jobs in (1, 2):
+            with pytest.raises(TypeError, match=match):
+                run_suite(claims=["T1", "T2"], jobs=jobs, **limits)
+        with pytest.raises(TypeError, match=match):
+            suite_to_jsonable([], limits["n_max"], limits["pair_max"], limits["seed"])
+        assert ran == []
+
+    @pytest.mark.parametrize("jobs", [1.5, True, "2"], ids=repr)
+    def test_non_int_jobs_rejected_before_any_claim_runs(self, monkeypatch, jobs):
+        # 1.5 would fail inside the pool, and True would run as one job
+        ran = self._record_runs(monkeypatch)
+        with pytest.raises(TypeError, match=f"jobs must be an int, got {jobs!r}"):
+            run_suite(n_max=2, claims=["T2"], jobs=jobs)
         assert ran == []
 
     def test_empty_selection_rejected(self, monkeypatch):
