@@ -298,14 +298,22 @@ def from_reach(labels: Iterable[str], relation: Iterable) -> FiniteSpace:
     """Build a space from a reach relation given as rows of booleans or masks.
 
     The relation must already be reflexive and transitive; anything else
-    raises ReachNotPreorder with a witness.
+    raises ReachNotPreorder with a witness.  A bool row, neither a mask nor
+    a sequence, raises TypeError naming its label.
     """
     labels = tuple(labels)
     n = len(labels)
     full = (1 << n) - 1
     rows = []
     for r in relation:
-        row = r if isinstance(r, int) else mask_of(y for y, v in enumerate(r) if v)
+        if isinstance(r, int):
+            if r is True or r is False:
+                x = len(rows)
+                name = f"of {clip_repr(labels[x])}" if x < n else x
+                raise TypeError(f"reach row {name} must be a mask or a sequence of booleans, got {r}")
+            row = r
+        else:
+            row = mask_of(y for y, v in enumerate(r) if v)
         if row & ~full:
             raise ValueError("relation row mentions points outside the space")
         rows.append(row)

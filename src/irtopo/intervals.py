@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .core import EmptySpace, FiniteSpace, IrtopoError, clip_repr, mask_of
+from .core import EmptySpace, FiniteSpace, IrtopoError, clip_repr, mask_of, require_int
 
 
 class OutOfRange(IrtopoError):
@@ -113,8 +113,9 @@ def chain_space(k: int) -> FiniteSpace:
 
     chain_space(2) is the two-point space whose only nontrivial open is
     the bottom point; chains are the finite models of the one-way unit
-    interval.
+    interval.  A k that is not an int raises TypeError.
     """
+    require_int("k", k)
     if k < 1:
         raise ValueError("a chain needs at least one point")
     full = (1 << k) - 1

@@ -31,10 +31,19 @@ irredundant covers that L1, L2_subcover, C5 and T13 sweep are open
 covers by construction, so L1 and L2_subcover call the decisions
 ``category.refinement_mapping`` and ``category.greedy_subcover``, which
 validate nothing; C8 and the unit tests call the validating entries
-``check_refinement`` and ``min_subcover``.  Logic that only one
-claim needs lives in that claim's check, and a corollary that is an
-instance of another claim reuses that claim's check (C1 is T1 on the
-closed unit interval, C2 is C3 on the two-point chain).
+``check_refinement`` and ``min_subcover``.  Those decisions depend on
+the (optimal cover, cover) pair alone, and pairs repeat across spaces,
+so each of the two claims records the pairs it decided right and
+decides each distinct pair once per sweep.  The record comes with the
+instance family (``_cover_spaces``): it is made when a sweep or a shard
+starts and freed when it ends, so it is no per-process cache, and a
+second run decides afresh.  A failing pair is not recorded, so it is
+decided again, and counted, at every space that holds it.
+
+Logic that only one claim needs lives in that claim's check, and a
+corollary that is an instance of another claim reuses that claim's
+check (C1 is T1 on the closed unit interval, C2 is C3 on the two-point
+chain).
 
 Reports are deterministic given (claim, size limits, seed) and
 independent of the worker count: instances are indexed before sharding,
@@ -307,7 +316,8 @@ def _packed_covers(space: FiniteSpace) -> bytes:
 def _irredundant_covers(space: FiniteSpace) -> Iterator[tuple[int, ...]]:
     """The irredundant open covers of a space of at most 8 points, in the
     order of ``category.irredundant_covers``, decoded from the packed
-    copy (``_packed_covers``) that L1, L2_subcover, C5 and T13 share."""
+    copy (``_packed_covers``) for C5 and T13; L1 and L2_subcover index
+    and iterate the packed covers as they are."""
     return map(tuple, _packed_covers(space).split(b"\0"))
 
 
@@ -445,6 +455,17 @@ def _closure_via_opens(s: FiniteSpace, x: int) -> int:
 
 def _spaces(n_max: int, pair_max: int, seed: int) -> Iterator[FiniteSpace]:
     return _spaces_upto(n_max)
+
+
+def _cover_spaces(n_max: int, pair_max: int, seed: int) -> Iterator[tuple[FiniteSpace, dict]]:
+    """Each swept space with one record for the whole sweep: {optimal
+    cover: the covers already decided right against it}.  L1 and
+    L2_subcover skip a pair in the record; both decisions depend on the
+    pair alone, as a cover's union is its space.  Each sweep, and each
+    shard, starts with an empty record, which goes when it ends."""
+    record: dict[tuple[int, ...], set] = {}
+    for s in _spaces_upto(n_max):
+        yield s, record
 
 
 def _pairs(n_max: int, pair_max: int, seed: int) -> Iterable[tuple[FiniteSpace, FiniteSpace]]:
@@ -783,10 +804,15 @@ def _check_p4(s):
     return None
 
 
-def _check_l1(s):
-    # the covers are open covers by construction, so only the decision runs
+def _check_l1(inst):
+    # the covers are open covers by construction, so only the decision
+    # runs, once per (optimal cover, cover) pair decided right this sweep
+    s, record = inst
     optimal = category.ir_cat(s).sets
-    for cov in _irredundant_covers(s):
+    decided = record.setdefault(optimal, set())
+    for cov in _packed_covers(s).split(b"\0"):
+        if cov in decided:
+            continue
         ok, mapping = category.refinement_mapping(optimal, cov)
         # optimal member i must lie in cover member mapping[i]
         if not ok or len(mapping) != len(optimal) or not all(
@@ -796,6 +822,7 @@ def _check_l1(s):
                 "space": s,
                 "cover": spaceio.cover_labels(s, cov),
             }
+        decided.add(cov)
     return None
 
 
@@ -820,12 +847,16 @@ def _check_l2_literal(s):
     }
 
 
-def _check_l2_subcover(s):
+def _check_l2_subcover(inst):
+    s, record = inst
     padded, rep = _padded_cover(s)
-    covers = _irredundant_covers(s)
+    covers = _packed_covers(s).split(b"\0")
     if padded is not None:
-        covers = itertools.chain(covers, (padded,))
+        covers.append(padded)
+    decided = record.setdefault(rep.sets, set())
     for cov in covers:
+        if cov in decided:
+            continue
         try:
             sub = category.greedy_subcover(rep.sets, cov)
         except category.SubcoverNotFound:
@@ -840,6 +871,7 @@ def _check_l2_subcover(s):
                 "cover": spaceio.cover_labels(s, cov),
                 "subcover": spaceio.cover_labels(s, sub),
             }
+        decided.add(cov)
     return None
 
 
@@ -1002,13 +1034,13 @@ _CLAIM_LIST = [
               _spaces, _check_p4),
     ClaimSpec("L1", "asserted",
               "an optimal deformable cover refines every open cover",
-              _spaces, _check_l1),
+              _cover_spaces, _check_l1),
     ClaimSpec("L2_literal", "known_false",
               "no open cover has more members than the covering category",
               _spaces, _check_l2_literal),
     ClaimSpec("L2_subcover", "asserted",
               "every open cover contains a subcover no larger than the covering category",
-              _spaces, _check_l2_subcover),
+              _cover_spaces, _check_l2_subcover),
     ClaimSpec("C1", "asserted",
               "the closed unit interval of the one-way line is compact",
               _fixed(("closed", _UNIT)), _check_t1),

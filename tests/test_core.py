@@ -222,6 +222,23 @@ class TestFromReach:
         with pytest.raises(ReachNotPreorder, match="transitive"):
             from_reach(["a", "b", "c"], [[1, 1, 0], [0, 1, 1], [0, 0, 1]])
 
+    @pytest.mark.parametrize(
+        "rows, label", [([True, 3], "'a'"), ([1, False], "'b'"), ([1, 3, True], "2")]
+    )
+    def test_bool_row_rejected(self, rows, label):
+        # a bool is neither a mask nor a sequence of booleans
+        with pytest.raises(TypeError, match=f"reach row (of )?{label} must be a mask"):
+            from_reach(["a", "b"], rows)
+
+    def test_bool_row_label_is_clipped(self):
+        with pytest.raises(TypeError) as err:
+            from_reach(["x" * 5000], [True])
+        assert len(str(err.value)) < 120
+
+    def test_boolean_sequence_rows_accepted(self):
+        s = from_reach(["a", "b"], [[True, True], [False, True]])
+        assert s.reach_rows == (3, 2)
+
 
 class TestOpenSets:
     def test_sierpinski(self, sierpinski):

@@ -241,6 +241,12 @@ class TestChainSpace:
         with pytest.raises(ValueError):
             chain_space(0)
 
+    @pytest.mark.parametrize("k", [True, False, 2.0, "3"])
+    def test_non_int_rejected(self, k):
+        # True would pass as the 1-point chain and 2.0 fail only at the shift
+        with pytest.raises(TypeError, match="k must be an int"):
+            chain_space(k)
+
 
 class TestCompactness:
     """Claim T1's check: compact exactly through a greatest element."""

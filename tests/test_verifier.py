@@ -6,6 +6,7 @@ import operator
 import os
 import subprocess
 import sys
+from collections import Counter
 from functools import reduce
 from pathlib import Path
 
@@ -17,7 +18,7 @@ from irtopo import (
     chain_space,
     ir_homotopic,
 )
-from irtopo.core import FiniteSpace, ReachNotPreorder, from_reach, product
+from irtopo.core import FiniteSpace, ReachNotPreorder, from_reach, points_of, product
 from irtopo.homotopy import continuous_maps
 from irtopo.verifier import (
     CLAIM_ORDER,
@@ -72,6 +73,44 @@ def _inline_pool(sizes, maps=None):
             return results
 
     return InlinePool
+
+
+def _cover_pairs(claim, n_max):
+    """The (optimal cover, cover) pair of each cover that L1 or L2_subcover
+    decides at each space of at most n_max points, read from the cover
+    walk itself, space by space; L2_subcover also decides the padded cover."""
+    pairs = []
+    for s in _spaces_upto(n_max):
+        padded, rep = _padded_cover(s)
+        covers = list(category.irredundant_covers(s))
+        if claim == "L2_subcover" and padded is not None:
+            covers.append(padded)
+        pairs += [(rep.sets, cov) for cov in covers]
+    return pairs
+
+
+def _most_held(pairs):
+    """The pair held by the most spaces (the greatest among ties) and
+    their number."""
+    return max(Counter(pairs).items(), key=lambda item: (item[1], item[0]))
+
+
+def _failing_on(helper, target):
+    """``category.<helper>`` deciding ``target`` wrong and every other pair
+    as the real decision does."""
+    real = getattr(category, helper)
+
+    def decide(optimal, cov):
+        if (tuple(optimal), tuple(cov)) == target:
+            if helper == "refinement_mapping":
+                return False, None
+            raise category.SubcoverNotFound("failing on purpose")
+        return real(optimal, cov)
+
+    return decide
+
+
+_COVER_HELPERS = [("L1", "refinement_mapping"), ("L2_subcover", "greedy_subcover")]
 
 
 class TestEnumeration:
@@ -303,6 +342,56 @@ class TestClaimKernels:
         swept = list(_spaces_upto(4))
         assert len(walked) == len(swept) == 389
         assert sorted(map(id, walked)) == sorted(map(id, swept))
+
+    @pytest.mark.parametrize("claim, helper", _COVER_HELPERS)
+    def test_cover_claims_decide_each_distinct_pair_once(self, monkeypatch, claim, helper):
+        # both decisions depend on the (optimal cover, cover) pair alone,
+        # so a pair decided right at one space is skipped at the next
+        decided = []
+        real = getattr(category, helper)
+
+        def counting(optimal, cov):
+            decided.append((tuple(optimal), tuple(cov)))
+            return real(optimal, cov)
+
+        monkeypatch.setattr(category, helper, counting)
+        assert run_claim(claim, n_max=4).passed
+        held = _cover_pairs(claim, 4)
+        if claim == "L1":
+            assert (len(held), len(set(held))) == (1200, 499)
+        assert Counter(decided) == Counter(set(held))
+
+    @pytest.mark.parametrize("claim, helper", _COVER_HELPERS)
+    def test_failing_pair_fails_at_every_space_holding_it(self, monkeypatch, claim, helper):
+        # a pair decided wrong is not recorded, so each space holding it
+        # is a counterexample, as without the record
+        target, k = _most_held(_cover_pairs(claim, 4))
+        assert k >= 2
+        monkeypatch.setattr(category, helper, _failing_on(helper, target))
+        report = run_claim(claim, n_max=4)
+        assert report.counterexample_count == k
+        for payload in report.counterexamples:
+            labels = payload["space"]["labels"]
+            assert payload["cover"] == [[labels[p] for p in points_of(m)] for m in target[1]]
+
+    def test_cover_claims_agree_across_jobs(self, monkeypatch):
+        # L2_subcover fails on a pair that L1 decides right: a record
+        # shared by the two claims or by the shards would change the count
+        from irtopo import verifier
+
+        target, k = _most_held(_cover_pairs("L1", 4))
+        monkeypatch.setattr(category, "greedy_subcover", _failing_on("greedy_subcover", target))
+        names = ["L1", "L2_subcover"]
+        seq = suite_to_jsonable(run_suite(n_max=4, claims=names, jobs=1), 4, None, 0)
+        sizes = []
+        monkeypatch.setattr(verifier, "ProcessPoolExecutor", _inline_pool(sizes))
+        monkeypatch.setattr(verifier, "_usable_cpus", lambda: 2)
+        par = suite_to_jsonable(run_suite(n_max=4, claims=names, jobs=2), 4, None, 0)
+        assert sizes == [2]
+        assert dumps_canonical(par) == dumps_canonical(seq)
+        l1, l2 = seq["claims"]
+        assert l1["passed"]
+        assert l2["counterexample_count"] == k >= 2
 
     def test_closure_claims_compute_each_space_once(self, monkeypatch):
         from irtopo import verifier
