@@ -140,7 +140,8 @@ def refinement_mapping(optimal: tuple[int, ...], members: tuple[int, ...]):
     """``check_refinement``'s decision, on the optimal cover of a space
     and the members of an open cover of it, neither validated: (True,
     mapping) with the index of the first member holding each optimal
-    member, or (False, None)."""
+    member, or (False, None).  ``members`` may be a tuple of masks or
+    the ``bytes`` of a packed cover (one mask per byte)."""
     mapping = []
     for w in optimal:
         for j, v in enumerate(members):
@@ -164,7 +165,8 @@ def min_subcover(space: FiniteSpace, cover: Iterable[int]) -> tuple[int, ...]:
 
 def greedy_subcover(optimal: tuple[int, ...], members: tuple[int, ...]) -> tuple[int, ...]:
     """``min_subcover``'s choice, on the optimal cover of a space and the
-    members of an open cover of it, neither validated.
+    members of an open cover of it, neither validated; ``members`` may
+    be a tuple of masks or the ``bytes`` of a packed cover.
 
     Each optimal member is mapped greedily to its largest container among
     ``members`` (the smallest mask among equals); the deduplicated

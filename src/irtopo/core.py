@@ -47,11 +47,15 @@ class SearchBudgetExceeded(IrtopoError):
 OPEN_SET_LIMIT = 1 << 16
 
 
-def clip_repr(value) -> str:
-    """``repr(value)`` cut to 40 characters and marked "...", so that an
-    error message never echoes a whole input."""
-    text = repr(value)
+def _clip(text: str) -> str:
+    """``text`` cut to 40 characters and marked "...", so that an error
+    message never echoes a whole input."""
     return text if len(text) <= 40 else text[:40] + "..."
+
+
+def clip_repr(value) -> str:
+    """``repr(value)``, clipped (``_clip``)."""
+    return _clip(repr(value))
 
 
 def require_int(name: str, value) -> None:
@@ -71,11 +75,8 @@ def mask_of(points: Iterable[int]) -> int:
 def _negative_mask(mask: int) -> ValueError:
     """The error for a negative mask, which names no finite point set.  The
     mask is shown in hex and clipped: ``str`` refuses an int of over 4300
-    digits, and a message never echoes a whole input."""
-    text = hex(mask)
-    if len(text) > 40:
-        text = text[:40] + "..."
-    return ValueError(f"negative mask {text} is not a point set")
+    digits."""
+    return ValueError(f"negative mask {_clip(hex(mask))} is not a point set")
 
 
 def iter_points(mask: int) -> Iterator[int]:

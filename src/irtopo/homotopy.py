@@ -26,6 +26,7 @@ from .core import (
     clip_repr,
     iter_points,
     points_of,
+    require_int,
 )
 
 DEFAULT_MAP_BUDGET = 1_000_000
@@ -103,6 +104,8 @@ class ContinuousMap:
         object.__setattr__(self, "assignment", f)
         if len(f) != self.domain.n:
             raise ValueError("assignment must cover every domain point")
+        for v in f:
+            require_int("assignment value", v)
         if any(not 0 <= v < self.codomain.n for v in f):
             raise ValueError("assignment target out of range")
         for x, row in enumerate(self.domain.reach_rows):
@@ -146,26 +149,25 @@ def continuous_maps(domain: FiniteSpace, codomain: FiniteSpace) -> list[Continuo
     None is a prefix of another, so there are at most |codomain| **
     |domain| of them, and at most |domain| search steps per one.
     """
-    search = _map_search(domain, codomain, _map_budget())
+    search = _map_search(domain, codomain)
     return [ContinuousMap(domain, codomain, tuple(a)) for a in search()]
 
 
-def _map_search(
-    domain: FiniteSpace, codomain: FiniteSpace, limit: int
-) -> Callable[..., Iterator[list[int]]]:
-    """The map search of ``continuous_maps`` under the map budget
-    ``limit``, with the domain's lists built once for any number of runs.
+def _map_search(domain: FiniteSpace, codomain: FiniteSpace) -> Callable[..., Iterator[list[int]]]:
+    """The map search of ``continuous_maps``, with the domain's lists built
+    once for any number of runs.  It reads the map budget itself
+    (``_map_budget``), once, when it is made.
 
     ``search(within)`` yields the assignments in lexicographic order,
     unvalidated: the search builds only monotone ones.  Each is the
     search's own live list, overwritten when the run resumes, so a caller
     that keeps one copies it with ``tuple``.  Each run counts
-    its own maps tried against ``limit``.  Given ``within``, it yields
+    its own maps tried against the budget.  Given ``within``, it yields
     only those sending each point k into ``within[k]``, in the same
     order; that run walks part of the unmasked one's tree, so it tries
     no more maps.
     """
-    n = domain.n
+    n, limit = domain.n, _map_budget()
     full, reach_rows, min_opens = codomain.full_mask, codomain.reach_rows, codomain.min_opens
     below = [points_of(domain.min_opens[k] & ((1 << k) - 1)) for k in range(n)]
     above = [points_of(domain.reach_rows[k] & ((1 << k) - 1)) for k in range(n)]
@@ -225,8 +227,7 @@ def ir_homotopy_equivalent(
     """
     # both directions counted in full first, so an over-budget input
     # raises before any answer; only the returned pair is validated as maps
-    limit = _map_budget()
-    search_xy, search_yx = _map_search(x, y, limit), _map_search(y, x, limit)
+    search_xy, search_yx = _map_search(x, y), _map_search(y, x)
     for side in (search_xy(), search_yx()):
         for _ in side:
             pass

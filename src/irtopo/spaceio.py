@@ -155,13 +155,13 @@ def dumps_canonical(obj) -> str:
     The text equals ``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``
     byte for byte.  With an indent the stdlib encodes in pure Python, so
     this writer builds the same layout itself: strings go through the C
-    string encoder and each list of plain ints is one join.  A list of
-    lists of plain ints, such as a space's ``opens`` and ``reach``, is one
-    call of the C encoder with the newline and indent of an int as its
-    item separator; two ``str.replace`` passes then put the members'
-    brackets on lines of their own and close up empty members.  It takes
-    dicts with str keys, lists, tuples, str, int, bool and None; anything
-    else raises TypeError.
+    string encoder.  A list of lists of plain ints, such as a space's
+    ``opens`` and ``reach``, is one call of the C encoder with the
+    newline and indent of an int as its item separator; two
+    ``str.replace`` passes then put the members' brackets on lines of
+    their own and close up empty members.  It takes dicts with str keys,
+    lists, tuples, str, int, bool and None; anything else raises
+    TypeError.
     """
     out: list[str] = []
     _write(obj, out, "\n")
@@ -178,10 +178,7 @@ def _write(obj, out: list[str], nl: str) -> None:
             return
         inner = nl + "  "
         sep = "," + inner
-        types = set(map(type, obj))
-        if types == _INTS:
-            out += ("[", inner, sep.join(map(int.__repr__, obj)), nl, "]")
-        elif types == _LISTS and set(map(type, chain.from_iterable(obj))) <= _INTS:
+        if set(map(type, obj)) == _LISTS and set(map(type, chain.from_iterable(obj))) <= _INTS:
             # the encoder starts each int on its own line; the members'
             # brackets are moved onto theirs, and empty members closed up
             deep = inner + "  "

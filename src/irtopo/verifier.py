@@ -27,18 +27,19 @@ claims that use them check their statements by brute force.
 the deformable opens: a witness inside its set is the ambient witness
 cut down to the set.  ``chain_homotopy_oracle`` decides deformations
 over the two-point chain from open sets alone, never from reach.  The
-irredundant covers that L1, L2_subcover, C5 and T13 sweep are open
-covers by construction, so L1 and L2_subcover call the decisions
+irredundant covers that L1, L2_subcover, C5 and T13 sweep are read in
+one form, packed ``bytes`` (``_packed_covers``), and are open covers by
+construction, so L1 and L2_subcover call the decisions
 ``category.refinement_mapping`` and ``category.greedy_subcover``, which
 validate nothing; C8 and the unit tests call the validating entries
 ``check_refinement`` and ``min_subcover``.  Those decisions depend on
 the (optimal cover, cover) pair alone, and pairs repeat across spaces,
-so each of the two claims records the pairs it decided right and
-decides each distinct pair once per sweep.  The record comes with the
-instance family (``_cover_spaces``): it is made when a sweep or a shard
-starts and freed when it ends, so it is no per-process cache, and a
-second run decides afresh.  A failing pair is not recorded, so it is
-decided again, and counted, at every space that holds it.
+so the two claims decide each distinct pair once per sweep.  Their
+instance family (``_cover_spaces``) yields each space with its
+``ir_cat`` report and the set of covers decided right against its
+optimal cover, from a record made when a sweep or a shard starts and
+freed when it ends.  A failing cover is not recorded, so it is decided
+again, and counted, at every space that holds it.
 
 Logic that only one claim needs lives in that claim's check, and a
 corollary that is an instance of another claim reuses that claim's
@@ -313,14 +314,6 @@ def _packed_covers(space: FiniteSpace) -> bytes:
     return b"\0".join(map(bytes, category.irredundant_covers(space)))
 
 
-def _irredundant_covers(space: FiniteSpace) -> Iterator[tuple[int, ...]]:
-    """The irredundant open covers of a space of at most 8 points, in the
-    order of ``category.irredundant_covers``, decoded from the packed
-    copy (``_packed_covers``) for C5 and T13; L1 and L2_subcover index
-    and iterate the packed covers as they are."""
-    return map(tuple, _packed_covers(space).split(b"\0"))
-
-
 # closure rows by space, one byte per point; a plain dict and bytes hold
 # them in about half the memory of an lru_cache of tuples
 _CLOSURE_ROWS: dict[FiniteSpace, bytes] = {}
@@ -383,9 +376,10 @@ def _dimension_search(space: FiniteSpace) -> category.DimensionReport:
     Restricting both sweeps to irredundant covers suffices: every cover
     contains an irredundant subcover, refining the subcover refines the
     cover, and dropping redundant members of a refinement never raises
-    its order.
+    its order.  The sweeps read the packed covers; only the two
+    certificates returned are decoded, to tuples of masks.
     """
-    covers = list(_irredundant_covers(space))
+    covers = _packed_covers(space).split(b"\0")
     worst_cover = None
     worst_order = 0
     worst_refinement = None
@@ -399,7 +393,7 @@ def _dimension_search(space: FiniteSpace) -> category.DimensionReport:
                 if best_order is None or order < best_order:
                     best_order, best_ref = order, r
         if best_order > worst_order:
-            worst_cover, worst_order, worst_refinement = c, best_order, best_ref
+            worst_cover, worst_order, worst_refinement = tuple(c), best_order, tuple(best_ref)
     return category.DimensionReport(worst_order - 1, worst_cover, worst_refinement)
 
 
@@ -457,15 +451,17 @@ def _spaces(n_max: int, pair_max: int, seed: int) -> Iterator[FiniteSpace]:
     return _spaces_upto(n_max)
 
 
-def _cover_spaces(n_max: int, pair_max: int, seed: int) -> Iterator[tuple[FiniteSpace, dict]]:
-    """Each swept space with one record for the whole sweep: {optimal
-    cover: the covers already decided right against it}.  L1 and
-    L2_subcover skip a pair in the record; both decisions depend on the
-    pair alone, as a cover's union is its space.  Each sweep, and each
-    shard, starts with an empty record, which goes when it ends."""
-    record: dict[tuple[int, ...], set] = {}
+def _cover_spaces(n_max: int, pair_max: int, seed: int) -> Iterator[tuple]:
+    """Each swept space with its ``ir_cat`` report and the set of covers
+    already decided right against its optimal cover, from one record
+    for the whole sweep: {optimal cover: that set}.  L1 and L2_subcover
+    skip a cover in the set; both decisions depend on the pair alone, as
+    a cover's union is its space.  Each sweep, and each shard, starts
+    with an empty record, which goes when it ends."""
+    record: dict[tuple[int, ...], set[bytes]] = {}
     for s in _spaces_upto(n_max):
-        yield s, record
+        rep = category.ir_cat(s)
+        yield s, rep, record.setdefault(rep.sets, set())
 
 
 def _pairs(n_max: int, pair_max: int, seed: int) -> Iterable[tuple[FiniteSpace, FiniteSpace]]:
@@ -646,13 +642,7 @@ def _check_t6(s):
 
 def _check_t7(pair):
     a, b = pair
-    prod = product(a, b)
-    left = homotopy.ir_co(prod)
-    right = 0
-    for xa in iter_points(homotopy.ir_co(a)):
-        for yb in iter_points(homotopy.ir_co(b)):
-            right |= 1 << (xa * b.n + yb)
-    if left != right:
+    if homotopy.ir_co(product(a, b)) != _rows(homotopy.ir_co(a), b.n) * homotopy.ir_co(b):
         return {"left": a, "right": b}
     return None
 
@@ -807,9 +797,8 @@ def _check_p4(s):
 def _check_l1(inst):
     # the covers are open covers by construction, so only the decision
     # runs, once per (optimal cover, cover) pair decided right this sweep
-    s, record = inst
-    optimal = category.ir_cat(s).sets
-    decided = record.setdefault(optimal, set())
+    s, rep, decided = inst
+    optimal = rep.sets
     for cov in _packed_covers(s).split(b"\0"):
         if cov in decided:
             continue
@@ -826,17 +815,19 @@ def _check_l1(inst):
     return None
 
 
-def _padded_cover(s: FiniteSpace):
-    rep = category.ir_cat(s)
+def _padded_cover(s: FiniteSpace, rep: category.CoverReport):
+    """The optimal cover ``rep.sets`` of s with its first spare nonempty
+    open added, or None when s has no spare open."""
     used = set(rep.sets)
     extra = next((o for o in s.open_sets if o and o not in used), None)
     if extra is None:
-        return None, rep
-    return canon_sorted(rep.sets + (extra,)), rep
+        return None
+    return canon_sorted(rep.sets + (extra,))
 
 
 def _check_l2_literal(s):
-    padded, rep = _padded_cover(s)
+    rep = category.ir_cat(s)
+    padded = _padded_cover(s, rep)
     if padded is None:
         return None
     # an open cover with more members than the covering category
@@ -848,12 +839,11 @@ def _check_l2_literal(s):
 
 
 def _check_l2_subcover(inst):
-    s, record = inst
-    padded, rep = _padded_cover(s)
+    s, rep, decided = inst
+    padded = _padded_cover(s, rep)
     covers = _packed_covers(s).split(b"\0")
     if padded is not None:
-        covers.append(padded)
-    decided = record.setdefault(rep.sets, set())
+        covers.append(bytes(padded))
     for cov in covers:
         if cov in decided:
             continue
@@ -891,11 +881,11 @@ def _check_c4(s):
 def _check_c5(s):
     if not homotopy.ir_co(s):
         return None
-    covers = list(_irredundant_covers(s))
-    if covers != [(s.full_mask,)]:
+    covers = _packed_covers(s)
+    if covers != bytes((s.full_mask,)):
         return {
             "space": s,
-            "covers": [spaceio.cover_labels(s, c) for c in covers],
+            "covers": [spaceio.cover_labels(s, c) for c in covers.split(b"\0")],
         }
     return None
 

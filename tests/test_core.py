@@ -11,6 +11,7 @@ from irtopo import (
     FiniteSpace,
     NotATopology,
     ReachNotPreorder,
+    SearchBudgetExceeded,
     from_open_sets,
     from_pairs,
     from_reach,
@@ -20,6 +21,7 @@ from irtopo import (
     points_of,
     product,
 )
+from irtopo.core import OPEN_SET_LIMIT
 from irtopo.verifier import (
     _closure_via_opens,
     box_topology,
@@ -246,6 +248,12 @@ class TestOpenSets:
 
     def test_indiscrete(self):
         assert indiscrete(2).open_sets == (0, 0b11)
+
+    def test_limit_admits_exactly_its_count(self):
+        # the 16-point discrete space has exactly OPEN_SET_LIMIT opens
+        assert len(discrete(16).open_sets) == OPEN_SET_LIMIT == 65536
+        with pytest.raises(SearchBudgetExceeded):
+            discrete(17).open_sets
 
     def test_pseudocircle_brute_force(self, pseudocircle):
         # frozen from the subset-by-subset oracle: 7 open sets

@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import product as iproduct
 
 import pytest
@@ -22,6 +23,7 @@ from irtopo import (
     product,
 )
 
+from irtopo.core import clip_repr
 from irtopo.homotopy import continuous_maps
 from irtopo.verifier import _check_t11, _spaces_upto, enumerate_spaces
 
@@ -116,6 +118,12 @@ class TestContinuousMap:
         ContinuousMap(sierpinski, sierpinski, (0, 1))
         ContinuousMap(sierpinski, sierpinski, (1, 1))
 
+    @pytest.mark.parametrize("value", [True, 1.0, "1"])
+    def test_non_int_value_refused(self, sierpinski, value):
+        # a bool was stored as given, a float failed at indexing
+        with pytest.raises(TypeError, match=re.escape(clip_repr(value))):
+            ContinuousMap(sierpinski, sierpinski, (value, 1))
+
     def test_not_continuous_with_witness(self, sierpinski):
         with pytest.raises(NotContinuous) as info:
             ContinuousMap(sierpinski, sierpinski, (1, 0))
@@ -192,6 +200,15 @@ class TestIrHomotopic:
         g = ContinuousMap(discrete(2), discrete(2), (0, 1))
         with pytest.raises(MapMismatch):
             ir_homotopic(f, g)
+
+    def test_mismatch_on_one_side(self, sierpinski):
+        # both spaces have 2 points, so only the check tells them apart
+        d2 = discrete(2)
+        f = ContinuousMap(sierpinski, sierpinski, (0, 1))
+        with pytest.raises(MapMismatch):  # only the domain differs
+            ir_homotopic(f, ContinuousMap(d2, sierpinski, (0, 1)))
+        with pytest.raises(MapMismatch):  # only the codomain differs
+            ir_homotopic(f, ContinuousMap(sierpinski, d2, (0, 0)))
 
 
 class TestEquivalence:

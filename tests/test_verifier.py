@@ -26,7 +26,6 @@ from irtopo.verifier import (
     UnknownClaim,
     _check_t3,
     _check_t11,
-    _irredundant_covers,
     _meets,
     _p1_instances,
     _packed_covers,
@@ -81,7 +80,8 @@ def _cover_pairs(claim, n_max):
     walk itself, space by space; L2_subcover also decides the padded cover."""
     pairs = []
     for s in _spaces_upto(n_max):
-        padded, rep = _padded_cover(s)
+        rep = category.ir_cat(s)
+        padded = _padded_cover(s, rep)
         covers = list(category.irredundant_covers(s))
         if claim == "L2_subcover" and padded is not None:
             covers.append(padded)
@@ -293,7 +293,7 @@ class TestClaimKernels:
         checked = 0
         for s in spaces_upto4:
             optimal = category.ir_cat(s).sets
-            padded, _ = _padded_cover(s)
+            padded = _padded_cover(s, category.ir_cat(s))
             covers = list(category.irredundant_covers(s))
             if padded is not None:
                 covers.append(padded)
@@ -316,7 +316,25 @@ class TestClaimKernels:
         # same covers, same order, on every swept space and the empty one
         spaces = [FiniteSpace((), ()), *_spaces_upto(5)]
         for s in spaces:
-            assert list(_irredundant_covers(s)) == list(category.irredundant_covers(s))
+            assert list(map(tuple, _packed_covers(s).split(b"\0"))) == list(category.irredundant_covers(s))
+
+    def test_c5_reports_a_second_cover(self, monkeypatch):
+        # C5 compares the packed covers with the one cover (full,): give one
+        # contractible space a second cover, and C5 names that space alone
+        from irtopo import homotopy, verifier
+
+        target = next(s for s in _spaces_upto(2) if s.n == 2 and homotopy.ir_co(s))
+        real = verifier._packed_covers
+
+        def packed(space):
+            return real(space) + b"\0" + bytes((1, 2)) if space is target else real(space)
+
+        monkeypatch.setattr(verifier, "_packed_covers", packed)
+        report = run_claim("C5", n_max=3)
+        assert report.counterexample_count == 1
+        (payload,) = report.counterexamples
+        assert payload["space"]["reach"] == [list(p) for p in target.reach_pairs()]
+        assert payload["covers"] == [[["0", "1"]], [["0"], ["1"]]]
 
     def test_packed_covers_refuse_masks_over_a_byte(self):
         # the indiscrete 9-point space has the one cover (511,)
