@@ -208,6 +208,14 @@ def irredundant_covers(space: FiniteSpace) -> Iterator[tuple[int, ...]]:
     family it completes is irredundant with no further check, and it
     reaches every irredundant cover.
 
+    A node whose branch candidates, with its union, miss a point is dead,
+    and pushes no branch.  Only those candidates can join any family
+    below it: every later member comes from them, since a candidate that
+    leaves some chosen member no private point keeps doing so as the
+    private sets shrink, and one that brings no new point never brings
+    one as the union grows.  So no family below the node covers the
+    space, and the prune drops no cover and changes no order.
+
     The depth-first walk runs in one frame over an explicit stack of
     branches (next open, chosen, union, once); each node pushes its
     surviving branches in reverse, so the lowest open is explored first.
@@ -223,6 +231,7 @@ def irredundant_covers(space: FiniteSpace) -> Iterator[tuple[int, ...]]:
             yield chosen
             continue
         branches = []
+        reach = union
         for i in range(start, count):
             c = opens[i]
             fresh = c & ~union
@@ -236,10 +245,13 @@ def irredundant_covers(space: FiniteSpace) -> Iterator[tuple[int, ...]]:
                         break
                 else:
                     branches.append((i + 1, chosen + (c,), union | c, rest | fresh))
+                    reach |= c
                 continue
             branches.append((i + 1, chosen + (c,), union | c, rest | fresh))
-        branches.reverse()
-        stack += branches
+            reach |= c
+        if reach == full:
+            branches.reverse()
+            stack += branches
 
 
 def cover_order(cover: Iterable[int]) -> int:

@@ -169,13 +169,23 @@ class FiniteSpace:
 
     @cached_property
     def open_sets(self) -> tuple[int, ...]:
-        """The unions of minimal neighborhoods, in canonical order; at most OPEN_SET_LIMIT."""
-        opens = {0}
-        for m in set(self.min_opens):
-            opens |= {o | m for o in opens}
+        """The open sets, in canonical order; at most OPEN_SET_LIMIT.
+
+        They are built point by point, in ascending mask order: the opens
+        of the subspace on points 0..p are :func:`extend_opens` of those
+        on 0..p-1.  One stable sort by size at the end makes the order
+        canonical.  The budget is checked after each point; no subspace
+        has more opens than the space, so it raises exactly when the
+        space is over it.
+        """
+        opens = [0]
+        min_opens = self.min_opens
+        for p, row in enumerate(self.reach_rows):
+            below = (1 << p) - 1
+            opens = extend_opens(opens, row & below, min_opens[p] & below, 1 << p)
             if len(opens) > OPEN_SET_LIMIT:
                 raise SearchBudgetExceeded(f"over {OPEN_SET_LIMIT} open sets on {self.n} points")
-        return canon_sorted(opens)
+        return tuple(sorted(opens, key=int.bit_count))
 
     def is_open(self, mask: int) -> bool:
         """Whether ``mask`` is an open set of this space; False for any
@@ -354,6 +364,23 @@ def from_pairs(labels: Iterable[str], pairs: Iterable[tuple[int, int]]) -> Finit
             raise ValueError(f"pair ({x}, {y}) mentions points outside the space")
         rows[x] |= 1 << y
     return from_reach(labels, rows)
+
+
+def extend_opens(opens: Sequence[int], out: int, inc: int, bit: int) -> list[int]:
+    """The open sets of a space with a new point ``bit``, from ``opens``,
+    those of the space without it.
+
+    ``out`` holds the old points the new one reaches and ``inc`` those
+    that reach it.  An open without the new point must miss ``out``, whose
+    minimal neighborhoods now hold it; an open O with it needs O open in
+    the old space and holding ``inc``.  Those without come first, then
+    those with it, each in the order of ``opens``.  ``bit`` is above
+    every old point, so the result is in ascending mask order when
+    ``opens`` is; and when ``opens`` is in canonical order, a stable sort
+    by size puts it in canonical order, since at each size the sets
+    holding ``bit`` come after those without it.
+    """
+    return [o for o in opens if not o & out] + [o | bit for o in opens if not inc & ~o]
 
 
 def transpose(rows: Sequence[int]) -> tuple[int, ...]:

@@ -35,11 +35,12 @@ validate nothing; C8 and the unit tests call the validating entries
 ``check_refinement`` and ``min_subcover``.  Those decisions depend on
 the (optimal cover, cover) pair alone, and pairs repeat across spaces,
 so the two claims decide each distinct pair once per sweep.  Their
-instance family (``_cover_spaces``) yields each space with its
-``ir_cat`` report and the set of covers decided right against its
-optimal cover, from a record made when a sweep or a shard starts and
-freed when it ends.  A failing cover is not recorded, so it is decided
-again, and counted, at every space that holds it.
+instance family (``_cover_spaces``) yields each space with a record of
+the covers decided right against each optimal cover, made when a sweep
+or a shard starts and freed when it ends; the checks work out the
+space's ``ir_cat`` report and its entry in the record.  A failing
+cover is not recorded, so it is decided again, and counted, at every
+space that holds it.
 
 Logic that only one claim needs lives in that claim's check, and a
 corollary that is an instance of another claim reuses that claim's
@@ -50,13 +51,15 @@ Reports are deterministic given (claim, size limits, seed) and
 independent of the worker count: instances are indexed before sharding,
 each shard returns its first counterexamples and they merge by index.
 Timing is kept out of the JSON form so reports compare byte for byte.
-Swept spaces are built once per process (``_space_table``) and shared
-by every claim and pair, so each space computes its ``min_opens`` and
-``open_sets`` once.  ``run_claim`` runs in the calling process, and
-only ``run_suite`` starts a pool: with k workers it gets k tasks, task i
-running shard i of every claim in suite order, so each worker builds
-its own table and fills its caches (``_space_table``, ``_closure_rows``,
-``_packed_covers``, ``category._ir_cat_cached``) for its own shard only.
+Swept spaces are built once per process (``_space_table``), each from
+its parent with its ``min_opens`` and ``open_sets``, and shared by every
+claim and pair.  ``run_claim`` runs in the calling process, and only
+``run_suite`` starts a pool: with k workers it gets k tasks, task i
+running shard i of every claim in suite order.  So each worker builds
+the whole table with its structure, and works out the per-instance
+data, in its other caches (``_closure_rows``, ``_packed_covers``,
+``category._ir_cat_cached``) and in the checks, for its own shard only:
+an instance family yields only what defines its instances.
 """
 
 from __future__ import annotations
@@ -80,6 +83,7 @@ from .core import (
     SearchBudgetExceeded,
     canon_sorted,
     clip_repr,
+    extend_opens,
     from_open_sets,
     iter_points,
     points_of,
@@ -113,6 +117,12 @@ def _space_table(n: int) -> tuple[FiniteSpace, ...]:
     O lies in ``P.common_reach(I)`` (x -> p -> y forces x -> y), so the
     children of P are read off its open sets and their complements
     (Brinkmann & McKay, "Posets on up to 16 points", Order 2002).
+
+    The child's structure comes from its parent's too, and is stored where
+    ``cached_property`` keeps it: its ``open_sets`` are ``extend_opens``
+    of P's, stably sorted by size, and its ``min_opens`` are P's columns,
+    each point of O gaining p, followed by I with p.  No swept space
+    transposes its reach rows or lists its opens from scratch.
     """
     labels = tuple(str(i) for i in range(n))
     if n == 0:
@@ -120,16 +130,29 @@ def _space_table(n: int) -> tuple[FiniteSpace, ...]:
     out = []
     bit_p = 1 << (n - 1)
     for space in _space_table(n - 1):
-        closed = [space.full_mask ^ o for o in space.open_sets]
-        for incoming in space.open_sets:
+        opens, cols = space.open_sets, space.min_opens
+        closed = [space.full_mask ^ o for o in opens]
+        for incoming in opens:
             rows = tuple(
                 row | bit_p if incoming >> x & 1 else row
                 for x, row in enumerate(space.reach_rows)
             )
             allowed = space.common_reach(incoming)
-            out += (rows + (c | bit_p,) for c in closed if not c & ~allowed)
+            col_p = (incoming | bit_p,)
+            for c in closed:
+                if c & ~allowed:
+                    continue
+                child_opens = extend_opens(opens, c, incoming, bit_p)
+                child_opens.sort(key=int.bit_count)
+                child_cols = tuple(col | bit_p if c >> y & 1 else col for y, col in enumerate(cols))
+                out.append((rows + (c | bit_p,), tuple(child_opens), child_cols + col_p))
     out.sort()
-    return tuple(FiniteSpace(labels, rows) for rows in out)
+    table = []
+    for rows, opens, cols in out:
+        space = FiniteSpace(labels, rows)
+        vars(space).update(open_sets=opens, min_opens=cols)
+        table.append(space)
+    return tuple(table)
 
 
 def enumerate_spaces(n: int) -> Iterator[FiniteSpace]:
@@ -137,10 +160,10 @@ def enumerate_spaces(n: int) -> Iterator[FiniteSpace]:
     order (ascending reach-row tuples).
 
     Every call yields the same objects: the spaces are built once per
-    process, so their cached ``min_opens`` and ``open_sets`` are computed
-    once and shared by every claim and pair that sweeps them.  An n
-    that is not an int raises TypeError, and one outside
-    1..MAX_ENUM_POINTS SearchBudgetExceeded, at the call.
+    process, with their ``min_opens`` and ``open_sets``, and shared by
+    every claim and pair that sweeps them.  An n that is not an int
+    raises TypeError, and one outside 1..MAX_ENUM_POINTS
+    SearchBudgetExceeded, at the call.
     """
     require_int("n", n)
     if not 1 <= n <= MAX_ENUM_POINTS:
@@ -452,16 +475,17 @@ def _spaces(n_max: int, pair_max: int, seed: int) -> Iterator[FiniteSpace]:
 
 
 def _cover_spaces(n_max: int, pair_max: int, seed: int) -> Iterator[tuple]:
-    """Each swept space with its ``ir_cat`` report and the set of covers
-    already decided right against its optimal cover, from one record
-    for the whole sweep: {optimal cover: that set}.  L1 and L2_subcover
-    skip a cover in the set; both decisions depend on the pair alone, as
-    a cover's union is its space.  Each sweep, and each shard, starts
-    with an empty record, which goes when it ends."""
+    """Each swept space with one record for the whole sweep, {optimal
+    cover: the covers already decided right against it}.  L1 and
+    L2_subcover skip a cover in the set of the space's optimal cover;
+    both decisions depend on the pair alone, as a cover's union is its
+    space.  The checks, not the family, work out the space's ``ir_cat``
+    report and its set, so each shard does so only for its own
+    instances.  Each sweep, and each shard, starts with an empty record,
+    which goes when it ends."""
     record: dict[tuple[int, ...], set[bytes]] = {}
     for s in _spaces_upto(n_max):
-        rep = category.ir_cat(s)
-        yield s, rep, record.setdefault(rep.sets, set())
+        yield s, record
 
 
 def _pairs(n_max: int, pair_max: int, seed: int) -> Iterable[tuple[FiniteSpace, FiniteSpace]]:
@@ -797,8 +821,9 @@ def _check_p4(s):
 def _check_l1(inst):
     # the covers are open covers by construction, so only the decision
     # runs, once per (optimal cover, cover) pair decided right this sweep
-    s, rep, decided = inst
-    optimal = rep.sets
+    s, record = inst
+    optimal = category.ir_cat(s).sets
+    decided = record.setdefault(optimal, set())
     for cov in _packed_covers(s).split(b"\0"):
         if cov in decided:
             continue
@@ -839,7 +864,9 @@ def _check_l2_literal(s):
 
 
 def _check_l2_subcover(inst):
-    s, rep, decided = inst
+    s, record = inst
+    rep = category.ir_cat(s)
+    decided = record.setdefault(rep.sets, set())
     padded = _padded_cover(s, rep)
     covers = _packed_covers(s).split(b"\0")
     if padded is not None:

@@ -1,6 +1,7 @@
 import pytest
 
 from irtopo import from_open_sets, from_reach
+from irtopo.core import canon_sorted
 from irtopo.verifier import enumerate_spaces
 
 
@@ -11,6 +12,15 @@ def discrete(n):
 def indiscrete(n):
     full = (1 << n) - 1
     return from_reach([str(i) for i in range(n)], [full] * n)
+
+
+def union_closure_opens(space):
+    """Oracle: the open sets as every union of minimal neighborhoods,
+    closed one distinct neighborhood at a time, in canonical order."""
+    opens = {0}
+    for m in set(space.min_opens):
+        opens |= {o | m for o in opens}
+    return canon_sorted(opens)
 
 
 @pytest.fixture

@@ -29,7 +29,7 @@ from irtopo.verifier import (
     topologies_by_open_families,
 )
 
-from conftest import discrete, indiscrete
+from conftest import discrete, indiscrete, union_closure_opens
 
 
 def brute_force_opens(space):
@@ -254,6 +254,37 @@ class TestOpenSets:
         assert len(discrete(16).open_sets) == OPEN_SET_LIMIT == 65536
         with pytest.raises(SearchBudgetExceeded):
             discrete(17).open_sets
+
+    def test_fold_matches_union_closure_on_swept_spaces(self):
+        # a fresh copy of each swept space, so that its opens are folded
+        # here rather than read from the table
+        for n in range(1, 6):
+            for s in enumerate_spaces(n):
+                fresh = FiniteSpace(s.labels, s.reach_rows)
+                assert fresh.open_sets == union_closure_opens(s)
+
+    def test_fold_matches_union_closure_on_products(self, spaces_upto3):
+        for a in spaces_upto3:
+            for b in spaces_upto3:
+                p = product(a, b)
+                assert p.open_sets == union_closure_opens(p)
+
+    def test_fold_matches_union_closure_on_random_spaces(self):
+        # up to three random reach edges per point, closed transitively:
+        # classes of several points, and points in every index order
+        rng = random.Random(0)
+        for _ in range(200):
+            n = rng.randint(6, 20)
+            rows = [1 << x for x in range(n)]
+            for x in range(n):
+                for _ in range(rng.randint(0, 3)):
+                    rows[x] |= 1 << rng.randrange(n)
+            for k in range(n):
+                for x in range(n):
+                    if rows[x] >> k & 1:
+                        rows[x] |= rows[k]
+            s = from_reach([str(i) for i in range(n)], rows)
+            assert s.open_sets == union_closure_opens(s)
 
     def test_pseudocircle_brute_force(self, pseudocircle):
         # frozen from the subset-by-subset oracle: 7 open sets

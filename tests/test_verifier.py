@@ -18,7 +18,7 @@ from irtopo import (
     chain_space,
     ir_homotopic,
 )
-from irtopo.core import FiniteSpace, ReachNotPreorder, from_reach, points_of, product
+from irtopo.core import FiniteSpace, ReachNotPreorder, from_reach, points_of, product, transpose
 from irtopo.homotopy import continuous_maps
 from irtopo.verifier import (
     CLAIM_ORDER,
@@ -44,7 +44,7 @@ from irtopo.verifier import (
 )
 from irtopo.spaceio import dumps_canonical
 
-from conftest import discrete
+from conftest import discrete, union_closure_opens
 
 
 EXPECTED_COUNTS = {1: 1, 2: 4, 3: 29, 4: 355}
@@ -190,6 +190,38 @@ class TestEnumeration:
                             continue
                         found.add(rows)
             assert drawn == brute
+
+    def test_children_carry_their_structure(self):
+        # the opens and minimal opens each child gets from its parent are
+        # those of its own reach rows
+        for n in range(1, 6):
+            for s in _space_table(n):
+                assert s.min_opens == transpose(s.reach_rows)
+                assert s.open_sets == union_closure_opens(s)
+
+    def test_no_swept_space_transposes_its_rows(self, monkeypatch):
+        # a fresh table, built with core.transpose recording its inputs,
+        # then a sweep of every claim over single spaces
+        from functools import lru_cache
+
+        from irtopo import core, verifier
+
+        transposed = []
+        real = core.transpose
+
+        def recording(rows):
+            transposed.append(tuple(rows))
+            return real(rows)
+
+        monkeypatch.setattr(core, "transpose", recording)
+        monkeypatch.setattr(verifier, "_space_table", lru_cache(maxsize=None)(_space_table.__wrapped__))
+        names = [name for name, spec in CLAIMS.items()
+                 if spec.instances in (verifier._spaces, verifier._cover_spaces, verifier._dim_spaces)]
+        assert len(names) == 18
+        assert all(r.passed or r.category != "asserted" for r in run_suite(n_max=4, claims=names))
+        swept = {s.reach_rows for s in _spaces_upto(4)}
+        assert len(swept) == 389
+        assert swept.isdisjoint(transposed)
 
     def test_matches_open_family_enumeration(self):
         for n in range(1, 4):
@@ -410,6 +442,27 @@ class TestClaimKernels:
         l1, l2 = seq["claims"]
         assert l1["passed"]
         assert l2["counterexample_count"] == k >= 2
+
+    @pytest.mark.parametrize("shard", [0, 1])
+    def test_cover_claims_work_out_only_their_shard(self, monkeypatch, shard):
+        # each shard asks ir_cat about its own spaces only, index shard
+        # modulo 2, not about every space it skips
+        from irtopo import verifier
+
+        asked = []
+        real = category.ir_cat
+
+        def recording(space):
+            asked.append(space)
+            return real(space)
+
+        monkeypatch.setattr(category, "ir_cat", recording)
+        results = verifier._run_shard(["L1", "L2_subcover"], 4, 3, 0, 2, shard)
+        assert [r[:2] for r in results] == [(194 + (shard == 0), 0)] * 2
+        swept = list(_spaces_upto(4))
+        assert len(swept) == 389
+        mine = swept[shard::2]
+        assert sorted(map(id, asked)) == sorted(map(id, mine + mine))
 
     def test_closure_claims_compute_each_space_once(self, monkeypatch):
         from irtopo import verifier
