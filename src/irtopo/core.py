@@ -223,9 +223,10 @@ class FiniteSpace:
         """The subspace on the points of ``aset``, reach restricted.
 
         This agrees with the relative topology {O & aset}; raises
-        EmptySpace when no points are selected and ValueError on a
-        negative mask.
+        EmptySpace when no points are selected, ValueError on a negative
+        mask and TypeError when ``aset`` is not an int (a bool included).
         """
+        require_int("aset", aset)
         if aset < 0:
             raise _negative_mask(aset)
         aset &= self.full_mask
@@ -381,6 +382,45 @@ def extend_opens(opens: Sequence[int], out: int, inc: int, bit: int) -> list[int
     holding ``bit`` come after those without it.
     """
     return [o for o in opens if not o & out] + [o | bit for o in opens if not inc & ~o]
+
+
+def extensions(space: FiniteSpace) -> Iterator[FiniteSpace]:
+    """Every space on the points of ``space`` plus a new last point p,
+    labelled ``str(space.n)``, with its ``open_sets`` and ``min_opens``
+    stored where ``cached_property`` keeps them.
+
+    p is reached from the points I and reaches the points O.  The child
+    is a preorder exactly when I is open, O is closed and O lies in
+    ``space.common_reach(I)`` (x -> p -> y forces x -> y), so the
+    children are read off the opens and their complements (Brinkmann &
+    McKay, "Posets on up to 16 points", Order 2002): I runs over
+    ``space.open_sets`` and, for each I, O over their complements in the
+    same order.  The child's opens are one :func:`extend_opens` step on
+    the parent's, stably sorted by size; its minimal opens are the
+    parent's columns, each point of O gaining p, then I with p.  A child
+    over OPEN_SET_LIMIT opens raises SearchBudgetExceeded, as its
+    ``open_sets`` would.
+    """
+    n, bit = space.n, 1 << space.n
+    labels = space.labels + (str(n),)
+    opens, cols = space.open_sets, space.min_opens
+    closed = [space.full_mask ^ o for o in opens]
+    for inc in opens:
+        head = tuple(row | bit if inc >> x & 1 else row for x, row in enumerate(space.reach_rows))
+        allowed = space.common_reach(inc)
+        for out in closed:
+            if out & ~allowed:
+                continue
+            child_opens = extend_opens(opens, out, inc, bit)
+            if len(child_opens) > OPEN_SET_LIMIT:
+                raise SearchBudgetExceeded(f"over {OPEN_SET_LIMIT} open sets on {n + 1} points")
+            child = FiniteSpace(labels, head + (out | bit,))
+            child_cols = tuple(col | bit if out >> y & 1 else col for y, col in enumerate(cols))
+            vars(child).update(
+                open_sets=tuple(sorted(child_opens, key=int.bit_count)),
+                min_opens=child_cols + (inc | bit,),
+            )
+            yield child
 
 
 def transpose(rows: Sequence[int]) -> tuple[int, ...]:

@@ -51,13 +51,13 @@ Reports are deterministic given (claim, size limits, seed) and
 independent of the worker count: instances are indexed before sharding,
 each shard returns its first counterexamples and they merge by index.
 Timing is kept out of the JSON form so reports compare byte for byte.
-Swept spaces are built once per process (``_space_table``), each from
-its parent with its ``min_opens`` and ``open_sets``, and shared by every
-claim and pair.  ``run_claim`` runs in the calling process, and only
+Swept spaces are built once per process, with their structure
+(``_space_table``, from ``core.extensions``), and shared by every claim
+and pair.  ``run_claim`` runs in the calling process, and only
 ``run_suite`` starts a pool: with k workers it gets k tasks, task i
 running shard i of every claim in suite order.  So each worker builds
-the whole table with its structure, and works out the per-instance
-data, in its other caches (``_closure_rows``, ``_packed_covers``,
+the whole table with its structure, and works out the per-instance data,
+in its other caches (``_closure_rows``, ``_packed_covers``,
 ``category._ir_cat_cached``) and in the checks, for its own shard only:
 an instance family yields only what defines its instances.
 """
@@ -83,7 +83,7 @@ from .core import (
     SearchBudgetExceeded,
     canon_sorted,
     clip_repr,
-    extend_opens,
+    extensions,
     from_open_sets,
     iter_points,
     points_of,
@@ -108,61 +108,22 @@ class UnknownClaim(IrtopoError):
 
 @lru_cache(maxsize=None)
 def _space_table(n: int) -> tuple[FiniteSpace, ...]:
-    """Every space on n labelled points, sorted by reach-row tuples and
-    built once per process, starting from the empty space.
-
-    Each space P of ``_space_table(n - 1)`` gains a last point p, reached
-    from the points I and reaching the points O of P.  The child is a
-    preorder exactly when I is open in P, O is closed in P, and
-    O lies in ``P.common_reach(I)`` (x -> p -> y forces x -> y), so the
-    children of P are read off its open sets and their complements
-    (Brinkmann & McKay, "Posets on up to 16 points", Order 2002).
-
-    The child's structure comes from its parent's too, and is stored where
-    ``cached_property`` keeps it: its ``open_sets`` are ``extend_opens``
-    of P's, stably sorted by size, and its ``min_opens`` are P's columns,
-    each point of O gaining p, followed by I with p.  No swept space
-    transposes its reach rows or lists its opens from scratch.
-    """
-    labels = tuple(str(i) for i in range(n))
+    """Every space on n labelled points, built once per process: the
+    empty space at n = 0, else the children (``core.extensions``, with
+    their structure) of ``_space_table(n - 1)``, sorted by reach rows."""
     if n == 0:
-        return (FiniteSpace(labels, ()),)
-    out = []
-    bit_p = 1 << (n - 1)
-    for space in _space_table(n - 1):
-        opens, cols = space.open_sets, space.min_opens
-        closed = [space.full_mask ^ o for o in opens]
-        for incoming in opens:
-            rows = tuple(
-                row | bit_p if incoming >> x & 1 else row
-                for x, row in enumerate(space.reach_rows)
-            )
-            allowed = space.common_reach(incoming)
-            col_p = (incoming | bit_p,)
-            for c in closed:
-                if c & ~allowed:
-                    continue
-                child_opens = extend_opens(opens, c, incoming, bit_p)
-                child_opens.sort(key=int.bit_count)
-                child_cols = tuple(col | bit_p if c >> y & 1 else col for y, col in enumerate(cols))
-                out.append((rows + (c | bit_p,), tuple(child_opens), child_cols + col_p))
-    out.sort()
-    table = []
-    for rows, opens, cols in out:
-        space = FiniteSpace(labels, rows)
-        vars(space).update(open_sets=opens, min_opens=cols)
-        table.append(space)
-    return tuple(table)
+        return (FiniteSpace((), ()),)
+    children = [child for space in _space_table(n - 1) for child in extensions(space)]
+    children.sort(key=operator.attrgetter("reach_rows"))
+    return tuple(children)
 
 
 def enumerate_spaces(n: int) -> Iterator[FiniteSpace]:
     """Every finite space on exactly n labelled points, once, in canonical
     order (ascending reach-row tuples).
 
-    Every call yields the same objects: the spaces are built once per
-    process, with their ``min_opens`` and ``open_sets``, and shared by
-    every claim and pair that sweeps them.  An n that is not an int
-    raises TypeError, and one outside 1..MAX_ENUM_POINTS
+    Every call yields the same objects (``_space_table``).  An n that is
+    not an int raises TypeError, and one outside 1..MAX_ENUM_POINTS
     SearchBudgetExceeded, at the call.
     """
     require_int("n", n)
@@ -242,8 +203,6 @@ def _meets(space: FiniteSpace) -> list[int]:
 # the finite model of the one-way unit interval: bottom open, top not
 _TWO_POINT_CHAIN = intervals.chain_space(2)
 _CHAIN_MEETS = tuple(_meets(_TWO_POINT_CHAIN))
-# _SPREAD[m]: _rows(m, 2), each point p of m moved to 2p, for masks below 256
-_SPREAD = tuple(_rows(m, 2) for m in range(256))
 
 
 def _smallest_boxes(x: FiniteSpace) -> list[int]:
@@ -254,7 +213,7 @@ def _smallest_boxes(x: FiniteSpace) -> list[int]:
     meet of those boxes is the meet of the opens holding p times the meet
     of those holding t; the boxes themselves are never listed.
     """
-    spread = [_SPREAD[m] if m < 256 else _rows(m, 2) for m in _meets(x)]
+    spread = [_rows(m, 2) for m in _meets(x)]
     return [r * c for r in spread for c in _CHAIN_MEETS]
 
 

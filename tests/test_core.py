@@ -21,9 +21,10 @@ from irtopo import (
     points_of,
     product,
 )
-from irtopo.core import OPEN_SET_LIMIT
+from irtopo.core import OPEN_SET_LIMIT, extensions, transpose
 from irtopo.verifier import (
     _closure_via_opens,
+    _space_table,
     box_topology,
     enumerate_spaces,
     topologies_by_open_families,
@@ -403,6 +404,72 @@ class TestSubspace:
                 for o in s.open_sets:
                     relative.add(mask_of(index[p] for p in points_of(o & mask)))
                 assert set(sub.open_sets) == relative
+
+    @pytest.mark.parametrize("aset", [True, False, 1.0, "1"], ids=repr)
+    def test_non_int_mask_rejected(self, sierpinski, aset):
+        # True would select point 0 and False no point
+        with pytest.raises(TypeError, match=re.escape(f"aset must be an int, got {aset!r}")):
+            sierpinski.subspace(aset)
+
+
+def _random_preorder(rng, n):
+    """Seeded random reach rows on n points, closed under transitivity,
+    with two points reaching each other, so a class of several points."""
+    rows = [1 << x | mask_of(y for y in range(n) if rng.random() < 0.2) for x in range(n)]
+    x, y = rng.sample(range(n), 2)
+    rows[x] |= 1 << y
+    rows[y] |= 1 << x
+    for k in range(n):  # Warshall: route every path through k
+        rows = [row | rows[k] if row >> k & 1 else row for row in rows]
+    return rows
+
+
+class TestExtensions:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_children_are_every_preorder_extension(self, seed):
+        # against every pair (I, O) of masks that from_reach accepts, with I
+        # reaching the new last point and O reached from it
+        rng = random.Random(seed)
+        n = 5 + seed % 3
+        parent = from_reach("abcdefg"[:n], _random_preorder(rng, n))
+        assert not parent.is_t0()
+        bit = 1 << n
+        brute = set()
+        for inc in range(bit):
+            head = tuple(row | bit if inc >> x & 1 else row for x, row in enumerate(parent.reach_rows))
+            for out in range(bit):
+                try:
+                    brute.add(from_reach(range(n + 1), head + (out | bit,)).reach_rows)
+                except ReachNotPreorder:
+                    continue
+        children = list(extensions(parent))
+        assert len(children) == len(brute)
+        assert {c.reach_rows for c in children} == brute
+        opens, full = parent.open_sets, parent.full_mask
+        order = []
+        for c in children:
+            assert c.labels == parent.labels + (str(n),)
+            assert c.min_opens == transpose(c.reach_rows)
+            assert c.open_sets == union_closure_opens(c)
+            inc = mask_of(x for x in range(n) if c.reach_rows[x] & bit)
+            order.append((opens.index(inc), opens.index(full ^ c.reach_rows[n] ^ bit)))
+        # I runs over the opens, and for each I, O over their complements
+        assert order == sorted(order)
+
+    def test_children_of_the_five_point_spaces(self):
+        # OEIS A000798 (labelled topologies) and A001035 (labelled posets) at 6
+        total = t0 = 0
+        for space in _space_table(5):
+            for child in extensions(space):
+                total += 1
+                t0 += child.is_t0()
+        assert (total, t0) == (209_527, 130_023)
+
+    def test_open_set_budget(self):
+        # the first child of the 16-point discrete space is reached from no
+        # point and reaches all, so it has one open more than its parent
+        with pytest.raises(SearchBudgetExceeded, match=f"over {OPEN_SET_LIMIT} open sets on 17 points"):
+            next(extensions(discrete(16)))
 
 
 class TestProduct:

@@ -483,8 +483,8 @@ class TestClaimKernels:
         assert sorted(walked) == sorted((id(s), x) for s in swept for x in range(s.n))
 
     def test_meets_are_the_intersections_of_the_opens(self):
-        # the 9-point grid has meets of 256 and more, which _smallest_boxes
-        # spreads without its table
+        # the 9-point grid has meets of 256 and more, masks over more than
+        # one byte of points
         grid = product(chain_space(3), chain_space(3))
         assert grid.n == 9 and max(_meets(grid)) >= 256
         for s in [*_spaces_upto(5), grid]:
