@@ -18,7 +18,6 @@ from .core import (
     from_open_sets,
     from_pairs,
     from_reach,
-    iter_points,
     mask_of,
     points_of,
     product,

@@ -42,7 +42,6 @@ from .core import (
     FiniteSpace,
     IrtopoError,
     canon_sorted,
-    iter_points,
     points_of,
 )
 
@@ -113,7 +112,7 @@ def _open_cover(space: FiniteSpace, cover: Iterable[int]) -> tuple[int, ...]:
     union = 0
     for v in members:
         if v & ~full:
-            # points_of would not end on a negative mask
+            # on a negative mask points_of raises ValueError, not NotACover
             raise NotACover(f"member {v:#b} has points outside the space")
         if not space.is_open(v):
             raise NotACover(f"member {points_of(v)} is not open")
@@ -256,7 +255,7 @@ def irredundant_covers(space: FiniteSpace) -> Iterator[tuple[int, ...]]:
 
 def cover_order(cover: Iterable[int]) -> int:
     """Largest number of members sharing a single point."""
-    counts = Counter(p for m in cover for p in iter_points(m))
+    counts = Counter(p for m in cover for p in points_of(m))
     return max(counts.values(), default=0)
 
 

@@ -12,7 +12,8 @@ subspaces, products and the separation predicates from it.
 
 Bitmask conventions: a set of points is an int with bit ``i`` set for
 point ``i``; ``reach_rows[x]`` has bit ``y`` set when reach(x, y) holds,
-i.e. row ``x`` is the closure of ``{x}``.
+i.e. row ``x`` is the closure of ``{x}``.  :func:`points_of` is the one
+way to list the points of a mask, and :func:`mask_of` builds one.
 """
 
 from __future__ import annotations
@@ -79,17 +80,6 @@ def _negative_mask(mask: int) -> ValueError:
     return ValueError(f"negative mask {_clip(hex(mask))} is not a point set")
 
 
-def iter_points(mask: int) -> Iterator[int]:
-    """The points of ``mask`` in ascending order; ValueError on a negative
-    mask, which names no finite point set."""
-    if mask < 0:
-        raise _negative_mask(mask)
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 # _BYTE_POINTS[k][b]: the points of byte value b placed as byte k of a mask.
 _BYTE_POINTS = tuple(
     tuple(tuple(8 * k + i for i in range(8) if b >> i & 1) for b in range(256))
@@ -99,12 +89,19 @@ _BYTE_POINTS = tuple(
 
 def points_of(mask: int) -> tuple[int, ...]:
     """The points of ``mask`` as an ascending tuple; ValueError on a
-    negative mask.  A mask below 2**24 is read one byte at a time from a
-    table, a larger one by the lowest-bit walk of :func:`iter_points`."""
+    negative mask, which names no finite point set.  A mask below 2**24
+    is read a byte at a time from a table, a larger one lowest bit first."""
     if 0 <= mask < 1 << 24:
         low, mid, high = _BYTE_POINTS
         return low[mask & 255] + mid[mask >> 8 & 255] + high[mask >> 16]
-    return tuple(iter_points(mask))
+    if mask < 0:
+        raise _negative_mask(mask)
+    points = []
+    while mask:
+        low = mask & -mask
+        points.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(points)
 
 
 def canon_sorted(masks: Iterable[int]) -> tuple[int, ...]:
@@ -154,12 +151,12 @@ class FiniteSpace:
 
     def labels_of(self, aset: int) -> list[str]:
         """The labels of the points of ``aset``, in ascending index order."""
-        return [self.labels[p] for p in iter_points(aset)]
+        return [self.labels[p] for p in points_of(aset)]
 
     def reach_pairs(self) -> list[tuple[int, int]]:
         """The non-reflexive reach pairs (x, y), ordered by x, then y."""
         return [
-            (x, y) for x, row in enumerate(self.reach_rows) for y in iter_points(row) if x != y
+            (x, y) for x, row in enumerate(self.reach_rows) for y in points_of(row) if x != y
         ]
 
     @cached_property
@@ -193,26 +190,19 @@ class FiniteSpace:
         if mask & ~self.full_mask:
             return False
         min_opens = self.min_opens
-        rest = mask
-        while rest:  # each point y of mask; a generator here doubles the cost
-            low = rest & -rest
-            if min_opens[low.bit_length() - 1] & ~mask:
+        for y in points_of(mask):
+            if min_opens[y] & ~mask:
                 return False
-            rest ^= low
         return True
 
     def common_reach(self, aset: int) -> int:
         """The points reachable from every point of ``aset``: the
         intersection of their closures, the whole space when ``aset`` is
         empty."""
-        if aset < 0:
-            raise _negative_mask(aset)
         out = self.full_mask
         rows = self.reach_rows
-        while aset:  # each point x of aset, lowest first
-            low = aset & -aset
-            out &= rows[low.bit_length() - 1]
-            aset ^= low
+        for x in points_of(aset):
+            out &= rows[x]
         return out
 
     def closed_points(self) -> int:
@@ -237,7 +227,7 @@ class FiniteSpace:
         rows = []
         for p in pts:
             row = 0
-            for q in iter_points(self.reach_rows[p] & aset):
+            for q in points_of(self.reach_rows[p] & aset):
                 row |= 1 << index[q]
             rows.append(row)
         return FiniteSpace(tuple(self.labels_of(aset)), tuple(rows))
@@ -293,7 +283,7 @@ def from_open_sets(labels: Iterable[str], opens: Iterable) -> FiniteSpace:
     # must itself be listed.
     mo = [full] * n
     for m in fam:
-        for y in iter_points(m):
+        for y in points_of(m):
             if mo[y] & m not in famset:
                 raise NotATopology(
                     f"intersection of {points_of(mo[y])} and {points_of(m)} is missing"
@@ -335,18 +325,14 @@ def from_reach(labels: Iterable[str], relation: Iterable) -> FiniteSpace:
         if not rows[x] >> x & 1:
             raise ReachNotPreorder(f"not reflexive at {clip_repr(labels[x])}")
     for x, row in enumerate(rows):
-        rest = row
-        while rest:  # each point y of row; a generator here doubles the cost
-            low = rest & -rest
-            y = low.bit_length() - 1
+        for y in points_of(row):
             extra = rows[y] & ~row
             if extra:
-                z = next(iter_points(extra))
+                z = points_of(extra)[0]
                 lx, ly, lz = (clip_repr(labels[i]) for i in (x, y, z))
                 raise ReachNotPreorder(
                     f"not transitive: {lx}->{ly} and {ly}->{lz} but not {lx}->{lz}"
                 )
-            rest ^= low
     return FiniteSpace(labels, tuple(rows))
 
 
@@ -386,8 +372,8 @@ def extend_opens(opens: Sequence[int], out: int, inc: int, bit: int) -> list[int
 
 def extensions(space: FiniteSpace) -> Iterator[FiniteSpace]:
     """Every space on the points of ``space`` plus a new last point p,
-    labelled ``str(space.n)``, with its ``open_sets`` and ``min_opens``
-    stored where ``cached_property`` keeps them.
+    labelled by the least ``str(k)``, k >= ``space.n``, that ``space`` does
+    not use, with its ``open_sets`` and ``min_opens`` cached on it.
 
     p is reached from the points I and reaches the points O.  The child
     is a preorder exactly when I is open, O is closed and O lies in
@@ -402,7 +388,9 @@ def extensions(space: FiniteSpace) -> Iterator[FiniteSpace]:
     ``open_sets`` would.
     """
     n, bit = space.n, 1 << space.n
-    labels = space.labels + (str(n),)
+    # n labels leave one of the n + 1 candidates free
+    fresh = next(str(k) for k in range(n, 2 * n + 1) if str(k) not in space.labels)
+    labels = space.labels + (fresh,)
     opens, cols = space.open_sets, space.min_opens
     closed = [space.full_mask ^ o for o in opens]
     for inc in opens:
@@ -428,7 +416,7 @@ def transpose(rows: Sequence[int]) -> tuple[int, ...]:
     cols = [0] * len(rows)
     for x, row in enumerate(rows):
         bit = 1 << x
-        for y in iter_points(row):
+        for y in points_of(row):
             cols[y] |= bit
     return tuple(cols)
 
@@ -446,7 +434,7 @@ def product(x: FiniteSpace, y: FiniteSpace) -> FiniteSpace:
     for rx in x.reach_rows:
         for ry in y.reach_rows:
             row = 0
-            for xb in iter_points(rx):
+            for xb in points_of(rx):
                 row |= ry << (xb * ny)
             rows.append(row)
     return FiniteSpace(labels, tuple(rows))

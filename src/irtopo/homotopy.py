@@ -24,7 +24,6 @@ from .core import (
     IrtopoError,
     SearchBudgetExceeded,
     clip_repr,
-    iter_points,
     points_of,
     require_int,
 )
@@ -64,7 +63,12 @@ def _over_map_budget(limit: int) -> SearchBudgetExceeded:
 
 
 def ir_path(space: FiniteSpace, x: int, y: int) -> bool:
-    """Whether the two-piece path from x to y exists: y is reachable from x."""
+    """Whether the two-piece path from x to y exists: y is reachable from x.
+    ValueError when a point is out of range, TypeError when not an int."""
+    # a sweep asks for paths by the 100,000; plain ints skip the two calls
+    if type(x) is not int or type(y) is not int:
+        require_int("x", x)
+        require_int("y", y)
     if not (0 <= x < space.n and 0 <= y < space.n):
         raise ValueError("point index out of range")
     return bool(space.reach_rows[x] >> y & 1)
@@ -109,7 +113,7 @@ class ContinuousMap:
         if any(not 0 <= v < self.codomain.n for v in f):
             raise ValueError("assignment target out of range")
         for x, row in enumerate(self.domain.reach_rows):
-            for x2 in iter_points(row):
+            for x2 in points_of(row):
                 if not self.codomain.reach(f[x], f[x2]):
                     witness = self.codomain.min_opens[f[x2]]
                     raise NotContinuous(
@@ -235,7 +239,7 @@ def ir_homotopy_equivalent(
         within, hit = [x.full_mask] * y.n, [0] * y.n
         for p, q in enumerate(fa):
             within[q] &= x.reach_rows[p]  # g(q) in the closure of p
-            for r in iter_points(y.min_opens[q]):  # f(p) in the closure of r
+            for r in points_of(y.min_opens[q]):  # f(p) in the closure of r
                 hit[r] |= 1 << p
         within = [w & h for w, h in zip(within, hit)]
         if all(within):  # else some q has no image

@@ -85,7 +85,6 @@ from .core import (
     clip_repr,
     extensions,
     from_open_sets,
-    iter_points,
     points_of,
     product,
     require_int,
@@ -143,10 +142,7 @@ def topologies_by_open_families(n: int) -> set[tuple[int, ...]]:
     found = set()
     labels = tuple(str(i) for i in range(n))
     for sel in range(1 << len(proper)):
-        fam = {0, full}
-        for i, m in enumerate(proper):
-            if sel >> i & 1:
-                fam.add(m)
+        fam = {0, full, *(proper[i] for i in points_of(sel))}
         if all(a | b in fam and a & b in fam for a in fam for b in fam):
             found.add(from_open_sets(labels, fam).reach_rows)
     return found
@@ -161,10 +157,8 @@ def _rows(mask: int, ny: int) -> int:
     p; as a mask m of the second factor is below 2**ny, rows * m is the
     box ``mask`` x m over row-major product points."""
     rows = 0
-    while mask:
-        low = mask & -mask
-        rows |= 1 << ((low.bit_length() - 1) * ny)
-        mask ^= low
+    for p in points_of(mask):
+        rows |= 1 << (p * ny)
     return rows
 
 
@@ -191,10 +185,8 @@ def _meets(space: FiniteSpace) -> list[int]:
         fresh = o & todo
         if fresh:
             todo ^= fresh
-            while fresh:
-                low = fresh & -fresh
-                meets[low.bit_length() - 1] = o
-                fresh ^= low
+            for p in points_of(fresh):
+                meets[p] = o
             if not todo:
                 break
     return meets
@@ -267,12 +259,9 @@ def chain_homotopy_oracle(x: FiniteSpace, y: FiniteSpace, f, targets) -> int:
             boxes[q] |= smallest[2 * p + 1]
         for v in y.open_sets:
             pre = need = 0
-            while v:  # each point q of v
-                low = v & -v
-                q = low.bit_length() - 1
+            for q in points_of(v):
                 pre |= fibers[q]
                 need |= boxes[q]
-                v ^= low
             if need & ~pre:
                 break
         else:
@@ -575,7 +564,7 @@ def _check_t3(s):
     for x, cl in enumerate(_closure_rows(s)):
         # the image {x, y} leaves cl exactly at the y outside it, when x is in it
         outside = s.full_mask & ~cl if cl >> x & 1 else s.full_mask
-        for y in iter_points(outside):
+        for y in points_of(outside):
             if homotopy.ir_path(s, x, y):
                 return _pair_payload(s, x, y)
     return None
@@ -761,7 +750,7 @@ def _check_p3(s):
                     "cover": spaceio.cover_labels(s, cover.sets),
                     "witness_member": i,
                     "other_member": j,
-                    "point": s.labels[next(iter_points(wit & other))],
+                    "point": s.labels[points_of(wit & other)[0]],
                 }
     return None
 
@@ -771,7 +760,7 @@ def _check_p4(s):
     for x in range(s.n):
         if not rows[x] >> x & 1:
             return {"space": s, "missing_reflexive": s.labels[x]}
-        for y in iter_points(rows[x]):
+        for y in points_of(rows[x]):
             if rows[y] & ~rows[x]:
                 return {"space": s, "broken_at": s.labels[x]}
     return None

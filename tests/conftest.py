@@ -14,6 +14,13 @@ def indiscrete(n):
     return from_reach([str(i) for i in range(n)], [full] * n)
 
 
+def sphere_model(levels):
+    """The minimal finite model of the sphere of dimension levels - 1: two
+    points per level, each reaching both points of every level below."""
+    rows = [(1 << 2 * (i // 2)) - 1 | 1 << i for i in range(2 * levels)]
+    return from_reach([str(i) for i in range(2 * levels)], rows)
+
+
 def union_closure_opens(space):
     """Oracle: the open sets as every union of minimal neighborhoods,
     closed one distinct neighborhood at a time, in canonical order."""

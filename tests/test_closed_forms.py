@@ -35,7 +35,7 @@ from irtopo import (
     is_ir_path_connected,
     product,
 )
-from irtopo.core import iter_points, transpose
+from irtopo.core import points_of, transpose
 from irtopo.verifier import enumerate_spaces
 
 SEED = 20260418
@@ -89,7 +89,7 @@ def _invariants(space):
 
 def _image(mask, perm):
     out = 0
-    for x in iter_points(mask):
+    for x in points_of(mask):
         out |= 1 << perm[x]
     return out
 
@@ -136,7 +136,7 @@ def test_adding_a_beat_point(family):
         m = rng.randrange(s.n)
         # the points reaching the new point: an open set below m without m,
         # the union of the neighbourhoods of some points strictly below m
-        below = [y for y in iter_points(s.min_opens[m]) if not s.reach(m, y)]
+        below = [y for y in points_of(s.min_opens[m]) if not s.reach(m, y)]
         reached_from = 0
         for y in rng.sample(below, rng.randint(0, min(3, len(below)))):
             reached_from |= s.min_opens[y]
@@ -159,8 +159,8 @@ def test_products():
             dim = covering_dimension(xy).dim + 1
             assert dim == (covering_dimension(x).dim + 1) * (covering_dimension(y).dim + 1)
             co = 0
-            for a in iter_points(ir_co(x)):
-                for b in iter_points(ir_co(y)):
+            for a in points_of(ir_co(x)):
+                for b in points_of(ir_co(y)):
                     co |= 1 << (a * y.n + b)
             assert ir_co(xy) == co
 

@@ -16,12 +16,12 @@ from irtopo import (
     from_pairs,
     from_reach,
     ir_co,
-    iter_points,
     mask_of,
     points_of,
     product,
 )
 from irtopo.core import OPEN_SET_LIMIT, extensions, transpose
+from irtopo.spaceio import space_from_dict, space_to_dict
 from irtopo.verifier import (
     _closure_via_opens,
     _space_table,
@@ -30,7 +30,7 @@ from irtopo.verifier import (
     topologies_by_open_families,
 )
 
-from conftest import discrete, indiscrete, union_closure_opens
+from conftest import discrete, indiscrete, sphere_model, union_closure_opens
 
 
 def brute_force_opens(space):
@@ -67,7 +67,7 @@ def test_points_of_agrees_with_the_bit_walk():
     near = [(1 << 24) + d for d in range(-300, 300)]
     near += [rng.getrandbits(24) for _ in range(1000)]
     for mask in [*range(1 << 16), *near, *wide]:
-        assert points_of(mask) == tuple(iter_points(mask))
+        assert points_of(mask) == tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
     for mask in (-1, -(1 << 24), -(1 << 20_000)):
         with pytest.raises(ValueError, match="negative mask"):
             points_of(mask)
@@ -456,6 +456,20 @@ class TestExtensions:
         # I runs over the opens, and for each I, O over their complements
         assert order == sorted(order)
 
+    @pytest.mark.parametrize(
+        "labels, fresh",
+        [(["2", "x"], "3"), (["3", "2", "4"], "5"), (["a", "b"], "2")],
+        ids=["2-taken", "3-4-taken", "letters"],
+    )
+    def test_new_label_is_fresh(self, labels, fresh):
+        # the least str(k), k >= n, that the parent does not use, so that
+        # every child survives a round trip through its JSON form
+        parent = from_reach(labels, [1 << x for x in range(len(labels))])
+        for child in extensions(parent):
+            assert child.labels == (*labels, fresh)
+            again = space_from_dict(space_to_dict(child))
+            assert again.labels == child.labels and again == child
+
     def test_children_of_the_five_point_spaces(self):
         # OEIS A000798 (labelled topologies) and A001035 (labelled posets) at 6
         total = t0 = 0
@@ -470,6 +484,122 @@ class TestExtensions:
         # point and reaches all, so it has one open more than its parent
         with pytest.raises(SearchBudgetExceeded, match=f"over {OPEN_SET_LIMIT} open sets on 17 points"):
             next(extensions(discrete(16)))
+
+
+class TestPastTheByteTable:
+    """The callers of points_of on spaces of more than 24 points, whose
+    masks it walks bit by bit rather than reading from its byte table."""
+
+    @pytest.fixture(scope="class")
+    def wide(self):
+        # each point reaches up to two later ones, the last two reach each
+        # other, and the points are then shuffled; closed transitively
+        rng = random.Random(30)
+        n = 30
+        rows = [1 << x for x in range(n)]
+        for x in range(n - 1):
+            for _ in range(rng.randint(0, 2)):
+                rows[x] |= 1 << rng.randrange(x + 1, n)
+        rows[n - 2] |= 1 << n - 1
+        for k in range(n):
+            rows = [row | rows[k] if row >> k & 1 else row for row in rows]
+        perm = rng.sample(range(n), n)
+        shuffled = [0] * n
+        for x, row in enumerate(rows):
+            shuffled[perm[x]] = mask_of(perm[y] for y in range(n) if row >> y & 1)
+        return from_reach([f"p{i}" for i in range(n)], shuffled)
+
+    def test_is_open_matches_brute_force(self, wide):
+        # a mask is open when every point reaching a point of it is in it;
+        # random masks are rarely open, the points reaching random seeds are
+        rng = random.Random(1)
+        n = wide.n
+        masks = [rng.getrandbits(n) for _ in range(300)]
+        for _ in range(300):
+            seeds = rng.getrandbits(n) & rng.getrandbits(n) & rng.getrandbits(n)
+            masks.append(
+                mask_of(x for x in range(n) if any(wide.reach(x, y) for y in points_of(seeds)))
+            )
+        assert sum(m >= 1 << 24 for m in masks) > 500
+        opens = 0
+        for m in masks:
+            brute = all(m >> x & 1 for y in range(n) if m >> y & 1 for x in range(n) if wide.reach(x, y))
+            assert wide.is_open(m) == brute
+            opens += brute
+        assert 300 <= opens < len(masks)
+
+    def test_common_reach_matches_brute_force(self, wide):
+        rng = random.Random(2)
+        n = wide.n
+        asets = [0, wide.full_mask, *(rng.getrandbits(n) for _ in range(100))]
+        asets += [1 << x | 1 << y for x in range(n) for y in range(24, n)]
+        hits = 0
+        for aset in asets:
+            brute = mask_of(
+                y for y in range(n) if all(wide.reach(x, y) for x in range(n) if aset >> x & 1)
+            )
+            assert wide.common_reach(aset) == brute
+            hits += brute != 0
+        assert hits > 20
+
+    def test_subspace_and_transpose(self, wide):
+        n = wide.n
+        aset = 0b110101_01100111_00011011_10111101
+        pts = [p for p in range(n) if aset >> p & 1]
+        sub = wide.subspace(aset)
+        assert sub.labels == tuple(wide.labels[p] for p in pts)
+        for i, p in enumerate(pts):
+            for j, q in enumerate(pts):
+                assert sub.reach(i, j) == wide.reach(p, q)
+        assert wide.min_opens == tuple(
+            mask_of(x for x in range(n) if wide.reach(x, y)) for y in range(n)
+        )
+        assert wide.reach_pairs() == [
+            (x, y) for x in range(n) for y in range(n) if x != y and wide.reach(x, y)
+        ]
+
+    def test_product(self, wide, sierpinski):
+        p = product(wide, sierpinski)
+        for a in range(wide.n):
+            for b in range(2):
+                for c in range(wide.n):
+                    for d in range(2):
+                        expected = wide.reach(a, c) and sierpinski.reach(b, d)
+                        assert p.reach(2 * a + b, 2 * c + d) == expected
+
+    def test_from_open_sets_round_trip(self):
+        s = sphere_model(15)
+        assert s.n == 30 and len(s.open_sets) == 46
+        assert from_open_sets(s.labels, s.open_sets).reach_rows == s.reach_rows
+
+    def test_from_reach_names_the_broken_triple(self):
+        # 3 -> 27 -> {25, 29}: the witness is the least point 27 reaches
+        # and 3 does not
+        rows = [1 << x for x in range(30)]
+        rows[3] |= 1 << 27
+        rows[27] |= 1 << 25 | 1 << 29
+        message = "not transitive: 'p3'->'p27' and 'p27'->'p25' but not 'p3'->'p25'"
+        with pytest.raises(ReachNotPreorder, match=re.escape(message)):
+            from_reach([f"p{i}" for i in range(30)], rows)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_from_reach_witness_matches_brute_force(self, seed):
+        # the first x, then the first y that x reaches, then the least z
+        # that y reaches and x does not
+        rng = random.Random(seed)
+        n = 30
+        rows = [1 << x | mask_of(rng.sample(range(n), 3)) for x in range(n)]
+        x, y, z = next(
+            (x, y, z)
+            for x in range(n)
+            for y in range(n)
+            if rows[x] >> y & 1
+            for z in range(n)
+            if rows[y] >> z & 1 and not rows[x] >> z & 1
+        )
+        message = f"not transitive: 'p{x}'->'p{y}' and 'p{y}'->'p{z}' but not 'p{x}'->'p{z}'"
+        with pytest.raises(ReachNotPreorder, match=re.escape(message)):
+            from_reach([f"p{i}" for i in range(n)], rows)
 
 
 class TestProduct:

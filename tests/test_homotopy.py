@@ -27,7 +27,7 @@ from irtopo.core import clip_repr
 from irtopo.homotopy import continuous_maps
 from irtopo.verifier import _check_t11, _spaces_upto, enumerate_spaces
 
-from conftest import discrete, indiscrete
+from conftest import discrete, indiscrete, sphere_model
 
 
 def closures_intersection(space):
@@ -52,6 +52,57 @@ class TestIrPath:
     def test_bad_index(self, sierpinski):
         with pytest.raises(ValueError):
             ir_path(sierpinski, 0, 5)
+
+    @pytest.mark.parametrize("bad", [True, False, 1.0, "1"], ids=repr)
+    def test_non_int_point_rejected(self, bad):
+        # True would ask for point 1 and False for point 0
+        space = chain_space(3)
+        with pytest.raises(TypeError, match=re.escape(f"x must be an int, got {bad!r}")):
+            ir_path(space, bad, 0)
+        with pytest.raises(TypeError, match=re.escape(f"y must be an int, got {bad!r}")):
+            ir_path(space, 0, bad)
+
+
+class TestPastTheByteTable:
+    """Maps and equivalences on spaces of more than 24 points, whose masks
+    points_of walks bit by bit rather than reading from its byte table."""
+
+    def test_continuity_matches_monotonicity(self):
+        # random maps rarely keep reach; maps that fix the levels below a
+        # cut and send every point above it to one point of the cut do
+        s = sphere_model(15)
+        rng = random.Random(0)
+        pairs = [(x, y) for x in range(s.n) for y in range(s.n) if s.reach(x, y)]
+        assignments = [tuple(rng.randrange(s.n) for _ in range(s.n)) for _ in range(50)]
+        for _ in range(50):
+            cut = rng.randrange(15)
+            assignments.append(tuple(p if p // 2 < cut else 2 * cut for p in range(s.n)))
+        continuous = 0
+        for f in assignments:
+            broken = [(x, y) for x, y in pairs if not s.reach(f[x], f[y])]
+            if broken:
+                x, y = broken[0]
+                with pytest.raises(NotContinuous) as err:
+                    ContinuousMap(s, s, f)
+                assert err.value.witness_open == s.min_opens[f[y]]
+            else:
+                ContinuousMap(s, s, f)
+                continuous += 1
+        assert 50 <= continuous < len(assignments)
+
+    def test_equivalence_with_a_point(self):
+        # a point is equivalent to a space exactly when some point of it is
+        # reached from everywhere, and the first f picks the least such
+        point = discrete(1)
+        # the sphere model with a point 30 in the closure of every point
+        rows = [row | 1 << 30 for row in sphere_model(15).reach_rows]
+        cone = from_reach([str(i) for i in range(31)], [*rows, 1 << 30])
+        for s in (sphere_model(15), chain_space(30), cone):
+            found = ir_homotopy_equivalent(point, s)
+            co = ir_co(s)
+            assert (found is not None) == (co != 0)
+            if found:
+                assert found[0].assignment == (points_of(co)[0],)
 
 
 class TestReverse:

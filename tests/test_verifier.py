@@ -44,7 +44,7 @@ from irtopo.verifier import (
 )
 from irtopo.spaceio import dumps_canonical
 
-from conftest import discrete, union_closure_opens
+from conftest import discrete, sphere_model, union_closure_opens
 
 
 EXPECTED_COUNTS = {1: 1, 2: 4, 3: 29, 4: 355}
@@ -129,13 +129,13 @@ class TestEnumeration:
         assert rows == [(1, 2), (1, 3), (3, 2), (3, 3)]
 
     def test_every_yield_is_a_preorder(self):
-        from irtopo.core import iter_points
+        from irtopo.core import points_of
 
         for n in range(1, 4):
             for s in enumerate_spaces(n):
                 for x in range(n):
                     assert s.reach(x, x)
-                    for y in iter_points(s.reach_rows[x]):
+                    for y in points_of(s.reach_rows[x]):
                         assert s.reach_rows[y] & ~s.reach_rows[x] == 0
 
     def test_budget(self):
@@ -313,6 +313,37 @@ class TestOracle:
                     assert mask >> len(maps) == 0
                     for j, g in enumerate(maps):
                         assert ir_homotopic(f, g) == bool(mask >> j & 1)
+
+
+class TestPastTheByteTable:
+    """The oracle's walks on a 30-point space, whose masks points_of walks
+    bit by bit rather than reading from its byte table."""
+
+    def test_meets_and_smallest_boxes(self):
+        s = sphere_model(15)
+        chain = chain_space(2)
+        assert _meets(s) == list(s.min_opens)
+        assert max(s.min_opens) >= 1 << 24
+        boxes = box_topology(s, chain)
+        # 45 nonempty opens times the chain's 2, and the empty box
+        assert len(boxes) == 45 * 2 + 1
+        meets = []
+        for point in range(2 * s.n):
+            meet = (1 << 2 * s.n) - 1
+            for b in boxes:
+                if b >> point & 1:
+                    meet &= b
+            meets.append(meet)
+        assert _smallest_boxes(s) == meets
+
+    def test_oracle_agrees_with_pointwise_criterion(self, sierpinski):
+        s = sphere_model(15)
+        for dom, cod, step in ((s, sierpinski, 1), (sierpinski, s, 50)):
+            maps = continuous_maps(dom, cod)
+            targets = [g.assignment for g in maps]
+            for f in maps[::step]:
+                mask = chain_homotopy_oracle(dom, cod, f.assignment, targets)
+                assert mask == sum(1 << j for j, g in enumerate(maps) if ir_homotopic(f, g))
 
 
 class TestClaimKernels:
