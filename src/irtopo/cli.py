@@ -8,11 +8,12 @@ equivalent, a failed verification), 2 bad input or usage.  Only
 Output contract: each ``_cmd_*`` computes its answer and returns
 ``(code, payload, lines)``; ``spec`` and ``verify`` add a fourth item,
 their ``--out`` document.  ``payload`` and the document are
-zero-argument functions giving JSON-ready objects, and ``lines`` one
-giving the table's lines, so each form is built only when it is
-printed.  ``main`` alone reads ``--format`` and ``--out``: it builds
-the document, prints the chosen form on stdout, then writes the document
-to ``--out``.  Errors go to stderr as ``error: ...`` with exit 2.
+zero-argument functions giving JSON-ready objects, in which a
+``FiniteSpace`` stands for its ``spaceio.space_to_dict`` form (that is
+how ``spaceio.dumps_canonical`` writes it), and ``lines`` one giving the
+table's lines, so each form is built only when it is printed.  ``main``
+alone reads ``--format`` and ``--out``: it builds the document, prints
+the chosen form on stdout, then writes the document to ``--out``.  Errors go to stderr as ``error: ...`` with exit 2.
 """
 
 from __future__ import annotations
@@ -87,7 +88,7 @@ def _cmd_analyze(args):
 
     def payload():
         return {
-            "space": spaceio.space_to_dict(space),
+            "space": space,
             "points": space.n,
             "t0": t0,
             "t1": t1,

@@ -251,7 +251,18 @@ class FiniteSpace:
 
 
 def _as_mask(o, full: int) -> int:
-    m = o if isinstance(o, int) else mask_of(o)
+    if isinstance(o, int):
+        if o is True or o is False:
+            raise TypeError(f"open set {o} must be a mask or a sequence of point indices")
+        m = o
+    else:
+        m = 0
+        for p in o:
+            if type(p) is not int or p < 0:  # identity tests, which a bool fails
+                raise (ValueError if type(p) is int else TypeError)(
+                    f"point index {clip_repr(p)} must be a non-negative int"
+                )
+            m |= 1 << p
     if m & ~full:
         raise NotATopology(
             f"set {sorted(points_of(m))} uses point indices outside the space"
@@ -268,7 +279,8 @@ def from_open_sets(labels: Iterable[str], opens: Iterable) -> FiniteSpace:
     in its length; violations raise NotATopology naming two listed sets
     whose union or intersection is missing, rather than being repaired.
     Duplicates collapse silently.  Each open may be given as an iterable
-    of point indices or as a bitmask.
+    of point indices or as a bitmask; a bool open or index, another
+    non-int index or a negative one raises TypeError or ValueError.
     """
     labels = tuple(labels)
     n = len(labels)
@@ -340,13 +352,16 @@ def from_pairs(labels: Iterable[str], pairs: Iterable[tuple[int, int]]) -> Finit
     """Build a space from its non-reflexive reach pairs (x, y), by index.
 
     The diagonal is implied and the pairs must already be transitive
-    (ReachNotPreorder otherwise, via :func:`from_reach`); an index
-    outside the space raises ValueError.
+    (ReachNotPreorder otherwise, via :func:`from_reach`); an index that
+    is not an int, a bool included, raises TypeError, and one outside the
+    space ValueError.
     """
     labels = tuple(labels)
     n = len(labels)
     rows = [1 << x for x in range(n)]
     for x, y in pairs:
+        if type(x) is not int or type(y) is not int:  # identity tests, which a bool fails
+            raise TypeError(f"pair {clip_repr((x, y))} must hold two int point indices")
         if not (0 <= x < n and 0 <= y < n):
             raise ValueError(f"pair ({x}, {y}) mentions points outside the space")
         rows[x] |= 1 << y

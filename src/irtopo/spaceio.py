@@ -12,6 +12,9 @@ neighborhoods, in time linear in its length, so every space in a JSON
 output of this package reads back.  Output always carries both keys;
 when a file carries both they must agree.
 
+:func:`dumps_canonical` writes a :class:`FiniteSpace` found in its value
+as the text of its :func:`space_to_dict` form.
+
 Poset format: {"labels": ["(0)", "M"], "leq": [[0, 1]]} with the
 non-reflexive contained-in pairs.  Grid format: {"points": [["1/2",
 "0/1"], ["1/1", "1/3"]]} with exact "p/q" coordinates.  A ``reach`` or
@@ -156,12 +159,15 @@ def dumps_canonical(obj) -> str:
     byte for byte.  With an indent the stdlib encodes in pure Python, so
     this writer builds the same layout itself: strings go through the C
     string encoder.  A list of lists of plain ints, such as a space's
-    ``opens`` and ``reach``, is one call of the C encoder with the
-    newline and indent of an int as its item separator; two
-    ``str.replace`` passes then put the members' brackets on lines of
-    their own and close up empty members.  It takes dicts with str keys,
-    lists, tuples, str, int, bool and None; anything else raises
-    TypeError.
+    ``reach``, is one call of the C encoder with the newline and indent
+    of an int as its item separator; two ``str.replace`` passes then put
+    the members' brackets on lines of their own and close up empty
+    members.  A :class:`FiniteSpace` is written as the text of
+    ``space_to_dict(space)``; below 25 points its open sets are written
+    straight from their masks, a byte at a time from text tables, and a
+    larger space goes through its dict.  It takes dicts with str keys,
+    lists, tuples, str, int, bool, None and FiniteSpace; anything else
+    raises TypeError.
     """
     out: list[str] = []
     _write(obj, out, "\n")
@@ -217,6 +223,17 @@ def _write(obj, out: list[str], nl: str) -> None:
             lead = "," + inner
             _write(obj[key], out, inner)
         out += (nl, "}")
+    elif isinstance(obj, FiniteSpace):
+        if obj.n > 24:  # past the three byte tables
+            _write(space_to_dict(obj), out, nl)
+            return
+        inner = nl + "  "
+        # space_to_dict's keys, in sorted order
+        out += ("{", inner, '"labels": ')
+        _write(obj.labels, out, inner)
+        out += (",", inner, '"opens": ', _opens_text(obj.open_sets, inner), ",", inner, '"reach": ')
+        _write(list(map(list, obj.reach_pairs())), out, inner)
+        out += (nl, "}")
     else:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
@@ -230,3 +247,27 @@ def _items_encoder(sep: str):
     """JSON text with ``sep`` between list items and no other whitespace,
     through the C encoder, which the stdlib runs only without an indent."""
     return json.JSONEncoder(separators=(sep, ":")).encode
+
+
+def _opens_text(opens, nl: str) -> str:
+    """The JSON text of ``space_to_dict``'s ``opens`` for masks below 2**24,
+    starting on a line whose newline and indent are ``nl``."""
+    inner = nl + "  "
+    low, mid, high = _point_texts("," + inner + "  ")
+    close = inner + "]"
+    items = [
+        "[" + (low[m & 255] + mid[m >> 8 & 255] + high[m >> 16])[1:] + close if m else "[]"
+        for m in opens
+    ]
+    return "[" + inner + ("," + inner).join(items) + nl + "]"
+
+
+@lru_cache(maxsize=None)
+def _point_texts(sep: str) -> tuple[tuple[str, ...], ...]:
+    """``_point_texts(sep)[k][b]``: ``sep`` and the index of each point of
+    byte value ``b`` placed as byte ``k`` of a mask, so the text of a mask
+    below 2**24 is three lookups, then its first comma dropped."""
+    return tuple(
+        tuple("".join(sep + str(p) for p in points_of(b << 8 * k)) for b in range(256))
+        for k in range(3)
+    )

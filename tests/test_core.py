@@ -159,6 +159,21 @@ class TestFromOpenSets:
         with pytest.raises(NotATopology):
             from_open_sets(["0"], [[], [0, 3], [0]])
 
+    # a bool would pass as point 1 or 0; each refusal names the index
+    @pytest.mark.parametrize(
+        "index, error",
+        [(True, TypeError), (False, TypeError), (1.0, TypeError), ("1", TypeError),
+         (-1, ValueError)],
+    )
+    def test_bad_point_index(self, index, error):
+        with pytest.raises(error, match=re.escape(f"point index {index!r} ")):
+            from_open_sets(["a", "b"], [[], [index], [0, 1]])
+
+    @pytest.mark.parametrize("mask", [True, False])
+    def test_bool_mask(self, mask):
+        with pytest.raises(TypeError, match=f"open set {mask} "):
+            from_open_sets(["a"], [0, mask, 1])
+
 
 WITNESS = re.compile(r"(union|intersection) of (\(.*?\)) and (\(.*?\)) is missing")
 
@@ -202,6 +217,12 @@ class TestFromPairs:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             from_pairs(["a"], [(0, 1)])
+
+    # a bool would pass as point 1 or 0; each refusal names the pair
+    @pytest.mark.parametrize("pair", [(True, 1), (0, False), (1.0, 0), (0, 1.0), ("0", 1)])
+    def test_non_int_index(self, pair):
+        with pytest.raises(TypeError, match=re.escape(f"pair {pair!r} ")):
+            from_pairs(["a", "b"], [pair])
 
 
 class TestFromReach:

@@ -1,5 +1,6 @@
 import enum
 import json
+import random
 import re
 import time
 from pathlib import Path
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from irtopo import from_reach
 from irtopo.cli import main
+from irtopo.core import SearchBudgetExceeded
 from irtopo.spaceio import (
     ParseError,
     dumps_canonical,
@@ -21,6 +23,8 @@ from irtopo.spaceio import (
     space_to_dict,
 )
 from irtopo.verifier import enumerate_spaces
+
+from conftest import discrete
 
 SPACES_UPTO4 = [s for n in range(1, 5) for s in enumerate_spaces(n)]
 
@@ -206,6 +210,60 @@ def test_dumps_canonical_rejects_other_types(value, kind):
     with pytest.raises(TypeError, match=kind):
         dumps_canonical(value)
 
+
+
+def _chain(n):
+    """The n-point chain: point x reaches every point above it."""
+    full = (1 << n) - 1
+    return from_reach([str(i) for i in range(n)], [full >> x << x for x in range(n)])
+
+
+def _preorder_with_classes(rng, n):
+    """A seeded space on n points in fewer than n classes, so not T0: each
+    point joins one of the classes, and the classes are ordered at random
+    along their index, closed transitively."""
+    k = rng.randrange(n // 2, n)
+    cls = [rng.randrange(k) for _ in range(n)]
+    up = [1 << i for i in range(k)]
+    for i in reversed(range(k)):
+        for j in range(i + 1, k):
+            if rng.random() < 0.12:
+                up[i] |= up[j]
+    rows = [sum(1 << y for y in range(n) if up[cls[x]] >> cls[y] & 1) for x in range(n)]
+    return from_reach([f"p{i}" for i in range(n)], rows)
+
+
+def _random_spaces(seed, count):
+    rng = random.Random(seed)
+    return [_preorder_with_classes(rng, rng.randint(5, 24)) for _ in range(count)]
+
+
+_RANDOM_SPACES = _random_spaces(35, 50)
+
+
+# the table writer's byte edges (8, 16 and 24 points) and the dict route
+# past them
+@pytest.mark.parametrize(
+    "space",
+    [from_reach([], []), *SPACES_UPTO4]
+    + [make(n) for n in (7, 8, 9, 16) for make in (discrete, _chain)]
+    + [_chain(n) for n in (17, 24, 25)]
+    + _RANDOM_SPACES,
+    ids=lambda s: f"n{s.n}",
+)
+def test_dumps_canonical_writes_a_space_as_its_dict(space):
+    d = space_to_dict(space)
+    for value, plain in ((space, d), ({"space": space, "n": 1}, {"space": d, "n": 1}),
+                         ([space, [space]], [d, [d]])):
+        # compared as lines: pytest's diff of two long strings takes minutes
+        assert dumps_canonical(value).split("\n") == _stdlib_canonical(plain).split("\n")
+
+
+@pytest.mark.parametrize("n", [17, 24, 25])
+def test_dumps_canonical_space_over_the_open_set_budget(n):
+    for value in (discrete(n), [discrete(n)]):
+        with pytest.raises(SearchBudgetExceeded):
+            dumps_canonical(value)
 
 
 def test_analyze_output_matches_the_stdlib(tmp_path, capsys):
