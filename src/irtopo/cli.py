@@ -13,7 +13,10 @@ zero-argument functions giving JSON-ready objects, in which a
 how ``spaceio.dumps_canonical`` writes it), and ``lines`` one giving the
 table's lines, so each form is built only when it is printed.  ``main``
 alone reads ``--format`` and ``--out``: it builds the document, prints
-the chosen form on stdout, then writes the document to ``--out``.  Errors go to stderr as ``error: ...`` with exit 2.
+the chosen form on stdout, then writes the document to ``--out``.
+Errors go to stderr as ``error: ...`` with exit 2.  ``main`` parses an
+argv that starts with a leaf's words (``co``, ``spec zn``) with that
+leaf's parser alone, any other with ``build_parser()``.
 """
 
 from __future__ import annotations
@@ -320,18 +323,21 @@ def _cmd_verify(args):
 
 # ---------------------------------------------------------------------------
 # parser
+_LEAVES: dict[tuple[str, ...], argparse.ArgumentParser] = {}  # by words: ("co",), ("spec", "zn")
 
 
 def _command(sub, name: str, help: str, func, *arguments) -> None:
     """Add the leaf subcommand ``name`` handled by ``func``: its arguments
     in order (a positional's name, or its flags and then its options), then
-    ``--format``."""
+    ``--format``; it is filed in ``_LEAVES`` under its words."""
     p = sub.add_parser(name, help=help)
     for arg in arguments:
         *flags, options = (arg, {}) if isinstance(arg, str) else arg
         p.add_argument(*flags, **options)
     p.add_argument("--format", choices=("table", "json"), default="table")
-    p.set_defaults(func=func)
+    words = tuple(p.prog.split()[1:])
+    p.set_defaults(func=func, **dict(zip(("command", f"{words[0]}_command"), words)))
+    _LEAVES[words] = p
 
 
 @functools.cache
@@ -392,9 +398,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
+    # words left over after a leaf get the error the full parse gives them
+    words = next((w for w in (tuple(argv[:2]), tuple(argv[:1])) if w in _LEAVES), None)
     try:
-        args = parser.parse_args(argv)
+        if words is None:
+            args = parser.parse_args(argv)
+        else:
+            args, extra = _LEAVES[words].parse_known_args(argv[len(words):])
+            if extra:
+                parser.error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else 2
     try:

@@ -250,22 +250,25 @@ class FiniteSpace:
         return not self.n or self.full_mask in self.reach_rows
 
 
-def _as_mask(o, full: int) -> int:
+def _as_mask(o, n: int) -> int:
+    m, far = 0, []  # indices past the space stay out of the mask: 1 << 10**11 is 12.5 GB
     if isinstance(o, int):
         if o is True or o is False:
             raise TypeError(f"open set {o} must be a mask or a sequence of point indices")
         m = o
     else:
-        m = 0
         for p in o:
             if type(p) is not int or p < 0:  # identity tests, which a bool fails
                 raise (ValueError if type(p) is int else TypeError)(
                     f"point index {clip_repr(p)} must be a non-negative int"
                 )
-            m |= 1 << p
-    if m & ~full:
+            if p < n:
+                m |= 1 << p
+            else:
+                far.append(p)
+    if far or m >> n:
         raise NotATopology(
-            f"set {sorted(points_of(m))} uses point indices outside the space"
+            f"set {sorted({*points_of(m), *far})} uses point indices outside the space"
         )
     return m
 
@@ -285,7 +288,7 @@ def from_open_sets(labels: Iterable[str], opens: Iterable) -> FiniteSpace:
     labels = tuple(labels)
     n = len(labels)
     full = (1 << n) - 1
-    fam = canon_sorted({_as_mask(o, full) for o in opens})
+    fam = canon_sorted({_as_mask(o, n) for o in opens})
     famset = set(fam)
     if 0 not in famset:
         raise NotATopology("the empty set must be listed")

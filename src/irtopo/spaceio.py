@@ -18,7 +18,8 @@ as the text of its :func:`space_to_dict` form.
 Poset format: {"labels": ["(0)", "M"], "leq": [[0, 1]]} with the
 non-reflexive contained-in pairs.  Grid format: {"points": [["1/2",
 "0/1"], ["1/1", "1/3"]]} with exact "p/q" coordinates.  A ``reach`` or
-``leq`` entry that is not a list of two point indices is a ParseError.
+``leq`` entry that is not a list of two point indices is a ParseError;
+each entry is checked once, in the pass that ORs it into its reach row.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from functools import lru_cache
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 
-from .core import FiniteSpace, IrtopoError, clip_repr, from_open_sets, from_pairs, points_of
+from .core import FiniteSpace, IrtopoError, clip_repr, from_open_sets, from_reach, points_of
 from .intervals import as_fraction
 from .spectra import spec_from_poset
 
@@ -45,10 +46,6 @@ def space_to_dict(space: FiniteSpace) -> dict:
     }
 
 
-def _is_index(v, n: int) -> bool:
-    return type(v) is int and 0 <= v < n  # JSON true/false are ints in Python
-
-
 def _labels(d: dict) -> list[str]:
     labels = d.get("labels")
     if not isinstance(labels, list) or not all(isinstance(s, str) for s in labels):
@@ -61,18 +58,21 @@ def _labels(d: dict) -> list[str]:
     return labels
 
 
-def _pairs(d: dict, key: str, n: int) -> list[list[int]]:
-    """The [i, j] point-index pairs listed under ``key``, checked."""
+def _rows(d: dict, key: str, n: int) -> list[int]:
+    """Reach rows (row i holds i and j) of the checked [i, j] pairs under ``key``."""
     items = d.get(key)
     if not isinstance(items, list):
         raise ParseError(f'field "{key}" must be a list of [i, j] pairs')
+    bits = [1 << x for x in range(n)]
+    rows = bits[:]
     for item in items:
         if not isinstance(item, list) or len(item) != 2:
             raise ParseError(f"{key} entry {clip_repr(item)} is not an [i, j] pair")
         i, j = item
-        if not (_is_index(i, n) and _is_index(j, n)):
+        if type(i) is not int or type(j) is not int or not (0 <= i < n and 0 <= j < n):
             raise ParseError(f"{key} entry {clip_repr(item)} is not a pair of point indices")
-    return items
+        rows[i] |= bits[j]
+    return rows
 
 
 def space_from_dict(d: dict) -> FiniteSpace:
@@ -90,11 +90,12 @@ def space_from_dict(d: dict) -> FiniteSpace:
         if not isinstance(opens, list):
             raise ParseError('field "opens" must be a list of point lists')
         for o in opens:
-            if not isinstance(o, list) or not all(_is_index(p, n) for p in o):
+            # an identity test, which JSON's true and false (ints in Python) fail
+            if not isinstance(o, list) or not all(type(p) is int and 0 <= p < n for p in o):
                 raise ParseError(f"open set {clip_repr(o)} is not a list of point indices")
         space = from_open_sets(labels, opens)
     if has_reach:
-        reach_space = from_pairs(labels, _pairs(d, "reach", n))
+        reach_space = from_reach(labels, _rows(d, "reach", n))
         if space is not None and space.reach_rows != reach_space.reach_rows:
             raise ParseError('the "reach" and "opens" fields describe different spaces')
         space = reach_space
@@ -123,7 +124,7 @@ def poset_from_dict(d: dict) -> FiniteSpace:
     if not isinstance(d, dict):
         raise ParseError("expected a JSON object describing a poset")
     labels = _labels(d)
-    return spec_from_poset(labels, _pairs(d, "leq", len(labels)))
+    return spec_from_poset(labels, _rows(d, "leq", len(labels)), from_reach)
 
 
 def load_poset(path: str) -> FiniteSpace:

@@ -2,6 +2,7 @@ import ast
 import pickle
 import random
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -158,6 +159,32 @@ class TestFromOpenSets:
     def test_out_of_range_point(self):
         with pytest.raises(NotATopology):
             from_open_sets(["0"], [[], [0, 3], [0]])
+
+    # each text lists the whole set, its points inside the space too
+    @pytest.mark.parametrize(
+        "opens, text",
+        [([[], [0], [10**8]], "[100000000]"), ([[], [0], iter([5, 0, 5, 1])], "[0, 1, 5]"),
+         ([0, 1, 0b110], "[1, 2]"), ([0, 1, 1 << 40 | 1], "[0, 40]")],
+    )
+    def test_out_of_range_text(self, opens, text):
+        with pytest.raises(NotATopology) as e:
+            from_open_sets(["a"], opens)
+        assert str(e.value) == f"set {text} uses point indices outside the space"
+
+    def test_far_index_is_never_shifted(self):
+        # 1 << 10**8 alone would be a 12.5 MB int; the index is refused unshifted
+        tracemalloc.start()
+        try:
+            with pytest.raises(NotATopology, match=r"^set \[100000000\] uses point"):
+                from_open_sets(["a"], [[], [0], [10**8]])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_type_checks_come_before_the_range_check(self):
+        with pytest.raises(TypeError, match="point index 'x' "):
+            from_open_sets(["a"], [[], [0], [10**8, "x"]])
 
     # a bool would pass as point 1 or 0; each refusal names the index
     @pytest.mark.parametrize(

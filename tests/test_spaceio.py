@@ -8,9 +8,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from irtopo import from_reach
+from irtopo import from_pairs, from_reach
 from irtopo.cli import main
-from irtopo.core import SearchBudgetExceeded
+from irtopo.core import ReachNotPreorder, SearchBudgetExceeded
+from irtopo.spectra import NotAPartialOrder
 from irtopo.spaceio import (
     ParseError,
     dumps_canonical,
@@ -49,32 +50,83 @@ def test_poset_rejects_boolean_indices():
 
 
 PAIR_FIELDS = [(space_from_dict, "reach"), (poset_from_dict, "leq")]
+NOT_A_PAIR = "is not an [i, j] pair"
+NOT_INDICES = "is not a pair of point indices"
 BAD_PAIRS = {
-    "one": [0],
-    "three": [0, 1, 1],
-    "int": 0,
-    "string": "01",
-    "object": {"0": 1},
-    "bool": [True, 1],
-    "bool-to": [0, False],
-    "past-end": [0, 2],
-    "negative": [-1, 0],
-    "float": [0.0, 1],
+    "one": ([0], NOT_A_PAIR),
+    "three": ([0, 1, 1], NOT_A_PAIR),
+    "int": (0, NOT_A_PAIR),
+    "string": ("01", NOT_A_PAIR),
+    "object": ({"0": 1}, NOT_A_PAIR),
+    "bool": ([True, 1], NOT_INDICES),
+    "bool-to": ([0, False], NOT_INDICES),
+    "past-end": ([0, 2], NOT_INDICES),
+    "negative": ([-1, 0], NOT_INDICES),
+    "float": ([0.0, 1], NOT_INDICES),
+    "float-to": ([0, 1.0], NOT_INDICES),
+    "null": ([None, 0], NOT_INDICES),
 }
 
 
 @pytest.mark.parametrize("parse, key", PAIR_FIELDS, ids=["reach", "leq"])
-@pytest.mark.parametrize("entry", list(BAD_PAIRS.values()), ids=list(BAD_PAIRS))
-def test_reach_and_leq_reject_the_same_entries(parse, key, entry):
-    with pytest.raises(ParseError):
-        parse({"labels": ["a", "b"], key: [entry]})
+@pytest.mark.parametrize("entry, why", list(BAD_PAIRS.values()), ids=list(BAD_PAIRS))
+def test_reach_and_leq_reject_the_same_entries(parse, key, entry, why):
+    # the first bad entry is named, whatever follows it
+    with pytest.raises(ParseError) as e:
+        parse({"labels": ["a", "b"], key: [[0, 1], entry, [9, 9], 7]})
+    assert str(e.value) == f"{key} entry {entry!r} {why}"
 
 
 @pytest.mark.parametrize("parse, key", PAIR_FIELDS, ids=["reach", "leq"])
 @pytest.mark.parametrize("field", [{}, "", 3, None], ids=["object", "string", "int", "null"])
 def test_pair_fields_must_be_lists(parse, key, field):
-    with pytest.raises(ParseError, match=f'field "{key}" must be a list'):
+    with pytest.raises(ParseError) as e:
         parse({"labels": ["a", "b"], key: field})
+    assert str(e.value) == f'field "{key}" must be a list of [i, j] pairs'
+
+
+def _random_preorder(rng, n):
+    """Reach rows of a random preorder on n points: a random relation,
+    made reflexive and then transitive (Warshall)."""
+    rows = [1 << x | sum(1 << y for y in range(n) if rng.random() < 0.15) for x in range(n)]
+    for k in range(n):
+        for x in range(n):
+            if rows[x] >> k & 1:
+                rows[x] |= rows[k]
+    return rows
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_reach_rows_equal_from_pairs(seed):
+    # duplicate pairs and [i, i] pairs included, in a shuffled order
+    rng = random.Random(seed)
+    n = rng.randrange(0, 13)
+    rows = _random_preorder(rng, n)
+    pairs = [[x, y] for x in range(n) for y in range(n) if rows[x] >> y & 1]
+    pairs = [p for p in pairs if p[0] != p[1] or rng.random() < 0.5]
+    pairs += rng.sample(pairs, len(pairs) // 3)
+    rng.shuffle(pairs)
+    labels = [f"p{i}" for i in range(n)]
+    space = space_from_dict({"labels": labels, "reach": pairs})
+    assert space == from_pairs(labels, pairs)
+    assert space.reach_rows == tuple(rows)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_non_transitive_reach_fails_as_from_pairs_does(seed):
+    rng = random.Random(seed)
+    n = rng.randrange(3, 9)
+    pairs = [[x, x + 1] for x in range(n - 1)]
+    rng.shuffle(pairs)
+    labels = [f"p{i}" for i in range(n)]
+    with pytest.raises(ReachNotPreorder) as want:
+        from_pairs(labels, pairs)
+    with pytest.raises(ReachNotPreorder) as got:
+        space_from_dict({"labels": labels, "reach": pairs})
+    assert str(got.value) == str(want.value)
+    with pytest.raises(NotAPartialOrder) as got:
+        poset_from_dict({"labels": labels, "leq": pairs})
+    assert str(got.value) == str(want.value)
 
 
 def test_large_discrete_round_trip():
