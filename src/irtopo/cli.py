@@ -335,9 +335,8 @@ def _command(sub, name: str, help: str, func, *arguments) -> None:
         *flags, options = (arg, {}) if isinstance(arg, str) else arg
         p.add_argument(*flags, **options)
     p.add_argument("--format", choices=("table", "json"), default="table")
-    words = tuple(p.prog.split()[1:])
-    p.set_defaults(func=func, **dict(zip(("command", f"{words[0]}_command"), words)))
-    _LEAVES[words] = p
+    p.set_defaults(func=func)
+    _LEAVES[tuple(p.prog.split()[1:])] = p
 
 
 @functools.cache

@@ -19,7 +19,8 @@ Poset format: {"labels": ["(0)", "M"], "leq": [[0, 1]]} with the
 non-reflexive contained-in pairs.  Grid format: {"points": [["1/2",
 "0/1"], ["1/1", "1/3"]]} with exact "p/q" coordinates.  A ``reach`` or
 ``leq`` entry that is not a list of two point indices is a ParseError;
-each entry is checked once, in the pass that ORs it into its reach row.
+each entry is checked in one pass, which for ``reach`` also ORs it into
+its reach row.
 """
 
 from __future__ import annotations
@@ -63,15 +64,14 @@ def _rows(d: dict, key: str, n: int) -> list[int]:
     items = d.get(key)
     if not isinstance(items, list):
         raise ParseError(f'field "{key}" must be a list of [i, j] pairs')
-    bits = [1 << x for x in range(n)]
-    rows = bits[:]
+    rows = [1 << x for x in range(n)]
     for item in items:
         if not isinstance(item, list) or len(item) != 2:
             raise ParseError(f"{key} entry {clip_repr(item)} is not an [i, j] pair")
         i, j = item
         if type(i) is not int or type(j) is not int or not (0 <= i < n and 0 <= j < n):
             raise ParseError(f"{key} entry {clip_repr(item)} is not a pair of point indices")
-        rows[i] |= bits[j]
+        rows[i] |= 1 << j
     return rows
 
 
@@ -124,7 +124,8 @@ def poset_from_dict(d: dict) -> FiniteSpace:
     if not isinstance(d, dict):
         raise ParseError("expected a JSON object describing a poset")
     labels = _labels(d)
-    return spec_from_poset(labels, _rows(d, "leq", len(labels)), from_reach)
+    _rows(d, "leq", len(labels))  # checks each entry, with the loader's texts
+    return spec_from_poset(labels, d["leq"])
 
 
 def load_poset(path: str) -> FiniteSpace:

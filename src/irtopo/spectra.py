@@ -71,17 +71,16 @@ def spec_zn(n: int) -> FiniteSpace:
     return FiniteSpace(labels, tuple(1 << i for i in range(len(primes))))
 
 
-def spec_from_poset(labels: Iterable[str], leq: Iterable, build=from_pairs) -> FiniteSpace:
+def spec_from_poset(labels: Iterable[str], leq: Iterable[tuple[int, int]]) -> FiniteSpace:
     """Spectrum presented by a poset of prime ideals under inclusion.
 
     ``leq`` lists the non-reflexive pairs (i, j) with prime i contained
     in prime j, and must already be transitive and antisymmetric
     (NotAPartialOrder otherwise; the relation is not silently closed).
-    With ``build=from_reach`` it gives the relation as reach rows instead.
     Opens are the down-sets; maximal ideals are the closed points.
     """
     try:
-        space = build(labels, leq)
+        space = from_pairs(labels, leq)
     except ReachNotPreorder as e:
         raise NotAPartialOrder(str(e)) from e
     labels, rows = space.labels, space.reach_rows

@@ -120,22 +120,24 @@ def test_leaf_parse_matches_the_full_parse(argv, inputs, monkeypatch):
 def test_leaf_parse_gives_the_full_namespace(argv, monkeypatch):
     parsed = []
 
-    def record(args):
-        parsed.append(vars(args))
-        return 0, dict, list
+    def record(words):
+        def func(args):  # the full parse also names the subcommands under "*command"
+            parsed.append((words, {k: v for k, v in vars(args).items() if not k.endswith("command")}))
+            return 0, dict, list
+
+        return func
 
     cli.build_parser()
-    for leaf in cli._LEAVES.values():
-        monkeypatch.setitem(leaf._defaults, "func", record)
+    for words, leaf in cli._LEAVES.items():
+        monkeypatch.setitem(leaf._defaults, "func", record(words))
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = cli.main(argv)
         monkeypatch.setattr(cli, "_LEAVES", {})
         assert cli.main(argv) == code
     assert len(parsed) in (0, 2)
     assert parsed[:1] == parsed[1:]
-    if parsed:  # the subcommand names: "command", then "spec_command" or "interval_command"
-        first = parsed[0]["command"]
-        words = (first, parsed[0][f"{first}_command"]) if first in ("spec", "interval") else (first,)
+    if parsed:
+        words = parsed[0][0]
         assert list(words) == argv[: len(words)]
 
 
