@@ -13,7 +13,8 @@ subspaces, products and the separation predicates from it.
 Bitmask conventions: a set of points is an int with bit ``i`` set for
 point ``i``; ``reach_rows[x]`` has bit ``y`` set when reach(x, y) holds,
 i.e. row ``x`` is the closure of ``{x}``.  :func:`points_of` is the one
-way to list the points of a mask, and :func:`mask_of` builds one.
+way to list the points of a mask, and :func:`mask_of` builds one: the
+constructors take masks only, and ``spaceio`` converts JSON index lists.
 """
 
 from __future__ import annotations
@@ -116,7 +117,8 @@ class FiniteSpace:
     Labels are presentation metadata only: two spaces compare equal when
     their reach rows agree, whatever the labels say.  Instances are
     immutable and safe to share; the validated constructors are
-    :func:`from_open_sets`, :func:`from_reach` and :func:`from_pairs`.
+    :func:`from_open_sets` and :func:`from_reach`, which take masks, and
+    :func:`from_pairs`.
     """
 
     labels: tuple[str, ...]
@@ -250,46 +252,30 @@ class FiniteSpace:
         return not self.n or self.full_mask in self.reach_rows
 
 
-def _as_mask(o, n: int) -> int:
-    m, far = 0, []  # indices past the space stay out of the mask: 1 << 10**11 is 12.5 GB
-    if isinstance(o, int):
-        if o is True or o is False:
-            raise TypeError(f"open set {o} must be a mask or a sequence of point indices")
-        m = o
-    else:
-        for p in o:
-            if type(p) is not int or p < 0:  # identity tests, which a bool fails
-                raise (ValueError if type(p) is int else TypeError)(
-                    f"point index {clip_repr(p)} must be a non-negative int"
-                )
-            if p < n:
-                m |= 1 << p
-            else:
-                far.append(p)
-    if far or m >> n:
-        raise NotATopology(
-            f"set {sorted({*points_of(m), *far})} uses point indices outside the space"
-        )
-    return m
-
-
-def from_open_sets(labels: Iterable[str], opens: Iterable) -> FiniteSpace:
-    """Build a space from an explicit list of open sets.
+def from_open_sets(labels: Iterable[str], opens: Iterable[int]) -> FiniteSpace:
+    """Build a space from an explicit list of open sets, as masks.
 
     A finite topology is fixed by its minimal neighborhoods U_y: the list
     is one exactly when it holds the empty set, the full set and every
     U_y, and is closed under union with each U_y.  Both checks are linear
     in its length; violations raise NotATopology naming two listed sets
     whose union or intersection is missing, rather than being repaired.
-    Duplicates collapse silently.  Each open may be given as an iterable
-    of point indices or as a bitmask; a bool open or index, another
-    non-int index or a negative one raises TypeError or ValueError.
+    Duplicates collapse silently.  Each open is a mask (see
+    :func:`mask_of`): a non-int, a bool included, raises TypeError, a
+    negative one ValueError and one past the space NotATopology.
     """
     labels = tuple(labels)
     n = len(labels)
     full = (1 << n) - 1
-    fam = canon_sorted({_as_mask(o, n) for o in opens})
-    famset = set(fam)
+    famset = set()
+    for m in opens:
+        require_int("open set", m)  # before hashing, which a list fails with a bare message
+        if m < 0:
+            raise _negative_mask(m)
+        if m > full:
+            raise NotATopology(f"open set {_clip(hex(m))} uses points outside the space")
+        famset.add(m)
+    fam = canon_sorted(famset)
     if 0 not in famset:
         raise NotATopology("the empty set must be listed")
     if full not in famset:
@@ -311,33 +297,25 @@ def from_open_sets(labels: Iterable[str], opens: Iterable) -> FiniteSpace:
     return FiniteSpace(labels, transpose(mo))
 
 
-def from_reach(labels: Iterable[str], relation: Iterable) -> FiniteSpace:
-    """Build a space from a reach relation given as rows of booleans or masks.
+def from_reach(labels: Iterable[str], relation: Iterable[int]) -> FiniteSpace:
+    """Build a space from a reach relation given as mask rows.
 
     The relation must already be reflexive and transitive; anything else
-    raises ReachNotPreorder with a witness.  A bool row, neither a mask nor
-    a sequence, raises TypeError naming its label.
+    raises ReachNotPreorder with a witness.  Without one row per label it
+    raises ValueError before reading a row, and a row that is not an int,
+    a bool, list or tuple included, TypeError naming its label.
     """
-    labels = tuple(labels)
-    n = len(labels)
-    full = (1 << n) - 1
-    rows = []
-    for r in relation:
-        if isinstance(r, int):
-            if r is True or r is False:
-                x = len(rows)
-                name = f"of {clip_repr(labels[x])}" if x < n else x
-                raise TypeError(f"reach row {name} must be a mask or a sequence of booleans, got {r}")
-            row = r
-        else:
-            row = mask_of(y for y, v in enumerate(r) if v)
+    labels, rows = tuple(labels), tuple(relation)
+    if len(rows) != len(labels):
+        raise ValueError("relation must have one row per label")
+    full = (1 << len(rows)) - 1
+    for x, row in enumerate(rows):
+        if not isinstance(row, int) or isinstance(row, bool):
+            label, got = clip_repr(labels[x]), clip_repr(row)
+            raise TypeError(f"reach row of {label} must be an int mask, got {got}")
         if row & ~full:
             raise ValueError("relation row mentions points outside the space")
-        rows.append(row)
-    if len(rows) != n:
-        raise ValueError("relation must have one row per label")
-    for x in range(n):
-        if not rows[x] >> x & 1:
+        if not row >> x & 1:
             raise ReachNotPreorder(f"not reflexive at {clip_repr(labels[x])}")
     for x, row in enumerate(rows):
         for y in points_of(row):
@@ -348,7 +326,7 @@ def from_reach(labels: Iterable[str], relation: Iterable) -> FiniteSpace:
                 raise ReachNotPreorder(
                     f"not transitive: {lx}->{ly} and {ly}->{lz} but not {lx}->{lz}"
                 )
-    return FiniteSpace(labels, tuple(rows))
+    return FiniteSpace(labels, rows)
 
 
 def from_pairs(labels: Iterable[str], pairs: Iterable[tuple[int, int]]) -> FiniteSpace:

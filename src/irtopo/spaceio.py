@@ -18,9 +18,10 @@ as the text of its :func:`space_to_dict` form.
 Poset format: {"labels": ["(0)", "M"], "leq": [[0, 1]]} with the
 non-reflexive contained-in pairs.  Grid format: {"points": [["1/2",
 "0/1"], ["1/1", "1/3"]]} with exact "p/q" coordinates.  A ``reach`` or
-``leq`` entry that is not a list of two point indices is a ParseError;
-each entry is checked in one pass, which for ``reach`` also ORs it into
-its reach row.
+``leq`` entry that is not a list of two point indices, or an ``opens``
+entry that is not a list of point indices, is a ParseError; each entry
+is checked in one pass, which also ORs it into its reach row or its
+mask: the core constructors take masks only.
 """
 
 from __future__ import annotations
@@ -75,26 +76,34 @@ def _rows(d: dict, key: str, n: int) -> list[int]:
     return rows
 
 
+def _open_mask(o, n: int) -> int:
+    """The mask of an ``opens`` entry, each point index checked once."""
+    m = 0
+    if isinstance(o, list):
+        for p in o:
+            # an identity test, which JSON's true and false (ints in Python) fail
+            if type(p) is not int or not 0 <= p < n:
+                break
+            m |= 1 << p
+        else:
+            return m
+    raise ParseError(f"open set {clip_repr(o)} is not a list of point indices")
+
+
 def space_from_dict(d: dict) -> FiniteSpace:
     if not isinstance(d, dict):
         raise ParseError("expected a JSON object describing a space")
     labels = _labels(d)
-    has_reach = "reach" in d
-    has_opens = "opens" in d
-    if not has_reach and not has_opens:
+    if "reach" not in d and "opens" not in d:
         raise ParseError('a space needs a "reach" or an "opens" field')
     n = len(labels)
     space = None
-    if has_opens:
+    if "opens" in d:
         opens = d["opens"]
         if not isinstance(opens, list):
             raise ParseError('field "opens" must be a list of point lists')
-        for o in opens:
-            # an identity test, which JSON's true and false (ints in Python) fail
-            if not isinstance(o, list) or not all(type(p) is int and 0 <= p < n for p in o):
-                raise ParseError(f"open set {clip_repr(o)} is not a list of point indices")
-        space = from_open_sets(labels, opens)
-    if has_reach:
+        space = from_open_sets(labels, [_open_mask(o, n) for o in opens])
+    if "reach" in d:
         reach_space = from_reach(labels, _rows(d, "reach", n))
         if space is not None and space.reach_rows != reach_space.reach_rows:
             raise ParseError('the "reach" and "opens" fields describe different spaces')

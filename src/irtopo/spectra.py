@@ -12,7 +12,6 @@ non-discrete structure (generic points under several maximals).
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import Iterable
 
 from .category import CoverReport, ir_cat
@@ -83,10 +82,11 @@ def spec_from_poset(labels: Iterable[str], leq: Iterable[tuple[int, int]]) -> Fi
         space = from_pairs(labels, leq)
     except ReachNotPreorder as e:
         raise NotAPartialOrder(str(e)) from e
-    labels, rows = space.labels, space.reach_rows
-    if not space.is_t0():
-        x, y = next((x, y) for x, y in combinations(range(space.n), 2) if rows[x] == rows[y])
-        lx, ly = clip_repr(labels[x]), clip_repr(labels[y])
+    # the witness is the least x with a later equal row, then the least such y
+    first = {}
+    pairs = [(x, y) for y, row in enumerate(space.reach_rows) if (x := first.setdefault(row, y)) < y]
+    if pairs:
+        lx, ly = (clip_repr(space.labels[i]) for i in min(pairs))
         raise NotAPartialOrder(f"not antisymmetric: {lx} <= {ly} <= {lx}")
     return space
 

@@ -32,7 +32,7 @@ def union_closure_opens(space):
 
 @pytest.fixture
 def sierpinski():
-    return from_open_sets(["0", "1"], [[], [0], [0, 1]])
+    return from_open_sets(["0", "1"], [0, 0b01, 0b11])
 
 
 @pytest.fixture

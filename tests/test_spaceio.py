@@ -3,6 +3,7 @@ import json
 import random
 import re
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -42,6 +43,54 @@ SPACES_UPTO4 = [s for n in range(1, 5) for s in enumerate_spaces(n)]
 def test_space_rejects_boolean_indices(doc):
     with pytest.raises(ParseError):
         space_from_dict(doc)
+
+
+# the first bad open is named whole, whatever follows it
+BAD_OPENS = {
+    "true": [True],
+    "false": [0, False],
+    "float": [1.0],
+    "str": ["1"],
+    "null": [None],
+    "negative": [-1],
+    "past-end": [2],
+    "far": [0, 10**8],
+    "far-then-str": [10**8, "x"],
+    "int": 3,
+    "string": "01",
+    "object": {"0": 1},
+}
+
+
+@pytest.mark.parametrize("entry", list(BAD_OPENS.values()), ids=list(BAD_OPENS))
+def test_opens_entries_are_lists_of_point_indices(entry):
+    with pytest.raises(ParseError) as e:
+        space_from_dict({"labels": ["a", "b"], "opens": [[], entry, [0, 1], [9], 7]})
+    assert str(e.value) == f"open set {entry!r} is not a list of point indices"
+
+
+@pytest.mark.parametrize("field", [{}, "", 3, None], ids=["object", "string", "int", "null"])
+def test_opens_field_must_be_a_list(field):
+    with pytest.raises(ParseError) as e:
+        space_from_dict({"labels": ["a", "b"], "opens": field})
+    assert str(e.value) == 'field "opens" must be a list of point lists'
+
+
+def test_far_open_index_is_never_shifted():
+    # 1 << 10**8 alone would be a 12.5 MB int; the index is refused unshifted
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError, match=r"^open set \[100000000\] is not a list"):
+            space_from_dict({"labels": ["a"], "opens": [[], [0], [10**8]]})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_opens_are_read_as_their_masks():
+    doc = {"labels": ["a", "b", "c"], "opens": [[], [1, 0], [0, 0], [2, 1, 0], [0, 1]]}
+    assert space_from_dict(doc).open_sets == (0, 0b001, 0b011, 0b111)
 
 
 def test_poset_rejects_boolean_indices():

@@ -1,4 +1,7 @@
 import math
+import random
+import time
+from itertools import combinations
 
 import pytest
 
@@ -10,6 +13,7 @@ from irtopo import (
     factorize,
     ir_cat,
     ir_co,
+    mask_of,
     points_of,
     spec_from_poset,
     spec_zn,
@@ -112,6 +116,40 @@ class TestSpecFromPoset:
     def test_rejects_cycle(self):
         with pytest.raises(NotAPartialOrder, match="antisymmetric"):
             spec_from_poset(["a", "b"], [(0, 1), (1, 0)])
+
+    def test_antisymmetry_witness_is_the_least_x_first(self):
+        # classes {1, 2} and {0, 5}: 1 = 2 is met first, but 0 is the least x
+        pairs = [(1, 2), (2, 1), (0, 5), (5, 0)]
+        with pytest.raises(NotAPartialOrder) as e:
+            spec_from_poset([f"p{i}" for i in range(6)], pairs)
+        assert str(e.value) == "not antisymmetric: 'p0' <= 'p5' <= 'p0'"
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_antisymmetry_witness_matches_the_pairwise_scan(self, seed):
+        # a random preorder: n points in m < n classes, so two rows agree,
+        # under a random order of the classes closed transitively
+        rng = random.Random(seed)
+        n = rng.randint(2, 30)
+        m = rng.randint(1, n - 1)
+        cls = [rng.randrange(m) for _ in range(n)]
+        up = [1 << c | sum(1 << d for d in range(c + 1, m) if rng.random() < 0.3) for c in range(m)]
+        for c in reversed(range(m)):
+            for d in points_of(up[c] >> c + 1):
+                up[c] |= up[c + 1 + d]
+        rows = [mask_of(y for y in range(n) if up[cls[x]] >> cls[y] & 1) for x in range(n)]
+        x, y = next((x, y) for x, y in combinations(range(n), 2) if rows[x] == rows[y])
+        leq = [(a, b) for a in range(n) for b in points_of(rows[a]) if a != b]
+        with pytest.raises(NotAPartialOrder) as e:
+            spec_from_poset([f"p{i}" for i in range(n)], leq)
+        assert str(e.value) == f"not antisymmetric: 'p{x}' <= 'p{y}' <= 'p{x}'"
+
+    def test_antisymmetry_witness_is_linear(self):
+        # one equal pair at the end of 8,000 points: a pairwise scan takes seconds
+        n = 8000
+        start = time.perf_counter()
+        with pytest.raises(NotAPartialOrder, match="'p7998' <= 'p7999'"):
+            spec_from_poset([f"p{i}" for i in range(n)], [(n - 2, n - 1), (n - 1, n - 2)])
+        assert time.perf_counter() - start < 1
 
     def test_rejects_missing_transitivity(self):
         with pytest.raises(NotAPartialOrder, match="transitive"):
