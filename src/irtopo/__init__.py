@@ -16,7 +16,6 @@ from .core import (
     ReachNotPreorder,
     SearchBudgetExceeded,
     from_open_sets,
-    from_pairs,
     from_reach,
     mask_of,
     points_of,

@@ -14,7 +14,8 @@ Bitmask conventions: a set of points is an int with bit ``i`` set for
 point ``i``; ``reach_rows[x]`` has bit ``y`` set when reach(x, y) holds,
 i.e. row ``x`` is the closure of ``{x}``.  :func:`points_of` is the one
 way to list the points of a mask, and :func:`mask_of` builds one: the
-constructors take masks only, and ``spaceio`` converts JSON index lists.
+constructors take masks only, and ``spaceio`` is the one place JSON
+index lists and index pairs become masks.
 """
 
 from __future__ import annotations
@@ -117,8 +118,7 @@ class FiniteSpace:
     Labels are presentation metadata only: two spaces compare equal when
     their reach rows agree, whatever the labels say.  Instances are
     immutable and safe to share; the validated constructors are
-    :func:`from_open_sets` and :func:`from_reach`, which take masks, and
-    :func:`from_pairs`.
+    :func:`from_open_sets` and :func:`from_reach`, which take masks.
     """
 
     labels: tuple[str, ...]
@@ -216,12 +216,14 @@ class FiniteSpace:
 
         This agrees with the relative topology {O & aset}; raises
         EmptySpace when no points are selected, ValueError on a negative
-        mask and TypeError when ``aset`` is not an int (a bool included).
+        mask or one with points past the space, and TypeError when
+        ``aset`` is not an int (a bool included).
         """
         require_int("aset", aset)
         if aset < 0:
             raise _negative_mask(aset)
-        aset &= self.full_mask
+        if aset > self.full_mask:
+            raise ValueError(f"mask {_clip(hex(aset))} has points outside the space")
         if aset == 0:
             raise EmptySpace("a subspace needs at least one point")
         pts = points_of(aset)
@@ -327,26 +329,6 @@ def from_reach(labels: Iterable[str], relation: Iterable[int]) -> FiniteSpace:
                     f"not transitive: {lx}->{ly} and {ly}->{lz} but not {lx}->{lz}"
                 )
     return FiniteSpace(labels, rows)
-
-
-def from_pairs(labels: Iterable[str], pairs: Iterable[tuple[int, int]]) -> FiniteSpace:
-    """Build a space from its non-reflexive reach pairs (x, y), by index.
-
-    The diagonal is implied and the pairs must already be transitive
-    (ReachNotPreorder otherwise, via :func:`from_reach`); an index that
-    is not an int, a bool included, raises TypeError, and one outside the
-    space ValueError.
-    """
-    labels = tuple(labels)
-    n = len(labels)
-    rows = [1 << x for x in range(n)]
-    for x, y in pairs:
-        if type(x) is not int or type(y) is not int:  # identity tests, which a bool fails
-            raise TypeError(f"pair {clip_repr((x, y))} must hold two int point indices")
-        if not (0 <= x < n and 0 <= y < n):
-            raise ValueError(f"pair ({x}, {y}) mentions points outside the space")
-        rows[x] |= 1 << y
-    return from_reach(labels, rows)
 
 
 def extend_opens(opens: Sequence[int], out: int, inc: int, bit: int) -> list[int]:

@@ -21,7 +21,8 @@ non-reflexive contained-in pairs.  Grid format: {"points": [["1/2",
 ``leq`` entry that is not a list of two point indices, or an ``opens``
 entry that is not a list of point indices, is a ParseError; each entry
 is checked in one pass, which also ORs it into its reach row or its
-mask: the core constructors take masks only.
+mask, and those rows and masks go on to the core constructors and
+``spec_from_poset``, which take masks only.
 """
 
 from __future__ import annotations
@@ -133,8 +134,7 @@ def poset_from_dict(d: dict) -> FiniteSpace:
     if not isinstance(d, dict):
         raise ParseError("expected a JSON object describing a poset")
     labels = _labels(d)
-    _rows(d, "leq", len(labels))  # checks each entry, with the loader's texts
-    return spec_from_poset(labels, d["leq"])
+    return spec_from_poset(labels, _rows(d, "leq", len(labels)))
 
 
 def load_poset(path: str) -> FiniteSpace:

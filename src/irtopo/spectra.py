@@ -7,7 +7,9 @@ is returned as a plain FiniteSpace, and its maximal ideals are its
 ``closed_points()``.  Two presentations are supported: the spectrum of
 Z/n (one discrete point per distinct prime divisor of n, all maximal)
 and an arbitrary finite poset of labelled primes, which exercises the
-non-discrete structure (generic points under several maximals).
+non-discrete structure (generic points under several maximals).  A
+poset file's index pairs become mask rows in ``spaceio``, which checks
+each entry once.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from .core import (
     ReachNotPreorder,
     SearchBudgetExceeded,
     clip_repr,
-    from_pairs,
+    from_reach,
     require_int,
 )
 
@@ -70,16 +72,18 @@ def spec_zn(n: int) -> FiniteSpace:
     return FiniteSpace(labels, tuple(1 << i for i in range(len(primes))))
 
 
-def spec_from_poset(labels: Iterable[str], leq: Iterable[tuple[int, int]]) -> FiniteSpace:
+def spec_from_poset(labels: Iterable[str], rows: Iterable[int]) -> FiniteSpace:
     """Spectrum presented by a poset of prime ideals under inclusion.
 
-    ``leq`` lists the non-reflexive pairs (i, j) with prime i contained
-    in prime j, and must already be transitive and antisymmetric
-    (NotAPartialOrder otherwise; the relation is not silently closed).
-    Opens are the down-sets; maximal ideals are the closed points.
+    ``rows[i]`` is the mask of the primes containing prime i, itself
+    included: reach rows, as :func:`from_reach` takes them, with its
+    TypeError and ValueError for rows that are not masks of the space.
+    The relation must be reflexive, transitive and antisymmetric
+    (NotAPartialOrder otherwise; it is not silently closed).  Opens are
+    the down-sets; maximal ideals are the closed points.
     """
     try:
-        space = from_pairs(labels, leq)
+        space = from_reach(labels, rows)
     except ReachNotPreorder as e:
         raise NotAPartialOrder(str(e)) from e
     # the witness is the least x with a later equal row, then the least such y

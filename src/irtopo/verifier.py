@@ -134,7 +134,12 @@ def enumerate_spaces(n: int) -> Iterator[FiniteSpace]:
 
 
 def topologies_by_open_families(n: int) -> set[tuple[int, ...]]:
-    """Reach-row tuples of every topology found by the open-family recount."""
+    """Reach-row tuples of every topology found by the open-family recount.
+
+    An n that is not an int raises TypeError, and one outside 1..4
+    SearchBudgetExceeded, as :func:`enumerate_spaces` does.
+    """
+    require_int("n", n)
     if not 1 <= n <= 4:
         raise SearchBudgetExceeded("open-family recount supports 1..4 points")
     full = (1 << n) - 1

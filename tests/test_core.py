@@ -12,8 +12,8 @@ from irtopo import (
     NotATopology,
     ReachNotPreorder,
     SearchBudgetExceeded,
+    chain_space,
     from_open_sets,
-    from_pairs,
     from_reach,
     ir_co,
     mask_of,
@@ -214,29 +214,6 @@ def test_open_families_match_pairwise_oracle(n):
             assert set(s.open_sets) == fam
             accepted.append(s.reach_rows)
     assert set(accepted) == topologies_by_open_families(n)
-
-
-class TestFromPairs:
-    def test_chain_matches_sierpinski(self, sierpinski):
-        assert from_pairs(["0", "1"], [(0, 1)]) == sierpinski
-
-    def test_diagonal_is_implied_and_allowed(self):
-        s = from_pairs(["a", "b"], [(0, 0), (1, 1)])
-        assert s.reach_rows == (0b01, 0b10)
-
-    def test_not_transitive(self):
-        with pytest.raises(ReachNotPreorder, match="transitive"):
-            from_pairs(["a", "b", "c"], [(0, 1), (1, 2)])
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            from_pairs(["a"], [(0, 1)])
-
-    # a bool would pass as point 1 or 0; each refusal names the pair
-    @pytest.mark.parametrize("pair", [(True, 1), (0, False), (1.0, 0), (0, 1.0), ("0", 1)])
-    def test_non_int_index(self, pair):
-        with pytest.raises(TypeError, match=re.escape(f"pair {pair!r} ")):
-            from_pairs(["a", "b"], [pair])
 
 
 class TestFromReach:
@@ -441,6 +418,17 @@ class TestSubspace:
                 for o in s.open_sets:
                     relative.add(mask_of(index[p] for p in points_of(o & mask)))
                 assert set(sub.open_sets) == relative
+
+    @pytest.mark.parametrize(
+        "aset, text",
+        [(0b1010, "0xa"), (0b1000, "0x8"), (1 << 200, "0x1" + "0" * 37 + "...")],
+        ids=["points-1-and-3", "point-3-only", "far"],
+    )
+    def test_points_past_the_space_rejected(self, aset, text):
+        # never clipped to the 3-point space: 0b1010 would give the
+        # subspace on point 1, and 0b1000 no point
+        with pytest.raises(ValueError, match=f"^mask {re.escape(text)} has points outside the space$"):
+            chain_space(3).subspace(aset)
 
     @pytest.mark.parametrize("aset", [True, False, 1.0, "1"], ids=repr)
     def test_non_int_mask_rejected(self, sierpinski, aset):

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import time
 from itertools import combinations
 
@@ -95,18 +96,18 @@ class TestSpecZn:
 
 class TestSpecFromPoset:
     def test_local_chain(self):
-        s = spec_from_poset(["(0)", "(p)"], [(0, 1)])
+        s = spec_from_poset(["(0)", "(p)"], [0b11, 0b10])
         assert points_of(s.closed_points()) == (1,)
         assert points_of(ir_co(s)) == (1,)
         assert ir_cat(s).size == 1
 
     def test_antichain(self):
-        s = spec_from_poset(["M1", "M2", "M3"], [])
+        s = spec_from_poset(["M1", "M2", "M3"], [0b001, 0b010, 0b100])
         assert s.closed_points() == 0b111
         assert ir_cat(s).size == 3
 
     def test_v_poset(self):
-        s = spec_from_poset(["(0)", "M1", "M2"], [(0, 1), (0, 2)])
+        s = spec_from_poset(["(0)", "M1", "M2"], [0b111, 0b010, 0b100])
         assert points_of(s.closed_points()) == (1, 2)
         rep = ir_cat(s)
         assert rep.size == 2
@@ -115,13 +116,13 @@ class TestSpecFromPoset:
 
     def test_rejects_cycle(self):
         with pytest.raises(NotAPartialOrder, match="antisymmetric"):
-            spec_from_poset(["a", "b"], [(0, 1), (1, 0)])
+            spec_from_poset(["a", "b"], [0b11, 0b11])
 
     def test_antisymmetry_witness_is_the_least_x_first(self):
         # classes {1, 2} and {0, 5}: 1 = 2 is met first, but 0 is the least x
-        pairs = [(1, 2), (2, 1), (0, 5), (5, 0)]
+        rows = [0b100001, 0b110, 0b110, 0b1000, 0b10000, 0b100001]
         with pytest.raises(NotAPartialOrder) as e:
-            spec_from_poset([f"p{i}" for i in range(6)], pairs)
+            spec_from_poset([f"p{i}" for i in range(6)], rows)
         assert str(e.value) == "not antisymmetric: 'p0' <= 'p5' <= 'p0'"
 
     @pytest.mark.parametrize("seed", range(20))
@@ -138,26 +139,33 @@ class TestSpecFromPoset:
                 up[c] |= up[c + 1 + d]
         rows = [mask_of(y for y in range(n) if up[cls[x]] >> cls[y] & 1) for x in range(n)]
         x, y = next((x, y) for x, y in combinations(range(n), 2) if rows[x] == rows[y])
-        leq = [(a, b) for a in range(n) for b in points_of(rows[a]) if a != b]
         with pytest.raises(NotAPartialOrder) as e:
-            spec_from_poset([f"p{i}" for i in range(n)], leq)
+            spec_from_poset([f"p{i}" for i in range(n)], rows)
         assert str(e.value) == f"not antisymmetric: 'p{x}' <= 'p{y}' <= 'p{x}'"
 
     def test_antisymmetry_witness_is_linear(self):
         # one equal pair at the end of 8,000 points: a pairwise scan takes seconds
         n = 8000
+        pair = 1 << n - 2 | 1 << n - 1
+        rows = [1 << x for x in range(n - 2)] + [pair, pair]
         start = time.perf_counter()
         with pytest.raises(NotAPartialOrder, match="'p7998' <= 'p7999'"):
-            spec_from_poset([f"p{i}" for i in range(n)], [(n - 2, n - 1), (n - 1, n - 2)])
+            spec_from_poset([f"p{i}" for i in range(n)], rows)
         assert time.perf_counter() - start < 1
 
     def test_rejects_missing_transitivity(self):
         with pytest.raises(NotAPartialOrder, match="transitive"):
-            spec_from_poset(["a", "b", "c"], [(0, 1), (1, 2)])
+            spec_from_poset(["a", "b", "c"], [0b011, 0b110, 0b100])
 
-    def test_rejects_bad_index(self):
-        with pytest.raises(ValueError):
-            spec_from_poset(["a"], [(0, 4)])
+    def test_rejects_a_row_past_the_space(self):
+        with pytest.raises(ValueError, match="outside the space"):
+            spec_from_poset(["a"], [0b10001])
+
+    @pytest.mark.parametrize("row", [True, [0], (0, 1), 1.0], ids=repr)
+    def test_rejects_a_non_int_row(self, row):
+        text = f"reach row of 'b' must be an int mask, got {row!r}"
+        with pytest.raises(TypeError, match=re.escape(text)):
+            spec_from_poset(["a", "b"], [0b01, row])
 
 
 class TestTheorem8:
@@ -166,15 +174,13 @@ class TestTheorem8:
         assert ok and rep.size == 3
 
     def test_local_chain(self):
-        ok, rep = check_theorem8(spec_from_poset(["(0)", "(p)"], [(0, 1)]))
+        ok, rep = check_theorem8(spec_from_poset(["(0)", "(p)"], [0b11, 0b10]))
         assert ok and rep.size == 1
 
     def test_expected_cover_shape(self):
         # complements of "all other maximal ideals" always give a valid
         # deformable cover of the right size
-        s = spec_from_poset(
-            ["(0)", "M1", "M2", "M3"], [(0, 1), (0, 2), (0, 3)]
-        )
+        s = spec_from_poset(["(0)", "M1", "M2", "M3"], [0b1111, 0b0010, 0b0100, 0b1000])
         ok, rep = check_theorem8(s)
         assert ok and rep.size == 3
         maximal = s.closed_points()
@@ -189,14 +195,14 @@ class TestTheorem8:
         for s in spaces_upto4:
             if not s.is_t0():
                 continue
-            ok, _ = check_theorem8(spec_from_poset(s.labels, s.reach_pairs()))
+            ok, _ = check_theorem8(spec_from_poset(s.labels, s.reach_rows))
             assert ok
 
     def test_optimal_cover_is_the_neighbourhoods_of_the_maximal_ideals(self, spaces_upto4):
         # not the complements of the other maximal ideals: for a < M1,
         # c < M2 the cover is {a, M1}, {c, M2}, while the complement of
         # {M2} is {a, c, M1}
-        s = spec_from_poset(["a", "M1", "c", "M2"], [(0, 1), (2, 3)])
+        s = spec_from_poset(["a", "M1", "c", "M2"], [0b0011, 0b0010, 0b1100, 0b1000])
         assert check_theorem8(s)[1].sets == (0b0011, 0b1100)
         for s in spaces_upto4:
             if s.is_t0():
@@ -209,7 +215,7 @@ class TestTheorem8:
         posets = [s for n in range(1, 6) for s in enumerate_spaces(n) if s.is_t0()]
         assert len(posets) == 4473
         for s in posets:
-            sp = spec_from_poset(s.labels, s.reach_pairs())
+            sp = spec_from_poset(s.labels, s.reach_rows)
             assert (sp.labels, sp.reach_rows) == (s.labels, s.reach_rows)
 
 
@@ -222,19 +228,18 @@ class TestSpecInvariants:
 
     def test_spectra_are_t0_and_t1_iff_antichain(self):
         for s in self._posets():
-            pairs = s.reach_pairs()
-            sp = spec_from_poset(s.labels, pairs)
+            sp = spec_from_poset(s.labels, s.reach_rows)
             assert sp.is_t0()
-            assert sp.is_t1() == (not pairs)
+            assert sp.is_t1() == (not s.reach_pairs())
 
     def test_closure_is_up_set(self):
-        s = spec_from_poset(["(0)", "M1", "M2"], [(0, 1), (0, 2)])
+        s = spec_from_poset(["(0)", "M1", "M2"], [mask_of([0, 1, 2]), mask_of([1]), mask_of([2])])
         assert s.reach_rows[0] == 0b111
         assert s.reach_rows[1] == 0b010
 
     def test_core_iff_unique_maximal(self):
         for s in self._posets():
-            sp = spec_from_poset(s.labels, s.reach_pairs())
+            sp = spec_from_poset(s.labels, s.reach_rows)
             core = ir_co(sp)
             maximal = sp.closed_points()
             if maximal.bit_count() == 1:

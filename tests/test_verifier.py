@@ -4,6 +4,7 @@ import json
 import multiprocessing
 import operator
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -229,6 +230,13 @@ class TestEnumeration:
             assert len(families) == EXPECTED_COUNTS[n]
             enumerated = {s.reach_rows for s in enumerate_spaces(n)}
             assert families == enumerated
+
+    @pytest.mark.parametrize("n", [True, "2", 2.0], ids=repr)
+    def test_open_family_recount_rejects_a_non_int(self, n):
+        # True would recount the 1-point space, and "2" reach the range
+        # check's bare comparison error
+        with pytest.raises(TypeError, match=f"^n must be an int, got {re.escape(repr(n))}$"):
+            topologies_by_open_families(n)
 
 
 class TestOracle:
