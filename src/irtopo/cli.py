@@ -425,6 +425,3 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
 
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -152,7 +152,10 @@ class FiniteSpace:
         return bool(self.reach_rows[x] >> y & 1)
 
     def labels_of(self, aset: int) -> list[str]:
-        """The labels of the points of ``aset``, in ascending index order."""
+        """The labels of the points of ``aset``, in ascending index order;
+        ``aset`` is refused as :meth:`subspace` refuses it."""
+        if type(aset) is not int or not 0 <= aset <= self.full_mask:
+            self._check_mask(aset)
         return [self.labels[p] for p in points_of(aset)]
 
     def reach_pairs(self) -> list[tuple[int, int]]:
@@ -200,7 +203,10 @@ class FiniteSpace:
     def common_reach(self, aset: int) -> int:
         """The points reachable from every point of ``aset``: the
         intersection of their closures, the whole space when ``aset`` is
-        empty."""
+        empty.  ``aset`` is refused as :meth:`subspace` refuses it."""
+        # a sweep asks for it by the 100,000; a plain int in range skips the call
+        if type(aset) is not int or not 0 <= aset <= self.full_mask:
+            self._check_mask(aset)
         out = self.full_mask
         rows = self.reach_rows
         for x in points_of(aset):
@@ -211,6 +217,15 @@ class FiniteSpace:
         """The points x whose closure is {x}; in a spectrum, the maximal ideals."""
         return mask_of(x for x, row in enumerate(self.reach_rows) if row == 1 << x)
 
+    def _check_mask(self, aset: int) -> None:
+        """TypeError when ``aset`` is not an int (a bool included), and
+        ValueError when it is negative or has points past the space."""
+        require_int("aset", aset)
+        if aset < 0:
+            raise _negative_mask(aset)
+        if aset > self.full_mask:
+            raise ValueError(f"mask {_clip(hex(aset))} has points outside the space")
+
     def subspace(self, aset: int) -> FiniteSpace:
         """The subspace on the points of ``aset``, reach restricted.
 
@@ -219,11 +234,7 @@ class FiniteSpace:
         mask or one with points past the space, and TypeError when
         ``aset`` is not an int (a bool included).
         """
-        require_int("aset", aset)
-        if aset < 0:
-            raise _negative_mask(aset)
-        if aset > self.full_mask:
-            raise ValueError(f"mask {_clip(hex(aset))} has points outside the space")
+        self._check_mask(aset)
         if aset == 0:
             raise EmptySpace("a subspace needs at least one point")
         pts = points_of(aset)

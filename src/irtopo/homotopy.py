@@ -226,16 +226,18 @@ def ir_homotopy_equivalent(
 
     Given f, the two conditions bound each g(q) on its own: g(q) lies in
     the closure of each p with f(p) = q, and f(g(q)) in that of q.  So
-    each f in turn gets at most one search for its first g within those
-    points; it is exhaustive, so None is a proof that no pair exists.
+    each f before the first pair gets one search for its first g within
+    those points; it is exhaustive, so None is a proof that no pair exists.
     """
-    # both directions counted in full first, so an over-budget input
-    # raises before any answer; only the returned pair is validated as maps
+    # all maps g, then all maps f are walked, so an over-budget input raises
+    # before any answer; only the returned pair is validated as maps
     search_xy, search_yx = _map_search(x, y), _map_search(y, x)
-    for side in (search_xy(), search_yx()):
-        for _ in side:
-            pass
+    for _ in search_yx():
+        pass
+    pair = None
     for fa in search_xy():
+        if pair is not None:
+            continue
         within, hit = [x.full_mask] * y.n, [0] * y.n
         for p, q in enumerate(fa):
             within[q] &= x.reach_rows[p]  # g(q) in the closure of p
@@ -244,5 +246,6 @@ def ir_homotopy_equivalent(
         within = [w & h for w, h in zip(within, hit)]
         if all(within):  # else some q has no image
             for ga in search_yx(within):
-                return ContinuousMap(x, y, tuple(fa)), ContinuousMap(y, x, tuple(ga))
-    return None
+                pair = ContinuousMap(x, y, tuple(fa)), ContinuousMap(y, x, tuple(ga))
+                break
+    return pair

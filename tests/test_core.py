@@ -91,6 +91,34 @@ def test_negative_masks_rejected(query, mask):
         query(mask)
 
 
+MASK_QUERIES = pytest.mark.parametrize(
+    "query",
+    [lambda s, m: s.labels_of(m), lambda s, m: s.common_reach(m), lambda s, m: s.subspace(m)],
+    ids=["labels_of", "common_reach", "subspace"],
+)
+
+
+@MASK_QUERIES
+@pytest.mark.parametrize(
+    "aset, text",
+    [(0b1010, "0xa"), (0b1000, "0x8"), (1 << 200, "0x1" + "0" * 37 + "...")],
+    ids=["points-1-and-3", "point-3-only", "far"],
+)
+def test_points_past_the_space_rejected(query, aset, text):
+    # never clipped to the 3-point space: 0b1010 would give the subspace
+    # on point 1, and 0b1000 no point; nor a bare IndexError
+    with pytest.raises(ValueError, match=f"^mask {re.escape(text)} has points outside the space$"):
+        query(chain_space(3), aset)
+
+
+@MASK_QUERIES
+@pytest.mark.parametrize("aset", [True, False, 1.0, "1", None], ids=repr)
+def test_non_int_mask_rejected(query, aset):
+    # True would select point 0 and False no point
+    with pytest.raises(TypeError, match=f"^aset must be an int, got {re.escape(repr(aset))}$"):
+        query(chain_space(3), aset)
+
+
 class TestStoredSize:
     """``n`` and ``full_mask`` are stored on the instance at construction."""
 
@@ -418,23 +446,6 @@ class TestSubspace:
                 for o in s.open_sets:
                     relative.add(mask_of(index[p] for p in points_of(o & mask)))
                 assert set(sub.open_sets) == relative
-
-    @pytest.mark.parametrize(
-        "aset, text",
-        [(0b1010, "0xa"), (0b1000, "0x8"), (1 << 200, "0x1" + "0" * 37 + "...")],
-        ids=["points-1-and-3", "point-3-only", "far"],
-    )
-    def test_points_past_the_space_rejected(self, aset, text):
-        # never clipped to the 3-point space: 0b1010 would give the
-        # subspace on point 1, and 0b1000 no point
-        with pytest.raises(ValueError, match=f"^mask {re.escape(text)} has points outside the space$"):
-            chain_space(3).subspace(aset)
-
-    @pytest.mark.parametrize("aset", [True, False, 1.0, "1"], ids=repr)
-    def test_non_int_mask_rejected(self, sierpinski, aset):
-        # True would select point 0 and False no point
-        with pytest.raises(TypeError, match=re.escape(f"aset must be an int, got {aset!r}")):
-            sierpinski.subspace(aset)
 
 
 def _random_preorder(rng, n):

@@ -23,6 +23,7 @@ from irtopo import (
     product,
 )
 
+from irtopo import homotopy
 from irtopo.core import clip_repr
 from irtopo.homotopy import continuous_maps
 from irtopo.verifier import _check_t11, _spaces_upto, enumerate_spaces
@@ -321,6 +322,37 @@ class TestEquivalence:
             monkeypatch.setenv("IRTOPO_BUDGET_MAPS", "3")
             f, g = ir_homotopy_equivalent(x, y)
             assert (f.assignment, g.assignment) == pair
+
+    @pytest.mark.parametrize(
+        "x, y, found",
+        [
+            (chain_space(2), discrete(1), True),
+            (discrete(2), discrete(3), False),
+            (FiniteSpace((), ()), discrete(1), False),
+            (discrete(1), FiniteSpace((), ()), False),
+            (FiniteSpace((), ()), FiniteSpace((), ()), True),
+        ],
+        ids=["answer", "no-answer", "empty-x", "empty-y", "both-empty"],
+    )
+    def test_walks_each_map_tree_once(self, monkeypatch, x, y, found):
+        # each search made counts its runs without `within`; the maps f
+        # (made first) are walked once, counting and pairing together
+        unmasked = []
+        make = homotopy._map_search
+
+        def counting(domain, codomain):
+            search, side = make(domain, codomain), len(unmasked)
+            unmasked.append(0)
+
+            def run(within=None):
+                unmasked[side] += within is None
+                return search(within)
+
+            return run
+
+        monkeypatch.setattr(homotopy, "_map_search", counting)
+        assert (ir_homotopy_equivalent(x, y) is not None) == found
+        assert unmasked == [1, 1]
 
     def test_builds_only_the_returned_maps(self, monkeypatch):
         # the search yields monotone assignments; only the answer is
