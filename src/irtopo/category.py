@@ -43,6 +43,7 @@ from .core import (
     IrtopoError,
     canon_sorted,
     points_of,
+    require_int,
 )
 
 
@@ -106,11 +107,13 @@ def ir_cat(space: FiniteSpace) -> CoverReport:
 
 
 def _open_cover(space: FiniteSpace, cover: Iterable[int]) -> tuple[int, ...]:
-    """The members of ``cover``; NotACover unless they are open and cover the space."""
+    """The members of ``cover``; TypeError on a member that is not an int
+    (a bool included), NotACover unless they are open and cover the space."""
     members = tuple(cover)
     full = space.full_mask
     union = 0
     for v in members:
+        require_int("cover member", v)
         if v & ~full:
             # on a negative mask points_of raises ValueError, not NotACover
             raise NotACover(f"member {v:#b} has points outside the space")

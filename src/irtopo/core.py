@@ -191,7 +191,9 @@ class FiniteSpace:
 
     def is_open(self, mask: int) -> bool:
         """Whether ``mask`` is an open set of this space; False for any
-        mask with points outside it, negative masks included."""
+        mask with points outside it, negative masks included, and
+        TypeError when it is not an int (a bool included)."""
+        require_int("mask", mask)
         if mask & ~self.full_mask:
             return False
         min_opens = self.min_opens

@@ -25,8 +25,9 @@ kept here as oracles (``_cover_search``, ``_dimension_search``), so the
 claims that use them check their statements by brute force.
 ``_cover_search`` answers in both witness senses from one listing of
 the deformable opens: a witness inside its set is the ambient witness
-cut down to the set.  ``chain_homotopy_oracle`` decides deformations
-over the two-point chain from open sets alone, never from reach.  The
+cut down to the set.  Every oracle reads neighbourhoods through one
+derivation, ``_meets``, from the open sets; none reads ``min_opens``
+or ``common_reach``, and ``reach_rows`` only hash a space.  The
 irredundant covers that L1, L2_subcover, C5 and T13 sweep are read in
 one form, packed ``bytes`` (``_packed_covers``), and are open covers by
 construction, so L1 and L2_subcover call the decisions
@@ -181,9 +182,9 @@ def box_topology(x: FiniteSpace, y: FiniteSpace) -> frozenset[int]:
 
 def _meets(space: FiniteSpace) -> list[int]:
     """meets[p]: the intersection of the open sets holding p, read from
-    ``open_sets`` alone.  The opens are closed under intersection, so that
-    meet is the unique smallest open holding p, and in canonical order (by
-    size) it is the first open holding p."""
+    ``open_sets`` alone; the one neighbourhood derivation of the oracles.
+    The opens are closed under intersection, so that meet is the smallest
+    open holding p, and in canonical order (by size) the first one."""
     meets = [0] * space.n
     todo = space.full_mask
     for o in space.open_sets:
@@ -234,8 +235,7 @@ def chain_homotopy_oracle(x: FiniteSpace, y: FiniteSpace, f, targets) -> int:
     each product point lies in a smallest box, the meet of the boxes
     holding it (``_smallest_boxes``, once per call); a set is the union
     of the boxes inside it exactly when it holds the smallest box of
-    each of its points.  Only ``open_sets`` of x, y and the chain are
-    read, never their reach relations.
+    each of its points.  Only the open sets are read, never reach.
     """
     nx, ny = x.n, y.n
     targets = list(targets)
@@ -296,22 +296,31 @@ _CLOSURE_ROWS: dict[FiniteSpace, bytes] = {}
 
 
 def _closure_rows(space: FiniteSpace) -> bytes:
-    """``_closure_via_opens`` at each point of a space of at most 8 points,
-    computed once per process; T2, T3, T4, P4 and C9 read this one copy."""
+    """The closure of each point of a space of at most 8 points, once per
+    process: row x holds the y with x in meets[y].  T2, T3, T4, P4 and C9
+    read this one copy."""
     rows = _CLOSURE_ROWS.get(space)
     if rows is None:
-        rows = _CLOSURE_ROWS[space] = bytes(_closure_via_opens(space, x) for x in range(space.n))
+        cols = [0] * space.n
+        for y, meet in enumerate(_meets(space)):
+            for x in points_of(meet):
+                cols[x] |= 1 << y
+        rows = _CLOSURE_ROWS[space] = bytes(cols)
     return rows
 
 
 def _deformable_opens(space: FiniteSpace) -> dict[int, int]:
-    """Each nonempty open set with a nonempty ambient witness, the points
-    reachable from all of it, mapped to that witness, in ``open_sets``
-    order."""
+    """Each nonempty open set o with a nonempty ambient witness, the
+    points w reachable from all of it (o lies in meets[w]), mapped to
+    that witness, in ``open_sets`` order."""
+    meets = _meets(space)
     out = {}
-    for o in space.open_sets:
-        w = space.common_reach(o)
-        if o and w:
+    for o in space.open_sets[1:]:  # past the empty open, first in canonical order
+        w = 0
+        for p, meet in enumerate(meets):
+            if not o & ~meet:
+                w |= 1 << p
+        if w:
             out[o] = w
     return out
 
@@ -406,16 +415,6 @@ class ClaimReport:
 def _spaces_upto(n_max: int) -> Iterator[FiniteSpace]:
     for n in range(1, n_max + 1):
         yield from enumerate_spaces(n)
-
-
-def _closure_via_opens(s: FiniteSpace, x: int) -> int:
-    # independent closure route: complement of the union of opens avoiding
-    # x; every open is a union of minimal neighborhoods, so those suffice
-    avoid = 0
-    for u in s.min_opens:
-        if not u >> x & 1:
-            avoid |= u
-    return s.full_mask & ~avoid
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from irtopo import (
     product,
 )
 from irtopo.category import check_refinement, cover_order, irredundant_covers, min_subcover
-from irtopo.core import FiniteSpace
+from irtopo.core import FiniteSpace, from_reach
 from irtopo.verifier import (
     _check_p3,
     _cover_search,
@@ -251,6 +251,19 @@ class TestRefinement:
             check_refinement(sierpinski, (0b11, 0b100))
         with pytest.raises(NotACover):
             check_refinement(sierpinski, (-1,))
+
+    def test_members_must_be_ints(self):
+        # a bool would pass as mask 1, a str or float fail inside an operator
+        s = from_reach(["a", "b"], [0b11, 0b10])
+        for validate in (check_refinement, min_subcover):
+            for cover, bad in (((True, 3), "True"), (("x",), "'x'"), ((3, 1.0), "1.0")):
+                with pytest.raises(TypeError, match=f"^cover member must be an int, got {bad}$"):
+                    validate(s, cover)
+
+    def test_packed_covers_are_accepted(self, pseudocircle):
+        rep = ir_cat(pseudocircle)
+        assert check_refinement(pseudocircle, bytes(rep.sets)) == (True, (0, 1))
+        assert min_subcover(pseudocircle, bytes(rep.sets)) == rep.sets
 
     def test_all_irredundant_covers_refined(self, spaces_upto4):
         for s in spaces_upto4:

@@ -23,7 +23,7 @@ from irtopo import (
 from irtopo.core import OPEN_SET_LIMIT, clip_repr, extensions, transpose
 from irtopo.spaceio import space_from_dict, space_to_dict
 from irtopo.verifier import (
-    _closure_via_opens,
+    _closure_rows,
     _space_table,
     box_topology,
     enumerate_spaces,
@@ -356,6 +356,13 @@ class TestOpenSets:
     def test_is_open_false_for_negative_masks(self, sierpinski):
         for m in (-1, -2, -4, -(1 << 40)):
             assert not sierpinski.is_open(m)
+
+    @pytest.mark.parametrize("mask", [True, False, "x", 1.0, None])
+    def test_is_open_refuses_a_non_int(self, mask):
+        # a bool would pass as 0 or 1, a str fail inside an operator
+        s = from_reach(["a", "b"], [0b11, 0b10])
+        with pytest.raises(TypeError, match=f"^mask must be an int, got {re.escape(repr(mask))}$"):
+            s.is_open(mask)
 
 
 def test_minimal_basis_invariants(spaces_upto3):
@@ -694,7 +701,7 @@ class TestSeparation:
 
     def test_t1_iff_singleton_closures(self, spaces_upto4):
         for s in spaces_upto4:
-            singleton = all(_closure_via_opens(s, x) == 1 << x for x in range(s.n))
+            singleton = all(cl == 1 << x for x, cl in enumerate(_closure_rows(s)))
             assert s.is_t1() == singleton
 
     def test_hyperconnected_matches_open_pair_scan(self, spaces_upto3):
@@ -711,7 +718,7 @@ class TestPointSetMembers:
     def test_closed_points_have_singleton_closures(self, spaces_upto4):
         for s in spaces_upto4:
             singletons = mask_of(
-                x for x in range(s.n) if _closure_via_opens(s, x) == 1 << x
+                x for x, cl in enumerate(_closure_rows(s)) if cl == 1 << x
             )
             assert s.closed_points() == singletons
             assert s.is_t1() == (s.closed_points() == s.full_mask)
@@ -721,7 +728,7 @@ class TestPointSetMembers:
             for m in s.open_sets:
                 meet = s.full_mask
                 for x in points_of(m):
-                    meet &= _closure_via_opens(s, x)
+                    meet &= _closure_rows(s)[x]
                 assert s.common_reach(m) == meet
             assert ir_co(s) == s.common_reach(s.full_mask)
 

@@ -507,19 +507,19 @@ class TestClaimKernels:
         from irtopo import verifier
 
         walked = []
-        real = verifier._closure_via_opens
+        real = verifier._meets
 
-        def counting(space, x):
-            walked.append((id(space), x))
-            return real(space, x)
+        def counting(space):
+            walked.append(id(space))
+            return real(space)
 
         monkeypatch.setattr(verifier, "_CLOSURE_ROWS", {})
-        monkeypatch.setattr(verifier, "_closure_via_opens", counting)
+        monkeypatch.setattr(verifier, "_meets", counting)
         reports = run_suite(n_max=4, claims=["T2", "T3", "T4", "P4", "C9"], jobs=1)
         assert all(r.passed for r in reports)
         swept = list(_spaces_upto(4))
         assert len(swept) == 389
-        assert sorted(walked) == sorted((id(s), x) for s in swept for x in range(s.n))
+        assert sorted(walked) == sorted(map(id, swept))
 
     def test_meets_are_the_intersections_of_the_opens(self):
         # the 9-point grid has meets of 256 and more, masks over more than
@@ -559,15 +559,16 @@ class TestClaimKernels:
 
         def full_loop(s):
             for x in range(s.n):
-                cl = verifier._closure_via_opens(s, x)
+                cl = verifier._closure_rows(s)[x]
                 for y in range(s.n):
                     if homotopy.ir_path(s, x, y) and (1 << x | 1 << y) & ~cl:
                         return {"space": s, "from": s.labels[x], "to": s.labels[y]}
             return None
 
-        real_path, real_closure = homotopy.ir_path, verifier._closure_via_opens
+        real_path = homotopy.ir_path
         found = 0
         for s in _spaces_upto(3):
+            real_rows = verifier._closure_rows(s)
             for a in range(s.n):
                 for b in range(s.n):
                     # ir_path lies at (a, b); then the closure of a also
@@ -575,14 +576,11 @@ class TestClaimKernels:
                     def path(space, x, y, a=a, b=b):
                         return real_path(space, x, y) != (space is s and (x, y) == (a, b))
 
-                    def closure(space, x, a=a):
-                        cl = real_closure(space, x)
-                        return cl & ~(1 << a) if space is s and x == a else cl
-
+                    lied = bytearray(real_rows)
+                    lied[a] &= ~(1 << a)
                     monkeypatch.setattr(homotopy, "ir_path", path)
-                    for lie in (real_closure, closure):
-                        monkeypatch.setattr(verifier, "_CLOSURE_ROWS", {})
-                        monkeypatch.setattr(verifier, "_closure_via_opens", lie)
+                    for rows in (real_rows, bytes(lied)):
+                        monkeypatch.setattr(verifier, "_CLOSURE_ROWS", {s: rows})
                         expected = full_loop(s)
                         assert _check_t3(s) == expected
                         found += expected is not None
@@ -624,6 +622,56 @@ class TestClaimKernels:
                         meet &= b
                 meets.append(meet)
             assert _smallest_boxes(x) == meets
+
+
+class _HashOnlyRows(tuple):
+    """Reach rows that hash and compare as a tuple but raise on any read
+    of a row."""
+
+    def __getitem__(self, i):
+        raise AssertionError("an oracle read the reach rows")
+
+    def __iter__(self):
+        raise AssertionError("an oracle read the reach rows")
+
+
+class _OpensOnly(FiniteSpace):
+    """A copy of a space that answers only through its open sets."""
+
+    @property
+    def min_opens(self):
+        raise AssertionError("an oracle read min_opens")
+
+
+def _refuse(*args):
+    raise AssertionError("an oracle read the reach relation")
+
+
+class TestOraclesReadOnlyTheOpens:
+    def test_closure_cover_and_chain_oracles(self, monkeypatch, spaces_upto4):
+        from irtopo import verifier
+
+        expected = []
+        for s in spaces_upto4:
+            identity = tuple(range(s.n))
+            targets = [f.assignment for f in continuous_maps(s, s)]
+            answers = (
+                verifier._closure_rows(s),
+                verifier._cover_search(s),
+                chain_homotopy_oracle(s, s, identity, targets),
+            )
+            expected.append((s, identity, targets, answers))
+        monkeypatch.setattr(FiniteSpace, "common_reach", _refuse)
+        monkeypatch.setattr(FiniteSpace, "reach", _refuse)
+        for s, identity, targets, answers in expected:
+            copy = _OpensOnly(s.labels, _HashOnlyRows(s.reach_rows))
+            vars(copy)["open_sets"] = s.open_sets
+            monkeypatch.setattr(verifier, "_CLOSURE_ROWS", {})
+            assert (
+                verifier._closure_rows(copy),
+                verifier._cover_search(copy),
+                chain_homotopy_oracle(copy, copy, identity, targets),
+            ) == answers, s
 
 
 class TestClaims:
