@@ -55,7 +55,7 @@ class SubcoverNotFound(IrtopoError):
     """No member of the cover contains the given minimal-cover member."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CoverReport:
     """An optimal cover by deformable opens, with per-member witnesses."""
 

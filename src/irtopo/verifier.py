@@ -3,12 +3,12 @@ package's structural claims.
 
 Every finite topology on labelled points corresponds to a reflexive,
 transitive relation, so sweeping all spaces of a given size means
-enumerating all preorders (counts 1, 4, 29, 355, 6942 for 1..5 points).
-Each claim is a registry row under a stable identifier: an instance
-family and a check that maps one instance to a counterexample payload or
-None.  One driver sweeps every family and reports the instances examined
-plus any counterexamples, serialized so they can be replayed through the
-CLI.
+enumerating all preorders (counts 1, 4, 29, 355, 6942, 209527 for 1..6
+points).  Each claim is a registry row under a stable identifier: an
+instance family and a check that maps one instance to a counterexample
+payload or None.  One driver sweeps every family and reports the
+instances examined plus any counterexamples, serialized so they can be
+replayed through the CLI.
 
 Claim categories:
 
@@ -37,11 +37,11 @@ validate nothing; C8 and the unit tests call the validating entries
 the (optimal cover, cover) pair alone, and pairs repeat across spaces,
 so the two claims decide each distinct pair once per sweep.  Their
 instance family (``_cover_spaces``) yields each space with a record of
-the covers decided right against each optimal cover, made when a sweep
-or a shard starts and freed when it ends; the checks work out the
-space's ``ir_cat`` report and its entry in the record.  A failing
-cover is not recorded, so it is decided again, and counted, at every
-space that holds it.
+the covers decided right against each optimal cover, which holds each
+distinct cover as one object, made when a sweep or a shard starts and
+freed when it ends; the checks work out the space's ``ir_cat`` report
+and its entry in the record.  A failing cover is not recorded, so it is
+decided again, and counted, at every space that holds it.
 
 Logic that only one claim needs lives in that claim's check, and a
 corollary that is an instance of another claim reuses that claim's
@@ -55,10 +55,11 @@ Timing is kept out of the JSON form so reports compare byte for byte.
 Swept spaces are built once per process, with their structure
 (``_space_table``, from ``core.extensions``), and shared by every claim
 and pair.  ``run_claim`` runs in the calling process, and only
-``run_suite`` starts a pool: with k workers it gets k tasks, task i
-running shard i of every claim in suite order.  So each worker builds
-the whole table with its structure, and works out the per-instance data,
-in its other caches (``_closure_rows``, ``_packed_covers``,
+``run_suite`` starts a pool, and only then imports it: with k workers
+it gets k tasks, task i running shard i of every claim in suite order.
+So each worker builds the whole table with its structure, and works out
+the per-instance data, in its other caches (the plain dicts behind
+``_closure_rows`` and ``_packed_covers``, and
 ``category._ir_cat_cached``) and in the checks, for its own shard only:
 an instance family yields only what defines its instances.
 """
@@ -71,7 +72,6 @@ import operator
 import os
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -91,7 +91,7 @@ from .core import (
     require_int,
 )
 
-MAX_ENUM_POINTS = 5
+MAX_ENUM_POINTS = 6
 MAX_PAIR_POINTS = 4
 MAX_REPORTED_COUNTEREXAMPLES = 10
 _T8_MODULUS_LIMIT = 5000
@@ -278,21 +278,25 @@ def chain_homotopy_oracle(x: FiniteSpace, y: FiniteSpace, f, targets) -> int:
 # exhaustive covering oracles
 
 
-@lru_cache(maxsize=None)
+# packed covers and closure rows by space, one byte per mask: plain dicts
+# of bytes hold no link node per space, as an lru_cache does
+_PACKED_COVERS: dict[FiniteSpace, bytes] = {}
+_CLOSURE_ROWS: dict[FiniteSpace, bytes] = {}
+
+
 def _packed_covers(space: FiniteSpace) -> bytes:
     """``category.irredundant_covers(space)`` walked once per process and
     packed: one byte per member mask, a zero byte between covers.
 
     No member is empty, so the zero byte only separates.  ``bytes``
     raises ValueError on a mask of 256 or more, so only spaces of at
-    most 8 points are packed; the swept spaces have at most 5.
+    most 8 points are packed; the swept spaces have at most 6.
     """
-    return b"\0".join(map(bytes, category.irredundant_covers(space)))
-
-
-# closure rows by space, one byte per point; a plain dict and bytes hold
-# them in about half the memory of an lru_cache of tuples
-_CLOSURE_ROWS: dict[FiniteSpace, bytes] = {}
+    covers = _PACKED_COVERS.get(space)
+    if covers is None:
+        covers = b"\0".join(map(bytes, category.irredundant_covers(space)))
+        _PACKED_COVERS[space] = covers
+    return covers
 
 
 def _closure_rows(space: FiniteSpace) -> bytes:
@@ -428,16 +432,19 @@ def _spaces(n_max: int, pair_max: int, seed: int) -> Iterator[FiniteSpace]:
 
 def _cover_spaces(n_max: int, pair_max: int, seed: int) -> Iterator[tuple]:
     """Each swept space with one record for the whole sweep, {optimal
-    cover: the covers already decided right against it}.  L1 and
-    L2_subcover skip a cover in the set of the space's optimal cover;
-    both decisions depend on the pair alone, as a cover's union is its
-    space.  The checks, not the family, work out the space's ``ir_cat``
-    report and its set, so each shard does so only for its own
-    instances.  Each sweep, and each shard, starts with an empty record,
-    which goes when it ends."""
+    cover: the covers already decided right against it}, and its intern
+    table {cover: cover}.  L1 and L2_subcover skip a cover in the set of
+    the space's optimal cover; both decisions depend on the pair alone,
+    as a cover's union is its space.  A cover is recorded through the
+    table, so each distinct cover is one object in every set: up to 5
+    points, L1's 15,337 pairs hold 522 covers.  The checks, not the family,
+    work out the space's ``ir_cat`` report and its set, so each shard
+    does so only for its own instances.  Each sweep, and each shard,
+    starts with an empty record and table, which go when it ends."""
     record: dict[tuple[int, ...], set[bytes]] = {}
+    interned: dict[bytes, bytes] = {}
     for s in _spaces_upto(n_max):
-        yield s, record
+        yield s, record, interned
 
 
 def _pairs(n_max: int, pair_max: int, seed: int) -> Iterable[tuple[FiniteSpace, FiniteSpace]]:
@@ -773,7 +780,7 @@ def _check_p4(s):
 def _check_l1(inst):
     # the covers are open covers by construction, so only the decision
     # runs, once per (optimal cover, cover) pair decided right this sweep
-    s, record = inst
+    s, record, interned = inst
     optimal = category.ir_cat(s).sets
     decided = record.setdefault(optimal, set())
     for cov in _packed_covers(s).split(b"\0"):
@@ -788,7 +795,7 @@ def _check_l1(inst):
                 "space": s,
                 "cover": spaceio.cover_labels(s, cov),
             }
-        decided.add(cov)
+        decided.add(interned.setdefault(cov, cov))
     return None
 
 
@@ -816,7 +823,7 @@ def _check_l2_literal(s):
 
 
 def _check_l2_subcover(inst):
-    s, record = inst
+    s, record, interned = inst
     rep = category.ir_cat(s)
     decided = record.setdefault(rep.sets, set())
     padded = _padded_cover(s, rep)
@@ -840,7 +847,7 @@ def _check_l2_subcover(inst):
                 "cover": spaceio.cover_labels(s, cov),
                 "subcover": spaceio.cover_labels(s, sub),
             }
-        decided.add(cov)
+        decided.add(interned.setdefault(cov, cov))
     return None
 
 
@@ -1194,6 +1201,8 @@ def run_suite(
     jobs = min(jobs, _usable_cpus())
     if jobs == 1:
         return [run_claim(name, n_max=n_max, seed=seed, pair_max=pair_max) for name in names]
+    from concurrent.futures import ProcessPoolExecutor
+
     task = functools.partial(_run_shard, names, n_max, pair_max, seed, jobs)
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         shards = list(pool.map(task, range(jobs)))

@@ -315,6 +315,13 @@ def test_verify_empty_claim_selection(fmt, capsys):
     assert "error: no claim selected" in captured.err
 
 
+def test_verify_seven_points_refused(capsys):
+    assert main(["verify", "--max-points", "7"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: claim sweeps support 1..6 points, got 7" in captured.err
+
+
 @pytest.mark.parametrize("jobs", ["0", "-1"])
 def test_verify_jobs_below_one(jobs, capsys):
     assert main(["verify", "--max-points", "1", "--jobs", jobs]) == 2
@@ -338,8 +345,8 @@ print(json.dumps(seen))
 
 
 def test_only_verify_loads_the_verifier(sierp_file):
-    # the oracle layer and the process-pool modules stay out of a process
-    # until it verifies
+    # the oracle layer stays out of a process until it verifies, and the
+    # process-pool modules until it verifies on more than one job
     src = Path(__file__).resolve().parents[1] / "src"
     argvs = [
         ["co", sierp_file, "--format", "json"],
@@ -362,7 +369,7 @@ def test_only_verify_loads_the_verifier(sierp_file):
     ]
     name, code, loaded = seen[-1]
     assert (name, code) == ("verify", 0)
-    assert "irtopo.verifier" in loaded
+    assert loaded == ["irtopo.verifier"]
 
 
 def test_malformed_json(tmp_path):

@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import hashlib
 import json
@@ -142,7 +143,7 @@ class TestEnumeration:
     def test_budget(self):
         # refused at the call, before any item is asked for
         with pytest.raises(SearchBudgetExceeded):
-            enumerate_spaces(6)
+            enumerate_spaces(7)
         with pytest.raises(SearchBudgetExceeded):
             enumerate_spaces(0)
 
@@ -421,12 +422,11 @@ class TestClaimKernels:
             walked.append(space)
             return real(space)
 
-        _packed_covers.cache_clear()
+        from irtopo import verifier
+
+        monkeypatch.setattr(verifier, "_PACKED_COVERS", {})
         monkeypatch.setattr(category, "irredundant_covers", counting)
-        try:
-            reports = run_suite(n_max=4, claims=["T13", "L1", "L2_subcover", "C5"], jobs=1)
-        finally:
-            _packed_covers.cache_clear()
+        reports = run_suite(n_max=4, claims=["T13", "L1", "L2_subcover", "C5"], jobs=1)
         assert all(r.passed for r in reports)
         swept = list(_spaces_upto(4))
         assert len(walked) == len(swept) == 389
@@ -449,6 +449,27 @@ class TestClaimKernels:
         if claim == "L1":
             assert (len(held), len(set(held))) == (1200, 499)
         assert Counter(decided) == Counter(set(held))
+
+    @pytest.mark.parametrize("claim", ["L1", "L2_subcover"])
+    def test_cover_record_holds_each_cover_once(self, claim):
+        # one sweep of the family through the claim's check: equal covers
+        # in the sets of different optimal covers are one object, the
+        # intern table's, and the record holds each distinct pair decided
+        from irtopo import verifier
+
+        check = CLAIMS[claim].check
+        shared = set()
+        for inst in verifier._cover_spaces(4, 3, 0):
+            assert check(inst) is None
+            shared.add(tuple(map(id, inst[1:])))
+        assert len(shared) == 1
+        _, record, interned = inst
+        covers = [cov for decided in record.values() for cov in decided]
+        assert all(interned[cov] is cov for cov in covers)
+        assert len(set(map(id, covers))) == len(set(covers)) < len(covers)
+        pairs = [(optimal, tuple(cov)) for optimal, decided in record.items() for cov in decided]
+        assert len(pairs) == len(set(pairs))
+        assert set(pairs) == set(_cover_pairs(claim, 4))
 
     @pytest.mark.parametrize("claim, helper", _COVER_HELPERS)
     def test_failing_pair_fails_at_every_space_holding_it(self, monkeypatch, claim, helper):
@@ -473,7 +494,7 @@ class TestClaimKernels:
         names = ["L1", "L2_subcover"]
         seq = suite_to_jsonable(run_suite(n_max=4, claims=names, jobs=1), 4, None, 0)
         sizes = []
-        monkeypatch.setattr(verifier, "ProcessPoolExecutor", _inline_pool(sizes))
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _inline_pool(sizes))
         monkeypatch.setattr(verifier, "_usable_cpus", lambda: 2)
         par = suite_to_jsonable(run_suite(n_max=4, claims=names, jobs=2), 4, None, 0)
         assert sizes == [2]
@@ -781,6 +802,17 @@ class TestClaims:
         with pytest.raises(SearchBudgetExceeded):
             run_claim("T2", n_max=9)
 
+    def test_sweeps_reach_six_points_and_stop_at_seven(self, monkeypatch):
+        # checked without building a table: six points is a budget
+        # accepted, seven is refused before any claim runs
+        from irtopo import verifier
+
+        monkeypatch.setattr(verifier, "_space_table", None)
+        assert verifier._resolve_limits(6, None, 0) == (6, 3)
+        for jobs in (1, 2):
+            with pytest.raises(SearchBudgetExceeded, match="support 1..6 points, got 7"):
+                run_suite(n_max=7, claims=["T2"], jobs=jobs)
+
     def test_jobs_do_not_change_reports(self, monkeypatch):
         from irtopo import verifier
 
@@ -793,7 +825,7 @@ class TestClaims:
         from irtopo import verifier
 
         sizes = []
-        monkeypatch.setattr(verifier, "ProcessPoolExecutor", _inline_pool(sizes))
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _inline_pool(sizes))
         seq = run_suite(n_max=3, claims=["T7"], jobs=1)[0].to_jsonable()
         monkeypatch.setattr(verifier, "_usable_cpus", lambda: 3)
         assert run_suite(n_max=3, claims=["T7"], jobs=64)[0].to_jsonable() == seq
@@ -850,7 +882,7 @@ class TestSuite:
         ran = []
         monkeypatch.setattr(verifier, "run_claim", lambda name, **kw: ran.append(name))
         monkeypatch.setattr(verifier, "_run_claim_shard", lambda name, *a: ran.append(name))
-        monkeypatch.setattr(verifier, "ProcessPoolExecutor", _inline_pool([]))
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _inline_pool([]))
         monkeypatch.setattr(verifier, "_usable_cpus", lambda: 2)
         return ran
 
@@ -913,7 +945,7 @@ class TestSuite:
         from irtopo import verifier
 
         sizes = []
-        monkeypatch.setattr(verifier, "ProcessPoolExecutor", _inline_pool(sizes))
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _inline_pool(sizes))
         monkeypatch.setattr(verifier, "_usable_cpus", lambda: 3)
         seq = suite_to_jsonable(run_suite(n_max=2, jobs=1), 2, None, 0)
         assert sizes == []
@@ -927,7 +959,7 @@ class TestSuite:
         names = ["L2_literal", "T7", "P1"]
         seq = suite_to_jsonable(run_suite(n_max=4, claims=names), 4, None, 0)
         sizes, maps = [], []
-        monkeypatch.setattr(verifier, "ProcessPoolExecutor", _inline_pool(sizes, maps))
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _inline_pool(sizes, maps))
         monkeypatch.setattr(verifier, "_usable_cpus", lambda: 3)
         par = suite_to_jsonable(run_suite(n_max=4, claims=names, jobs=64), 4, None, 0)
         # one map over one task per worker, not one map per claim
