@@ -30,6 +30,7 @@ from .homotopy import (
     ir_homotopy_equivalent,
     ir_path,
     is_ir_path_connected,
+    up_core,
 )
 from .category import (
     CoverReport,

@@ -11,6 +11,12 @@ A homotopy from f to g is likewise a two-stage deformation, and exists
 exactly when g(x) is reachable from f(x) at every point.  That pointwise
 criterion is validated against an independent brute-force model (see
 ``verifier.chain_homotopy_oracle``) rather than assumed.
+
+Every space is equivalent to its up-core (``up_core``): the T0 quotient
+with Stong's beat points deleted on the closure side only, since the
+calculus is directed.  Two spaces are equivalent exactly when their
+up-cores are isomorphic, so ``ir_homotopy_equivalent`` answers None from
+the cores before it searches for maps.
 """
 
 from __future__ import annotations
@@ -216,6 +222,137 @@ def _map_search(domain: FiniteSpace, codomain: FiniteSpace) -> Callable[..., Ite
     return search
 
 
+def up_core(space: FiniteSpace) -> tuple[FiniteSpace, ContinuousMap, ContinuousMap]:
+    """The up-core of ``space`` with its retraction r and inclusion i.
+
+    The core is the subspace left when the T0 quotient keeps the first
+    point of each class and then beat points x, those whose strict
+    closure cl{x} minus x is the closure cl{m} of a point m, are deleted
+    one at a time; r sends a twin to its class's point and x to r(m).
+    r is continuous, r i is the identity and the identity deforms to
+    i r (x reaches m).  Only the closure side of Stong's beat points
+    is deleted: ir-homotopy is directed, and retracting a point whose
+    minimal open minus itself is a point's minimal open gives a map
+    that deforms to the identity, not one the identity deforms to.
+
+    The core has no beat point, so any map h of it with reach(p, h(p))
+    everywhere is the identity: at a point p moved by h with the least
+    closure, h fixes cl{p} minus p, which holds h(p), so it would be
+    cl{h(p)}.  Composing with r and i then turns an equivalence
+    of two spaces into inverse maps of their cores: equivalent spaces
+    have isomorphic up-cores, and the converse holds through r and i.
+    """
+    keep, step = _up_core_points(space)
+    if not keep:
+        return space, ContinuousMap(space, space, ()), ContinuousMap(space, space, ())
+    core, kept = space.subspace(keep), points_of(keep)
+    rank = {p: k for k, p in enumerate(kept)}
+    r = ContinuousMap(space, core, tuple(rank[step[t]] for t in step))
+    return core, r, ContinuousMap(core, space, kept)
+
+
+def _up_core_points(space: FiniteSpace) -> tuple[int, list[int]]:
+    """The points of ``up_core``'s core, as a mask, and each point's step
+    towards it: a twin's class point, a beat point's m and a core point
+    itself, so that two steps reach the core.
+
+    One pass visits the points by closure size, smallest first.  The
+    points of cl{x} outside x's class are then decided before x, and
+    none decided later lies in cl{x}.  So x is a beat point of what is
+    left exactly when its closure within the points kept, minus x, is
+    the closure of a kept point m, and a point kept never becomes one.
+    The pass costs one sort, one dict of the kept closures and one
+    lookup per point.
+    """
+    rows = space.reach_rows
+    step = list(range(space.n))
+    first: dict[int, int] = {}
+    kept: dict[int, int] = {}
+    keep = 0
+    for x in sorted(step, key=lambda p: rows[p].bit_count()):
+        row = rows[x]
+        t = first.setdefault(row, x)
+        if t != x:
+            step[x] = t
+            continue
+        row &= keep | 1 << x
+        m = kept.get(row ^ 1 << x)
+        if m is None:
+            keep |= 1 << x
+            kept[row] = x
+        else:
+            step[x] = m
+    return keep, step
+
+
+def _isomorphic(x: FiniteSpace, keep_x: int, y: FiniteSpace, keep_y: int, limit: int) -> bool:
+    """Whether the subspace of x on ``keep_x`` and that of y on ``keep_y``
+    are isomorphic.
+
+    The sorted (closure, neighbourhood) sizes within the subspaces must
+    agree; then the search maps the points of x, those of the rarest
+    sizes first, each to an unused point of y of the same sizes whose
+    reach to and from the points already mapped matches.  It backtracks
+    without recursion and counts each bijection tried against ``limit``,
+    as ``_map_search`` counts maps: each complete one and each partial
+    one that no point extends.
+    """
+    pts_x, pts_y = points_of(keep_x), points_of(keep_y)
+    if len(pts_x) != len(pts_y):
+        return False
+    rows_x, cols_x, rows_y, cols_y = x.reach_rows, x.min_opens, y.reach_rows, y.min_opens
+    sizes_x = [((rows_x[p] & keep_x).bit_count(), (cols_x[p] & keep_x).bit_count()) for p in pts_x]
+    sizes_y = [((rows_y[q] & keep_y).bit_count(), (cols_y[q] & keep_y).bit_count()) for q in pts_y]
+    if sorted(sizes_x) != sorted(sizes_y):
+        return False
+    cells: dict[tuple[int, int], int] = {}
+    for q, size in zip(pts_y, sizes_y):
+        cells[size] = cells.get(size, 0) | 1 << q
+    order = sorted(zip(pts_x, [cells[s] for s in sizes_x]), key=lambda pc: pc[1].bit_count())
+    n, tried = len(order), 0
+    if n == 0:
+        if limit < 1:
+            raise _over_map_budget(limit)
+        return True
+    image = [0] * x.n
+    pending, wants, fitted = [order[0][1]] + [0] * (n - 1), [(0, 0)] * n, [False] * n
+    # at level k, done holds the points of x mapped before it, used their images
+    k, done, used = 0, 0, 0
+    while k >= 0:
+        m = pending[k]
+        if not m:
+            if not fitted[k]:
+                if tried == limit:
+                    raise _over_map_budget(limit)
+                tried += 1
+            k -= 1
+            if k >= 0:
+                p = order[k][0]
+                done, used = done ^ 1 << p, used ^ 1 << image[p]
+            continue
+        low = m & -m
+        pending[k] = m ^ low
+        q = low.bit_length() - 1
+        if (rows_y[q] & used, cols_y[q] & used) != wants[k]:
+            continue
+        fitted[k] = True
+        p = order[k][0]
+        image[p] = q
+        if k + 1 == n:
+            if tried == limit:
+                raise _over_map_budget(limit)
+            return True
+        done, used, k = done | 1 << p, used | low, k + 1
+        p, cell = order[k]
+        want_row = want_col = 0
+        for s in points_of(rows_x[p] & done):
+            want_row |= 1 << image[s]
+        for s in points_of(cols_x[p] & done):
+            want_col |= 1 << image[s]
+        pending[k], wants[k], fitted[k] = cell & ~used, (want_row, want_col), False
+    return False
+
+
 def ir_homotopy_equivalent(
     x: FiniteSpace, y: FiniteSpace
 ) -> tuple[ContinuousMap, ContinuousMap] | None:
@@ -224,13 +361,20 @@ def ir_homotopy_equivalent(
     reach(p, g(f(p))) in x for every p and reach(q, f(g(q))) in y for
     every q.
 
-    Given f, the two conditions bound each g(q) on its own: g(q) lies in
-    the closure of each p with f(p) = q, and f(g(q)) in that of q.  So
-    each f before the first pair gets one search for its first g within
-    those points; it is exhaustive, so None is a proof that no pair exists.
+    Such a pair exists exactly when the up-cores of x and y are
+    isomorphic (``up_core``), so None comes from comparing the cores,
+    before any map search; that comparison counts its bijections tried
+    against the map budget.  When they agree, the search finds the
+    first pair.  Given f, the two conditions bound each g(q) on its own:
+    g(q) lies in the closure of each p with f(p) = q, and f(g(q)) in that
+    of q.  So each f before the first pair gets one search for its first
+    g within those points.
     """
-    # all maps g, then all maps f are walked, so an over-budget input raises
-    # before any answer; only the returned pair is validated as maps
+    if not _isomorphic(x, _up_core_points(x)[0], y, _up_core_points(y)[0], _map_budget()):
+        return None
+    # all maps g, then all maps f are walked, so an over-budget input whose
+    # cores agree raises before any answer; only the returned pair is
+    # validated as maps
     search_xy, search_yx = _map_search(x, y), _map_search(y, x)
     for _ in search_yx():
         pass

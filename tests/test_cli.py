@@ -578,6 +578,34 @@ def test_equiv_counts_maps_without_copying_them(large_star):
     assert seconds < 5
 
 
+def test_equiv_matches_a_relabelled_star(large_star, tmp_path):
+    # the star is its own up-core; the cores of it and of a copy centred
+    # on point 1 are matched by one bijection, so the map search is
+    # reached, and refused, as fast as for the star itself
+    moved = _space_file(tmp_path, "moved", 3_000, [[1, k] for k in range(3_000) if k != 1])
+    code, out, err, seconds = _run_cli(["equiv", large_star[3_000], moved])
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: map budget exceeded: more than 1000000 maps tried (IRTOPO_BUDGET_MAPS sets it)\n"
+    )
+    assert seconds < 5
+
+
+def test_equiv_answers_from_the_cores_over_the_budget(tmp_path):
+    # 11 points reaching a 12th retract onto it; the 12-point discrete
+    # space is its own core, so no map search is made and the budget,
+    # which their maps pass, does not stop the answer
+    cone = _space_file(tmp_path, "cone", 12, [[i, 11] for i in range(11)])
+    discrete = _space_file(tmp_path, "d12", 12, [])
+    code, out, err, _ = _run_cli(["equiv", cone, discrete], env={"IRTOPO_BUDGET_MAPS": "1000"})
+    assert (code, out, err) == (1, "not ir-homotopy equivalent\n", "")
+    code, out, err, _ = _run_cli(["equiv", discrete, discrete], env={"IRTOPO_BUDGET_MAPS": "1000"})
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: map budget exceeded: more than 1000 maps tried (IRTOPO_BUDGET_MAPS sets it)\n"
+    )
+
+
 def test_duplicate_label_found_in_one_pass(tmp_path):
     # the first repeated label must be found in one pass over the labels
     path = tmp_path / "dup.json"

@@ -12,9 +12,10 @@ LNM 2032, ch. 1), and the answers must move as the theorem says:
   ir_cat size, the dimension and whether ir_co is empty;
 * adding a beat point x, one whose strict closure cl{x} minus x is the
   closure of an existing point m, keeps the same three (x retracts onto
-  m, and the identity deforms to that retraction);
+  m, and the identity deforms to that retraction), and the up-core;
 * a product multiplies the ir_cat sizes and the dimensions plus one,
-  and its ir_co is the product of the factors' ir_co.
+  its ir_co is the product of the factors' ir_co, and its up-core is
+  the product of theirs.
 
 The two predicates of ``analyze`` answer from the reach rows alone:
 hyperconnected when some point reaches every point, ir-path connected
@@ -34,8 +35,10 @@ from irtopo import (
     ir_co,
     is_ir_path_connected,
     product,
+    up_core,
 )
 from irtopo.core import points_of, transpose
+from irtopo.homotopy import DEFAULT_MAP_BUDGET, _isomorphic
 from irtopo.verifier import enumerate_spaces
 
 SEED = 20260418
@@ -85,6 +88,12 @@ def _invariants(space):
         covering_dimension(space).dim,
         ir_co(space) != 0,
     )
+
+
+def _same_core(x, y):
+    """Whether the up-cores of x and y are isomorphic."""
+    cx, cy = up_core(x)[0], up_core(y)[0]
+    return _isomorphic(cx, cx.full_mask, cy, cy.full_mask, DEFAULT_MAP_BUDGET)
 
 
 def _image(mask, perm):
@@ -146,6 +155,7 @@ def test_adding_a_beat_point(family):
         t = _space(rows)
         assert t.reach_rows[s.n] & ~x == s.reach_rows[m]
         assert _invariants(t) == _invariants(s)
+        assert _same_core(t, s)
 
 
 def test_products():
@@ -163,6 +173,7 @@ def test_products():
                 for b in points_of(ir_co(y)):
                     co |= 1 << (a * y.n + b)
             assert ir_co(xy) == co
+            assert _same_core(xy, product(up_core(x)[0], up_core(y)[0]))
 
 
 def hyperconnected_scan(space):

@@ -1,5 +1,6 @@
 import random
 import re
+from itertools import permutations
 from itertools import product as iproduct
 
 import pytest
@@ -21,6 +22,7 @@ from irtopo import (
     mask_of,
     points_of,
     product,
+    up_core,
 )
 
 from irtopo import homotopy
@@ -324,19 +326,20 @@ class TestEquivalence:
             assert (f.assignment, g.assignment) == pair
 
     @pytest.mark.parametrize(
-        "x, y, found",
+        "x, y, walks",
         [
-            (chain_space(2), discrete(1), True),
-            (discrete(2), discrete(3), False),
-            (FiniteSpace((), ()), discrete(1), False),
-            (discrete(1), FiniteSpace((), ()), False),
-            (FiniteSpace((), ()), FiniteSpace((), ()), True),
+            (chain_space(2), discrete(1), [1, 1]),
+            (discrete(2), discrete(3), []),
+            (FiniteSpace((), ()), discrete(1), []),
+            (discrete(1), FiniteSpace((), ()), []),
+            (FiniteSpace((), ()), FiniteSpace((), ()), [1, 1]),
         ],
         ids=["answer", "no-answer", "empty-x", "empty-y", "both-empty"],
     )
-    def test_walks_each_map_tree_once(self, monkeypatch, x, y, found):
+    def test_walks_each_map_tree_once(self, monkeypatch, x, y, walks):
         # each search made counts its runs without `within`; the maps f
-        # (made first) are walked once, counting and pairing together
+        # (made first) are walked once, counting and pairing together.
+        # When the up-cores differ the answer is None before any search
         unmasked = []
         make = homotopy._map_search
 
@@ -351,8 +354,8 @@ class TestEquivalence:
             return run
 
         monkeypatch.setattr(homotopy, "_map_search", counting)
-        assert (ir_homotopy_equivalent(x, y) is not None) == found
-        assert unmasked == [1, 1]
+        assert (ir_homotopy_equivalent(x, y) is not None) == bool(walks)
+        assert unmasked == walks
 
     def test_builds_only_the_returned_maps(self, monkeypatch):
         # the search yields monotone assignments; only the answer is
@@ -392,7 +395,12 @@ class TestEquivalence:
             continuous_maps(cone(3), discrete(2))
         monkeypatch.setenv("IRTOPO_BUDGET_MAPS", "1000")
         with pytest.raises(SearchBudgetExceeded, match=r"\b1000\b.*IRTOPO_BUDGET_MAPS"):
-            ir_homotopy_equivalent(cone(12), discrete(12))
+            continuous_maps(cone(12), discrete(12))
+        # the equivalence counts the same way once the up-cores agree (12
+        # ** 12 maps); the cone's core is a point, so it answers None at once
+        with pytest.raises(SearchBudgetExceeded, match=r"\b1000\b.*IRTOPO_BUDGET_MAPS"):
+            ir_homotopy_equivalent(discrete(12), discrete(12))
+        assert ir_homotopy_equivalent(cone(12), discrete(12)) is None
 
     def test_budget_env_override(self, sierpinski, monkeypatch):
         monkeypatch.setenv("IRTOPO_BUDGET_MAPS", "1")
@@ -471,3 +479,114 @@ class TestAgainstReference:
             maps = continuous_maps(empty, cod)
             assert [f.assignment for f in maps] == [()]
         assert continuous_maps(sierpinski, empty) == []
+
+
+def _image(mask, perm):
+    out = 0
+    for p in points_of(mask):
+        out |= 1 << perm[p]
+    return out
+
+
+def permutation_isomorphic(x, y):
+    """Oracle: some permutation of the points carries x's reach rows onto y's."""
+    return x.n == y.n and any(
+        all(_image(row, perm) == y.reach_rows[perm[p]] for p, row in enumerate(x.reach_rows))
+        for perm in permutations(range(x.n))
+    )
+
+
+def isomorphic(x, y):
+    return homotopy._isomorphic(x, x.full_mask, y, y.full_mask, homotopy.DEFAULT_MAP_BUDGET)
+
+
+def core_verdict(x, y):
+    """Whether the up-cores of x and y are isomorphic."""
+    return isomorphic(up_core(x)[0], up_core(y)[0])
+
+
+def bipartite(k, edges):
+    """k unrelated points, each reaching the points of k more given by edges (i, j)."""
+    rows = [1 << i for i in range(2 * k)]
+    for i, j in edges:
+        rows[i] |= 1 << k + j
+    return from_reach([str(i) for i in range(2 * k)], rows)
+
+
+class TestUpCore:
+    def test_retracts_onto_a_core(self, spaces_upto4):
+        for s in spaces_upto4 + [FiniteSpace((), ())]:
+            core, r, i = up_core(s)
+            assert (r.domain, r.codomain, i.domain, i.codomain) == (s, core, core, s)
+            for x, row in enumerate(s.reach_rows):  # r is continuous: it keeps reach
+                assert all(core.reach(r(x), r(y)) for y in points_of(row))
+            assert all(s.reach(x, i(r(x))) for x in range(s.n))
+            assert [r(i(p)) for p in range(core.n)] == list(range(core.n))
+            again, r_again, _ = up_core(core)
+            assert again == core and r_again.assignment == tuple(range(core.n))
+            assert core.is_t0()
+            assert not any(
+                row ^ 1 << x in core.reach_rows for x, row in enumerate(core.reach_rows)
+            )
+
+    def test_keeps_labels_and_chases_twins(self):
+        # a and b are twins, c lies in their closure, d is closed and alone
+        space = from_reach(["a", "b", "c", "d"], [0b0111, 0b0111, 0b0100, 0b1000])
+        core, r, i = up_core(space)
+        assert core.labels == ("c", "d")
+        assert r.assignment == (0, 0, 0, 1) and i.assignment == (2, 3)
+
+    def test_core_verdict_matches_the_search(self, spaces_upto3, monkeypatch):
+        # every ordered pair of at most 3 points, then a seeded sample of
+        # pairs of at most 4: the exhaustive map search, with the core
+        # comparison switched off, must answer as the cores do
+        four = [s for n in (1, 2, 3, 4) for s in enumerate_spaces(n)]
+        rng = random.Random(42)
+        pairs = [(a, b) for a in spaces_upto3 for b in spaces_upto3]
+        pairs += [(rng.choice(four), rng.choice(four)) for _ in range(1500)]
+        verdicts = [core_verdict(a, b) for a, b in pairs]
+        monkeypatch.setattr(homotopy, "_isomorphic", lambda *args: True)
+        assert verdicts == [ir_homotopy_equivalent(a, b) is not None for a, b in pairs]
+        assert 0 < sum(verdicts) < len(verdicts)
+
+    def test_isomorphism_matches_permutations(self, spaces_upto4):
+        cores = {}
+        for s in spaces_upto4:
+            core = up_core(s)[0]
+            cores.setdefault(core.reach_rows, core)
+        cores = list(cores.values())
+        assert len(cores) == 29  # as labelled spaces
+        for a in cores:
+            for b in cores:
+                assert isomorphic(a, b) == permutation_isomorphic(a, b)
+
+    def test_isomorphism_counts_bijections(self, monkeypatch):
+        # an 8-cycle and two 4-cycles, as two-level spaces: every point has
+        # the same closure and neighbourhood sizes, and neither has a beat
+        # point, so only the search tells them apart, after 32 bijections
+        cycle = bipartite(4, [(i, i) for i in range(4)] + [(i, (i + 1) % 4) for i in range(4)])
+        two = bipartite(4, [(i, j) for i in range(4) for j in range(4) if i // 2 == j // 2])
+        assert up_core(cycle)[0] == cycle and up_core(two)[0] == two
+        assert homotopy._isomorphic(cycle, cycle.full_mask, two, two.full_mask, 32) is False
+        with pytest.raises(SearchBudgetExceeded, match=r"\b31\b.*IRTOPO_BUDGET_MAPS"):
+            homotopy._isomorphic(cycle, cycle.full_mask, two, two.full_mask, 31)
+        monkeypatch.setenv("IRTOPO_BUDGET_MAPS", "31")
+        with pytest.raises(SearchBudgetExceeded):
+            ir_homotopy_equivalent(cycle, two)
+        monkeypatch.setenv("IRTOPO_BUDGET_MAPS", "32")
+        assert ir_homotopy_equivalent(cycle, two) is None
+
+    def test_relabelled_star(self):
+        # 600 points, point 0 reaching every other one: its own up-core,
+        # matched to a relabelled copy by one bijection
+        n = 600
+        rows = [(1 << n) - 1] + [1 << i for i in range(1, n)]
+        star = from_reach([str(i) for i in range(n)], rows)
+        perm = list(range(n))
+        random.Random(7).shuffle(perm)
+        rows = [0] * n
+        for x, row in enumerate(star.reach_rows):
+            rows[perm[x]] = _image(row, perm)
+        copy = from_reach(star.labels, rows)
+        assert up_core(copy)[0] == copy
+        assert homotopy._isomorphic(star, star.full_mask, copy, copy.full_mask, 1)
