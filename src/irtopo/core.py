@@ -20,8 +20,7 @@ index lists and index pairs become masks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 
@@ -121,13 +120,11 @@ class FiniteSpace:
     :func:`from_open_sets` and :func:`from_reach`, which take masks.
     """
 
+    # Slots, not a per-instance dict (a sweep holds 216,858 spaces): the fields, then n,
+    # full_mask and the min_opens and open_sets caches, None until first read
+    __slots__ = ("labels", "reach_rows", "n", "full_mask", "_min_opens", "_open_sets")
     labels: tuple[str, ...]
     reach_rows: tuple[int, ...]
-    # Set once in __post_init__: the per-cover checks read them on every
-    # call, and a cached_property (locked on first access before Python
-    # 3.12) costs more on the many spaces that are read only a few times.
-    n: int = field(init=False, repr=False)
-    full_mask: int = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         n = len(self.labels)
@@ -135,6 +132,16 @@ class FiniteSpace:
             raise ValueError("labels and reach rows must have the same length")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "full_mask", (1 << n) - 1)
+        object.__setattr__(self, "_min_opens", None)
+        object.__setattr__(self, "_open_sets", None)
+
+    # pickling: with no __dict__, the default would set each slot through the frozen __setattr__
+    def __getstate__(self) -> list:
+        return [getattr(self, name) for name in self.__slots__]
+
+    def __setstate__(self, state: list) -> None:
+        for name, value in zip(self.__slots__, state):
+            object.__setattr__(self, name, value)
 
     def __eq__(self, other: object):
         if not isinstance(other, FiniteSpace):
@@ -164,12 +171,14 @@ class FiniteSpace:
             (x, y) for x, row in enumerate(self.reach_rows) for y in points_of(row) if x != y
         ]
 
-    @cached_property
+    @property
     def min_opens(self) -> tuple[int, ...]:
         """min_opens[y] is the smallest open set containing y (column y of reach)."""
-        return transpose(self.reach_rows)
+        if self._min_opens is None:
+            object.__setattr__(self, "_min_opens", transpose(self.reach_rows))
+        return self._min_opens
 
-    @cached_property
+    @property
     def open_sets(self) -> tuple[int, ...]:
         """The open sets, in canonical order; at most OPEN_SET_LIMIT.
 
@@ -180,14 +189,16 @@ class FiniteSpace:
         has more opens than the space, so it raises exactly when the
         space is over it.
         """
-        opens = [0]
-        min_opens = self.min_opens
-        for p, row in enumerate(self.reach_rows):
-            below = (1 << p) - 1
-            opens = extend_opens(opens, row & below, min_opens[p] & below, 1 << p)
-            if len(opens) > OPEN_SET_LIMIT:
-                raise SearchBudgetExceeded(f"over {OPEN_SET_LIMIT} open sets on {self.n} points")
-        return tuple(sorted(opens, key=int.bit_count))
+        if self._open_sets is None:
+            opens = [0]
+            min_opens = self.min_opens
+            for p, row in enumerate(self.reach_rows):
+                below = (1 << p) - 1
+                opens = extend_opens(opens, row & below, min_opens[p] & below, 1 << p)
+                if len(opens) > OPEN_SET_LIMIT:
+                    raise SearchBudgetExceeded(f"over {OPEN_SET_LIMIT} open sets on {self.n} points")
+            object.__setattr__(self, "_open_sets", tuple(sorted(opens, key=int.bit_count)))
+        return self._open_sets
 
     def is_open(self, mask: int) -> bool:
         """Whether ``mask`` is an open set of this space; False for any
@@ -395,10 +406,8 @@ def extensions(space: FiniteSpace) -> Iterator[FiniteSpace]:
                 raise SearchBudgetExceeded(f"over {OPEN_SET_LIMIT} open sets on {n + 1} points")
             child = FiniteSpace(labels, head + (out | bit,))
             child_cols = tuple(col | bit if out >> y & 1 else col for y, col in enumerate(cols))
-            vars(child).update(
-                open_sets=tuple(sorted(child_opens, key=int.bit_count)),
-                min_opens=child_cols + (inc | bit,),
-            )
+            object.__setattr__(child, "_open_sets", tuple(sorted(child_opens, key=int.bit_count)))
+            object.__setattr__(child, "_min_opens", child_cols + (inc | bit,))
             yield child
 
 

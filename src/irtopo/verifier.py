@@ -86,6 +86,7 @@ from .core import (
     clip_repr,
     extensions,
     from_open_sets,
+    mask_of,
     points_of,
     product,
     require_int,
@@ -369,18 +370,22 @@ def _dimension_search(space: FiniteSpace) -> category.DimensionReport:
     certificates returned are decoded, to tuples of masks.
     """
     covers = _packed_covers(space).split(b"\0")
-    worst_cover = None
+    # bitsets over masks: below[v] holds the subsets of v, from those of v less
+    # its lowest point, and r refines c when each member of r is below a member of c
+    below = [1]
+    for v in range(1, space.full_mask + 1):
+        rest = below[v & (v - 1)]
+        below.append(rest | rest << (v & -v))
+    refinements = [(r, mask_of(r), category.cover_order(r)) for r in covers]
+    worst_cover = worst_refinement = None
     worst_order = 0
-    worst_refinement = None
     for c in covers:
+        inside = reduce(operator.or_, map(below.__getitem__, c))
         # c refines itself, so best_order is set
-        best_order = None
-        best_ref = None
-        for r in covers:
-            if all(any(m & ~v == 0 for v in c) for m in r):
-                order = category.cover_order(r)
-                if best_order is None or order < best_order:
-                    best_order, best_ref = order, r
+        best_order = best_ref = None
+        for r, members, order in refinements:
+            if not members & ~inside and (best_order is None or order < best_order):
+                best_order, best_ref = order, r
         if best_order > worst_order:
             worst_cover, worst_order, worst_refinement = tuple(c), best_order, tuple(best_ref)
     return category.DimensionReport(worst_order - 1, worst_cover, worst_refinement)

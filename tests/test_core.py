@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import pickle
 import random
 import re
@@ -144,6 +145,65 @@ class TestStoredSize:
         assert again == pseudocircle and hash(again) == hash(pseudocircle)
         assert again.labels == pseudocircle.labels
         assert again.n == 4 and again.full_mask == 0b1111
+
+
+def _filled(space: FiniteSpace) -> list[str]:
+    """The structures of ``space`` held in its slots, read without filling."""
+    return [name for name in ("min_opens", "open_sets") if getattr(space, "_" + name) is not None]
+
+
+class TestSlots:
+    """A space keeps its fields in slots, with no per-instance dict, and
+    fills ``min_opens`` and ``open_sets`` on their first read."""
+
+    def test_no_dict_and_no_assignment(self, pseudocircle):
+        assert not hasattr(pseudocircle, "__dict__")
+        pseudocircle.open_sets
+        names = ("labels", "reach_rows", "n", "full_mask", "_min_opens", "_open_sets")
+        for name in names + ("min_opens", "open_sets", "other"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(pseudocircle, name, None)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(pseudocircle, name)
+        with pytest.raises(AttributeError, match="^'FiniteSpace' object has no attribute 'other'$"):
+            pseudocircle.other
+
+    def test_structure_fills_on_first_read(self):
+        space = chain_space(3)
+        assert _filled(space) == []
+        assert space.min_opens == (0b001, 0b011, 0b111)
+        assert _filled(space) == ["min_opens"]
+        assert space.open_sets == (0, 0b001, 0b011, 0b111)
+        assert _filled(space) == ["min_opens", "open_sets"]
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_keeps_what_is_filled(self, protocol):
+        for filled in ([], ["min_opens"], ["min_opens", "open_sets"]):
+            space = chain_space(4)
+            for name in filled:
+                getattr(space, name)
+            again = pickle.loads(pickle.dumps(space, protocol))
+            assert _filled(again) == filled
+            assert (again, again.labels, again.n, again.full_mask) == (
+                space, space.labels, space.n, space.full_mask
+            )
+            assert (again.min_opens, again.open_sets) == (space.min_opens, space.open_sets)
+
+    def test_pickle_does_not_fill_an_over_budget_space(self):
+        # 17 discrete points have 2**17 opens, past OPEN_SET_LIMIT
+        space = FiniteSpace(tuple(map(str, range(17))), tuple(1 << x for x in range(17)))
+        again = pickle.loads(pickle.dumps(space))
+        assert again == space and _filled(again) == []
+        with pytest.raises(SearchBudgetExceeded):
+            again.open_sets
+
+    def test_extensions_fill_what_a_fresh_space_computes(self):
+        for n in range(5):
+            for space in _space_table(n):
+                if n:
+                    assert _filled(space) == ["min_opens", "open_sets"], space
+                fresh = FiniteSpace(space.labels, space.reach_rows)
+                assert (fresh.min_opens, fresh.open_sets) == (space.min_opens, space.open_sets)
 
 
 class TestFromOpenSets:

@@ -659,6 +659,8 @@ class _HashOnlyRows(tuple):
 class _OpensOnly(FiniteSpace):
     """A copy of a space that answers only through its open sets."""
 
+    __slots__ = ()
+
     @property
     def min_opens(self):
         raise AssertionError("an oracle read min_opens")
@@ -686,7 +688,7 @@ class TestOraclesReadOnlyTheOpens:
         monkeypatch.setattr(FiniteSpace, "reach", _refuse)
         for s, identity, targets, answers in expected:
             copy = _OpensOnly(s.labels, _HashOnlyRows(s.reach_rows))
-            vars(copy)["open_sets"] = s.open_sets
+            object.__setattr__(copy, "_open_sets", s.open_sets)
             monkeypatch.setattr(verifier, "_CLOSURE_ROWS", {})
             assert (
                 verifier._closure_rows(copy),
@@ -989,7 +991,8 @@ class TestSuite:
         seq = run_suite(n_max=4)
         for n in range(1, 5):
             for s in enumerate_spaces(n):
-                assert {"min_opens", "open_sets"} <= vars(s).keys(), s
+                # read from the slots, which the properties would fill
+                assert s._min_opens is not None and s._open_sets is not None, s
         monkeypatch.setattr(verifier, "_usable_cpus", lambda: 2)
         par = run_suite(n_max=4, jobs=2)
         assert multiprocessing.active_children() == []
