@@ -34,7 +34,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Iterator
 
 from .core import (
@@ -81,29 +80,21 @@ class DimensionReport:
     refinement: tuple[int, ...] | None
 
 
-@lru_cache(maxsize=1 << 15)
-def _ir_cat_cached(reach_rows: tuple[int, ...], min_opens: tuple[int, ...]) -> CoverReport:
-    # keyed by the reach rows: min_opens is their transpose, passed from
-    # the space's own cache.  y is maximal when its closure lies in U_y,
-    # and then every point of U_y reaches exactly the closure of y, which
-    # is the witness of U_y.
-    witness = {m: row for m, row in zip(min_opens, reach_rows) if not row & ~m}
-    cover = canon_sorted(witness)
-    return CoverReport(cover, tuple(map(witness.__getitem__, cover)))
-
-
 def ir_cat(space: FiniteSpace) -> CoverReport:
     """Exact covering category, with its unique optimal cover as certificate.
 
     The cover is the set of inclusion-maximal minimal neighborhoods, in
     canonical order; its witnesses lie inside their members, and no
     witness outside would give a smaller cover (see the module
-    docstring).  Results depend only on the reach relation and are
-    cached.
+    docstring).  Results depend only on the reach relation.
     """
     if space.n == 0:
         raise EmptySpace("covering category is undefined for the empty space")
-    return _ir_cat_cached(space.reach_rows, space.min_opens)
+    # y is maximal when its closure lies in U_y, and then every point of
+    # U_y reaches exactly the closure of y, which is the witness of U_y
+    witness = {m: row for m, row in zip(space.min_opens, space.reach_rows) if not row & ~m}
+    cover = canon_sorted(witness)
+    return CoverReport(cover, tuple(map(witness.__getitem__, cover)))
 
 
 def _open_cover(space: FiniteSpace, cover: Iterable[int]) -> tuple[int, ...]:

@@ -56,12 +56,14 @@ Swept spaces are built once per process, with their structure
 (``_space_table``, from ``core.extensions``), and shared by every claim
 and pair.  ``run_claim`` runs in the calling process, and only
 ``run_suite`` starts a pool, and only then imports it: with k workers
-it gets k tasks, task i running shard i of every claim in suite order.
-So each worker builds the whole table with its structure, and works out
-the per-instance data, in its other caches (the plain dicts behind
-``_closure_rows`` and ``_packed_covers``, and
-``category._ir_cat_cached``) and in the checks, for its own shard only:
-an instance family yields only what defines its instances.
+it gets k tasks, task i running shard i of every claim.  Both run
+``_run_shard``: the claims that sweep the table take it in blocks of
+``_BLOCK`` spaces, each claim over a whole block before the next
+starts, and every other claim runs in one pass.  What the checks share
+per space (``_closure_rows``, ``_packed_covers``, ``_ir_cat``) is kept
+by ``_memo`` until its block or pass ends, so no memo outlives a run,
+and a worker works it out for its own shard only: an instance family
+yields only what defines its instances.
 """
 
 from __future__ import annotations
@@ -279,39 +281,57 @@ def chain_homotopy_oracle(x: FiniteSpace, y: FiniteSpace, f, targets) -> int:
 # exhaustive covering oracles
 
 
-# packed covers and closure rows by space, one byte per mask: plain dicts
-# of bytes hold no link node per space, as an lru_cache does
-_PACKED_COVERS: dict[FiniteSpace, bytes] = {}
-_CLOSURE_ROWS: dict[FiniteSpace, bytes] = {}
+# spaces per block of a sweep: the memos hold at most this many, and each
+# claim's loop stays hot over a block
+_BLOCK = 1024
+
+# the table of every memo, emptied when a block or a pass ends
+_MEMOS: list[dict] = []
 
 
+def _memo(compute: Callable) -> Callable:
+    """``compute(space)`` kept by space in a plain dict (no link node per
+    entry, as an ``lru_cache`` has) until its block or pass ends."""
+    table: dict = {}
+    _MEMOS.append(table)
+
+    @functools.wraps(compute)
+    def memo(space):
+        value = table.get(space)
+        if value is None:
+            value = table[space] = compute(space)
+        return value
+
+    return memo
+
+
+@_memo
+def _ir_cat(space: FiniteSpace) -> category.CoverReport:
+    """``category.ir_cat``, worked out once per space in a block or pass."""
+    return category.ir_cat(space)
+
+
+@_memo
 def _packed_covers(space: FiniteSpace) -> bytes:
-    """``category.irredundant_covers(space)`` walked once per process and
-    packed: one byte per member mask, a zero byte between covers.
+    """``category.irredundant_covers(space)`` packed: one byte per member
+    mask, a zero byte between covers.
 
     No member is empty, so the zero byte only separates.  ``bytes``
     raises ValueError on a mask of 256 or more, so only spaces of at
     most 8 points are packed; the swept spaces have at most 6.
     """
-    covers = _PACKED_COVERS.get(space)
-    if covers is None:
-        covers = b"\0".join(map(bytes, category.irredundant_covers(space)))
-        _PACKED_COVERS[space] = covers
-    return covers
+    return b"\0".join(map(bytes, category.irredundant_covers(space)))
 
 
+@_memo
 def _closure_rows(space: FiniteSpace) -> bytes:
-    """The closure of each point of a space of at most 8 points, once per
-    process: row x holds the y with x in meets[y].  T2, T3, T4, P4 and C9
-    read this one copy."""
-    rows = _CLOSURE_ROWS.get(space)
-    if rows is None:
-        cols = [0] * space.n
-        for y, meet in enumerate(_meets(space)):
-            for x in points_of(meet):
-                cols[x] |= 1 << y
-        rows = _CLOSURE_ROWS[space] = bytes(cols)
-    return rows
+    """The closure of each point of a space of at most 8 points: row x
+    holds the y with x in meets[y].  T2, T3, T4, P4 and C9 read one copy."""
+    cols = [0] * space.n
+    for y, meet in enumerate(_meets(space)):
+        for x in points_of(meet):
+            cols[x] |= 1 << y
+    return bytes(cols)
 
 
 def _deformable_opens(space: FiniteSpace) -> dict[int, int]:
@@ -404,7 +424,9 @@ class ClaimReport:
     passed: bool
     counterexamples: list[dict]
     counterexample_count: int
-    elapsed: float  # seconds; above one job, the slowest shard's, timed in its worker
+    # seconds: the sum of the claim's passes, a sweep claim's over its
+    # blocks; above one job, the slowest shard's, timed in its worker
+    elapsed: float
 
     def to_jsonable(self) -> dict:
         # elapsed deliberately omitted: reports must be byte-stable
@@ -438,14 +460,11 @@ def _spaces(n_max: int, pair_max: int, seed: int) -> Iterator[FiniteSpace]:
 def _cover_spaces(n_max: int, pair_max: int, seed: int) -> Iterator[tuple]:
     """Each swept space with one record for the whole sweep, {optimal
     cover: the covers already decided right against it}, and its intern
-    table {cover: cover}.  L1 and L2_subcover skip a cover in the set of
-    the space's optimal cover; both decisions depend on the pair alone,
-    as a cover's union is its space.  A cover is recorded through the
-    table, so each distinct cover is one object in every set: up to 5
-    points, L1's 15,337 pairs hold 522 covers.  The checks, not the family,
-    work out the space's ``ir_cat`` report and its set, so each shard
-    does so only for its own instances.  Each sweep, and each shard,
-    starts with an empty record and table, which go when it ends."""
+    table {cover: cover}, so each distinct cover is one object in every
+    set (up to 5 points, L1's 15,337 pairs hold 522 covers).  L1 and
+    L2_subcover skip a cover in the set of the space's optimal cover; both
+    decisions depend on the pair alone, as a cover's union is its space.
+    Each sweep, and each shard, starts with an empty record and table."""
     record: dict[tuple[int, ...], set[bytes]] = {}
     interned: dict[bytes, bytes] = {}
     for s in _spaces_upto(n_max):
@@ -524,12 +543,8 @@ def _p1_instances(n_max: int, pair_max: int, seed: int) -> Iterator[tuple]:
 
 
 def _p2_instances(n_max: int, pair_max: int, seed: int) -> list:
-    instances = []
-    for k in range(1, 8):
-        chain = intervals.chain_space(k)
-        for m in range(1, 1 << k):
-            instances.append((chain, m))
-    return instances
+    chains = map(intervals.chain_space, range(1, 8))
+    return [(chain, m) for chain in chains for m in range(1, 1 << chain.n)]
 
 
 _PRIMES_25 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
@@ -605,10 +620,8 @@ def _check_t5(pair):
         for g in maps:
             if homotopy.ir_homotopic(f, g) and f.assignment != g.assignment:
                 return {
-                    "domain": dom,
-                    "codomain": cod,
-                    "f": list(f.assignment),
-                    "g": list(g.assignment),
+                    "domain": dom, "codomain": cod,
+                    "f": list(f.assignment), "g": list(g.assignment),
                 }
     return None
 
@@ -620,11 +633,8 @@ def _check_t6(s):
     # bit x0 of the mask: the identity deforms to the constant map at x0
     oracle_co = chain_homotopy_oracle(s, s, identity, constants)
     if oracle_co != co:
-        return {
-            "space": s,
-            "pointwise_core": s.labels_of(co),
-            "oracle_core": s.labels_of(oracle_co),
-        }
+        labels = s.labels_of
+        return {"space": s, "pointwise_core": labels(co), "oracle_core": labels(oracle_co)}
     return None
 
 
@@ -653,7 +663,7 @@ def _check_t9(pair):
     a, b = pair
     prod = product(a, b)
     lhs = category.ir_cat(prod).size
-    rhs = category.ir_cat(a).size * category.ir_cat(b).size
+    rhs = _ir_cat(a).size * _ir_cat(b).size
     if lhs != rhs:
         return {"left": a, "right": b, "product_cat": lhs, "factor_product": rhs}
     return None
@@ -693,11 +703,7 @@ def _check_t13(s):
     dim_rep = _dimension_search(s)
     cat_rep = _cover_search(s)[0]
     if dim_rep.dim + 1 > cat_rep.size:
-        return {
-            "space": s,
-            "dim": dim_rep.dim,
-            "cat": cat_rep.size,
-        }
+        return {"space": s, "dim": dim_rep.dim, "cat": cat_rep.size}
     return None
 
 
@@ -720,7 +726,7 @@ def _check_t14(pair):
 
 def _check_t15(pair):
     a, b = pair
-    ca, cb = category.ir_cat(a).size, category.ir_cat(b).size
+    ca, cb = _ir_cat(a).size, _ir_cat(b).size
     if ca != cb:
         return _equivalence_payload(a, b, cat_left=ca, cat_right=cb)
     return None
@@ -757,13 +763,13 @@ def _check_p2(inst):
 
 
 def _check_p3(s):
-    cover = category.ir_cat(s)
+    cover = _ir_cat(s)
     for i, wit in enumerate(cover.witnesses):
         for j, other in enumerate(cover.sets):
             if i != j and wit & other:
                 return {
                     "space": s,
-                    "cover": spaceio.cover_labels(s, cover.sets),
+                    "cover": bytes(cover.sets),
                     "witness_member": i,
                     "other_member": j,
                     "point": s.labels[points_of(wit & other)[0]],
@@ -786,7 +792,7 @@ def _check_l1(inst):
     # the covers are open covers by construction, so only the decision
     # runs, once per (optimal cover, cover) pair decided right this sweep
     s, record, interned = inst
-    optimal = category.ir_cat(s).sets
+    optimal = _ir_cat(s).sets
     decided = record.setdefault(optimal, set())
     for cov in _packed_covers(s).split(b"\0"):
         if cov in decided:
@@ -796,10 +802,7 @@ def _check_l1(inst):
         if not ok or len(mapping) != len(optimal) or not all(
             0 <= j < len(cov) and w & ~cov[j] == 0 for w, j in zip(optimal, mapping)
         ):
-            return {
-                "space": s,
-                "cover": spaceio.cover_labels(s, cov),
-            }
+            return {"space": s, "cover": cov}
         decided.add(interned.setdefault(cov, cov))
     return None
 
@@ -815,21 +818,17 @@ def _padded_cover(s: FiniteSpace, rep: category.CoverReport):
 
 
 def _check_l2_literal(s):
-    rep = category.ir_cat(s)
+    rep = _ir_cat(s)
     padded = _padded_cover(s, rep)
     if padded is None:
         return None
     # an open cover with more members than the covering category
-    return {
-        "space": s,
-        "cat": rep.size,
-        "padded_cover": spaceio.cover_labels(s, padded),
-    }
+    return {"space": s, "cat": rep.size, "padded_cover": bytes(padded)}
 
 
 def _check_l2_subcover(inst):
     s, record, interned = inst
-    rep = category.ir_cat(s)
+    rep = _ir_cat(s)
     decided = record.setdefault(rep.sets, set())
     padded = _padded_cover(s, rep)
     covers = _packed_covers(s).split(b"\0")
@@ -841,17 +840,10 @@ def _check_l2_subcover(inst):
         try:
             sub = category.greedy_subcover(rep.sets, cov)
         except category.SubcoverNotFound:
-            return {
-                "space": s,
-                "cover": spaceio.cover_labels(s, cov),
-            }
+            return {"space": s, "cover": cov}
         union = reduce(operator.or_, sub, 0)
         if len(sub) > rep.size or not set(sub).issubset(cov) or union != s.full_mask:
-            return {
-                "space": s,
-                "cover": spaceio.cover_labels(s, cov),
-                "subcover": spaceio.cover_labels(s, sub),
-            }
+            return {"space": s, "cover": cov, "subcover": bytes(sub)}
         decided.add(interned.setdefault(cov, cov))
     return None
 
@@ -887,7 +879,7 @@ def _check_c6(s):
     maximal = s.closed_points()
     if maximal.bit_count() != 1:
         return None
-    if category.ir_cat(s).size != 1 or homotopy.ir_co(s) != maximal:
+    if _ir_cat(s).size != 1 or homotopy.ir_co(s) != maximal:
         return {"space": s}
     return None
 
@@ -900,17 +892,14 @@ def _check_c7(p):
 
 
 def _check_c8(s):
-    rep = category.ir_cat(s)
+    rep = _ir_cat(s)
     ok, mapping = category.check_refinement(s, rep.sets)
     if not ok or mapping != tuple(range(rep.size)):
         return {"space": s, "mapping": mapping}
     for i, a in enumerate(rep.sets):
         for j, b in enumerate(rep.sets):
             if i != j and a & ~b == 0:
-                return {
-                    "space": s,
-                    "nested_members": [i, j],
-                }
+                return {"space": s, "nested_members": [i, j]}
     return None
 
 
@@ -929,11 +918,7 @@ def _check_c9(s):
 def _check_d5(s):
     sub, amb = (rep.size for rep in _cover_search(s))
     if sub != amb:
-        return {
-            "space": s,
-            "subspace_cat": sub,
-            "ambient_cat": amb,
-        }
+        return {"space": s, "subspace_cat": sub, "ambient_cat": amb}
     return None
 
 
@@ -1089,42 +1074,65 @@ def _resolve_limits(n_max: int, pair_max: int | None, seed: int) -> tuple[int, i
 
 
 def _jsonable(payload: dict) -> dict:
-    """A counterexample payload with each space in it written out."""
+    """A counterexample payload with each space in it written out, and
+    each packed cover (``bytes``) as the labels of its members in the
+    payload's ``space``."""
+    space = payload.get("space")
     return {
-        k: spaceio.space_to_dict(v) if isinstance(v, FiniteSpace) else v
+        k: spaceio.space_to_dict(v) if isinstance(v, FiniteSpace)
+        else spaceio.cover_labels(space, v) if isinstance(v, bytes) else v
         for k, v in payload.items()
     }
 
 
-def _run_claim_shard(
-    name: str, n_max: int, pair_max: int, seed: int, shard: int, nshards: int
-) -> tuple[int, int, list[tuple[int, dict]], float]:
-    """Check the instances whose index is ``shard`` modulo ``nshards``.
-
-    Returns the number tested, the number of counterexamples, the first
-    MAX_REPORTED_COUNTEREXAMPLES of them as (index, payload) and the
-    seconds taken.  The spaces in those payloads are written out here, in
-    the worker, and in no other payload.  The first ones over all shards
-    are among the shards' first ones.
-    """
+def _check_all(check: Callable, instances: Iterable[tuple[int, object]], tally: list) -> None:
+    """One pass of a claim: ``check`` each (index, instance) and add to
+    ``tally``, [tested, counterexamples, first, seconds]; first keeps the
+    first MAX_REPORTED_COUNTEREXAMPLES as (index, payload written out)."""
     start = time.monotonic()
-    spec = CLAIMS[name]
-    family = enumerate(spec.instances(n_max, pair_max, seed))
+    first = tally[2]
     tested = count = 0
-    first = []
-    for idx, inst in itertools.islice(family, shard, None, nshards):
+    for idx, inst in instances:
         tested += 1
-        payload = spec.check(inst)
+        payload = check(inst)
         if payload is not None:
             count += 1
             if len(first) < MAX_REPORTED_COUNTEREXAMPLES:
                 first.append((idx, _jsonable(payload)))
-    return tested, count, first, time.monotonic() - start
+    tally[0] += tested
+    tally[1] += count
+    tally[3] += time.monotonic() - start
+
+
+# the families whose instance i is, or holds, the space at index i of the table
+_SWEEPS = (_spaces, _cover_spaces, _dim_spaces)
 
 
 def _run_shard(names: list[str], n_max: int, pair_max: int, seed: int, nshards: int, shard: int):
-    """One pool task: shard ``shard`` of each named claim, in order."""
-    return [_run_claim_shard(name, n_max, pair_max, seed, shard, nshards) for name in names]
+    """Each named claim's instances whose index is ``shard`` modulo
+    ``nshards``: one pool task, or all of a run at one job.
+
+    A claim not in ``_SWEEPS`` runs in one pass; the sweep claims then
+    take the swept spaces in blocks of ``_BLOCK``, each claim over a whole
+    block before the next starts.  The memos are emptied when a pass or
+    block ends.  Returns each claim's tally (``_check_all``) as a tuple.
+    """
+    families = {name: enumerate(CLAIMS[name].instances(n_max, pair_max, seed)) for name in names}
+    tallies = {name: [0, 0, [], 0.0] for name in names}
+    sweeps = [name for name in names if CLAIMS[name].instances in _SWEEPS]
+    size = sum(len(_space_table(n)) for n in range(1, n_max + 1)) if sweeps else 0
+    # (claims, index the pass starts at, instances it takes)
+    passes = [([name], 0, None) for name in names if name not in sweeps]
+    passes += [(sweeps, lo, _BLOCK) for lo in range(0, size, _BLOCK)]
+    for group, lo, stop in passes:
+        try:
+            for name in group:
+                instances = itertools.islice(families[name], (shard - lo) % nshards, stop, nshards)
+                _check_all(CLAIMS[name].check, instances, tallies[name])
+        finally:
+            for table in _MEMOS:
+                table.clear()
+    return [tuple(tallies[name]) for name in names]
 
 
 def _merge(name: str, parts) -> ClaimReport:
@@ -1158,11 +1166,9 @@ def run_claim(name: str, n_max: int = 3, seed: int = 0, pair_max: int | None = N
 
     Sweeps all spaces of 1..n_max points (pairs capped at pair_max,
     default min(3, n_max)); randomized instance families are derived
-    from the seed.  Only ``run_suite`` starts a process pool.
+    from the seed: the one-claim suite at one job, so no pool starts.
     """
-    _lookup_claim(name)
-    n_max, pair_max = _resolve_limits(n_max, pair_max, seed)
-    return _merge(name, [_run_claim_shard(name, n_max, pair_max, seed, 0, 1)])
+    return run_suite(n_max=n_max, seed=seed, pair_max=pair_max, claims=[name])[0]
 
 
 def run_suite(
@@ -1180,11 +1186,11 @@ def run_suite(
     out of range raises SearchBudgetExceeded and jobs below 1 ValueError.
 
     jobs is capped at the CPUs this process may use (``_usable_cpus``).
-    At one job the claims run here, one ``run_claim`` after another.
+    At one job the claims run here, as the one shard of ``_run_shard``.
     Above it, this is the one place a process pool starts: it gets one
-    task per worker, task k runs shard k of every claim in turn, so each
-    worker fills its caches for its own shard and waits for no other
-    between claims, and the parent merges the shards claim by claim.
+    task per worker, task k runs shard k of every claim, so each worker
+    works out what its checks need for its own shard and waits for no
+    other between claims, and the parent merges the shards claim by claim.
     The pool is shut down when the suite ends, also when a claim raises.
     """
     if isinstance(claims, str):
@@ -1205,12 +1211,13 @@ def run_suite(
     n_max, pair_max = _resolve_limits(n_max, pair_max, seed)
     jobs = min(jobs, _usable_cpus())
     if jobs == 1:
-        return [run_claim(name, n_max=n_max, seed=seed, pair_max=pair_max) for name in names]
-    from concurrent.futures import ProcessPoolExecutor
+        shards = [_run_shard(names, n_max, pair_max, seed, 1, 0)]
+    else:
+        from concurrent.futures import ProcessPoolExecutor
 
-    task = functools.partial(_run_shard, names, n_max, pair_max, seed, jobs)
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        shards = list(pool.map(task, range(jobs)))
+        task = functools.partial(_run_shard, names, n_max, pair_max, seed, jobs)
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            shards = list(pool.map(task, range(jobs)))
     return [_merge(name, parts) for name, parts in zip(names, zip(*shards))]
 
 

@@ -129,11 +129,26 @@ class TestIrCat:
             assert ir_cat(s).size == expected
 
     def test_deterministic_reports(self, pseudocircle):
-        from irtopo.category import _ir_cat_cached
-
+        # no cache stands between the calls (test_keeps_no_process_wide_state),
+        # so the second report is worked out afresh
         first = ir_cat(pseudocircle)
-        _ir_cat_cached.cache_clear()
         assert ir_cat(pseudocircle) == first
+
+    def test_keeps_no_process_wide_state(self, pseudocircle):
+        # no memo in category: no cached function and no module-level
+        # container, and each call builds a new report
+        from irtopo import category
+
+        held = [
+            name
+            for name, value in vars(category).items()
+            if not name.startswith("__")
+            and (hasattr(value, "cache_info") or isinstance(value, (dict, list, set)))
+        ]
+        assert held == []
+        first = ir_cat(pseudocircle)
+        second = ir_cat(pseudocircle)
+        assert second == first and second is not first
 
 
 @pytest.fixture(scope="module")

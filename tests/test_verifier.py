@@ -424,7 +424,9 @@ class TestClaimKernels:
 
         from irtopo import verifier
 
-        monkeypatch.setattr(verifier, "_PACKED_COVERS", {})
+        # no run leaves a memo behind, but calls outside a run may have
+        for table in verifier._MEMOS:
+            table.clear()
         monkeypatch.setattr(category, "irredundant_covers", counting)
         reports = run_suite(n_max=4, claims=["T13", "L1", "L2_subcover", "C5"], jobs=1)
         assert all(r.passed for r in reports)
@@ -506,7 +508,8 @@ class TestClaimKernels:
     @pytest.mark.parametrize("shard", [0, 1])
     def test_cover_claims_work_out_only_their_shard(self, monkeypatch, shard):
         # each shard asks ir_cat about its own spaces only, index shard
-        # modulo 2, not about every space it skips
+        # modulo 2, not about every space it skips, and the two claims
+        # share the block's report
         from irtopo import verifier
 
         asked = []
@@ -522,7 +525,7 @@ class TestClaimKernels:
         swept = list(_spaces_upto(4))
         assert len(swept) == 389
         mine = swept[shard::2]
-        assert sorted(map(id, asked)) == sorted(map(id, mine + mine))
+        assert sorted(map(id, asked)) == sorted(map(id, mine))
 
     def test_closure_claims_compute_each_space_once(self, monkeypatch):
         from irtopo import verifier
@@ -534,7 +537,8 @@ class TestClaimKernels:
             walked.append(id(space))
             return real(space)
 
-        monkeypatch.setattr(verifier, "_CLOSURE_ROWS", {})
+        for table in verifier._MEMOS:
+            table.clear()
         monkeypatch.setattr(verifier, "_meets", counting)
         reports = run_suite(n_max=4, claims=["T2", "T3", "T4", "P4", "C9"], jobs=1)
         assert all(r.passed for r in reports)
@@ -587,9 +591,10 @@ class TestClaimKernels:
             return None
 
         real_path = homotopy.ir_path
+        real_rows_of = verifier._closure_rows
         found = 0
         for s in _spaces_upto(3):
-            real_rows = verifier._closure_rows(s)
+            real_rows = real_rows_of(s)
             for a in range(s.n):
                 for b in range(s.n):
                     # ir_path lies at (a, b); then the closure of a also
@@ -601,7 +606,7 @@ class TestClaimKernels:
                     lied[a] &= ~(1 << a)
                     monkeypatch.setattr(homotopy, "ir_path", path)
                     for rows in (real_rows, bytes(lied)):
-                        monkeypatch.setattr(verifier, "_CLOSURE_ROWS", {s: rows})
+                        monkeypatch.setattr(verifier, "_closure_rows", lambda _, rows=rows: rows)
                         expected = full_loop(s)
                         assert _check_t3(s) == expected
                         found += expected is not None
@@ -689,7 +694,9 @@ class TestOraclesReadOnlyTheOpens:
         for s, identity, targets, answers in expected:
             copy = _OpensOnly(s.labels, _HashOnlyRows(s.reach_rows))
             object.__setattr__(copy, "_open_sets", s.open_sets)
-            monkeypatch.setattr(verifier, "_CLOSURE_ROWS", {})
+            # the copy hashes as s does, so s's memo entry would answer
+            for table in verifier._MEMOS:
+                table.clear()
             assert (
                 verifier._closure_rows(copy),
                 verifier._cover_search(copy),
@@ -877,13 +884,13 @@ class TestSuite:
 
     @staticmethod
     def _record_runs(monkeypatch):
-        """Patch both routes a claim can run by (run_claim at one job, the
-        pool's shards above it) to record the claims that would run."""
+        """Patch the one route claims run by (``_run_shard``, here at one
+        job and in the pool's tasks above it) to record the claims that
+        would run."""
         from irtopo import verifier
 
         ran = []
-        monkeypatch.setattr(verifier, "run_claim", lambda name, **kw: ran.append(name))
-        monkeypatch.setattr(verifier, "_run_claim_shard", lambda name, *a: ran.append(name))
+        monkeypatch.setattr(verifier, "_run_shard", lambda names, *a: ran.extend(names))
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _inline_pool([]))
         monkeypatch.setattr(verifier, "_usable_cpus", lambda: 2)
         return ran
@@ -1011,6 +1018,117 @@ class TestSuite:
         )
 
 
+_PINNED_4_3 = "d036dcd71eb5a106ae393be38a39d420ba1bd44ace05de3232b0116c16f2c48c"
+
+
+def _watch_memos(monkeypatch, seen):
+    """Wrap the check of every sweep claim so that, at each instance, it
+    appends to seen the table index of the instance's space, the shard
+    running it and the table indices of the spaces the memos hold."""
+    from irtopo import verifier
+
+    index = {s: i for i, s in enumerate(_spaces_upto(4))}
+    shard = [None]
+    real_shard = verifier._run_shard
+
+    def run_shard(*args):
+        shard[0] = args[-1]
+        return real_shard(*args)
+
+    def watching(check):
+        def watched(inst):
+            space = inst[0] if isinstance(inst, tuple) else inst
+            held = {index[k] for table in verifier._MEMOS for k in table}
+            seen.append((index[space], shard[0], held))
+            return check(inst)
+
+        return watched
+
+    monkeypatch.setattr(verifier, "_run_shard", run_shard)
+
+    for name in CLAIM_ORDER:
+        spec = verifier.CLAIMS[name]
+        if spec.instances in verifier._SWEEPS:
+            monkeypatch.setitem(
+                verifier.CLAIMS, name, dataclasses.replace(spec, check=watching(spec.check))
+            )
+
+
+class TestSweepBlocks:
+    @pytest.mark.parametrize("block", [None, 1, 10_000], ids=["default", "one", "over-table"])
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_block_size_changes_no_report(self, monkeypatch, block, jobs):
+        # the suite and each claim run alone agree claim by claim, and the
+        # suite stays byte for byte the pinned one, wherever blocks end
+        from irtopo import verifier
+
+        if block is not None:
+            monkeypatch.setattr(verifier, "_BLOCK", block)
+        sizes = []
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _inline_pool(sizes))
+        monkeypatch.setattr(verifier, "_usable_cpus", lambda: 2)
+        suite = run_suite(n_max=4, pair_max=3, jobs=jobs)
+        assert sizes == ([2] if jobs == 2 else [])
+        for report in suite:
+            alone = run_claim(report.claim, n_max=4, pair_max=3)
+            assert report.to_jsonable() == alone.to_jsonable(), report.claim
+        text = dumps_canonical(suite_to_jsonable(suite, 4, 3, 0))
+        assert hashlib.sha256(text.encode()).hexdigest() == _PINNED_4_3
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_memos_hold_one_block_and_no_run_leaves_them(self, monkeypatch, jobs):
+        from irtopo import verifier
+
+        # an odd block, so that the blocks of a shard start at either parity
+        monkeypatch.setattr(verifier, "_BLOCK", 49)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _inline_pool([]))
+        monkeypatch.setattr(verifier, "_usable_cpus", lambda: 2)
+        seen = []
+        _watch_memos(monkeypatch, seen)
+        run_suite(n_max=4, pair_max=3, jobs=jobs)
+        assert not any(verifier._MEMOS)
+        # every space a memo holds lies in the block and the shard of the
+        # space checked, and a block fills the memos with its shard
+        assert len(seen) == 18 * 389
+        for i, shard, held in seen:
+            assert i % jobs == shard
+            lo = i - i % 49
+            assert held <= {j for j in range(lo, lo + 49) if j % jobs == shard}
+        assert max(len(held) for *_, held in seen) == -(-49 // jobs)
+        seen.clear()
+        assert run_claim("L1", n_max=4).passed
+        assert not any(verifier._MEMOS)
+        assert len(seen) == 389 and max(len(held) for *_, held in seen) == 48
+
+    def test_a_failing_check_leaves_no_memo(self, monkeypatch):
+        from irtopo import verifier
+
+        def boom(s):
+            verifier._closure_rows(s)
+            raise ValueError("check failed on purpose")
+
+        monkeypatch.setitem(
+            verifier.CLAIMS, "C9", dataclasses.replace(verifier.CLAIMS["C9"], check=boom)
+        )
+        with pytest.raises(ValueError, match="check failed on purpose"):
+            run_suite(n_max=3, claims=["L1", "C9"])
+        assert not any(verifier._MEMOS)
+
+    def test_l2_literal_labels_only_the_reported_covers(self, monkeypatch):
+        from irtopo import spaceio
+
+        labelled = []
+        real = spaceio.cover_labels
+        monkeypatch.setattr(
+            spaceio, "cover_labels", lambda s, masks: labelled.append(s) or real(s, masks)
+        )
+        report = run_claim("L2_literal", n_max=5)
+        assert report.counterexample_count == 7326
+        assert len(labelled) == len(report.counterexamples) == 10
+        for payload, space in zip(report.counterexamples, labelled):
+            assert payload["space"] == spaceio.space_to_dict(space)
+            assert len(payload["padded_cover"]) == payload["cat"] + 1
+
 def test_trace_layer_map_counts_each_cover_once():
     # perfbench's layer map patches category.irredundant_covers by name:
     # instrument() fails here if a patched name goes missing, and the
@@ -1057,7 +1175,8 @@ print(json.dumps({{"code": code, "suite": suite, "counts": spans.span_counts(rec
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout)
     suite, counts = result["suite"], result["counts"]
-    assert suite["verifier.run_claim"] == 32
+    # the suite runs its claims through _run_shard, not run_claim
+    assert "verifier.run_claim" not in suite
     assert suite["verifier.enumerate"] > 0
     # one traced `spec zn` call adds its own spans
     assert result["code"] == 0
