@@ -460,11 +460,14 @@ def _spaces(n_max: int, pair_max: int, seed: int) -> Iterator[FiniteSpace]:
 def _cover_spaces(n_max: int, pair_max: int, seed: int) -> Iterator[tuple]:
     """Each swept space with one record for the whole sweep, {optimal
     cover: the covers already decided right against it}, and its intern
-    table {cover: cover}, so each distinct cover is one object in every
-    set (up to 5 points, L1's 15,337 pairs hold 522 covers).  L1 and
-    L2_subcover skip a cover in the set of the space's optimal cover; both
-    decisions depend on the pair alone, as a cover's union is its space.
-    Each sweep, and each shard, starts with an empty record and table."""
+    table {cover: cover}.  L1 and L2_subcover skip a cover in the set of
+    the space's optimal cover; both decisions depend on the pair alone,
+    as a cover's union is its space.  A cover is recorded through the
+    table, so each distinct cover is one object in every set: up to 5
+    points, L1's 15,337 pairs hold 522 covers.  The checks, not the family,
+    work out the space's ``ir_cat`` report and its set, so each shard
+    does so only for its own instances.  Each sweep, and each shard,
+    starts with an empty record and table, which go when it ends."""
     record: dict[tuple[int, ...], set[bytes]] = {}
     interned: dict[bytes, bytes] = {}
     for s in _spaces_upto(n_max):
@@ -543,8 +546,12 @@ def _p1_instances(n_max: int, pair_max: int, seed: int) -> Iterator[tuple]:
 
 
 def _p2_instances(n_max: int, pair_max: int, seed: int) -> list:
-    chains = map(intervals.chain_space, range(1, 8))
-    return [(chain, m) for chain in chains for m in range(1, 1 << chain.n)]
+    instances = []
+    for k in range(1, 8):
+        chain = intervals.chain_space(k)
+        for m in range(1, 1 << k):
+            instances.append((chain, m))
+    return instances
 
 
 _PRIMES_25 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
@@ -620,8 +627,10 @@ def _check_t5(pair):
         for g in maps:
             if homotopy.ir_homotopic(f, g) and f.assignment != g.assignment:
                 return {
-                    "domain": dom, "codomain": cod,
-                    "f": list(f.assignment), "g": list(g.assignment),
+                    "domain": dom,
+                    "codomain": cod,
+                    "f": list(f.assignment),
+                    "g": list(g.assignment),
                 }
     return None
 
@@ -633,8 +642,11 @@ def _check_t6(s):
     # bit x0 of the mask: the identity deforms to the constant map at x0
     oracle_co = chain_homotopy_oracle(s, s, identity, constants)
     if oracle_co != co:
-        labels = s.labels_of
-        return {"space": s, "pointwise_core": labels(co), "oracle_core": labels(oracle_co)}
+        return {
+            "space": s,
+            "pointwise_core": s.labels_of(co),
+            "oracle_core": s.labels_of(oracle_co),
+        }
     return None
 
 
@@ -703,7 +715,11 @@ def _check_t13(s):
     dim_rep = _dimension_search(s)
     cat_rep = _cover_search(s)[0]
     if dim_rep.dim + 1 > cat_rep.size:
-        return {"space": s, "dim": dim_rep.dim, "cat": cat_rep.size}
+        return {
+            "space": s,
+            "dim": dim_rep.dim,
+            "cat": cat_rep.size,
+        }
     return None
 
 
@@ -899,7 +915,10 @@ def _check_c8(s):
     for i, a in enumerate(rep.sets):
         for j, b in enumerate(rep.sets):
             if i != j and a & ~b == 0:
-                return {"space": s, "nested_members": [i, j]}
+                return {
+                    "space": s,
+                    "nested_members": [i, j],
+                }
     return None
 
 
@@ -918,7 +937,11 @@ def _check_c9(s):
 def _check_d5(s):
     sub, amb = (rep.size for rep in _cover_search(s))
     if sub != amb:
-        return {"space": s, "subspace_cat": sub, "ambient_cat": amb}
+        return {
+            "space": s,
+            "subspace_cat": sub,
+            "ambient_cat": amb,
+        }
     return None
 
 
@@ -1114,8 +1137,9 @@ def _run_shard(names: list[str], n_max: int, pair_max: int, seed: int, nshards: 
 
     A claim not in ``_SWEEPS`` runs in one pass; the sweep claims then
     take the swept spaces in blocks of ``_BLOCK``, each claim over a whole
-    block before the next starts.  The memos are emptied when a pass or
-    block ends.  Returns each claim's tally (``_check_all``) as a tuple.
+    block before the next starts.  Each pass goes through ``run_claim``,
+    and the memos are emptied when a pass or block ends.  Returns each
+    claim's tally (``_check_all``) as a tuple.
     """
     families = {name: enumerate(CLAIMS[name].instances(n_max, pair_max, seed)) for name in names}
     tallies = {name: [0, 0, [], 0.0] for name in names}
@@ -1128,7 +1152,7 @@ def _run_shard(names: list[str], n_max: int, pair_max: int, seed: int, nshards: 
         try:
             for name in group:
                 instances = itertools.islice(families[name], (shard - lo) % nshards, stop, nshards)
-                _check_all(CLAIMS[name].check, instances, tallies[name])
+                run_claim(name, _pass=(instances, tallies[name]))
         finally:
             for table in _MEMOS:
                 table.clear()
@@ -1161,13 +1185,20 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def run_claim(name: str, n_max: int = 3, seed: int = 0, pair_max: int | None = None) -> ClaimReport:
+def run_claim(
+    name: str, n_max: int = 3, seed: int = 0, pair_max: int | None = None, *, _pass=None
+) -> ClaimReport:
     """Run a single claim sweep in this process and return its report.
 
     Sweeps all spaces of 1..n_max points (pairs capped at pair_max,
     default min(3, n_max)); randomized instance families are derived
     from the seed: the one-claim suite at one job, so no pool starts.
+    ``_run_shard`` runs each pass of a claim through here as well, with
+    ``_pass`` the (instances, tally) of ``_check_all``, and gets None, so
+    a wrapper of this name (perfbench's ``--trace``) times every pass.
     """
+    if _pass is not None:
+        return _check_all(CLAIMS[name].check, *_pass)
     return run_suite(n_max=n_max, seed=seed, pair_max=pair_max, claims=[name])[0]
 
 

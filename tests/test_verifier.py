@@ -1165,9 +1165,12 @@ rec = spans.Recorder()
 spans.instrument(rec)
 verifier.run_suite(n_max=2)
 suite = spans.span_counts(rec)
+verifier._BLOCK = 2
+verifier.run_suite(n_max=2, claims=["T2", "L1", "T14"])
+blocks = spans.span_counts(rec)["verifier.run_claim"] - suite["verifier.run_claim"]
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(["spec", "zn", "--n", "360", "--format", "json"])
-print(json.dumps({{"code": code, "suite": suite, "counts": spans.span_counts(rec)}}))
+print(json.dumps({{"code": code, "suite": suite, "blocks": blocks, "counts": spans.span_counts(rec)}}))
 """
     done = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
@@ -1175,8 +1178,10 @@ print(json.dumps({{"code": code, "suite": suite, "counts": spans.span_counts(rec
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout)
     suite, counts = result["suite"], result["counts"]
-    # the suite runs its claims through _run_shard, not run_claim
-    assert "verifier.run_claim" not in suite
+    # every claim pass runs through run_claim: at 2 points, one per claim;
+    # in blocks of 2 of the 5 spaces, three per sweep claim and one for T14
+    assert suite["verifier.run_claim"] == 32
+    assert result["blocks"] == 3 + 3 + 1
     assert suite["verifier.enumerate"] > 0
     # one traced `spec zn` call adds its own spans
     assert result["code"] == 0
