@@ -35,13 +35,9 @@ construction, so L1 and L2_subcover call the decisions
 validate nothing; C8 and the unit tests call the validating entries
 ``check_refinement`` and ``min_subcover``.  Those decisions depend on
 the (optimal cover, cover) pair alone, and pairs repeat across spaces,
-so the two claims decide each distinct pair once per sweep.  Their
-instance family (``_cover_spaces``) yields each space with a record of
-the covers decided right against each optimal cover, which holds each
-distinct cover as one object, made when a sweep or a shard starts and
-freed when it ends; the checks work out the space's ``ir_cat`` report
-and its entry in the record.  A failing cover is not recorded, so it is
-decided again, and counted, at every space that holds it.
+so the two claims decide each distinct pair once per block
+(``_decided``).  A failing cover is not recorded, so it is decided
+again, and counted, at every space that holds it.
 
 Logic that only one claim needs lives in that claim's check, and a
 corollary that is an instance of another claim reuses that claim's
@@ -60,10 +56,10 @@ it gets k tasks, task i running shard i of every claim.  Both run
 ``_run_shard``: the claims that sweep the table take it in blocks of
 ``_BLOCK`` spaces, each claim over a whole block before the next
 starts, and every other claim runs in one pass.  What the checks share
-per space (``_closure_rows``, ``_packed_covers``, ``_ir_cat``) is kept
-by ``_memo`` until its block or pass ends, so no memo outlives a run,
-and a worker works it out for its own shard only: an instance family
-yields only what defines its instances.
+(``_closure_rows``, ``_packed_covers``, ``_ir_cat`` per space, and the
+covers ``_decided``) is kept by ``_memo`` until its block or pass ends,
+so no memo outlives a run, and a worker works it out for its own shard
+only: an instance family yields only what defines its instances.
 """
 
 from __future__ import annotations
@@ -281,8 +277,8 @@ def chain_homotopy_oracle(x: FiniteSpace, y: FiniteSpace, f, targets) -> int:
 # exhaustive covering oracles
 
 
-# spaces per block of a sweep: the memos hold at most this many, and each
-# claim's loop stays hot over a block
+# spaces per block of a sweep: the memos hold what this many need, and
+# each claim's loop stays hot over a block
 _BLOCK = 1024
 
 # the table of every memo, emptied when a block or a pass ends
@@ -290,16 +286,16 @@ _MEMOS: list[dict] = []
 
 
 def _memo(compute: Callable) -> Callable:
-    """``compute(space)`` kept by space in a plain dict (no link node per
-    entry, as an ``lru_cache`` has) until its block or pass ends."""
+    """``compute(key)`` kept by its one argument in a plain dict (no link
+    node per entry, as an ``lru_cache`` has) until its block or pass ends."""
     table: dict = {}
     _MEMOS.append(table)
 
     @functools.wraps(compute)
-    def memo(space):
-        value = table.get(space)
+    def memo(key):
+        value = table.get(key)
         if value is None:
-            value = table[space] = compute(space)
+            value = table[key] = compute(key)
         return value
 
     return memo
@@ -321,6 +317,19 @@ def _packed_covers(space: FiniteSpace) -> bytes:
     most 8 points are packed; the swept spaces have at most 6.
     """
     return b"\0".join(map(bytes, category.irredundant_covers(space)))
+
+
+@_memo
+def _decided(key: tuple[str, tuple[int, ...]]) -> set[bytes]:
+    """The covers that key's claim (L1 or L2_subcover) decided right so far
+    this block against key's optimal cover; key is (claim, optimal cover)."""
+    return set()
+
+
+@_memo
+def _interned(cover: bytes) -> bytes:
+    """The block's first cover equal to this one: one object per cover."""
+    return cover
 
 
 @_memo
@@ -455,23 +464,6 @@ def _spaces_upto(n_max: int) -> Iterator[FiniteSpace]:
 
 def _spaces(n_max: int, pair_max: int, seed: int) -> Iterator[FiniteSpace]:
     return _spaces_upto(n_max)
-
-
-def _cover_spaces(n_max: int, pair_max: int, seed: int) -> Iterator[tuple]:
-    """Each swept space with one record for the whole sweep, {optimal
-    cover: the covers already decided right against it}, and its intern
-    table {cover: cover}.  L1 and L2_subcover skip a cover in the set of
-    the space's optimal cover; both decisions depend on the pair alone,
-    as a cover's union is its space.  A cover is recorded through the
-    table, so each distinct cover is one object in every set: up to 5
-    points, L1's 15,337 pairs hold 522 covers.  The checks, not the family,
-    work out the space's ``ir_cat`` report and its set, so each shard
-    does so only for its own instances.  Each sweep, and each shard,
-    starts with an empty record and table, which go when it ends."""
-    record: dict[tuple[int, ...], set[bytes]] = {}
-    interned: dict[bytes, bytes] = {}
-    for s in _spaces_upto(n_max):
-        yield s, record, interned
 
 
 def _pairs(n_max: int, pair_max: int, seed: int) -> Iterable[tuple[FiniteSpace, FiniteSpace]]:
@@ -804,12 +796,11 @@ def _check_p4(s):
     return None
 
 
-def _check_l1(inst):
+def _check_l1(s):
     # the covers are open covers by construction, so only the decision
-    # runs, once per (optimal cover, cover) pair decided right this sweep
-    s, record, interned = inst
+    # runs, once per (optimal cover, cover) pair decided right this block
     optimal = _ir_cat(s).sets
-    decided = record.setdefault(optimal, set())
+    decided = _decided(("L1", optimal))
     for cov in _packed_covers(s).split(b"\0"):
         if cov in decided:
             continue
@@ -819,7 +810,7 @@ def _check_l1(inst):
             0 <= j < len(cov) and w & ~cov[j] == 0 for w, j in zip(optimal, mapping)
         ):
             return {"space": s, "cover": cov}
-        decided.add(interned.setdefault(cov, cov))
+        decided.add(_interned(cov))
     return None
 
 
@@ -842,10 +833,9 @@ def _check_l2_literal(s):
     return {"space": s, "cat": rep.size, "padded_cover": bytes(padded)}
 
 
-def _check_l2_subcover(inst):
-    s, record, interned = inst
+def _check_l2_subcover(s):
     rep = _ir_cat(s)
-    decided = record.setdefault(rep.sets, set())
+    decided = _decided(("L2_subcover", rep.sets))
     padded = _padded_cover(s, rep)
     covers = _packed_covers(s).split(b"\0")
     if padded is not None:
@@ -860,7 +850,7 @@ def _check_l2_subcover(inst):
         union = reduce(operator.or_, sub, 0)
         if len(sub) > rep.size or not set(sub).issubset(cov) or union != s.full_mask:
             return {"space": s, "cover": cov, "subcover": bytes(sub)}
-        decided.add(interned.setdefault(cov, cov))
+        decided.add(_interned(cov))
     return None
 
 
@@ -1023,13 +1013,13 @@ _CLAIM_LIST = [
               _spaces, _check_p4),
     ClaimSpec("L1", "asserted",
               "an optimal deformable cover refines every open cover",
-              _cover_spaces, _check_l1),
+              _spaces, _check_l1),
     ClaimSpec("L2_literal", "known_false",
               "no open cover has more members than the covering category",
               _spaces, _check_l2_literal),
     ClaimSpec("L2_subcover", "asserted",
               "every open cover contains a subcover no larger than the covering category",
-              _cover_spaces, _check_l2_subcover),
+              _spaces, _check_l2_subcover),
     ClaimSpec("C1", "asserted",
               "the closed unit interval of the one-way line is compact",
               _fixed(("closed", _UNIT)), _check_t1),
@@ -1127,8 +1117,8 @@ def _check_all(check: Callable, instances: Iterable[tuple[int, object]], tally: 
     tally[3] += time.monotonic() - start
 
 
-# the families whose instance i is, or holds, the space at index i of the table
-_SWEEPS = (_spaces, _cover_spaces, _dim_spaces)
+# the families whose instance i is the space at index i of the table
+_SWEEPS = (_spaces, _dim_spaces)
 
 
 def _run_shard(names: list[str], n_max: int, pair_max: int, seed: int, nshards: int, shard: int):

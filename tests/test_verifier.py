@@ -76,19 +76,21 @@ def _inline_pool(sizes, maps=None):
     return InlinePool
 
 
-def _cover_pairs(claim, n_max):
+def _space_cover_pairs(claim, s):
     """The (optimal cover, cover) pair of each cover that L1 or L2_subcover
-    decides at each space of at most n_max points, read from the cover
-    walk itself, space by space; L2_subcover also decides the padded cover."""
-    pairs = []
-    for s in _spaces_upto(n_max):
-        rep = category.ir_cat(s)
-        padded = _padded_cover(s, rep)
-        covers = list(category.irredundant_covers(s))
-        if claim == "L2_subcover" and padded is not None:
-            covers.append(padded)
-        pairs += [(rep.sets, cov) for cov in covers]
-    return pairs
+    decides at the space s, read from the cover walk itself; L2_subcover
+    also decides the padded cover."""
+    rep = category.ir_cat(s)
+    padded = _padded_cover(s, rep)
+    covers = list(category.irredundant_covers(s))
+    if claim == "L2_subcover" and padded is not None:
+        covers.append(padded)
+    return [(rep.sets, cov) for cov in covers]
+
+
+def _cover_pairs(claim, n_max):
+    """``_space_cover_pairs`` at each space of at most n_max points, in order."""
+    return [pair for s in _spaces_upto(n_max) for pair in _space_cover_pairs(claim, s)]
 
 
 def _most_held(pairs):
@@ -218,7 +220,7 @@ class TestEnumeration:
         monkeypatch.setattr(core, "transpose", recording)
         monkeypatch.setattr(verifier, "_space_table", lru_cache(maxsize=None)(_space_table.__wrapped__))
         names = [name for name, spec in CLAIMS.items()
-                 if spec.instances in (verifier._spaces, verifier._cover_spaces, verifier._dim_spaces)]
+                 if spec.instances in (verifier._spaces, verifier._dim_spaces)]
         assert len(names) == 18
         assert all(r.passed or r.category != "asserted" for r in run_suite(n_max=4, claims=names))
         swept = {s.reach_rows for s in _spaces_upto(4)}
@@ -434,10 +436,14 @@ class TestClaimKernels:
         assert len(walked) == len(swept) == 389
         assert sorted(map(id, walked)) == sorted(map(id, swept))
 
+    @pytest.mark.parametrize("block", [None, 49], ids=["one-block", "block-49"])
     @pytest.mark.parametrize("claim, helper", _COVER_HELPERS)
-    def test_cover_claims_decide_each_distinct_pair_once(self, monkeypatch, claim, helper):
+    def test_cover_claims_decide_each_distinct_pair_once(self, monkeypatch, claim, helper, block):
         # both decisions depend on the (optimal cover, cover) pair alone,
-        # so a pair decided right at one space is skipped at the next
+        # so a pair decided right at one space is skipped at the next in
+        # its block; a new block decides it again
+        from irtopo import verifier
+
         decided = []
         real = getattr(category, helper)
 
@@ -446,32 +452,58 @@ class TestClaimKernels:
             return real(optimal, cov)
 
         monkeypatch.setattr(category, helper, counting)
+        if block is not None:
+            monkeypatch.setattr(verifier, "_BLOCK", block)
         assert run_claim(claim, n_max=4).passed
-        held = _cover_pairs(claim, 4)
-        if claim == "L1":
-            assert (len(held), len(set(held))) == (1200, 499)
-        assert Counter(decided) == Counter(set(held))
+        if block is None:
+            held = _cover_pairs(claim, 4)
+            if claim == "L1":
+                assert (len(held), len(set(held))) == (1200, 499)
+            assert Counter(decided) == Counter(set(held))
+        else:
+            swept = list(_spaces_upto(4))
+            per_block = Counter()
+            for lo in range(0, len(swept), block):
+                per_block.update({pair for s in swept[lo:lo + block] for pair in _space_cover_pairs(claim, s)})
+            assert Counter(decided) == per_block
+            assert len(decided) > len(set(decided))
 
     @pytest.mark.parametrize("claim", ["L1", "L2_subcover"])
-    def test_cover_record_holds_each_cover_once(self, claim):
-        # one sweep of the family through the claim's check: equal covers
-        # in the sets of different optimal covers are one object, the
-        # intern table's, and the record holds each distinct pair decided
+    def test_cover_records_hold_one_block(self, monkeypatch, claim):
+        # after each space's check, the claim's records (the ``_decided``
+        # memo, keyed by (claim, optimal cover)) hold the optimal covers of
+        # its block so far and the pairs decided there, each recorded cover
+        # the one object the intern memo keeps; no run leaves them behind
         from irtopo import verifier
 
-        check = CLAIMS[claim].check
-        shared = set()
-        for inst in verifier._cover_spaces(4, 3, 0):
-            assert check(inst) is None
-            shared.add(tuple(map(id, inst[1:])))
-        assert len(shared) == 1
-        _, record, interned = inst
-        covers = [cov for decided in record.values() for cov in decided]
-        assert all(interned[cov] is cov for cov in covers)
-        assert len(set(map(id, covers))) == len(set(covers)) < len(covers)
-        pairs = [(optimal, tuple(cov)) for optimal, decided in record.items() for cov in decided]
-        assert len(pairs) == len(set(pairs))
-        assert set(pairs) == set(_cover_pairs(claim, 4))
+        monkeypatch.setattr(verifier, "_BLOCK", 49)
+        swept = list(_spaces_upto(4))
+        index = {s: i for i, s in enumerate(swept)}
+        held = [_space_cover_pairs(claim, s) for s in swept]
+        real = CLAIMS[claim].check
+        shared = []
+
+        def watched(s):
+            assert real(s) is None
+            i = index[s]
+            block = held[i - i % 49:i + 1]
+            records = {k: v for table in verifier._MEMOS for k, v in table.items() if type(k) is tuple}
+            interned = {k: v for table in verifier._MEMOS for k, v in table.items() if type(k) is bytes}
+            # each space decides at least one cover, and the first pair holds its optimal cover
+            assert set(records) == {(claim, space_pairs[0][0]) for space_pairs in block}
+            pairs = {(optimal, tuple(cov)) for (_, optimal), covs in records.items() for cov in covs}
+            assert pairs == {pair for space_pairs in block for pair in space_pairs}
+            covers = [cov for covs in records.values() for cov in covs]
+            assert all(interned[cov] is cov for cov in covers)
+            assert len(set(map(id, covers))) == len(set(covers))
+            shared.append(len(covers) - len(set(covers)))
+
+        monkeypatch.setitem(CLAIMS, claim, dataclasses.replace(CLAIMS[claim], check=watched))
+        for table in verifier._MEMOS:
+            table.clear()
+        assert run_claim(claim, n_max=4).passed
+        assert not any(verifier._MEMOS)
+        assert len(shared) == 389 and max(shared) > 0
 
     @pytest.mark.parametrize("claim, helper", _COVER_HELPERS)
     def test_failing_pair_fails_at_every_space_holding_it(self, monkeypatch, claim, helper):
@@ -1023,8 +1055,9 @@ _PINNED_4_3 = "d036dcd71eb5a106ae393be38a39d420ba1bd44ace05de3232b0116c16f2c48c"
 
 def _watch_memos(monkeypatch, seen):
     """Wrap the check of every sweep claim so that, at each instance, it
-    appends to seen the table index of the instance's space, the shard
-    running it and the table indices of the spaces the memos hold."""
+    appends to seen the table index of the instance, a space, the shard
+    running it and the table indices of the spaces that key the memos
+    (the cover memos are keyed by covers, not spaces)."""
     from irtopo import verifier
 
     index = {s: i for i, s in enumerate(_spaces_upto(4))}
@@ -1037,9 +1070,8 @@ def _watch_memos(monkeypatch, seen):
 
     def watching(check):
         def watched(inst):
-            space = inst[0] if isinstance(inst, tuple) else inst
-            held = {index[k] for table in verifier._MEMOS for k in table}
-            seen.append((index[space], shard[0], held))
+            held = {index[k] for table in verifier._MEMOS for k in table if isinstance(k, FiniteSpace)}
+            seen.append((index[inst], shard[0], held))
             return check(inst)
 
         return watched
