@@ -120,7 +120,7 @@ class FiniteSpace:
     :func:`from_open_sets` and :func:`from_reach`, which take masks.
     """
 
-    # Slots, not a per-instance dict (a sweep holds 216,858 spaces): the fields, then n,
+    # Slots, not a per-instance dict (a sweep block holds 1024 spaces): the fields, then n,
     # full_mask and the min_opens and open_sets caches, None until first read
     __slots__ = ("labels", "reach_rows", "n", "full_mask", "_min_opens", "_open_sets")
     labels: tuple[str, ...]
@@ -365,9 +365,7 @@ def extend_opens(opens: Sequence[int], out: int, inc: int, bit: int) -> list[int
     the old space and holding ``inc``.  Those without come first, then
     those with it, each in the order of ``opens``.  ``bit`` is above
     every old point, so the result is in ascending mask order when
-    ``opens`` is; and when ``opens`` is in canonical order, a stable sort
-    by size puts it in canonical order, since at each size the sets
-    holding ``bit`` come after those without it.
+    ``opens`` is.
     """
     return [o for o in opens if not o & out] + [o | bit for o in opens if not inc & ~o]
 
@@ -375,40 +373,28 @@ def extend_opens(opens: Sequence[int], out: int, inc: int, bit: int) -> list[int
 def extensions(space: FiniteSpace) -> Iterator[FiniteSpace]:
     """Every space on the points of ``space`` plus a new last point p,
     labelled by the least ``str(k)``, k >= ``space.n``, that ``space`` does
-    not use, with its ``open_sets`` and ``min_opens`` cached on it.
+    not use.  A child holds its labels and reach rows only: its opens,
+    and the budget on them, come from ``open_sets`` when first read.
 
     p is reached from the points I and reaches the points O.  The child
     is a preorder exactly when I is open, O is closed and O lies in
     ``space.common_reach(I)`` (x -> p -> y forces x -> y), so the
     children are read off the opens and their complements (Brinkmann &
     McKay, "Posets on up to 16 points", Order 2002): I runs over
-    ``space.open_sets`` and, for each I, O over their complements in the
-    same order.  The child's opens are one :func:`extend_opens` step on
-    the parent's, stably sorted by size; its minimal opens are the
-    parent's columns, each point of O gaining p, then I with p.  A child
-    over OPEN_SET_LIMIT opens raises SearchBudgetExceeded, as its
-    ``open_sets`` would.
+    ``space.open_sets`` and, for each I, O over their complements, in order.
     """
     n, bit = space.n, 1 << space.n
     # n labels leave one of the n + 1 candidates free
     fresh = next(str(k) for k in range(n, 2 * n + 1) if str(k) not in space.labels)
     labels = space.labels + (fresh,)
-    opens, cols = space.open_sets, space.min_opens
+    opens = space.open_sets
     closed = [space.full_mask ^ o for o in opens]
     for inc in opens:
         head = tuple(row | bit if inc >> x & 1 else row for x, row in enumerate(space.reach_rows))
         allowed = space.common_reach(inc)
         for out in closed:
-            if out & ~allowed:
-                continue
-            child_opens = extend_opens(opens, out, inc, bit)
-            if len(child_opens) > OPEN_SET_LIMIT:
-                raise SearchBudgetExceeded(f"over {OPEN_SET_LIMIT} open sets on {n + 1} points")
-            child = FiniteSpace(labels, head + (out | bit,))
-            child_cols = tuple(col | bit if out >> y & 1 else col for y, col in enumerate(cols))
-            object.__setattr__(child, "_open_sets", tuple(sorted(child_opens, key=int.bit_count)))
-            object.__setattr__(child, "_min_opens", child_cols + (inc | bit,))
-            yield child
+            if not out & ~allowed:
+                yield FiniteSpace(labels, head + (out | bit,))
 
 
 def transpose(rows: Sequence[int]) -> tuple[int, ...]:

@@ -48,18 +48,18 @@ Reports are deterministic given (claim, size limits, seed) and
 independent of the worker count: instances are indexed before sharding,
 each shard returns its first counterexamples and they merge by index.
 Timing is kept out of the JSON form so reports compare byte for byte.
-Swept spaces are built once per process, with their structure
-(``_space_table``, from ``core.extensions``), and shared by every claim
-and pair.  ``run_claim`` runs in the calling process, and only
-``run_suite`` starts a pool, and only then imports it: with k workers
-it gets k tasks, task i running shard i of every claim.  Both run
-``_run_shard``: the claims that sweep the table take it in blocks of
-``_BLOCK`` spaces, each claim over a whole block before the next
-starts, and every other claim runs in one pass.  What the checks share
-(``_closure_rows``, ``_packed_covers``, ``_ir_cat`` per space, and the
-covers ``_decided``) is kept by ``_memo`` until its block or pass ends,
-so no memo outlives a run, and a worker works it out for its own shard
-only: an instance family yields only what defines its instances.
+The table of spaces is packed reach rows, built once per process
+(``_space_table``, from ``core.extensions``).  ``run_claim`` runs in the
+calling process, and only ``run_suite`` starts a pool, and only then
+imports it: with k workers it gets k tasks, task i running shard i of
+every claim.  Both run ``_run_shard``: the claims that sweep the table
+take it in blocks of ``_BLOCK`` spaces, each space built once as its
+block starts, each claim over a whole block in turn, and every other
+claim runs in one pass.  What the checks share (``_closure_rows``,
+``_packed_covers``, ``_ir_cat`` per space, ``_decided`` covers) lives in
+a ``_memo`` until its block or pass ends, so no space or memo outlives
+its block, and a worker works it out for its own shard only: an instance
+family yields only what defines its instances.
 """
 
 from __future__ import annotations
@@ -106,31 +106,34 @@ class UnknownClaim(IrtopoError):
 
 
 @lru_cache(maxsize=None)
-def _space_table(n: int) -> tuple[FiniteSpace, ...]:
-    """Every space on n labelled points, built once per process: the
-    empty space at n = 0, else the children (``core.extensions``, with
-    their structure) of ``_space_table(n - 1)``, sorted by reach rows."""
-    if n == 0:
-        return (FiniteSpace((), ()),)
-    children = [child for space in _space_table(n - 1) for child in extensions(space)]
-    children.sort(key=operator.attrgetter("reach_rows"))
-    return tuple(children)
+def _space_table(n: int) -> bytes:
+    """The spaces on n >= 1 points as their reach rows, sorted, a byte per
+    row (MAX_ENUM_POINTS is at most 8), built once per process: the
+    children (``core.extensions``) of the spaces on n - 1 points."""
+    parents = enumerate_spaces(n - 1) if n > 1 else [FiniteSpace((), ())]
+    return b"".join(sorted(bytes(c.reach_rows) for s in parents for c in extensions(s)))
+
+
+@lru_cache(maxsize=None)
+def _labels(n: int) -> tuple[str, ...]:
+    return tuple(map(str, range(n)))
 
 
 def enumerate_spaces(n: int) -> Iterator[FiniteSpace]:
     """Every finite space on exactly n labelled points, once, in canonical
-    order (ascending reach-row tuples).
+    order (ascending reach-row tuples), labelled "0" to ``str(n - 1)``.
 
-    Every call yields the same objects (``_space_table``).  An n that is
-    not an int raises TypeError, and one outside 1..MAX_ENUM_POINTS
-    SearchBudgetExceeded, at the call.
+    Each call yields new spaces, read off ``_space_table(n)``, which holds
+    their rows only.  An n that is not an int raises TypeError, and one
+    outside 1..MAX_ENUM_POINTS SearchBudgetExceeded, at the call.
     """
     require_int("n", n)
     if not 1 <= n <= MAX_ENUM_POINTS:
         raise SearchBudgetExceeded(
             f"enumeration supports 1..{MAX_ENUM_POINTS} points, got {n}"
         )
-    return iter(_space_table(n))
+    table, labels = _space_table(n), _labels(n)
+    return (FiniteSpace(labels, tuple(table[k:k + n])) for k in range(0, len(table), n))
 
 
 def topologies_by_open_families(n: int) -> set[tuple[int, ...]]:
@@ -145,7 +148,7 @@ def topologies_by_open_families(n: int) -> set[tuple[int, ...]]:
     full = (1 << n) - 1
     proper = [m for m in range(1, full)]
     found = set()
-    labels = tuple(str(i) for i in range(n))
+    labels = _labels(n)
     for sel in range(1 << len(proper)):
         fam = {0, full, *(proper[i] for i in points_of(sel))}
         if all(a | b in fam and a & b in fam for a in fam for b in fam):
@@ -1117,8 +1120,8 @@ def _check_all(check: Callable, instances: Iterable[tuple[int, object]], tally: 
     tally[3] += time.monotonic() - start
 
 
-# the families whose instance i is the space at index i of the table
-_SWEEPS = (_spaces, _dim_spaces)
+# the families whose instance i is swept space i, to the most points each takes
+_SWEEPS = {_spaces: MAX_ENUM_POINTS, _dim_spaces: _DIM_SWEEP_CAP}
 
 
 def _run_shard(names: list[str], n_max: int, pair_max: int, seed: int, nshards: int, shard: int):
@@ -1126,24 +1129,34 @@ def _run_shard(names: list[str], n_max: int, pair_max: int, seed: int, nshards: 
     ``nshards``: one pool task, or all of a run at one job.
 
     A claim not in ``_SWEEPS`` runs in one pass; the sweep claims then
-    take the swept spaces in blocks of ``_BLOCK``, each claim over a whole
-    block before the next starts.  Each pass goes through ``run_claim``,
-    and the memos are emptied when a pass or block ends.  Returns each
-    claim's tally (``_check_all``) as a tuple.
+    take the swept spaces in blocks of ``_BLOCK``, built with their
+    structure before any claim is timed, each claim over a whole block in
+    turn.  Memos and spaces are dropped when a pass or block ends, and
+    each pass goes through ``run_claim``.  Returns each claim's tally.
     """
-    families = {name: enumerate(CLAIMS[name].instances(n_max, pair_max, seed)) for name in names}
     tallies = {name: [0, 0, [], 0.0] for name in names}
     sweeps = [name for name in names if CLAIMS[name].instances in _SWEEPS]
-    size = sum(len(_space_table(n)) for n in range(1, n_max + 1)) if sweeps else 0
-    # (claims, index the pass starts at, instances it takes)
-    passes = [([name], 0, None) for name in names if name not in sweeps]
-    passes += [(sweeps, lo, _BLOCK) for lo in range(0, size, _BLOCK)]
-    for group, lo, stop in passes:
+    tables = [(n, _space_table(n)) for n in range(1, n_max + 1)] if sweeps else []
+    rows = enumerate(tuple(t[k:k + n]) for n, t in tables for k in range(0, len(t), n))
+    passes = [([name], None) for name in names if name not in sweeps]
+    passes += [(sweeps, lo) for lo in range(0, sum(len(t) // n for n, t in tables), _BLOCK)]
+    for group, lo in passes:
+        if lo is not None:  # only this shard's rows become spaces
+            mine = itertools.islice(rows, (shard - lo) % nshards, _BLOCK, nshards)
+            block = [(i, FiniteSpace(_labels(len(r)), r)) for i, r in mine]
+            for _, space in block:
+                space.open_sets  # fills min_opens as well
         try:
             for name in group:
-                instances = itertools.islice(families[name], (shard - lo) % nshards, stop, nshards)
+                if lo is None:
+                    family = enumerate(CLAIMS[name].instances(n_max, pair_max, seed))
+                    instances = itertools.islice(family, shard, None, nshards)
+                else:  # the block's spaces of at most as many points as the claim takes
+                    cap = _SWEEPS[CLAIMS[name].instances]
+                    instances = block if cap >= n_max else [(i, s) for i, s in block if s.n <= cap]
                 run_claim(name, _pass=(instances, tallies[name]))
         finally:
+            block = family = instances = None
             for table in _MEMOS:
                 table.clear()
     return [tuple(tallies[name]) for name in names]

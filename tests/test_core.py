@@ -25,7 +25,6 @@ from irtopo.core import OPEN_SET_LIMIT, clip_repr, extensions, transpose
 from irtopo.spaceio import space_from_dict, space_to_dict
 from irtopo.verifier import (
     _closure_rows,
-    _space_table,
     box_topology,
     enumerate_spaces,
     topologies_by_open_families,
@@ -197,13 +196,16 @@ class TestSlots:
         with pytest.raises(SearchBudgetExceeded):
             again.open_sets
 
-    def test_extensions_fill_what_a_fresh_space_computes(self):
+    def test_extensions_leave_the_structure_to_open_sets(self):
+        # a child holds its labels and rows only, and what it works out on
+        # first read is the structure of its rows: every space of at most 5
+        # points is a child of one of at most 4
         for n in range(5):
-            for space in _space_table(n):
-                if n:
-                    assert _filled(space) == ["min_opens", "open_sets"], space
-                fresh = FiniteSpace(space.labels, space.reach_rows)
-                assert (fresh.min_opens, fresh.open_sets) == (space.min_opens, space.open_sets)
+            for space in enumerate_spaces(n) if n else [FiniteSpace((), ())]:
+                for child in extensions(space):
+                    assert _filled(child) == [], child
+                    assert child.open_sets == union_closure_opens(child)
+                    assert child.min_opens == transpose(child.reach_rows)
 
 
 class TestFromOpenSets:
@@ -576,7 +578,7 @@ class TestExtensions:
     def test_children_of_the_five_point_spaces(self):
         # OEIS A000798 (labelled topologies) and A001035 (labelled posets) at 6
         total = t0 = 0
-        for space in _space_table(5):
+        for space in enumerate_spaces(5):
             for child in extensions(space):
                 total += 1
                 t0 += child.is_t0()
@@ -584,9 +586,11 @@ class TestExtensions:
 
     def test_open_set_budget(self):
         # the first child of the 16-point discrete space is reached from no
-        # point and reaches all, so it has one open more than its parent
+        # point and reaches all, so it has one open more than its parent;
+        # the child is built, and refused when its opens are first read
+        child = next(extensions(discrete(16)))
         with pytest.raises(SearchBudgetExceeded, match=f"over {OPEN_SET_LIMIT} open sets on 17 points"):
-            next(extensions(discrete(16)))
+            child.open_sets
 
 
 class TestPastTheByteTable:

@@ -9,7 +9,7 @@ import re
 import subprocess
 import sys
 from collections import Counter
-from functools import reduce
+from functools import lru_cache, reduce
 from pathlib import Path
 
 import pytest
@@ -160,26 +160,31 @@ class TestEnumeration:
             enumerate_spaces(n)
         assert built == []
 
-    def test_every_call_yields_the_same_spaces(self):
-        # built once per process, so cached properties are shared
+    def test_every_call_yields_equal_fresh_spaces(self):
+        # the table holds rows only, so each call builds new spaces, with
+        # nothing worked out yet and the labels "0" to str(n - 1)
         for n in range(1, 6):
             first, again = list(enumerate_spaces(n)), list(enumerate_spaces(n))
-            assert len(first) == len(again)
-            assert all(a is b for a, b in zip(first, again))
+            assert first == again
+            assert not any(a is b for a, b in zip(first, again))
+            for s in first:
+                assert s.labels == tuple(map(str, range(n)))
+                assert s._min_opens is None and s._open_sets is None
 
     def test_children_are_every_preorder_extension(self):
-        # The spaces of _space_table(n) whose first n - 1 points restrict
-        # to P must be every pair (I, O) of masks over P, with I reaching
-        # the new last point and O reached from it, that from_reach accepts.
+        # The spaces on n points whose first n - 1 points restrict to P
+        # must be every pair (I, O) of masks over P, with I reaching the
+        # new last point and O reached from it, that from_reach accepts.
         for n in range(1, 6):
             bit_p = 1 << (n - 1)
             drawn = {}
-            for child in _space_table(n):
+            children = list(enumerate_spaces(n))
+            for child in children:
                 parent = tuple(row & ~bit_p for row in child.reach_rows[:-1])
                 drawn.setdefault(parent, set()).add(child.reach_rows)
-            assert sum(map(len, drawn.values())) == len(_space_table(n))
+            assert sum(map(len, drawn.values())) == len(children)
             brute = {}
-            for space in _space_table(n - 1):
+            for space in enumerate_spaces(n - 1) if n > 1 else [FiniteSpace((), ())]:
                 found = brute[space.reach_rows] = set()
                 for incoming in range(bit_p):
                     head = tuple(
@@ -195,37 +200,50 @@ class TestEnumeration:
                         found.add(rows)
             assert drawn == brute
 
-    def test_children_carry_their_structure(self):
-        # the opens and minimal opens each child gets from its parent are
-        # those of its own reach rows
+    def test_enumerated_spaces_work_out_their_structure(self):
+        # the opens and minimal opens each space works out are those of
+        # its own reach rows
         for n in range(1, 6):
-            for s in _space_table(n):
+            for s in enumerate_spaces(n):
                 assert s.min_opens == transpose(s.reach_rows)
                 assert s.open_sets == union_closure_opens(s)
 
-    def test_no_swept_space_transposes_its_rows(self, monkeypatch):
-        # a fresh table, built with core.transpose recording its inputs,
-        # then a sweep of every claim over single spaces
-        from functools import lru_cache
-
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_each_swept_space_is_built_and_worked_out_once_per_shard(self, monkeypatch, jobs):
+        # a sweep of every claim over single spaces, with core.transpose,
+        # which open_sets calls through min_opens, recording its inputs
+        # shard by shard: each shard works out the structure of its own
+        # spaces, once each, and no check works out a swept space again
         from irtopo import core, verifier
 
-        transposed = []
-        real = core.transpose
+        transposed, shards = [], []
+        real_transpose, real_shard = core.transpose, verifier._run_shard
 
         def recording(rows):
             transposed.append(tuple(rows))
-            return real(rows)
+            return real_transpose(rows)
 
-        monkeypatch.setattr(core, "transpose", recording)
+        def run_shard(*args):
+            transposed.clear()
+            result = real_shard(*args)
+            shards.append(Counter(transposed))
+            return result
+
         monkeypatch.setattr(verifier, "_space_table", lru_cache(maxsize=None)(_space_table.__wrapped__))
-        names = [name for name, spec in CLAIMS.items()
-                 if spec.instances in (verifier._spaces, verifier._dim_spaces)]
+        for n in range(1, 5):  # a fresh table, whose build transposes its parents
+            verifier._space_table(n)
+        monkeypatch.setattr(core, "transpose", recording)
+        monkeypatch.setattr(verifier, "_run_shard", run_shard)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _inline_pool([]))
+        monkeypatch.setattr(verifier, "_usable_cpus", lambda: 2)
+        names = [name for name, spec in CLAIMS.items() if spec.instances in verifier._SWEEPS]
         assert len(names) == 18
-        assert all(r.passed or r.category != "asserted" for r in run_suite(n_max=4, claims=names))
-        swept = {s.reach_rows for s in _spaces_upto(4)}
+        reports = run_suite(n_max=4, claims=names, jobs=jobs)
+        assert all(r.passed or r.category != "asserted" for r in reports)
+        swept = [s.reach_rows for s in _spaces_upto(4)]
         assert len(swept) == 389
-        assert swept.isdisjoint(transposed)
+        assert shards == [Counter(swept[shard::jobs]) for shard in range(jobs)]
+        assert [sum(c.values()) for c in shards] == ([389] if jobs == 1 else [195, 194])
 
     def test_matches_open_family_enumeration(self):
         for n in range(1, 4):
@@ -401,7 +419,7 @@ class TestClaimKernels:
         real = verifier._packed_covers
 
         def packed(space):
-            return real(space) + b"\0" + bytes((1, 2)) if space is target else real(space)
+            return real(space) + b"\0" + bytes((1, 2)) if space == target else real(space)
 
         monkeypatch.setattr(verifier, "_packed_covers", packed)
         report = run_claim("C5", n_max=3)
@@ -434,7 +452,7 @@ class TestClaimKernels:
         assert all(r.passed for r in reports)
         swept = list(_spaces_upto(4))
         assert len(walked) == len(swept) == 389
-        assert sorted(map(id, walked)) == sorted(map(id, swept))
+        assert Counter(walked) == Counter(swept)
 
     @pytest.mark.parametrize("block", [None, 49], ids=["one-block", "block-49"])
     @pytest.mark.parametrize("claim, helper", _COVER_HELPERS)
@@ -557,7 +575,7 @@ class TestClaimKernels:
         swept = list(_spaces_upto(4))
         assert len(swept) == 389
         mine = swept[shard::2]
-        assert sorted(map(id, asked)) == sorted(map(id, mine))
+        assert len(asked) == len(mine) and Counter(asked) == Counter(mine)
 
     def test_closure_claims_compute_each_space_once(self, monkeypatch):
         from irtopo import verifier
@@ -566,7 +584,7 @@ class TestClaimKernels:
         real = verifier._meets
 
         def counting(space):
-            walked.append(id(space))
+            walked.append(space)
             return real(space)
 
         for table in verifier._MEMOS:
@@ -575,8 +593,8 @@ class TestClaimKernels:
         reports = run_suite(n_max=4, claims=["T2", "T3", "T4", "P4", "C9"], jobs=1)
         assert all(r.passed for r in reports)
         swept = list(_spaces_upto(4))
-        assert len(swept) == 389
-        assert sorted(walked) == sorted(map(id, swept))
+        assert len(walked) == len(swept) == 389
+        assert Counter(walked) == Counter(swept)
 
     def test_meets_are_the_intersections_of_the_opens(self):
         # the 9-point grid has meets of 256 and more, masks over more than
@@ -1024,14 +1042,28 @@ class TestSuite:
             run_suite(n_max=2, jobs=2)
         assert multiprocessing.active_children() == []
 
-    def test_suite_fills_the_shared_spaces_and_workers_agree(self, monkeypatch):
+    def test_sweep_claims_get_worked_out_spaces_and_workers_agree(self, monkeypatch):
+        # every sweep claim gets each space with its structure worked out,
+        # read from the slots, which the properties would fill
         from irtopo import verifier
 
-        seq = run_suite(n_max=4)
-        for n in range(1, 5):
-            for s in enumerate_spaces(n):
-                # read from the slots, which the properties would fill
+        seen = Counter()
+
+        def watching(check):
+            def watched(s):
                 assert s._min_opens is not None and s._open_sets is not None, s
+                seen[s] += 1
+                return check(s)
+
+            return watched
+
+        with monkeypatch.context() as patched:
+            for name, spec in CLAIMS.items():
+                if spec.instances in verifier._SWEEPS:
+                    patched.setitem(CLAIMS, name, dataclasses.replace(spec, check=watching(spec.check)))
+            seq = run_suite(n_max=4)
+        # at 4 points T13's cap takes every space too, so 18 claims see each
+        assert seen == Counter({s: 18 for s in _spaces_upto(4)})
         monkeypatch.setattr(verifier, "_usable_cpus", lambda: 2)
         par = run_suite(n_max=4, jobs=2)
         assert multiprocessing.active_children() == []
@@ -1131,6 +1163,56 @@ class TestSweepBlocks:
         assert run_claim("L1", n_max=4).passed
         assert not any(verifier._MEMOS)
         assert len(seen) == 389 and max(len(held) for *_, held in seen) == 48
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_no_swept_space_outlives_its_block(self, monkeypatch, jobs):
+        # at each end of a pass or block, as the memos are emptied, the
+        # spaces alive that the run built are those of the shard's block
+        # (the memos hold every one), or at most the 34 pair spaces a pair
+        # claim's memos hold; after the run none is alive.  No collection
+        # runs first: reference counting alone must free them, as the
+        # memory peak of a sweep needs
+        import gc
+
+        from irtopo import verifier
+
+        monkeypatch.setattr(verifier, "_BLOCK", 49)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _inline_pool([]))
+        monkeypatch.setattr(verifier, "_usable_cpus", lambda: 2)
+        index = {s.reach_rows: i for i, s in enumerate(_spaces_upto(4))}
+        block, ends = set(), []
+        real_run_claim = verifier.run_claim
+
+        def run_claim(name, *args, _pass=None, **kwargs):
+            if CLAIMS[name].instances in verifier._SWEEPS:
+                block.update(i for i, _ in _pass[0])
+            return real_run_claim(name, *args, _pass=_pass, **kwargs)
+
+        def alive():
+            return [o for o in gc.get_objects() if type(o) is FiniteSpace and id(o) not in before]
+
+        class EndWatch(list):
+            def __iter__(self):
+                # the table indices of the spaces alive (-1 off the table), no space itself
+                ends.append((set(block), sorted(index.get(s.reach_rows, -1) for s in alive())))
+                block.clear()
+                return super().__iter__()
+
+        # held, so that no id of theirs is reused
+        older = [o for o in gc.get_objects() if type(o) is FiniteSpace]
+        before = set(map(id, older))
+        monkeypatch.setattr(verifier, "run_claim", run_claim)
+        monkeypatch.setattr(verifier, "_MEMOS", EndWatch(verifier._MEMOS))
+        run_suite(n_max=4, pair_max=3, jobs=jobs)
+        assert alive() == []
+        blocks = [(mine, spaces) for mine, spaces in ends if mine]
+        assert len(blocks) == 8 * jobs
+        for mine, spaces in blocks:
+            assert len(mine) <= -(-49 // jobs)
+            assert spaces == sorted(mine)
+        assert sorted(i for mine, _ in blocks for i in mine) == list(range(389))
+        assert all(0 <= i < 34 for mine, spaces in ends if not mine for i in spaces)
+        assert max(len(spaces) for mine, spaces in ends if not mine) > 0
 
     def test_a_failing_check_leaves_no_memo(self, monkeypatch):
         from irtopo import verifier
