@@ -182,19 +182,21 @@ class FiniteSpace:
     def open_sets(self) -> tuple[int, ...]:
         """The open sets, in canonical order; at most OPEN_SET_LIMIT.
 
-        They are built point by point, in ascending mask order: the opens
-        of the subspace on points 0..p are :func:`extend_opens` of those
-        on 0..p-1.  One stable sort by size at the end makes the order
-        canonical.  The budget is checked after each point; no subspace
-        has more opens than the space, so it raises exactly when the
-        space is over it.
+        They are built point by point, in ascending mask order, from the
+        opens o of the subspace on points 0..p-1: an open without p is an
+        o that misses the points p reaches, and one with p is o plus p for
+        an o that holds the points that reach p.  One stable sort by size
+        at the end makes the order canonical.  The budget is checked after
+        each point; no subspace has more opens than the space, so it
+        raises exactly when the space is over it.
         """
         if self._open_sets is None:
             opens = [0]
             min_opens = self.min_opens
             for p, row in enumerate(self.reach_rows):
-                below = (1 << p) - 1
-                opens = extend_opens(opens, row & below, min_opens[p] & below, 1 << p)
+                bit = 1 << p
+                out, inc = row & (bit - 1), min_opens[p] & (bit - 1)
+                opens = [o for o in opens if not o & out] + [o | bit for o in opens if not inc & ~o]
                 if len(opens) > OPEN_SET_LIMIT:
                     raise SearchBudgetExceeded(f"over {OPEN_SET_LIMIT} open sets on {self.n} points")
             object.__setattr__(self, "_open_sets", tuple(sorted(opens, key=int.bit_count)))
@@ -355,26 +357,9 @@ def from_reach(labels: Iterable[str], relation: Iterable[int]) -> FiniteSpace:
     return FiniteSpace(labels, rows)
 
 
-def extend_opens(opens: Sequence[int], out: int, inc: int, bit: int) -> list[int]:
-    """The open sets of a space with a new point ``bit``, from ``opens``,
-    those of the space without it.
-
-    ``out`` holds the old points the new one reaches and ``inc`` those
-    that reach it.  An open without the new point must miss ``out``, whose
-    minimal neighborhoods now hold it; an open O with it needs O open in
-    the old space and holding ``inc``.  Those without come first, then
-    those with it, each in the order of ``opens``.  ``bit`` is above
-    every old point, so the result is in ascending mask order when
-    ``opens`` is.
-    """
-    return [o for o in opens if not o & out] + [o | bit for o in opens if not inc & ~o]
-
-
-def extensions(space: FiniteSpace) -> Iterator[FiniteSpace]:
-    """Every space on the points of ``space`` plus a new last point p,
-    labelled by the least ``str(k)``, k >= ``space.n``, that ``space`` does
-    not use.  A child holds its labels and reach rows only: its opens,
-    and the budget on them, come from ``open_sets`` when first read.
+def extensions(space: FiniteSpace) -> Iterator[tuple[int, ...]]:
+    """The reach rows, as a tuple, of every space on the points of
+    ``space`` plus a new last point p.
 
     p is reached from the points I and reaches the points O.  The child
     is a preorder exactly when I is open, O is closed and O lies in
@@ -383,10 +368,7 @@ def extensions(space: FiniteSpace) -> Iterator[FiniteSpace]:
     McKay, "Posets on up to 16 points", Order 2002): I runs over
     ``space.open_sets`` and, for each I, O over their complements, in order.
     """
-    n, bit = space.n, 1 << space.n
-    # n labels leave one of the n + 1 candidates free
-    fresh = next(str(k) for k in range(n, 2 * n + 1) if str(k) not in space.labels)
-    labels = space.labels + (fresh,)
+    bit = 1 << space.n
     opens = space.open_sets
     closed = [space.full_mask ^ o for o in opens]
     for inc in opens:
@@ -394,7 +376,7 @@ def extensions(space: FiniteSpace) -> Iterator[FiniteSpace]:
         allowed = space.common_reach(inc)
         for out in closed:
             if not out & ~allowed:
-                yield FiniteSpace(labels, head + (out | bit,))
+                yield head + (out | bit,)
 
 
 def transpose(rows: Sequence[int]) -> tuple[int, ...]:

@@ -55,11 +55,12 @@ imports it: with k workers it gets k tasks, task i running shard i of
 every claim.  Both run ``_run_shard``: the claims that sweep the table
 take it in blocks of ``_BLOCK`` spaces, each space built once as its
 block starts, each claim over a whole block in turn, and every other
-claim runs in one pass.  What the checks share (``_closure_rows``,
-``_packed_covers``, ``_ir_cat`` per space, ``_decided`` covers) lives in
-a ``_memo`` until its block or pass ends, so no space or memo outlives
-its block, and a worker works it out for its own shard only: an instance
-family yields only what defines its instances.
+claim runs in one pass.  What the checks share (``_meets``,
+``_closure_rows``, ``_packed_covers``, ``_ir_cat`` per space,
+``_decided`` covers) lives in a ``_memo`` until its block or pass ends,
+so no space or memo outlives its block, and a worker works it out for
+its own shard only: an instance family yields only what defines its
+instances.
 """
 
 from __future__ import annotations
@@ -108,10 +109,10 @@ class UnknownClaim(IrtopoError):
 @lru_cache(maxsize=None)
 def _space_table(n: int) -> bytes:
     """The spaces on n >= 1 points as their reach rows, sorted, a byte per
-    row (MAX_ENUM_POINTS is at most 8), built once per process: the
-    children (``core.extensions``) of the spaces on n - 1 points."""
+    row (MAX_ENUM_POINTS is at most 8), built once per process: the rows
+    of the children (``core.extensions``) of the spaces on n - 1 points."""
     parents = enumerate_spaces(n - 1) if n > 1 else [FiniteSpace((), ())]
-    return b"".join(sorted(bytes(c.reach_rows) for s in parents for c in extensions(s)))
+    return b"".join(sorted(bytes(c) for s in parents for c in extensions(s)))
 
 
 @lru_cache(maxsize=None)
@@ -182,6 +183,27 @@ def box_topology(x: FiniteSpace, y: FiniteSpace) -> frozenset[int]:
     return frozenset(boxes)
 
 
+# the table of every memo, emptied when a block or a pass ends
+_MEMOS: list[dict] = []
+
+
+def _memo(compute: Callable) -> Callable:
+    """``compute(key)`` kept by its one argument in a plain dict (no link
+    node per entry, as an ``lru_cache`` has) until its block or pass ends."""
+    table: dict = {}
+    _MEMOS.append(table)
+
+    @functools.wraps(compute)
+    def memo(key):
+        value = table.get(key)
+        if value is None:
+            value = table[key] = compute(key)
+        return value
+
+    return memo
+
+
+@_memo
 def _meets(space: FiniteSpace) -> list[int]:
     """meets[p]: the intersection of the open sets holding p, read from
     ``open_sets`` alone; the one neighbourhood derivation of the oracles.
@@ -202,7 +224,7 @@ def _meets(space: FiniteSpace) -> list[int]:
 
 # the finite model of the one-way unit interval: bottom open, top not
 _TWO_POINT_CHAIN = intervals.chain_space(2)
-_CHAIN_MEETS = tuple(_meets(_TWO_POINT_CHAIN))
+_CHAIN_MEETS = tuple(_meets.__wrapped__(_TWO_POINT_CHAIN))  # no memo entry at import
 
 
 def _smallest_boxes(x: FiniteSpace) -> list[int]:
@@ -284,26 +306,6 @@ def chain_homotopy_oracle(x: FiniteSpace, y: FiniteSpace, f, targets) -> int:
 # each claim's loop stays hot over a block
 _BLOCK = 1024
 
-# the table of every memo, emptied when a block or a pass ends
-_MEMOS: list[dict] = []
-
-
-def _memo(compute: Callable) -> Callable:
-    """``compute(key)`` kept by its one argument in a plain dict (no link
-    node per entry, as an ``lru_cache`` has) until its block or pass ends."""
-    table: dict = {}
-    _MEMOS.append(table)
-
-    @functools.wraps(compute)
-    def memo(key):
-        value = table.get(key)
-        if value is None:
-            value = table[key] = compute(key)
-        return value
-
-    return memo
-
-
 @_memo
 def _ir_cat(space: FiniteSpace) -> category.CoverReport:
     """``category.ir_cat``, worked out once per space in a block or pass."""
@@ -327,12 +329,6 @@ def _decided(key: tuple[str, tuple[int, ...]]) -> set[bytes]:
     """The covers that key's claim (L1 or L2_subcover) decided right so far
     this block against key's optimal cover; key is (claim, optimal cover)."""
     return set()
-
-
-@_memo
-def _interned(cover: bytes) -> bytes:
-    """The block's first cover equal to this one: one object per cover."""
-    return cover
 
 
 @_memo
@@ -813,7 +809,7 @@ def _check_l1(s):
             0 <= j < len(cov) and w & ~cov[j] == 0 for w, j in zip(optimal, mapping)
         ):
             return {"space": s, "cover": cov}
-        decided.add(_interned(cov))
+        decided.add(cov)
     return None
 
 
@@ -853,7 +849,7 @@ def _check_l2_subcover(s):
         union = reduce(operator.or_, sub, 0)
         if len(sub) > rep.size or not set(sub).issubset(cov) or union != s.full_mask:
             return {"space": s, "cover": cov, "subcover": bytes(sub)}
-        decided.add(_interned(cov))
+        decided.add(cov)
     return None
 
 
@@ -1128,15 +1124,17 @@ def _run_shard(names: list[str], n_max: int, pair_max: int, seed: int, nshards: 
     """Each named claim's instances whose index is ``shard`` modulo
     ``nshards``: one pool task, or all of a run at one job.
 
-    A claim not in ``_SWEEPS`` runs in one pass; the sweep claims then
-    take the swept spaces in blocks of ``_BLOCK``, built with their
-    structure before any claim is timed, each claim over a whole block in
-    turn.  Memos and spaces are dropped when a pass or block ends, and
+    The tables of spaces up to both budgets are built first, outside
+    every claim's time.  A claim not in ``_SWEEPS`` runs in one pass; the
+    sweep claims then take the swept spaces in blocks of ``_BLOCK``, built
+    with their structure before any claim is timed, each claim over a
+    whole block in turn.  Memos and spaces are dropped when a pass or block ends, and
     each pass goes through ``run_claim``.  Returns each claim's tally.
     """
     tallies = {name: [0, 0, [], 0.0] for name in names}
     sweeps = [name for name in names if CLAIMS[name].instances in _SWEEPS]
-    tables = [(n, _space_table(n)) for n in range(1, n_max + 1)] if sweeps else []
+    tables = [(n, _space_table(n)) for n in range(1, max(n_max, pair_max) + 1)]
+    tables = tables[:n_max] if sweeps else []
     rows = enumerate(tuple(t[k:k + n]) for n, t in tables for k in range(0, len(t), n))
     passes = [([name], None) for name in names if name not in sweeps]
     passes += [(sweeps, lo) for lo in range(0, sum(len(t) // n for n, t in tables), _BLOCK)]

@@ -22,7 +22,6 @@ from irtopo import (
     product,
 )
 from irtopo.core import OPEN_SET_LIMIT, clip_repr, extensions, transpose
-from irtopo.spaceio import space_from_dict, space_to_dict
 from irtopo.verifier import (
     _closure_rows,
     box_topology,
@@ -197,15 +196,17 @@ class TestSlots:
             again.open_sets
 
     def test_extensions_leave_the_structure_to_open_sets(self):
-        # a child holds its labels and rows only, and what it works out on
-        # first read is the structure of its rows: every space of at most 5
-        # points is a child of one of at most 4
+        # a child is its reach rows alone, and a space on them works out
+        # the structure of those rows on first read: every space of at most
+        # 5 points is a child of one of at most 4
         for n in range(5):
+            labels = tuple(map(str, range(n + 1)))
             for space in enumerate_spaces(n) if n else [FiniteSpace((), ())]:
-                for child in extensions(space):
-                    assert _filled(child) == [], child
+                for rows in extensions(space):
+                    assert type(rows) is tuple and len(rows) == n + 1, rows
+                    child = FiniteSpace(labels, rows)
                     assert child.open_sets == union_closure_opens(child)
-                    assert child.min_opens == transpose(child.reach_rows)
+                    assert child.min_opens == transpose(rows)
 
 
 class TestFromOpenSets:
@@ -549,46 +550,34 @@ class TestExtensions:
                     continue
         children = list(extensions(parent))
         assert len(children) == len(brute)
-        assert {c.reach_rows for c in children} == brute
+        assert set(children) == brute
         opens, full = parent.open_sets, parent.full_mask
         order = []
-        for c in children:
-            assert c.labels == parent.labels + (str(n),)
-            assert c.min_opens == transpose(c.reach_rows)
+        for rows in children:
+            c = FiniteSpace(parent.labels + ("new",), rows)
+            assert c.min_opens == transpose(rows)
             assert c.open_sets == union_closure_opens(c)
-            inc = mask_of(x for x in range(n) if c.reach_rows[x] & bit)
-            order.append((opens.index(inc), opens.index(full ^ c.reach_rows[n] ^ bit)))
+            inc = mask_of(x for x in range(n) if rows[x] & bit)
+            order.append((opens.index(inc), opens.index(full ^ rows[n] ^ bit)))
         # I runs over the opens, and for each I, O over their complements
         assert order == sorted(order)
-
-    @pytest.mark.parametrize(
-        "labels, fresh",
-        [(["2", "x"], "3"), (["3", "2", "4"], "5"), (["a", "b"], "2")],
-        ids=["2-taken", "3-4-taken", "letters"],
-    )
-    def test_new_label_is_fresh(self, labels, fresh):
-        # the least str(k), k >= n, that the parent does not use, so that
-        # every child survives a round trip through its JSON form
-        parent = from_reach(labels, [1 << x for x in range(len(labels))])
-        for child in extensions(parent):
-            assert child.labels == (*labels, fresh)
-            again = space_from_dict(space_to_dict(child))
-            assert again.labels == child.labels and again == child
 
     def test_children_of_the_five_point_spaces(self):
         # OEIS A000798 (labelled topologies) and A001035 (labelled posets) at 6
         total = t0 = 0
         for space in enumerate_spaces(5):
-            for child in extensions(space):
+            for rows in extensions(space):
                 total += 1
-                t0 += child.is_t0()
+                t0 += FiniteSpace(space.labels + ("5",), rows).is_t0()
         assert (total, t0) == (209_527, 130_023)
 
     def test_open_set_budget(self):
         # the first child of the 16-point discrete space is reached from no
         # point and reaches all, so it has one open more than its parent;
-        # the child is built, and refused when its opens are first read
-        child = next(extensions(discrete(16)))
+        # its rows are yielded, and a space on them refused when its opens
+        # are first read
+        parent = discrete(16)
+        child = FiniteSpace(parent.labels + ("16",), next(extensions(parent)))
         with pytest.raises(SearchBudgetExceeded, match=f"over {OPEN_SET_LIMIT} open sets on 17 points"):
             child.open_sets
 

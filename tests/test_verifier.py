@@ -490,8 +490,8 @@ class TestClaimKernels:
     def test_cover_records_hold_one_block(self, monkeypatch, claim):
         # after each space's check, the claim's records (the ``_decided``
         # memo, keyed by (claim, optimal cover)) hold the optimal covers of
-        # its block so far and the pairs decided there, each recorded cover
-        # the one object the intern memo keeps; no run leaves them behind
+        # its block so far and the pairs decided there; no run leaves them
+        # behind
         from irtopo import verifier
 
         monkeypatch.setattr(verifier, "_BLOCK", 49)
@@ -506,14 +506,11 @@ class TestClaimKernels:
             i = index[s]
             block = held[i - i % 49:i + 1]
             records = {k: v for table in verifier._MEMOS for k, v in table.items() if type(k) is tuple}
-            interned = {k: v for table in verifier._MEMOS for k, v in table.items() if type(k) is bytes}
             # each space decides at least one cover, and the first pair holds its optimal cover
             assert set(records) == {(claim, space_pairs[0][0]) for space_pairs in block}
             pairs = {(optimal, tuple(cov)) for (_, optimal), covs in records.items() for cov in covs}
             assert pairs == {pair for space_pairs in block for pair in space_pairs}
             covers = [cov for covs in records.values() for cov in covs]
-            assert all(interned[cov] is cov for cov in covers)
-            assert len(set(map(id, covers))) == len(set(covers))
             shared.append(len(covers) - len(set(covers)))
 
         monkeypatch.setitem(CLAIMS, claim, dataclasses.replace(CLAIMS[claim], check=watched))
@@ -1213,6 +1210,76 @@ class TestSweepBlocks:
         assert sorted(i for mine, _ in blocks for i in mine) == list(range(389))
         assert all(0 <= i < 34 for mine, spaces in ends if not mine for i in spaces)
         assert max(len(spaces) for mine, spaces in ends if not mine) > 0
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_each_swept_space_derives_its_meets_once_per_shard(self, monkeypatch, jobs):
+        # T2-T4, P4 and C9 (closure rows), T6 (smallest boxes), T13 and
+        # D5_sense_compare (deformable opens) read one memo of meets: in the
+        # 4/3 suite the undecorated _meets runs once per swept space and
+        # shard, in blocks of the default size
+        from irtopo import verifier
+
+        derived, shard = [], [None]
+        real_meets, real_shard = verifier._meets.__wrapped__, verifier._run_shard
+
+        def counting(space):
+            derived.append((shard[0], space))
+            return real_meets(space)
+
+        def run_shard(*args):
+            shard[0] = args[-1]
+            return real_shard(*args)
+
+        # the counting memo registers in a copy of the table of memos
+        monkeypatch.setattr(verifier, "_MEMOS", list(verifier._MEMOS))
+        monkeypatch.setattr(verifier, "_meets", verifier._memo(counting))
+        monkeypatch.setattr(verifier, "_run_shard", run_shard)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _inline_pool([]))
+        monkeypatch.setattr(verifier, "_usable_cpus", lambda: 2)
+        run_suite(n_max=4, pair_max=3, jobs=jobs)
+        assert not any(verifier._MEMOS)
+        swept = list(_spaces_upto(4))
+        per_shard = [[s for k, s in derived if k == i] for i in range(jobs)]
+        assert [len(spaces) for spaces in per_shard] == ([389] if jobs == 1 else [195, 194])
+        for i, spaces in enumerate(per_shard):
+            assert Counter(spaces) == Counter(swept[i::jobs])
+
+    def test_import_leaves_no_memo_entry(self):
+        # the chain's meets are worked out at import without the memo
+        root = Path(__file__).resolve().parents[1]
+        code = f"""
+import sys
+sys.path[:0] = [{str(root / "src")!r}]
+from irtopo import verifier
+print(len(verifier._MEMOS), sum(map(len, verifier._MEMOS)))
+"""
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["5", "0"]
+
+    @pytest.mark.parametrize(
+        "claim, n_max, pair_max",
+        [("T8", 4, 2), ("T5", 4, 2), ("C9", 3, 4)],
+        ids=["T8", "T5", "sweep"],
+    )
+    def test_tables_are_built_before_any_pass(self, monkeypatch, claim, n_max, pair_max):
+        # every table up to both budgets is built before the first pass, so
+        # no claim's elapsed counts the building of a table
+        from irtopo import verifier
+
+        table = lru_cache(maxsize=None)(_space_table.__wrapped__)
+        built, real_check_all = [], verifier._check_all
+
+        def check_all(*args):
+            built.append(table.cache_info().currsize)
+            return real_check_all(*args)
+
+        monkeypatch.setattr(verifier, "_space_table", table)
+        monkeypatch.setattr(verifier, "_check_all", check_all)
+        assert run_claim(claim, n_max=n_max, pair_max=pair_max).passed
+        assert built and built[0] == max(n_max, pair_max) == table.cache_info().currsize
 
     def test_a_failing_check_leaves_no_memo(self, monkeypatch):
         from irtopo import verifier
