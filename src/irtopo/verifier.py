@@ -53,14 +53,20 @@ The table of spaces is packed reach rows, built once per process
 calling process, and only ``run_suite`` starts a pool, and only then
 imports it: with k workers it gets k tasks, task i running shard i of
 every claim.  Both run ``_run_shard``: the claims that sweep the table
-take it in blocks of ``_BLOCK`` spaces, each space built once as its
-block starts, each claim over a whole block in turn, and every other
-claim runs in one pass.  What the checks share (``_meets``,
+take its classes in blocks of ``_BLOCK``, each built once as its block
+starts, each claim over a whole block in turn, and every other claim
+runs in one pass.  What the checks share (``_meets``,
 ``_closure_rows``, ``_packed_covers``, ``_ir_cat`` per space,
 ``_decided`` covers) lives in a ``_memo`` until its block or pass ends,
 so no space or memo outlives its block, and a worker works it out for
 its own shard only: an instance family yields only what defines its
 instances.
+
+A class sweep checks each homeomorphism class (``_classes``) on its
+first member: every swept statement is topological, so a relabelling
+keeps its verdict, and a class counts its orbit size, tested or failing.
+After the merge a failing claim reports the first counterexamples of its
+check over the labelled spaces; ``elapsed`` holds both passes.
 """
 
 from __future__ import annotations
@@ -113,6 +119,25 @@ def _space_table(n: int) -> bytes:
     of the children (``core.extensions``) of the spaces on n - 1 points."""
     parents = enumerate_spaces(n - 1) if n > 1 else [FiniteSpace((), ())]
     return b"".join(sorted(bytes(c) for s in parents for c in extensions(s)))
+
+
+@lru_cache(maxsize=None)
+def _classes(n: int) -> tuple[tuple[int, int], ...]:
+    """The homeomorphism classes of the spaces on n >= 1 points as (table
+    index of the first member, orbit size), built once per process: each
+    space not yet seen in table order starts a class, whose orbit is its
+    n! relabellings (each row mapped, and moved to its point's image)."""
+    table, seen, classes, moves = _space_table(n), set(), [], []
+    for perm in itertools.permutations(range(n)):
+        image = bytes(sum(1 << perm[p] for p in points_of(m)) for m in range(1 << n)).ljust(256, b"\0")
+        # the row each point reads: two or more indices, so the getter returns a tuple
+        moves.append((image, operator.itemgetter(*sorted(range(n), key=perm.__getitem__), 0)))
+    for k in range(0, len(table), n):
+        if (rows := table[k:k + n]) not in seen:
+            orbit = {bytes(move(rows.translate(image))[:n]) for image, move in moves}
+            seen |= orbit
+            classes.append((k // n, len(orbit)))
+    return tuple(classes)
 
 
 @lru_cache(maxsize=None)
@@ -524,16 +549,21 @@ def _t10_batches(n_max: int, pair_max: int, seed: int) -> list:
 
 
 def _p1_instances(n_max: int, pair_max: int, seed: int) -> Iterator[tuple]:
-    randint = random.Random(seed).randint
+    getrandbits = random.Random(seed).getrandbits
     # table[q][p] is Fraction(p, q): every value drawn, built on first use
     table = [()] + [[Fraction(p, q) for p in range(q + 1)] for q in range(1, 51)]
 
+    def below(n):  # randint's own draw below n: n.bit_length() random bits until one is
+        while (r := getrandbits(n.bit_length())) >= n:
+            pass
+        return r
+
     def unit():
-        den = randint(1, 50)
-        return table[den][randint(0, den)]
+        den = below(50) + 1
+        return table[den][below(den + 1)]
 
     for _ in range(10000):
-        yield unit(), unit(), unit(), table[50][randint(1, 50)]
+        yield unit(), unit(), unit(), table[50][below(50) + 1]
 
 
 def _p2_instances(n_max: int, pair_max: int, seed: int) -> list:
@@ -1097,26 +1127,28 @@ def _jsonable(payload: dict) -> dict:
     }
 
 
-def _check_all(check: Callable, instances: Iterable[tuple[int, object]], tally: list) -> None:
+def _check_all(check: Callable, instances: Iterable, tally: list, weighted: bool = False) -> None:
     """One pass of a claim: ``check`` each (index, instance) and add to
     ``tally``, [tested, counterexamples, first, seconds]; first keeps the
-    first MAX_REPORTED_COUNTEREXAMPLES as (index, payload written out)."""
+    first MAX_REPORTED_COUNTEREXAMPLES as (index, payload written out).
+    Weighted, a key is a class's orbit size, counted for it, and none kept."""
     start = time.monotonic()
     first = tally[2]
     tested = count = 0
-    for idx, inst in instances:
-        tested += 1
+    for key, inst in instances:
+        weight = key if weighted else 1
+        tested += weight
         payload = check(inst)
         if payload is not None:
-            count += 1
-            if len(first) < MAX_REPORTED_COUNTEREXAMPLES:
-                first.append((idx, _jsonable(payload)))
+            count += weight
+            if not weighted and len(first) < MAX_REPORTED_COUNTEREXAMPLES:
+                first.append((key, _jsonable(payload)))
     tally[0] += tested
     tally[1] += count
     tally[3] += time.monotonic() - start
 
 
-# the families whose instance i is swept space i, to the most points each takes
+# the families whose instances are the swept spaces, to the most points each takes
 _SWEEPS = {_spaces: MAX_ENUM_POINTS, _dim_spaces: _DIM_SWEEP_CAP}
 
 
@@ -1124,24 +1156,27 @@ def _run_shard(names: list[str], n_max: int, pair_max: int, seed: int, nshards: 
     """Each named claim's instances whose index is ``shard`` modulo
     ``nshards``: one pool task, or all of a run at one job.
 
-    The tables of spaces up to both budgets are built first, outside
-    every claim's time.  A claim not in ``_SWEEPS`` runs in one pass; the
-    sweep claims then take the swept spaces in blocks of ``_BLOCK``, built
-    with their structure before any claim is timed, each claim over a
-    whole block in turn.  Memos and spaces are dropped when a pass or block ends, and
+    What the selection reads (the tables of T8 and the pair claims, the
+    classes of the sweep claims) is built first, outside every claim's
+    time.  A claim not in ``_SWEEPS`` runs in one pass; the sweep claims
+    then take the classes in blocks of ``_BLOCK``, each class's first
+    member built with its structure first, each claim over a whole block
+    in turn.  Memos and spaces are dropped when a pass or block ends, and
     each pass goes through ``run_claim``.  Returns each claim's tally.
     """
     tallies = {name: [0, 0, [], 0.0] for name in names}
+    families = {CLAIMS[name].instances for name in names}
+    labelled = max(pair_max if _pairs in families else 0, n_max if _t8_instances in families else 0)
+    swept = max(min(_SWEEPS.get(f, 0), n_max) for f in families)
+    tables = [_space_table(n) for n in range(1, max(labelled, swept) + 1)]
+    classes = [(w, tables[n - 1][i * n:i * n + n]) for n in range(1, swept + 1) for i, w in _classes(n)]
     sweeps = [name for name in names if CLAIMS[name].instances in _SWEEPS]
-    tables = [(n, _space_table(n)) for n in range(1, max(n_max, pair_max) + 1)]
-    tables = tables[:n_max] if sweeps else []
-    rows = enumerate(tuple(t[k:k + n]) for n, t in tables for k in range(0, len(t), n))
     passes = [([name], None) for name in names if name not in sweeps]
-    passes += [(sweeps, lo) for lo in range(0, sum(len(t) // n for n, t in tables), _BLOCK)]
+    passes += [(sweeps, lo) for lo in range(0, len(classes), _BLOCK)]
     for group, lo in passes:
-        if lo is not None:  # only this shard's rows become spaces
-            mine = itertools.islice(rows, (shard - lo) % nshards, _BLOCK, nshards)
-            block = [(i, FiniteSpace(_labels(len(r)), r)) for i, r in mine]
+        if lo is not None:  # only this shard's classes become spaces
+            mine = classes[lo + (shard - lo) % nshards:lo + _BLOCK:nshards]
+            block = [(w, FiniteSpace(_labels(len(r)), tuple(r))) for w, r in mine]
             for _, space in block:
                 space.open_sets  # fills min_opens as well
         try:
@@ -1149,15 +1184,36 @@ def _run_shard(names: list[str], n_max: int, pair_max: int, seed: int, nshards: 
                 if lo is None:
                     family = enumerate(CLAIMS[name].instances(n_max, pair_max, seed))
                     instances = itertools.islice(family, shard, None, nshards)
-                else:  # the block's spaces of at most as many points as the claim takes
+                else:  # the block's classes of at most as many points as the claim takes
                     cap = _SWEEPS[CLAIMS[name].instances]
-                    instances = block if cap >= n_max else [(i, s) for i, s in block if s.n <= cap]
-                run_claim(name, _pass=(instances, tallies[name]))
+                    instances = block if cap >= swept else [(w, s) for w, s in block if s.n <= cap]
+                run_claim(name, _pass=(instances, tallies[name], lo is not None))
         finally:
             block = family = instances = None
             for table in _MEMOS:
                 table.clear()
     return [tuple(tallies[name]) for name in names]
+
+
+def _report_labelled(report: ClaimReport, n_max: int) -> None:
+    """A failing sweep claim's counterexamples: its check over its labelled
+    spaces in table order, in blocks, until MAX_REPORTED_COUNTEREXAMPLES
+    fail; the time, not that of building a table or a block, adds to elapsed."""
+    tally, most = [0, 0, [], 0.0], MAX_REPORTED_COUNTEREXAMPLES
+    first = tally[2]
+    for n in range(1, min(n_max, _SWEEPS[CLAIMS[report.claim].instances]) + 1):
+        spaces = enumerate(enumerate_spaces(n))  # the table of n points is built here, untimed
+        while len(first) < most and (block := list(itertools.islice(spaces, _BLOCK))):
+            try:
+                more = itertools.takewhile(lambda _: len(first) < most, block)
+                run_claim(report.claim, _pass=(more, tally))
+            finally:
+                for table in _MEMOS:
+                    table.clear()
+        if len(first) == most:
+            break
+    report.counterexamples = [payload for _, payload in first]
+    report.elapsed += tally[3]
 
 
 def _merge(name: str, parts) -> ClaimReport:
@@ -1250,7 +1306,11 @@ def run_suite(
         task = functools.partial(_run_shard, names, n_max, pair_max, seed, jobs)
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             shards = list(pool.map(task, range(jobs)))
-    return [_merge(name, parts) for name, parts in zip(names, zip(*shards))]
+    reports = [_merge(name, parts) for name, parts in zip(names, zip(*shards))]
+    for report in reports:
+        if report.counterexample_count and CLAIMS[report.claim].instances in _SWEEPS:
+            _report_labelled(report, n_max)
+    return reports
 
 
 def suite_passed(reports: Iterable[ClaimReport]) -> bool:

@@ -1,6 +1,7 @@
 import concurrent.futures
 import dataclasses
 import hashlib
+import itertools
 import json
 import multiprocessing
 import operator
@@ -35,6 +36,7 @@ from irtopo.verifier import (
     _smallest_boxes,
     _space_table,
     _spaces_upto,
+    _SWEEPS,
     box_topology,
     chain_homotopy_oracle,
     enumerate_spaces,
@@ -91,6 +93,31 @@ def _space_cover_pairs(claim, s):
 def _cover_pairs(claim, n_max):
     """``_space_cover_pairs`` at each space of at most n_max points, in order."""
     return [pair for s in _spaces_upto(n_max) for pair in _space_cover_pairs(claim, s)]
+
+
+def _reps(n_max):
+    """The first member of each class of at most n_max points, the spaces
+    the class sweep checks, in its order."""
+    from irtopo import verifier
+
+    found = []
+    for n in range(1, n_max + 1):
+        table, labels = _space_table(n), tuple(map(str, range(n)))
+        found += [FiniteSpace(labels, tuple(table[i * n:i * n + n])) for i, _ in verifier._classes(n)]
+    return found
+
+
+def _relabellings(s):
+    """The reach rows of every relabelling of s: point x moved to perm[x],
+    with the points its row holds."""
+    found = set()
+    for perm in itertools.permutations(range(s.n)):
+        rows = [0] * s.n
+        for x, row in enumerate(s.reach_rows):
+            for y in points_of(row):
+                rows[perm[x]] |= 1 << perm[y]
+        found.add(tuple(rows))
+    return found
 
 
 def _most_held(pairs):
@@ -209,11 +236,12 @@ class TestEnumeration:
                 assert s.open_sets == union_closure_opens(s)
 
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_each_swept_space_is_built_and_worked_out_once_per_shard(self, monkeypatch, jobs):
+    def test_each_swept_class_is_built_and_worked_out_once_per_shard(self, monkeypatch, jobs):
         # a sweep of every claim over single spaces, with core.transpose,
         # which open_sets calls through min_opens, recording its inputs
-        # shard by shard: each shard works out the structure of its own
-        # spaces, once each, and no check works out a swept space again
+        # shard by shard: each shard works out the structure of the first
+        # member of each of its classes, once each, and no check works out
+        # a swept space again
         from irtopo import core, verifier
 
         transposed, shards = [], []
@@ -230,8 +258,9 @@ class TestEnumeration:
             return result
 
         monkeypatch.setattr(verifier, "_space_table", lru_cache(maxsize=None)(_space_table.__wrapped__))
+        monkeypatch.setattr(verifier, "_classes", lru_cache(maxsize=None)(verifier._classes.__wrapped__))
         for n in range(1, 5):  # a fresh table, whose build transposes its parents
-            verifier._space_table(n)
+            verifier._classes(n)
         monkeypatch.setattr(core, "transpose", recording)
         monkeypatch.setattr(verifier, "_run_shard", run_shard)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _inline_pool([]))
@@ -240,10 +269,10 @@ class TestEnumeration:
         assert len(names) == 18
         reports = run_suite(n_max=4, claims=names, jobs=jobs)
         assert all(r.passed or r.category != "asserted" for r in reports)
-        swept = [s.reach_rows for s in _spaces_upto(4)]
-        assert len(swept) == 389
+        swept = [s.reach_rows for s in _reps(4)]
+        assert len(swept) == 46
         assert shards == [Counter(swept[shard::jobs]) for shard in range(jobs)]
-        assert [sum(c.values()) for c in shards] == ([389] if jobs == 1 else [195, 194])
+        assert [sum(c.values()) for c in shards] == ([46] if jobs == 1 else [23, 23])
 
     def test_matches_open_family_enumeration(self):
         for n in range(1, 4):
@@ -258,6 +287,107 @@ class TestEnumeration:
         # check's bare comparison error
         with pytest.raises(TypeError, match=f"^n must be an int, got {re.escape(repr(n))}$"):
             topologies_by_open_families(n)
+
+
+class TestClasses:
+    def test_counts_and_orbit_sizes(self):
+        # the classes of OEIS A001930, whose orbits add up to the labelled
+        # spaces of A000798
+        from irtopo import verifier
+
+        counts = [(len(c), sum(w for _, w in c)) for c in map(verifier._classes, range(1, 7))]
+        assert counts == [(1, 1), (3, 4), (9, 29), (33, 355), (139, 6942), (718, 209527)]
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_each_orbit_is_the_relabellings_of_its_first_member(self, n):
+        # each class's orbit size is the number of relabellings of its
+        # representative, which comes first among them in table order, and
+        # no two classes share a member, so the orbits partition the table
+        from irtopo import verifier
+
+        table, labels = _space_table(n), tuple(map(str, range(n)))
+        index = {tuple(table[k:k + n]): k // n for k in range(0, len(table), n)}
+        owner = {}
+        for i, w in verifier._classes(n):
+            orbit = _relabellings(FiniteSpace(labels, tuple(table[i * n:i * n + n])))
+            assert len(orbit) == w
+            members = sorted(index[rows] for rows in orbit)
+            assert members[0] == i
+            for m in members:
+                assert owner.setdefault(m, i) == i
+        assert len(owner) == len(index)
+
+
+# the most points the class sweep is compared with the labelled sweep at
+_ORACLE_POINTS = int(os.environ.get("IRTOPO_ORACLE_POINTS", "5"))
+
+_SWEEP_CLAIMS = [name for name in CLAIM_ORDER if CLAIMS[name].instances in _SWEEPS]
+
+
+def _labelled_sweep(claims, n_max):
+    """The labelled sweep that the class sweep replaced, kept as its
+    oracle: in blocks of the table of spaces of at most n_max points, each
+    space built with its structure first, each claim's check over the
+    block's spaces it takes, in table order, the memos shared within the
+    block; as {claim: (instances tested, counterexample count, the
+    counterexamples reported)}."""
+    from irtopo import verifier
+
+    tallies = {name: [0, 0, [], 0.0] for name in claims}
+    spaces = enumerate(_spaces_upto(n_max))
+    while block := list(itertools.islice(spaces, verifier._BLOCK)):
+        for _, space in block:
+            space.open_sets
+        try:
+            for name, tally in tallies.items():
+                cap = _SWEEPS[CLAIMS[name].instances]
+                verifier._check_all(CLAIMS[name].check, [(i, s) for i, s in block if s.n <= cap], tally)
+        finally:
+            for table in verifier._MEMOS:
+                table.clear()
+    return {name: (t[0], t[1], [payload for _, payload in t[2]]) for name, t in tallies.items()}
+
+
+@lru_cache(maxsize=None)
+def _labelled_oracle(n_max):
+    """``_labelled_sweep`` of every sweep claim, once per test run."""
+    return _labelled_sweep(_SWEEP_CLAIMS, n_max)
+
+
+def _class_sweep(claim, n_max):
+    """The same three fields of the claim's report, from the class sweep."""
+    report = run_claim(claim, n_max=n_max)
+    return report.instances_tested, report.counterexample_count, report.counterexamples
+
+
+class TestLabelledOracle:
+    @pytest.mark.parametrize("claim", _SWEEP_CLAIMS)
+    def test_class_sweep_matches_the_labelled_sweep(self, claim):
+        # each sweep claim decides every labelling of a space alike, so the
+        # class sweep weighted by orbit size reports what the labelled
+        # sweep does (at 6 points with IRTOPO_ORACLE_POINTS=6)
+        assert len(_SWEEP_CLAIMS) == 18
+        assert _class_sweep(claim, _ORACLE_POINTS) == _labelled_oracle(_ORACLE_POINTS)[claim]
+
+    @pytest.mark.parametrize("rows", [(1, 3), (3, 2)], ids=["first-member", "other-member"])
+    def test_comparison_catches_a_failure_on_one_labelling(self, monkeypatch, rows):
+        # C5 given a second cover at one labelling of the Sierpinski space
+        # only: the labelled sweep counts that space; the class sweep
+        # counts the whole orbit when it is the class's first member, and
+        # nothing when it is not
+        from irtopo import verifier
+
+        assert _relabellings(FiniteSpace(("0", "1"), rows)) == {(1, 3), (3, 2)}
+        real = verifier._packed_covers
+
+        def packed(space):
+            return real(space) + b"\0" + bytes((1, 2)) if space.reach_rows == rows else real(space)
+
+        monkeypatch.setattr(verifier, "_packed_covers", packed)
+        labelled, classes = _labelled_sweep(["C5"], 3)["C5"], _class_sweep("C5", 3)
+        assert labelled[:2] == (34, 1)
+        assert classes[:2] == (34, 2 if rows == (1, 3) else 0)
+        assert classes != labelled
 
 
 class TestOracle:
@@ -411,22 +541,29 @@ class TestClaimKernels:
             assert list(map(tuple, _packed_covers(s).split(b"\0"))) == list(category.irredundant_covers(s))
 
     def test_c5_reports_a_second_cover(self, monkeypatch):
-        # C5 compares the packed covers with the one cover (full,): give one
-        # contractible space a second cover, and C5 names that space alone
+        # C5 compares the packed covers with the one cover (full,): give
+        # every labelling of one contractible space a second cover, and C5
+        # counts that class's orbit and names its two spaces alone
         from irtopo import homotopy, verifier
 
         target = next(s for s in _spaces_upto(2) if s.n == 2 and homotopy.ir_co(s))
+        orbit = _relabellings(target)
+        assert len(orbit) == 2
         real = verifier._packed_covers
 
         def packed(space):
-            return real(space) + b"\0" + bytes((1, 2)) if space == target else real(space)
+            return real(space) + b"\0" + bytes((1, 2)) if space.reach_rows in orbit else real(space)
 
         monkeypatch.setattr(verifier, "_packed_covers", packed)
         report = run_claim("C5", n_max=3)
-        assert report.counterexample_count == 1
-        (payload,) = report.counterexamples
-        assert payload["space"]["reach"] == [list(p) for p in target.reach_pairs()]
-        assert payload["covers"] == [[["0", "1"]], [["0"], ["1"]]]
+        assert report.counterexample_count == 2
+        named = [s for s in _spaces_upto(2) if s.reach_rows in orbit]
+        assert named[0] == target
+        assert [p["space"]["reach"] for p in report.counterexamples] == [
+            [list(p) for p in s.reach_pairs()] for s in named
+        ]
+        for payload in report.counterexamples:
+            assert payload["covers"] == [[["0", "1"]], [["0"], ["1"]]]
 
     def test_packed_covers_refuse_masks_over_a_byte(self):
         # the indiscrete 9-point space has the one cover (511,)
@@ -434,7 +571,7 @@ class TestClaimKernels:
         with pytest.raises(ValueError):
             _packed_covers(nine)
 
-    def test_cover_claims_walk_each_space_once(self, monkeypatch):
+    def test_cover_claims_walk_each_class_once(self, monkeypatch):
         walked = []
         real = category.irredundant_covers
 
@@ -450,15 +587,15 @@ class TestClaimKernels:
         monkeypatch.setattr(category, "irredundant_covers", counting)
         reports = run_suite(n_max=4, claims=["T13", "L1", "L2_subcover", "C5"], jobs=1)
         assert all(r.passed for r in reports)
-        swept = list(_spaces_upto(4))
-        assert len(walked) == len(swept) == 389
+        swept = _reps(4)
+        assert len(walked) == len(swept) == 46
         assert Counter(walked) == Counter(swept)
 
-    @pytest.mark.parametrize("block", [None, 49], ids=["one-block", "block-49"])
+    @pytest.mark.parametrize("block", [None, 7], ids=["one-block", "block-7"])
     @pytest.mark.parametrize("claim, helper", _COVER_HELPERS)
     def test_cover_claims_decide_each_distinct_pair_once(self, monkeypatch, claim, helper, block):
         # both decisions depend on the (optimal cover, cover) pair alone,
-        # so a pair decided right at one space is skipped at the next in
+        # so a pair decided right at one class is skipped at the next in
         # its block; a new block decides it again
         from irtopo import verifier
 
@@ -473,13 +610,13 @@ class TestClaimKernels:
         if block is not None:
             monkeypatch.setattr(verifier, "_BLOCK", block)
         assert run_claim(claim, n_max=4).passed
+        swept = _reps(4)
         if block is None:
-            held = _cover_pairs(claim, 4)
+            held = [pair for s in swept for pair in _space_cover_pairs(claim, s)]
             if claim == "L1":
-                assert (len(held), len(set(held))) == (1200, 499)
+                assert (len(held), len(set(held))) == (171, 135)
             assert Counter(decided) == Counter(set(held))
         else:
-            swept = list(_spaces_upto(4))
             per_block = Counter()
             for lo in range(0, len(swept), block):
                 per_block.update({pair for s in swept[lo:lo + block] for pair in _space_cover_pairs(claim, s)})
@@ -488,14 +625,14 @@ class TestClaimKernels:
 
     @pytest.mark.parametrize("claim", ["L1", "L2_subcover"])
     def test_cover_records_hold_one_block(self, monkeypatch, claim):
-        # after each space's check, the claim's records (the ``_decided``
+        # after each class's check, the claim's records (the ``_decided``
         # memo, keyed by (claim, optimal cover)) hold the optimal covers of
         # its block so far and the pairs decided there; no run leaves them
         # behind
         from irtopo import verifier
 
-        monkeypatch.setattr(verifier, "_BLOCK", 49)
-        swept = list(_spaces_upto(4))
+        monkeypatch.setattr(verifier, "_BLOCK", 7)
+        swept = _reps(4)
         index = {s: i for i, s in enumerate(swept)}
         held = [_space_cover_pairs(claim, s) for s in swept]
         real = CLAIMS[claim].check
@@ -504,7 +641,7 @@ class TestClaimKernels:
         def watched(s):
             assert real(s) is None
             i = index[s]
-            block = held[i - i % 49:i + 1]
+            block = held[i - i % 7:i + 1]
             records = {k: v for table in verifier._MEMOS for k, v in table.items() if type(k) is tuple}
             # each space decides at least one cover, and the first pair holds its optimal cover
             assert set(records) == {(claim, space_pairs[0][0]) for space_pairs in block}
@@ -518,7 +655,7 @@ class TestClaimKernels:
             table.clear()
         assert run_claim(claim, n_max=4).passed
         assert not any(verifier._MEMOS)
-        assert len(shared) == 389 and max(shared) > 0
+        assert len(shared) == 46 and max(shared) > 0
 
     @pytest.mark.parametrize("claim, helper", _COVER_HELPERS)
     def test_failing_pair_fails_at_every_space_holding_it(self, monkeypatch, claim, helper):
@@ -554,9 +691,9 @@ class TestClaimKernels:
 
     @pytest.mark.parametrize("shard", [0, 1])
     def test_cover_claims_work_out_only_their_shard(self, monkeypatch, shard):
-        # each shard asks ir_cat about its own spaces only, index shard
-        # modulo 2, not about every space it skips, and the two claims
-        # share the block's report
+        # each shard asks ir_cat about its own classes only, class index
+        # shard modulo 2, not about every class it skips, and the two
+        # claims share the block's report; each counts its orbit sizes
         from irtopo import verifier
 
         asked = []
@@ -568,13 +705,14 @@ class TestClaimKernels:
 
         monkeypatch.setattr(category, "ir_cat", recording)
         results = verifier._run_shard(["L1", "L2_subcover"], 4, 3, 0, 2, shard)
-        assert [r[:2] for r in results] == [(194 + (shard == 0), 0)] * 2
-        swept = list(_spaces_upto(4))
-        assert len(swept) == 389
+        assert [r[:2] for r in results] == [((176, 213)[shard], 0)] * 2
+        swept = _reps(4)
+        assert len(swept) == 46
         mine = swept[shard::2]
+        assert len(mine) == 23
         assert len(asked) == len(mine) and Counter(asked) == Counter(mine)
 
-    def test_closure_claims_compute_each_space_once(self, monkeypatch):
+    def test_closure_claims_compute_each_class_once(self, monkeypatch):
         from irtopo import verifier
 
         walked = []
@@ -589,8 +727,8 @@ class TestClaimKernels:
         monkeypatch.setattr(verifier, "_meets", counting)
         reports = run_suite(n_max=4, claims=["T2", "T3", "T4", "P4", "C9"], jobs=1)
         assert all(r.passed for r in reports)
-        swept = list(_spaces_upto(4))
-        assert len(walked) == len(swept) == 389
+        swept = _reps(4)
+        assert len(walked) == len(swept) == 46
         assert Counter(walked) == Counter(swept)
 
     def test_meets_are_the_intersections_of_the_opens(self):
@@ -1039,28 +1177,48 @@ class TestSuite:
             run_suite(n_max=2, jobs=2)
         assert multiprocessing.active_children() == []
 
-    def test_sweep_claims_get_worked_out_spaces_and_workers_agree(self, monkeypatch):
-        # every sweep claim gets each space with its structure worked out,
-        # read from the slots, which the properties would fill
+    def test_sweep_claims_get_worked_out_classes_and_workers_agree(self, monkeypatch):
+        # every sweep claim gets the first member of each class with its
+        # structure worked out, read from the slots, which the properties
+        # would fill; after the shards only L2_literal, the one sweep claim
+        # that fails, checks labelled spaces: those of table order up to
+        # its tenth counterexample
         from irtopo import verifier
 
-        seen = Counter()
+        seen, after, in_shard = Counter(), [], [False]
+        real_shard = verifier._run_shard
 
-        def watching(check):
+        def run_shard(*args):
+            in_shard[0] = True
+            try:
+                return real_shard(*args)
+            finally:
+                in_shard[0] = False
+
+        def watching(name, check):
             def watched(s):
-                assert s._min_opens is not None and s._open_sets is not None, s
-                seen[s] += 1
+                if in_shard[0]:
+                    assert s._min_opens is not None and s._open_sets is not None, s
+                    seen[s] += 1
+                else:
+                    after.append((name, s))
                 return check(s)
 
             return watched
 
         with monkeypatch.context() as patched:
+            patched.setattr(verifier, "_run_shard", run_shard)
             for name, spec in CLAIMS.items():
                 if spec.instances in verifier._SWEEPS:
-                    patched.setitem(CLAIMS, name, dataclasses.replace(spec, check=watching(spec.check)))
+                    patched.setitem(CLAIMS, name, dataclasses.replace(spec, check=watching(name, spec.check)))
             seq = run_suite(n_max=4)
-        # at 4 points T13's cap takes every space too, so 18 claims see each
-        assert seen == Counter({s: 18 for s in _spaces_upto(4)})
+        # at 4 points T13's cap takes every class too, so 18 claims see each
+        assert seen == Counter({s: 18 for s in _reps(4)})
+        labelled = list(_spaces_upto(4))
+        failing = [i for i, s in enumerate(labelled) if CLAIMS["L2_literal"].check(s) is not None]
+        for table in verifier._MEMOS:
+            table.clear()
+        assert after == [("L2_literal", s) for s in labelled[:failing[9] + 1]]
         monkeypatch.setattr(verifier, "_usable_cpus", lambda: 2)
         par = run_suite(n_max=4, jobs=2)
         assert multiprocessing.active_children() == []
@@ -1083,24 +1241,29 @@ _PINNED_4_3 = "d036dcd71eb5a106ae393be38a39d420ba1bd44ace05de3232b0116c16f2c48c"
 
 
 def _watch_memos(monkeypatch, seen):
-    """Wrap the check of every sweep claim so that, at each instance, it
-    appends to seen the table index of the instance, a space, the shard
-    running it and the table indices of the spaces that key the memos
-    (the cover memos are keyed by covers, not spaces)."""
+    """Wrap the check of every sweep claim so that, at each class a shard
+    checks, it appends to seen the class index of the instance, the
+    first member of a class, the shard running it and the class indices
+    of the spaces that key the memos (the cover memos are keyed by
+    covers, not spaces)."""
     from irtopo import verifier
 
-    index = {s: i for i, s in enumerate(_spaces_upto(4))}
+    index = {s: i for i, s in enumerate(_reps(4))}
     shard = [None]
     real_shard = verifier._run_shard
 
     def run_shard(*args):
         shard[0] = args[-1]
-        return real_shard(*args)
+        try:
+            return real_shard(*args)
+        finally:
+            shard[0] = None
 
     def watching(check):
         def watched(inst):
-            held = {index[k] for table in verifier._MEMOS for k in table if isinstance(k, FiniteSpace)}
-            seen.append((index[inst], shard[0], held))
+            if shard[0] is not None:  # not L2_literal's labelled counterexamples
+                held = {index[k] for table in verifier._MEMOS for k in table if isinstance(k, FiniteSpace)}
+                seen.append((index[inst], shard[0], held))
             return check(inst)
 
         return watched
@@ -1141,7 +1304,7 @@ class TestSweepBlocks:
         from irtopo import verifier
 
         # an odd block, so that the blocks of a shard start at either parity
-        monkeypatch.setattr(verifier, "_BLOCK", 49)
+        monkeypatch.setattr(verifier, "_BLOCK", 7)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _inline_pool([]))
         monkeypatch.setattr(verifier, "_usable_cpus", lambda: 2)
         seen = []
@@ -1149,40 +1312,42 @@ class TestSweepBlocks:
         run_suite(n_max=4, pair_max=3, jobs=jobs)
         assert not any(verifier._MEMOS)
         # every space a memo holds lies in the block and the shard of the
-        # space checked, and a block fills the memos with its shard
-        assert len(seen) == 18 * 389
+        # class checked, and a block fills the memos with its shard
+        assert len(seen) == 18 * 46
         for i, shard, held in seen:
             assert i % jobs == shard
-            lo = i - i % 49
-            assert held <= {j for j in range(lo, lo + 49) if j % jobs == shard}
-        assert max(len(held) for *_, held in seen) == -(-49 // jobs)
+            lo = i - i % 7
+            assert held <= {j for j in range(lo, lo + 7) if j % jobs == shard}
+        assert max(len(held) for *_, held in seen) == -(-7 // jobs)
         seen.clear()
         assert run_claim("L1", n_max=4).passed
         assert not any(verifier._MEMOS)
-        assert len(seen) == 389 and max(len(held) for *_, held in seen) == 48
+        assert len(seen) == 46 and max(len(held) for *_, held in seen) == 6
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_no_swept_space_outlives_its_block(self, monkeypatch, jobs):
         # at each end of a pass or block, as the memos are emptied, the
-        # spaces alive that the run built are those of the shard's block
-        # (the memos hold every one), or at most the 34 pair spaces a pair
-        # claim's memos hold; after the run none is alive.  No collection
-        # runs first: reference counting alone must free them, as the
-        # memory peak of a sweep needs
+        # spaces alive that the run built are the first members of the
+        # shard's block of classes (the memos hold every one), or at most
+        # the 34 labelled spaces of at most 3 points that a pair claim's
+        # memos, or L2_literal's labelled counterexample pass, hold; after
+        # the run none is alive.  No collection runs first: reference
+        # counting alone must free them, as the memory peak of a sweep needs
         import gc
 
         from irtopo import verifier
 
-        monkeypatch.setattr(verifier, "_BLOCK", 49)
+        monkeypatch.setattr(verifier, "_BLOCK", 7)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _inline_pool([]))
         monkeypatch.setattr(verifier, "_usable_cpus", lambda: 2)
-        index = {s.reach_rows: i for i, s in enumerate(_spaces_upto(4))}
+        classes = {s.reach_rows: i for i, s in enumerate(_reps(4))}
+        labelled = {s.reach_rows: i for i, s in enumerate(_spaces_upto(4))}
         block, ends = set(), []
         real_run_claim = verifier.run_claim
 
         def run_claim(name, *args, _pass=None, **kwargs):
-            if CLAIMS[name].instances in verifier._SWEEPS:
-                block.update(i for i, _ in _pass[0])
+            if _pass[2:] == (True,):  # a pass over a block of classes
+                block.update(classes[s.reach_rows] for _, s in _pass[0])
             return real_run_claim(name, *args, _pass=_pass, **kwargs)
 
         def alive():
@@ -1190,8 +1355,8 @@ class TestSweepBlocks:
 
         class EndWatch(list):
             def __iter__(self):
-                # the table indices of the spaces alive (-1 off the table), no space itself
-                ends.append((set(block), sorted(index.get(s.reach_rows, -1) for s in alive())))
+                # the reach rows of the spaces alive, no space itself
+                ends.append((set(block), [s.reach_rows for s in alive()]))
                 block.clear()
                 return super().__iter__()
 
@@ -1202,21 +1367,22 @@ class TestSweepBlocks:
         monkeypatch.setattr(verifier, "_MEMOS", EndWatch(verifier._MEMOS))
         run_suite(n_max=4, pair_max=3, jobs=jobs)
         assert alive() == []
-        blocks = [(mine, spaces) for mine, spaces in ends if mine]
-        assert len(blocks) == 8 * jobs
-        for mine, spaces in blocks:
-            assert len(mine) <= -(-49 // jobs)
-            assert spaces == sorted(mine)
-        assert sorted(i for mine, _ in blocks for i in mine) == list(range(389))
-        assert all(0 <= i < 34 for mine, spaces in ends if not mine for i in spaces)
-        assert max(len(spaces) for mine, spaces in ends if not mine) > 0
+        blocks = [(mine, rows) for mine, rows in ends if mine]
+        assert len(blocks) == 7 * jobs
+        for mine, rows in blocks:
+            assert len(mine) <= -(-7 // jobs)
+            assert sorted(classes[r] for r in rows) == sorted(mine)
+        assert sorted(i for mine, _ in blocks for i in mine) == list(range(46))
+        assert all(0 <= labelled[r] < 34 for mine, rows in ends if not mine for r in rows)
+        assert max(len(rows) for mine, rows in ends if not mine) > 0
 
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_each_swept_space_derives_its_meets_once_per_shard(self, monkeypatch, jobs):
+    def test_each_swept_class_derives_its_meets_once_per_shard(self, monkeypatch, jobs):
         # T2-T4, P4 and C9 (closure rows), T6 (smallest boxes), T13 and
         # D5_sense_compare (deformable opens) read one memo of meets: in the
-        # 4/3 suite the undecorated _meets runs once per swept space and
-        # shard, in blocks of the default size
+        # 4/3 suite the undecorated _meets runs once per swept class and
+        # shard, in blocks of the default size, and L2_literal's labelled
+        # counterexamples derive none
         from irtopo import verifier
 
         derived, shard = [], [None]
@@ -1228,7 +1394,10 @@ class TestSweepBlocks:
 
         def run_shard(*args):
             shard[0] = args[-1]
-            return real_shard(*args)
+            try:
+                return real_shard(*args)
+            finally:
+                shard[0] = None
 
         # the counting memo registers in a copy of the table of memos
         monkeypatch.setattr(verifier, "_MEMOS", list(verifier._MEMOS))
@@ -1238,9 +1407,10 @@ class TestSweepBlocks:
         monkeypatch.setattr(verifier, "_usable_cpus", lambda: 2)
         run_suite(n_max=4, pair_max=3, jobs=jobs)
         assert not any(verifier._MEMOS)
-        swept = list(_spaces_upto(4))
+        swept = _reps(4)
+        assert len(derived) == len(swept)
         per_shard = [[s for k, s in derived if k == i] for i in range(jobs)]
-        assert [len(spaces) for spaces in per_shard] == ([389] if jobs == 1 else [195, 194])
+        assert [len(spaces) for spaces in per_shard] == ([46] if jobs == 1 else [23, 23])
         for i, spaces in enumerate(per_shard):
             assert Counter(spaces) == Counter(swept[i::jobs])
 
@@ -1260,26 +1430,50 @@ print(len(verifier._MEMOS), sum(map(len, verifier._MEMOS)))
         assert done.stdout.split() == ["5", "0"]
 
     @pytest.mark.parametrize(
-        "claim, n_max, pair_max",
-        [("T8", 4, 2), ("T5", 4, 2), ("C9", 3, 4)],
-        ids=["T8", "T5", "sweep"],
+        "claims, n_max, pair_max, tables, classes",
+        [
+            (["T8"], 4, 2, 4, 0),
+            (["T5"], 4, 2, 2, 0),
+            (["C9"], 3, 4, 3, 3),
+            (["T13"], 6, 3, 4, 4),
+            (["C3"], 6, 4, 0, 0),
+            (["T13", "T5", "L2_literal"], 5, 3, 5, 5),
+        ],
+        ids=["T8", "T5", "sweep", "T13", "C3", "mixed"],
     )
-    def test_tables_are_built_before_any_pass(self, monkeypatch, claim, n_max, pair_max):
-        # every table up to both budgets is built before the first pass, so
-        # no claim's elapsed counts the building of a table
+    def test_only_what_the_selection_reads_is_built_before_any_pass(
+        self, monkeypatch, claims, n_max, pair_max, tables, classes
+    ):
+        # the labelled tables of T8 (to n_max) and of the pair claims (to
+        # pair_max), and the classes of the sweep claims (T13's to its
+        # 4-point cap), are built before the first pass, so no claim's
+        # elapsed counts a build, L2_literal's labelled counterexamples
+        # included; nothing else is built, and C3 reads neither cache
         from irtopo import verifier
 
-        table = lru_cache(maxsize=None)(_space_table.__wrapped__)
-        built, real_check_all = [], verifier._check_all
+        built = {"table": [], "classes": []}
+
+        def spy(name, compute):
+            def recording(n):
+                built[name].append(n)
+                return compute(n)
+
+            return lru_cache(maxsize=None)(recording)
+
+        passes, real_check_all = [], verifier._check_all
 
         def check_all(*args):
-            built.append(table.cache_info().currsize)
+            passes.append({name: list(ns) for name, ns in built.items()})
             return real_check_all(*args)
 
-        monkeypatch.setattr(verifier, "_space_table", table)
+        monkeypatch.setattr(verifier, "_space_table", spy("table", _space_table.__wrapped__))
+        monkeypatch.setattr(verifier, "_classes", spy("classes", verifier._classes.__wrapped__))
         monkeypatch.setattr(verifier, "_check_all", check_all)
-        assert run_claim(claim, n_max=n_max, pair_max=pair_max).passed
-        assert built and built[0] == max(n_max, pair_max) == table.cache_info().currsize
+        reports = run_suite(n_max=n_max, pair_max=pair_max, claims=claims)
+        assert all(r.passed or r.category != "asserted" for r in reports)
+        assert sorted(built["table"]) == list(range(1, tables + 1))
+        assert sorted(built["classes"]) == list(range(1, classes + 1))
+        assert passes and all(seen == built for seen in passes)
 
     def test_a_failing_check_leaves_no_memo(self, monkeypatch):
         from irtopo import verifier
@@ -1313,8 +1507,8 @@ print(len(verifier._MEMOS), sum(map(len, verifier._MEMOS)))
 def test_trace_layer_map_counts_each_cover_once():
     # perfbench's layer map patches category.irredundant_covers by name:
     # instrument() fails here if a patched name goes missing, and the
-    # cover counter reads 60 (1 + 5 + 54 covers) when the cover claims
-    # share one walk per space
+    # cover counter reads 25 (1 + 4 + 20 covers of the 13 classes) when
+    # the cover claims share one walk per class
     root = Path(__file__).resolve().parents[1]
     code = f"""
 import sys
@@ -1330,7 +1524,7 @@ print(spans.layer_metrics(rec)["category.irredundant_covers.covers"])
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
     )
     assert done.returncode == 0, done.stderr
-    assert int(done.stdout) == 60
+    assert int(done.stdout) == 25
 
 
 def test_trace_layer_map_sees_the_suite():
@@ -1359,10 +1553,12 @@ print(json.dumps({{"code": code, "suite": suite, "blocks": blocks, "counts": spa
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout)
     suite, counts = result["suite"], result["counts"]
-    # every claim pass runs through run_claim: at 2 points, one per claim;
-    # in blocks of 2 of the 5 spaces, three per sweep claim and one for T14
-    assert suite["verifier.run_claim"] == 32
-    assert result["blocks"] == 3 + 3 + 1
+    # every claim pass runs through run_claim: at 2 points, one per claim
+    # and two for L2_literal's labelled counterexamples, one per number of
+    # points; in blocks of 2 of the 4 classes, two per sweep claim and one
+    # for T14
+    assert suite["verifier.run_claim"] == 32 + 2
+    assert result["blocks"] == 2 + 2 + 1
     assert suite["verifier.enumerate"] > 0
     # one traced `spec zn` call adds its own spans
     assert result["code"] == 0
