@@ -89,14 +89,17 @@ _BYTE_POINTS = tuple(
 
 
 def points_of(mask: int) -> tuple[int, ...]:
-    """The points of ``mask`` as an ascending tuple; ValueError on a
-    negative mask, which names no finite point set.  A mask below 2**24
-    is read a byte at a time from a table, a larger one lowest bit first."""
+    """The points of ``mask`` as an ascending tuple; ValueError on a negative
+    mask, which names no finite point set.  Read from a byte table, above 2**24
+    through ``to_bytes`` (linear time), or lowest bit first if 32 points or fewer."""
     if 0 <= mask < 1 << 24:
         low, mid, high = _BYTE_POINTS
         return low[mask & 255] + mid[mask >> 8 & 255] + high[mask >> 16]
     if mask < 0:
         raise _negative_mask(mask)
+    if mask.bit_count() > 32:  # else a step per point beats a step per byte
+        data = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
+        return tuple([8 * k + p for k, b in enumerate(data) if b for p in _BYTE_POINTS[0][b]])
     points = []
     while mask:
         low = mask & -mask

@@ -6,8 +6,9 @@ analogues are chain spaces.  Grid subspaces sit in the one-way n-space
 over all rationals, so their coordinates are not confined to [0, 1].
 All arithmetic is exact over ``fractions.Fraction`` -- floats are
 rejected, since the predicates in this module are discontinuous in
-their inputs.  ``d_ir`` and ``ball`` compare and add through the
-numerators and denominators (cross-multiplication) rather than the
+their inputs.  ``d_ir`` and ``ball`` take a Fraction as it is, read its
+numerator and denominator as one pair (``as_integer_ratio``), compare
+and add the pairs by cross-multiplication rather than through the
 ``Fraction`` operators, and return normalized Fractions.
 
 The statements about these models -- compactness through a greatest
@@ -61,9 +62,10 @@ _ONE = Fraction(1)
 
 
 def _unit(v, name: str) -> Fraction:
-    f = as_fraction(v)
+    f = v if type(v) is Fraction else as_fraction(v)
+    num, den = f.as_integer_ratio()
     # a Fraction's denominator is always positive
-    if not 0 <= f.numerator <= f.denominator:
+    if not 0 <= num <= den:
         raise OutOfRange(f"{name} must lie in [0, 1], got {f}")
     return f
 
@@ -75,11 +77,11 @@ def d_ir(x, y) -> Fraction:
     d(x, y) = d(y, x) = 0 forces x = y; unlike a metric it is not
     symmetric.
     """
-    x = _unit(x, "x")
-    y = _unit(y, "y")
+    xn, xd = _unit(x, "x").as_integer_ratio()
+    yn, yd = _unit(y, "y").as_integer_ratio()
     # y - x over the common denominator; Fraction(n, d) normalizes
-    diff = y.numerator * x.denominator - x.numerator * y.denominator
-    return Fraction(diff, x.denominator * y.denominator) if diff > 0 else _ZERO
+    diff = yn * xd - xn * yd
+    return Fraction(diff, xd * yd) if diff > 0 else _ZERO
 
 
 @dataclass(frozen=True)
@@ -96,13 +98,13 @@ class Ball:
 
 
 def ball(x, eps) -> Ball:
-    x = _unit(x, "x")
-    eps = as_fraction(eps)
-    if eps.numerator <= 0:
+    xn, xd = _unit(x, "x").as_integer_ratio()
+    en, ed = as_fraction(eps).as_integer_ratio()
+    if en <= 0:
         raise OutOfRange("radius must be positive")
     # x + eps as num / den, compared with 1 before any normalization
-    den = x.denominator * eps.denominator
-    num = x.numerator * eps.denominator + eps.numerator * x.denominator
+    den = xd * ed
+    num = xn * ed + en * xd
     if num > den:
         return Ball(_ONE, whole_space=True)
     return Ball(Fraction(num, den), whole_space=False)

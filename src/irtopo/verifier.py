@@ -57,16 +57,17 @@ take its classes in blocks of ``_BLOCK``, each built once as its block
 starts, each claim over a whole block in turn, and every other claim
 runs in one pass.  What the checks share (``_meets``,
 ``_closure_rows``, ``_packed_covers``, ``_ir_cat`` per space,
-``_decided`` covers) lives in a ``_memo`` until its block or pass ends,
-so no space or memo outlives its block, and a worker works it out for
-its own shard only: an instance family yields only what defines its
-instances.
+``_decided`` covers, ``_theorem8`` per spectrum) lives in a ``_memo``
+until its block or pass ends, so no space or memo outlives its block,
+and a worker works it out for its own shard only: an instance family
+yields only what defines its instances.
 
 A class sweep checks each homeomorphism class (``_classes``) on its
 first member: every swept statement is topological, so a relabelling
 keeps its verdict, and a class counts its orbit size, tested or failing.
-After the merge a failing claim reports the first counterexamples of its
-check over the labelled spaces; ``elapsed`` holds both passes.
+T8's one pass reads the T0 classes alike (``_WEIGHTED``).  After the merge
+a failing claim reports the first counterexamples of its check over its
+labelled family (``instances``); ``elapsed`` holds both passes.
 """
 
 from __future__ import annotations
@@ -526,6 +527,16 @@ def _t8_instances(n_max: int, pair_max: int, seed: int) -> Iterator[tuple]:
         yield "zn", m
 
 
+def _t8_classes(n_max: int, pair_max: int, seed: int) -> Iterator[tuple]:
+    """``_t8_instances`` weighted: each T0 class's first member with its orbit
+    size (T0 is topological, as T8's check is), then each modulus, weight 1."""
+    for n in range(1, n_max + 1):
+        for i, w in _classes(n):
+            if (s := FiniteSpace(_labels(n), tuple(_space_table(n)[i * n:i * n + n]))).is_t0():
+                yield w, ("poset", s)
+    yield from ((1, ("zn", m)) for m in range(2, _T8_MODULUS_LIMIT + 1))
+
+
 def _t10_batches(n_max: int, pair_max: int, seed: int) -> list:
     rng = random.Random(seed)
     batches = []
@@ -678,10 +689,16 @@ def _check_t7(pair):
     return None
 
 
+@_memo
+def _theorem8(space: FiniteSpace) -> tuple[bool, category.CoverReport]:
+    """``spectra.check_theorem8`` once per distinct spectrum in a pass: it reads reach alone."""
+    return spectra.check_theorem8(space)
+
+
 def _check_t8(inst):
     kind, payload = inst
     sp = payload if kind == "poset" else spectra.spec_zn(payload)
-    ok, rep = spectra.check_theorem8(sp)
+    ok, rep = _theorem8(sp)
     if not ok:
         return {
             "kind": kind,
@@ -776,7 +793,9 @@ def _check_p1(inst):
     if d(x, x) != 0:
         return {"axiom": "identity", "x": fmt(x)}
     dxy = d(x, y)
-    if d(x, z) > dxy + d(y, z):
+    # d(x, z) > d(x, y) + d(y, z) as a/b > c/e + g/h, over positive denominators
+    (a, b), (c, e), (g, h) = d(x, z).as_integer_ratio(), dxy.as_integer_ratio(), d(y, z).as_integer_ratio()
+    if a * e * h > (c * h + g * e) * b:
         return {"axiom": "triangle", "x": fmt(x), "y": fmt(y), "z": fmt(z)}
     if dxy == 0 == d(y, x) and x != y:
         return {"axiom": "separation", "x": fmt(x), "y": fmt(y)}
@@ -1150,26 +1169,29 @@ def _check_all(check: Callable, instances: Iterable, tally: list, weighted: bool
 
 # the families whose instances are the swept spaces, to the most points each takes
 _SWEEPS = {_spaces: MAX_ENUM_POINTS, _dim_spaces: _DIM_SWEEP_CAP}
+# a one-pass family to the family over classes that a pass takes in its place
+_WEIGHTED = {_t8_instances: _t8_classes}
 
 
 def _run_shard(names: list[str], n_max: int, pair_max: int, seed: int, nshards: int, shard: int):
     """Each named claim's instances whose index is ``shard`` modulo
     ``nshards``: one pool task, or all of a run at one job.
 
-    What the selection reads (the tables of T8 and the pair claims, the
-    classes of the sweep claims) is built first, outside every claim's
-    time.  A claim not in ``_SWEEPS`` runs in one pass; the sweep claims
-    then take the classes in blocks of ``_BLOCK``, each class's first
-    member built with its structure first, each claim over a whole block
-    in turn.  Memos and spaces are dropped when a pass or block ends, and
-    each pass goes through ``run_claim``.  Returns each claim's tally.
+    What the selection reads (the tables of the pair claims, the classes
+    of T8 and the sweep claims) is built first, outside every claim's
+    time.  Other claims run in one pass, T8's over ``_WEIGHTED``; the
+    sweep claims take the classes in blocks of ``_BLOCK``, each class's
+    first member built with its structure first, each claim over a whole
+    block in turn.  Memos and spaces are dropped when a pass or block
+    ends; each pass goes through ``run_claim``.  Returns the tallies.
     """
     tallies = {name: [0, 0, [], 0.0] for name in names}
     families = {CLAIMS[name].instances for name in names}
-    labelled = max(pair_max if _pairs in families else 0, n_max if _t8_instances in families else 0)
     swept = max(min(_SWEEPS.get(f, 0), n_max) for f in families)
-    tables = [_space_table(n) for n in range(1, max(labelled, swept) + 1)]
-    classes = [(w, tables[n - 1][i * n:i * n + n]) for n in range(1, swept + 1) for i, w in _classes(n)]
+    classed = max(swept, n_max if families & _WEIGHTED.keys() else 0)
+    tables = [_space_table(n) for n in range(1, max(pair_max if _pairs in families else 0, classed) + 1)]
+    orbits = [_classes(n) for n in range(1, classed + 1)]
+    classes = [(w, tables[n - 1][i * n:i * n + n]) for n in range(1, swept + 1) for i, w in orbits[n - 1]]
     sweeps = [name for name in names if CLAIMS[name].instances in _SWEEPS]
     passes = [([name], None) for name in names if name not in sweeps]
     passes += [(sweeps, lo) for lo in range(0, len(classes), _BLOCK)]
@@ -1181,13 +1203,16 @@ def _run_shard(names: list[str], n_max: int, pair_max: int, seed: int, nshards: 
                 space.open_sets  # fills min_opens as well
         try:
             for name in group:
-                if lo is None:
-                    family = enumerate(CLAIMS[name].instances(n_max, pair_max, seed))
+                family = CLAIMS[name].instances
+                weighted = lo is not None or family in _WEIGHTED
+                if lo is None:  # a weighted family yields (orbit size, instance), any other is indexed
+                    limits = n_max, pair_max, seed
+                    family = _WEIGHTED[family](*limits) if weighted else enumerate(family(*limits))
                     instances = itertools.islice(family, shard, None, nshards)
                 else:  # the block's classes of at most as many points as the claim takes
-                    cap = _SWEEPS[CLAIMS[name].instances]
+                    cap = _SWEEPS[family]
                     instances = block if cap >= swept else [(w, s) for w, s in block if s.n <= cap]
-                run_claim(name, _pass=(instances, tallies[name], lo is not None))
+                run_claim(name, _pass=(instances, tallies[name], weighted))
         finally:
             block = family = instances = None
             for table in _MEMOS:
@@ -1195,23 +1220,23 @@ def _run_shard(names: list[str], n_max: int, pair_max: int, seed: int, nshards: 
     return [tuple(tallies[name]) for name in names]
 
 
-def _report_labelled(report: ClaimReport, n_max: int) -> None:
-    """A failing sweep claim's counterexamples: its check over its labelled
-    spaces in table order, in blocks, until MAX_REPORTED_COUNTEREXAMPLES
+def _report_labelled(report: ClaimReport, n_max: int, pair_max: int, seed: int) -> None:
+    """A claim's counterexamples after a failing pass over classes: its check over
+    its labelled family in order, in blocks, until MAX_REPORTED_COUNTEREXAMPLES
     fail; the time, not that of building a table or a block, adds to elapsed."""
-    tally, most = [0, 0, [], 0.0], MAX_REPORTED_COUNTEREXAMPLES
+    tally, most, size = [0, 0, [], 0.0], MAX_REPORTED_COUNTEREXAMPLES, 1
     first = tally[2]
-    for n in range(1, min(n_max, _SWEEPS[CLAIMS[report.claim].instances]) + 1):
-        spaces = enumerate(enumerate_spaces(n))  # the table of n points is built here, untimed
-        while len(first) < most and (block := list(itertools.islice(spaces, _BLOCK))):
-            try:
-                more = itertools.takewhile(lambda _: len(first) < most, block)
-                run_claim(report.claim, _pass=(more, tally))
-            finally:
-                for table in _MEMOS:
-                    table.clear()
-        if len(first) == most:
-            break
+    instances = enumerate(CLAIMS[report.claim].instances(n_max, pair_max, seed))
+    # blocks, and the tables they reach, are built untimed, doubling up to _BLOCK,
+    # so that at most as many instances again as the pass needs are built
+    while len(first) < most and (block := list(itertools.islice(instances, size))):
+        size = min(2 * size, _BLOCK)
+        try:
+            more = itertools.takewhile(lambda _: len(first) < most, block)
+            run_claim(report.claim, _pass=(more, tally))
+        finally:
+            for table in _MEMOS:
+                table.clear()
     report.counterexamples = [payload for _, payload in first]
     report.elapsed += tally[3]
 
@@ -1308,8 +1333,8 @@ def run_suite(
             shards = list(pool.map(task, range(jobs)))
     reports = [_merge(name, parts) for name, parts in zip(names, zip(*shards))]
     for report in reports:
-        if report.counterexample_count and CLAIMS[report.claim].instances in _SWEEPS:
-            _report_labelled(report, n_max)
+        if report.counterexample_count and CLAIMS[report.claim].instances in _SWEEPS.keys() | _WEIGHTED.keys():
+            _report_labelled(report, n_max, pair_max, seed)
     return reports
 
 

@@ -59,7 +59,7 @@ def test_mask_helpers_roundtrip():
 
 def test_points_of_agrees_with_the_bit_walk():
     # every mask of the byte table's low two bytes, the masks around its
-    # 2**24 bound, and masks of 20,000 bits, which take the bit walk
+    # 2**24 bound, and masks of 20,000 bits, which are read through to_bytes
     rng = random.Random(0)
     wide = [(1 << 20_000) - 1, 1 << 19_999, (1 << 19_999) | 1]
     wide += [rng.getrandbits(20_000) for _ in range(20)]
@@ -70,6 +70,35 @@ def test_points_of_agrees_with_the_bit_walk():
     for mask in (-1, -(1 << 24), -(1 << 20_000)):
         with pytest.raises(ValueError, match="negative mask"):
             points_of(mask)
+
+
+def _points_by_lowest_bit(mask):
+    # the reference form of points_of above 2**24: lowest bit first
+    points = []
+    while mask:
+        low = mask & -mask
+        points.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(points)
+
+
+def test_points_of_matches_the_lowest_bit_walk():
+    # random masks of up to 2**16 bits: dense, with a long run of zero
+    # bytes, and sparse, of 2 to 51 points, on either side of the 32 points
+    # up to which points_of walks the bits; the negative-mask error as before
+    rng = random.Random(16)
+    masks = [1 << 24, (1 << 25) - 1, 1 << (1 << 16) - 1, (1 << (1 << 16)) - 1]
+    for _ in range(10):
+        bits = rng.randint(25, 1 << 16)
+        dense = rng.getrandbits(bits) | 1 << bits - 1
+        sparse = sum(1 << rng.randrange(bits) for _ in range(rng.randint(1, 50))) | 1 << bits - 1
+        masks += [dense, sparse, dense & ~(((1 << rng.randrange(bits)) - 1) << 8)]
+    for mask in masks:
+        assert points_of(mask) == _points_by_lowest_bit(mask)
+    for mask, shown in [(-1, "-0x1"), (-(1 << 24) - 1, "-0x1000001"), (-(1 << (1 << 16)), "-0x1" + "0" * 36 + "...")]:
+        with pytest.raises(ValueError) as err:
+            points_of(mask)
+        assert str(err.value) == f"negative mask {shown} is not a point set"
 
 
 @pytest.mark.parametrize(
@@ -584,7 +613,7 @@ class TestExtensions:
 
 class TestPastTheByteTable:
     """The callers of points_of on spaces of more than 24 points, whose
-    masks it walks bit by bit rather than reading from its byte table."""
+    masks it reads through ``to_bytes`` rather than as three bytes."""
 
     @pytest.fixture(scope="class")
     def wide(self):

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,7 @@ from irtopo import (
 )
 from irtopo import intervals
 from irtopo.intervals import as_fraction, format_fraction
-from irtopo.verifier import _UNIT, _check_t1, _check_t10, _t1_instances
+from irtopo.verifier import _UNIT, _check_p1, _check_t1, _check_t10, _t1_instances
 
 
 class TestDistance:
@@ -153,6 +154,82 @@ def test_ball_matches_the_operators_on_twelfths():
             # hi == 1 is still an initial segment, not the whole space
             half_open_at_one += x + eps == 1 and not got[2][0]
     assert whole and half_open_at_one == len(_UNIT_GRID) - 1
+
+
+def _p1_by_operators(inst):
+    # the reference form of verifier._check_p1: the triangle inequality
+    # through the Fraction operators
+    x, y, z, eps = inst
+    d = intervals.d_ir
+    if d(x, x) != 0:
+        return {"axiom": "identity", "x": format_fraction(x)}
+    dxy = d(x, y)
+    if d(x, z) > dxy + d(y, z):
+        return {"axiom": "triangle", "x": format_fraction(x), "y": format_fraction(y), "z": format_fraction(z)}
+    if dxy == 0 == d(y, x) and x != y:
+        return {"axiom": "separation", "x": format_fraction(x), "y": format_fraction(y)}
+    b = intervals.ball(x, eps)
+    hi = x + eps
+    if b.whole_space:
+        if hi <= 1:
+            return {"axiom": "ball-clip", "x": format_fraction(x), "eps": format_fraction(eps)}
+    elif b.hi != hi:
+        return {"axiom": "ball-endpoint", "x": format_fraction(x), "eps": format_fraction(eps)}
+    return None
+
+
+def _d_ir_off(unit):
+    # d_ir with a positive distance off by one unit of the common denominator
+    def d(x, y):
+        (xn, xd), (yn, yd) = x.as_integer_ratio(), y.as_integer_ratio()
+        diff = yn * xd - xn * yd
+        return Fraction(diff + unit, xd * yd) if diff > 0 else Fraction(0)
+
+    return d
+
+
+def _ball_off(unit):
+    # ball with the numerator of x + eps off by one unit of its denominator
+    def b(x, eps):
+        (xn, xd), (en, ed) = x.as_integer_ratio(), eps.as_integer_ratio()
+        num, den = xn * ed + en * xd + unit, xd * ed
+        return intervals.Ball(Fraction(1), True) if num > den else intervals.Ball(Fraction(num, den), False)
+
+    return b
+
+
+# every 11th (x, y, z) of the unit grid in product order, so z steps
+# through the grid, each with a radius in turn
+_P1_GRID = [
+    (x, y, z, _RADII[i % len(_RADII)])
+    for i, (x, y, z) in enumerate(itertools.islice(itertools.product(_UNIT_GRID, repeat=3), 0, None, 11))
+]
+
+
+@pytest.mark.parametrize(
+    "name, mutant, flagged",
+    [
+        ("d_ir", None, set()),
+        ("d_ir", _d_ir_off(1), {"triangle"}),
+        ("d_ir", _d_ir_off(-1), {"triangle", "separation"}),
+        ("ball", _ball_off(1), {"ball-endpoint", "ball-clip"}),
+        ("ball", _ball_off(-1), {"ball-endpoint"}),
+    ],
+    ids=["none", "d_ir+1", "d_ir-1", "ball+1", "ball-1"],
+)
+def test_p1_flags_what_the_operator_form_flags(monkeypatch, name, mutant, flagged):
+    # a d_ir or ball off by one unit in the last place: P1's check with its
+    # cross-multiplied triangle inequality names the same axiom as the
+    # check through the Fraction operators, on every instance
+    if mutant is not None:
+        monkeypatch.setattr(intervals, name, mutant)
+    axioms = set()
+    for inst in _P1_GRID:
+        got = _check_p1(inst)
+        assert got == _p1_by_operators(inst), inst
+        if got is not None:
+            axioms.add(got["axiom"])
+    assert axioms == flagged
 
 
 # rejected inputs: bools, floats, exponent notation, zero denominators,

@@ -360,6 +360,24 @@ def _class_sweep(claim, n_max):
     return report.instances_tested, report.counterexample_count, report.counterexamples
 
 
+def _labelled_t8(n_max):
+    """T8's check over its labelled family, which its pass over the T0
+    classes replaced, kept as its oracle: every spectrum decided by
+    ``spectra.check_theorem8`` itself, with no memo of verdicts; the same
+    three fields as ``_class_sweep``."""
+    from irtopo import spectra, verifier
+
+    tally = [0, 0, [], 0.0]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(verifier, "_theorem8", lambda space: spectra.check_theorem8(space))
+        verifier._check_all(CLAIMS["T8"].check, enumerate(CLAIMS["T8"].instances(n_max, 3, 0)), tally)
+    return tally[0], tally[1], [payload for _, payload in tally[2]]
+
+
+# labelled posets on 1..6 points (OEIS A001035)
+_LABELLED_POSETS = (1, 3, 19, 219, 4231, 130023)
+
+
 class TestLabelledOracle:
     @pytest.mark.parametrize("claim", _SWEEP_CLAIMS)
     def test_class_sweep_matches_the_labelled_sweep(self, claim):
@@ -388,6 +406,42 @@ class TestLabelledOracle:
         assert labelled[:2] == (34, 1)
         assert classes[:2] == (34, 2 if rows == (1, 3) else 0)
         assert classes != labelled
+
+    def test_t8_class_pass_matches_the_labelled_pass(self):
+        # T0 and T8's check are topological, so T8 over the T0 classes
+        # weighted by orbit size, one verdict per distinct spectrum,
+        # reports what its check over every labelled poset and modulus
+        # does (at 6 points with IRTOPO_ORACLE_POINTS=6)
+        labelled = _labelled_t8(_ORACLE_POINTS)
+        assert labelled[:2] == (sum(_LABELLED_POSETS[:_ORACLE_POINTS]) + 4999, 0)
+        assert _class_sweep("T8", _ORACLE_POINTS) == labelled
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_t8_reports_the_labelled_counterexamples(self, monkeypatch, jobs):
+        # Theorem 8 made to fail at one labelling of the Sierpinski space,
+        # the first member of its class, and at the spectra of two primes:
+        # the class pass counts the whole orbit, and the counterexamples
+        # reported are those of the labelled family, in its order, at
+        # either job count
+        from irtopo import spectra, verifier
+
+        real = spectra.check_theorem8
+
+        def failing(space):
+            ok, rep = real(space)
+            return ok and space.reach_rows not in ((1, 3), (1, 2)), rep
+
+        monkeypatch.setattr(spectra, "check_theorem8", failing)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _inline_pool([]))
+        monkeypatch.setattr(verifier, "_usable_cpus", lambda: 2)
+        labelled = _labelled_t8(3)
+        report = run_suite(n_max=3, claims=["T8"], jobs=jobs)[0]
+        # the discrete 2-point space and Z/m for the m with two prime factors
+        two_primes = sum(len(spectra.factorize(m)) == 2 for m in range(2, 5001))
+        assert labelled[:2] == (23 + 4999, 2 + two_primes)
+        assert (report.instances_tested, report.counterexample_count) == (23 + 4999, 3 + two_primes)
+        assert len(labelled[2]) == 10 and report.counterexamples == labelled[2]
+        assert [p["kind"] for p in labelled[2]] == ["poset"] * 2 + ["zn"] * 8
 
 
 class TestOracle:
@@ -475,8 +529,8 @@ class TestOracle:
 
 
 class TestPastTheByteTable:
-    """The oracle's walks on a 30-point space, whose masks points_of walks
-    bit by bit rather than reading from its byte table."""
+    """The oracle's walks on a 30-point space, whose masks points_of reads
+    through ``to_bytes`` rather than as three bytes."""
 
     def test_meets_and_smallest_boxes(self):
         s = sphere_model(15)
@@ -1328,26 +1382,38 @@ class TestSweepBlocks:
     def test_no_swept_space_outlives_its_block(self, monkeypatch, jobs):
         # at each end of a pass or block, as the memos are emptied, the
         # spaces alive that the run built are the first members of the
-        # shard's block of classes (the memos hold every one), or at most
-        # the 34 labelled spaces of at most 3 points that a pair claim's
-        # memos, or L2_literal's labelled counterexample pass, hold; after
-        # the run none is alive.  No collection runs first: reference
-        # counting alone must free them, as the memory peak of a sweep needs
+        # shard's block of classes (the memos hold every one), one space
+        # per distinct spectrum that the shard's T8 pass checked (its memo
+        # of verdicts), or at most the 34 labelled spaces of at most 3
+        # points that a pair claim's memos, or L2_literal's labelled
+        # counterexample pass, hold; after the run none is alive.  No
+        # collection runs first: reference counting alone must free them,
+        # as the memory peak of a sweep needs
         import gc
 
         from irtopo import verifier
+        from irtopo.spectra import spec_zn
 
         monkeypatch.setattr(verifier, "_BLOCK", 7)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _inline_pool([]))
         monkeypatch.setattr(verifier, "_usable_cpus", lambda: 2)
         classes = {s.reach_rows: i for i, s in enumerate(_reps(4))}
         labelled = {s.reach_rows: i for i, s in enumerate(_spaces_upto(4))}
-        block, ends = set(), []
+        block, spectra, ends, last = set(), set(), [], [None]
         real_run_claim = verifier.run_claim
 
+        def checked(instances):
+            # T8's instances, passed on, with the reach rows of each spectrum
+            for key, (kind, payload) in instances:
+                spectra.add((payload if kind == "poset" else spec_zn(payload)).reach_rows)
+                yield key, (kind, payload)
+
         def run_claim(name, *args, _pass=None, **kwargs):
-            if _pass[2:] == (True,):  # a pass over a block of classes
+            last[0] = name
+            if CLAIMS[name].instances in _SWEEPS and _pass[2:] == (True,):  # a block of classes
                 block.update(classes[s.reach_rows] for _, s in _pass[0])
+            elif name == "T8":
+                _pass = (checked(_pass[0]), *_pass[1:])
             return real_run_claim(name, *args, _pass=_pass, **kwargs)
 
         def alive():
@@ -1356,8 +1422,9 @@ class TestSweepBlocks:
         class EndWatch(list):
             def __iter__(self):
                 # the reach rows of the spaces alive, no space itself
-                ends.append((set(block), [s.reach_rows for s in alive()]))
+                ends.append((last[0], set(block), set(spectra), [s.reach_rows for s in alive()]))
                 block.clear()
+                spectra.clear()
                 return super().__iter__()
 
         # held, so that no id of theirs is reused
@@ -1367,14 +1434,21 @@ class TestSweepBlocks:
         monkeypatch.setattr(verifier, "_MEMOS", EndWatch(verifier._MEMOS))
         run_suite(n_max=4, pair_max=3, jobs=jobs)
         assert alive() == []
-        blocks = [(mine, rows) for mine, rows in ends if mine]
+        blocks = [(mine, rows) for _, mine, _, rows in ends if mine]
         assert len(blocks) == 7 * jobs
         for mine, rows in blocks:
             assert len(mine) <= -(-7 // jobs)
             assert sorted(classes[r] for r in rows) == sorted(mine)
         assert sorted(i for mine, _ in blocks for i in mine) == list(range(46))
-        assert all(0 <= labelled[r] < 34 for mine, rows in ends if not mine for r in rows)
-        assert max(len(rows) for mine, rows in ends if not mine) > 0
+        t8 = [(spectra, rows) for name, _, spectra, rows in ends if name == "T8"]
+        # the shards check the 24 T0 classes of at most 4 points and the
+        # discrete spectrum of 5 points (of Z/2310)
+        assert len(t8) == jobs and len(set().union(*(spectra for spectra, _ in t8))) == 25
+        for spectra, rows in t8:
+            assert sorted(rows) == sorted(spectra)
+        others = [rows for name, mine, _, rows in ends if not mine and name != "T8"]
+        assert all(0 <= labelled[r] < 34 for rows in others for r in rows)
+        assert max(map(len, others)) > 0
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_each_swept_class_derives_its_meets_once_per_shard(self, monkeypatch, jobs):
@@ -1415,24 +1489,27 @@ class TestSweepBlocks:
             assert Counter(spaces) == Counter(swept[i::jobs])
 
     def test_import_leaves_no_memo_entry(self):
-        # the chain's meets are worked out at import without the memo
+        # the chain's meets are worked out at import without the memo; each
+        # memo the module defines (the closure that _memo returns) has its
+        # one table, and every table is empty
         root = Path(__file__).resolve().parents[1]
         code = f"""
 import sys
 sys.path[:0] = [{str(root / "src")!r}]
 from irtopo import verifier
-print(len(verifier._MEMOS), sum(map(len, verifier._MEMOS)))
+memos = [f for f in vars(verifier).values() if getattr(f, "__code__", None) is verifier._meets.__code__]
+print(len(verifier._MEMOS) - len(memos), sum(map(len, verifier._MEMOS)))
 """
         done = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
         )
         assert done.returncode == 0, done.stderr
-        assert done.stdout.split() == ["5", "0"]
+        assert done.stdout.split() == ["0", "0"]
 
     @pytest.mark.parametrize(
         "claims, n_max, pair_max, tables, classes",
         [
-            (["T8"], 4, 2, 4, 0),
+            (["T8"], 4, 2, 4, 4),
             (["T5"], 4, 2, 2, 0),
             (["C9"], 3, 4, 3, 3),
             (["T13"], 6, 3, 4, 4),
@@ -1444,11 +1521,12 @@ print(len(verifier._MEMOS), sum(map(len, verifier._MEMOS)))
     def test_only_what_the_selection_reads_is_built_before_any_pass(
         self, monkeypatch, claims, n_max, pair_max, tables, classes
     ):
-        # the labelled tables of T8 (to n_max) and of the pair claims (to
-        # pair_max), and the classes of the sweep claims (T13's to its
-        # 4-point cap), are built before the first pass, so no claim's
-        # elapsed counts a build, L2_literal's labelled counterexamples
-        # included; nothing else is built, and C3 reads neither cache
+        # the labelled tables of the pair claims (to pair_max), and the
+        # tables and classes of T8 (to n_max) and of the sweep claims
+        # (T13's to its 4-point cap), are built before the first pass, so
+        # no claim's elapsed counts a build, L2_literal's labelled
+        # counterexamples included; nothing else is built, and C3 reads
+        # neither cache
         from irtopo import verifier
 
         built = {"table": [], "classes": []}
@@ -1474,6 +1552,25 @@ print(len(verifier._MEMOS), sum(map(len, verifier._MEMOS)))
         assert sorted(built["table"]) == list(range(1, tables + 1))
         assert sorted(built["classes"]) == list(range(1, classes + 1))
         assert passes and all(seen == built for seen in passes)
+
+    def test_labelled_counterexamples_list_at_most_twice_the_spaces_checked(self, monkeypatch):
+        # the labelled pass lists its blocks doubling from 1 space, so it
+        # builds fewer than twice the spaces up to L2_literal's tenth
+        # counterexample, none of 5 points, whatever the size of a block
+        from irtopo import verifier
+
+        check = CLAIMS["L2_literal"].check
+        tenth = [i for i, s in enumerate(_spaces_upto(5)) if check(s) is not None][9]
+        listed = []
+
+        def spaces_upto(n_max):
+            for s in _spaces_upto(n_max):
+                listed.append(s.n)
+                yield s
+
+        monkeypatch.setattr(verifier, "_spaces_upto", spaces_upto)
+        assert run_claim("L2_literal", n_max=5).counterexample_count == 7326
+        assert tenth < len(listed) < 2 * (tenth + 1) and max(listed) < 5
 
     def test_a_failing_check_leaves_no_memo(self, monkeypatch):
         from irtopo import verifier
@@ -1554,10 +1651,10 @@ print(json.dumps({{"code": code, "suite": suite, "blocks": blocks, "counts": spa
     result = json.loads(done.stdout)
     suite, counts = result["suite"], result["counts"]
     # every claim pass runs through run_claim: at 2 points, one per claim
-    # and two for L2_literal's labelled counterexamples, one per number of
-    # points; in blocks of 2 of the 4 classes, two per sweep claim and one
-    # for T14
-    assert suite["verifier.run_claim"] == 32 + 2
+    # and three for L2_literal's labelled counterexamples, its 5 labelled
+    # spaces in blocks of 1, 2 and 2 (blocks double); in blocks of 2 of the
+    # 4 classes, two per sweep claim and one for T14
+    assert suite["verifier.run_claim"] == 32 + 3
     assert result["blocks"] == 2 + 2 + 1
     assert suite["verifier.enumerate"] > 0
     # one traced `spec zn` call adds its own spans
