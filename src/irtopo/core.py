@@ -123,7 +123,7 @@ class FiniteSpace:
     :func:`from_open_sets` and :func:`from_reach`, which take masks.
     """
 
-    # Slots, not a per-instance dict (a sweep block holds 1024 spaces): the fields, then n,
+    # Slots, not a per-instance dict (a shard holds up to 903 class members): the fields, then n,
     # full_mask and the min_opens and open_sets caches, None until first read
     __slots__ = ("labels", "reach_rows", "n", "full_mask", "_min_opens", "_open_sets")
     labels: tuple[str, ...]

@@ -33,11 +33,7 @@ one form, packed ``bytes`` (``_packed_covers``), and are open covers by
 construction, so L1 and L2_subcover call the decisions
 ``category.refinement_mapping`` and ``category.greedy_subcover``, which
 validate nothing; C8 and the unit tests call the validating entries
-``check_refinement`` and ``min_subcover``.  Those decisions depend on
-the (optimal cover, cover) pair alone, and pairs repeat across spaces,
-so the two claims decide each distinct pair once per block
-(``_decided``).  A failing cover is not recorded, so it is decided
-again, and counted, at every space that holds it.
+``check_refinement`` and ``min_subcover``.
 
 Logic that only one claim needs lives in that claim's check, and a
 corollary that is an instance of another claim reuses that claim's
@@ -52,15 +48,14 @@ The table of spaces is packed reach rows, built once per process
 (``_space_table``, from ``core.extensions``).  ``run_claim`` runs in the
 calling process, and only ``run_suite`` starts a pool, and only then
 imports it: with k workers it gets k tasks, task i running shard i of
-every claim.  Both run ``_run_shard``: the claims that sweep the table
-take its classes in blocks of ``_BLOCK``, each built once as its block
-starts, each claim over a whole block in turn, and every other claim
-runs in one pass.  What the checks share (``_meets``,
-``_closure_rows``, ``_packed_covers``, ``_ir_cat`` per space,
-``_decided`` covers, ``_theorem8`` per spectrum) lives in a ``_memo``
-until its block or pass ends, so no space or memo outlives its block,
-and a worker works it out for its own shard only: an instance family
-yields only what defines its instances.
+every claim.  Both run ``_run_shard``, where each claim runs one pass:
+the claims that sweep the table over the shard's classes, built once
+before any pass, and every other claim over its own family.  What the
+checks share (``_meets``, ``_closure_rows``, ``_packed_covers``,
+``_ir_cat`` per space, ``_theorem8`` per spectrum) lives in a ``_memo``
+until the shard ends, so no space or memo outlives its shard, and a
+worker works it out for its own shard only: an instance family yields
+only what defines its instances.
 
 A class sweep checks each homeomorphism class (``_classes``) on its
 first member: every swept statement is topological, so a relabelling
@@ -209,13 +204,13 @@ def box_topology(x: FiniteSpace, y: FiniteSpace) -> frozenset[int]:
     return frozenset(boxes)
 
 
-# the table of every memo, emptied when a block or a pass ends
+# the table of every memo, emptied when a shard or a labelled block ends
 _MEMOS: list[dict] = []
 
 
 def _memo(compute: Callable) -> Callable:
     """``compute(key)`` kept by its one argument in a plain dict (no link
-    node per entry, as an ``lru_cache`` has) until its block or pass ends."""
+    node per entry, as an ``lru_cache`` has) until ``_MEMOS`` is emptied."""
     table: dict = {}
     _MEMOS.append(table)
 
@@ -328,13 +323,13 @@ def chain_homotopy_oracle(x: FiniteSpace, y: FiniteSpace, f, targets) -> int:
 # exhaustive covering oracles
 
 
-# spaces per block of a sweep: the memos hold what this many need, and
-# each claim's loop stays hot over a block
+# the most labelled spaces a failing claim's counterexample pass builds
+# at once (``_report_labelled``), and so holds in the memos
 _BLOCK = 1024
 
 @_memo
 def _ir_cat(space: FiniteSpace) -> category.CoverReport:
-    """``category.ir_cat``, worked out once per space in a block or pass."""
+    """``category.ir_cat``, worked out once per space in a shard."""
     return category.ir_cat(space)
 
 
@@ -348,13 +343,6 @@ def _packed_covers(space: FiniteSpace) -> bytes:
     most 8 points are packed; the swept spaces have at most 6.
     """
     return b"\0".join(map(bytes, category.irredundant_covers(space)))
-
-
-@_memo
-def _decided(key: tuple[str, tuple[int, ...]]) -> set[bytes]:
-    """The covers that key's claim (L1 or L2_subcover) decided right so far
-    this block against key's optimal cover; key is (claim, optimal cover)."""
-    return set()
 
 
 @_memo
@@ -458,8 +446,8 @@ class ClaimReport:
     passed: bool
     counterexamples: list[dict]
     counterexample_count: int
-    # seconds: the sum of the claim's passes, a sweep claim's over its
-    # blocks; above one job, the slowest shard's, timed in its worker
+    # seconds: the claim's pass, plus the labelled counterexample pass of a
+    # failing claim over classes; above one job, the slowest shard's, timed in its worker
     elapsed: float
 
     def to_jsonable(self) -> dict:
@@ -691,7 +679,7 @@ def _check_t7(pair):
 
 @_memo
 def _theorem8(space: FiniteSpace) -> tuple[bool, category.CoverReport]:
-    """``spectra.check_theorem8`` once per distinct spectrum in a pass: it reads reach alone."""
+    """``spectra.check_theorem8`` once per distinct spectrum in a shard: it reads reach alone."""
     return spectra.check_theorem8(space)
 
 
@@ -845,20 +833,15 @@ def _check_p4(s):
 
 
 def _check_l1(s):
-    # the covers are open covers by construction, so only the decision
-    # runs, once per (optimal cover, cover) pair decided right this block
+    # the covers are open covers by construction, so only the decision runs
     optimal = _ir_cat(s).sets
-    decided = _decided(("L1", optimal))
     for cov in _packed_covers(s).split(b"\0"):
-        if cov in decided:
-            continue
         ok, mapping = category.refinement_mapping(optimal, cov)
         # optimal member i must lie in cover member mapping[i]
         if not ok or len(mapping) != len(optimal) or not all(
             0 <= j < len(cov) and w & ~cov[j] == 0 for w, j in zip(optimal, mapping)
         ):
             return {"space": s, "cover": cov}
-        decided.add(cov)
     return None
 
 
@@ -883,14 +866,11 @@ def _check_l2_literal(s):
 
 def _check_l2_subcover(s):
     rep = _ir_cat(s)
-    decided = _decided(("L2_subcover", rep.sets))
     padded = _padded_cover(s, rep)
     covers = _packed_covers(s).split(b"\0")
     if padded is not None:
         covers.append(bytes(padded))
     for cov in covers:
-        if cov in decided:
-            continue
         try:
             sub = category.greedy_subcover(rep.sets, cov)
         except category.SubcoverNotFound:
@@ -898,7 +878,6 @@ def _check_l2_subcover(s):
         union = reduce(operator.or_, sub, 0)
         if len(sub) > rep.size or not set(sub).issubset(cov) or union != s.full_mask:
             return {"space": s, "cover": cov, "subcover": bytes(sub)}
-        decided.add(cov)
     return None
 
 
@@ -1178,12 +1157,12 @@ def _run_shard(names: list[str], n_max: int, pair_max: int, seed: int, nshards: 
     ``nshards``: one pool task, or all of a run at one job.
 
     What the selection reads (the tables of the pair claims, the classes
-    of T8 and the sweep claims) is built first, outside every claim's
-    time.  Other claims run in one pass, T8's over ``_WEIGHTED``; the
-    sweep claims take the classes in blocks of ``_BLOCK``, each class's
-    first member built with its structure first, each claim over a whole
-    block in turn.  Memos and spaces are dropped when a pass or block
-    ends; each pass goes through ``run_claim``.  Returns the tallies.
+    of T8 and the sweep claims) is built first, and then the first member
+    of each of the shard's classes with its structure, all outside every
+    claim's time.  Each claim runs one pass, through ``run_claim``: a
+    sweep claim's over those members, T8's over ``_WEIGHTED``, any other's
+    over its indexed family.  The passes share the memos, which are
+    emptied when the shard ends.  Returns the tallies.
     """
     tallies = {name: [0, 0, [], 0.0] for name in names}
     families = {CLAIMS[name].instances for name in names}
@@ -1191,32 +1170,23 @@ def _run_shard(names: list[str], n_max: int, pair_max: int, seed: int, nshards: 
     classed = max(swept, n_max if families & _WEIGHTED.keys() else 0)
     tables = [_space_table(n) for n in range(1, max(pair_max if _pairs in families else 0, classed) + 1)]
     orbits = [_classes(n) for n in range(1, classed + 1)]
-    classes = [(w, tables[n - 1][i * n:i * n + n]) for n in range(1, swept + 1) for i, w in orbits[n - 1]]
-    sweeps = [name for name in names if CLAIMS[name].instances in _SWEEPS]
-    passes = [([name], None) for name in names if name not in sweeps]
-    passes += [(sweeps, lo) for lo in range(0, len(classes), _BLOCK)]
-    for group, lo in passes:
-        if lo is not None:  # only this shard's classes become spaces
-            mine = classes[lo + (shard - lo) % nshards:lo + _BLOCK:nshards]
-            block = [(w, FiniteSpace(_labels(len(r)), tuple(r))) for w, r in mine]
-            for _, space in block:
-                space.open_sets  # fills min_opens as well
-        try:
-            for name in group:
-                family = CLAIMS[name].instances
-                weighted = lo is not None or family in _WEIGHTED
-                if lo is None:  # a weighted family yields (orbit size, instance), any other is indexed
-                    limits = n_max, pair_max, seed
-                    family = _WEIGHTED[family](*limits) if weighted else enumerate(family(*limits))
-                    instances = itertools.islice(family, shard, None, nshards)
-                else:  # the block's classes of at most as many points as the claim takes
-                    cap = _SWEEPS[family]
-                    instances = block if cap >= swept else [(w, s) for w, s in block if s.n <= cap]
-                run_claim(name, _pass=(instances, tallies[name], weighted))
-        finally:
-            block = family = instances = None
-            for table in _MEMOS:
-                table.clear()
+    classes = [(n, i, w) for n in range(1, swept + 1) for i, w in orbits[n - 1]][shard::nshards]
+    members = [(w, FiniteSpace(_labels(n), tuple(tables[n - 1][i * n:i * n + n]))) for n, i, w in classes]
+    for _, space in members:
+        space.open_sets  # fills min_opens as well
+    try:
+        for name in names:
+            family = CLAIMS[name].instances
+            if family in _SWEEPS:  # the members of at most as many points as the claim takes
+                instances, weighted = [(w, s) for w, s in members if s.n <= _SWEEPS[family]], True
+            else:  # a weighted family yields (orbit size, instance), any other is indexed
+                limits, weighted = (n_max, pair_max, seed), family in _WEIGHTED
+                family = _WEIGHTED[family](*limits) if weighted else enumerate(family(*limits))
+                instances = itertools.islice(family, shard, None, nshards)
+            run_claim(name, _pass=(instances, tallies[name], weighted))
+    finally:
+        for table in _MEMOS:
+            table.clear()
     return [tuple(tallies[name]) for name in names]
 
 

@@ -645,76 +645,9 @@ class TestClaimKernels:
         assert len(walked) == len(swept) == 46
         assert Counter(walked) == Counter(swept)
 
-    @pytest.mark.parametrize("block", [None, 7], ids=["one-block", "block-7"])
-    @pytest.mark.parametrize("claim, helper", _COVER_HELPERS)
-    def test_cover_claims_decide_each_distinct_pair_once(self, monkeypatch, claim, helper, block):
-        # both decisions depend on the (optimal cover, cover) pair alone,
-        # so a pair decided right at one class is skipped at the next in
-        # its block; a new block decides it again
-        from irtopo import verifier
-
-        decided = []
-        real = getattr(category, helper)
-
-        def counting(optimal, cov):
-            decided.append((tuple(optimal), tuple(cov)))
-            return real(optimal, cov)
-
-        monkeypatch.setattr(category, helper, counting)
-        if block is not None:
-            monkeypatch.setattr(verifier, "_BLOCK", block)
-        assert run_claim(claim, n_max=4).passed
-        swept = _reps(4)
-        if block is None:
-            held = [pair for s in swept for pair in _space_cover_pairs(claim, s)]
-            if claim == "L1":
-                assert (len(held), len(set(held))) == (171, 135)
-            assert Counter(decided) == Counter(set(held))
-        else:
-            per_block = Counter()
-            for lo in range(0, len(swept), block):
-                per_block.update({pair for s in swept[lo:lo + block] for pair in _space_cover_pairs(claim, s)})
-            assert Counter(decided) == per_block
-            assert len(decided) > len(set(decided))
-
-    @pytest.mark.parametrize("claim", ["L1", "L2_subcover"])
-    def test_cover_records_hold_one_block(self, monkeypatch, claim):
-        # after each class's check, the claim's records (the ``_decided``
-        # memo, keyed by (claim, optimal cover)) hold the optimal covers of
-        # its block so far and the pairs decided there; no run leaves them
-        # behind
-        from irtopo import verifier
-
-        monkeypatch.setattr(verifier, "_BLOCK", 7)
-        swept = _reps(4)
-        index = {s: i for i, s in enumerate(swept)}
-        held = [_space_cover_pairs(claim, s) for s in swept]
-        real = CLAIMS[claim].check
-        shared = []
-
-        def watched(s):
-            assert real(s) is None
-            i = index[s]
-            block = held[i - i % 7:i + 1]
-            records = {k: v for table in verifier._MEMOS for k, v in table.items() if type(k) is tuple}
-            # each space decides at least one cover, and the first pair holds its optimal cover
-            assert set(records) == {(claim, space_pairs[0][0]) for space_pairs in block}
-            pairs = {(optimal, tuple(cov)) for (_, optimal), covs in records.items() for cov in covs}
-            assert pairs == {pair for space_pairs in block for pair in space_pairs}
-            covers = [cov for covs in records.values() for cov in covs]
-            shared.append(len(covers) - len(set(covers)))
-
-        monkeypatch.setitem(CLAIMS, claim, dataclasses.replace(CLAIMS[claim], check=watched))
-        for table in verifier._MEMOS:
-            table.clear()
-        assert run_claim(claim, n_max=4).passed
-        assert not any(verifier._MEMOS)
-        assert len(shared) == 46 and max(shared) > 0
-
     @pytest.mark.parametrize("claim, helper", _COVER_HELPERS)
     def test_failing_pair_fails_at_every_space_holding_it(self, monkeypatch, claim, helper):
-        # a pair decided wrong is not recorded, so each space holding it
-        # is a counterexample, as without the record
+        # each space holding a pair decided wrong is a counterexample
         target, k = _most_held(_cover_pairs(claim, 4))
         assert k >= 2
         monkeypatch.setattr(category, helper, _failing_on(helper, target))
@@ -725,7 +658,7 @@ class TestClaimKernels:
             assert payload["cover"] == [[labels[p] for p in points_of(m)] for m in target[1]]
 
     def test_cover_claims_agree_across_jobs(self, monkeypatch):
-        # L2_subcover fails on a pair that L1 decides right: a record
+        # L2_subcover fails on a pair that L1 decides right: a decision
         # shared by the two claims or by the shards would change the count
         from irtopo import verifier
 
@@ -1298,8 +1231,7 @@ def _watch_memos(monkeypatch, seen):
     """Wrap the check of every sweep claim so that, at each class a shard
     checks, it appends to seen the class index of the instance, the
     first member of a class, the shard running it and the class indices
-    of the spaces that key the memos (the cover memos are keyed by
-    covers, not spaces)."""
+    of the spaces that key the memos."""
     from irtopo import verifier
 
     index = {s: i for i, s in enumerate(_reps(4))}
@@ -1335,9 +1267,11 @@ def _watch_memos(monkeypatch, seen):
 class TestSweepBlocks:
     @pytest.mark.parametrize("block", [None, 1, 10_000], ids=["default", "one", "over-table"])
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_block_size_changes_no_report(self, monkeypatch, block, jobs):
-        # the suite and each claim run alone agree claim by claim, and the
-        # suite stays byte for byte the pinned one, wherever blocks end
+    def test_labelled_block_size_changes_no_report(self, monkeypatch, block, jobs):
+        # _BLOCK bounds only the blocks of the labelled counterexample pass
+        # (L2_literal's here): the suite and each claim run alone agree
+        # claim by claim, and the suite stays byte for byte the pinned
+        # one, wherever those blocks end
         from irtopo import verifier
 
         if block is not None:
@@ -1354,52 +1288,52 @@ class TestSweepBlocks:
         assert hashlib.sha256(text.encode()).hexdigest() == _PINNED_4_3
 
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_memos_hold_one_block_and_no_run_leaves_them(self, monkeypatch, jobs):
+    def test_memos_hold_only_the_shards_classes_and_no_run_leaves_them(self, monkeypatch, jobs):
         from irtopo import verifier
 
-        # an odd block, so that the blocks of a shard start at either parity
-        monkeypatch.setattr(verifier, "_BLOCK", 7)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _inline_pool([]))
         monkeypatch.setattr(verifier, "_usable_cpus", lambda: 2)
         seen = []
         _watch_memos(monkeypatch, seen)
-        run_suite(n_max=4, pair_max=3, jobs=jobs)
+        run_suite(n_max=4, pair_max=3, claims=_SWEEP_CLAIMS, jobs=jobs)
         assert not any(verifier._MEMOS)
-        # every space a memo holds lies in the block and the shard of the
-        # class checked, and a block fills the memos with its shard
+        # every space a memo holds is a class of the shard of the class
+        # checked, and by the shard's last check the memos hold every one
         assert len(seen) == 18 * 46
         for i, shard, held in seen:
             assert i % jobs == shard
-            lo = i - i % 7
-            assert held <= {j for j in range(lo, lo + 7) if j % jobs == shard}
-        assert max(len(held) for *_, held in seen) == -(-7 // jobs)
+            assert all(j % jobs == shard for j in held)
+        for shard in range(jobs):
+            assert max(len(held) for _, k, held in seen if k == shard) == len(range(shard, 46, jobs))
         seen.clear()
+        # alone, L1 adds each class to the memos as it checks it
         assert run_claim("L1", n_max=4).passed
         assert not any(verifier._MEMOS)
-        assert len(seen) == 46 and max(len(held) for *_, held in seen) == 6
+        assert [len(held) for *_, held in seen] == list(range(46))
 
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_no_swept_space_outlives_its_block(self, monkeypatch, jobs):
-        # at each end of a pass or block, as the memos are emptied, the
-        # spaces alive that the run built are the first members of the
-        # shard's block of classes (the memos hold every one), one space
-        # per distinct spectrum that the shard's T8 pass checked (its memo
-        # of verdicts), or at most the 34 labelled spaces of at most 3
-        # points that a pair claim's memos, or L2_literal's labelled
-        # counterexample pass, hold; after the run none is alive.  No
-        # collection runs first: reference counting alone must free them,
-        # as the memory peak of a sweep needs
+    def test_no_swept_space_outlives_its_shard(self, monkeypatch, jobs):
+        # when a shard ends, as the memos are emptied, the spaces alive
+        # that the run built are the first members of the shard's classes
+        # (the sweep claims' instances), one space per distinct spectrum
+        # that the shard's T8 pass checked (its memo of verdicts), and
+        # at most one of each of the 34 labelled spaces of at most 3
+        # points that the pair claims' memos hold; at the end of each
+        # block of L2_literal's labelled counterexample pass, only such
+        # labelled spaces; after the run none is alive.  No collection
+        # runs first: reference counting alone must free them, as the
+        # memory peak of a sweep needs
         import gc
 
         from irtopo import verifier
         from irtopo.spectra import spec_zn
 
-        monkeypatch.setattr(verifier, "_BLOCK", 7)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _inline_pool([]))
         monkeypatch.setattr(verifier, "_usable_cpus", lambda: 2)
-        classes = {s.reach_rows: i for i, s in enumerate(_reps(4))}
+        reps = [s.reach_rows for s in _reps(4)]
+        classes = {rows: i for i, rows in enumerate(reps)}
         labelled = {s.reach_rows: i for i, s in enumerate(_spaces_upto(4))}
-        block, spectra, ends, last = set(), set(), [], [None]
+        mine, spectra, ends = set(), set(), []
         real_run_claim = verifier.run_claim
 
         def checked(instances):
@@ -1409,9 +1343,8 @@ class TestSweepBlocks:
                 yield key, (kind, payload)
 
         def run_claim(name, *args, _pass=None, **kwargs):
-            last[0] = name
-            if CLAIMS[name].instances in _SWEEPS and _pass[2:] == (True,):  # a block of classes
-                block.update(classes[s.reach_rows] for _, s in _pass[0])
+            if CLAIMS[name].instances in _SWEEPS and _pass[2:] == (True,):  # the shard's classes
+                mine.update(classes[s.reach_rows] for _, s in _pass[0])
             elif name == "T8":
                 _pass = (checked(_pass[0]), *_pass[1:])
             return real_run_claim(name, *args, _pass=_pass, **kwargs)
@@ -1422,8 +1355,8 @@ class TestSweepBlocks:
         class EndWatch(list):
             def __iter__(self):
                 # the reach rows of the spaces alive, no space itself
-                ends.append((last[0], set(block), set(spectra), [s.reach_rows for s in alive()]))
-                block.clear()
+                ends.append((set(mine), set(spectra), [s.reach_rows for s in alive()]))
+                mine.clear()
                 spectra.clear()
                 return super().__iter__()
 
@@ -1434,20 +1367,21 @@ class TestSweepBlocks:
         monkeypatch.setattr(verifier, "_MEMOS", EndWatch(verifier._MEMOS))
         run_suite(n_max=4, pair_max=3, jobs=jobs)
         assert alive() == []
-        blocks = [(mine, rows) for _, mine, _, rows in ends if mine]
-        assert len(blocks) == 7 * jobs
-        for mine, rows in blocks:
-            assert len(mine) <= -(-7 // jobs)
-            assert sorted(classes[r] for r in rows) == sorted(mine)
-        assert sorted(i for mine, _ in blocks for i in mine) == list(range(46))
-        t8 = [(spectra, rows) for name, _, spectra, rows in ends if name == "T8"]
+        shards = [end for end in ends if end[0]]
+        assert len(shards) == jobs
+        assert sorted(i for classes_of, *_ in shards for i in classes_of) == list(range(46))
         # the shards check the 24 T0 classes of at most 4 points and the
         # discrete spectrum of 5 points (of Z/2310)
-        assert len(t8) == jobs and len(set().union(*(spectra for spectra, _ in t8))) == 25
-        for spectra, rows in t8:
-            assert sorted(rows) == sorted(spectra)
-        others = [rows for name, mine, _, rows in ends if not mine and name != "T8"]
-        assert all(0 <= labelled[r] < 34 for rows in others for r in rows)
+        assert len(set().union(*(spectra_of for _, spectra_of, _ in shards))) == 25
+        for classes_of, spectra_of, rows in shards:
+            held = Counter(rows)
+            expected = Counter(reps[i] for i in classes_of) + Counter(spectra_of)
+            assert not expected - held
+            rest = held - expected
+            assert rest and max(rest.values()) == 1
+            assert all(0 <= labelled[r] < 34 for r in rest)
+        others = [rows for classes_of, _, rows in ends if not classes_of]
+        assert others and all(0 <= labelled[r] < 34 for rows in others for r in rows)
         assert max(map(len, others)) > 0
 
     @pytest.mark.parametrize("jobs", [1, 2])
@@ -1455,8 +1389,7 @@ class TestSweepBlocks:
         # T2-T4, P4 and C9 (closure rows), T6 (smallest boxes), T13 and
         # D5_sense_compare (deformable opens) read one memo of meets: in the
         # 4/3 suite the undecorated _meets runs once per swept class and
-        # shard, in blocks of the default size, and L2_literal's labelled
-        # counterexamples derive none
+        # shard, and L2_literal's labelled counterexamples derive none
         from irtopo import verifier
 
         derived, shard = [], [None]
@@ -1639,10 +1572,10 @@ verifier.run_suite(n_max=2)
 suite = spans.span_counts(rec)
 verifier._BLOCK = 2
 verifier.run_suite(n_max=2, claims=["T2", "L1", "T14"])
-blocks = spans.span_counts(rec)["verifier.run_claim"] - suite["verifier.run_claim"]
+passes = spans.span_counts(rec)["verifier.run_claim"] - suite["verifier.run_claim"]
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(["spec", "zn", "--n", "360", "--format", "json"])
-print(json.dumps({{"code": code, "suite": suite, "blocks": blocks, "counts": spans.span_counts(rec)}}))
+print(json.dumps({{"code": code, "suite": suite, "passes": passes, "counts": spans.span_counts(rec)}}))
 """
     done = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
@@ -1652,10 +1585,10 @@ print(json.dumps({{"code": code, "suite": suite, "blocks": blocks, "counts": spa
     suite, counts = result["suite"], result["counts"]
     # every claim pass runs through run_claim: at 2 points, one per claim
     # and three for L2_literal's labelled counterexamples, its 5 labelled
-    # spaces in blocks of 1, 2 and 2 (blocks double); in blocks of 2 of the
-    # 4 classes, two per sweep claim and one for T14
+    # spaces in blocks of 1, 2 and 2 (blocks double); whatever _BLOCK is,
+    # one pass per claim for T2, L1 and T14, which all pass
     assert suite["verifier.run_claim"] == 32 + 3
-    assert result["blocks"] == 2 + 2 + 1
+    assert result["passes"] == 3
     assert suite["verifier.enumerate"] > 0
     # one traced `spec zn` call adds its own spans
     assert result["code"] == 0
