@@ -645,6 +645,58 @@ class TestClaimKernels:
         assert len(walked) == len(swept) == 46
         assert Counter(walked) == Counter(swept)
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("claim, helper", _COVER_HELPERS)
+    def test_cover_claims_decide_every_cover_of_every_class(self, monkeypatch, claim, helper, jobs):
+        # no record of decided pairs is kept: each swept class decides
+        # every (optimal cover, cover) pair it holds, once, in the shard
+        # that checks it, so a pair held by several classes is decided at
+        # each of them
+        from irtopo import verifier
+
+        held = [pair for s in _reps(4) for pair in _space_cover_pairs(claim, s)]
+        if claim == "L1":
+            assert (len(held), len(set(held))) == (171, 135)
+        decided = []
+        real = getattr(category, helper)
+
+        def counting(optimal, cov):
+            decided.append((tuple(optimal), tuple(cov)))
+            return real(optimal, cov)
+
+        monkeypatch.setattr(category, helper, counting)
+        sizes = []
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _inline_pool(sizes))
+        monkeypatch.setattr(verifier, "_usable_cpus", lambda: 2)
+        (report,) = run_suite(n_max=4, claims=[claim], jobs=jobs)
+        assert report.passed
+        assert sizes == ([2] if jobs == 2 else [])
+        assert Counter(decided) == Counter(held)
+        assert len(decided) > len(set(decided))
+
+    @pytest.mark.parametrize("claim, helper", _COVER_HELPERS)
+    def test_cover_claims_decide_the_same_covers_on_every_run(self, monkeypatch, claim, helper):
+        # nothing decided in one run carries into the next: a second run
+        # in the same process decides the same pairs in the same order and
+        # reports the same bytes, and neither leaves a memo entry
+        from irtopo import verifier
+
+        decided = []
+        real = getattr(category, helper)
+
+        def counting(optimal, cov):
+            decided.append((tuple(optimal), tuple(cov)))
+            return real(optimal, cov)
+
+        monkeypatch.setattr(category, helper, counting)
+        runs = []
+        for _ in range(2):
+            decided.clear()
+            report = suite_to_jsonable([run_claim(claim, n_max=4)], 4, None, 0)
+            assert not any(verifier._MEMOS)
+            runs.append((list(decided), dumps_canonical(report)))
+        assert runs[0][0] and runs[0] == runs[1]
+
     @pytest.mark.parametrize("claim, helper", _COVER_HELPERS)
     def test_failing_pair_fails_at_every_space_holding_it(self, monkeypatch, claim, helper):
         # each space holding a pair decided wrong is a counterexample
