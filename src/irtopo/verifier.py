@@ -60,7 +60,9 @@ only what defines its instances.
 A class sweep checks each homeomorphism class (``_classes``) on its
 first member: every swept statement is topological, so a relabelling
 keeps its verdict, and a class counts its orbit size, tested or failing.
-T8's one pass reads the T0 classes alike (``_WEIGHTED``).  After the merge
+T8's one pass reads the T0 classes alike, and a pair claim's the ordered
+pairs of classes, weighted by the product of the orbit sizes, since its
+statement is topological in each factor (``_WEIGHTED``).  After the merge
 a failing claim reports the first counterexamples of its check over its
 labelled family (``instances``); ``elapsed`` holds both passes.
 """
@@ -515,14 +517,26 @@ def _t8_instances(n_max: int, pair_max: int, seed: int) -> Iterator[tuple]:
         yield "zn", m
 
 
+def _members(n_max: int) -> Iterator[tuple[int, FiniteSpace]]:
+    """The first member of each class of at most n_max points, with its orbit size."""
+    for n in range(1, n_max + 1):
+        table = _space_table(n)
+        yield from ((w, FiniteSpace(_labels(n), tuple(table[i * n:i * n + n]))) for i, w in _classes(n))
+
+
 def _t8_classes(n_max: int, pair_max: int, seed: int) -> Iterator[tuple]:
     """``_t8_instances`` weighted: each T0 class's first member with its orbit
     size (T0 is topological, as T8's check is), then each modulus, weight 1."""
-    for n in range(1, n_max + 1):
-        for i, w in _classes(n):
-            if (s := FiniteSpace(_labels(n), tuple(_space_table(n)[i * n:i * n + n]))).is_t0():
-                yield w, ("poset", s)
+    yield from ((w, ("poset", s)) for w, s in _members(n_max) if s.is_t0())
     yield from ((1, ("zn", m)) for m in range(2, _T8_MODULUS_LIMIT + 1))
+
+
+def _pair_classes(n_max: int, pair_max: int, seed: int) -> Iterator[tuple]:
+    """``_pairs`` weighted: each ordered pair of first class members of at most
+    pair_max points with the product of their orbit sizes, its number of labelled
+    pairs, which a pair claim decides alike, being topological in each factor."""
+    for (wa, a), (wb, b) in itertools.product(_members(pair_max), repeat=2):
+        yield wa * wb, (a, b)
 
 
 def _t10_batches(n_max: int, pair_max: int, seed: int) -> list:
@@ -1149,29 +1163,29 @@ def _check_all(check: Callable, instances: Iterable, tally: list, weighted: bool
 # the families whose instances are the swept spaces, to the most points each takes
 _SWEEPS = {_spaces: MAX_ENUM_POINTS, _dim_spaces: _DIM_SWEEP_CAP}
 # a one-pass family to the family over classes that a pass takes in its place
-_WEIGHTED = {_t8_instances: _t8_classes}
+_WEIGHTED = {_t8_instances: _t8_classes, _pairs: _pair_classes}
 
 
 def _run_shard(names: list[str], n_max: int, pair_max: int, seed: int, nshards: int, shard: int):
     """Each named claim's instances whose index is ``shard`` modulo
     ``nshards``: one pool task, or all of a run at one job.
 
-    What the selection reads (the tables of the pair claims, the classes
-    of T8 and the sweep claims) is built first, and then the first member
-    of each of the shard's classes with its structure, all outside every
-    claim's time.  Each claim runs one pass, through ``run_claim``: a
-    sweep claim's over those members, T8's over ``_WEIGHTED``, any other's
-    over its indexed family.  The passes share the memos, which are
-    emptied when the shard ends.  Returns the tallies.
+    What the selection reads (the tables and classes of the sweep claims,
+    of T8 to n_max and of the pair claims to pair_max) is built first, and
+    then the first member of each of the shard's classes with its
+    structure, all outside every claim's time.  Each claim runs one pass,
+    through ``run_claim``: a sweep claim's over those members, T8's and
+    the pair claims' over ``_WEIGHTED``, any other's over its indexed
+    family.  The passes share the memos, which are emptied when the shard
+    ends.  Returns the tallies.
     """
     tallies = {name: [0, 0, [], 0.0] for name in names}
     families = {CLAIMS[name].instances for name in names}
     swept = max(min(_SWEEPS.get(f, 0), n_max) for f in families)
-    classed = max(swept, n_max if families & _WEIGHTED.keys() else 0)
-    tables = [_space_table(n) for n in range(1, max(pair_max if _pairs in families else 0, classed) + 1)]
-    orbits = [_classes(n) for n in range(1, classed + 1)]
-    classes = [(n, i, w) for n in range(1, swept + 1) for i, w in orbits[n - 1]][shard::nshards]
-    members = [(w, FiniteSpace(_labels(n), tuple(tables[n - 1][i * n:i * n + n]))) for n, i, w in classes]
+    classed = max(swept, n_max if _t8_instances in families else 0, pair_max if _pairs in families else 0)
+    for n in range(1, classed + 1):
+        _classes(n)  # and its table
+    members = list(itertools.islice(_members(swept), shard, None, nshards))
     for _, space in members:
         space.open_sets  # fills min_opens as well
     try:

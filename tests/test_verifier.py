@@ -26,11 +26,13 @@ from irtopo.homotopy import continuous_maps
 from irtopo.verifier import (
     CLAIM_ORDER,
     CLAIMS,
+    MAX_PAIR_POINTS,
     UnknownClaim,
     _check_t3,
     _check_t11,
     _meets,
     _p1_instances,
+    _pairs,
     _packed_covers,
     _padded_cover,
     _smallest_boxes,
@@ -46,7 +48,7 @@ from irtopo.verifier import (
     suite_to_jsonable,
     topologies_by_open_families,
 )
-from irtopo.spaceio import dumps_canonical
+from irtopo.spaceio import dumps_canonical, space_to_dict
 
 from conftest import discrete, sphere_model, union_closure_opens
 
@@ -354,9 +356,9 @@ def _labelled_oracle(n_max):
     return _labelled_sweep(_SWEEP_CLAIMS, n_max)
 
 
-def _class_sweep(claim, n_max):
+def _class_sweep(claim, n_max, pair_max=None):
     """The same three fields of the claim's report, from the class sweep."""
-    report = run_claim(claim, n_max=n_max)
+    report = run_claim(claim, n_max=n_max, pair_max=pair_max)
     return report.instances_tested, report.counterexample_count, report.counterexamples
 
 
@@ -376,6 +378,43 @@ def _labelled_t8(n_max):
 
 # labelled posets on 1..6 points (OEIS A001035)
 _LABELLED_POSETS = (1, 3, 19, 219, 4231, 130023)
+
+# the most points of a factor at which the pass of a pair claim over pairs
+# of classes is compared with its labelled pairs: 3, or IRTOPO_ORACLE_POINTS
+# capped at MAX_PAIR_POINTS where it is set
+_ORACLE_PAIR_POINTS = min(int(os.environ.get("IRTOPO_ORACLE_POINTS", "3")), MAX_PAIR_POINTS)
+
+_PAIR_CLAIMS = [name for name in CLAIM_ORDER if CLAIMS[name].instances is _pairs]
+
+
+def _labelled_pairs(claim, pair_max):
+    """A pair claim's check over every labelled pair of spaces of at most
+    pair_max points (``_pairs``), which its pass over pairs of classes
+    replaced, kept as its oracle, the memos emptied after; the same three
+    fields as ``_class_sweep``."""
+    from irtopo import verifier
+
+    tally = [0, 0, [], 0.0]
+    try:
+        verifier._check_all(CLAIMS[claim].check, enumerate(_pairs(pair_max, pair_max, 0)), tally)
+    finally:
+        for table in verifier._MEMOS:
+            table.clear()
+    return tally[0], tally[1], [payload for _, payload in tally[2]]
+
+
+def _failing_t7(monkeypatch, fails):
+    """T7's check made to fail at each pair of spaces for which
+    ``fails(left rows, right rows)`` holds, and as it does elsewhere."""
+    from irtopo import verifier
+
+    real = verifier._check_t7
+
+    def check(pair):
+        a, b = pair
+        return {"left": a, "right": b} if fails(a.reach_rows, b.reach_rows) else real(pair)
+
+    monkeypatch.setitem(verifier.CLAIMS, "T7", dataclasses.replace(verifier.CLAIMS["T7"], check=check))
 
 
 class TestLabelledOracle:
@@ -442,6 +481,65 @@ class TestLabelledOracle:
         assert (report.instances_tested, report.counterexample_count) == (23 + 4999, 3 + two_primes)
         assert len(labelled[2]) == 10 and report.counterexamples == labelled[2]
         assert [p["kind"] for p in labelled[2]] == ["poset"] * 2 + ["zn"] * 8
+
+    @pytest.mark.parametrize("claim", _PAIR_CLAIMS)
+    def test_class_pairs_match_the_labelled_pairs(self, claim):
+        # each pair claim decides every relabelling of either factor alike,
+        # so its pass over ordered pairs of classes, weighted by the product
+        # of their orbit sizes, reports what its check over every labelled
+        # pair does (at 4 points with IRTOPO_ORACLE_POINTS=4 or more)
+        assert _PAIR_CLAIMS == ["T5", "T7", "T9_product", "T14", "T15"]
+        points = _ORACLE_PAIR_POINTS
+        labelled = _labelled_pairs(claim, points)
+        assert labelled[0] == sum(EXPECTED_COUNTS[n] for n in range(1, points + 1)) ** 2
+        assert _class_sweep(claim, points, points) == labelled
+
+    @pytest.mark.parametrize(
+        "left, right, weight",
+        [((1, 3), (1, 3), 4), ((1, 3), (3, 2), 0), ((3, 2), (1, 3), 0)],
+        ids=["first-members", "other-right", "other-left"],
+    )
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_pair_comparison_catches_a_failure_on_one_labelled_pair(
+        self, monkeypatch, left, right, weight, jobs
+    ):
+        # T7 made to fail at one labelled pair of Sierpinski spaces: the
+        # labelled pairs count that pair; the pass over pairs of classes
+        # counts the whole orbit, 2 x 2 labelled pairs, when each factor is
+        # its class's first member, and nothing when one is not; a failing
+        # claim reports the labelled counterexample, at either job count
+        from irtopo import verifier
+
+        _failing_t7(monkeypatch, lambda a, b: (a, b) == (left, right))
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _inline_pool([]))
+        monkeypatch.setattr(verifier, "_usable_cpus", lambda: 2)
+        labelled = _labelled_pairs("T7", 3)
+        report = run_suite(n_max=3, claims=["T7"], jobs=jobs)[0]
+        assert labelled[:2] == (1156, 1)
+        assert (report.instances_tested, report.counterexample_count) == (1156, weight)
+        assert report.counterexamples == (labelled[2] if weight else [])
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_pair_claims_report_the_labelled_counterexamples(self, monkeypatch, jobs):
+        # T7 made to fail at every pair with a Sierpinski factor, in either
+        # labelling: 2 x 34 pairs on each side, 2 x 2 of them on both; the
+        # pass over pairs of classes counts as many, and the counterexamples
+        # reported are the labelled pairs' first ten, in their order, at
+        # either job count
+        from irtopo import verifier
+
+        sierpinski = {(1, 3), (3, 2)}
+        _failing_t7(monkeypatch, lambda a, b: a in sierpinski or b in sierpinski)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _inline_pool([]))
+        monkeypatch.setattr(verifier, "_usable_cpus", lambda: 2)
+        labelled = _labelled_pairs("T7", 3)
+        report = run_suite(n_max=3, claims=["T7"], jobs=jobs)[0]
+        assert labelled[:2] == (1156, 2 * 68 - 4)
+        assert (report.instances_tested, report.counterexample_count) == labelled[:2]
+        first = [(a, b) for a, b in _pairs(3, 3, 0) if {a.reach_rows, b.reach_rows} & sierpinski][:10]
+        assert report.counterexamples == labelled[2] == [
+            {"left": space_to_dict(a), "right": space_to_dict(b)} for a, b in first
+        ]
 
 
 class TestOracle:
@@ -1369,12 +1467,12 @@ class TestSweepBlocks:
         # that the run built are the first members of the shard's classes
         # (the sweep claims' instances), one space per distinct spectrum
         # that the shard's T8 pass checked (its memo of verdicts), and
-        # at most one of each of the 34 labelled spaces of at most 3
-        # points that the pair claims' memos hold; at the end of each
-        # block of L2_literal's labelled counterexample pass, only such
-        # labelled spaces; after the run none is alive.  No collection
-        # runs first: reference counting alone must free them, as the
-        # memory peak of a sweep needs
+        # at most one of each of the 13 class members of at most 3 points
+        # (pair_max) that the pair claims' memos hold; at the end of each
+        # block of L2_literal's labelled counterexample pass, only
+        # labelled spaces of at most 3 points; after the run none is
+        # alive.  No collection runs first: reference counting alone must
+        # free them, as the memory peak of a sweep needs
         import gc
 
         from irtopo import verifier
@@ -1431,7 +1529,7 @@ class TestSweepBlocks:
             assert not expected - held
             rest = held - expected
             assert rest and max(rest.values()) == 1
-            assert all(0 <= labelled[r] < 34 for r in rest)
+            assert all(r in reps[:13] for r in rest)
         others = [rows for classes_of, _, rows in ends if not classes_of]
         assert others and all(0 <= labelled[r] < 34 for rows in others for r in rows)
         assert max(map(len, others)) > 0
@@ -1495,7 +1593,7 @@ print(len(verifier._MEMOS) - len(memos), sum(map(len, verifier._MEMOS)))
         "claims, n_max, pair_max, tables, classes",
         [
             (["T8"], 4, 2, 4, 4),
-            (["T5"], 4, 2, 2, 0),
+            (["T5"], 4, 2, 2, 2),
             (["C9"], 3, 4, 3, 3),
             (["T13"], 6, 3, 4, 4),
             (["C3"], 6, 4, 0, 0),
@@ -1506,12 +1604,11 @@ print(len(verifier._MEMOS) - len(memos), sum(map(len, verifier._MEMOS)))
     def test_only_what_the_selection_reads_is_built_before_any_pass(
         self, monkeypatch, claims, n_max, pair_max, tables, classes
     ):
-        # the labelled tables of the pair claims (to pair_max), and the
-        # tables and classes of T8 (to n_max) and of the sweep claims
-        # (T13's to its 4-point cap), are built before the first pass, so
-        # no claim's elapsed counts a build, L2_literal's labelled
-        # counterexamples included; nothing else is built, and C3 reads
-        # neither cache
+        # the tables and classes of the pair claims (to pair_max), of T8
+        # (to n_max) and of the sweep claims (T13's to its 4-point cap)
+        # are built before the first pass, so no claim's elapsed counts a
+        # build, L2_literal's labelled counterexamples included; nothing
+        # else is built, and C3 reads neither cache
         from irtopo import verifier
 
         built = {"table": [], "classes": []}
