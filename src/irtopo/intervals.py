@@ -18,11 +18,12 @@ T10, C1), not here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .core import EmptySpace, FiniteSpace, IrtopoError, clip_repr, mask_of, require_int
+from .core import EmptySpace, FiniteSpace, IrtopoError, clip_repr, require_int
 
 
 class OutOfRange(IrtopoError):
@@ -141,18 +142,20 @@ def grid_subspace(points: Iterable[Sequence]) -> FiniteSpace:
     for p in pts:
         if len(p) != arity:
             raise ArityMismatch(f"expected {arity} coordinates, got {len(p)}")
-    if len(set(pts)) != len(pts):
+    # each coordinate as an integer over the common denominator of its column
+    dens = [math.lcm(*(c.denominator for c in col)) for col in zip(*pts)]
+    cols = [[c.numerator * (den // c.denominator) for c in col] for den, col in zip(dens, zip(*pts))]
+    if len(set(zip(*cols) if cols else pts)) != len(pts):
         raise ValueError("grid points must be distinct")
-    labels = tuple(
-        "(" + ",".join(format_fraction(c) for c in p) + ")" for p in pts
-    )
-    rows = []
-    for p in pts:
-        rows.append(
-            mask_of(
-                j
-                for j, q in enumerate(pts)
-                if all(pc <= qc for pc, qc in zip(p, q))
-            )
-        )
+    labels = tuple("(" + ",".join(format_fraction(c) for c in p) + ")" for p in pts)
+    # p's row: the meet over the coordinates of the points at or above p in
+    # it; at[v] becomes the points at or above v, from one sort of the values
+    rows = [(1 << len(pts)) - 1] * len(pts)
+    for col in cols:
+        at, above = {}, 0
+        for j, v in enumerate(col):
+            at[v] = at.get(v, 0) | 1 << j
+        for v in sorted(at, reverse=True):
+            above = at[v] = above | at[v]
+        rows = [row & at[v] for row, v in zip(rows, col)]
     return FiniteSpace(labels, tuple(rows))

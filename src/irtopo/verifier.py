@@ -44,13 +44,11 @@ Reports are deterministic given (claim, size limits, seed) and
 independent of the worker count: instances are indexed before sharding,
 each shard returns its first counterexamples and they merge by index.
 Timing is kept out of the JSON form so reports compare byte for byte.
-The table of spaces is packed reach rows, built once per process
-(``_space_table``, from ``core.extensions``).  ``run_claim`` runs in the
-calling process, and only ``run_suite`` starts a pool, and only then
-imports it: with k workers it gets k tasks, task i running shard i of
-every claim.  Both run ``_run_shard``, where each claim runs one pass:
-the claims that sweep the table over the shard's classes, built once
-before any pass, and every other claim over its own family.  What the
+``run_claim`` runs in the calling process, and only ``run_suite`` starts
+a pool, and only then imports it: with k workers it gets k tasks, task i
+running shard i of every claim.  Both run ``_run_shard``, where each
+claim runs one pass: the sweep claims over the shard's classes, built
+once before any pass, and every other claim over its own family.  What the
 checks share (``_meets``, ``_closure_rows``, ``_packed_covers``,
 ``_ir_cat`` per space, ``_theorem8`` per spectrum) lives in a ``_memo``
 until the shard ends, so no space or memo outlives its shard, and a
@@ -58,7 +56,7 @@ worker works it out for its own shard only: an instance family yields
 only what defines its instances.
 
 A class sweep checks each homeomorphism class (``_classes``) on its
-first member: every swept statement is topological, so a relabelling
+canonical member: every swept statement is topological, so a relabelling
 keeps its verdict, and a class counts its orbit size, tested or failing.
 T8's one pass reads the T0 classes alike, and a pair claim's the ordered
 pairs of classes, weighted by the product of the orbit sizes, since its
@@ -71,6 +69,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 import os
 import random
@@ -93,6 +92,7 @@ from .core import (
     points_of,
     product,
     require_int,
+    transpose,
 )
 
 MAX_ENUM_POINTS = 6
@@ -120,22 +120,50 @@ def _space_table(n: int) -> bytes:
 
 
 @lru_cache(maxsize=None)
-def _classes(n: int) -> tuple[tuple[int, int], ...]:
-    """The homeomorphism classes of the spaces on n >= 1 points as (table
-    index of the first member, orbit size), built once per process: each
-    space not yet seen in table order starts a class, whose orbit is its
-    n! relabellings (each row mapped, and moved to its point's image)."""
-    table, seen, classes, moves = _space_table(n), set(), [], []
-    for perm in itertools.permutations(range(n)):
-        image = bytes(sum(1 << perm[p] for p in points_of(m)) for m in range(1 << n)).ljust(256, b"\0")
-        # the row each point reads: two or more indices, so the getter returns a tuple
-        moves.append((image, operator.itemgetter(*sorted(range(n), key=perm.__getitem__), 0)))
-    for k in range(0, len(table), n):
-        if (rows := table[k:k + n]) not in seen:
-            orbit = {bytes(move(rows.translate(image))[:n]) for image, move in moves}
-            seen |= orbit
-            classes.append((k // n, len(orbit)))
-    return tuple(classes)
+def _cell_moves(cells: tuple[int, ...]) -> tuple:
+    """The relabellings that permute points only within runs of ``cells[0]``,
+    ``cells[1]``, ... points (none when no run holds two), as (image, move):
+    ``rows.translate(image)`` maps each row, ``move`` reads each point's."""
+    n = sum(cells)
+    runs = [range(k - size, k) for k, size in zip(itertools.accumulate(cells), cells)]
+    moves = []
+    for parts in itertools.product(*map(itertools.permutations, runs)) if n > len(cells) else ():
+        perm, image = sum(parts, ()), [0]
+        for p in perm:  # the masks with point p are those without it, plus p's image
+            image += [m | 1 << p for m in image]
+        move = operator.itemgetter(*sorted(range(n), key=perm.__getitem__))
+        moves.append((bytes(image).ljust(256, b"\0"), move))
+    return tuple(moves)
+
+
+def _canonical(rows: tuple[int, ...]) -> tuple[bytes, int]:
+    """A canonical form of the space with these reach rows (at most 8 points)
+    and |Aut|: the points sorted by colour, (row size, column size), and the
+    least byte image over the relabellings that permute only within equal
+    colours (McKay, "Practical graph isomorphism", 1981); every automorphism
+    keeps colours, so |Aut| is the number of them that reach it."""
+    colour = [(r.bit_count(), c.bit_count()) for r, c in zip(rows, transpose(rows))]
+    order = sorted(range(len(rows)), key=colour.__getitem__)
+    bits = [1 << j for j in sorted(range(len(rows)), key=order.__getitem__)]  # x's place, as a mask
+    ranked = bytes(sum(map(bits.__getitem__, points_of(rows[x]))) for x in order)
+    moves = _cell_moves(tuple(len(list(run)) for _, run in itertools.groupby(order, colour.__getitem__)))
+    images = [move(ranked.translate(image)) for image, move in moves] or [ranked]
+    return bytes(least := min(images)), images.count(least)
+
+
+@lru_cache(maxsize=None)
+def _classes(n: int) -> tuple[tuple[bytes, int], ...]:
+    """The classes of the spaces on n >= 1 points as (canonical rows, orbit
+    size n!/|Aut|), in order of their rows, built once per process: every
+    space on n points, relabelled so that a point of largest closure comes
+    last, is a child (``core.extensions``) of its restriction's class
+    representative, so those children of the classes on n - 1 points, told
+    apart by ``_canonical``, meet every class."""
+    smaller = _classes(n - 1) if n > 1 else [(b"", 1)]  # the empty space's one class
+    parents = [FiniteSpace(_labels(n - 1), tuple(rows)) for rows, _ in smaller]
+    children = (c for s in parents for c in extensions(s) if c[-1].bit_count() == max(map(int.bit_count, c)))
+    found = sorted(dict(map(_canonical, children)).items())
+    return tuple((rows, math.factorial(n) // aut) for rows, aut in found)
 
 
 @lru_cache(maxsize=None)
@@ -518,10 +546,9 @@ def _t8_instances(n_max: int, pair_max: int, seed: int) -> Iterator[tuple]:
 
 
 def _members(n_max: int) -> Iterator[tuple[int, FiniteSpace]]:
-    """The first member of each class of at most n_max points, with its orbit size."""
+    """The canonical member of each class of at most n_max points, with its orbit size."""
     for n in range(1, n_max + 1):
-        table = _space_table(n)
-        yield from ((w, FiniteSpace(_labels(n), tuple(table[i * n:i * n + n]))) for i, w in _classes(n))
+        yield from ((w, FiniteSpace(_labels(n), tuple(rows))) for rows, w in _classes(n))
 
 
 def _t8_classes(n_max: int, pair_max: int, seed: int) -> Iterator[tuple]:
@@ -1170,10 +1197,10 @@ def _run_shard(names: list[str], n_max: int, pair_max: int, seed: int, nshards: 
     """Each named claim's instances whose index is ``shard`` modulo
     ``nshards``: one pool task, or all of a run at one job.
 
-    What the selection reads (the tables and classes of the sweep claims,
-    of T8 to n_max and of the pair claims to pair_max) is built first, and
-    then the first member of each of the shard's classes with its
-    structure, all outside every claim's time.  Each claim runs one pass,
+    What the selection reads (the classes of the sweep claims, of T8 to
+    n_max and of the pair claims to pair_max; no labelled table) is built
+    first, and then the canonical member of each of the shard's classes
+    with its structure, all outside every claim's time.  Each claim runs one pass,
     through ``run_claim``: a sweep claim's over those members, T8's and
     the pair claims' over ``_WEIGHTED``, any other's over its indexed
     family.  The passes share the memos, which are emptied when the shard
@@ -1184,7 +1211,7 @@ def _run_shard(names: list[str], n_max: int, pair_max: int, seed: int, nshards: 
     swept = max(min(_SWEEPS.get(f, 0), n_max) for f in families)
     classed = max(swept, n_max if _t8_instances in families else 0, pair_max if _pairs in families else 0)
     for n in range(1, classed + 1):
-        _classes(n)  # and its table
+        _classes(n)
     members = list(itertools.islice(_members(swept), shard, None, nshards))
     for _, space in members:
         space.open_sets  # fills min_opens as well

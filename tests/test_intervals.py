@@ -17,8 +17,9 @@ from irtopo import (
     points_of,
 )
 from irtopo import intervals
+from irtopo.core import FiniteSpace
 from irtopo.intervals import as_fraction, format_fraction
-from irtopo.verifier import _UNIT, _check_p1, _check_t1, _check_t10, _t1_instances
+from irtopo.verifier import _UNIT, _check_p1, _check_t1, _check_t10, _t1_instances, _t10_batches
 
 
 class TestDistance:
@@ -364,6 +365,20 @@ class TestCompactness:
                 assert _check_t1(inst) is None
 
 
+def _pairwise_grid(points):
+    """``grid_subspace`` as it compared every pair of points, kept as the
+    reference of its sort: p reaches q when p <= q in every coordinate."""
+    pts = [tuple(as_fraction(c) for c in p) for p in points]
+    if len(set(pts)) != len(pts):
+        raise ValueError("grid points must be distinct")
+    labels = tuple("(" + ",".join(format_fraction(c) for c in p) + ")" for p in pts)
+    rows = [
+        sum(1 << j for j, q in enumerate(pts) if all(pc <= qc for pc, qc in zip(p, q)))
+        for p in pts
+    ]
+    return FiniteSpace(labels, tuple(rows))
+
+
 class TestGrid:
     def test_box_corners(self):
         pts = [(0, 0), (1, 0), (0, 1), (1, 1)]
@@ -393,6 +408,41 @@ class TestGrid:
     def test_duplicates_rejected(self):
         with pytest.raises(ValueError):
             grid_subspace([(0, 1), (0, 1)])
+
+    @pytest.mark.parametrize("grids", ["T1", "T10", "seeded"])
+    def test_sorted_rows_match_the_pairwise_reference(self, grids):
+        # the grid subspace of each of T1's and T10's seeded grids, and of
+        # seeded grids of 1 to 3 coordinates and up to 24 points, drawn
+        # with ties and negative values, or the error it raises, is what
+        # the pairwise reference gives
+        import random
+
+        if grids == "T1":
+            cases = [[(v,) for v in inst[1]] for seed in range(5) for inst in _t1_instances(5, 3, seed)]
+        elif grids == "T10":
+            cases = [batch for seed in range(5) for batch in _t10_batches(5, 3, seed)]
+        else:
+            rng = random.Random(11)
+            cases = [
+                [
+                    tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(arity))
+                    for _ in range(rng.randint(1, 24))
+                ]
+                for arity in (1, 2, 3) for _ in range(100)
+            ]
+            cases += [[()], [(), ()], [(1, 2), (Fraction(2, 2), Fraction(4, 2))]]
+        raised = 0
+        for pts in cases:
+            try:
+                expected = _pairwise_grid(pts)
+            except ValueError as e:
+                raised += 1
+                with pytest.raises(ValueError, match=f"^{e}$"):
+                    grid_subspace(pts)
+            else:
+                got = grid_subspace(pts)
+                assert (got.labels, got.reach_rows) == (expected.labels, expected.reach_rows)
+        assert raised if grids == "seeded" else not raised
 
     def test_grids_are_partial_orders(self):
         import random

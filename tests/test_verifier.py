@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import math
 import multiprocessing
 import operator
 import os
@@ -98,14 +99,14 @@ def _cover_pairs(claim, n_max):
 
 
 def _reps(n_max):
-    """The first member of each class of at most n_max points, the spaces
-    the class sweep checks, in its order."""
+    """The canonical member of each class of at most n_max points, the
+    spaces the class sweep checks, in its order."""
     from irtopo import verifier
 
     found = []
     for n in range(1, n_max + 1):
-        table, labels = _space_table(n), tuple(map(str, range(n)))
-        found += [FiniteSpace(labels, tuple(table[i * n:i * n + n])) for i, _ in verifier._classes(n)]
+        labels = tuple(map(str, range(n)))
+        found += [FiniteSpace(labels, tuple(rows)) for rows, _ in verifier._classes(n)]
     return found
 
 
@@ -259,9 +260,8 @@ class TestEnumeration:
             shards.append(Counter(transposed))
             return result
 
-        monkeypatch.setattr(verifier, "_space_table", lru_cache(maxsize=None)(_space_table.__wrapped__))
         monkeypatch.setattr(verifier, "_classes", lru_cache(maxsize=None)(verifier._classes.__wrapped__))
-        for n in range(1, 5):  # a fresh table, whose build transposes its parents
+        for n in range(1, 5):  # fresh classes, whose build transposes their parents
             verifier._classes(n)
         monkeypatch.setattr(core, "transpose", recording)
         monkeypatch.setattr(verifier, "_run_shard", run_shard)
@@ -291,33 +291,81 @@ class TestEnumeration:
             topologies_by_open_families(n)
 
 
+def _table_walk(n):
+    """The orbits of the spaces on n points as the table walk that the
+    class builder replaced found them, kept as its oracle: each space not
+    yet seen in table order starts a class, whose orbit is its n!
+    relabellings (each row mapped, and moved to its point's image)."""
+    table, seen, orbits, moves = _space_table(n), set(), [], []
+    for perm in itertools.permutations(range(n)):
+        image = bytes(sum(1 << perm[p] for p in points_of(m)) for m in range(1 << n)).ljust(256, b"\0")
+        # the row each point reads: two or more indices, so the getter returns a tuple
+        moves.append((image, operator.itemgetter(*sorted(range(n), key=perm.__getitem__), 0)))
+    for k in range(0, len(table), n):
+        if (rows := table[k:k + n]) not in seen:
+            orbit = frozenset(bytes(move(rows.translate(image))[:n]) for image, move in moves)
+            seen |= orbit
+            orbits.append(orbit)
+    return orbits
+
+
 class TestClasses:
     def test_counts_and_orbit_sizes(self):
         # the classes of OEIS A001930, whose orbits add up to the labelled
-        # spaces of A000798
+        # spaces of A000798, and the T0 classes among them, the posets of
+        # A000112, whose orbits add up to the labelled posets of A001035
         from irtopo import verifier
 
         counts = [(len(c), sum(w for _, w in c)) for c in map(verifier._classes, range(1, 7))]
         assert counts == [(1, 1), (3, 4), (9, 29), (33, 355), (139, 6942), (718, 209527)]
+        t0 = [[w for rows, w in verifier._classes(n) if len(set(rows)) == n] for n in range(1, 7)]
+        assert list(map(len, t0)) == [1, 2, 5, 16, 63, 318]
+        assert list(map(sum, t0)) == list(_LABELLED_POSETS)
 
     @pytest.mark.parametrize("n", range(1, 6))
-    def test_each_orbit_is_the_relabellings_of_its_first_member(self, n):
+    def test_each_orbit_is_the_relabellings_of_its_canonical_member(self, n):
         # each class's orbit size is the number of relabellings of its
-        # representative, which comes first among them in table order, and
-        # no two classes share a member, so the orbits partition the table
+        # representative, which is its own canonical form, and no two
+        # classes share a member, so the orbits partition the table
         from irtopo import verifier
 
         table, labels = _space_table(n), tuple(map(str, range(n)))
-        index = {tuple(table[k:k + n]): k // n for k in range(0, len(table), n)}
         owner = {}
-        for i, w in verifier._classes(n):
-            orbit = _relabellings(FiniteSpace(labels, tuple(table[i * n:i * n + n])))
+        for rows, w in verifier._classes(n):
+            assert verifier._canonical(tuple(rows)) == (rows, math.factorial(n) // w)
+            orbit = _relabellings(FiniteSpace(labels, tuple(rows)))
             assert len(orbit) == w
-            members = sorted(index[rows] for rows in orbit)
-            assert members[0] == i
-            for m in members:
-                assert owner.setdefault(m, i) == i
-        assert len(owner) == len(index)
+            for member in orbit:
+                assert owner.setdefault(bytes(member), rows) == rows
+        assert sorted(owner) == [table[k:k + n] for k in range(0, len(table), n)]
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_classes_are_the_orbits_the_table_walk_finds(self, n):
+        # the children of the classes one point smaller, deduplicated by
+        # their canonical form, give one class per orbit of the table walk
+        from irtopo import verifier
+
+        labels, classes = tuple(map(str, range(n))), verifier._classes(n)
+        orbits = {frozenset(map(bytes, _relabellings(FiniteSpace(labels, tuple(rows))))) for rows, _ in classes}
+        assert len(orbits) == len(classes)
+        assert orbits == set(_table_walk(n))
+
+    def test_canonical_form_is_the_same_for_every_relabelling(self):
+        # the labelled spaces of at most 5 points grouped by their
+        # canonical form: each group is the relabellings of any one of
+        # its members, so the form is unchanged under every relabelling
+        # and tells classes apart, and its count of relabellings that
+        # reach the form is |Aut|, n! over the orbit size
+        from irtopo import verifier
+
+        groups = {}
+        for s in _spaces_upto(5):
+            groups.setdefault(verifier._canonical(s.reach_rows), []).append(s)
+        assert len(groups) == 1 + 3 + 9 + 33 + 139
+        for (rows, aut), members in groups.items():
+            orbit = _relabellings(members[-1])
+            assert {m.reach_rows for m in members} == orbit and tuple(rows) in orbit
+            assert aut * len(orbit) == math.factorial(len(rows))
 
 
 # the most points the class sweep is compared with the labelled sweep at
@@ -749,12 +797,13 @@ class TestClaimKernels:
         # no record of decided pairs is kept: each swept class decides
         # every (optimal cover, cover) pair it holds, once, in the shard
         # that checks it, so a pair held by several classes is decided at
-        # each of them
+        # each of them; how many pairs are distinct depends on which
+        # member represents each class
         from irtopo import verifier
 
         held = [pair for s in _reps(4) for pair in _space_cover_pairs(claim, s)]
         if claim == "L1":
-            assert (len(held), len(set(held))) == (171, 135)
+            assert len(held) == 171 > len(set(held))
         decided = []
         real = getattr(category, helper)
 
@@ -1592,23 +1641,24 @@ print(len(verifier._MEMOS) - len(memos), sum(map(len, verifier._MEMOS)))
     @pytest.mark.parametrize(
         "claims, n_max, pair_max, tables, classes",
         [
-            (["T8"], 4, 2, 4, 4),
-            (["T5"], 4, 2, 2, 2),
-            (["C9"], 3, 4, 3, 3),
-            (["T13"], 6, 3, 4, 4),
+            (["T8"], 4, 2, 0, 4),
+            (["T5"], 4, 2, 0, 2),
+            (["C9"], 3, 4, 0, 3),
+            (["T13"], 6, 3, 0, 4),
             (["C3"], 6, 4, 0, 0),
-            (["T13", "T5", "L2_literal"], 5, 3, 5, 5),
+            (["T13", "T5", "L2_literal"], 5, 3, 3, 5),
         ],
         ids=["T8", "T5", "sweep", "T13", "C3", "mixed"],
     )
     def test_only_what_the_selection_reads_is_built_before_any_pass(
         self, monkeypatch, claims, n_max, pair_max, tables, classes
     ):
-        # the tables and classes of the pair claims (to pair_max), of T8
-        # (to n_max) and of the sweep claims (T13's to its 4-point cap)
-        # are built before the first pass, so no claim's elapsed counts a
-        # build, L2_literal's labelled counterexamples included; nothing
-        # else is built, and C3 reads neither cache
+        # the classes of the pair claims (to pair_max), of T8 (to n_max)
+        # and of the sweep claims (T13's to its 4-point cap) are built
+        # before the first pass, and no sweep builds a labelled table:
+        # only L2_literal's labelled counterexamples read the tables, each
+        # built between two of its passes, so no claim's elapsed counts a
+        # build; nothing else is built, and C3 reads neither cache
         from irtopo import verifier
 
         built = {"table": [], "classes": []}
@@ -1623,8 +1673,9 @@ print(len(verifier._MEMOS) - len(memos), sum(map(len, verifier._MEMOS)))
         passes, real_check_all = [], verifier._check_all
 
         def check_all(*args):
-            passes.append({name: list(ns) for name, ns in built.items()})
-            return real_check_all(*args)
+            before = {name: list(ns) for name, ns in built.items()}
+            real_check_all(*args)
+            passes.append((before, {name: list(ns) for name, ns in built.items()}))
 
         monkeypatch.setattr(verifier, "_space_table", spy("table", _space_table.__wrapped__))
         monkeypatch.setattr(verifier, "_classes", spy("classes", verifier._classes.__wrapped__))
@@ -1633,7 +1684,9 @@ print(len(verifier._MEMOS) - len(memos), sum(map(len, verifier._MEMOS)))
         assert all(r.passed or r.category != "asserted" for r in reports)
         assert sorted(built["table"]) == list(range(1, tables + 1))
         assert sorted(built["classes"]) == list(range(1, classes + 1))
-        assert passes and all(seen == built for seen in passes)
+        assert len(passes) >= len(claims)
+        assert all(before == after and before["classes"] == built["classes"] for before, after in passes)
+        assert not any(after["table"] for _, after in passes[:len(claims)])
 
     def test_labelled_counterexamples_list_at_most_twice_the_spaces_checked(self, monkeypatch):
         # the labelled pass lists its blocks doubling from 1 space, so it
